@@ -265,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--orbit-bound", type=int, default=0,
                         help="safety bound on braid-orbit sizes")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized subcommand")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="emit a dihedral template digraph")

@@ -243,9 +243,6 @@ class CoxeterSystem:
         """Generators s with l(sw) < l(w): first letters over the braid orbit."""
         return {word[0] for word in self.braid_orbit(w.word) if word}
 
-    def right_descents(self, w: "GroupElement") -> set[int]:
-        return {word[-1] for word in self.braid_orbit(w.word) if word}
-
     # -- enumeration ------------------------------------------------------------------------
 
     def enumerate(self, length_bound=None) -> list["GroupElement"]:

@@ -102,9 +102,6 @@ class SLabeledDigraph:
     def out_edges(self, v: str) -> list[Edge]:
         return [e for e in self.edges if e.src == v]
 
-    def in_edges(self, v: str) -> list[Edge]:
-        return [e for e in self.edges if e.dst == v]
-
     def successors(self, v: str) -> list[str]:
         """Heads of directed edges out of v (styles ignored, as in the arrow view)."""
         return [e.dst for e in self.edges if e.src == v]

@@ -380,6 +380,9 @@ class RatFunc:
 RF_ZERO = RatFunc(P_ZERO, P_ONE, _canonical=True)
 RF_ONE = RatFunc(P_ONE, P_ONE, _canonical=True)
 RF_U = RatFunc(P_U, P_ONE, _canonical=True)
+RF_U2 = RF_U * RF_U                     # u^2
+RF_U2M1 = RF_U2 - RF_ONE                # u^2 - 1
+RF_U_M2 = RF_U ** (-2)                  # u^-2
 
 
 def rf(num, den=None) -> RatFunc:
@@ -444,17 +447,6 @@ def eval_at(f: RatFunc, q) -> Fraction:
     if dv == 0:
         raise ZeroDivisionError(f"pole at u = {q}")
     return _norm_coeff(Fraction(f.num(q)) / Fraction(dv))
-
-
-def apply_field_map(f: RatFunc, which: str, q=None):
-    """Dispatch for the named field maps: 'sigma', 'bar', or 'eval'."""
-    if which == "sigma":
-        return sigma(f)
-    if which == "bar":
-        return ubar(f)
-    if which == "eval":
-        return eval_at(f, q)
-    raise ValueError(f"unknown field map {which!r}")
 
 
 # -- matrices --------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The eight dihedral templates are 2m-vertex cycles with two directed arcs from
 the source a0 to the sink bm; the left arc alternates labels s,t,s,... and the
 right arc t,s,t,...  Dashes occur only at the four extreme edges (the two out
-of the source, the two into the sink) in the per-figure patterns below.
+of the source, the two into the sink) in the per-figure patterns of the
+template table below, which also holds each figure's condition on n.
 
 Also here: the twisted-involution digraph attached to an involutory diagram
 automorphism, the left-regular digraph on all of W, and a handful of
@@ -14,20 +15,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
+from typing import Callable, NamedTuple
 
 from .coxeter import CoxeterSystem, DiagramAutomorphism
 from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
 
-# dash patterns, as subsets of the four extreme edge slots
-_DASH_PATTERNS = {
-    1: frozenset(),
-    2: frozenset({"left_first", "right_last"}),
-    3: frozenset({"right_first", "left_last"}),
-    4: frozenset({"left_first", "right_first"}),
-    5: frozenset({"left_last", "right_last"}),
-    6: frozenset({"left_first", "right_first", "left_last", "right_last"}),
-    7: frozenset(),
-    8: frozenset({"left_first", "right_first", "left_last", "right_last"}),
+
+class Template(NamedTuple):
+    dashes: frozenset           # dashed ones among the four extreme edge slots
+    divisor: Callable | None    # m -> the divisor of n; None: m = 1, n >= 2
+
+
+_ALL_SLOTS = frozenset({"left_first", "right_first", "left_last", "right_last"})
+
+TEMPLATES = {
+    1: Template(frozenset(), lambda m: m),
+    2: Template(frozenset({"left_first", "right_last"}), lambda m: m),
+    3: Template(frozenset({"right_first", "left_last"}), lambda m: m),
+    4: Template(frozenset({"left_first", "right_first"}), lambda m: 2 * m - 1),
+    5: Template(frozenset({"left_last", "right_last"}), lambda m: 2 * m - 1),
+    6: Template(_ALL_SLOTS, lambda m: 2 * m - 2),
+    7: Template(frozenset(), None),
+    8: Template(_ALL_SLOTS, None),
 }
 
 
@@ -41,11 +50,11 @@ class FamilySpec:
     t: str = "t"
 
     def __post_init__(self):
-        if self.figure not in range(1, 9):
+        if self.figure not in TEMPLATES:
             raise ValueError("figure must be 1..8")
         if self.s == self.t:
             raise ValueError("the two labels must differ")
-        if self.figure in (7, 8):
+        if TEMPLATES[self.figure].divisor is None:
             if self.m != 1:
                 raise ValueError("figures 7 and 8 have m = 1")
         elif self.m < 2:
@@ -55,7 +64,7 @@ class FamilySpec:
 def family_arc_steps(spec: FamilySpec) -> tuple[list, list]:
     """The two arcs as (label, style) step lists from the source to the sink."""
     m, s, t = spec.m, spec.s, spec.t
-    dashes = _DASH_PATTERNS[spec.figure]
+    dashes = TEMPLATES[spec.figure].dashes
     left = []
     right = []
     for i in range(1, m + 1):
@@ -96,17 +105,12 @@ def family_divisibility_ok(figure: int, m: int, n) -> bool:
     """The membership condition relating a template to the dihedral order n."""
     if n is inf:
         return False
-    if figure in (7, 8):
+    if figure not in TEMPLATES:
+        raise ValueError("figure must be 1..8")
+    divisor = TEMPLATES[figure].divisor
+    if divisor is None:
         return m == 1 and n >= 2
-    if m < 2:
-        return False
-    if figure in (1, 2, 3):
-        return n % m == 0
-    if figure in (4, 5):
-        return n % (2 * m - 1) == 0
-    if figure == 6:
-        return n % (2 * m - 2) == 0
-    raise ValueError("figure must be 1..8")
+    return m >= 2 and n % divisor(m) == 0
 
 
 def build_lv(system: CoxeterSystem, star: DiagramAutomorphism,

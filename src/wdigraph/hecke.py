@@ -20,11 +20,8 @@ from typing import Sequence
 
 from .coxeter import CoxeterSystem, GroupElement
 from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
-from .exactalg import (Poly, RF_ONE, RF_U, RF_ZERO, RatFunc, matrix_rank,
-                       poly_p, rf, ubar)
-
-U2 = RF_U * RF_U
-U2_MINUS_1 = U2 - RF_ONE
+from .exactalg import (Poly, RF_ONE, RF_U, RF_U2, RF_U2M1, RF_U_M2, RF_ZERO,
+                       RatFunc, matrix_rank, poly_p, rf, ubar)
 
 
 class HeckeElt:
@@ -117,15 +114,14 @@ class HeckeElt:
             if delta > 0:
                 add(sw, c)
             else:
-                add(sw, U2 * c)
-                add(w, U2_MINUS_1 * c)
+                add(sw, RF_U2 * c)
+                add(w, RF_U2M1 * c)
         return HeckeElt(system, out)
 
     def left_mult_gen_inverse(self, s) -> "HeckeElt":
         """Left multiplication by the inverse of a generator basis element."""
         # u^{-2} (T_s - (u^2 - 1))
-        u_m2 = RF_U ** (-2)
-        return (self.left_mult_gen(s) - self.scale(U2_MINUS_1)).scale(u_m2)
+        return (self.left_mult_gen(s) - self.scale(RF_U2M1)).scale(RF_U_M2)
 
     def left_mult_circ(self, s) -> "HeckeElt":
         """Left multiplication by the normalized generator realizing dashed edges."""
@@ -165,10 +161,6 @@ class HeckeElt:
 
     def __repr__(self):
         return f"HeckeElt({self})"
-
-
-def left_mult_Ts(s, h: HeckeElt) -> HeckeElt:
-    return h.left_mult_gen(s)
 
 
 def Ts_circ(system: CoxeterSystem, s) -> HeckeElt:
@@ -365,18 +357,14 @@ def dihedral_case_basis(system: CoxeterSystem, s, t, figure: int, m: int
     the template's label/style sequence.  Returned in template vertex order
     a0..a_{m-1}, b1..bm.
     """
-    from .families import FamilySpec, family_arc_steps
+    from .families import TEMPLATES, FamilySpec, family_arc_steps
 
     dd = Dihedral(system, s, t)
     n = dd.n
-    if figure in (1, 2, 3):
-        expected = m
-    elif figure in (4, 5):
-        expected = 2 * m - 1
-    elif figure == 6:
-        expected = 2 * m - 2
-    else:
+    template = TEMPLATES.get(figure)
+    if template is None or template.divisor is None:
         raise ValueError("chain bases exist for figures 1..6 only")
+    expected = template.divisor(m)
     if n != expected:
         raise ValueError(f"figure {figure} with m={m} needs n(s,t)={expected}")
     if figure in (1, 2, 3):

@@ -9,8 +9,8 @@ coefficient patterns
              head -> (u^2-u) tail + (u^2-u-1) head
 
 so each operator has at most two nonzero entries per column.  The class below
-keeps that pairing explicitly and applies operators sparsely; dense matrices
-are materialized only on demand.
+keeps that pairing explicitly and applies operators sparsely, the inverses
+u^-2 (tau - (u^2-1)) included; dense matrices are materialized only on demand.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from typing import Iterable, Sequence
 
 from .coxeter import GroupElement
 from .digraph import DASHED, SOLID, SLabeledDigraph
-from .exactalg import (RF_ONE, RF_U, RF_ZERO, RatFunc, RatMatrix, rf,
-                       sigma as sigma_map, solve_simultaneous_eigenspace)
-from .hecke import HeckeElt, invert_Tw
+from .exactalg import (RF_ONE, RF_U, RF_U2, RF_U2M1, RF_U_M2, RF_ZERO,
+                       RatFunc, RatMatrix, rf, sigma as sigma_map,
+                       solve_simultaneous_eigenspace)
+from .hecke import HeckeElt
 
-U2 = RF_U * RF_U
-U2M1 = U2 - RF_ONE                      # u^2 - 1
 U_PLUS_1 = rf([1, 1])                   # u + 1
 U2MU = rf([0, -1, 1])                   # u^2 - u
 U2MUM1 = rf([-1, -1, 1])                # u^2 - u - 1
@@ -36,7 +35,7 @@ MINUS_ONE = rf(-1)
 # per-column (self, partner) coefficient patterns, keyed by (role, style)
 _TAU_CASES = {
     ("tail", SOLID): (RF_ZERO, RF_ONE),
-    ("head", SOLID): (U2M1, U2),
+    ("head", SOLID): (RF_U2M1, RF_U2),
     ("tail", DASHED): (RF_U, U_PLUS_1),
     ("head", DASHED): (U2MUM1, U2MU),
 }
@@ -85,6 +84,11 @@ class ModuleRep:
             out[partner] = out[partner] + partner_c * c
         return out
 
+    def tau_inv_apply(self, s, vec: list[RatFunc]) -> list[RatFunc]:
+        """Apply the inverse operator u^-2 (tau - (u^2-1)), sparsely."""
+        return [RF_U_M2 * (t - RF_U2M1 * c)
+                for t, c in zip(self.tau_apply(s, vec), vec)]
+
     def tau_apply_cols(self, s, cols: list[list[RatFunc]]) -> list[list[RatFunc]]:
         return [self.tau_apply(s, col) for col in cols]
 
@@ -117,6 +121,13 @@ class ModuleRep:
         self._rho_cache[w] = m
         return m
 
+    def rho_inv(self, w: GroupElement) -> RatMatrix:
+        """The matrix of T_w^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1}, w = s_1...s_k."""
+        cols = _identity_cols(self.n)
+        for s in w.word:
+            cols = [self.tau_inv_apply(s, col) for col in cols]
+        return _cols_to_matrix(cols)
+
     def rho_elt(self, h: HeckeElt) -> RatMatrix:
         """Extend rho linearly to a finitely supported combination."""
         if h.system is not self.system:
@@ -128,12 +139,6 @@ class ModuleRep:
 
     def character(self, w: GroupElement) -> RatFunc:
         return self.rho(w).trace()
-
-    def character_elt(self, h: HeckeElt) -> RatFunc:
-        out = RF_ZERO
-        for w, c in h.coeffs.items():
-            out = out + c * self.character(w)
-        return out
 
 
 def _identity_cols(n: int) -> list[list[RatFunc]]:
@@ -202,7 +207,7 @@ def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
     structural predictions (component count; acyclic component count)."""
     rep = ModuleRep(digraph)
     mats = [rep.tau_matrix(s) for s in range(digraph.system.rank())]
-    dim_ind = len(solve_simultaneous_eigenspace(mats, [U2] * len(mats),
+    dim_ind = len(solve_simultaneous_eigenspace(mats, [RF_U2] * len(mats),
                                                 dim=rep.n))
     dim_sgn = len(solve_simultaneous_eigenspace(mats, [MINUS_ONE] * len(mats),
                                                 dim=rep.n))
@@ -263,7 +268,7 @@ def reversal_identities(digraph: SLabeledDigraph,
     for w in words:
         report = IdentityReport(word=str(w))
         lhs = rev.rho(w)
-        rhs1 = rep.rho_elt(invert_Tw(w.inverse())).apply_entrywise(sigma_map)
+        rhs1 = rep.rho_inv(w.inverse()).apply_entrywise(sigma_map)
         report.twist_matrix = lhs == rhs1
         report.twist_trace = lhs.trace() == rhs1.trace()
         if signs is None:
@@ -271,7 +276,7 @@ def reversal_identities(digraph: SLabeledDigraph,
         else:
             eps = -1 if w.length % 2 else 1
             uw = RF_U ** (2 * w.length)
-            inner = rep.rho_elt(invert_Tw(w))
+            inner = rep.rho_inv(w)
             conj = RatMatrix([[inner.rows[i][j] if signs[i] == signs[j]
                                else -inner.rows[i][j]
                                for j in range(rep.n)] for i in range(rep.n)])
@@ -336,26 +341,8 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
     source = sources[0]
     rep = ModuleRep(digraph)
     n = rep.n
-
-    inv_cache: dict[tuple, RatMatrix] = {}
-
-    def edge_operator(label: str, style: str) -> RatMatrix:
-        si = digraph.system._gen_index(label)
-        key = (si, style)
-        cached = inv_cache.get(key)
-        if cached is not None:
-            return cached
-        tau = rep.tau_matrix(si)
-        # rho(T_s)^{-1} = u^{-2} (tau - (u^2-1))
-        tinv = (tau - RatMatrix.identity(n).scale(U2M1)).scale(RF_U ** (-2))
-        if style == SOLID:
-            op = tinv
-        else:
-            # (1/u + 1)^{-1} (rho(T_s)^{-1} - 1/u)
-            factor = rf([0, 1], [1, 1])  # u/(u+1)
-            op = (tinv - RatMatrix.identity(n).scale(RF_U ** (-1))).scale(factor)
-        inv_cache[key] = op
-        return op
+    u_inv = RF_U ** (-1)
+    factor = rf([0, 1], [1, 1])  # u/(u+1) = (1/u + 1)^{-1}
 
     images: dict[str, list[RatFunc]] = {}
     images[source] = [RF_ONE if digraph.vertices[i] == source else RF_ZERO
@@ -365,8 +352,10 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
     while queue:
         v = queue.popleft()
         for e in digraph.out_edges(v):
-            op = edge_operator(e.label, e.style)
-            propagated = op.apply_vector(images[v])
+            propagated = rep.tau_inv_apply(e.label, images[v])
+            if e.style == DASHED:
+                propagated = [factor * (t - u_inv * c)
+                              for t, c in zip(propagated, images[v])]
             if e.dst not in tree_reached:
                 images[e.dst] = propagated
                 tree_reached.add(e.dst)

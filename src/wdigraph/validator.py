@@ -16,9 +16,14 @@ from dataclasses import dataclass
 from math import inf
 
 from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
-from .exactalg import RF_ONE, RF_ZERO
-from .families import family_divisibility_ok
-from .modrep import U2, ModuleRep, _identity_cols
+from .exactalg import RF_U2, RF_U2M1
+from .families import TEMPLATES, family_divisibility_ok
+from .modrep import ModuleRep, _identity_cols
+
+# the cycle templates (m >= 2) by their dashed slots
+_FIGURE_BY_DASHES = {template.dashes: figure
+                     for figure, template in TEMPLATES.items()
+                     if template.divisor is not None}
 
 
 @dataclass(frozen=True)
@@ -155,20 +160,11 @@ def classify_component(component: SLabeledDigraph, n, pair=None):
                     dash_slots.add(f"{tag}_last")
                 else:
                     return Rejection("dashed edge in the interior of an arc")
-    figure_by_dashes = {
-        frozenset(): 1,
-        frozenset({"left_first", "right_last"}): 2,
-        frozenset({"right_first", "left_last"}): 3,
-        frozenset({"left_first", "right_first"}): 4,
-        frozenset({"left_last", "right_last"}): 5,
-        frozenset({"left_first", "right_first", "left_last", "right_last"}): 6,
-    }
-    figure = figure_by_dashes.get(frozenset(dash_slots))
+    figure = _FIGURE_BY_DASHES.get(frozenset(dash_slots))
     if figure is None:
         return Rejection(f"dash pattern {sorted(dash_slots)} matches no figure")
     if not family_divisibility_ok(figure, m, n):
-        divisor = {1: m, 2: m, 3: m, 4: 2 * m - 1, 5: 2 * m - 1,
-                   6: 2 * m - 2}[figure]
+        divisor = TEMPLATES[figure].divisor(m)
         return Rejection(f"figure {figure} needs {divisor} | n, n = {n}")
     witness = {src: "a0", snk: f"b{m}"}
     for i, e in enumerate(a_arc[:-1]):
@@ -239,9 +235,9 @@ def brute_force_check(digraph: SLabeledDigraph):
         # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2
         for j in range(n_verts):
             for i in range(n_verts):
-                rhs = (U2 - RF_ONE) * once[j][i]
+                rhs = RF_U2M1 * once[j][i]
                 if i == j:
-                    rhs = rhs + U2
+                    rhs = rhs + RF_U2
                 if twice[j][i] != rhs:
                     return RelationWitness("quadratic",
                                            (system.generators[s],),
@@ -252,17 +248,11 @@ def brute_force_check(digraph: SLabeledDigraph):
             if n is inf or n <= 1:
                 continue
             pair = (system.generators[i], system.generators[j])
-            for col_index in range(n_verts):
-                e = [RF_ONE if k == col_index else RF_ZERO
-                     for k in range(n_verts)]
-                left = list(e)
-                right = list(e)
-                for step in range(n):
-                    left = rep.tau_apply(i if (n - 1 - step) % 2 == 0 else j,
-                                         left)
-                    right = rep.tau_apply(j if (n - 1 - step) % 2 == 0 else i,
-                                          right)
-                if left != right:
+            left = [(i, j)[k % 2] for k in range(n)]     # i j i ..., n letters
+            right = [(j, i)[k % 2] for k in range(n)]
+            for col_index, e in enumerate(_identity_cols(n_verts)):
+                if (rep.word_apply_cols(left, [e])
+                        != rep.word_apply_cols(right, [e])):
                     return RelationWitness("braid", pair,
                                            digraph.vertices[col_index])
     return None

@@ -110,6 +110,17 @@ def test_oracle_command(capsys, tmp_path):
     assert code == 1
 
 
+def test_validate_explain_divisibility_rejection(capsys, tmp_path):
+    code, out = run(capsys, "family", "--figure", "4", "--m", "2", "--n", "4")
+    dpath = tmp_path / "f.json"
+    dpath.write_text(out)
+    code, out = run(capsys, "validate", str(dpath), "--explain")
+    assert code == 1
+    assert out == ("pair (s,t), n = 4:\n"
+                   "  rejected: figure 4 needs 3 | n, n = 4\n"
+                   "rejected\n")
+
+
 def test_analyze_json(capsys, tmp_path):
     code, out = run(capsys, "example", "affine_a2_cycle")
     dpath = tmp_path / "cycle.json"

@@ -15,6 +15,8 @@ from wdigraph.modrep import (BarSolution, ModuleRep, bar_from_source,
                              linear_char_dims, reversal_identities,
                              theorem_checkers, zero_hecke_action)
 
+from conftest import make_a3, make_b3
+
 U2 = RF_U * RF_U
 
 
@@ -88,12 +90,38 @@ def test_affine_cycle_char_poly():
     assert cp == expected
 
 
-def test_rho_inverse_roundtrip(i23):
-    g = build_family(i23, FamilySpec(4, 2))
+def _lv(system):
+    return build_lv(system, DiagramAutomorphism.identity(system))
+
+
+# the sparse inverse against the Hecke-algebra expansion of T_w^{-1}, over all
+# of W or over the words up to a length
+@pytest.mark.parametrize("build, max_length", [
+    (lambda: build_family(CoxeterSystem.dihedral(3), FamilySpec(4, 2)), None),
+    (lambda: _lv(make_a3()), None),
+    (lambda: build_regular(make_a3()), None),
+    (lambda: _lv(make_b3()), 3),
+    (lambda: build_example("h3_nonselfassoc"), 3),
+], ids=["fig4_m2", "lv_a3", "regular_a3", "lv_b3", "h3_nonselfassoc"])
+def test_rho_inverse_roundtrip(build, max_length):
+    g = build()
     rep = ModuleRep(g)
-    for w in i23.enumerate():
-        prod = rep.rho(w) * rep.rho_elt(invert_Tw(w))
-        assert prod == RatMatrix.identity(rep.n)
+    for w in g.system.enumerate(max_length):
+        inv = rep.rho_inv(w)
+        assert inv == rep.rho_elt(invert_Tw(w)), w
+        assert rep.rho(w) * inv == RatMatrix.identity(rep.n), w
+
+
+@pytest.mark.parametrize("name", ["b3_no_bar", "h3_nonselfassoc"])
+def test_tau_inv_apply_matches_dense(name):
+    # b3_no_bar is all solid; h3_nonselfassoc has dashed edges
+    g = build_example(name)
+    rep = ModuleRep(g)
+    ident = RatMatrix.identity(rep.n)
+    for s in g.system.generators:
+        dense = (rep.tau_matrix(s) - ident.scale(U2 - RF_ONE)).scale(RF_U ** -2)
+        for j, e in enumerate(ident.rows):
+            assert rep.tau_inv_apply(s, list(e)) == [row[j] for row in dense.rows]
 
 
 def test_linear_char_dims_family(i23):
