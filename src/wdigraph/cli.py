@@ -27,6 +27,10 @@ class UsageError(Exception):
     pass
 
 
+class StructureError(Exception):
+    """The digraph breaks the one-edge-per-label invariant."""
+
+
 def _emit_digraph(g: SLabeledDigraph) -> int:
     print(json.dumps(g.to_json(), indent=2, sort_keys=True))
     return 0
@@ -37,7 +41,8 @@ def _load_system(path: str) -> CoxeterSystem:
         return CoxeterSystem.from_json(path)
     except FileNotFoundError as exc:
         raise UsageError(f"system file not found: {exc.filename}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+            AttributeError) as exc:
         raise UsageError(f"bad system file {path}: {exc}") from exc
 
 
@@ -46,8 +51,19 @@ def _load_digraph(path: str) -> SLabeledDigraph:
         return load_digraph(path)
     except FileNotFoundError as exc:
         raise UsageError(f"digraph file not found: {exc.filename}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+            AttributeError) as exc:
         raise UsageError(f"bad digraph file {path}: {exc}") from exc
+
+
+def _load_module_digraph(path: str) -> SLabeledDigraph:
+    """A digraph that module computations can act on: one edge per label at
+    every vertex."""
+    g = _load_digraph(path)
+    problems = g.validate_structure()
+    if problems:
+        raise StructureError("\n".join(f"violation: {p}" for p in problems))
+    return g
 
 
 def _parse_star(system: CoxeterSystem, text: str | None) -> DiagramAutomorphism:
@@ -72,16 +88,6 @@ def _parse_words(system: CoxeterSystem, text: str):
         raise UsageError(f"bad word list {text!r}: {exc}") from exc
 
 
-def _apply_config(args, obj):
-    """Propagate global bounds onto a loaded system or digraph."""
-    system = obj.system if hasattr(obj, "system") else obj
-    if args.orbit_bound:
-        if args.orbit_bound <= 0:
-            raise UsageError("--orbit-bound must be positive")
-        system.orbit_bound = args.orbit_bound
-    return obj
-
-
 def cmd_family(args) -> int:
     if args.system:
         system = _load_system(args.system)
@@ -89,7 +95,6 @@ def cmd_family(args) -> int:
         system = CoxeterSystem.dihedral(args.n, (args.s, args.t))
     else:
         raise UsageError("family needs --system or --n")
-    _apply_config(args, system)
     try:
         spec = FamilySpec(args.figure, args.m, args.s, args.t)
         return _emit_digraph(build_family(system, spec))
@@ -98,7 +103,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_lv(args) -> int:
-    system = _apply_config(args, _load_system(args.system))
+    system = _load_system(args.system)
     star = _parse_star(system, args.star)
     try:
         return _emit_digraph(build_lv(system, star, args.length_bound))
@@ -107,7 +112,7 @@ def cmd_lv(args) -> int:
 
 
 def cmd_regular(args) -> int:
-    system = _apply_config(args, _load_system(args.system))
+    system = _load_system(args.system)
     try:
         return _emit_digraph(build_regular(system, args.length_bound))
     except ValueError as exc:
@@ -122,7 +127,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    g = _apply_config(args, _load_digraph(args.digraph))
+    g = _load_digraph(args.digraph)
     use_oracle = args.oracle or args.both
     use_classifier = not args.oracle or args.both
     accepted = True
@@ -147,7 +152,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _apply_config(args, _load_digraph(args.digraph))
+    g = _load_digraph(args.digraph)
     witness = brute_force_check(g)
     if witness is None:
         print("oracle: ok")
@@ -158,7 +163,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g = _apply_config(args, _load_digraph(args.digraph))
+    g = _load_module_digraph(args.digraph)
     analysis = g.analyze()
     dims = linear_char_dims(g)
     if args.format == "json":
@@ -169,12 +174,10 @@ def cmd_analyze(args) -> int:
                 for c in analysis.components],
             "dim_ind": dims.dim_ind,
             "dim_sgn": dims.dim_sgn,
-            "violations": g.validate_structure(),
+            "violations": [],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for problem in g.validate_structure():
-            print(f"violation: {problem}")
         for i, c in enumerate(analysis.components):
             print(f"component {i}: {len(c.vertices)} vertices, "
                   f"sources {list(c.sources)}, sinks {list(c.sinks)}, "
@@ -185,7 +188,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_character(args) -> int:
-    g = _apply_config(args, _load_digraph(args.digraph))
+    g = _load_module_digraph(args.digraph)
     rep = ModuleRep(g)
     words = _parse_words(g.system, args.words)
     for w in words:
@@ -198,7 +201,7 @@ def cmd_character(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    g = _apply_config(args, _load_digraph(args.digraph))
+    g = _load_module_digraph(args.digraph)
     words = _parse_words(g.system, args.words)
     all_ok = True
     for report in reversal_identities(g, words):
@@ -217,7 +220,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_bar_op(args) -> int:
-    g = _apply_config(args, _load_digraph(args.digraph))
+    g = _load_digraph(args.digraph)
     try:
         sol = bar_from_source(g)
     except ValueError as exc:
@@ -233,7 +236,7 @@ def cmd_bar_op(args) -> int:
 
 
 def cmd_theorems(args) -> int:
-    g = _apply_config(args, _load_digraph(args.digraph))
+    g = _load_module_digraph(args.digraph)
     report = theorem_checkers(g)
     payload = {
         "source_sink": report.source_sink,
@@ -263,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computation with labeled digraphs for Coxeter "
                     "systems and their Hecke-algebra modules.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--orbit-bound", type=int, default=0,
-                        help="safety bound on braid-orbit sizes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="emit a dihedral template digraph")
@@ -346,6 +347,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except StructureError as exc:
+        print(exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Coxeter systems with exact group-element arithmetic via the word problem.
 
-Elements are stored as ShortLex-minimal reduced words (minimum over the
-braid-move orbit, generator order = declaration order).  Canonical forms and
-braid orbits are memoized per system, which makes the orbit BFS, the hot loop
-of everything downstream, cheap at the scales we care about (|W| up to a few
-thousand).
+Elements are stored as ShortLex-minimal reduced words (generator order =
+declaration order).  One memoized primitive, the canonical word of w*s, solves
+the word problem one dihedral parabolic W_{s,t} at a time (w = w^J * w_J,
+Bjorner-Brenti 2.4) for every Coxeter matrix; products, inverses, descents,
+enumeration and the Bruhat order (lifting property, 2.2.7) are walks of it.
 
 Finiteness is decided by matching the Coxeter diagram's connected components
 against the classification of finite irreducible diagrams.
@@ -19,29 +19,23 @@ from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
-DEFAULT_ORBIT_BOUND = 200_000
-
-
-class OrbitBoundExceeded(Exception):
-    """A braid-move orbit grew past the configured safety bound."""
+MAX_ELEMENTS = 100_000  # safety bound on what `enumerate` may produce
 
 
 class CoxeterSystem:
     """A Coxeter system given by its generator names and Coxeter matrix.
 
     Off-diagonal orders are integers >= 2 or math.inf; the diagonal is 1.
-    The instance owns memo tables for canonical forms and braid orbits, so
+    The instance owns memo tables for products and right descents, so
     results are deterministic and depend only on the inputs.
     """
 
-    def __init__(self, generators: Sequence[str], orders: dict,
-                 orbit_bound: int = DEFAULT_ORBIT_BOUND):
+    def __init__(self, generators: Sequence[str], orders: dict):
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator names must be distinct")
         n = len(self.generators)
         self.index = {g: i for i, g in enumerate(self.generators)}
-        self.orbit_bound = orbit_bound
         mat = [[2] * n for _ in range(n)]
         for i in range(n):
             mat[i][i] = 1
@@ -57,8 +51,8 @@ class CoxeterSystem:
                 raise ValueError(f"conflicting orders for ({a},{b})")
             mat[i][j] = mat[j][i] = v
         self.matrix = tuple(tuple(row) for row in mat)
-        self._orbits: dict[Word, tuple[Word, ...]] = {(): ((),)}
-        self._rmult: dict[tuple[Word, int], Word] = {}
+        self._products: dict[tuple[Word, int], Word] = {}
+        self._descents: dict[tuple[Word, int], bool] = {}
         self._all_elements: list[GroupElement] | None = None
         self._finite: bool | None = None
 
@@ -122,23 +116,16 @@ class CoxeterSystem:
     def word_to_str(self, word: Word) -> str:
         return "".join(self.generators[i] for i in word) if word else "e"
 
-    # -- braid orbits and canonical forms ----------------------------------------------
+    # -- canonical forms ------------------------------------------------------------------
 
     def braid_orbit(self, word: Word) -> tuple[Word, ...]:
-        """All reduced words obtainable from a reduced word by braid moves.
+        """All reduced words reachable from a reduced word by braid moves, sorted.
 
-        The closure under single substitutions of an alternating (s,t)-factor
-        of length n(s,t) by the opposite alternation; sorted, memoized, and
-        guarded by the orbit safety bound.
+        A reference for tests: the word problem below never enumerates orbits.
         """
-        word = tuple(word)
-        cached = self._orbits.get(word)
-        if cached is not None:
-            return cached
-        seen = {word}
-        queue = [word]
+        seen = {tuple(word)}
+        queue = list(seen)
         matrix = self.matrix
-        bound = self.orbit_bound
         while queue:
             w = queue.pop()
             lw = len(w)
@@ -149,48 +136,76 @@ class CoxeterSystem:
                 n = matrix[s][t]
                 if n is inf or i + n > lw:
                     continue
-                ok = True
-                for k in range(2, n):
-                    if w[i + k] != (s if k % 2 == 0 else t):
-                        ok = False
-                        break
-                if not ok:
+                if any(w[i + k] != (s if k % 2 == 0 else t) for k in range(2, n)):
                     continue
                 repl = tuple((t if k % 2 == 0 else s) for k in range(n))
                 new = w[:i] + repl + w[i + n:]
                 if new not in seen:
                     seen.add(new)
-                    if len(seen) > bound:
-                        raise OrbitBoundExceeded(
-                            f"braid orbit exceeded {bound} words")
                     queue.append(new)
-        orbit = tuple(sorted(seen))
-        for w in orbit:
-            self._orbits[w] = orbit
-        return orbit
+        return tuple(sorted(seen))
 
-    def _canonical_rmult(self, canon: Word, s: int) -> Word:
-        """Canonical word of (element of canon) * s, memoized."""
-        key = (canon, s)
-        cached = self._rmult.get(key)
-        if cached is not None:
-            return cached
-        result = None
-        for w in self.braid_orbit(canon):
-            if w and w[-1] == s:
-                result = self.braid_orbit(w[:-1])[0]
-                break
-        if result is None:
-            result = self.braid_orbit(canon + (s,))[0]
-        self._rmult[key] = result
+    def _rmult(self, w: Word, s: int) -> Word:
+        """Canonical word of w*s for a canonical word w, memoized.
+
+        Going down (t = last letter of w): w = y*w0({s,t}), ws = y*alt(t, s).
+        Going up: each right descent r != s of ws has w = y*alt(r, s), and the
+        result is the least of w+(s,) and canonical(y*alt(s, r)) + (r,), where
+        alt(a, b) alternates for n(a,b)-1 letters ending in a.
+        """
+        if w and w[-1] == s:
+            return w[:-1]
+        key = (w, s)
+        result = self._products.get(key)
+        if result is not None:
+            return result
+        if self._is_descent(w, s):
+            t = w[-1]
+            n, y = self._strip(w, t, s)
+            result = self._walk(y, _alternation(t, s, n - 1))
+        else:
+            result = w + (s,)
+            for r in range(len(self.generators)):
+                if r != s:
+                    k, y = self._strip(w, r, s)
+                    if k == self.matrix[r][s] - 1:
+                        result = min(result,
+                                     self._walk(y, _alternation(s, r, k)) + (r,))
+        self._products[key] = result
         return result
+
+    def _is_descent(self, w: Word, s: int) -> bool:
+        """Whether l(ws) < l(w) for a canonical word w: the {t,s}-part of w,
+        t its last letter, is the longest element of W_{s,t}."""
+        if not w or w[-1] == s:
+            return bool(w)
+        key = (w, s)
+        result = self._descents.get(key)
+        if result is None:
+            t = w[-1]
+            result = self._strip(w, t, s)[0] == self.matrix[t][s]
+            self._descents[key] = result
+        return result
+
+    def _strip(self, w: Word, a: int, b: int) -> tuple[int, Word]:
+        """(k, y): strip a, b, a, ... off w while the next one is a right descent.
+        Unless b alone is a descent of w, y is minimal in its coset y * W_{a,b}."""
+        k = 0
+        while self._is_descent(w, a):
+            w = self._rmult(w, a)
+            a, b = b, a
+            k += 1
+        return k, w
+
+    def _walk(self, w: Word, letters: Iterable[int]) -> Word:
+        """Canonical word of w times the letters, one right multiplication each."""
+        for s in letters:
+            w = self._rmult(w, s)
+        return w
 
     def canonical(self, word: Iterable) -> Word:
         """ShortLex-minimal reduced word of the element spelled by `word`."""
-        out: Word = ()
-        for letter in word:
-            out = self._canonical_rmult(out, self._gen_index(letter))
-        return out
+        return self._walk((), (self._gen_index(letter) for letter in word))
 
     # -- elements -----------------------------------------------------------------------
 
@@ -209,16 +224,9 @@ class CoxeterSystem:
         """(ws or sw, +1/-1) depending on whether the length rose or fell."""
         si = self._gen_index(s)
         if side == "right":
-            new = self._canonical_rmult(w.word, si)
+            new = self._rmult(w.word, si)
         elif side == "left":
-            new = None
-            for ww in self.braid_orbit(w.word):
-                if ww and ww[0] == si:
-                    new = self.braid_orbit(ww[1:])[0]
-                    break
-            if new is None:
-                # no reduced word of w begins with s, so s(w) is reduced
-                new = self.braid_orbit((si,) + w.word)[0]
+            new = self._walk((si,), w.word)
         else:
             raise ValueError("side must be 'left' or 'right'")
         delta = 1 if len(new) > len(w.word) else -1
@@ -227,10 +235,7 @@ class CoxeterSystem:
     def mult(self, x: "GroupElement", y: "GroupElement") -> "GroupElement":
         self._check_element(x)
         self._check_element(y)
-        word = x.word
-        for s in y.word:
-            word = self._canonical_rmult(word, s)
-        return GroupElement(self, word)
+        return GroupElement(self, self._walk(x.word, y.word))
 
     def inverse(self, x: "GroupElement") -> "GroupElement":
         return GroupElement(self, self.canonical(x.word[::-1]))
@@ -240,8 +245,9 @@ class CoxeterSystem:
             raise ValueError("element belongs to a different system")
 
     def left_descents(self, w: "GroupElement") -> set[int]:
-        """Generators s with l(sw) < l(w): first letters over the braid orbit."""
-        return {word[0] for word in self.braid_orbit(w.word) if word}
+        """Generators s with l(sw) < l(w)."""
+        return {s for s in range(len(self.generators))
+                if len(self._walk((s,), w.word)) < len(w.word)}
 
     # -- enumeration ------------------------------------------------------------------------
 
@@ -249,7 +255,7 @@ class CoxeterSystem:
         """All elements of length <= bound (or all of W), sorted (length, ShortLex).
 
         BFS over right multiplication from the identity.  Requesting the whole
-        group of an infinite system is an error.
+        group of an infinite system, or over MAX_ELEMENTS elements, is an error.
         """
         if length_bound is None:
             if not self.is_finite():
@@ -268,10 +274,13 @@ class CoxeterSystem:
             nxt = set()
             for w in frontier:
                 for s in range(ngens):
-                    new = self._canonical_rmult(w, s)
+                    new = self._rmult(w, s)
                     if len(new) > len(w) and new not in seen:
                         seen.add(new)
                         nxt.add(new)
+                        if len(seen) > MAX_ELEMENTS:
+                            raise ValueError(f"more than {MAX_ELEMENTS} elements "
+                                             "to enumerate")
             frontier = sorted(nxt)
             out.extend(frontier)
             length += 1
@@ -317,17 +326,16 @@ class CoxeterSystem:
     # -- Bruhat order -------------------------------------------------------------------------
 
     def bruhat_leq(self, x: "GroupElement", y: "GroupElement") -> bool:
-        """The subword property: some reduced word of x sits inside y's canonical word."""
+        """x <= y by the lifting property along y's canonical word: for a right
+        descent s of y, x <= y iff xs <= ys when s is a descent of x, else x <= ys."""
         self._check_element(x)
         self._check_element(y)
-        if len(x.word) > len(y.word):
-            return False
-        target = y.word
-        for candidate in self.braid_orbit(x.word):
-            it = iter(target)
-            if all(ch in it for ch in candidate):
-                return True
-        return False
+        xw, yw = x.word, y.word
+        while len(xw) <= len(yw) and yw:
+            s, yw = yw[-1], yw[:-1]
+            if self._is_descent(xw, s):
+                xw = self._rmult(xw, s)
+        return not xw
 
     # -- parabolic subgroups ---------------------------------------------------------------------
 
@@ -447,6 +455,11 @@ class DiagramAutomorphism:
         names = self.system.generators
         return "DiagramAutomorphism(" + ", ".join(
             f"{names[i]}->{names[p]}" for i, p in enumerate(self.perm)) + ")"
+
+
+def _alternation(a: int, b: int, length: int) -> Word:
+    """The alternating word ... b a of the given length, ending in a."""
+    return tuple(a if i % 2 == 0 else b for i in range(length - 1, -1, -1))
 
 
 # -- the classification of finite irreducible diagrams ---------------------------------------

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from wdigraph import coxeter
 from wdigraph.cli import main
 from wdigraph.digraph import load_digraph
+
+SYSTEM_I2_3 = {"generators": ["s", "t"], "matrix": {"s,t": 3}}
 
 
 @pytest.fixture()
@@ -195,11 +198,62 @@ def test_deterministic_output(capsys, a3_file):
 
 
 def test_orbit_bound_flag(capsys, a3_file):
-    code = main(["--orbit-bound", "-1", "lv", "--system", a3_file])
+    # not an option of wdigraph: argparse reports a usage error
+    code = main(["--orbit-bound", "5", "lv", "--system", a3_file])
     assert code == 2
-    code, out = run(capsys, "--orbit-bound", "100000", "lv",
-                    "--system", a3_file)
-    assert code == 0
+
+
+@pytest.mark.parametrize("generators,matrix,vertices", [
+    pytest.param("pqrst", {"p,q": 3, "q,r": 3, "r,s": 3, "s,t": 3}, 76, id="A5"),
+    pytest.param("qrst", {"q,r": 3, "r,s": 4, "s,t": 3}, 140, id="F4"),
+])
+def test_lv_validate_large_groups(capsys, tmp_path, generators, matrix, vertices):
+    spath = tmp_path / "system.json"
+    spath.write_text(json.dumps({"generators": list(generators), "matrix": matrix}))
+    code, out = run(capsys, "lv", "--system", str(spath))
+    assert code == 0 and len(json.loads(out)["vertices"]) == vertices
+    dpath = tmp_path / "lv.json"
+    dpath.write_text(out)
+    code, out = run(capsys, "validate", str(dpath), "--both")
+    assert code == 0 and out == "accepted\noracle: ok\n"
+
+
+def test_lv_element_bound(capsys, monkeypatch, a3_file):
+    monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 20)
+    code = main(["lv", "--system", a3_file])
+    assert code == 2
+    assert "error: more than 20 elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param({"system": SYSTEM_I2_3, "vertices": ["a", "b"],
+                  "edges": [["a", "b", "s", "solid"]]}, id="edge_lists"),
+    pytest.param({"system": SYSTEM_I2_3, "vertices": ["a", "b"],
+                  "edges": "x"}, id="edges_string"),
+    pytest.param([1, 2], id="top_level_array"),
+])
+def test_malformed_digraph_is_usage_error(capsys, tmp_path, data):
+    dpath = tmp_path / "bad.json"
+    dpath.write_text(json.dumps(data))
+    code = main(["validate", str(dpath)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad digraph file")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorems"], ["analyze"], ["character", "--words", "s"],
+    ["identities", "--words", "s"],
+])
+def test_broken_digraph_reports_violations(capsys, tmp_path, argv):
+    # a two-vertex I2(3) digraph with an s-edge and no t-edge
+    dpath = tmp_path / "broken.json"
+    dpath.write_text(json.dumps({
+        "system": SYSTEM_I2_3, "vertices": ["a", "b"],
+        "edges": [{"from": "a", "to": "b", "label": "s", "style": "solid"}]}))
+    code, out = run(capsys, argv[0], str(dpath), *argv[1:])
+    assert code == 1
+    assert out == ("violation: vertex a meets 0 edges labeled t\n"
+                   "violation: vertex b meets 0 edges labeled t\n")
 
 
 def test_validate_oracle_flag(capsys, tmp_path, a3_file):

@@ -1,10 +1,12 @@
 """Tests for Coxeter-system word arithmetic, enumeration, and classification."""
 
 import itertools
+from math import inf
 
 import pytest
 
-from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, OrbitBoundExceeded
+from wdigraph import coxeter
+from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 
 
 def words(system, orbit):
@@ -23,15 +25,6 @@ def test_braid_orbit_commutation(a3):
 
 def test_braid_orbit_empty(a3):
     assert a3.braid_orbit(()) == ((),)
-
-
-def test_orbit_bound():
-    sys = CoxeterSystem(["a", "b", "c"],
-                        {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 3},
-                        orbit_bound=3)
-    long_word = sys.canonical(sys.word_from_str("abcabc"))
-    with pytest.raises(OrbitBoundExceeded):
-        sys.braid_orbit(sys.word_from_str("abacbabcab"))
 
 
 def test_multiply_by_generator_identity(a3):
@@ -237,6 +230,120 @@ def test_length_laws_a3(a3):
     rng_pairs = [(x, y) for x in elems[:10] for y in elems[:10]]
     for x, y in rng_pairs:
         assert (x * y).length <= x.length + y.length
+
+
+# -- differential test against the braid-orbit word problem -----------------------------
+
+
+class OrbitReference:
+    """The braid-orbit word problem: an element's canonical word is the least
+    word of its braid orbit, and w*s drops an s when some orbit word ends in it."""
+
+    def __init__(self, system):
+        self.system = system
+        self.orbits = {}
+
+    def orbit(self, word):
+        if word not in self.orbits:
+            orbit = self.system.braid_orbit(word)
+            self.orbits.update(dict.fromkeys(orbit, orbit))
+        return self.orbits[word]
+
+    def multiply(self, word, s, side):
+        for v in self.orbit(word):
+            if v and v[-1 if side == "right" else 0] == s:
+                return min(self.orbit(v[:-1] if side == "right" else v[1:])), -1
+        return min(self.orbit(word + (s,) if side == "right" else (s,) + word)), 1
+
+    def enumerate(self, length_bound):
+        layer, out = [()], [()]
+        while layer and (length_bound is None or len(layer[0]) < length_bound):
+            layer = sorted({v for w in layer for s in range(self.system.rank())
+                            for v, delta in [self.multiply(w, s, "right")]
+                            if delta == 1})
+            out += layer
+        return out
+
+    def bruhat_leq(self, x, y):
+        """The subword property: some reduced word of x sits inside one of y."""
+        def inside(word):
+            it = iter(y)
+            return all(ch in it for ch in word)
+        return any(inside(word) for word in self.orbit(x))
+
+
+DIFFERENTIAL_SYSTEMS = {
+    "A1": (["s"], {}),
+    "A3": ("rst", {("r", "s"): 3, ("s", "t"): 3}),
+    "B3": ("rst", {("r", "s"): 3, ("s", "t"): 4}),
+    "B3_reversed": ("rst", {("r", "s"): 4, ("s", "t"): 3}),
+    "H3": ("rst", {("r", "s"): 3, ("s", "t"): 5}),
+    "A4": ("qrst", {("q", "r"): 3, ("r", "s"): 3, ("s", "t"): 3}),
+    "D4": ("qrst", {("q", "s"): 3, ("r", "s"): 3, ("s", "t"): 3}),
+    "B4": ("qrst", {("q", "r"): 3, ("r", "s"): 3, ("s", "t"): 4}),
+    "A1xI2(5)": ("rst", {("s", "t"): 5}),
+    "G2xA1": ("rst", {("r", "s"): 6}),
+    "I2(7)xA1": ("rst", {("s", "t"): 7}),
+    **{f"I2({n})": ("st", {("s", "t"): n}) for n in range(2, 11)},
+    # infinite systems, up to a length bound
+    "affine_A2": ("rst", {("r", "s"): 3, ("s", "t"): 3, ("r", "t"): 3}),
+    "affine_C2": ("rst", {("r", "s"): 4, ("s", "t"): 4}),
+    "triangle_337": ("rst", {("r", "s"): 3, ("s", "t"): 3, ("r", "t"): 7}),
+    "I2(inf)": ("st", {("s", "t"): inf}),
+    "rank4_345": ("qrst", {("q", "r"): 3, ("r", "s"): 4, ("s", "t"): 5,
+                           ("q", "t"): 3}),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SYSTEMS)
+def test_word_problem_matches_braid_orbits(name):
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    ref = OrbitReference(system)
+    bound = None if system.is_finite() else 6
+    elems = system.enumerate(bound)
+    assert [w.word for w in elems] == ref.enumerate(bound)
+    for w in elems:
+        for s in range(system.rank()):
+            for side in ("right", "left"):
+                got, delta = system.multiply_by_generator(w, s, side)
+                assert (got.word, delta) == ref.multiply(w.word, s, side)
+        assert system.left_descents(w) == {v[0] for v in ref.orbit(w.word) if v}
+    if len(elems) <= 120:
+        for x, y in itertools.product(elems, repeat=2):
+            assert system.bruhat_leq(x, y) == ref.bruhat_leq(x.word, y.word)
+
+
+# -- groups and words beyond braid-orbit enumeration ---------------------------------
+
+
+@pytest.mark.parametrize("orders,order,top", [
+    pytest.param({("p", "q"): 3, ("q", "r"): 3, ("r", "s"): 3, ("s", "t"): 3},
+                 720, 15, id="A5"),
+    pytest.param({("q", "r"): 3, ("r", "s"): 4, ("s", "t"): 3}, 1152, 24, id="F4"),
+    pytest.param({("p", "q"): 3, ("q", "r"): 3, ("r", "s"): 3, ("r", "t"): 3},
+                 1920, 20, id="D5"),
+    pytest.param({("q", "r"): 5, ("r", "s"): 3, ("s", "t"): 3}, 14400, 60, id="H4"),
+])
+def test_enumerate_large_groups(orders, order, top):
+    system = CoxeterSystem(sorted({g for pair in orders for g in pair}), orders)
+    elems = system.enumerate()
+    assert len(elems) == order and elems[-1].length == top
+
+
+def test_long_words_in_infinite_groups():
+    affine_a2 = CoxeterSystem(list("rst"), {("r", "s"): 3, ("s", "t"): 3,
+                                            ("r", "t"): 3})
+    assert len(affine_a2.canonical(list("rst") * 100)) == 300
+    i2_inf = CoxeterSystem.dihedral("inf")
+    assert len(i2_inf.canonical(list("st") * 100)) == 200
+
+
+def test_enumerate_element_bound(monkeypatch):
+    monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 20)
+    a3 = CoxeterSystem(list("rst"), {("r", "s"): 3, ("s", "t"): 3})
+    with pytest.raises(ValueError, match="more than 20 elements"):
+        a3.enumerate()
 
 
 from hypothesis import given, settings
