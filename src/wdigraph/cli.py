@@ -126,40 +126,37 @@ def cmd_example(args) -> int:
         raise UsageError(str(exc)) from exc
 
 
+def _oracle_line(witness) -> str:
+    if witness is None:
+        return "oracle: ok"
+    return (f"oracle: failing {witness.kind} relation for "
+            f"{','.join(witness.generators)} at column {witness.column}")
+
+
 def cmd_validate(args) -> int:
+    if args.oracle and not args.both:
+        return cmd_oracle(args)
     g = _load_digraph(args.digraph)
-    use_oracle = args.oracle or args.both
-    use_classifier = not args.oracle or args.both
-    accepted = True
-    if use_classifier:
-        verdict = is_w_digraph(g)
-        accepted = verdict.is_w_digraph
-        if args.explain or verdict.structural_violations:
-            print(verdict.describe())
-        else:
-            print("accepted" if accepted else "rejected")
-    if use_oracle:
+    verdict = is_w_digraph(g)
+    accepted = verdict.is_w_digraph
+    if args.explain or verdict.structural_violations:
+        print(verdict.describe())
+    else:
+        print("accepted" if accepted else "rejected")
+    if args.both:
         witness = brute_force_check(g)
-        oracle_ok = witness is None
-        print("oracle: ok" if oracle_ok else
-              f"oracle: failing {witness.kind} relation for "
-              f"{','.join(witness.generators)} at column {witness.column}")
-        if args.both and oracle_ok != accepted:
+        print(_oracle_line(witness))
+        if (witness is None) != accepted:
             print("DISAGREEMENT between classifier and oracle")
             return 1
-        accepted = accepted and oracle_ok if args.both else oracle_ok
     return 0 if accepted else 1
 
 
 def cmd_oracle(args) -> int:
-    g = _load_digraph(args.digraph)
+    g = _load_module_digraph(args.digraph)
     witness = brute_force_check(g)
-    if witness is None:
-        print("oracle: ok")
-        return 0
-    print(f"oracle: failing {witness.kind} relation for "
-          f"{','.join(witness.generators)} at column {witness.column}")
-    return 1
+    print(_oracle_line(witness))
+    return 0 if witness is None else 1
 
 
 def cmd_analyze(args) -> int:
@@ -220,7 +217,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_bar_op(args) -> int:
-    g = _load_digraph(args.digraph)
+    g = _load_module_digraph(args.digraph)
     try:
         sol = bar_from_source(g)
     except ValueError as exc:

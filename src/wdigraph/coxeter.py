@@ -67,12 +67,20 @@ class CoxeterSystem:
         """Build from the file format {"generators": [...], "matrix": {"r,s": 3}}.
 
         Pairs missing from "matrix" default to order 2 (no edge in the
-        Coxeter diagram); the value "inf" denotes an infinite order.
+        Coxeter diagram); the value "inf" denotes an infinite order.  A
+        generator may not be named "e" (the identity's name, which element
+        strings and vertex ids use) nor contain "," (the "matrix" key
+        separator).
         """
         if isinstance(data, str):
             with open(data) as fh:
                 data = json.load(fh)
         gens = data["generators"]
+        for g in gens:
+            if g == "e":
+                raise ValueError('generator name "e" is reserved for the identity')
+            if "," in g:
+                raise ValueError(f"generator name {g!r} contains ','")
         orders = {}
         for key, value in data.get("matrix", {}).items():
             a, b = [part.strip() for part in key.split(",")]

@@ -3,6 +3,11 @@ at each vertex, plus the derived graphs and structural analyses used by the
 classification and module machinery: restrictions, reversal, component scans,
 sources/sinks/acyclicity, directed path lengths, incoming-label statistics,
 label-preserving isomorphism, and JSON/DOT serialization.
+
+Out-edges, successors and undirected neighbours are indexed once per digraph,
+on first use, so each traversal costs O(V + E) instead of a scan of every
+edge per vertex; the many short-lived restrictions and components that are
+never traversed never build the index.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .coxeter import CoxeterSystem
@@ -99,21 +105,35 @@ class SLabeledDigraph:
         """The underlying undirected multigraph, as endpoint pairs."""
         return [frozenset((e.src, e.dst)) for e in self.edges]
 
+    @cached_property
+    def _out(self) -> dict[str, list[Edge]]:
+        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            out[e.src].append(e)
+        return out
+
+    @cached_property
+    def _succ(self) -> dict[str, list[str]]:
+        return {v: [e.dst for e in out] for v, out in self._out.items()}
+
+    @cached_property
+    def _neighbors(self) -> dict[str, list[str]]:
+        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            nbrs[e.src].append(e.dst)
+            if e.dst != e.src:
+                nbrs[e.dst].append(e.src)
+        return nbrs
+
     def out_edges(self, v: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == v]
+        return list(self._out[v])
 
     def successors(self, v: str) -> list[str]:
         """Heads of directed edges out of v (styles ignored, as in the arrow view)."""
-        return [e.dst for e in self.edges if e.src == v]
+        return list(self._succ[v])
 
     def undirected_neighbors(self, v: str) -> list[str]:
-        out = []
-        for e in self.edges:
-            if e.src == v:
-                out.append(e.dst)
-            elif e.dst == v:
-                out.append(e.src)
-        return out
+        return list(self._neighbors[v])
 
     # -- structural analysis ----------------------------------------------------------
 
@@ -130,7 +150,7 @@ class SLabeledDigraph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in self.undirected_neighbors(v):
+                for w in self._neighbors[v]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -148,9 +168,7 @@ class SLabeledDigraph:
     def is_acyclic(self) -> bool:
         """No nonempty directed circuit in the arrow view."""
         order = {v: 0 for v in self.vertices}  # 0 new, 1 active, 2 done
-        adjacency = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adjacency[e.src].append(e.dst)
+        adjacency = self._succ
         for root in self.vertices:
             if order[root]:
                 continue
@@ -200,7 +218,7 @@ class SLabeledDigraph:
         queue = deque([alpha])
         while queue:
             v = queue.popleft()
-            for w in self.successors(v):
+            for w in self._succ[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     if w == beta:
@@ -213,7 +231,7 @@ class SLabeledDigraph:
         queue = deque([alpha])
         while queue:
             v = queue.popleft()
-            for w in self.successors(v):
+            for w in self._succ[v]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -232,9 +250,7 @@ class SLabeledDigraph:
             return (cycle_vertex, cycle_vertex, 0, length)
         # acyclic: longest path lengths by DP over a topological order
         topo = self._topological_order()
-        adjacency = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adjacency[e.src].append(e.dst)
+        adjacency = self._succ
         for alpha in self.vertices:
             shortest = {alpha: 0}
             longest = {alpha: 0}
@@ -259,8 +275,11 @@ class SLabeledDigraph:
         return None
 
     def _vertex_on_cycle(self):
+        """The first vertex, in vertex order, that lies on a directed circuit."""
+        if self.is_acyclic():
+            return None
         for v in self.vertices:
-            for w in self.successors(v):
+            for w in self._succ[v]:
                 if v in self.reachable_from(w):
                     return v
         return None
@@ -275,9 +294,8 @@ class SLabeledDigraph:
 
     def _topological_order(self) -> list[str]:
         indeg = {v: 0 for v in self.vertices}
-        adjacency = {v: [] for v in self.vertices}
+        adjacency = self._succ
         for e in self.edges:
-            adjacency[e.src].append(e.dst)
             indeg[e.dst] += 1
         queue = deque(v for v in self.vertices if indeg[v] == 0)
         out = []

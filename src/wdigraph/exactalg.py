@@ -34,7 +34,9 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        # plain ints, by far the common case, skip the isinstance checks
+        cs = [c if type(c) is int else
+              _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
               for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()

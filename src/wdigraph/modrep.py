@@ -8,14 +8,18 @@ coefficient patterns
     dashed:  tail -> u tail + (u+1) head;
              head -> (u^2-u) tail + (u^2-u-1) head
 
-so each operator has at most two nonzero entries per column.  The class below
-keeps that pairing explicitly and applies operators sparsely, the inverses
-u^-2 (tau - (u^2-1)) included; dense matrices are materialized only on demand.
+so each operator has at most two nonzero entries per column.  ModuleRep keeps
+that pairing as per-column coefficient tables, and its one kernel,
+`apply`/`apply_inv`, maps a sparse vector {index: nonzero coefficient} to
+another in time proportional to its support, the inverses u^-2 (tau - (u^2-1))
+included.  Dense vectors (`tau_apply`, `word_apply_cols`) and matrices
+(`tau_matrix`, `rho`, `rho_inv`) are adapters over it, materialized only where
+a caller needs them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from math import inf
 from typing import Iterable, Sequence
@@ -32,13 +36,26 @@ U2MU = rf([0, -1, 1])                   # u^2 - u
 U2MUM1 = rf([-1, -1, 1])                # u^2 - u - 1
 MINUS_ONE = rf(-1)
 
-# per-column (self, partner) coefficient patterns, keyed by (role, style)
+# per-column (self, partner) coefficients of tau_s, keyed by (role, style);
+# a zero self coefficient is None, so the kernel skips it
 _TAU_CASES = {
-    ("tail", SOLID): (RF_ZERO, RF_ONE),
+    ("tail", SOLID): (None, RF_ONE),
     ("head", SOLID): (RF_U2M1, RF_U2),
     ("tail", DASHED): (RF_U, U_PLUS_1),
     ("head", DASHED): (U2MUM1, U2MU),
 }
+
+
+def _inverse_case(self_c, partner_c):
+    """The column of u^-2 (tau - (u^2-1)) from the column of tau."""
+    inv_self = RF_U_M2 * ((self_c or RF_ZERO) - RF_U2M1)
+    return (inv_self if inv_self.num.coeffs else None), RF_U_M2 * partner_c
+
+
+_TAU_INV_CASES = {key: _inverse_case(*case) for key, case in _TAU_CASES.items()}
+
+# a sparse vector: index -> nonzero coefficient
+SparseVec = dict[int, RatFunc]
 
 
 class ModuleRep:
@@ -50,83 +67,101 @@ class ModuleRep:
         self.n = len(digraph.vertices)
         index = digraph.vertex_index
         # pairing[s][i] = (partner index, role, style) for the s-edge at vertex i
-        self.pairing: list[list[tuple | None]] = [
+        pairing: list[list[tuple | None]] = [
             [None] * self.n for _ in range(self.system.rank())]
         for e in digraph.edges:
             s = self.system._gen_index(e.label)
             a, b = index[e.src], index[e.dst]
-            if self.pairing[s][a] is not None or self.pairing[s][b] is not None:
+            if pairing[s][a] is not None or pairing[s][b] is not None:
                 raise ValueError(f"vertex meets two edges labeled {e.label}")
-            self.pairing[s][a] = (b, "tail", e.style)
-            self.pairing[s][b] = (a, "head", e.style)
+            pairing[s][a] = (b, "tail", e.style)
+            pairing[s][b] = (a, "head", e.style)
         for s in range(self.system.rank()):
             for i in range(self.n):
-                if self.pairing[s][i] is None:
+                if pairing[s][i] is None:
                     raise ValueError(
                         f"vertex {digraph.vertices[i]} has no edge labeled "
                         f"{self.system.generators[s]}")
-        self._rho_cache: dict[GroupElement, RatMatrix] = {}
+        # _columns[s][i] = (partner, self coefficient or None, partner
+        # coefficient) of column i of tau_s; _inv_columns likewise for tau_s^-1
+        self._columns = [[(partner,) + _TAU_CASES[(role, style)]
+                          for partner, role, style in row] for row in pairing]
+        self._inv_columns = [[(partner,) + _TAU_INV_CASES[(role, style)]
+                              for partner, role, style in row]
+                             for row in pairing]
+        self._rho_cache: dict[GroupElement, list[SparseVec]] = {}
 
-    # -- the generator operators -------------------------------------------------------
+    # -- the generator operators (the one sparse kernel) ---------------------------------
+
+    def apply(self, s, vec: SparseVec) -> SparseVec:
+        """tau_s applied to a sparse vector, in O(|support|)."""
+        return _apply_columns(self._columns[self.system._gen_index(s)], vec)
+
+    def apply_inv(self, s, vec: SparseVec) -> SparseVec:
+        """The inverse u^-2 (tau_s - (u^2-1)) applied to a sparse vector."""
+        return _apply_columns(self._inv_columns[self.system._gen_index(s)], vec)
+
+    def word_apply(self, word: Iterable[int], vec: SparseVec) -> SparseVec:
+        """Apply tau_{s_1} ... tau_{s_k} (leftmost acting last) to a vector."""
+        for s in reversed(tuple(word)):
+            vec = self.apply(s, vec)
+        return vec
+
+    # dense adapters over the kernel
 
     def tau_apply(self, s, vec: list[RatFunc]) -> list[RatFunc]:
-        """Apply the generator operator to a coefficient vector, sparsely."""
-        si = self.system._gen_index(s)
-        pairing = self.pairing[si]
-        out = [RF_ZERO] * self.n
-        for i, c in enumerate(vec):
-            if not c.num.coeffs:
-                continue
-            partner, role, style = pairing[i]
-            self_c, partner_c = _TAU_CASES[(role, style)]
-            if self_c.num.coeffs:
-                out[i] = out[i] + self_c * c
-            out[partner] = out[partner] + partner_c * c
-        return out
+        """Apply the generator operator to a dense coefficient vector."""
+        return self._dense(self.apply(s, _sparse(vec)))
 
     def tau_inv_apply(self, s, vec: list[RatFunc]) -> list[RatFunc]:
-        """Apply the inverse operator u^-2 (tau - (u^2-1)), sparsely."""
-        return [RF_U_M2 * (t - RF_U2M1 * c)
-                for t, c in zip(self.tau_apply(s, vec), vec)]
+        """Apply the inverse operator u^-2 (tau - (u^2-1)) to a dense vector."""
+        return self._dense(self.apply_inv(s, _sparse(vec)))
 
     def tau_apply_cols(self, s, cols: list[list[RatFunc]]) -> list[list[RatFunc]]:
         return [self.tau_apply(s, col) for col in cols]
 
     def tau_matrix(self, s) -> RatMatrix:
-        cols = self.tau_apply_cols(s, _identity_cols(self.n))
-        return _cols_to_matrix(cols)
+        return self._matrix([self.apply(s, {j: RF_ONE}) for j in range(self.n)])
 
     def word_apply_cols(self, word: Iterable[int],
                         cols: list[list[RatFunc]]) -> list[list[RatFunc]]:
         """Apply tau_{s_1} ... tau_{s_k} (leftmost acting last) to columns."""
-        for s in reversed(tuple(word)):
-            cols = self.tau_apply_cols(s, cols)
-        return cols
+        word = tuple(word)
+        return [self._dense(self.word_apply(word, _sparse(col))) for col in cols]
+
+    def _dense(self, vec: SparseVec) -> list[RatFunc]:
+        return [vec.get(i, RF_ZERO) for i in range(self.n)]
+
+    def _matrix(self, cols: list[SparseVec]) -> RatMatrix:
+        return RatMatrix([[col.get(i, RF_ZERO) for col in cols]
+                          for i in range(self.n)])
 
     # -- the algebra representation ----------------------------------------------------------
 
-    def rho(self, w: GroupElement) -> RatMatrix:
-        """The matrix of the basis element T_w, built up the canonical word."""
+    def _rho_columns(self, w: GroupElement) -> list[SparseVec]:
+        """The columns of T_w, built up the canonical word and memoized."""
         cached = self._rho_cache.get(w)
         if cached is not None:
             return cached
         if not w.word:
-            m = RatMatrix.identity(self.n)
+            cols = [{j: RF_ONE} for j in range(self.n)]
         else:
             s = w.word[0]
             rest = GroupElement(self.system, w.word[1:])
-            prev = self.rho(rest)
-            m = _cols_to_matrix(self.tau_apply_cols(
-                s, [list(col) for col in zip(*prev.rows)]))
-        self._rho_cache[w] = m
-        return m
+            cols = [self.apply(s, col) for col in self._rho_columns(rest)]
+        self._rho_cache[w] = cols
+        return cols
+
+    def rho(self, w: GroupElement) -> RatMatrix:
+        """The matrix of the basis element T_w."""
+        return self._matrix(self._rho_columns(w))
 
     def rho_inv(self, w: GroupElement) -> RatMatrix:
         """The matrix of T_w^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1}, w = s_1...s_k."""
-        cols = _identity_cols(self.n)
+        cols = [{j: RF_ONE} for j in range(self.n)]
         for s in w.word:
-            cols = [self.tau_inv_apply(s, col) for col in cols]
-        return _cols_to_matrix(cols)
+            cols = [self.apply_inv(s, col) for col in cols]
+        return self._matrix(cols)
 
     def rho_elt(self, h: HeckeElt) -> RatMatrix:
         """Extend rho linearly to a finitely supported combination."""
@@ -138,15 +173,30 @@ class ModuleRep:
         return out
 
     def character(self, w: GroupElement) -> RatFunc:
-        return self.rho(w).trace()
+        t = RF_ZERO
+        for j, col in enumerate(self._rho_columns(w)):
+            t = t + col.get(j, RF_ZERO)
+        return t
 
 
-def _identity_cols(n: int) -> list[list[RatFunc]]:
-    return [[RF_ONE if i == j else RF_ZERO for i in range(n)] for j in range(n)]
+def _apply_columns(columns, vec: SparseVec) -> SparseVec:
+    """Sum c * (column i) over the entries i: c of vec, dropping cancellations."""
+    out: SparseVec = {}
+    get = out.get
+    for i, c in vec.items():
+        partner, self_c, partner_c = columns[i]
+        if self_c is not None:
+            out[i] = get(i, RF_ZERO) + self_c * c
+        out[partner] = get(partner, RF_ZERO) + partner_c * c
+    return _sparse_items(out.items())
 
 
-def _cols_to_matrix(cols: list[list[RatFunc]]) -> RatMatrix:
-    return RatMatrix(list(zip(*cols)))
+def _sparse(vec: Sequence[RatFunc]) -> SparseVec:
+    return _sparse_items(enumerate(vec))
+
+
+def _sparse_items(items) -> SparseVec:
+    return {i: c for i, c in items if c.num.coeffs}
 
 
 def tau_matrix(digraph: SLabeledDigraph, s) -> RatMatrix:
@@ -340,32 +390,32 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
         raise ValueError("bar propagation needs a unique source")
     source = sources[0]
     rep = ModuleRep(digraph)
-    n = rep.n
     u_inv = RF_U ** (-1)
     factor = rf([0, 1], [1, 1])  # u/(u+1) = (1/u + 1)^{-1}
 
-    images: dict[str, list[RatFunc]] = {}
-    images[source] = [RF_ONE if digraph.vertices[i] == source else RF_ZERO
-                      for i in range(n)]
+    images: dict[str, SparseVec] = {source: {digraph.vertex_index[source]: RF_ONE}}
     queue = deque([source])
-    tree_reached = {source}
     while queue:
         v = queue.popleft()
         for e in digraph.out_edges(v):
-            propagated = rep.tau_inv_apply(e.label, images[v])
+            image = images[v]
+            propagated = rep.apply_inv(e.label, image)
             if e.style == DASHED:
-                propagated = [factor * (t - u_inv * c)
-                              for t, c in zip(propagated, images[v])]
-            if e.dst not in tree_reached:
+                propagated = _sparse_items(
+                    (i, factor * (propagated.get(i, RF_ZERO)
+                                  - u_inv * image.get(i, RF_ZERO)))
+                    for i in propagated.keys() | image.keys())
+            if e.dst not in images:
                 images[e.dst] = propagated
-                tree_reached.add(e.dst)
                 queue.append(e.dst)
             elif propagated != images[e.dst]:
                 return BarSolution(images=None, consistent=False,
-                                   witness=(e, propagated, images[e.dst]))
-    if len(tree_reached) != n:
+                                   witness=(e, rep._dense(propagated),
+                                            rep._dense(images[e.dst])))
+    if len(images) != rep.n:
         raise ValueError("not every vertex is reachable from the source")
-    return BarSolution(images=images, consistent=True)
+    return BarSolution(images={v: rep._dense(x) for v, x in images.items()},
+                       consistent=True)
 
 
 # -- theorem-level checkers ------------------------------------------------------------------------
@@ -417,13 +467,17 @@ def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
 
     if finite_w and analysis.n_components == 1:
         full = system.enumerate()
+        # |W_J| counts the elements whose support lies in J
+        supports = Counter(system.support(w) for w in full)
         results = {}
         ok = True
         gens = system.generators
         for mask in range(1 << len(gens)):
-            J = [gens[i] for i in range(len(gens)) if mask & (1 << i)]
-            wj, xj = system.parabolic_data(J)
-            bound = len(full) // len(wj)
+            Jset = {i for i in range(len(gens)) if mask & (1 << i)}
+            J = [gens[i] for i in sorted(Jset)]
+            order_wj = sum(k for support, k in supports.items()
+                           if support <= Jset)
+            bound = len(full) // order_wj
             comps = len(digraph.restrict(J).components())
             results["".join(J) or "empty"] = (comps, bound)
             ok = ok and comps <= bound

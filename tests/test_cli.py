@@ -146,6 +146,12 @@ def test_bar_op_exit_codes(capsys, tmp_path):
     fpath.write_text(out)
     code, out = run(capsys, "bar-op", str(fpath))
     assert code == 0
+    code, out = run(capsys, "example", "affine_a2_cycle")
+    cpath = tmp_path / "cycle.json"
+    cpath.write_text(out)
+    code, out = run(capsys, "bar-op", str(cpath))
+    assert code == 1
+    assert out == "error: bar propagation needs a unique source\n"
 
 
 def test_theorems_command(capsys, tmp_path, affine_file):
@@ -242,7 +248,8 @@ def test_malformed_digraph_is_usage_error(capsys, tmp_path, data):
 
 @pytest.mark.parametrize("argv", [
     ["theorems"], ["analyze"], ["character", "--words", "s"],
-    ["identities", "--words", "s"],
+    ["identities", "--words", "s"], ["oracle"], ["validate", "--oracle"],
+    ["bar-op"],
 ])
 def test_broken_digraph_reports_violations(capsys, tmp_path, argv):
     # a two-vertex I2(3) digraph with an s-edge and no t-edge
@@ -254,6 +261,30 @@ def test_broken_digraph_reports_violations(capsys, tmp_path, argv):
     assert code == 1
     assert out == ("violation: vertex a meets 0 edges labeled t\n"
                    "violation: vertex b meets 0 edges labeled t\n")
+
+
+@pytest.mark.parametrize("generators", [
+    pytest.param(["a", "b", "c", "d", "e"], id="named_e"),
+    pytest.param(["s", "t,u"], id="comma"),
+])
+@pytest.mark.parametrize("command", ["lv", "regular"])
+def test_unsafe_generator_names_are_usage_errors(capsys, tmp_path, generators,
+                                                 command):
+    spath = tmp_path / "system.json"
+    spath.write_text(json.dumps({"generators": generators, "matrix": {}}))
+    code = main([command, "--system", str(spath)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: bad system file {spath}")
+
+
+def test_unsafe_generator_name_in_digraph_file(capsys, tmp_path):
+    dpath = tmp_path / "named_e.json"
+    dpath.write_text(json.dumps({
+        "system": {"generators": ["e"], "matrix": {}}, "vertices": ["x", "y"],
+        "edges": [{"from": "x", "to": "y", "label": "e", "style": "solid"}]}))
+    code = main(["validate", str(dpath)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad digraph file")
 
 
 def test_validate_oracle_flag(capsys, tmp_path, a3_file):

@@ -212,6 +212,16 @@ def test_json_roundtrip(b3):
     assert rebuilt.matrix == b3.matrix
 
 
+@pytest.mark.parametrize("generators, matrix", [
+    pytest.param(["a", "b", "c", "d", "e"],
+                 {"a,b": 3, "b,c": 3, "c,d": 3, "d,e": 3}, id="named_e"),
+    pytest.param(["s", "t,u"], {}, id="comma"),
+])
+def test_from_json_rejects_unsafe_names(generators, matrix):
+    with pytest.raises(ValueError):
+        CoxeterSystem.from_json({"generators": generators, "matrix": matrix})
+
+
 def test_diagram_automorphism_validation(b3):
     with pytest.raises(ValueError):
         DiagramAutomorphism.from_mapping(b3, {"r": "t", "t": "r"})

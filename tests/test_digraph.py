@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from wdigraph.coxeter import CoxeterSystem
+from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph, load_digraph
-from wdigraph.families import FamilySpec, build_family, build_example
+from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_example,
+                               build_family, build_lv, build_regular)
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +223,66 @@ def test_underlying_views(i23):
     g = build_family(i23, FamilySpec(7, 1))
     assert g.arrows() == [("a0", "b1"), ("a0", "b1")]
     assert g.undirected_edges() == [frozenset({"a0", "b1"})] * 2
+
+
+# -- the once-built adjacency against the edge scans it replaced --------------------------
+
+
+def scan_neighbors(g, v):
+    out = []
+    for e in g.edges:
+        if e.src == v:
+            out.append(e.dst)
+        elif e.dst == v:
+            out.append(e.src)
+    return out
+
+
+def scan_reachable(g, alpha):
+    seen, stack = {alpha}, [alpha]
+    while stack:
+        v = stack.pop()
+        for e in g.edges:
+            if e.src == v and e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return seen
+
+
+def scan_vertex_on_cycle(g):
+    for v in g.vertices:
+        for e in g.edges:
+            if e.src == v and v in scan_reachable(g, e.dst):
+                return v
+    return None
+
+
+def adjacency_fixtures():
+    a3 = CoxeterSystem(["r", "s", "t"], {("r", "s"): 3, ("s", "t"): 3})
+    i23 = CoxeterSystem.dihedral(3)
+    out = {name: build_example(name) for name in EXAMPLE_NAMES}
+    out["lv_a3"] = build_lv(a3, DiagramAutomorphism.identity(a3))
+    out["regular_a3"] = build_regular(a3)
+    for figure, m in [(1, 3), (4, 3), (7, 1), (8, 1)]:
+        out[f"fig{figure}_m{m}"] = build_family(i23, FamilySpec(figure, m))
+    # a directed triangle entered from a vertex off the circuit, and a loop
+    out["tail_then_triangle"] = SLabeledDigraph(
+        i23, ["p", "x", "y", "z"],
+        [("p", "x", "s", SOLID), ("x", "y", "t", SOLID),
+         ("y", "z", "s", DASHED), ("z", "x", "t", SOLID)])
+    out["loop"] = SLabeledDigraph(i23, ["x", "y"],
+                                  [("x", "x", "s", SOLID), ("x", "y", "t", SOLID)])
+    out["edgeless"] = SLabeledDigraph(i23, ["x", "y"], [])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(adjacency_fixtures()))
+def test_adjacency_matches_edge_scans(name):
+    g = adjacency_fixtures()[name]
+    for v in g.vertices:
+        assert g.out_edges(v) == [e for e in g.edges if e.src == v]
+        assert g.successors(v) == [e.dst for e in g.edges if e.src == v]
+        assert g.undirected_neighbors(v) == scan_neighbors(g, v)
+        assert g.reachable_from(v) == scan_reachable(g, v)
+    assert g._vertex_on_cycle() == scan_vertex_on_cycle(g)
+    assert g.is_acyclic() == (g._vertex_on_cycle() is None)

@@ -29,6 +29,7 @@ from wdigraph.exactalg import (
     solve_simultaneous_eigenspace,
     ubar,
     zeta,
+    _norm_coeff,
 )
 
 U2 = RF_U * RF_U
@@ -40,6 +41,28 @@ def test_poly_canonical_trailing_zeros():
     assert Poly((0, 0)).is_zero()
     assert Poly((0, 0)).degree is None
     assert Poly((3, 0, 1)).degree == 2
+
+
+def _reference_coeffs(coeffs):
+    """Poly's coefficient normalization without the plain-int fast path."""
+    cs = [_norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+          for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+@pytest.mark.parametrize("coeffs", [
+    pytest.param((3, -1, 0, 2, 0), id="int"),
+    pytest.param((Fraction(4, 2), Fraction(-3), Fraction(0)), id="integral_fraction"),
+    pytest.param((Fraction(1, 3), 2, Fraction(-5, 7)), id="fraction"),
+    pytest.param((True, False, True, False), id="bool"),
+])
+def test_poly_coeffs_match_reference(coeffs):
+    got = Poly(coeffs).coeffs
+    want = _reference_coeffs(coeffs)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
 
 
 def test_poly_p_small_values():

@@ -1,13 +1,15 @@
 """Tests for the classification decision procedure and the brute-force oracle."""
 
 import random
+from math import inf
 
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
-from wdigraph.families import (FamilySpec, build_family, build_lv,
-                               build_example)
+from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, rf
+from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
+                               build_lv, build_example)
 from wdigraph.validator import (FamilyMatch, Rejection, brute_force_check,
                                 classify_component, is_w_digraph,
                                 random_two_label_digraph)
@@ -199,3 +201,118 @@ def test_classifier_recovers_built_figure():
         # the witness maps the template onto itself here
         assert match.orientation_witness["a0"] == "a0"
         assert match.orientation_witness[f"b{m}"] == f"b{m}"
+
+
+# -- the sparse oracle against the dense one it replaced -----------------------------------
+
+U = RF_U
+U2 = U * U
+U2M1 = U2 - RF_ONE
+# (tail column, head column) of one edge's 2x2 block, each as
+# (coefficient at the tail, coefficient at the head)
+DENSE_BLOCKS = {
+    SOLID: ((RF_ZERO, RF_ONE), (U2, U2M1)),
+    DASHED: ((U, rf([1, 1])), (rf([0, -1, 1]), rf([-1, -1, 1]))),
+}
+
+
+def dense_tau(g, s, vec):
+    """tau_s on a dense vector, block by block from the edge list."""
+    out = [RF_ZERO] * len(vec)
+    for e in g.edges:
+        if e.label != s:
+            continue
+        a, b = g.vertex_index[e.src], g.vertex_index[e.dst]
+        for col, (at_tail, at_head) in zip((a, b), DENSE_BLOCKS[e.style]):
+            out[a] = out[a] + at_tail * vec[col]
+            out[b] = out[b] + at_head * vec[col]
+    return out
+
+
+def dense_brute_force_check(g):
+    """The oracle on dense length-n columns: (kind, generators, column) or None."""
+    violations = g.validate_structure()
+    if violations:
+        return ("structure", (), "; ".join(violations))
+    system = g.system
+    n_verts = len(g.vertices)
+    ident = [[RF_ONE if i == j else RF_ZERO for i in range(n_verts)]
+             for j in range(n_verts)]
+    for s in system.generators:
+        once = [dense_tau(g, s, col) for col in ident]
+        twice = [dense_tau(g, s, col) for col in once]
+        for j in range(n_verts):
+            for i in range(n_verts):
+                rhs = U2M1 * once[j][i] + (U2 if i == j else RF_ZERO)
+                if twice[j][i] != rhs:
+                    return ("quadratic", (s,), g.vertices[j])
+    gens = system.generators
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            n = system.order(i, j)
+            if n is inf or n <= 1:
+                continue
+            left = [gens[(i, j)[k % 2]] for k in range(n)]
+            right = [gens[(j, i)[k % 2]] for k in range(n)]
+            for col, e in enumerate(ident):
+                a, b = e, e
+                for s in reversed(left):
+                    a = dense_tau(g, s, a)
+                for s in reversed(right):
+                    b = dense_tau(g, s, b)
+                if a != b:
+                    return ("braid", (gens[i], gens[j]), g.vertices[col])
+    return None
+
+
+def random_labeled_digraph(rng, system, n_vertices):
+    """One random perfect matching per generator, each pair one edge of
+    random direction and style."""
+    vertices = [f"v{i}" for i in range(n_vertices)]
+    edges = []
+    for label in system.generators:
+        shuffled = list(vertices)
+        rng.shuffle(shuffled)
+        for k in range(0, n_vertices, 2):
+            a, b = shuffled[k], shuffled[k + 1]
+            if rng.random() < 0.5:
+                a, b = b, a
+            edges.append(Edge(a, b, label, SOLID if rng.random() < 0.5 else DASHED))
+    return SLabeledDigraph(system, vertices, edges)
+
+
+def oracle_inputs():
+    """Criterion 1's template grid, random two-label digraphs over I2(2..6),
+    random three-label digraphs over A3, and the named examples."""
+    dihedral = {n: CoxeterSystem.dihedral(n) for n in range(2, 11)}
+    for figure in range(1, 9):
+        for m in ([1] if figure in (7, 8) else [2, 3, 4, 5]):
+            for n in range(2, 11):
+                yield f"figure {figure} m={m} n={n}", build_family(
+                    dihedral[n], FamilySpec(figure, m))
+    rng = random.Random(4242)
+    for k in range(100):
+        g0 = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8, 10, 12]))
+        for n in range(2, 7):
+            yield f"two-label #{k} n={n}", SLabeledDigraph(
+                dihedral[n], g0.vertices, g0.edges)
+    a3 = CoxeterSystem(["r", "s", "t"], {("r", "s"): 3, ("s", "t"): 3})
+    for k in range(400):
+        yield f"A3 #{k}", random_labeled_digraph(rng, a3, 2 * (k % 6 + 1))
+    for name in EXAMPLE_NAMES:
+        yield name, build_example(name)
+    yield "lv_a3", build_lv(a3, DiagramAutomorphism.identity(a3))
+    broken = SLabeledDigraph(dihedral[3], ["a", "b"], [("a", "b", "s", SOLID)])
+    yield "broken", broken
+
+
+def test_oracle_matches_dense_reference():
+    outcomes = {"none": 0, "quadratic": 0, "braid": 0, "structure": 0}
+    for label, g in oracle_inputs():
+        witness = brute_force_check(g)
+        got = (None if witness is None
+               else (witness.kind, witness.generators, witness.column))
+        assert got == dense_brute_force_check(g), label
+        outcomes[got[0] if got else "none"] += 1
+    assert outcomes["none"] > 100 and outcomes["braid"] > 500
+    assert outcomes["structure"] == 1
