@@ -129,6 +129,8 @@ def cmd_example(args) -> int:
 def _oracle_line(witness) -> str:
     if witness is None:
         return "oracle: ok"
+    if witness.kind == "structure":
+        return "oracle: rejected (structural violations)"
     return (f"oracle: failing {witness.kind} relation for "
             f"{','.join(witness.generators)} at column {witness.column}")
 

@@ -427,18 +427,23 @@ class SLabeledDigraph:
     def to_dot(self) -> str:
         lines = ["digraph G {"]
         for v in self.vertices:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {_dot_id(v)};")
         for e in self.edges:
-            attrs = f'label="{e.label}"'
+            attrs = f"label={_dot_id(e.label)}"
             if e.style == DASHED:
                 attrs += ", style=dashed"
-            lines.append(f'  "{e.src}" -> "{e.dst}" [{attrs}];')
+            lines.append(f"  {_dot_id(e.src)} -> {_dot_id(e.dst)} [{attrs}];")
         lines.append("}")
         return "\n".join(lines)
 
     def __repr__(self):
         return (f"SLabeledDigraph({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges)")
+
+
+def _dot_id(name: str) -> str:
+    """A DOT double-quoted string, with backslash and quote escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 @dataclass(frozen=True)

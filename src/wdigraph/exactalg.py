@@ -45,10 +45,6 @@ class Poly:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def constant(c) -> "Poly":
-        return Poly((c,))
-
-    @staticmethod
     def monomial(c, d: int) -> "Poly":
         if c == 0:
             return P_ZERO
@@ -286,19 +282,6 @@ class RatFunc:
                     den = den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    # -- construction ----------------------------------------------------------
-
-    @staticmethod
-    def from_const(c) -> "RatFunc":
-        return RatFunc(Poly((c,)), P_ONE, _canonical=True) if c != 0 else RF_ZERO
-
-    @staticmethod
-    def upow(k: int) -> "RatFunc":
-        """u^k for any integer k, negative exponents allowed."""
-        if k >= 0:
-            return RatFunc(Poly.monomial(1, k), P_ONE, _canonical=True)
-        return RatFunc(P_ONE, Poly.monomial(1, -k), _canonical=True)
 
     # -- structure ----------------------------------------------------------------
 

@@ -12,9 +12,16 @@ so each operator has at most two nonzero entries per column.  ModuleRep keeps
 that pairing as per-column coefficient tables, and its one kernel,
 `apply`/`apply_inv`, maps a sparse vector {index: nonzero coefficient} to
 another in time proportional to its support, the inverses u^-2 (tau - (u^2-1))
-included.  Dense vectors (`tau_apply`, `word_apply_cols`) and matrices
-(`tau_matrix`, `rho`, `rho_inv`) are adapters over it, materialized only where
-a caller needs them.
+included.  Characters and the reversal identities compare sparse columns;
+dense matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for
+output such as characteristic polynomials.
+
+Each 2x2 block has the distinct eigenvalues u^2 and -1, so each eigenspace
+of a block is a line, v[head] = r v[tail]: r = 1 for u^2, r = -1/u^2 (solid)
+or -(u+1)/(u^2-u) (dashed) for -1.  A simultaneous eigenvector of all tau_s
+lies on every block's line, so `linear_char_dims` walks each component once
+per character and counts those whose ratios agree around every circuit; a
+loop (tau_s the scalar 2u^2 - 1 or 2u^2 - 2u - 1) forces its component to 0.
 """
 
 from __future__ import annotations
@@ -27,14 +34,12 @@ from typing import Iterable, Sequence
 from .coxeter import GroupElement
 from .digraph import DASHED, SOLID, SLabeledDigraph
 from .exactalg import (RF_ONE, RF_U, RF_U2, RF_U2M1, RF_U_M2, RF_ZERO,
-                       RatFunc, RatMatrix, rf, sigma as sigma_map,
-                       solve_simultaneous_eigenspace)
+                       RatFunc, RatMatrix, rf, sigma as sigma_map)
 from .hecke import HeckeElt
 
 U_PLUS_1 = rf([1, 1])                   # u + 1
 U2MU = rf([0, -1, 1])                   # u^2 - u
 U2MUM1 = rf([-1, -1, 1])                # u^2 - u - 1
-MINUS_ONE = rf(-1)
 
 # per-column (self, partner) coefficients of tau_s, keyed by (role, style);
 # a zero self coefficient is None, so the kernel skips it
@@ -82,6 +87,7 @@ class ModuleRep:
                     raise ValueError(
                         f"vertex {digraph.vertices[i]} has no edge labeled "
                         f"{self.system.generators[s]}")
+        self._pairing = pairing
         # _columns[s][i] = (partner, self coefficient or None, partner
         # coefficient) of column i of tau_s; _inv_columns likewise for tau_s^-1
         self._columns = [[(partner,) + _TAU_CASES[(role, style)]
@@ -107,27 +113,10 @@ class ModuleRep:
             vec = self.apply(s, vec)
         return vec
 
-    # dense adapters over the kernel
-
-    def tau_apply(self, s, vec: list[RatFunc]) -> list[RatFunc]:
-        """Apply the generator operator to a dense coefficient vector."""
-        return self._dense(self.apply(s, _sparse(vec)))
-
-    def tau_inv_apply(self, s, vec: list[RatFunc]) -> list[RatFunc]:
-        """Apply the inverse operator u^-2 (tau - (u^2-1)) to a dense vector."""
-        return self._dense(self.apply_inv(s, _sparse(vec)))
-
-    def tau_apply_cols(self, s, cols: list[list[RatFunc]]) -> list[list[RatFunc]]:
-        return [self.tau_apply(s, col) for col in cols]
+    # dense output
 
     def tau_matrix(self, s) -> RatMatrix:
         return self._matrix([self.apply(s, {j: RF_ONE}) for j in range(self.n)])
-
-    def word_apply_cols(self, word: Iterable[int],
-                        cols: list[list[RatFunc]]) -> list[list[RatFunc]]:
-        """Apply tau_{s_1} ... tau_{s_k} (leftmost acting last) to columns."""
-        word = tuple(word)
-        return [self._dense(self.word_apply(word, _sparse(col))) for col in cols]
 
     def _dense(self, vec: SparseVec) -> list[RatFunc]:
         return [vec.get(i, RF_ZERO) for i in range(self.n)]
@@ -156,12 +145,15 @@ class ModuleRep:
         """The matrix of the basis element T_w."""
         return self._matrix(self._rho_columns(w))
 
-    def rho_inv(self, w: GroupElement) -> RatMatrix:
-        """The matrix of T_w^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1}, w = s_1...s_k."""
+    def _rho_inv_columns(self, w: GroupElement) -> list[SparseVec]:
+        """The columns of T_w^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1}, w = s_1...s_k."""
         cols = [{j: RF_ONE} for j in range(self.n)]
         for s in w.word:
             cols = [self.apply_inv(s, col) for col in cols]
-        return self._matrix(cols)
+        return cols
+
+    def rho_inv(self, w: GroupElement) -> RatMatrix:
+        return self._matrix(self._rho_inv_columns(w))
 
     def rho_elt(self, h: HeckeElt) -> RatMatrix:
         """Extend rho linearly to a finitely supported combination."""
@@ -173,10 +165,7 @@ class ModuleRep:
         return out
 
     def character(self, w: GroupElement) -> RatFunc:
-        t = RF_ZERO
-        for j, col in enumerate(self._rho_columns(w)):
-            t = t + col.get(j, RF_ZERO)
-        return t
+        return _trace(self._rho_columns(w))
 
 
 def _apply_columns(columns, vec: SparseVec) -> SparseVec:
@@ -191,24 +180,15 @@ def _apply_columns(columns, vec: SparseVec) -> SparseVec:
     return _sparse_items(out.items())
 
 
-def _sparse(vec: Sequence[RatFunc]) -> SparseVec:
-    return _sparse_items(enumerate(vec))
-
-
 def _sparse_items(items) -> SparseVec:
     return {i: c for i, c in items if c.num.coeffs}
 
 
-def tau_matrix(digraph: SLabeledDigraph, s) -> RatMatrix:
-    return ModuleRep(digraph).tau_matrix(s)
-
-
-def rho(digraph: SLabeledDigraph, w: GroupElement) -> RatMatrix:
-    return ModuleRep(digraph).rho(w)
-
-
-def character(digraph: SLabeledDigraph, w: GroupElement) -> RatFunc:
-    return ModuleRep(digraph).character(w)
+def _trace(cols: list[SparseVec]) -> RatFunc:
+    t = RF_ZERO
+    for j, col in enumerate(cols):
+        t = t + col.get(j, RF_ZERO)
+    return t
 
 
 # -- linear character eigenspaces ---------------------------------------------------------------
@@ -223,51 +203,71 @@ class LinearCharacterDims:
     sgn_weights: dict | None
 
 
-def sgn_eigenvector_weights(digraph: SLabeledDigraph):
-    """Edge-weight products from each component source: -1/u^2 per solid edge,
-    -(u+1)/(u^2-u) per dashed edge.  None if some component lacks a source or
-    has inconsistent products (a circuit)."""
-    analysis = digraph.analyze()
-    weights: dict[str, RatFunc] = {}
-    w_solid = rf(-1, [0, 0, 1])
-    w_dashed = rf([-1, -1], [0, -1, 1])
-    for comp in analysis.components:
-        if len(comp.sources) != 1 or not comp.acyclic:
-            return None
-        src = comp.sources[0]
-        weights[src] = RF_ONE
-        sub = digraph.subgraph(comp.vertices)
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for e in sub.out_edges(v):
-                step = w_solid if e.style == SOLID else w_dashed
-                candidate = weights[v] * step
-                if e.dst in weights:
-                    if weights[e.dst] != candidate:
-                        return None
-                else:
-                    weights[e.dst] = candidate
-                    queue.append(e.dst)
-    return weights
+def _eigenline_ratios(lam: RatFunc) -> dict:
+    """v[partner] / v[i] on the lam-eigenline of a block, keyed by the (role,
+    style) of vertex i: the block's first row, tail_self v[tail] +
+    head_partner v[head] = lam v[tail], fixes the slope of the line."""
+    ratios = {}
+    for style in (SOLID, DASHED):
+        tail_self = _TAU_CASES[("tail", style)][0] or RF_ZERO
+        r = (lam - tail_self) / _TAU_CASES[("head", style)][1]
+        ratios[("tail", style)] = r
+        ratios[("head", style)] = r.inverse()
+    return ratios
+
+
+_IND_RATIOS = _eigenline_ratios(RF_U2)     # 1 on every edge
+_SGN_RATIOS = _eigenline_ratios(-RF_ONE)   # -1/u^2 solid, -(u+1)/(u^2-u) dashed
+
+
+def _eigenline(rep: ModuleRep, start: int, ratios: dict) -> SparseVec | None:
+    """The simultaneous eigenvector on start's component that is 1 at start,
+    or None if the component carries none (ratios disagree around a circuit,
+    or a loop)."""
+    values = {start: RF_ONE}
+    queue = deque([start])
+    while queue:
+        i = queue.popleft()
+        for row in rep._pairing:
+            partner, role, style = row[i]
+            if partner == i:
+                return None
+            value = values[i] * ratios[(role, style)]
+            known = values.get(partner)
+            if known is None:
+                values[partner] = value
+                queue.append(partner)
+            elif known != value:
+                return None
+    return values
 
 
 def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
     """Eigenspace dimensions for the two linear characters, with the
-    structural predictions (component count; acyclic component count)."""
+    structural predictions (component count; acyclic component count).
+
+    Each component is walked once per character, from its source when it has
+    exactly one; when every component is acyclic with one source and carries
+    the sign eigenvector, its values (1 at each source) are `sgn_weights`.
+    """
     rep = ModuleRep(digraph)
-    mats = [rep.tau_matrix(s) for s in range(digraph.system.rank())]
-    dim_ind = len(solve_simultaneous_eigenspace(mats, [RF_U2] * len(mats),
-                                                dim=rep.n))
-    dim_sgn = len(solve_simultaneous_eigenspace(mats, [MINUS_ONE] * len(mats),
-                                                dim=rep.n))
     analysis = digraph.analyze()
+    index = digraph.vertex_index
+    starts = [index[c.sources[0] if len(c.sources) == 1 else c.vertices[0]]
+              for c in analysis.components]
+    ind = [_eigenline(rep, i, _IND_RATIOS) for i in starts]
+    sgn = [_eigenline(rep, i, _SGN_RATIOS) for i in starts]
+    weights = None
+    if all(len(c.sources) == 1 and c.acyclic and values is not None
+           for c, values in zip(analysis.components, sgn)):
+        weights = {digraph.vertices[i]: x for values in sgn
+                   for i, x in values.items()}
     return LinearCharacterDims(
-        dim_ind=dim_ind,
-        dim_sgn=dim_sgn,
+        dim_ind=sum(values is not None for values in ind),
+        dim_sgn=sum(values is not None for values in sgn),
         predicted_ind=analysis.n_components,
         predicted_sgn=analysis.n_acyclic,
-        sgn_weights=sgn_eigenvector_weights(digraph),
+        sgn_weights=weights,
     )
 
 
@@ -285,18 +285,15 @@ class IdentityReport:
 
 
 def _sign_diagonal(digraph: SLabeledDigraph):
-    """(-1)^(distance from the component source), as a diagonal sign list."""
-    analysis = digraph.analyze()
+    """(-1)^(distance from the component source), as a diagonal sign list;
+    None unless every component is acyclic with one source, which then
+    reaches all of it."""
     signs = [None] * len(digraph.vertices)
-    for comp in analysis.components:
+    for comp in digraph.analyze().components:
         if len(comp.sources) != 1 or not comp.acyclic:
             return None
-        src = comp.sources[0]
-        sub = digraph.subgraph(comp.vertices)
         for v in comp.vertices:
-            mu = sub.path_length_mu(src, v)
-            if mu is None:
-                return None
+            mu = digraph.path_length_mu(comp.sources[0], v)
             signs[digraph.vertex_index[v]] = -1 if mu % 2 else 1
     return signs
 
@@ -310,6 +307,9 @@ def reversal_identities(digraph: SLabeledDigraph,
              rho(T_{w^{-1}}^{-1});
       sign:  rho_rev(T_w) equals eps_w u_w (D rho(T_w^{-1}) D)^T with D the
              source-distance sign diagonal (requires acyclicity).
+
+    Both sides are lists of sparse columns, so the matrices compare by
+    their nonzero entries and the traces come from the column diagonals.
     """
     rep = ModuleRep(digraph)
     rev = ModuleRep(digraph.reverse())
@@ -317,22 +317,25 @@ def reversal_identities(digraph: SLabeledDigraph,
     reports = []
     for w in words:
         report = IdentityReport(word=str(w))
-        lhs = rev.rho(w)
-        rhs1 = rep.rho_inv(w.inverse()).apply_entrywise(sigma_map)
-        report.twist_matrix = lhs == rhs1
-        report.twist_trace = lhs.trace() == rhs1.trace()
+        lhs = rev._rho_columns(w)
+        twisted = [{i: sigma_map(c) for i, c in col.items()}
+                   for col in rep._rho_inv_columns(w.inverse())]
+        report.twist_matrix = lhs == twisted
+        report.twist_trace = _trace(lhs) == _trace(twisted)
         if signs is None:
             report.skipped = "sign identity needs acyclic components with sources"
         else:
             eps = -1 if w.length % 2 else 1
             uw = RF_U ** (2 * w.length)
-            inner = rep.rho_inv(w)
-            conj = RatMatrix([[inner.rows[i][j] if signs[i] == signs[j]
-                               else -inner.rows[i][j]
-                               for j in range(rep.n)] for i in range(rep.n)])
-            rhs2 = conj.transpose().scale(uw if eps == 1 else -uw)
-            report.sign_matrix = lhs == rhs2
-            report.sign_trace = lhs.trace() == rhs2.trace()
+            # entry (i, j) of rho(T_w^{-1}) lands at (j, i), times
+            # eps_w u_w D_i D_j
+            flipped: list[SparseVec] = [{} for _ in range(rep.n)]
+            for j, col in enumerate(rep._rho_inv_columns(w)):
+                for i, c in col.items():
+                    scaled = uw * c
+                    flipped[i][j] = scaled if signs[i] * signs[j] == eps else -scaled
+            report.sign_matrix = lhs == flipped
+            report.sign_trace = _trace(lhs) == _trace(flipped)
         reports.append(report)
     return reports
 

@@ -210,7 +210,7 @@ def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
 
 @dataclass(frozen=True)
 class RelationWitness:
-    kind: str          # "quadratic" or "braid"
+    kind: str          # "structure", "quadratic" or "braid"
     generators: tuple
     column: str        # vertex whose column first differs, or "" for quadratic
 

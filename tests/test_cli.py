@@ -135,6 +135,33 @@ def test_analyze_json(capsys, tmp_path):
     assert len(data["components"]) == 1
 
 
+ANALYZE_TEXT = {
+    "affine_a2_cycle": "component 0: 6 vertices, sources [], sinks [], cyclic\n"
+                       "dim ind = 1 (components 1), dim sgn = 0 (acyclic 0)\n",
+    "b3_no_bar": "component 0: 12 vertices, sources ['v0'], sinks ['v7'], "
+                 "acyclic\n"
+                 "dim ind = 1 (components 1), dim sgn = 1 (acyclic 1)\n",
+    "h3_nonselfassoc": "component 0: 6 vertices, sources ['a1'], sinks ['b3'], "
+                       "acyclic\n"
+                       "dim ind = 1 (components 1), dim sgn = 1 (acyclic 1)\n",
+    "ex_fig2": "component 0: 6 vertices, sources ['g1'], sinks ['g4'], acyclic\n"
+               "dim ind = 1 (components 1), dim sgn = 1 (acyclic 1)\n",
+    # acyclic with one source, yet the sign eigenvector does not exist
+    "ex_fig3": "component 0: 4 vertices, sources ['g3'], sinks ['g1'], acyclic\n"
+               "dim ind = 1 (components 1), dim sgn = 0 (acyclic 1)\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_TEXT))
+def test_analyze_text_examples(capsys, tmp_path, name):
+    code, out = run(capsys, "example", name)
+    dpath = tmp_path / f"{name}.json"
+    dpath.write_text(out)
+    code, out = run(capsys, "analyze", str(dpath))
+    assert code == 0
+    assert out == ANALYZE_TEXT[name]
+
+
 def test_bar_op_exit_codes(capsys, tmp_path):
     code, out = run(capsys, "example", "b3_no_bar")
     dpath = tmp_path / "b3.json"
@@ -161,7 +188,11 @@ def test_theorems_command(capsys, tmp_path, affine_file):
     code, out = run(capsys, "--format", "json", "theorems", str(dpath))
     assert code == 0
     data = json.loads(out)
-    assert data["wgraph_obstruction"]["status"] == "fires"
+    assert data["wgraph_obstruction"] == {
+        "evidence": {"dim_sgn": 0, "n_in_empty": 0, "n_in_full": 0, "sinks": 0},
+        "message": "no W-graph over the rationals can afford this module",
+        "status": "fires",
+    }
 
 
 def test_identities_command(capsys, tmp_path):
@@ -261,6 +292,21 @@ def test_broken_digraph_reports_violations(capsys, tmp_path, argv):
     assert code == 1
     assert out == ("violation: vertex a meets 0 edges labeled t\n"
                    "violation: vertex b meets 0 edges labeled t\n")
+
+
+def test_validate_both_on_broken_digraph(capsys, tmp_path):
+    # the oracle's structure witness has no generators and no column
+    dpath = tmp_path / "broken.json"
+    dpath.write_text(json.dumps({
+        "system": SYSTEM_I2_3, "vertices": ["a", "b"],
+        "edges": [{"from": "a", "to": "b", "label": "s", "style": "solid"}]}))
+    code, out = run(capsys, "validate", str(dpath), "--both")
+    assert code == 1
+    assert out == ("structural violations:\n"
+                   "  vertex a meets 0 edges labeled t\n"
+                   "  vertex b meets 0 edges labeled t\n"
+                   "rejected\n"
+                   "oracle: rejected (structural violations)\n")
 
 
 @pytest.mark.parametrize("generators", [

@@ -189,6 +189,16 @@ def test_dot_export(i23):
     assert '"a0" -> "a1" [label="s", style=dashed];' in dot
 
 
+def test_dot_export_escapes_quotes_and_backslashes():
+    a1 = CoxeterSystem(["s"], {})
+    g = SLabeledDigraph(a1, ['a"b', "c\\d"], [('a"b', "c\\d", "s", DASHED)])
+    assert g.to_dot() == ('digraph G {\n'
+                          '  "a\\"b";\n'
+                          '  "c\\\\d";\n'
+                          '  "a\\"b" -> "c\\\\d" [label="s", style=dashed];\n'
+                          '}')
+
+
 def test_disjoint_union(i23):
     g = build_family(i23, FamilySpec(1, 2))
     both = g.disjoint_union(g)

@@ -2,20 +2,27 @@
 reversal identities, the 0-specialization, bar propagation, and the
 theorem-level checkers."""
 
+import random
+from collections import Counter, deque
+
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph
 from wdigraph.exactalg import (RF_ONE, RF_U, RF_ZERO, RatMatrix, char_poly,
-                               eval_at, lampoly_mul, rf, sigma)
-from wdigraph.families import (FamilySpec, build_family, build_lv,
-                               build_example, build_regular)
+                               eval_at, lampoly_mul, rf, sigma,
+                               solve_simultaneous_eigenspace)
+from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
+                               build_lv, build_example, build_regular,
+                               family_divisibility_ok)
 from wdigraph.hecke import invert_Tw
 from wdigraph.modrep import (BarSolution, ModuleRep, bar_from_source,
                              linear_char_dims, reversal_identities,
                              theorem_checkers, zero_hecke_action)
+from wdigraph.validator import random_two_label_digraph
 
 from conftest import make_a3, make_b3
+from test_validator import random_labeled_digraph
 
 U2 = RF_U * RF_U
 
@@ -56,11 +63,9 @@ def test_eigenvector_closed_forms(style):
     a1 = CoxeterSystem(["s"], {})
     g = SLabeledDigraph(a1, ["x", "y"], [("x", "y", "s", style)])
     rep = ModuleRep(g)
-    plus = [RF_ONE, RF_ONE]
-    assert rep.tau_apply("s", plus) == [U2, U2]
+    assert rep.apply("s", {0: RF_ONE, 1: RF_ONE}) == {0: U2, 1: U2}
     coeff = -(RF_U ** (-2)) if style == SOLID else -rf([1, 1], [0, -1, 1])
-    minus = [RF_ONE, coeff]
-    assert rep.tau_apply("s", minus) == [-RF_ONE, -coeff]
+    assert rep.apply("s", {0: RF_ONE, 1: coeff}) == {0: -RF_ONE, 1: -coeff}
 
 
 def test_character_at_identity(i23):
@@ -71,11 +76,9 @@ def test_character_at_identity(i23):
 def test_reduced_word_independence(i23):
     g = build_family(i23, FamilySpec(2, 3))
     rep = ModuleRep(g)
-    cols = [[RF_ONE if i == j else RF_ZERO for i in range(rep.n)]
-            for j in range(rep.n)]
-    via_sts = rep.word_apply_cols([0, 1, 0], cols)
-    via_tst = rep.word_apply_cols([1, 0, 1], cols)
-    assert via_sts == via_tst
+    for j in range(rep.n):
+        assert rep.word_apply([0, 1, 0], {j: RF_ONE}) == \
+            rep.word_apply([1, 0, 1], {j: RF_ONE})
 
 
 def test_affine_cycle_char_poly():
@@ -120,8 +123,10 @@ def test_tau_inv_apply_matches_dense(name):
     ident = RatMatrix.identity(rep.n)
     for s in g.system.generators:
         dense = (rep.tau_matrix(s) - ident.scale(U2 - RF_ONE)).scale(RF_U ** -2)
-        for j, e in enumerate(ident.rows):
-            assert rep.tau_inv_apply(s, list(e)) == [row[j] for row in dense.rows]
+        for j in range(rep.n):
+            column = {i: row[j] for i, row in enumerate(dense.rows)
+                      if row[j] != RF_ZERO}
+            assert rep.apply_inv(s, {j: RF_ONE}) == column
 
 
 def test_linear_char_dims_family(i23):
@@ -150,9 +155,9 @@ def test_sgn_weights_are_eigenvector(i23):
     g = build_family(i23, FamilySpec(6, 2))
     dims = linear_char_dims(g)
     rep = ModuleRep(g)
-    vec = [dims.sgn_weights[v] for v in g.vertices]
+    vec = {i: dims.sgn_weights[v] for i, v in enumerate(g.vertices)}
     for s in "st":
-        assert rep.tau_apply(s, vec) == [-c for c in vec]
+        assert rep.apply(s, vec) == {i: -c for i, c in vec.items()}
 
 
 # -- the local trace coefficient table ---------------------------------------------
@@ -194,8 +199,7 @@ def vertex_config(g, v, s_name, t_name):
 
 def kappa_coefficient(rep, g, v):
     i = g.vertex_index[v]
-    e = [RF_ONE if k == i else RF_ZERO for k in range(rep.n)]
-    return rep.tau_apply("s", rep.tau_apply("t", e))[i]
+    return rep.apply("s", rep.apply("t", {i: RF_ONE})).get(i, RF_ZERO)
 
 
 def test_kappa_table_polynomials():
@@ -406,7 +410,6 @@ def test_h3_character_not_self_associated(h3):
 def test_two_generator_eigenspace_is_all_ones(i23):
     # requiring eigenvalue u^2 for both generators on a connected component
     # forces the all-ones vector
-    from wdigraph.exactalg import solve_simultaneous_eigenspace
     g = build_family(i23, FamilySpec(2, 3))
     rep = ModuleRep(g)
     mats = [rep.tau_matrix("s"), rep.tau_matrix("t")]
@@ -415,3 +418,173 @@ def test_two_generator_eigenspace_is_all_ones(i23):
     v = basis[0]
     scale = v[0]
     assert all(c == scale for c in v)
+
+
+# -- the block-structured paths against the dense reference ---------------------------------
+#
+# The reference functions below are the dense implementations that
+# `linear_char_dims` and `reversal_identities` replaced: Gaussian elimination
+# over the n x n generator matrices, a directed BFS from each source on
+# component copies, and n x n matrices for both identities.
+
+def dense_linear_char_dims(g):
+    """(dim_ind, dim_sgn, sgn_weights) by simultaneous eigenspaces of the
+    dense generator matrices."""
+    rep = ModuleRep(g)
+    mats = [rep.tau_matrix(s) for s in range(g.system.rank())]
+    dim_ind = len(solve_simultaneous_eigenspace(mats, [U2] * len(mats),
+                                                dim=rep.n))
+    dim_sgn = len(solve_simultaneous_eigenspace(mats, [rf(-1)] * len(mats),
+                                                dim=rep.n))
+    return dim_ind, dim_sgn, source_bfs_weights(g)
+
+
+def source_bfs_weights(g):
+    """-1/u^2 per solid and -(u+1)/(u^2-u) per dashed edge, multiplied along
+    a directed BFS from each component's source; None without a unique
+    source, on a cyclic component or on inconsistent products."""
+    weights = {}
+    w_solid = rf(-1, [0, 0, 1])
+    w_dashed = rf([-1, -1], [0, -1, 1])
+    for comp in g.analyze().components:
+        if len(comp.sources) != 1 or not comp.acyclic:
+            return None
+        src = comp.sources[0]
+        weights[src] = RF_ONE
+        sub = g.subgraph(comp.vertices)
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            for e in sub.out_edges(v):
+                candidate = weights[v] * (w_solid if e.style == SOLID else w_dashed)
+                if e.dst in weights:
+                    if weights[e.dst] != candidate:
+                        return None
+                else:
+                    weights[e.dst] = candidate
+                    queue.append(e.dst)
+    return weights
+
+
+def subgraph_sign_diagonal(g):
+    """(-1)^(distance from the component source), read on component copies."""
+    signs = [None] * len(g.vertices)
+    for comp in g.analyze().components:
+        if len(comp.sources) != 1 or not comp.acyclic:
+            return None
+        sub = g.subgraph(comp.vertices)
+        for v in comp.vertices:
+            mu = sub.path_length_mu(comp.sources[0], v)
+            if mu is None:
+                return None
+            signs[g.vertex_index[v]] = -1 if mu % 2 else 1
+    return signs
+
+
+def dense_reversal_identities(g, words):
+    """Both reversal identities on dense matrices, as (word, twist matrix,
+    twist trace, sign matrix, sign trace, skipped) tuples."""
+    rep = ModuleRep(g)
+    rev = ModuleRep(g.reverse())
+    signs = subgraph_sign_diagonal(g)
+    out = []
+    for w in words:
+        lhs = rev.rho(w)
+        rhs1 = rep.rho_inv(w.inverse()).apply_entrywise(sigma)
+        row = [str(w), lhs == rhs1, lhs.trace() == rhs1.trace()]
+        if signs is None:
+            row += [None, None, "sign identity needs acyclic components with sources"]
+        else:
+            uw = RF_U ** (2 * w.length)
+            inner = rep.rho_inv(w)
+            conj = RatMatrix([[inner.rows[i][j] if signs[i] == signs[j]
+                               else -inner.rows[i][j]
+                               for j in range(rep.n)] for i in range(rep.n)])
+            rhs2 = conj.transpose().scale(-uw if w.length % 2 else uw)
+            row += [lhs == rhs2, lhs.trace() == rhs2.trace(), None]
+        out.append(tuple(row))
+    return out
+
+
+_DIHEDRAL = {n: CoxeterSystem.dihedral(n) for n in range(2, 8)}
+
+
+def loop_digraph():
+    """A figure-1 component beside one carrying a t-loop; ModuleRep accepts
+    the loop, on which tau_t is the scalar 2u^2 - 1."""
+    i22 = _DIHEDRAL[2]
+    fig1 = build_family(i22, FamilySpec(1, 2))
+    looped = SLabeledDigraph(i22, ["x", "y"], [
+        ("x", "y", "s", SOLID), ("x", "x", "t", SOLID), ("y", "y", "t", DASHED)])
+    return fig1.disjoint_union(looped, suffixes=("", "_loop"))
+
+
+def eigenspace_inputs():
+    """The examples, LV and regular A3 and B3, the template grid over
+    I2(2..7), random two- and three-label digraphs, and a loop."""
+    a3, b3 = make_a3(), make_b3()
+    for name in EXAMPLE_NAMES:
+        yield name, build_example(name)
+    yield "lv_a3", _lv(a3)
+    yield "regular_a3", build_regular(a3)
+    yield "lv_b3", _lv(b3)
+    yield "regular_b3", build_regular(b3)
+    for figure in range(1, 9):
+        for m in ([1] if figure in (7, 8) else [2, 3, 4, 5]):
+            for n in range(2, 8):
+                yield f"figure {figure} m={m} n={n}", build_family(
+                    _DIHEDRAL[n], FamilySpec(figure, m))
+    rng = random.Random(8128)
+    for k in range(120):
+        g0 = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8, 10, 12]))
+        yield f"two-label #{k}", SLabeledDigraph(
+            _DIHEDRAL[rng.choice([2, 3, 4, 5, 6])], g0.vertices, g0.edges)
+    for k in range(120):
+        yield f"A3 #{k}", random_labeled_digraph(rng, a3, 2 * (k % 5 + 1))
+    yield "loop", loop_digraph()
+
+
+def test_linear_char_dims_matches_dense_reference():
+    seen = Counter()
+    for label, g in eigenspace_inputs():
+        dims = linear_char_dims(g)
+        got = (dims.dim_ind, dims.dim_sgn, dims.sgn_weights)
+        assert got == dense_linear_char_dims(g), label
+        seen["weights" if dims.sgn_weights is not None else "no weights"] += 1
+        seen["sgn below prediction"] += dims.dim_sgn < dims.predicted_sgn
+    # the loop forces its component to 0 for both characters
+    loop = linear_char_dims(loop_digraph())
+    assert (loop.dim_ind, loop.dim_sgn, loop.predicted_ind) == (1, 1, 2)
+    assert seen["weights"] > 100 and seen["no weights"] > 100
+    assert seen["sgn below prediction"] > 10
+
+
+def reversal_inputs():
+    """The modules benchmark fixtures, and the figure 1-6 templates that I2(2)
+    rejects, where the braid relation and so the identities may fail."""
+    a3, b3 = make_a3(), make_b3()
+    yield "lv_a3", _lv(a3)
+    yield "lv_a3_flip", build_lv(
+        a3, DiagramAutomorphism.from_mapping(a3, {"r": "t", "t": "r"}))
+    yield "lv_b3", _lv(b3)
+    yield "regular_a3", build_regular(a3)
+    for name in ("h3_nonselfassoc", "b3_no_bar", "affine_a2_cycle"):
+        yield name, build_example(name)
+    for figure in range(1, 7):
+        for m in (2, 3):
+            if not family_divisibility_ok(figure, m, 2):
+                yield f"figure {figure} m={m} n=2", build_family(
+                    _DIHEDRAL[2], FamilySpec(figure, m))
+
+
+def test_reversal_identities_match_dense_reference():
+    outcomes = set()
+    for label, g in reversal_inputs():
+        words = g.system.enumerate(3)
+        got = [(r.word, r.twist_matrix, r.twist_trace, r.sign_matrix,
+                r.sign_trace, r.skipped) for r in reversal_identities(g, words)]
+        assert got == dense_reversal_identities(g, words), label
+        outcomes.update(got)
+    # the rejected templates fail an identity; the cycle skips the sign one
+    assert any(False in row for row in outcomes)
+    assert any(row[-1] for row in outcomes)
