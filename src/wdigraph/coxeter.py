@@ -68,9 +68,10 @@ class CoxeterSystem:
 
         Pairs missing from "matrix" default to order 2 (no edge in the
         Coxeter diagram); the value "inf" denotes an infinite order.  A
-        generator may not be named "e" (the identity's name, which element
-        strings and vertex ids use) nor contain "," (the "matrix" key
-        separator).
+        generator name is exactly one character, since element strings and
+        vertex ids concatenate names and `word_from_str` reads them back one
+        character at a time; it may not be "e" (the identity's name) nor ","
+        (the "matrix" key separator).
         """
         if isinstance(data, str):
             with open(data) as fh:
@@ -81,6 +82,8 @@ class CoxeterSystem:
                 raise ValueError('generator name "e" is reserved for the identity')
             if "," in g:
                 raise ValueError(f"generator name {g!r} contains ','")
+            if len(g) != 1:
+                raise ValueError(f"generator name {g!r} is not one character")
         orders = {}
         for key, value in data.get("matrix", {}).items():
             a, b = [part.strip() for part in key.split(",")]

@@ -191,24 +191,21 @@ class SLabeledDigraph:
         return True
 
     def analyze(self) -> "ComponentAnalysis":
-        comps = self.components()
-        details = []
-        for comp in comps:
-            sub = self.subgraph(comp)
-            details.append(ComponentDetail(
-                vertices=tuple(comp),
-                sources=tuple(sub.sources()),
-                sinks=tuple(sub.sinks()),
-                acyclic=sub.is_acyclic(),
-            ))
-        return ComponentAnalysis(tuple(details))
+        return ComponentAnalysis(tuple(
+            ComponentDetail(vertices=sub.vertices, sources=tuple(sub.sources()),
+                            sinks=tuple(sub.sinks()), acyclic=sub.is_acyclic())
+            for sub in self.component_subgraphs()))
 
-    def subgraph(self, vertex_subset: Iterable[str]) -> "SLabeledDigraph":
-        keep = set(vertex_subset)
-        verts = [v for v in self.vertices if v in keep]
-        return SLabeledDigraph(self.system, verts,
-                               [e for e in self.edges
-                                if e.src in keep and e.dst in keep])
+    def component_subgraphs(self) -> list["SLabeledDigraph"]:
+        """One subdigraph per connected component, in `components()` order,
+        with the edges bucketed by component in a single pass."""
+        comps = self.components()
+        which = {v: k for k, comp in enumerate(comps) for v in comp}
+        buckets: list[list[Edge]] = [[] for _ in comps]
+        for e in self.edges:
+            buckets[which[e.src]].append(e)
+        return [SLabeledDigraph(self.system, comp, edges)
+                for comp, edges in zip(comps, buckets)]
 
     def path_length_mu(self, alpha: str, beta: str):
         """Minimum number of edges in a directed path, or None if unreachable."""
@@ -226,16 +223,43 @@ class SLabeledDigraph:
                     queue.append(w)
         return dist.get(beta)
 
-    def reachable_from(self, alpha: str) -> set[str]:
-        seen = {alpha}
+    def distances_from(self, alpha: str) -> dict[str, int]:
+        """`path_length_mu(alpha, v)` for every v reachable from alpha, by one BFS."""
+        dist = {alpha: 0}
         queue = deque([alpha])
         while queue:
             v = queue.popleft()
             for w in self._succ[v]:
-                if w not in seen:
-                    seen.add(w)
+                if w not in dist:
+                    dist[w] = dist[v] + 1
                     queue.append(w)
-        return seen
+        return dist
+
+    def reachable_from(self, alpha: str) -> set[str]:
+        return set(self.distances_from(alpha))
+
+    def _grading(self) -> dict[str, int] | None:
+        """A level per vertex with level(dst) = level(src) + 1 on every edge,
+        0 at the first vertex of each component; None if there is none."""
+        steps: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            steps[e.src].append((e.dst, 1))
+            steps[e.dst].append((e.src, -1))
+        level: dict[str, int] = {}
+        for root in self.vertices:
+            if root in level:
+                continue
+            level[root] = 0
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for w, step in steps[v]:
+                    if w not in level:
+                        level[w] = level[v] + step
+                        stack.append(w)
+        if all(level[e.dst] == level[e.src] + 1 for e in self.edges):
+            return level
+        return None
 
     def equal_path_lengths_check(self):
         """None if any two directed paths between equal endpoints agree in length.
@@ -243,7 +267,16 @@ class SLabeledDigraph:
         Otherwise a counterexample (alpha, beta, length1, length2).  On cyclic
         input the circuit itself is the counterexample (a vertex reaches itself
         by the empty path and by the circuit).
+
+        A graded digraph (see `_grading`) is acyclic, and every path from alpha
+        to beta in it has length level(beta) - level(alpha), so one O(V + E)
+        walk settles that case.  A grading is sufficient, not necessary
+        (a->b->c, d->c, d->e, a->e has equal path lengths and none), so
+        without one the check falls back to a BFS and a longest-path DP from
+        every vertex.
         """
+        if self._grading() is not None:
+            return None
         cycle_vertex = self._vertex_on_cycle()
         if cycle_vertex is not None:
             length = self._cycle_length_through(cycle_vertex)

@@ -291,6 +291,10 @@ class RatFunc:
     def is_poly(self) -> bool:
         return self.den.coeffs == (1,)
 
+    def __bool__(self) -> bool:
+        """Nonzero, as for numbers."""
+        return bool(self.num.coeffs)
+
     def __eq__(self, other):
         return (isinstance(other, RatFunc)
                 and self.num.coeffs == other.num.coeffs

@@ -12,8 +12,10 @@ so each operator has at most two nonzero entries per column.  ModuleRep keeps
 that pairing as per-column coefficient tables, and its one kernel,
 `apply`/`apply_inv`, maps a sparse vector {index: nonzero coefficient} to
 another in time proportional to its support, the inverses u^-2 (tau - (u^2-1))
-included.  Characters and the reversal identities compare sparse columns;
-dense matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for
+included.  `columns_at(u)` specializes the forward tables to an integer u,
+and the same kernel then runs on ints: the oracle in `validator` decides the
+relations that way.  Characters and the reversal identities compare sparse
+columns; dense matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for
 output such as characteristic polynomials.
 
 Each 2x2 block has the distinct eigenvalues u^2 and -1, so each eigenspace
@@ -29,12 +31,12 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from math import inf
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .coxeter import GroupElement
 from .digraph import DASHED, SOLID, SLabeledDigraph
 from .exactalg import (RF_ONE, RF_U, RF_U2, RF_U2M1, RF_U_M2, RF_ZERO,
-                       RatFunc, RatMatrix, rf, sigma as sigma_map)
+                       RatFunc, RatMatrix, eval_at, rf, sigma as sigma_map)
 from .hecke import HeckeElt
 
 U_PLUS_1 = rf([1, 1])                   # u + 1
@@ -90,12 +92,23 @@ class ModuleRep:
         self._pairing = pairing
         # _columns[s][i] = (partner, self coefficient or None, partner
         # coefficient) of column i of tau_s; _inv_columns likewise for tau_s^-1
-        self._columns = [[(partner,) + _TAU_CASES[(role, style)]
-                          for partner, role, style in row] for row in pairing]
-        self._inv_columns = [[(partner,) + _TAU_INV_CASES[(role, style)]
-                              for partner, role, style in row]
-                             for row in pairing]
+        self._columns = self._table(_TAU_CASES)
+        self._inv_columns = self._table(_TAU_INV_CASES)
         self._rho_cache: dict[GroupElement, list[SparseVec]] = {}
+
+    def _table(self, cases: dict) -> list[list[tuple]]:
+        return [[(partner,) + cases[(role, style)]
+                 for partner, role, style in row] for row in self._pairing]
+
+    def columns_at(self, u: int) -> list[list[tuple]]:
+        """The column tables of the tau_s with u specialized to the integer u.
+
+        Every forward coefficient lies in Z[u], so every entry is an int and
+        `_apply_columns(table[s], vec, 0)` runs the kernel on integers.
+        """
+        cases = {key: tuple(None if c is None else eval_at(c, u) for c in case)
+                 for key, case in _TAU_CASES.items()}
+        return self._table(cases)
 
     # -- the generator operators (the one sparse kernel) ---------------------------------
 
@@ -106,12 +119,6 @@ class ModuleRep:
     def apply_inv(self, s, vec: SparseVec) -> SparseVec:
         """The inverse u^-2 (tau_s - (u^2-1)) applied to a sparse vector."""
         return _apply_columns(self._inv_columns[self.system._gen_index(s)], vec)
-
-    def word_apply(self, word: Iterable[int], vec: SparseVec) -> SparseVec:
-        """Apply tau_{s_1} ... tau_{s_k} (leftmost acting last) to a vector."""
-        for s in reversed(tuple(word)):
-            vec = self.apply(s, vec)
-        return vec
 
     # dense output
 
@@ -168,20 +175,24 @@ class ModuleRep:
         return _trace(self._rho_columns(w))
 
 
-def _apply_columns(columns, vec: SparseVec) -> SparseVec:
-    """Sum c * (column i) over the entries i: c of vec, dropping cancellations."""
-    out: SparseVec = {}
+def _apply_columns(columns, vec: dict, zero=RF_ZERO) -> dict:
+    """Sum c * (column i) over the entries i: c of vec, dropping cancellations.
+
+    The coefficients are RatFuncs, or ints (zero = 0) for a table from
+    `ModuleRep.columns_at`.
+    """
+    out = {}
     get = out.get
     for i, c in vec.items():
         partner, self_c, partner_c = columns[i]
         if self_c is not None:
-            out[i] = get(i, RF_ZERO) + self_c * c
-        out[partner] = get(partner, RF_ZERO) + partner_c * c
-    return _sparse_items(out.items())
+            out[i] = get(i, zero) + self_c * c
+        out[partner] = get(partner, zero) + partner_c * c
+    return {i: c for i, c in out.items() if c}
 
 
-def _sparse_items(items) -> SparseVec:
-    return {i: c for i, c in items if c.num.coeffs}
+def _sparse_items(items) -> dict:
+    return {i: c for i, c in items if c}
 
 
 def _trace(cols: list[SparseVec]) -> RatFunc:
@@ -292,8 +303,7 @@ def _sign_diagonal(digraph: SLabeledDigraph):
     for comp in digraph.analyze().components:
         if len(comp.sources) != 1 or not comp.acyclic:
             return None
-        for v in comp.vertices:
-            mu = digraph.path_length_mu(comp.sources[0], v)
+        for v, mu in digraph.distances_from(comp.sources[0]).items():
             signs[digraph.vertex_index[v]] = -1 if mu % 2 else 1
     return signs
 

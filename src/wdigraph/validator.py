@@ -2,11 +2,26 @@
 
 The classifier inspects every rank-two restriction: each connected component
 must be a 2m-cycle carrying one of the eight templates, with the matching
-divisibility condition against the order n(s,t).  The brute-force oracle
-instead builds the generator operators and verifies the quadratic relation
-and the length-n alternating product identity exactly over the function
-field.  Their agreement on random inputs is the central soundness test of
-the whole library.
+divisibility condition against the order n(s,t).  The restriction's edges are
+bucketed by component in one pass, so the classifier is linear in the size
+of the digraph.  The brute-force oracle instead applies the generator
+operators and verifies the quadratic relation and the length-n alternating
+product identity exactly.  Their agreement on random inputs is the central
+soundness test of the whole library.
+
+The oracle runs on integers, not over Q(u).  Every forward coefficient of
+tau_s lies in Z[u], and every column of tau_s has coefficient L1 norm at most
+5 (the dashed head column, u^2-u-1 and u^2-u).  The L1 norm is
+submultiplicative, so after k applications to a unit column every entry is an
+integer polynomial whose coefficients sum in absolute value to at most 5^k,
+and the two sides of a relation differ entrywise by integer polynomials with
+coefficients at most 2 * 5^k in absolute value (for the quadratic relation,
+k = 2: 25 + 2 * 5 + 1 = 36 <= 50).  A nonzero such polynomial has every root
+below Cauchy's bound 1 + 2 * 5^k in absolute value, and 2^(3k+2) = 4 * 8^k is
+larger, so it does not vanish there: evaluating both sides at the integer
+u = 2^(3k+2), with k = 2 for the quadratic relation and k = n(s,t) for the
+braid relation, decides each entry's equality exactly.  This is a coefficient
+bound, not sampling.
 """
 
 from __future__ import annotations
@@ -16,9 +31,8 @@ from dataclasses import dataclass
 from math import inf
 
 from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
-from .exactalg import RF_ONE, RF_U2, RF_U2M1, RF_ZERO
 from .families import TEMPLATES, family_divisibility_ok
-from .modrep import ModuleRep, _sparse_items
+from .modrep import ModuleRep, _apply_columns, _sparse_items
 
 # the cycle templates (m >= 2) by their dashed slots
 _FIGURE_BY_DASHES = {template.dashes: figure
@@ -195,8 +209,7 @@ def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
             pair = (system.generators[i], system.generators[j])
             restriction = digraph.restrict(pair)
             comps = []
-            for comp_vertices in restriction.components():
-                comp = restriction.subgraph(comp_vertices)
+            for comp in restriction.component_subgraphs():
                 result = classify_component(comp, n, pair)
                 comps.append(result)
                 if isinstance(result, Rejection):
@@ -215,6 +228,12 @@ class RelationWitness:
     column: str        # vertex whose column first differs, or "" for quadratic
 
 
+def _exact_point(k: int) -> int:
+    """An integer u past every root of the differences after k applications
+    (the coefficient bound in the module docstring)."""
+    return 1 << (3 * k + 2)
+
+
 def brute_force_check(digraph: SLabeledDigraph):
     """Check the defining operator relations exactly; None means all hold.
 
@@ -223,36 +242,53 @@ def brute_force_check(digraph: SLabeledDigraph):
     column at a time in vertex order, with an early exit on the first
     difference.  Each generator acts by 2x2 blocks, so an alternating word
     keeps a unit column inside its {s,t}-component and each check costs the
-    size of that component, not the number of vertices.
+    size of that component, not the number of vertices.  Both sides are
+    evaluated at the integer `_exact_point(k)` for k applications (k = 2 for
+    the quadratic relation, k = n(s,t) for the braid relation), which decides
+    the polynomial identity exactly.
     """
     violations = digraph.validate_structure()
     if violations:
         return RelationWitness("structure", (), "; ".join(violations))
     rep = ModuleRep(digraph)
     system = digraph.system
+    u = _exact_point(2)
+    columns = rep.columns_at(u)
     for s in range(system.rank()):
         # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2
         for j in range(rep.n):
-            once = rep.apply(s, {j: RF_ONE})
-            expected = {i: RF_U2M1 * c for i, c in once.items()}
-            expected[j] = expected.get(j, RF_ZERO) + RF_U2
-            if rep.apply(s, once) != _sparse_items(expected.items()):
+            once = _apply_columns(columns[s], {j: 1}, 0)
+            expected = {i: (u * u - 1) * c for i, c in once.items()}
+            expected[j] = expected.get(j, 0) + u * u
+            if (_apply_columns(columns[s], once, 0)
+                    != _sparse_items(expected.items())):
                 return RelationWitness("quadratic", (system.generators[s],),
                                        digraph.vertices[j])
+    tables = {}
     for i in range(system.rank()):
         for j in range(i + 1, system.rank()):
             n = system.order(i, j)
             if n is inf or n <= 1:
                 continue
+            if n not in tables:
+                tables[n] = rep.columns_at(_exact_point(n))
+            columns = tables[n]
             pair = (system.generators[i], system.generators[j])
             left = [(i, j)[k % 2] for k in range(n)]     # i j i ..., n letters
             right = [(j, i)[k % 2] for k in range(n)]
             for col in range(rep.n):
-                if (rep.word_apply(left, {col: RF_ONE})
-                        != rep.word_apply(right, {col: RF_ONE})):
+                if (_word_apply(columns, left, {col: 1})
+                        != _word_apply(columns, right, {col: 1})):
                     return RelationWitness("braid", pair,
                                            digraph.vertices[col])
     return None
+
+
+def _word_apply(columns, word, vec: dict) -> dict:
+    """tau_{s_1} ... tau_{s_k} (leftmost acting last) on an integer vector."""
+    for s in reversed(word):
+        vec = _apply_columns(columns[s], vec, 0)
+    return vec
 
 
 def random_two_label_digraph(rng: random.Random, n_vertices: int,

@@ -3,6 +3,7 @@
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem
+from wdigraph.digraph import SLabeledDigraph
 
 
 def make_a3():
@@ -19,6 +20,14 @@ def make_h3():
 
 def make_affine_a2():
     return CoxeterSystem(["r", "s", "t"], {("r", "s"): 3, ("s", "t"): 3, ("r", "t"): 3})
+
+
+def subgraph(g, vertex_subset):
+    """The subdigraph induced on a vertex subset, by a scan of every edge:
+    the reference for `SLabeledDigraph.component_subgraphs`."""
+    keep = set(vertex_subset)
+    return SLabeledDigraph(g.system, [v for v in g.vertices if v in keep],
+                           [e for e in g.edges if e.src in keep and e.dst in keep])
 
 
 @pytest.fixture(scope="session")

@@ -312,6 +312,7 @@ def test_validate_both_on_broken_digraph(capsys, tmp_path):
 @pytest.mark.parametrize("generators", [
     pytest.param(["a", "b", "c", "d", "e"], id="named_e"),
     pytest.param(["s", "t,u"], id="comma"),
+    pytest.param(["a", "b", "ab"], id="multi_char"),
 ])
 @pytest.mark.parametrize("command", ["lv", "regular"])
 def test_unsafe_generator_names_are_usage_errors(capsys, tmp_path, generators,
@@ -331,6 +332,22 @@ def test_unsafe_generator_name_in_digraph_file(capsys, tmp_path):
     code = main(["validate", str(dpath)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: bad digraph file")
+
+
+def test_multi_char_generator_in_digraph_file(capsys, tmp_path):
+    # "ab" would make the element strings of a,b and ab collide
+    dpath = tmp_path / "multi_char.json"
+    dpath.write_text(json.dumps({
+        "system": {"generators": ["a", "ab"], "matrix": {}},
+        "vertices": ["x", "y"],
+        "edges": [{"from": "x", "to": "y", "label": "a", "style": "solid"},
+                  {"from": "x", "to": "y", "label": "ab", "style": "solid"}]}))
+    code = main(["validate", str(dpath)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bad digraph file {dpath}: generator "
+                            "name 'ab' is not one character\n")
 
 
 def test_validate_oracle_flag(capsys, tmp_path, a3_file):

@@ -216,6 +216,8 @@ def test_json_roundtrip(b3):
     pytest.param(["a", "b", "c", "d", "e"],
                  {"a,b": 3, "b,c": 3, "c,d": 3, "d,e": 3}, id="named_e"),
     pytest.param(["s", "t,u"], {}, id="comma"),
+    pytest.param(["a", "b", "ab"], {"a,b": 3}, id="multi_char"),
+    pytest.param(["s", ""], {}, id="empty"),
 ])
 def test_from_json_rejects_unsafe_names(generators, matrix):
     with pytest.raises(ValueError):

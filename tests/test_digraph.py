@@ -9,6 +9,8 @@ from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph, load_digraph
 from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_example,
                                build_family, build_lv, build_regular)
 
+from conftest import subgraph
+
 
 @pytest.fixture(scope="module")
 def i23():
@@ -296,3 +298,69 @@ def test_adjacency_matches_edge_scans(name):
         assert g.reachable_from(v) == scan_reachable(g, v)
     assert g._vertex_on_cycle() == scan_vertex_on_cycle(g)
     assert g.is_acyclic() == (g._vertex_on_cycle() is None)
+    assert [(h.vertices, h.edges) for h in g.component_subgraphs()] == [
+        (h.vertices, h.edges) for h in (subgraph(g, c) for c in g.components())]
+
+
+# -- the grading shortcut against the all-pairs path-length check --------------------------
+
+
+def all_pairs_equal_path_lengths(g):
+    """The circuit, else a BFS and a longest-path DP from every vertex."""
+    cycle_vertex = g._vertex_on_cycle()
+    if cycle_vertex is not None:
+        return (cycle_vertex, cycle_vertex, 0,
+                g._cycle_length_through(cycle_vertex))
+    topo = g._topological_order()
+    for alpha in g.vertices:
+        shortest = {alpha: 0}
+        queue = [alpha]
+        for v in queue:
+            for w in g.successors(v):
+                if w not in shortest:
+                    shortest[w] = shortest[v] + 1
+                    queue.append(w)
+        longest = {alpha: 0}
+        for v in topo:
+            if v in longest:
+                for w in g.successors(v):
+                    longest[w] = max(longest.get(w, -1), longest[v] + 1)
+        for beta in g.vertices:
+            if beta in shortest and shortest[beta] != longest[beta]:
+                return (alpha, beta, shortest[beta], longest[beta])
+    return None
+
+
+def ungraded_equal_lengths(system):
+    """a->b->c, d->c, d->e, a->e: equal path lengths, but no grading (the
+    undirected circuit a-b-c-d-e-a has four edges one way, one the other)."""
+    return SLabeledDigraph(system, list("abcde"), [
+        ("a", "b", "s", SOLID), ("b", "c", "t", SOLID), ("d", "c", "s", SOLID),
+        ("d", "e", "t", SOLID), ("a", "e", "t", SOLID)])
+
+
+def test_grading_is_sufficient_not_necessary(i23):
+    g = ungraded_equal_lengths(i23)
+    assert g._grading() is None and g.is_acyclic()
+    assert g.equal_path_lengths_check() is None
+    shortcut = SLabeledDigraph(i23, list("abc"), [
+        ("a", "b", "s", SOLID), ("b", "c", "t", SOLID), ("a", "c", "t", SOLID)])
+    assert shortcut._grading() is None
+    assert shortcut.equal_path_lengths_check() == ("a", "c", 1, 2)
+    fig = build_family(i23, FamilySpec(1, 3))
+    assert fig._grading() == {"a0": 0, "a1": 1, "a2": 2, "b1": 1, "b2": 2,
+                              "b3": 3}
+
+
+def test_graded_check_matches_all_pairs_reference(i23):
+    from test_validator import group_digraphs, oracle_inputs
+
+    inputs = [*oracle_inputs(), *group_digraphs(),
+              ("ungraded", ungraded_equal_lengths(i23)),
+              ("affine_a2_cycle", build_example("affine_a2_cycle"))]
+    graded = 0
+    for label, g in inputs:
+        assert g.equal_path_lengths_check() == \
+            all_pairs_equal_path_lengths(g), label
+        graded += g._grading() is not None
+    assert 300 < graded < len(inputs) - 300

@@ -16,13 +16,13 @@ from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
                                build_lv, build_example, build_regular,
                                family_divisibility_ok)
 from wdigraph.hecke import invert_Tw
-from wdigraph.modrep import (BarSolution, ModuleRep, bar_from_source,
-                             linear_char_dims, reversal_identities,
+from wdigraph.modrep import (BarSolution, ModuleRep, _sign_diagonal,
+                             bar_from_source, linear_char_dims, reversal_identities,
                              theorem_checkers, zero_hecke_action)
 from wdigraph.validator import random_two_label_digraph
 
-from conftest import make_a3, make_b3
-from test_validator import random_labeled_digraph
+from conftest import make_a3, make_b3, subgraph
+from test_validator import random_labeled_digraph, word_apply
 
 U2 = RF_U * RF_U
 
@@ -77,8 +77,8 @@ def test_reduced_word_independence(i23):
     g = build_family(i23, FamilySpec(2, 3))
     rep = ModuleRep(g)
     for j in range(rep.n):
-        assert rep.word_apply([0, 1, 0], {j: RF_ONE}) == \
-            rep.word_apply([1, 0, 1], {j: RF_ONE})
+        assert word_apply(rep, [0, 1, 0], {j: RF_ONE}) == \
+            word_apply(rep, [1, 0, 1], {j: RF_ONE})
 
 
 def test_affine_cycle_char_poly():
@@ -451,7 +451,7 @@ def source_bfs_weights(g):
             return None
         src = comp.sources[0]
         weights[src] = RF_ONE
-        sub = g.subgraph(comp.vertices)
+        sub = subgraph(g, comp.vertices)
         queue = deque([src])
         while queue:
             v = queue.popleft()
@@ -472,13 +472,21 @@ def subgraph_sign_diagonal(g):
     for comp in g.analyze().components:
         if len(comp.sources) != 1 or not comp.acyclic:
             return None
-        sub = g.subgraph(comp.vertices)
+        sub = subgraph(g, comp.vertices)
         for v in comp.vertices:
             mu = sub.path_length_mu(comp.sources[0], v)
             if mu is None:
                 return None
             signs[g.vertex_index[v]] = -1 if mu % 2 else 1
     return signs
+
+
+def test_sign_diagonal_matches_per_vertex_reference():
+    inputs = [*reversal_inputs(), ("regular_b4", build_regular(CoxeterSystem(
+        ["q", "r", "s", "t"], {("q", "r"): 3, ("r", "s"): 3, ("s", "t"): 4})))]
+    for label, g in inputs:
+        assert _sign_diagonal(g) == subgraph_sign_diagonal(g), label
+    assert _sign_diagonal(build_example("affine_a2_cycle")) is None
 
 
 def dense_reversal_identities(g, words):

@@ -4,15 +4,20 @@ import random
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, rf
 from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
-                               build_lv, build_example)
-from wdigraph.validator import (FamilyMatch, Rejection, brute_force_check,
-                                classify_component, is_w_digraph,
-                                random_two_label_digraph)
+                               build_lv, build_example, build_regular)
+from wdigraph.modrep import _TAU_CASES, ModuleRep, _sparse_items
+from wdigraph.validator import (FamilyMatch, PairReport, Rejection,
+                                RelationWitness, Verdict, _exact_point,
+                                brute_force_check, classify_component,
+                                is_w_digraph, random_two_label_digraph)
+
+from conftest import subgraph
 
 
 def family_on(n, figure, m):
@@ -316,3 +321,170 @@ def test_oracle_matches_dense_reference():
         outcomes[got[0] if got else "none"] += 1
     assert outcomes["none"] > 100 and outcomes["braid"] > 500
     assert outcomes["structure"] == 1
+
+
+# -- the integer-evaluation oracle and the one-pass classifier against the
+# -- RatFunc oracle and the per-component classifier they replaced -------------------------
+
+
+def word_apply(rep, word, vec):
+    """tau_{s_1} ... tau_{s_k} (leftmost acting last) on a RatFunc vector."""
+    for s in reversed(word):
+        vec = rep.apply(s, vec)
+    return vec
+
+
+def ratfunc_brute_force_check(g):
+    """The oracle over Q(u) on sparse RatFunc columns: same column order,
+    same early exit, same RelationWitness."""
+    violations = g.validate_structure()
+    if violations:
+        return RelationWitness("structure", (), "; ".join(violations))
+    rep = ModuleRep(g)
+    system = g.system
+    for s in range(system.rank()):
+        for j in range(rep.n):
+            once = rep.apply(s, {j: RF_ONE})
+            expected = {i: U2M1 * c for i, c in once.items()}
+            expected[j] = expected.get(j, RF_ZERO) + U2
+            if rep.apply(s, once) != _sparse_items(expected.items()):
+                return RelationWitness("quadratic", (system.generators[s],),
+                                       g.vertices[j])
+    for i in range(system.rank()):
+        for j in range(i + 1, system.rank()):
+            n = system.order(i, j)
+            if n is inf or n <= 1:
+                continue
+            pair = (system.generators[i], system.generators[j])
+            left = [(i, j)[k % 2] for k in range(n)]
+            right = [(j, i)[k % 2] for k in range(n)]
+            for col in range(rep.n):
+                if (word_apply(rep, left, {col: RF_ONE})
+                        != word_apply(rep, right, {col: RF_ONE})):
+                    return RelationWitness("braid", pair, g.vertices[col])
+    return None
+
+
+def subgraph_is_w_digraph(g):
+    """The classifier with one `subgraph` copy per rank-two component."""
+    violations = tuple(g.validate_structure())
+    if violations:
+        return Verdict(False, violations, ())
+    system = g.system
+    reports = []
+    ok = True
+    for i in range(system.rank()):
+        for j in range(i + 1, system.rank()):
+            n = system.order(i, j)
+            if n is inf or n <= 1:
+                continue
+            pair = (system.generators[i], system.generators[j])
+            restriction = g.restrict(pair)
+            comps = []
+            for comp_vertices in restriction.components():
+                result = classify_component(
+                    subgraph(restriction, comp_vertices), n, pair)
+                comps.append(result)
+                ok = ok and not isinstance(result, Rejection)
+            reports.append(PairReport(pair, n, tuple(comps)))
+    return Verdict(ok, (), tuple(reports))
+
+
+GROUP_ORDERS = {
+    "A3": {("r", "s"): 3, ("s", "t"): 3},
+    "B3": {("r", "s"): 3, ("s", "t"): 4},
+    "H3": {("r", "s"): 3, ("s", "t"): 5},
+    "A4": {("q", "r"): 3, ("r", "s"): 3, ("s", "t"): 3},
+    "D4": {("q", "s"): 3, ("r", "s"): 3, ("s", "t"): 3},
+    "B4": {("q", "r"): 3, ("r", "s"): 3, ("s", "t"): 4},
+}
+
+
+def group_digraphs():
+    """The LV and regular digraphs of A3, B3, H3, A4, D4 and B4."""
+    for name, orders in GROUP_ORDERS.items():
+        system = CoxeterSystem(sorted({g for pair in orders for g in pair}),
+                               orders)
+        yield f"lv {name}", build_lv(system, DiagramAutomorphism.identity(system))
+        yield f"regular {name}", build_regular(system)
+
+
+def test_exact_point_clears_the_root_bound():
+    # every column of tau_s has coefficient L1 norm at most 5 ...
+    norms = [sum(abs(c) for coeff in case if coeff is not None
+                 for c in coeff.num.coeffs) for case in _TAU_CASES.values()]
+    assert all(coeff is None or coeff.is_poly()
+               for case in _TAU_CASES.values() for coeff in case)
+    assert max(norms) == 5
+    # ... so k applications to a unit column have L1 norm at most 5^k ...
+    rng = random.Random(55)
+    for _ in range(20):
+        g = random_two_label_digraph(rng, 8, n=5)
+        rep = ModuleRep(g)
+        for word in ([0, 1, 0, 1, 0], [1, 0, 1, 0, 1], [1, 1, 0, 0, 1]):
+            for j in range(rep.n):
+                col = {j: RF_ONE}
+                for k, s in enumerate(word, start=1):
+                    col = rep.apply(s, col)
+                    assert all(c.is_poly() for c in col.values())
+                    assert sum(abs(x) for c in col.values()
+                               for x in c.num.coeffs) <= 5 ** k
+    # ... and u = 2^(3k+2) lies past Cauchy's bound 1 + 2 * 5^k
+    for k in range(40):
+        assert _exact_point(k) > 1 + 2 * 5 ** k
+
+
+def test_integer_oracle_matches_ratfunc_reference():
+    outcomes = {"none": 0, "quadratic": 0, "braid": 0, "structure": 0}
+    for label, g in [*oracle_inputs(), *group_digraphs()]:
+        witness = brute_force_check(g)
+        assert witness == ratfunc_brute_force_check(g), label
+        outcomes[witness.kind if witness else "none"] += 1
+    assert outcomes["none"] > 100 and outcomes["braid"] > 500
+    assert outcomes["structure"] == 1
+
+
+def test_one_pass_classifier_matches_subgraph_reference():
+    accepted = 0
+    for label, g in [*oracle_inputs(), *group_digraphs()]:
+        verdict = is_w_digraph(g)
+        reference = subgraph_is_w_digraph(g)
+        assert verdict == reference, label
+        assert verdict.describe() == reference.describe(), label
+        accepted += verdict.is_w_digraph
+    assert accepted > 100
+
+
+@st.composite
+def labeled_digraphs(draw, systems):
+    """One random perfect matching per generator, each pair one edge of
+    random direction and style, over a system drawn from `systems`."""
+    system = draw(st.sampled_from(systems))
+    vertices = [f"v{i}" for i in range(2 * draw(st.integers(1, 6)))]
+    edges = []
+    for label in system.generators:
+        matched = draw(st.permutations(vertices))
+        for k in range(0, len(vertices), 2):
+            a, b = matched[k], matched[k + 1]
+            if draw(st.booleans()):
+                a, b = b, a
+            edges.append(Edge(a, b, label, draw(st.sampled_from((SOLID, DASHED)))))
+    return SLabeledDigraph(system, vertices, edges)
+
+
+RANK_THREE = [CoxeterSystem(["r", "s", "t"], GROUP_ORDERS[name])
+              for name in ("A3", "B3")]
+DIHEDRAL = [CoxeterSystem.dihedral(n) for n in range(2, 9)]
+
+
+@pytest.mark.parametrize("systems", [
+    pytest.param(RANK_THREE, id="A3_B3"),
+    pytest.param(DIHEDRAL, id="I2"),
+])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_property_oracle_and_classifier(systems, data):
+    g = data.draw(labeled_digraphs(systems))
+    witness = brute_force_check(g)
+    assert witness == ratfunc_brute_force_check(g)
+    assert is_w_digraph(g).is_w_digraph == (witness is None)
