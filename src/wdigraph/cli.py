@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .coxeter import CoxeterSystem, DiagramAutomorphism
+from .coxeter import CoxeterSystem, DiagramAutomorphism, check_generator_name
 from .digraph import SLabeledDigraph, load_digraph
 from .exactalg import char_poly, lampoly_str
 from .families import (EXAMPLE_NAMES, FamilySpec, build_example, build_family,
@@ -92,7 +92,12 @@ def cmd_family(args) -> int:
     if args.system:
         system = _load_system(args.system)
     elif args.n:
-        system = CoxeterSystem.dihedral(args.n, (args.s, args.t))
+        try:
+            for name in (args.s, args.t):
+                check_generator_name(name)
+            system = CoxeterSystem.dihedral(args.n, (args.s, args.t))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     else:
         raise UsageError("family needs --system or --n")
     try:

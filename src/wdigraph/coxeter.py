@@ -22,6 +22,24 @@ Word = tuple[int, ...]
 MAX_ELEMENTS = 100_000  # safety bound on what `enumerate` may produce
 
 
+def check_generator_name(g: str) -> None:
+    """Raise ValueError unless g can name a generator in files and words.
+
+    A generator name is exactly one character, since element strings and
+    vertex ids concatenate names and `word_from_str` reads them back one
+    character at a time; it may not be "e" (the identity's name) nor ","
+    (the "matrix" key separator and the word-list separator).  The
+    constructor does not apply this rule, so that library code may still
+    build systems with other names.
+    """
+    if g == "e":
+        raise ValueError('generator name "e" is reserved for the identity')
+    if "," in g:
+        raise ValueError(f"generator name {g!r} contains ','")
+    if len(g) != 1:
+        raise ValueError(f"generator name {g!r} is not one character")
+
+
 class CoxeterSystem:
     """A Coxeter system given by its generator names and Coxeter matrix.
 
@@ -67,23 +85,15 @@ class CoxeterSystem:
         """Build from the file format {"generators": [...], "matrix": {"r,s": 3}}.
 
         Pairs missing from "matrix" default to order 2 (no edge in the
-        Coxeter diagram); the value "inf" denotes an infinite order.  A
-        generator name is exactly one character, since element strings and
-        vertex ids concatenate names and `word_from_str` reads them back one
-        character at a time; it may not be "e" (the identity's name) nor ","
-        (the "matrix" key separator).
+        Coxeter diagram); the value "inf" denotes an infinite order.  Every
+        generator name must pass `check_generator_name`.
         """
         if isinstance(data, str):
             with open(data) as fh:
                 data = json.load(fh)
         gens = data["generators"]
         for g in gens:
-            if g == "e":
-                raise ValueError('generator name "e" is reserved for the identity')
-            if "," in g:
-                raise ValueError(f"generator name {g!r} contains ','")
-            if len(g) != 1:
-                raise ValueError(f"generator name {g!r} is not one character")
+            check_generator_name(g)
         orders = {}
         for key, value in data.get("matrix", {}).items():
             a, b = [part.strip() for part in key.split(",")]

@@ -3,7 +3,15 @@
 Polynomials are dense coefficient tuples over arbitrary-precision rationals,
 rational functions are canonical num/den pairs (monic denominator, gcd one),
 and matrices over them support the linear algebra needed elsewhere: products,
-Berkowitz characteristic polynomials, and exact nullspaces/eigenspaces.
+characteristic polynomials, and exact nullspaces/eigenspaces.
+
+`char_poly` splits a matrix into the connected components of its support
+(indices i, j joined when M[i][j] or M[j][i] is nonzero) and runs Berkowitz
+on each principal block.  Permuting rows and columns alike by blocks makes the
+matrix block-diagonal, a similar matrix, so the product of the blocks'
+polynomials is exactly the characteristic polynomial.  For rho(T_w) the blocks
+are the components of the restriction to supp(w), so the cost follows the
+largest such component, not the dimension.
 
 Everything here is an immutable value; all operations are pure.  Coefficients
 are stored as plain ints whenever the denominator is 1, so the hot loops run
@@ -544,16 +552,54 @@ class RatMatrix:
 
 
 def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
-    """Monic characteristic polynomial det(xI - M) by the Berkowitz method.
+    """Monic characteristic polynomial det(xI - M), block by block.
 
-    Returns the coefficient tuple in ascending powers of the outer variable;
-    the method is division-free on the matrix entries, so no pivot choices
-    affect the (exact) result.
+    Returns the coefficient tuple in ascending powers of the outer variable.
+    The blocks are the connected components of the graph on the indices with
+    an edge i - j (i != j) whenever M[i][j] or M[j][i] is nonzero.  Listing
+    the indices block after block is a simultaneous permutation P of rows and
+    columns, and P M P^-1 is block-diagonal (an entry between two blocks is
+    zero by construction).  Similar matrices share their characteristic
+    polynomial, and that of a block-diagonal matrix is the product of its
+    blocks' polynomials, so multiplying the Berkowitz polynomials of the
+    principal blocks gives exactly det(xI - M); RatFunc is canonical, so the
+    coefficients are the same values the whole matrix would give.
     """
     n = m.n
-    if n == 0:
-        return (RF_ONE,)
+    rows = m.rows
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if i != j and x.num.coeffs:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    out: tuple[RatFunc, ...] = (RF_ONE,)
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j in nbrs[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        block.sort()
+        out = lampoly_mul(out, _berkowitz([[rows[i][j] for j in block]
+                                           for i in block]))
+    return out
 
+
+def _berkowitz(rows: list[list[RatFunc]]) -> tuple[RatFunc, ...]:
+    """Monic characteristic polynomial of a nonempty square matrix by the
+    Berkowitz method, as an ascending coefficient tuple.
+
+    The method is division-free on the matrix entries, so no pivot choices
+    affect the (exact) result.
+    """
     def vector(rows) -> list[RatFunc]:
         # coefficients of char poly of the submatrix, highest power first
         k = len(rows)
@@ -593,8 +639,7 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
             out[i] = acc
         return out
 
-    desc = vector([list(r) for r in m.rows])
-    return tuple(reversed(desc))
+    return tuple(reversed(vector(rows)))
 
 
 def lampoly_mul(a: Sequence[RatFunc], b: Sequence[RatFunc]) -> tuple[RatFunc, ...]:

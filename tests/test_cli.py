@@ -334,6 +334,37 @@ def test_unsafe_generator_name_in_digraph_file(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: bad digraph file")
 
 
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--s", "ab"], "generator name 'ab' is not one character",
+                 id="multi_char"),
+    pytest.param(["--s", "e"], 'generator name "e" is reserved for the identity',
+                 id="named_e"),
+    pytest.param(["--t", ","], "generator name ',' contains ','", id="comma"),
+    pytest.param(["--s", "a", "--t", "a"], "generator names must be distinct",
+                 id="equal"),
+    pytest.param(["--n", "1"], "order n(s,t) must be >= 2 or inf", id="order"),
+])
+def test_family_refuses_what_other_commands_would(capsys, flags, message):
+    # without the check, validate would refuse the emitted digraph
+    code = main(["family", "--figure", "1", "--m", "2", "--n", "3", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_family_with_named_generators_round_trips(capsys, tmp_path):
+    code, out = run(capsys, "family", "--figure", "1", "--m", "3", "--n", "3",
+                    "--s", "a", "--t", "b")
+    assert code == 0
+    assert json.loads(out)["system"]["generators"] == ["a", "b"]
+    dpath = tmp_path / "family_ab.json"
+    dpath.write_text(out)
+    code, out = run(capsys, "validate", str(dpath))
+    assert code == 0
+    assert out == "accepted\n"
+
+
 def test_multi_char_generator_in_digraph_file(capsys, tmp_path):
     # "ab" would make the element strings of a,b and ab collide
     dpath = tmp_path / "multi_char.json"

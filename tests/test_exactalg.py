@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wdigraph.coxeter import CoxeterSystem
 from wdigraph.exactalg import (
     P_ONE,
     P_U,
@@ -31,6 +32,10 @@ from wdigraph.exactalg import (
     zeta,
     _norm_coeff,
 )
+from wdigraph.families import FamilySpec, build_family
+from wdigraph.modrep import ModuleRep
+
+from test_modrep import reversal_inputs
 
 U2 = RF_U * RF_U
 
@@ -193,6 +198,132 @@ def test_cayley_hamilton_random_4x4():
         m = _random_matrix(rng, 4, 2)
         cp = char_poly(m)
         assert lampoly_eval_matrix(cp, m).is_zero()
+
+
+def dense_char_poly(m):
+    """Berkowitz on the whole matrix: the reference for the block split in
+    `char_poly`."""
+    n = m.n
+    if n == 0:
+        return (RF_ONE,)
+
+    def vector(rows):
+        k = len(rows)
+        if k == 1:
+            return [RF_ONE, -rows[0][0]]
+        a = rows[0][0]
+        r_row = rows[0][1:]
+        c_col = [rows[i][0] for i in range(1, k)]
+        sub = [row[1:] for row in rows[1:]]
+        items = [RF_ONE, -a]
+        vec = c_col
+        for _ in range(k - 1):
+            dot = RF_ZERO
+            for x, y in zip(r_row, vec):
+                if x.num.coeffs and y.num.coeffs:
+                    dot = dot + x * y
+            items.append(-dot)
+            nxt = [RF_ZERO] * (k - 1)
+            for i in range(k - 1):
+                acc = RF_ZERO
+                for x, y in zip(sub[i], vec):
+                    if x.num.coeffs and y.num.coeffs:
+                        acc = acc + x * y
+                nxt[i] = acc
+            vec = nxt
+        prev = vector(sub)
+        out = [RF_ZERO] * (k + 1)
+        for i in range(k + 1):
+            acc = RF_ZERO
+            for j in range(k):
+                d = i - j
+                if 0 <= d <= k:
+                    t = items[d]
+                    if t.num.coeffs and prev[j].num.coeffs:
+                        acc = acc + t * prev[j]
+            out[i] = acc
+        return out
+
+    return tuple(reversed(vector([list(r) for r in m.rows])))
+
+
+def charpoly_digraphs():
+    """The modules benchmark fixtures and the figure 1-8 templates with
+    m <= 3 over I2(2..6)."""
+    for label, g in reversal_inputs():
+        if not label.startswith("figure"):
+            yield label, g
+    for figure in range(1, 9):
+        for m in ([1] if figure in (7, 8) else [2, 3]):
+            for n in range(2, 7):
+                yield f"figure {figure} m={m} n={n}", build_family(
+                    CoxeterSystem.dihedral(n), FamilySpec(figure, m))
+
+
+def test_block_char_poly_matches_dense_reference_on_rho():
+    splits = set()
+    for label, g in charpoly_digraphs():
+        rep = ModuleRep(g)
+        for w in g.system.enumerate(3):
+            m = rep.rho(w)
+            assert char_poly(m) == dense_char_poly(m), (label, str(w))
+            sizes = [len(c) for c in
+                     g.restrict(g.system.support(w)).components()]
+            splits.add((len(sizes) > 1, max(sizes) > 1))
+    # one block, several 1x1 blocks, and several blocks of which some are larger
+    assert splits == {(False, True), (True, False), (True, True)}
+
+
+def _permuted(m, perm):
+    """P M P^-1 for the permutation i -> perm[i]."""
+    rows = [[None] * m.n for _ in range(m.n)]
+    for i in range(m.n):
+        for j in range(m.n):
+            rows[perm[i]][perm[j]] = m.rows[i][j]
+    return RatMatrix(rows)
+
+
+def test_block_char_poly_matches_dense_reference_on_special_matrices():
+    rng = random.Random(4711)
+    a, b = _random_matrix(rng, 3, 2), _random_matrix(rng, 2, 1)
+    # block upper-triangular: the lower-left block is zero, the upper-right
+    # block is not, so the support joins the blocks into one
+    tri = RatMatrix([list(a.rows[i]) + [rf(i + 1), RF_ZERO] for i in range(3)]
+                    + [[RF_ZERO] * 3 + list(b.rows[i]) for i in range(2)])
+    assert char_poly(tri) == dense_char_poly(tri)
+    assert char_poly(tri) == lampoly_mul(char_poly(a), char_poly(b))
+    # a directed 3-cycle 0 -> 2 -> 1 -> 0 with every reverse entry zero: the
+    # cycle term u^3 is lost if a one-sided entry fails to join its indices
+    cycle = RatMatrix([[rf(1), RF_ZERO, RF_U], [RF_U, rf(2), RF_ZERO],
+                       [RF_ZERO, RF_U, rf(3)]])
+    assert char_poly(cycle) == dense_char_poly(cycle)
+    assert char_poly(cycle)[0] == -(rf(6) + RF_U ** 3)
+    # a triangular pattern, permuted so that its one-sided entries fall on
+    # both sides of the diagonal
+    sparse = RatMatrix([[rf([rng.randint(-2, 2), 1]) if i == j or (
+        i < j and (i + j) % 3 == 0) else RF_ZERO for j in range(6)]
+        for i in range(6)])
+    sparse = _permuted(sparse, rng.sample(range(6), 6))
+    assert char_poly(sparse) == dense_char_poly(sparse)
+    # a block-diagonal matrix, randomly permuted
+    diag_blocks = [_random_matrix(rng, k, 2) for k in (3, 1, 2, 3)]
+    n = sum(blk.n for blk in diag_blocks)
+    rows = [[RF_ZERO] * n for _ in range(n)]
+    offset = 0
+    for blk in diag_blocks:
+        for i in range(blk.n):
+            rows[offset + i][offset:offset + blk.n] = blk.rows[i]
+        offset += blk.n
+    mixed = _permuted(RatMatrix(rows), rng.sample(range(n), n))
+    assert char_poly(mixed) == dense_char_poly(mixed)
+    expected = (RF_ONE,)
+    for blk in diag_blocks:
+        expected = lampoly_mul(expected, char_poly(blk))
+    assert char_poly(mixed) == expected
+    for k in (0, 1, 5):
+        for m in (RatMatrix.identity(k), RatMatrix.zero(k)):
+            assert char_poly(m) == dense_char_poly(m)
+    assert char_poly(RatMatrix.zero(3)) == (RF_ZERO,) * 3 + (RF_ONE,)
 
 
 def test_lampoly_mul():

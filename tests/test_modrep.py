@@ -16,13 +16,14 @@ from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
                                build_lv, build_example, build_regular,
                                family_divisibility_ok)
 from wdigraph.hecke import invert_Tw
-from wdigraph.modrep import (BarSolution, ModuleRep, _sign_diagonal,
+from wdigraph.modrep import (BarSolution, ModuleRep, _restricted_component_counts,
+                             _sign_diagonal,
                              bar_from_source, linear_char_dims, reversal_identities,
                              theorem_checkers, zero_hecke_action)
 from wdigraph.validator import random_two_label_digraph
 
 from conftest import make_a3, make_b3, subgraph
-from test_validator import random_labeled_digraph, word_apply
+from test_validator import group_digraphs, random_labeled_digraph, word_apply
 
 U2 = RF_U * RF_U
 
@@ -384,6 +385,17 @@ def test_theorems_regular_a3_bound_attained(a3):
     report = theorem_checkers(build_regular(a3))
     assert report.vertex_bound["status"] == "pass"
     assert report.vertex_bound["attained"]
+
+
+def test_restricted_component_counts_match_restrict_reference():
+    inputs = [*group_digraphs(),
+              *((name, build_example(name)) for name in EXAMPLE_NAMES)]
+    for label, g in inputs:
+        gens = g.system.generators
+        expected = [len(g.restrict([gens[i] for i in range(len(gens))
+                                    if mask >> i & 1]).components())
+                    for mask in range(1 << len(gens))]
+        assert _restricted_component_counts(g) == expected, label
 
 
 def test_wgraph_obstruction_fires_on_cycle():
