@@ -41,7 +41,7 @@ def _load_system(path: str) -> CoxeterSystem:
         return CoxeterSystem.from_json(path)
     except FileNotFoundError as exc:
         raise UsageError(f"system file not found: {exc.filename}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
             AttributeError) as exc:
         raise UsageError(f"bad system file {path}: {exc}") from exc
 
@@ -51,7 +51,7 @@ def _load_digraph(path: str) -> SLabeledDigraph:
         return load_digraph(path)
     except FileNotFoundError as exc:
         raise UsageError(f"digraph file not found: {exc.filename}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
             AttributeError) as exc:
         raise UsageError(f"bad digraph file {path}: {exc}") from exc
 

@@ -4,17 +4,19 @@ classification and module machinery: restrictions, reversal, component scans,
 sources/sinks/acyclicity, directed path lengths, incoming-label statistics,
 label-preserving isomorphism, and JSON/DOT serialization.
 
-Out-edges, successors and undirected neighbours are indexed once per digraph,
-on first use, so each traversal costs O(V + E) instead of a scan of every
-edge per vertex; the many short-lived restrictions and components that are
-never traversed never build the index.
+Every structural question is answered from three walks, each run once per
+digraph on first use and cached: one undirected walk (`_walk`) gives the
+components and a +-1 level per vertex, one Kahn peel (`_peel`) gives
+acyclicity and a topological order, and one BFS (`distances_from`) gives
+directed path lengths, reachability and the shortest circuit.  Each costs
+O(V + E); the many short-lived restrictions that are never traversed never
+run them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -117,13 +119,15 @@ class SLabeledDigraph:
         return {v: [e.dst for e in out] for v, out in self._out.items()}
 
     @cached_property
-    def _neighbors(self) -> dict[str, list[str]]:
-        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
+    def _steps(self) -> dict[str, list[tuple[str, int]]]:
+        """Undirected neighbours, each with the level change +1 along the
+        edge or -1 against it (a loop is listed once)."""
+        steps: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            nbrs[e.src].append(e.dst)
+            steps[e.src].append((e.dst, 1))
             if e.dst != e.src:
-                nbrs[e.dst].append(e.src)
-        return nbrs
+                steps[e.dst].append((e.src, -1))
+        return steps
 
     def out_edges(self, v: str) -> list[Edge]:
         return list(self._out[v])
@@ -133,29 +137,64 @@ class SLabeledDigraph:
         return list(self._succ[v])
 
     def undirected_neighbors(self, v: str) -> list[str]:
-        return list(self._neighbors[v])
+        return [w for w, _ in self._steps[v]]
+
+    # -- the three walks --------------------------------------------------------------
+
+    @cached_property
+    def _walk(self) -> tuple[list[list[str]], dict[str, int]]:
+        """The connected components of the underlying undirected multigraph,
+        each in vertex order, and a level per vertex: 0 at the first vertex
+        of its component, +1 along an edge and -1 against it on the walk."""
+        level: dict[str, int] = {}
+        comps = []
+        for root in self.vertices:
+            if root in level:
+                continue
+            level[root] = 0
+            comp = [root]
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for w, step in self._steps[v]:
+                    if w not in level:
+                        level[w] = level[v] + step
+                        comp.append(w)
+                        stack.append(w)
+            comps.append(sorted(comp, key=self.vertex_index.get))
+        return comps, level
+
+    @cached_property
+    def _peel(self) -> list[str]:
+        """Kahn's algorithm: vertices in a topological order, as far as it
+        gets.  It covers exactly the vertices no directed circuit leads to."""
+        indeg = {v: 0 for v in self.vertices}
+        for e in self.edges:
+            indeg[e.dst] += 1
+        order = [v for v in self.vertices if indeg[v] == 0]
+        for v in order:
+            for w in self._succ[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    order.append(w)
+        return order
+
+    def distances_from(self, alpha: str) -> dict[str, int]:
+        """`path_length_mu(alpha, v)` for every v reachable from alpha, by one BFS."""
+        dist = {alpha: 0}
+        queue = [alpha]
+        for v in queue:
+            for w in self._succ[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
 
     # -- structural analysis ----------------------------------------------------------
 
     def components(self) -> list[list[str]]:
         """Connected components of the underlying undirected multigraph."""
-        seen = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._neighbors[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(sorted(comp, key=self.vertex_index.get))
-        return comps
+        return [list(comp) for comp in self._walk[0]]
 
     def sources(self) -> list[str]:
         with_in = {e.dst for e in self.edges}
@@ -167,39 +206,24 @@ class SLabeledDigraph:
 
     def is_acyclic(self) -> bool:
         """No nonempty directed circuit in the arrow view."""
-        order = {v: 0 for v in self.vertices}  # 0 new, 1 active, 2 done
-        adjacency = self._succ
-        for root in self.vertices:
-            if order[root]:
-                continue
-            stack = [(root, iter(adjacency[root]))]
-            order[root] = 1
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if order[w] == 1:
-                        return False
-                    if order[w] == 0:
-                        order[w] = 1
-                        stack.append((w, iter(adjacency[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    order[v] = 2
-                    stack.pop()
-        return True
+        return len(self._peel) == len(self.vertices)
 
     def analyze(self) -> "ComponentAnalysis":
+        """Sources, sinks and acyclicity per component, read off the whole
+        digraph: no edge leaves a component."""
+        sources, sinks = set(self.sources()), set(self.sinks())
+        peeled = set(self._peel)
         return ComponentAnalysis(tuple(
-            ComponentDetail(vertices=sub.vertices, sources=tuple(sub.sources()),
-                            sinks=tuple(sub.sinks()), acyclic=sub.is_acyclic())
-            for sub in self.component_subgraphs()))
+            ComponentDetail(vertices=tuple(comp),
+                            sources=tuple(v for v in comp if v in sources),
+                            sinks=tuple(v for v in comp if v in sinks),
+                            acyclic=peeled.issuperset(comp))
+            for comp in self._walk[0]))
 
     def component_subgraphs(self) -> list["SLabeledDigraph"]:
         """One subdigraph per connected component, in `components()` order,
         with the edges bucketed by component in a single pass."""
-        comps = self.components()
+        comps = self._walk[0]
         which = {v: k for k, comp in enumerate(comps) for v in comp}
         buckets: list[list[Edge]] = [[] for _ in comps]
         for e in self.edges:
@@ -209,31 +233,7 @@ class SLabeledDigraph:
 
     def path_length_mu(self, alpha: str, beta: str):
         """Minimum number of edges in a directed path, or None if unreachable."""
-        if alpha == beta:
-            return 0
-        dist = {alpha: 0}
-        queue = deque([alpha])
-        while queue:
-            v = queue.popleft()
-            for w in self._succ[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    if w == beta:
-                        return dist[w]
-                    queue.append(w)
-        return dist.get(beta)
-
-    def distances_from(self, alpha: str) -> dict[str, int]:
-        """`path_length_mu(alpha, v)` for every v reachable from alpha, by one BFS."""
-        dist = {alpha: 0}
-        queue = deque([alpha])
-        while queue:
-            v = queue.popleft()
-            for w in self._succ[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
+        return self.distances_from(alpha).get(beta)
 
     def reachable_from(self, alpha: str) -> set[str]:
         return set(self.distances_from(alpha))
@@ -241,22 +241,7 @@ class SLabeledDigraph:
     def _grading(self) -> dict[str, int] | None:
         """A level per vertex with level(dst) = level(src) + 1 on every edge,
         0 at the first vertex of each component; None if there is none."""
-        steps: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            steps[e.src].append((e.dst, 1))
-            steps[e.dst].append((e.src, -1))
-        level: dict[str, int] = {}
-        for root in self.vertices:
-            if root in level:
-                continue
-            level[root] = 0
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for w, step in steps[v]:
-                    if w not in level:
-                        level[w] = level[v] + step
-                        stack.append(w)
+        level = self._walk[1]
         if all(level[e.dst] == level[e.src] + 1 for e in self.edges):
             return level
         return None
@@ -277,28 +262,17 @@ class SLabeledDigraph:
         """
         if self._grading() is not None:
             return None
-        cycle_vertex = self._vertex_on_cycle()
-        if cycle_vertex is not None:
-            length = self._cycle_length_through(cycle_vertex)
-            return (cycle_vertex, cycle_vertex, 0, length)
-        # acyclic: longest path lengths by DP over a topological order
-        topo = self._topological_order()
-        adjacency = self._succ
+        circuit = self._shortest_circuit()
+        if circuit is not None:
+            v, length = circuit
+            return (v, v, 0, length)
+        # acyclic: longest path lengths by DP over the peel's topological order
         for alpha in self.vertices:
-            shortest = {alpha: 0}
+            shortest = self.distances_from(alpha)
             longest = {alpha: 0}
-            queue = deque([alpha])
-            while queue:
-                v = queue.popleft()
-                for w in adjacency[v]:
-                    if w not in shortest:
-                        shortest[w] = shortest[v] + 1
-                        queue.append(w)
-                    else:
-                        shortest[w] = min(shortest[w], shortest[v] + 1)
-            for v in topo:
+            for v in self._peel:
                 if v in longest:
-                    for w in adjacency[v]:
+                    for w in self._succ[v]:
                         cand = longest[v] + 1
                         if longest.get(w, -1) < cand:
                             longest[w] = cand
@@ -307,41 +281,20 @@ class SLabeledDigraph:
                     return (alpha, beta, shortest[beta], longest[beta])
         return None
 
-    def _vertex_on_cycle(self):
-        """The first vertex, in vertex order, that lies on a directed circuit."""
-        if self.is_acyclic():
-            return None
+    def _shortest_circuit(self):
+        """(v, length): the first vertex in vertex order on a directed
+        circuit, and the length of the shortest circuit through it; None on
+        acyclic input.  Only vertices the peel left can lie on a circuit."""
+        peeled = set(self._peel)
         for v in self.vertices:
-            for w in self._succ[v]:
-                if v in self.reachable_from(w):
-                    return v
+            if v in peeled:
+                continue
+            dist = self.distances_from(v)
+            back = [dist[e.src] + 1 for e in self.edges
+                    if e.dst == v and e.src in dist]
+            if back:
+                return v, min(back)
         return None
-
-    def _cycle_length_through(self, v: str) -> int:
-        best = None
-        for e in self.out_edges(v):
-            back = self.path_length_mu(e.dst, v)
-            if back is not None and (best is None or back + 1 < best):
-                best = back + 1
-        return best
-
-    def _topological_order(self) -> list[str]:
-        indeg = {v: 0 for v in self.vertices}
-        adjacency = self._succ
-        for e in self.edges:
-            indeg[e.dst] += 1
-        queue = deque(v for v in self.vertices if indeg[v] == 0)
-        out = []
-        while queue:
-            v = queue.popleft()
-            out.append(v)
-            for w in adjacency[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(out) != len(self.vertices):
-            raise ValueError("topological order requested on a cyclic digraph")
-        return out
 
     # -- incoming-label statistics ---------------------------------------------------------
 
@@ -351,9 +304,12 @@ class SLabeledDigraph:
 
     def descent_counts(self) -> dict[frozenset, int]:
         """How many vertices have each incoming-label set."""
+        labels: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for e in self.edges:
+            labels[e.dst].add(e.label)
         counts: dict[frozenset, int] = {}
         for v in self.vertices:
-            key = self.in_label_set(v)
+            key = frozenset(labels[v])
             counts[key] = counts.get(key, 0) + 1
         return counts
 
@@ -531,5 +487,9 @@ def load_digraph(source, base_dir: str | None = None) -> SLabeledDigraph:
         system = CoxeterSystem.from_json(path)
     else:
         system = CoxeterSystem.from_json(sysdata)
+    vertices = data["vertices"]
+    if not isinstance(vertices, list) or not all(isinstance(v, str)
+                                                 for v in vertices):
+        raise ValueError("vertices must be a list of strings")
     edges = [(e["from"], e["to"], e["label"], e["style"]) for e in data["edges"]]
-    return SLabeledDigraph(system, data["vertices"], edges)
+    return SLabeledDigraph(system, vertices, edges)

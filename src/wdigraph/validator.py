@@ -83,22 +83,17 @@ class Verdict:
         return "\n".join(lines)
 
 
-def classify_component(component: SLabeledDigraph, n, pair=None):
+def classify_component(component: SLabeledDigraph, n, pair):
     """Match one connected rank-two component against the eight templates.
 
     The component must already satisfy the one-edge-per-label invariant for
-    its two labels; connectivity then forces a single alternating cycle, so
-    the classification reduces to locating the source/sink, checking the
-    orientation of the two arcs, and reading off the dash positions.
+    its two labels `pair`; connectivity then forces a single alternating
+    cycle, so the classification reduces to locating the source/sink,
+    checking the orientation of the two arcs, and reading off the dash
+    positions.  Every vertex meets exactly two edges, so a source has
+    out-degree 2 and a sink in-degree 2.
     """
-    labels = sorted({e.label for e in component.edges},
-                    key=component.system._gen_index)
-    if pair is None:
-        if len(labels) != 2:
-            return Rejection(f"component uses labels {labels}, need exactly 2")
-        s_name, t_name = labels
-    else:
-        s_name, t_name = pair
+    s_name, t_name = pair
     nv = len(component.vertices)
     if nv % 2 != 0:
         return Rejection("odd number of vertices")
@@ -119,13 +114,7 @@ def classify_component(component: SLabeledDigraph, n, pair=None):
         witness = {e1.src: "a0", e1.dst: "b1"}
         return FamilyMatch(figure, 1, witness)
 
-    out_deg = {v: 0 for v in component.vertices}
-    in_deg = {v: 0 for v in component.vertices}
-    for e in component.edges:
-        out_deg[e.src] += 1
-        in_deg[e.dst] += 1
-    sources = [v for v in component.vertices if out_deg[v] == 2]
-    sinks = [v for v in component.vertices if in_deg[v] == 2]
+    sources, sinks = component.sources(), component.sinks()
     if len(sources) != 1:
         return Rejection(f"{len(sources)} sources, need exactly 1")
     if len(sinks) != 1:

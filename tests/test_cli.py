@@ -1,12 +1,20 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdigraph import coxeter
 from wdigraph.cli import main
 from wdigraph.digraph import load_digraph
+from wdigraph.families import EXAMPLE_NAMES, build_example
 
 SYSTEM_I2_3 = {"generators": ["s", "t"], "matrix": {"s,t": 3}}
 
@@ -268,13 +276,19 @@ def test_lv_element_bound(capsys, monkeypatch, a3_file):
     pytest.param({"system": SYSTEM_I2_3, "vertices": ["a", "b"],
                   "edges": "x"}, id="edges_string"),
     pytest.param([1, 2], id="top_level_array"),
+    pytest.param({"system": SYSTEM_I2_3, "vertices": [1, 2],
+                  "edges": [{"from": 1, "to": 2, "label": g, "style": "solid"}
+                            for g in "st"]}, id="numeric_vertex_ids"),
+    pytest.param({"system": "", "vertices": [], "edges": []},
+                 id="system_path_is_a_directory"),
 ])
 def test_malformed_digraph_is_usage_error(capsys, tmp_path, data):
     dpath = tmp_path / "bad.json"
     dpath.write_text(json.dumps(data))
-    code = main(["validate", str(dpath)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: bad digraph file")
+    for argv in (["validate"], ["validate", "--both"], ["export-dot"]):
+        code = main([argv[0], str(dpath), *argv[1:]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad digraph file")
 
 
 @pytest.mark.parametrize("argv", [
@@ -387,3 +401,77 @@ def test_validate_oracle_flag(capsys, tmp_path, a3_file):
     dpath.write_text(out)
     code, out = run(capsys, "validate", str(dpath), "--oracle")
     assert code == 0 and "oracle: ok" in out
+
+
+# -- the exit-code contract on damaged digraph files ---------------------------------------
+
+
+def fuzz_bases():
+    """The named examples, plus ex_fig2 with its system in "system.json"."""
+    bases = [build_example(name).to_json() for name in EXAMPLE_NAMES]
+    by_path = dict(bases[EXAMPLE_NAMES.index("ex_fig2")], system="system.json")
+    return bases + [by_path]
+
+
+FUZZ_BASES = fuzz_bases()
+FUZZ_SYSTEM = FUZZ_BASES[EXAMPLE_NAMES.index("ex_fig2")]["system"]
+FUZZ_COMMANDS = (["validate", "--both"], ["analyze"], ["theorems"], ["bar-op"],
+                 ["export-dot"])
+# where a change lands: a path of keys, PICK choosing a list entry
+PICK = object()
+FUZZ_PARTS = {"key": (), "system key": ("system",),
+              "matrix entry": ("system", "matrix"), "vertex": ("vertices",),
+              "edge": ("edges",), "edge field": ("edges", PICK)}
+JUNK = (None, 0, 7, -1, 2.5, True, "", "s", "solid", "nowhere", [], ["a"], {},
+        {"from": "a"})
+
+
+def damage(data, part, action, pick, junk):
+    """Drop, retype or duplicate one entry of a digraph file's JSON, or point
+    an edge at an unknown vertex; a change that does not apply is skipped."""
+    target = data
+    for step in FUZZ_PARTS[part]:
+        if step is PICK:
+            target = (target[pick % len(target)]
+                      if isinstance(target, list) and target else None)
+        else:
+            target = target.get(step) if isinstance(target, dict) else None
+    if not isinstance(target, (dict, list)) or not target:
+        return
+    if action == "redirect":
+        if isinstance(target, dict) and part == "edge field":
+            target[("from", "to")[pick % 2]] = "nowhere"
+        return
+    key = (sorted(target)[pick % len(target)] if isinstance(target, dict)
+           else pick % len(target))
+    if action == "drop":
+        del target[key]
+    elif action == "retype":
+        target[key] = copy.deepcopy(junk)
+    elif isinstance(target, list):
+        target.append(copy.deepcopy(target[key]))
+
+
+damage_st = st.tuples(st.sampled_from(sorted(FUZZ_PARTS)),
+                      st.sampled_from(["drop", "retype", "duplicate", "redirect"]),
+                      st.integers(0, 60), st.sampled_from(JUNK))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, len(FUZZ_BASES) - 1),
+       st.lists(damage_st, min_size=1, max_size=3))
+def test_damaged_files_keep_the_exit_code_contract(base, damages):
+    data = copy.deepcopy(FUZZ_BASES[base])
+    for part, action, pick, junk in damages:
+        damage(data, part, action, pick, junk)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "system.json").write_text(json.dumps(FUZZ_SYSTEM))
+        dpath = Path(tmp) / "damaged.json"
+        dpath.write_text(json.dumps(data))
+        for argv in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([argv[0], str(dpath), *argv[1:]])
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert err.getvalue().startswith("error:"), argv

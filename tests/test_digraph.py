@@ -261,11 +261,69 @@ def scan_reachable(g, alpha):
     return seen
 
 
-def scan_vertex_on_cycle(g):
+def scan_components(g):
+    """Connected components in vertex order, grown by edge scans."""
+    seen, comps = set(), []
+    for root in g.vertices:
+        if root in seen:
+            continue
+        comp, stack = {root}, [root]
+        while stack:
+            for w in scan_neighbors(g, stack.pop()):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append([v for v in g.vertices if v in comp])
+    return comps
+
+
+def three_colour_acyclic(g):
+    """No directed circuit: the three-colour DFS `is_acyclic` once ran."""
+    state = {v: 0 for v in g.vertices}  # 0 new, 1 active, 2 done
+    succ = scan_successors(g)
+    for root in g.vertices:
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if state[w] == 1:
+                    return False
+                if state[w] == 0:
+                    state[w] = 1
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                state[v] = 2
+                stack.pop()
+    return True
+
+
+def scan_successors(g):
+    return {v: [e.dst for e in g.edges if e.src == v] for v in g.vertices}
+
+
+def bfs_distances(succ, alpha):
+    dist, queue = {alpha: 0}, [alpha]
+    for v in queue:
+        for w in succ[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def scan_circuit(g, succ):
+    """The first vertex, in vertex order, with a successor that leads back
+    to it, and the shortest circuit through it; None on acyclic input."""
     for v in g.vertices:
-        for e in g.edges:
-            if e.src == v and v in scan_reachable(g, e.dst):
-                return v
+        back = [bfs_distances(succ, w).get(v) for w in succ[v]]
+        back = [d + 1 for d in back if d is not None]
+        if back:
+            return v, min(back)
     return None
 
 
@@ -288,16 +346,46 @@ def adjacency_fixtures():
     return out
 
 
+def per_component_reference(g):
+    """`analyze()` as it once ran: one induced subdigraph per component,
+    its own sources and sinks, and the three-colour DFS."""
+    return [(sub.vertices, tuple(sub.sources()), tuple(sub.sinks()),
+             three_colour_acyclic(sub))
+            for sub in (subgraph(g, c) for c in scan_components(g))]
+
+
+def test_analyze_matches_per_component_reference():
+    from test_validator import group_digraphs, oracle_inputs
+
+    inputs = [*oracle_inputs(), *group_digraphs(),
+              *adjacency_fixtures().items()]
+    cyclic = 0
+    for label, g in inputs:
+        got = [(c.vertices, c.sources, c.sinks, c.acyclic)
+               for c in g.analyze().components]
+        assert got == per_component_reference(g), label
+        cyclic += not all(c[3] for c in got)
+    assert 100 < cyclic < len(inputs) - 100
+
+
 @pytest.mark.parametrize("name", sorted(adjacency_fixtures()))
 def test_adjacency_matches_edge_scans(name):
     g = adjacency_fixtures()[name]
+    succ = scan_successors(g)
     for v in g.vertices:
         assert g.out_edges(v) == [e for e in g.edges if e.src == v]
-        assert g.successors(v) == [e.dst for e in g.edges if e.src == v]
+        assert g.successors(v) == succ[v]
         assert g.undirected_neighbors(v) == scan_neighbors(g, v)
         assert g.reachable_from(v) == scan_reachable(g, v)
-    assert g._vertex_on_cycle() == scan_vertex_on_cycle(g)
-    assert g.is_acyclic() == (g._vertex_on_cycle() is None)
+        assert g.distances_from(v) == bfs_distances(succ, v)
+    assert g.components() == scan_components(g)
+    assert g._shortest_circuit() == scan_circuit(g, succ)
+    assert g.is_acyclic() == (scan_circuit(g, succ) is None) \
+        == three_colour_acyclic(g)
+    # the peel is a topological order of what it covers
+    position = {v: i for i, v in enumerate(g._peel)}
+    assert all(position[e.src] < position[e.dst]
+               for e in g.edges if e.dst in position)
     assert [(h.vertices, h.edges) for h in g.component_subgraphs()] == [
         (h.vertices, h.edges) for h in (subgraph(g, c) for c in g.components())]
 
@@ -305,25 +393,42 @@ def test_adjacency_matches_edge_scans(name):
 # -- the grading shortcut against the all-pairs path-length check --------------------------
 
 
+def scan_topological_order(succ):
+    """Reverse DFS postorder of an acyclic successor table."""
+    order, seen = [], set()
+    for root in succ:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    return order[::-1]
+
+
 def all_pairs_equal_path_lengths(g):
-    """The circuit, else a BFS and a longest-path DP from every vertex."""
-    cycle_vertex = g._vertex_on_cycle()
-    if cycle_vertex is not None:
-        return (cycle_vertex, cycle_vertex, 0,
-                g._cycle_length_through(cycle_vertex))
-    topo = g._topological_order()
+    """The circuit, else a BFS and a longest-path DP from every vertex,
+    all over a successor table built by edge scans."""
+    succ = scan_successors(g)
+    circuit = scan_circuit(g, succ)
+    if circuit is not None:
+        v, length = circuit
+        return (v, v, 0, length)
+    topo = scan_topological_order(succ)
     for alpha in g.vertices:
-        shortest = {alpha: 0}
-        queue = [alpha]
-        for v in queue:
-            for w in g.successors(v):
-                if w not in shortest:
-                    shortest[w] = shortest[v] + 1
-                    queue.append(w)
+        shortest = bfs_distances(succ, alpha)
         longest = {alpha: 0}
         for v in topo:
             if v in longest:
-                for w in g.successors(v):
+                for w in succ[v]:
                     longest[w] = max(longest.get(w, -1), longest[v] + 1)
         for beta in g.vertices:
             if beta in shortest and shortest[beta] != longest[beta]:
