@@ -19,7 +19,7 @@ from .exactalg import char_poly, lampoly_str
 from .families import (EXAMPLE_NAMES, FamilySpec, build_example, build_family,
                        build_lv, build_regular)
 from .modrep import (ModuleRep, bar_from_source, linear_char_dims,
-                     reversal_identities, theorem_checkers, zero_hecke_action)
+                     reversal_identities, theorem_checkers)
 from .validator import brute_force_check, is_w_digraph
 
 
@@ -241,7 +241,10 @@ def cmd_bar_op(args) -> int:
 
 def cmd_theorems(args) -> int:
     g = _load_module_digraph(args.digraph)
-    report = theorem_checkers(g)
+    try:
+        report = theorem_checkers(g)
+    except ValueError as exc:   # the group has more than MAX_ELEMENTS elements
+        raise UsageError(str(exc)) from exc
     payload = {
         "source_sink": report.source_sink,
         "index_bound": report.index_bound,

@@ -62,7 +62,13 @@ class CoxeterSystem:
             i, j = self._gen_index(a), self._gen_index(b)
             if i == j:
                 raise ValueError("diagonal entries are fixed at 1")
-            v = inf if value in ("inf", inf) else int(value)
+            if value in ("inf", inf):
+                v = inf
+            elif isinstance(value, int) and not isinstance(value, bool):
+                v = value
+            else:
+                raise ValueError(f"order n({a},{b}) must be an integer or "
+                                 f"inf, not {value!r}")
             if v is not inf and v < 2:
                 raise ValueError(f"order n({a},{b}) must be >= 2 or inf")
             if mat[i][j] != 2 and mat[i][j] != v:
@@ -460,10 +466,6 @@ class DiagramAutomorphism:
 
     def apply_gen(self, s: int) -> int:
         return self.perm[s]
-
-    def compose(self, other: "DiagramAutomorphism") -> "DiagramAutomorphism":
-        return DiagramAutomorphism(self.system,
-                                   [self.perm[p] for p in other.perm])
 
     def is_involution(self) -> bool:
         return all(self.perm[self.perm[i]] == i for i in range(len(self.perm)))

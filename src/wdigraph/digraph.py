@@ -1,16 +1,16 @@
 """Labeled directed multigraphs with solid/dashed edges, one edge per label
 at each vertex, plus the derived graphs and structural analyses used by the
-classification and module machinery: restrictions, reversal, component scans,
-sources/sinks/acyclicity, directed path lengths, incoming-label statistics,
-label-preserving isomorphism, and JSON/DOT serialization.
+classification and module machinery: restrictions, reversal, the
+per-generator edge pairing, component scans, sources/sinks/acyclicity,
+directed path lengths, incoming-label statistics, label-preserving
+isomorphism, and JSON/DOT serialization.
 
 Every structural question is answered from three walks, each run once per
 digraph on first use and cached: one undirected walk (`_walk`) gives the
 components and a +-1 level per vertex, one Kahn peel (`_peel`) gives
 acyclicity and a topological order, and one BFS (`distances_from`) gives
 directed path lengths, reachability and the shortest circuit.  Each costs
-O(V + E); the many short-lived restrictions that are never traversed never
-run them.
+O(V + E); a digraph that is never traversed never runs them.
 """
 
 from __future__ import annotations
@@ -94,18 +94,28 @@ class SLabeledDigraph:
                                [Edge(e.dst, e.src, e.label, e.style)
                                 for e in self.edges])
 
-    def to_solid(self) -> "SLabeledDigraph":
-        return SLabeledDigraph(self.system, self.vertices,
-                               [Edge(e.src, e.dst, e.label, SOLID)
-                                for e in self.edges])
-
-    def arrows(self) -> list[tuple[str, str]]:
-        """The unlabeled directed view: one (src, dst) pair per edge."""
-        return [(e.src, e.dst) for e in self.edges]
-
-    def undirected_edges(self) -> list[frozenset]:
-        """The underlying undirected multigraph, as endpoint pairs."""
-        return [frozenset((e.src, e.dst)) for e in self.edges]
+    def edge_pairing(self) -> list[list[tuple]]:
+        """pairing[s][i] = (partner index, "tail" or "head", style) for the
+        edge labeled by generator s at vertex i; raises ValueError unless
+        every vertex meets exactly one edge per label."""
+        n = len(self.vertices)
+        index = self.vertex_index
+        pairing: list[list[tuple | None]] = [
+            [None] * n for _ in range(self.system.rank())]
+        for e in self.edges:
+            s = self.system._gen_index(e.label)
+            a, b = index[e.src], index[e.dst]
+            if pairing[s][a] is not None or pairing[s][b] is not None:
+                raise ValueError(f"vertex meets two edges labeled {e.label}")
+            pairing[s][a] = (b, "tail", e.style)
+            pairing[s][b] = (a, "head", e.style)
+        for s, row in enumerate(pairing):
+            for i, entry in enumerate(row):
+                if entry is None:
+                    raise ValueError(
+                        f"vertex {self.vertices[i]} has no edge labeled "
+                        f"{self.system.generators[s]}")
+        return pairing
 
     @cached_property
     def _out(self) -> dict[str, list[Edge]]:
@@ -219,17 +229,6 @@ class SLabeledDigraph:
                             sinks=tuple(v for v in comp if v in sinks),
                             acyclic=peeled.issuperset(comp))
             for comp in self._walk[0]))
-
-    def component_subgraphs(self) -> list["SLabeledDigraph"]:
-        """One subdigraph per connected component, in `components()` order,
-        with the edges bucketed by component in a single pass."""
-        comps = self._walk[0]
-        which = {v: k for k, comp in enumerate(comps) for v in comp}
-        buckets: list[list[Edge]] = [[] for _ in comps]
-        for e in self.edges:
-            buckets[which[e.src]].append(e)
-        return [SLabeledDigraph(self.system, comp, edges)
-                for comp, edges in zip(comps, buckets)]
 
     def path_length_mu(self, alpha: str, beta: str):
         """Minimum number of edges in a directed path, or None if unreachable."""

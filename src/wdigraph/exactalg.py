@@ -409,26 +409,25 @@ def _substitute_inverse(p: Poly, sign: int) -> tuple[Poly, int]:
     return Poly(coeffs), d
 
 
-def sigma(f: RatFunc) -> RatFunc:
-    """The involutory field automorphism substituting u -> -1/u."""
+def _substitute(f: RatFunc, sign: int) -> RatFunc:
+    """f with u replaced by sign/u."""
     if f.is_zero():
         return RF_ZERO
-    pn, dn = _substitute_inverse(f.num, -1)
-    pd, dd = _substitute_inverse(f.den, -1)
+    pn, dn = _substitute_inverse(f.num, sign)
+    pd, dd = _substitute_inverse(f.den, sign)
     if dn >= dd:
         return RatFunc(pn, pd * Poly.monomial(1, dn - dd))
     return RatFunc(pn * Poly.monomial(1, dd - dn), pd)
+
+
+def sigma(f: RatFunc) -> RatFunc:
+    """The involutory field automorphism substituting u -> -1/u."""
+    return _substitute(f, -1)
 
 
 def ubar(f: RatFunc) -> RatFunc:
     """The involutory field automorphism substituting u -> 1/u."""
-    if f.is_zero():
-        return RF_ZERO
-    pn, dn = _substitute_inverse(f.num, 1)
-    pd, dd = _substitute_inverse(f.den, 1)
-    if dn >= dd:
-        return RatFunc(pn, pd * Poly.monomial(1, dn - dd))
-    return RatFunc(pn * Poly.monomial(1, dd - dn), pd)
+    return _substitute(f, 1)
 
 
 def zeta(f: RatFunc) -> RatFunc:
@@ -521,9 +520,6 @@ class RatMatrix:
     def scale(self, c: RatFunc) -> "RatMatrix":
         return RatMatrix([[c * a for a in r] for r in self.rows])
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.rows)))
-
     def trace(self) -> RatFunc:
         t = RF_ZERO
         for i in range(self.n):
@@ -532,17 +528,6 @@ class RatMatrix:
 
     def apply_entrywise(self, fn) -> "RatMatrix":
         return RatMatrix([[fn(a) for a in r] for r in self.rows])
-
-    def apply_vector(self, vec: Sequence[RatFunc]) -> list[RatFunc]:
-        """Matrix-vector product, skipping zero entries."""
-        out = [RF_ZERO] * self.n
-        for i, row in enumerate(self.rows):
-            acc = RF_ZERO
-            for a, v in zip(row, vec):
-                if a.num.coeffs and v.num.coeffs:
-                    acc = acc + a * v
-            out[i] = acc
-        return out
 
     def is_zero(self) -> bool:
         return all(a.num.is_zero() for r in self.rows for a in r)

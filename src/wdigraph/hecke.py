@@ -78,9 +78,6 @@ class HeckeElt:
             return HeckeElt.zero(self.system)
         return HeckeElt(self.system, {w: c * x for w, x in self.coeffs.items()})
 
-    def map_coeffs(self, fn) -> "HeckeElt":
-        return HeckeElt(self.system, {w: fn(c) for w, c in self.coeffs.items()})
-
     def __eq__(self, other):
         return (isinstance(other, HeckeElt) and self.system is other.system
                 and self.coeffs == other.coeffs)

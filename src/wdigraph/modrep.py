@@ -72,24 +72,7 @@ class ModuleRep:
         self.digraph = digraph
         self.system = digraph.system
         self.n = len(digraph.vertices)
-        index = digraph.vertex_index
-        # pairing[s][i] = (partner index, role, style) for the s-edge at vertex i
-        pairing: list[list[tuple | None]] = [
-            [None] * self.n for _ in range(self.system.rank())]
-        for e in digraph.edges:
-            s = self.system._gen_index(e.label)
-            a, b = index[e.src], index[e.dst]
-            if pairing[s][a] is not None or pairing[s][b] is not None:
-                raise ValueError(f"vertex meets two edges labeled {e.label}")
-            pairing[s][a] = (b, "tail", e.style)
-            pairing[s][b] = (a, "head", e.style)
-        for s in range(self.system.rank()):
-            for i in range(self.n):
-                if pairing[s][i] is None:
-                    raise ValueError(
-                        f"vertex {digraph.vertices[i]} has no edge labeled "
-                        f"{self.system.generators[s]}")
-        self._pairing = pairing
+        self._pairing = digraph.edge_pairing()
         # _columns[s][i] = (partner, self coefficient or None, partner
         # coefficient) of column i of tau_s; _inv_columns likewise for tau_s^-1
         self._columns = self._table(_TAU_CASES)
@@ -231,7 +214,7 @@ _IND_RATIOS = _eigenline_ratios(RF_U2)     # 1 on every edge
 _SGN_RATIOS = _eigenline_ratios(-RF_ONE)   # -1/u^2 solid, -(u+1)/(u^2-u) dashed
 
 
-def _eigenline(rep: ModuleRep, start: int, ratios: dict) -> SparseVec | None:
+def _eigenline(pairing, start: int, ratios: dict) -> SparseVec | None:
     """The simultaneous eigenvector on start's component that is 1 at start,
     or None if the component carries none (ratios disagree around a circuit,
     or a loop)."""
@@ -239,7 +222,7 @@ def _eigenline(rep: ModuleRep, start: int, ratios: dict) -> SparseVec | None:
     queue = deque([start])
     while queue:
         i = queue.popleft()
-        for row in rep._pairing:
+        for row in pairing:
             partner, role, style = row[i]
             if partner == i:
                 return None
@@ -261,13 +244,13 @@ def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
     exactly one; when every component is acyclic with one source and carries
     the sign eigenvector, its values (1 at each source) are `sgn_weights`.
     """
-    rep = ModuleRep(digraph)
+    pairing = digraph.edge_pairing()
     analysis = digraph.analyze()
     index = digraph.vertex_index
     starts = [index[c.sources[0] if len(c.sources) == 1 else c.vertices[0]]
               for c in analysis.components]
-    ind = [_eigenline(rep, i, _IND_RATIOS) for i in starts]
-    sgn = [_eigenline(rep, i, _SGN_RATIOS) for i in starts]
+    ind = [_eigenline(pairing, i, _IND_RATIOS) for i in starts]
+    sgn = [_eigenline(pairing, i, _SGN_RATIOS) for i in starts]
     weights = None
     if all(len(c.sources) == 1 and c.acyclic and values is not None
            for c, values in zip(analysis.components, sgn)):

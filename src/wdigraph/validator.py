@@ -2,9 +2,11 @@
 
 The classifier inspects every rank-two restriction: each connected component
 must be a 2m-cycle carrying one of the eight templates, with the matching
-divisibility condition against the order n(s,t).  The restriction's edges are
-bucketed by component in one pass, so the classifier is linear in the size
-of the digraph.  The brute-force oracle instead applies the generator
+divisibility condition against the order n(s,t).  Once every vertex meets
+one edge per label, each component of the {s,t}-restriction is a single
+cycle whose labels alternate, so the classifier walks it straight from the
+digraph's edge pairing, builds no digraph, and is linear in the size of the
+digraph.  The brute-force oracle instead applies the generator
 operators and verifies the quadratic relation and the length-n alternating
 product identity exactly.  Their agreement on random inputs is the central
 soundness test of the whole library.
@@ -83,83 +85,77 @@ class Verdict:
         return "\n".join(lines)
 
 
-def classify_component(component: SLabeledDigraph, n, pair):
-    """Match one connected rank-two component against the eight templates.
+def _alternating_cycle(ps, pt, start: int) -> list[int]:
+    """The component of `start` in a rank-two restriction, walked from start
+    by taking the s-partner and the t-partner in turn (ps, pt: the two edge
+    pairings).  Every vertex meets one edge of each label, so the walk is a
+    single cycle of even length whose labels alternate."""
+    cycle = [start]
+    v = ps[start][0]
+    while v != start:
+        cycle.append(v)
+        v = (ps if len(cycle) % 2 else pt)[v][0]
+    return cycle
 
-    The component must already satisfy the one-edge-per-label invariant for
-    its two labels `pair`; connectivity then forces a single alternating
-    cycle, so the classification reduces to locating the source/sink,
-    checking the orientation of the two arcs, and reading off the dash
-    positions.  Every vertex meets exactly two edges, so a source has
-    out-degree 2 and a sink in-degree 2.
+
+def _arc(first, second, source: int) -> list[tuple[int, str]]:
+    """The directed path out of the source whose edges take their labels
+    from the pairings first, second, first, ... in turn, as (head, style)
+    per edge; it ends at the first vertex it cannot leave, the sink."""
+    pairings = (first, second)
+    arc = []
+    v = source
+    while True:
+        partner, role, style = pairings[len(arc) % 2][v]
+        if role != "tail":
+            return arc
+        arc.append((partner, style))
+        v = partner
+
+
+def _classify_cycle(names, ps, pt, cycle: list[int], n, pair):
+    """Match one alternating cycle of the restriction to `pair` against the
+    eight templates.
+
+    Sources and sinks alternate around a cycle, so a single source means a
+    single sink, and both arcs out of the source run to it; what is left to
+    check is where the sink sits, which edges are dashed, and the
+    divisibility condition against n.
     """
-    s_name, t_name = pair
-    nv = len(component.vertices)
-    if nv % 2 != 0:
-        return Rejection("odd number of vertices")
-    m = nv // 2
-
+    m = len(cycle) // 2
     if m == 1:
-        edges = component.edges
-        if len(edges) != 2:
-            return Rejection("two vertices need exactly two edges")
-        e1, e2 = edges
-        if (e1.src, e1.dst) != (e2.src, e2.dst):
+        x = cycle[0]
+        (y, role, style), (_, t_role, t_style) = ps[x], pt[x]
+        if role != t_role:
             return Rejection("the two edges must be parallel, same direction")
-        if e1.style != e2.style:
+        if style != t_style:
             return Rejection("the two parallel edges must share one style")
-        figure = 7 if e1.style == SOLID else 8
-        if not family_divisibility_ok(figure, 1, n):
-            return Rejection(f"figure {figure} invalid for n = {n}")
-        witness = {e1.src: "a0", e1.dst: "b1"}
-        return FamilyMatch(figure, 1, witness)
+        src, snk = (x, y) if role == "tail" else (y, x)
+        return FamilyMatch(7 if style == SOLID else 8, 1,
+                           {names[src]: "a0", names[snk]: "b1"})
 
-    sources, sinks = component.sources(), component.sinks()
+    sources = [v for v in cycle if ps[v][1] == pt[v][1] == "tail"]
     if len(sources) != 1:
         return Rejection(f"{len(sources)} sources, need exactly 1")
-    if len(sinks) != 1:
-        return Rejection(f"{len(sinks)} sinks, need exactly 1")
-    src, snk = sources[0], sinks[0]
-
-    # walk the two arcs from the source; they must both run source -> sink
-    first_edges = sorted(component.out_edges(src), key=lambda e: e.label)
-    arcs = []
-    for start_edge in first_edges:
-        arc = [start_edge]
-        current = start_edge.dst
-        while current != snk:
-            nxt = component.out_edges(current)
-            if len(nxt) != 1 or len(arc) > 2 * m:
-                return Rejection("arc from the source does not run to the sink")
-            arc.append(nxt[0])
-            current = nxt[0].dst
-        arcs.append(arc)
-    if len(arcs[0]) + len(arcs[1]) != 2 * m:
-        return Rejection("arcs do not cover the cycle")
-    if len(arcs[0]) != m:
+    src = sources[0]
+    # the s-labeled edge out of the source starts the a-arc, the t-labeled
+    # one the b-arc
+    a_arc, b_arc = _arc(ps, pt, src), _arc(pt, ps, src)
+    if len(a_arc) != m:
+        # the two lengths in label-name order
+        first, second = len(a_arc), len(b_arc)
+        if pair[1] < pair[0]:
+            first, second = second, first
         return Rejection(f"sink not opposite the source "
-                         f"(arc lengths {len(arcs[0])}, {len(arcs[1])})")
-
-    # the s-labeled first edge starts the a-arc, the t-labeled one the b-arc
-    by_label = {arc[0].label: arc for arc in arcs}
-    if set(by_label) != {s_name, t_name}:
-        return Rejection("the two source edges do not carry both labels")
-    a_arc, b_arc = by_label[s_name], by_label[t_name]
-
-    # labels must alternate along both arcs
-    for arc, first in ((a_arc, s_name), (b_arc, t_name)):
-        second = t_name if first == s_name else s_name
-        for i, e in enumerate(arc):
-            if e.label != (first if i % 2 == 0 else second):
-                return Rejection("labels do not alternate along an arc")
+                         f"(arc lengths {first}, {second})")
 
     dash_slots = set()
     for arc, tag in ((a_arc, "left"), (b_arc, "right")):
-        for i, e in enumerate(arc):
-            if e.style == DASHED:
+        for i, (_, style) in enumerate(arc):
+            if style == DASHED:
                 if i == 0:
                     dash_slots.add(f"{tag}_first")
-                elif i == len(arc) - 1:
+                elif i == m - 1:
                     dash_slots.add(f"{tag}_last")
                 else:
                     return Rejection("dashed edge in the interior of an arc")
@@ -169,11 +165,11 @@ def classify_component(component: SLabeledDigraph, n, pair):
     if not family_divisibility_ok(figure, m, n):
         divisor = TEMPLATES[figure].divisor(m)
         return Rejection(f"figure {figure} needs {divisor} | n, n = {n}")
-    witness = {src: "a0", snk: f"b{m}"}
-    for i, e in enumerate(a_arc[:-1]):
-        witness[e.dst] = f"a{i + 1}"
-    for i, e in enumerate(b_arc[:-1]):
-        witness[e.dst] = f"b{i + 1}"
+    witness = {names[src]: "a0", names[a_arc[-1][0]]: f"b{m}"}
+    for i, (v, _) in enumerate(a_arc[:-1]):
+        witness[names[v]] = f"a{i + 1}"
+    for i, (v, _) in enumerate(b_arc[:-1]):
+        witness[names[v]] = f"b{i + 1}"
     return FamilyMatch(figure, m, witness)
 
 
@@ -182,12 +178,16 @@ def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
 
     Pairs of generators with infinite order impose no condition; the digraph
     is accepted when every component of every finite rank-two restriction
-    matches a template with its divisibility condition.
+    matches a template with its divisibility condition.  The components of
+    a restriction are walked in the order of their first vertices, straight
+    from the digraph's edge pairing.
     """
     violations = tuple(digraph.validate_structure())
     if violations:
         return Verdict(False, violations, ())
     system = digraph.system
+    names = digraph.vertices
+    pairing = digraph.edge_pairing()
     reports = []
     ok = True
     for i in range(system.rank()):
@@ -196,10 +196,16 @@ def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
             if n is inf or n <= 1:
                 continue
             pair = (system.generators[i], system.generators[j])
-            restriction = digraph.restrict(pair)
+            seen = [False] * len(names)
             comps = []
-            for comp in restriction.component_subgraphs():
-                result = classify_component(comp, n, pair)
+            for start in range(len(names)):
+                if seen[start]:
+                    continue
+                cycle = _alternating_cycle(pairing[i], pairing[j], start)
+                for v in cycle:
+                    seen[v] = True
+                result = _classify_cycle(names, pairing[i], pairing[j],
+                                         cycle, n, pair)
                 comps.append(result)
                 if isinstance(result, Rejection):
                     ok = False

@@ -24,7 +24,7 @@ def make_affine_a2():
 
 def subgraph(g, vertex_subset):
     """The subdigraph induced on a vertex subset, by a scan of every edge:
-    the reference for `SLabeledDigraph.component_subgraphs`."""
+    the per-component references of the classifier and `analyze` use it."""
     keep = set(vertex_subset)
     return SLabeledDigraph(g.system, [v for v in g.vertices if v in keep],
                            [e for e in g.edges if e.src in keep and e.dst in keep])

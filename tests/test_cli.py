@@ -263,11 +263,31 @@ def test_lv_validate_large_groups(capsys, tmp_path, generators, matrix, vertices
     assert code == 0 and out == "accepted\noracle: ok\n"
 
 
+def fig7_over_order(order):
+    """Figure 7 (two parallel solid edges) over I2(order), whatever order is."""
+    return {"system": {"generators": ["s", "t"], "matrix": {"s,t": order}},
+            "vertices": ["a", "b"],
+            "edges": [{"from": "a", "to": "b", "label": g, "style": "solid"}
+                      for g in "st"]}
+
+
 def test_lv_element_bound(capsys, monkeypatch, a3_file):
     monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 20)
     code = main(["lv", "--system", a3_file])
     assert code == 2
     assert "error: more than 20 elements" in capsys.readouterr().err
+
+
+def test_theorems_element_bound(capsys, monkeypatch, tmp_path, a3_file):
+    code, out = run(capsys, "lv", "--system", a3_file)
+    assert code == 0
+    dpath = tmp_path / "lv.json"
+    dpath.write_text(out)
+    monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 20)
+    code = main(["theorems", str(dpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: more than 20 elements" in captured.err
 
 
 @pytest.mark.parametrize("data", [
@@ -281,6 +301,8 @@ def test_lv_element_bound(capsys, monkeypatch, a3_file):
                             for g in "st"]}, id="numeric_vertex_ids"),
     pytest.param({"system": "", "vertices": [], "edges": []},
                  id="system_path_is_a_directory"),
+    *(pytest.param(fig7_over_order(order), id=name) for name, order in [
+        ("order_3_9", 3.9), ("order_2_0", 2.0), ("order_string", "3")]),
 ])
 def test_malformed_digraph_is_usage_error(capsys, tmp_path, data):
     dpath = tmp_path / "bad.json"

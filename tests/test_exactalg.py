@@ -343,7 +343,8 @@ def test_eigenspace_diagonal():
     basis = solve_simultaneous_eigenspace([m], [U2])
     assert len(basis) == 1
     v = basis[0]
-    assert m.apply_vector(v) == [U2 * v[0], U2 * v[1]]
+    assert [sum((a * x for a, x in zip(row, v)), RF_ZERO)
+            for row in m.rows] == [U2 * v[0], U2 * v[1]]
 
 
 def test_eigenspace_intersection():

@@ -520,7 +520,8 @@ def dense_reversal_identities(g, words):
             conj = RatMatrix([[inner.rows[i][j] if signs[i] == signs[j]
                                else -inner.rows[i][j]
                                for j in range(rep.n)] for i in range(rep.n)])
-            rhs2 = conj.transpose().scale(-uw if w.length % 2 else uw)
+            rhs2 = RatMatrix([list(col) for col in zip(*conj.rows)]).scale(
+                -uw if w.length % 2 else uw)
             row += [lhs == rhs2, lhs.trace() == rhs2.trace(), None]
         out.append(tuple(row))
     return out

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, rf
-from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
-                               build_lv, build_example, build_regular)
+from wdigraph.families import (EXAMPLE_NAMES, TEMPLATES, FamilySpec,
+                               build_family, build_lv, build_example,
+                               build_regular, family_divisibility_ok)
 from wdigraph.modrep import _TAU_CASES, ModuleRep, _sparse_items
-from wdigraph.validator import (FamilyMatch, PairReport, Rejection,
-                                RelationWitness, Verdict, _exact_point,
-                                brute_force_check, classify_component,
-                                is_w_digraph, random_two_label_digraph)
+from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
+                                Rejection, RelationWitness, Verdict,
+                                _exact_point, brute_force_check, is_w_digraph,
+                                random_two_label_digraph)
 
 from conftest import subgraph
 
@@ -25,8 +26,13 @@ def family_on(n, figure, m):
     return build_family(system, FamilySpec(figure, m))
 
 
+def classify(g):
+    """The classifier's result on the first component of the first pair."""
+    return is_w_digraph(g).pair_reports[0].components[0]
+
+
 def classify_family(n, figure, m):
-    return classify_component(family_on(n, figure, m), n, ("s", "t"))
+    return classify(family_on(n, figure, m))
 
 
 def test_classify_fig1():
@@ -55,7 +61,7 @@ def test_classify_same_arc_dashes_rejected():
         else:
             edges.append(e)
     bad = SLabeledDigraph(system, g.vertices, edges)
-    result = classify_component(bad, 2, ("s", "t"))
+    result = classify(bad)
     assert isinstance(result, Rejection)
     # and the oracle agrees, for several ambient orders
     for n in range(2, 7):
@@ -70,7 +76,7 @@ def test_classify_single_dash_rejected():
     edges = [Edge(e.src, e.dst, e.label, DASHED)
              if (e.src, e.dst) == ("a0", "a1") else e for e in g.edges]
     bad = SLabeledDigraph(system, g.vertices, edges)
-    assert isinstance(classify_component(bad, 2, ("s", "t")), Rejection)
+    assert isinstance(classify(bad), Rejection)
     assert brute_force_check(bad) is not None
 
 
@@ -78,7 +84,7 @@ def test_classify_mixed_parallel_rejected():
     system = CoxeterSystem.dihedral(3)
     g = SLabeledDigraph(system, ["x", "y"],
                         [("x", "y", "s", SOLID), ("x", "y", "t", DASHED)])
-    assert isinstance(classify_component(g, 3, ("s", "t")), Rejection)
+    assert isinstance(classify(g), Rejection)
     assert brute_force_check(g) is not None
 
 
@@ -86,7 +92,7 @@ def test_classify_antiparallel_rejected():
     system = CoxeterSystem.dihedral(2)
     g = SLabeledDigraph(system, ["x", "y"],
                         [("x", "y", "s", SOLID), ("y", "x", "t", SOLID)])
-    assert isinstance(classify_component(g, 2, ("s", "t")), Rejection)
+    assert isinstance(classify(g), Rejection)
     assert brute_force_check(g) is not None
 
 
@@ -96,10 +102,10 @@ def test_classify_invariant_under_relabeling():
         g.system, [f"z{i}" for i, _ in enumerate(g.vertices)],
         [Edge(f"z{g.vertex_index[e.src]}", f"z{g.vertex_index[e.dst]}",
               e.label, e.style) for e in g.edges])
-    result = classify_component(renamed, 3, ("s", "t"))
+    result = classify(renamed)
     assert isinstance(result, FamilyMatch) and (result.figure, result.m) == (4, 2)
     shuffled = SLabeledDigraph(g.system, g.vertices, list(g.edges)[::-1])
-    result2 = classify_component(shuffled, 3, ("s", "t"))
+    result2 = classify(shuffled)
     assert isinstance(result2, FamilyMatch) and result2.figure == 4
 
 
@@ -112,7 +118,7 @@ def test_classify_reversed_components():
              (5, 3, 5), (6, 3, 4), (7, 1, 4), (8, 1, 2)]
     for figure, m, n in cases:
         g = family_on(n, figure, m)
-        result = classify_component(g.reverse(), n, ("s", "t"))
+        result = classify(g.reverse())
         assert isinstance(result, FamilyMatch), (figure, m)
         assert result.figure in REVERSAL_FIGURE_MAP[figure]
         assert result.m == m
@@ -323,7 +329,7 @@ def test_oracle_matches_dense_reference():
     assert outcomes["structure"] == 1
 
 
-# -- the integer-evaluation oracle and the one-pass classifier against the
+# -- the integer-evaluation oracle and the cycle-walking classifier against the
 # -- RatFunc oracle and the per-component classifier they replaced -------------------------
 
 
@@ -363,6 +369,100 @@ def ratfunc_brute_force_check(g):
                         != word_apply(rep, right, {col: RF_ONE})):
                     return RelationWitness("braid", pair, g.vertices[col])
     return None
+
+
+def classify_component(component: SLabeledDigraph, n, pair):
+    """Match one connected rank-two component against the eight templates.
+
+    The component must already satisfy the one-edge-per-label invariant for
+    its two labels `pair`; connectivity then forces a single alternating
+    cycle, so the classification reduces to locating the source/sink,
+    checking the orientation of the two arcs, and reading off the dash
+    positions.  Every vertex meets exactly two edges, so a source has
+    out-degree 2 and a sink in-degree 2.
+    """
+    s_name, t_name = pair
+    nv = len(component.vertices)
+    if nv % 2 != 0:
+        return Rejection("odd number of vertices")
+    m = nv // 2
+
+    if m == 1:
+        edges = component.edges
+        if len(edges) != 2:
+            return Rejection("two vertices need exactly two edges")
+        e1, e2 = edges
+        if (e1.src, e1.dst) != (e2.src, e2.dst):
+            return Rejection("the two edges must be parallel, same direction")
+        if e1.style != e2.style:
+            return Rejection("the two parallel edges must share one style")
+        figure = 7 if e1.style == SOLID else 8
+        if not family_divisibility_ok(figure, 1, n):
+            return Rejection(f"figure {figure} invalid for n = {n}")
+        witness = {e1.src: "a0", e1.dst: "b1"}
+        return FamilyMatch(figure, 1, witness)
+
+    sources, sinks = component.sources(), component.sinks()
+    if len(sources) != 1:
+        return Rejection(f"{len(sources)} sources, need exactly 1")
+    if len(sinks) != 1:
+        return Rejection(f"{len(sinks)} sinks, need exactly 1")
+    src, snk = sources[0], sinks[0]
+
+    # walk the two arcs from the source; they must both run source -> sink
+    first_edges = sorted(component.out_edges(src), key=lambda e: e.label)
+    arcs = []
+    for start_edge in first_edges:
+        arc = [start_edge]
+        current = start_edge.dst
+        while current != snk:
+            nxt = component.out_edges(current)
+            if len(nxt) != 1 or len(arc) > 2 * m:
+                return Rejection("arc from the source does not run to the sink")
+            arc.append(nxt[0])
+            current = nxt[0].dst
+        arcs.append(arc)
+    if len(arcs[0]) + len(arcs[1]) != 2 * m:
+        return Rejection("arcs do not cover the cycle")
+    if len(arcs[0]) != m:
+        return Rejection(f"sink not opposite the source "
+                         f"(arc lengths {len(arcs[0])}, {len(arcs[1])})")
+
+    # the s-labeled first edge starts the a-arc, the t-labeled one the b-arc
+    by_label = {arc[0].label: arc for arc in arcs}
+    if set(by_label) != {s_name, t_name}:
+        return Rejection("the two source edges do not carry both labels")
+    a_arc, b_arc = by_label[s_name], by_label[t_name]
+
+    # labels must alternate along both arcs
+    for arc, first in ((a_arc, s_name), (b_arc, t_name)):
+        second = t_name if first == s_name else s_name
+        for i, e in enumerate(arc):
+            if e.label != (first if i % 2 == 0 else second):
+                return Rejection("labels do not alternate along an arc")
+
+    dash_slots = set()
+    for arc, tag in ((a_arc, "left"), (b_arc, "right")):
+        for i, e in enumerate(arc):
+            if e.style == DASHED:
+                if i == 0:
+                    dash_slots.add(f"{tag}_first")
+                elif i == len(arc) - 1:
+                    dash_slots.add(f"{tag}_last")
+                else:
+                    return Rejection("dashed edge in the interior of an arc")
+    figure = _FIGURE_BY_DASHES.get(frozenset(dash_slots))
+    if figure is None:
+        return Rejection(f"dash pattern {sorted(dash_slots)} matches no figure")
+    if not family_divisibility_ok(figure, m, n):
+        divisor = TEMPLATES[figure].divisor(m)
+        return Rejection(f"figure {figure} needs {divisor} | n, n = {n}")
+    witness = {src: "a0", snk: f"b{m}"}
+    for i, e in enumerate(a_arc[:-1]):
+        witness[e.dst] = f"a{i + 1}"
+    for i, e in enumerate(b_arc[:-1]):
+        witness[e.dst] = f"b{i + 1}"
+    return FamilyMatch(figure, m, witness)
 
 
 def subgraph_is_w_digraph(g):
@@ -444,15 +544,53 @@ def test_integer_oracle_matches_ratfunc_reference():
     assert outcomes["structure"] == 1
 
 
+def non_alphabetical_inputs():
+    """Digraphs whose generators are not declared in alphabetical order: the
+    template grid over I2(n) declared as ("t", "s"), with either label on
+    the left arc, random two-label digraphs over it, and LV, regular and
+    random digraphs over B3 declared as ["t", "s", "r"]."""
+    ts = {n: CoxeterSystem.dihedral(n, ("t", "s")) for n in range(2, 8)}
+    for figure in range(1, 9):
+        for m in ([1] if figure in (7, 8) else [2, 3, 4]):
+            for n in range(2, 8):
+                for labels in (("s", "t"), ("t", "s")):
+                    yield (f"t,s figure {figure} m={m} n={n} {labels}",
+                           build_family(ts[n], FamilySpec(figure, m, *labels)))
+    rng = random.Random(1306)
+    for k in range(100):
+        g0 = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8, 10, 12]),
+                                      labels=("t", "s"))
+        for n in range(2, 6):
+            yield f"t,s two-label #{k} n={n}", SLabeledDigraph(
+                ts[n], g0.vertices, g0.edges)
+    tsr = CoxeterSystem(["t", "s", "r"], {("r", "s"): 3, ("s", "t"): 4})
+    yield "lv B3 t,s,r", build_lv(tsr, DiagramAutomorphism.identity(tsr))
+    yield "regular B3 t,s,r", build_regular(tsr)
+    for k in range(200):
+        yield f"t,s,r #{k}", random_labeled_digraph(rng, tsr, 2 * (k % 6 + 1))
+
+
 def test_one_pass_classifier_matches_subgraph_reference():
     accepted = 0
     for label, g in [*oracle_inputs(), *group_digraphs()]:
         verdict = is_w_digraph(g)
         reference = subgraph_is_w_digraph(g)
         assert verdict == reference, label
+        assert repr(verdict) == repr(reference), label   # witness order too
         assert verdict.describe() == reference.describe(), label
         accepted += verdict.is_w_digraph
     assert accepted > 100
+    # arc lengths are listed in label-name order, not declaration order
+    swapped = accepted = 0
+    for label, g in non_alphabetical_inputs():
+        verdict = is_w_digraph(g)
+        reference = subgraph_is_w_digraph(g)
+        assert verdict == reference, label
+        assert repr(verdict) == repr(reference), label
+        assert verdict.describe() == reference.describe(), label
+        accepted += verdict.is_w_digraph
+        swapped += "sink not opposite" in verdict.describe()
+    assert accepted > 100 and swapped > 10
 
 
 @st.composite
