@@ -241,10 +241,7 @@ def cmd_bar_op(args) -> int:
 
 def cmd_theorems(args) -> int:
     g = _load_module_digraph(args.digraph)
-    try:
-        report = theorem_checkers(g)
-    except ValueError as exc:   # the group has more than MAX_ELEMENTS elements
-        raise UsageError(str(exc)) from exc
+    report = theorem_checkers(g)
     payload = {
         "source_sink": report.source_sink,
         "index_bound": report.index_bound,

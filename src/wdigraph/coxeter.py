@@ -6,15 +6,17 @@ the word problem one dihedral parabolic W_{s,t} at a time (w = w^J * w_J,
 Bjorner-Brenti 2.4) for every Coxeter matrix; products, inverses, descents,
 enumeration and the Bruhat order (lifting property, 2.2.7) are walks of it.
 
-Finiteness is decided by matching the Coxeter diagram's connected components
-against the classification of finite irreducible diagrams.
+Orders come from the classification of finite irreducible diagrams: |W_J|
+(`parabolic_order`) is the product of the closed-form orders of the components
+of the Coxeter diagram on J, so finiteness, and `enumerate`'s refusal of a
+group over MAX_ELEMENTS, are decided before any element is built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import inf
+from math import factorial, inf, prod
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -78,7 +80,6 @@ class CoxeterSystem:
         self._products: dict[tuple[Word, int], Word] = {}
         self._descents: dict[tuple[Word, int], bool] = {}
         self._all_elements: list[GroupElement] | None = None
-        self._finite: bool | None = None
 
     # -- construction ------------------------------------------------------------
 
@@ -282,12 +283,18 @@ class CoxeterSystem:
         """All elements of length <= bound (or all of W), sorted (length, ShortLex).
 
         BFS over right multiplication from the identity.  Requesting the whole
-        group of an infinite system, or over MAX_ELEMENTS elements, is an error.
+        group of an infinite system, or of one whose order (`parabolic_order`)
+        is over MAX_ELEMENTS, is an error raised before any element is built;
+        a length-bounded run raises once it has built over MAX_ELEMENTS.
         """
         if length_bound is None:
-            if not self.is_finite():
+            order = self.parabolic_order()
+            if order is inf:
                 raise ValueError("cannot enumerate an infinite Coxeter group; "
                                  "pass a length bound")
+            if order > MAX_ELEMENTS:
+                raise ValueError(f"more than {MAX_ELEMENTS} elements "
+                                 "to enumerate")
             if self._all_elements is not None:
                 return list(self._all_elements)
         frontier = [()]
@@ -321,33 +328,38 @@ class CoxeterSystem:
             raise ValueError("infinite Coxeter groups have no longest element")
         return self.enumerate()[-1]
 
-    # -- finiteness via the diagram classification ------------------------------------------
+    # -- group orders via the diagram classification ------------------------------------------
 
     def is_finite(self) -> bool:
-        if self._finite is None:
-            self._finite = all(
-                _finite_component_type(comp, self.matrix) is not None
-                for comp in self._diagram_components())
-        return self._finite
+        return self.parabolic_order() is not inf
 
-    def _diagram_components(self) -> list[list[int]]:
-        n = len(self.generators)
-        seen = [False] * n
+    def parabolic_order(self, J: Iterable | None = None) -> int | float:
+        """|W_J| (|W| when J is None): the product of the orders of the
+        components of the Coxeter diagram on J, or math.inf if one is infinite."""
+        if J is None:
+            J = range(len(self.generators))
+        orders = [_component_order(comp, self.matrix) for comp in
+                  self._diagram_components({self._gen_index(s) for s in J})]
+        return inf if inf in orders else prod(orders)
+
+    def _diagram_components(self, J: set[int]) -> list[list[int]]:
+        """The connected components of the Coxeter diagram on the indices J."""
+        seen = set()
         comps = []
-        for start in range(n):
-            if seen[start]:
+        for start in sorted(J):
+            if start in seen:
                 continue
             comp = []
             stack = [start]
-            seen[start] = True
+            seen.add(start)
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in range(n):
-                    if not seen[w] and self.matrix[v][w] != 2 and v != w:
-                        seen[w] = True
+                for w in J:
+                    if w not in seen and self.matrix[v][w] != 2:
+                        seen.add(w)
                         stack.append(w)
-            comps.append(sorted(comp))
+            comps.append(comp)
         return comps
 
     # -- Bruhat order -------------------------------------------------------------------------
@@ -488,24 +500,26 @@ def _alternation(a: int, b: int, length: int) -> Word:
 # -- the classification of finite irreducible diagrams ---------------------------------------
 
 
-def _finite_component_type(comp: list[int], matrix) -> str | None:
-    """Name of the finite type of one diagram component, or None if infinite."""
+def _component_order(comp: list[int], matrix):
+    """Order of the parabolic subgroup on one connected diagram component, by
+    its finite type (Humphreys, Reflection Groups and Coxeter Groups, 2.11),
+    or math.inf if the type is not finite."""
     k = len(comp)
     if k == 1:
-        return "A1"
+        return 2
     edges = []
     for a in range(k):
         for b in range(a + 1, k):
             m = matrix[comp[a]][comp[b]]
             if m != 2:
                 if m is inf:
-                    return None
+                    return inf
                 edges.append((comp[a], comp[b], m))
     if k == 2:
-        return f"I2({edges[0][2]})"
+        return 2 * edges[0][2]                                  # I2(m)
     # components of rank >= 3 must be trees
     if len(edges) != k - 1:
-        return None
+        return inf
     adjacency = {v: [] for v in comp}
     for a, b, m in edges:
         adjacency[a].append((b, m))
@@ -513,13 +527,13 @@ def _finite_component_type(comp: list[int], matrix) -> str | None:
     degrees = sorted(len(adjacency[v]) for v in comp)
     labels = sorted(m for _, _, m in edges)
     if degrees[-1] > 3:
-        return None
+        return inf
     branch_nodes = [v for v in comp if len(adjacency[v]) == 3]
     if len(branch_nodes) > 1:
-        return None
+        return inf
     if branch_nodes:
         if any(m != 3 for _, _, m in edges):
-            return None
+            return inf
         center = branch_nodes[0]
         arms = []
         for start, _ in adjacency[center]:
@@ -532,12 +546,12 @@ def _finite_component_type(comp: list[int], matrix) -> str | None:
             arms.append(length)
         arms.sort()
         if arms[0] != 1:
-            return None
+            return inf
         if arms[1] == 1:
-            return f"D{k}"
+            return 2 ** (k - 1) * factorial(k)                  # D_k
         if arms[1] == 2 and arms[2] in (2, 3, 4):
-            return {2: "E6", 3: "E7", 4: "E8"}[arms[2]]
-        return None
+            return {2: 51_840, 3: 2_903_040, 4: 696_729_600}[arms[2]]  # E6-E8
+        return inf
     # a path: read its edge labels from one end
     ends = [v for v in comp if len(adjacency[v]) == 1]
     prev, cur = None, ends[0]
@@ -550,17 +564,15 @@ def _finite_component_type(comp: list[int], matrix) -> str | None:
         path_labels.append(m)
         prev, cur = cur, nxt
     if labels == [3] * (k - 1):
-        return f"A{k}"
+        return factorial(k + 1)                                 # A_k
     if labels == [3] * (k - 2) + [4]:
         if path_labels[0] == 4 or path_labels[-1] == 4:
-            return f"B{k}"
+            return 2 ** k * factorial(k)                        # B_k
         if k == 4 and path_labels[1] == 4:
-            return "F4"
-        return None
+            return 1_152                                        # F4
+        return inf
     if labels == [3] * (k - 2) + [5]:
-        if k == 3 and (path_labels[0] == 5 or path_labels[-1] == 5):
-            return "H3"
-        if k == 4 and (path_labels[0] == 5 or path_labels[-1] == 5):
-            return "H4"
-        return None
-    return None
+        if k in (3, 4) and (path_labels[0] == 5 or path_labels[-1] == 5):
+            return {3: 120, 4: 14_400}[k]                       # H3, H4
+        return inf
+    return inf

@@ -28,7 +28,7 @@ loop (tau_s the scalar 2u^2 - 1 or 2u^2 - 2u - 1) forces its component to 0.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from math import inf
 from typing import Sequence
@@ -457,14 +457,19 @@ def _restricted_component_counts(digraph: SLabeledDigraph) -> list[int]:
 
 
 def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
-    """Structured pass/fail/not-applicable report for the structure theorems."""
+    """Structured pass/fail/not-applicable report for the structure theorems.
+
+    The bounds |W| and [W : W_J] come from `CoxeterSystem.parabolic_order`,
+    so no group element is built and the cost does not grow with |W|."""
     report = TheoremReport()
     system = digraph.system
+    gens = system.generators
     analysis = digraph.analyze()
     finite_order = all(system.order(i, j) is not inf
                        for i in range(system.rank())
                        for j in range(system.rank()))
-    finite_w = system.is_finite()
+    order_w = system.parabolic_order()
+    finite_w = order_w is not inf
 
     if finite_order:
         per_comp_ok = all(len(c.sources) <= 1 and len(c.sinks) <= 1
@@ -492,29 +497,22 @@ def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
                               "reason": "some order is infinite"}
 
     if finite_w and analysis.n_components == 1:
-        full = system.enumerate()
-        # |W_J| counts the elements whose support lies in J
-        supports = Counter(system.support(w) for w in full)
         results = {}
         ok = True
-        gens = system.generators
         restricted_counts = _restricted_component_counts(digraph)
         for mask in range(1 << len(gens)):
-            Jset = {i for i in range(len(gens)) if mask & (1 << i)}
-            J = [gens[i] for i in sorted(Jset)]
-            order_wj = sum(k for support, k in supports.items()
-                           if support <= Jset)
-            bound = len(full) // order_wj
+            J = [g for i, g in enumerate(gens) if mask >> i & 1]
+            bound = order_w // system.parabolic_order(J)
             comps = restricted_counts[mask]
             results["".join(J) or "empty"] = (comps, bound)
             ok = ok and comps <= bound
         report.index_bound = {"status": "pass" if ok else "fail",
                               "per_subset": results}
         report.vertex_bound = {
-            "status": "pass" if len(digraph.vertices) <= len(full) else "fail",
+            "status": "pass" if len(digraph.vertices) <= order_w else "fail",
             "vertices": len(digraph.vertices),
-            "group_order": len(full),
-            "attained": len(digraph.vertices) == len(full)}
+            "group_order": order_w,
+            "attained": len(digraph.vertices) == order_w}
     else:
         reason = ("infinite group" if not finite_w else "not connected")
         report.index_bound = {"status": "not-applicable", "reason": reason}
@@ -535,7 +533,8 @@ def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
     # obstruction: with finite proper parabolics, a finite connected digraph
     # affording a rational cell-graph module must be acyclic; so a cyclic one
     # cannot afford any
-    proper_finite = _proper_parabolics_finite(system)
+    proper_finite = all(system.parabolic_order(gens[:i] + gens[i + 1:])
+                        is not inf for i in range(len(gens)))
     connected = analysis.n_components == 1
     if proper_finite and connected and not analysis.all_acyclic:
         dims = linear_char_dims(digraph)
@@ -555,19 +554,3 @@ def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
             "status": "not-applicable" if analysis.all_acyclic or not connected
             or not proper_finite else "unknown"}
     return report
-
-
-def _proper_parabolics_finite(system) -> bool:
-    from .coxeter import CoxeterSystem
-    gens = system.generators
-    for drop in range(len(gens)):
-        keep = [g for i, g in enumerate(gens) if i != drop]
-        orders = {}
-        for i, a in enumerate(keep):
-            for b in keep[i + 1:]:
-                orders[(a, b)] = system.order(a, b)
-        if any(v is inf for v in orders.values()):
-            return False
-        if not CoxeterSystem(keep, orders).is_finite():
-            return False
-    return True

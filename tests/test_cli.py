@@ -278,16 +278,36 @@ def test_lv_element_bound(capsys, monkeypatch, a3_file):
     assert "error: more than 20 elements" in capsys.readouterr().err
 
 
-def test_theorems_element_bound(capsys, monkeypatch, tmp_path, a3_file):
+def test_theorems_has_no_element_bound(capsys, monkeypatch, tmp_path, a3_file):
     code, out = run(capsys, "lv", "--system", a3_file)
     assert code == 0
     dpath = tmp_path / "lv.json"
     dpath.write_text(out)
+    expected = run(capsys, "theorems", str(dpath))
     monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 20)
-    code = main(["theorems", str(dpath)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "error: more than 20 elements" in captured.err
+    assert run(capsys, "theorems", str(dpath)) == expected
+
+
+E7_SYSTEM = {"generators": list("abcdfgh"),
+             "matrix": {"a,b": 3, "b,c": 3, "c,d": 3, "d,f": 3, "f,g": 3,
+                        "c,h": 3}}
+
+
+@pytest.mark.parametrize("data,order", [
+    pytest.param({"system": E7_SYSTEM, "vertices": ["x", "y"],
+                  "edges": [{"from": "x", "to": "y", "label": g,
+                             "style": "solid"} for g in "abcdfgh"]},
+                 2_903_040, id="E7_pair"),
+    pytest.param(fig7_over_order(10**6), 2 * 10**6, id="I2(10^6)"),
+])
+def test_theorems_on_large_groups(capsys, tmp_path, data, order):
+    dpath = tmp_path / "g.json"
+    dpath.write_text(json.dumps(data))
+    code, out = run(capsys, "--format", "json", "theorems", str(dpath))
+    assert code == 0
+    report = json.loads(out)
+    assert report["vertex_bound"]["group_order"] == order
+    assert report["index_bound"]["per_subset"]["empty"] == [2, order]
 
 
 @pytest.mark.parametrize("data", [

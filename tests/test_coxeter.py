@@ -329,18 +329,88 @@ def test_word_problem_matches_braid_orbits(name):
 # -- groups and words beyond braid-orbit enumeration ---------------------------------
 
 
-@pytest.mark.parametrize("orders,order,top", [
+LARGE_GROUPS = [
     pytest.param({("p", "q"): 3, ("q", "r"): 3, ("r", "s"): 3, ("s", "t"): 3},
                  720, 15, id="A5"),
     pytest.param({("q", "r"): 3, ("r", "s"): 4, ("s", "t"): 3}, 1152, 24, id="F4"),
     pytest.param({("p", "q"): 3, ("q", "r"): 3, ("r", "s"): 3, ("r", "t"): 3},
                  1920, 20, id="D5"),
     pytest.param({("q", "r"): 5, ("r", "s"): 3, ("s", "t"): 3}, 14400, 60, id="H4"),
-])
+]
+
+
+def system_of(orders):
+    return CoxeterSystem(sorted({g for pair in orders for g in pair}), orders)
+
+
+@pytest.mark.parametrize("orders,order,top", LARGE_GROUPS)
 def test_enumerate_large_groups(orders, order, top):
-    system = CoxeterSystem(sorted({g for pair in orders for g in pair}), orders)
-    elems = system.enumerate()
+    elems = system_of(orders).enumerate()
     assert len(elems) == order and elems[-1].length == top
+
+
+# -- group orders from the diagram classification ----------------------------------------
+
+
+INFINITE_DIFFERENTIAL = ("affine_A2", "affine_C2", "triangle_337", "I2(inf)",
+                         "rank4_345")
+
+
+@pytest.mark.parametrize("gens,orders", [
+    *(pytest.param(*DIFFERENTIAL_SYSTEMS[name], id=name)
+      for name in DIFFERENTIAL_SYSTEMS if name not in INFINITE_DIFFERENTIAL),
+    *(pytest.param(sorted({g for pair in p.values[0] for g in pair}), p.values[0],
+                   id=p.id) for p in LARGE_GROUPS),
+])
+def test_parabolic_order_counts_enumerated_supports(gens, orders):
+    """|W_J| from the classification = the number of elements with support
+    in J, for every J."""
+    system = CoxeterSystem(list(gens), orders)
+    elems = system.enumerate()
+    assert system.parabolic_order() == len(elems)
+    rank = system.rank()
+    for mask in range(1 << rank):
+        J = {i for i in range(rank) if mask >> i & 1}
+        expected = sum(1 for w in elems if set(w.word) <= J)
+        assert system.parabolic_order(J) == expected, J
+        assert system.parabolic_order(system.generators[i] for i in J) == expected
+
+
+@pytest.mark.parametrize("name", INFINITE_DIFFERENTIAL)
+def test_parabolic_order_infinite(name):
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    assert system.parabolic_order() is inf
+    assert not system.is_finite()
+
+
+E_TYPES = {
+    "E6": ({("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("d", "f"): 3,
+            ("c", "g"): 3}, 51_840),
+    "E7": ({("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("d", "f"): 3,
+            ("f", "g"): 3, ("c", "h"): 3}, 2_903_040),
+    "E8": ({("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("d", "f"): 3,
+            ("f", "g"): 3, ("g", "h"): 3, ("c", "i"): 3}, 696_729_600),
+}
+
+
+@pytest.mark.parametrize("name", E_TYPES)
+def test_exceptional_orders_without_enumerating(name):
+    orders, order = E_TYPES[name]
+    system = system_of(orders)
+    assert system.parabolic_order() == order
+    assert system._products == {} and system._all_elements is None
+
+
+@pytest.mark.parametrize("system,message", [
+    pytest.param(system_of(E_TYPES["E7"][0]), "more than 100000 elements", id="E7"),
+    pytest.param(CoxeterSystem.dihedral("inf"), "infinite Coxeter group",
+                 id="I2(inf)"),
+])
+def test_enumerate_refuses_before_building(system, message):
+    with pytest.raises(ValueError, match=message):
+        system.enumerate()
+    assert system._products == {}
 
 
 def test_long_words_in_infinite_groups():
@@ -356,6 +426,9 @@ def test_enumerate_element_bound(monkeypatch):
     a3 = CoxeterSystem(list("rst"), {("r", "s"): 3, ("s", "t"): 3})
     with pytest.raises(ValueError, match="more than 20 elements"):
         a3.enumerate()
+    assert a3._products == {}   # refused from |W| = 24, before any product
+    with pytest.raises(ValueError, match="more than 20 elements"):
+        a3.enumerate(length_bound=5)
 
 
 from hypothesis import given, settings

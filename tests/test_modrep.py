@@ -387,6 +387,38 @@ def test_theorems_regular_a3_bound_attained(a3):
     assert report.vertex_bound["attained"]
 
 
+def test_theorems_take_orders_from_the_classification(monkeypatch):
+    """The report is unchanged when enumerating W is impossible, and its
+    bounds equal |W| and [W : W_J] counted over the enumerated elements."""
+    inputs = [*group_digraphs(),
+              *((name, build_example(name)) for name in EXAMPLE_NAMES)]
+    expected = [theorem_checkers(g) for _, g in inputs]
+    counted = {}
+    for label, g in inputs:
+        if g.system.is_finite():
+            elems = g.system.enumerate()
+            counted[label] = (len(elems),
+                              Counter(frozenset(w.word) for w in elems))
+
+    def refuse(self, length_bound=None):
+        raise AssertionError("enumerate called")
+
+    monkeypatch.setattr(CoxeterSystem, "enumerate", refuse)
+    for (label, g), before in zip(inputs, expected):
+        report = theorem_checkers(g)
+        assert report == before, label
+        if report.vertex_bound["status"] == "not-applicable":
+            continue
+        order, supports = counted[label]
+        assert report.vertex_bound["group_order"] == order
+        gens = g.system.generators
+        for J, (_, bound) in report.index_bound["per_subset"].items():
+            Jset = set() if J == "empty" else {gens.index(x) for x in J}
+            order_wj = sum(k for support, k in supports.items()
+                           if support <= Jset)
+            assert bound == order // order_wj, (label, J)
+
+
 def test_restricted_component_counts_match_restrict_reference():
     inputs = [*group_digraphs(),
               *((name, build_example(name)) for name in EXAMPLE_NAMES)]
