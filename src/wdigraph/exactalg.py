@@ -5,9 +5,12 @@ rational functions are canonical num/den pairs (monic denominator, gcd one),
 and matrices over them support the linear algebra needed elsewhere: products,
 characteristic polynomials, and exact nullspaces/eigenspaces.
 
-`char_poly` splits a matrix into the connected components of its support
-(indices i, j joined when M[i][j] or M[j][i] is nonzero) and runs Berkowitz
-on each principal block.  Permuting rows and columns alike by blocks makes the
+`char_poly` clears denominators first: with d the monic lcm of the entries'
+denominators (d = 1 for every rho(T_w), whose entries lie in Z[u]), it runs
+the division-free Berkowitz method once per block of d M on `Poly` entries
+and divides the coefficients by powers of d at the end.  The blocks are the
+connected components of the support (indices i, j joined when M[i][j] or
+M[j][i] is nonzero).  Permuting rows and columns alike by blocks makes the
 matrix block-diagonal, a similar matrix, so the product of the blocks'
 polynomials is exactly the characteristic polynomial.  For rho(T_w) the blocks
 are the components of the restriction to supp(w), so the cost follows the
@@ -76,6 +79,10 @@ class Poly:
     def __getitem__(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
+    def __bool__(self) -> bool:
+        """Nonzero, as for numbers."""
+        return bool(self.coeffs)
+
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
@@ -86,6 +93,8 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return self if a else other
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -107,11 +116,7 @@ class Poly:
         if not a or not b:
             return P_ZERO
         out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+        _add_product(out, a, b)
         return Poly(out)
 
     def scale(self, c) -> "Poly":
@@ -210,6 +215,16 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _add_product(out: list, a: tuple, b: tuple) -> None:
+    """Add the product of the nonzero coefficient tuples a and b into out,
+    which has room for it; the nonzero (j, c) of b are listed once."""
+    nonzero = [(j, cb) for j, cb in enumerate(b) if cb]
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in nonzero:
+                out[i + j] += ca * cb
 
 
 P_ZERO = Poly(())
@@ -537,28 +552,40 @@ class RatMatrix:
 
 
 def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
-    """Monic characteristic polynomial det(xI - M), block by block.
+    """Monic characteristic polynomial det(xI - M), block by block over Z[u].
 
     Returns the coefficient tuple in ascending powers of the outer variable.
-    The blocks are the connected components of the graph on the indices with
-    an edge i - j (i != j) whenever M[i][j] or M[j][i] is nonzero.  Listing
-    the indices block after block is a simultaneous permutation P of rows and
-    columns, and P M P^-1 is block-diagonal (an entry between two blocks is
-    zero by construction).  Similar matrices share their characteristic
-    polynomial, and that of a block-diagonal matrix is the product of its
-    blocks' polynomials, so multiplying the Berkowitz polynomials of the
-    principal blocks gives exactly det(xI - M); RatFunc is canonical, so the
-    coefficients are the same values the whole matrix would give.
+    With d the monic lcm of the entries' denominators (d = 1 for every
+    rho(T_w)), the entries of d M are polynomials, and Berkowitz runs on them
+    with no division.  The blocks are the connected components of the graph
+    on the indices with an edge i - j (i != j) whenever M[i][j] or M[j][i] is
+    nonzero.  Listing the indices block after block is a simultaneous
+    permutation P of rows and columns, and P M P^-1 is block-diagonal (an
+    entry between two blocks is zero by construction).  Similar matrices
+    share their characteristic polynomial, and that of a block-diagonal
+    matrix is the product of its blocks' polynomials, so the product of the
+    blocks' Berkowitz polynomials is det(xI - d M) = sum C_k x^k.  Since
+    det(xI - d M) = d^n det((x/d) I - M), the coefficient of x^k in
+    det(xI - M) is exactly C_k / d^(n-k), and RatFunc's canonical form makes
+    it the same value any other exact method gives.
     """
     n = m.n
-    rows = m.rows
+    dens = {x.den for row in m.rows for x in row}
+    d = P_ONE
+    for den in dens:
+        d = d * den.divmod(d.gcd(den))[0]
+    if d == P_ONE:
+        rows = [[x.num for x in row] for row in m.rows]
+    else:
+        factor = {den: d.divmod(den)[0] for den in dens}
+        rows = [[x.num * factor[x.den] for x in row] for row in m.rows]
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if i != j and x.num.coeffs:
+            if i != j and x:
                 nbrs[i].append(j)
                 nbrs[j].append(i)
-    out: tuple[RatFunc, ...] = (RF_ONE,)
+    out: tuple[Poly, ...] = (P_ONE,)
     seen = [False] * n
     for start in range(n):
         if seen[start]:
@@ -574,52 +601,45 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
                     stack.append(j)
         block.sort()
         out = lampoly_mul(out, _berkowitz([[rows[i][j] for j in block]
-                                           for i in block]))
-    return out
+                                           for i in block]), P_ZERO)
+    coeffs, power = [], P_ONE
+    for c in reversed(out):            # C_n, C_(n-1), ..., C_0
+        coeffs.append(RatFunc(c, power))
+        power = power * d
+    return tuple(reversed(coeffs))
 
 
-def _berkowitz(rows: list[list[RatFunc]]) -> tuple[RatFunc, ...]:
-    """Monic characteristic polynomial of a nonempty square matrix by the
-    Berkowitz method, as an ascending coefficient tuple.
+def _berkowitz(rows: list[list[Poly]]) -> tuple[Poly, ...]:
+    """Monic characteristic polynomial of a nonempty square matrix over Z[u]
+    (or Q[u]) by the Berkowitz method, as an ascending coefficient tuple.
 
     The method is division-free on the matrix entries, so no pivot choices
     affect the (exact) result.
     """
-    def vector(rows) -> list[RatFunc]:
+    def vector(rows) -> list[Poly]:
         # coefficients of char poly of the submatrix, highest power first
         k = len(rows)
         if k == 1:
-            return [RF_ONE, -rows[0][0]]
+            return [P_ONE, -rows[0][0]]
         a = rows[0][0]
         r_row = rows[0][1:]
         c_col = [rows[i][0] for i in range(1, k)]
         sub = [row[1:] for row in rows[1:]]
         # items = [1, -a, -R C, -R A C, -R A^2 C, ...]
-        items = [RF_ONE, -a]
+        items = [P_ONE, -a]
         vec = c_col
         for _ in range(k - 1):
-            dot = RF_ZERO
-            for x, y in zip(r_row, vec):
-                if x.num.coeffs and y.num.coeffs:
-                    dot = dot + x * y
-            items.append(-dot)
-            nxt = [RF_ZERO] * (k - 1)
-            for i in range(k - 1):
-                acc = RF_ZERO
-                for x, y in zip(sub[i], vec):
-                    if x.num.coeffs and y.num.coeffs:
-                        acc = acc + x * y
-                nxt[i] = acc
-            vec = nxt
+            items.append(-_dot(r_row, vec))
+            vec = [_dot(row, vec) for row in sub]
         prev = vector(sub)
-        out = [RF_ZERO] * (k + 1)
+        out = [P_ZERO] * (k + 1)
         for i in range(k + 1):
-            acc = RF_ZERO
+            acc = P_ZERO
             for j in range(k):
                 d = i - j
                 if 0 <= d <= k:
                     t = items[d]
-                    if t.num.coeffs and prev[j].num.coeffs:
+                    if t and prev[j]:
                         acc = acc + t * prev[j]
             out[i] = acc
         return out
@@ -627,15 +647,28 @@ def _berkowitz(rows: list[list[RatFunc]]) -> tuple[RatFunc, ...]:
     return tuple(reversed(vector(rows)))
 
 
-def lampoly_mul(a: Sequence[RatFunc], b: Sequence[RatFunc]) -> tuple[RatFunc, ...]:
-    """Product of two polynomials given as ascending RatFunc coefficient tuples."""
+def _dot(xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
+    """sum x * y, accumulated in one coefficient list."""
+    out: list = []
+    for x, y in zip(xs, ys):
+        a, b = x.coeffs, y.coeffs
+        if a and b:
+            if len(out) < len(a) + len(b) - 1:
+                out += [0] * (len(a) + len(b) - 1 - len(out))
+            _add_product(out, a, b)
+    return Poly(out)
+
+
+def lampoly_mul(a: Sequence, b: Sequence, zero=RF_ZERO) -> tuple:
+    """Product of two polynomials given as ascending coefficient tuples over
+    one ring: RatFuncs, or Polys with zero = P_ZERO."""
     if not a or not b:
         return ()
-    out = [RF_ZERO] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca.num.coeffs:
+        if ca:
             for j, cb in enumerate(b):
-                if cb.num.coeffs:
+                if cb:
                     out[i + j] = out[i + j] + ca * cb
     return tuple(out)
 

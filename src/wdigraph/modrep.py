@@ -8,15 +8,22 @@ coefficient patterns
     dashed:  tail -> u tail + (u+1) head;
              head -> (u^2-u) tail + (u^2-u-1) head
 
-so each operator has at most two nonzero entries per column.  ModuleRep keeps
-that pairing as per-column coefficient tables, and its one kernel,
-`apply`/`apply_inv`, maps a sparse vector {index: nonzero coefficient} to
-another in time proportional to its support, the inverses u^-2 (tau - (u^2-1))
-included.  `columns_at(u)` specializes the forward tables to an integer u,
-and the same kernel then runs on ints: the oracle in `validator` decides the
-relations that way.  Characters and the reversal identities compare sparse
-columns; dense matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for
-output such as characteristic polynomials.
+so each operator has at most two nonzero entries per column, all in Z[u].
+ModuleRep keeps that pairing as per-column coefficient tables over Z[u]
+(`Poly`): one for tau_s, and one for S_s = tau_s - (u^2-1) = u^2 tau_s^-1,
+so the inverse is u^-2 S_s and rho(T_w)^-1 = u^(-2 l(w)) S_w with S_w in
+Z[u] too.  The one kernel, `_apply_columns`, maps a sparse vector {index:
+nonzero coefficient} to another in time proportional to its support.  The
+columns of rho(T_w) (memoized) and of S_w, characters and both reversal
+identities are computed over Z[u] with no denominator; a value becomes a
+`RatFunc` only where it leaves the layer: `rho`, `rho_inv`, `tau_matrix`,
+`character`, and `apply`/`apply_inv` with the bar propagation, whose factor
+u/(u+1) is not a Laurent polynomial (their Q(u) tables are derived from the
+Z[u] ones on first use).  `columns_at(u)` specializes the tau_s table to an
+integer u, and the same kernel then runs on ints: the oracle in `validator`
+decides the relations that way.  Dense matrices (`tau_matrix`, `rho`,
+`rho_inv`, `rho_elt`) are built only for output such as characteristic
+polynomials.
 
 Each 2x2 block has the distinct eigenvalues u^2 and -1, so each eigenspace
 of a block is a line, v[head] = r v[tail]: r = 1 for u^2, r = -1/u^2 (solid)
@@ -30,39 +37,48 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf
 from typing import Sequence
 
 from .coxeter import GroupElement
 from .digraph import DASHED, SOLID, SLabeledDigraph
-from .exactalg import (RF_ONE, RF_U, RF_U2, RF_U2M1, RF_U_M2, RF_ZERO,
-                       RatFunc, RatMatrix, eval_at, rf, sigma as sigma_map)
+from .exactalg import (P_ONE, P_U, P_ZERO, RF_ONE, RF_U, RF_U_M2, RF_ZERO,
+                       Poly, RatFunc, RatMatrix, rf)
 from .hecke import HeckeElt
 
-U_PLUS_1 = rf([1, 1])                   # u + 1
-U2MU = rf([0, -1, 1])                   # u^2 - u
-U2MUM1 = rf([-1, -1, 1])                # u^2 - u - 1
+U2 = Poly((0, 0, 1))                    # u^2
+U2M1 = Poly((-1, 0, 1))                 # u^2 - 1
+U_PLUS_1 = Poly((1, 1))                 # u + 1
+U2MU = Poly((0, -1, 1))                 # u^2 - u
+U2MUM1 = Poly((-1, -1, 1))              # u^2 - u - 1
 
-# per-column (self, partner) coefficients of tau_s, keyed by (role, style);
-# a zero self coefficient is None, so the kernel skips it
+# per-column (self, partner) coefficients of tau_s over Z[u], keyed by (role,
+# style); a zero self coefficient is None, so the kernel skips it
 _TAU_CASES = {
-    ("tail", SOLID): (None, RF_ONE),
-    ("head", SOLID): (RF_U2M1, RF_U2),
-    ("tail", DASHED): (RF_U, U_PLUS_1),
+    ("tail", SOLID): (None, P_ONE),
+    ("head", SOLID): (U2M1, U2),
+    ("tail", DASHED): (P_U, U_PLUS_1),
     ("head", DASHED): (U2MUM1, U2MU),
 }
 
-
-def _inverse_case(self_c, partner_c):
-    """The column of u^-2 (tau - (u^2-1)) from the column of tau."""
-    inv_self = RF_U_M2 * ((self_c or RF_ZERO) - RF_U2M1)
-    return (inv_self if inv_self.num.coeffs else None), RF_U_M2 * partner_c
+# the same for S_s = tau_s - (u^2-1) = u^2 tau_s^-1, again over Z[u]
+_S_CASES = {key: (((self_c or P_ZERO) - U2M1) or None, partner_c)
+            for key, (self_c, partner_c) in _TAU_CASES.items()}
 
 
-_TAU_INV_CASES = {key: _inverse_case(*case) for key, case in _TAU_CASES.items()}
+def _over_q(cases: dict, scale: RatFunc = RF_ONE) -> dict:
+    """The cases with each coefficient c turned into the RatFunc scale * c."""
+    return {key: tuple(None if c is None else scale * RatFunc(c) for c in case)
+            for key, case in cases.items()}
 
-# a sparse vector: index -> nonzero coefficient
-SparseVec = dict[int, RatFunc]
+
+# tau_s and tau_s^-1 = u^-2 S_s over Q(u), for vectors that leave Z[u]
+_RF_TAU_CASES = _over_q(_TAU_CASES)
+_RF_INV_CASES = _over_q(_S_CASES, RF_U_M2)
+
+# a sparse vector: index -> nonzero coefficient (a Poly, a RatFunc or an int)
+SparseVec = dict
 
 
 class ModuleRep:
@@ -74,60 +90,73 @@ class ModuleRep:
         self.n = len(digraph.vertices)
         self._pairing = digraph.edge_pairing()
         # _columns[s][i] = (partner, self coefficient or None, partner
-        # coefficient) of column i of tau_s; _inv_columns likewise for tau_s^-1
+        # coefficient) of column i of tau_s over Z[u]; _s_columns likewise
+        # for S_s = u^2 tau_s^-1
         self._columns = self._table(_TAU_CASES)
-        self._inv_columns = self._table(_TAU_INV_CASES)
+        self._s_columns = self._table(_S_CASES)
         self._rho_cache: dict[GroupElement, list[SparseVec]] = {}
 
     def _table(self, cases: dict) -> list[list[tuple]]:
         return [[(partner,) + cases[(role, style)]
                  for partner, role, style in row] for row in self._pairing]
 
+    @cached_property
+    def _rf_tables(self) -> tuple[list, list]:
+        """The tables of tau_s and tau_s^-1 over Q(u), built on first use."""
+        return self._table(_RF_TAU_CASES), self._table(_RF_INV_CASES)
+
     def columns_at(self, u: int) -> list[list[tuple]]:
         """The column tables of the tau_s with u specialized to the integer u.
 
-        Every forward coefficient lies in Z[u], so every entry is an int and
+        Every coefficient lies in Z[u], so every entry is an int and
         `_apply_columns(table[s], vec, 0)` runs the kernel on integers.
         """
-        cases = {key: tuple(None if c is None else eval_at(c, u) for c in case)
+        cases = {key: tuple(None if c is None else c(u) for c in case)
                  for key, case in _TAU_CASES.items()}
         return self._table(cases)
 
     # -- the generator operators (the one sparse kernel) ---------------------------------
 
     def apply(self, s, vec: SparseVec) -> SparseVec:
-        """tau_s applied to a sparse vector, in O(|support|)."""
-        return _apply_columns(self._columns[self.system._gen_index(s)], vec)
+        """tau_s applied to a sparse vector over Q(u), in O(|support|)."""
+        return _apply_columns(
+            self._rf_tables[0][self.system._gen_index(s)], vec, RF_ZERO)
 
     def apply_inv(self, s, vec: SparseVec) -> SparseVec:
-        """The inverse u^-2 (tau_s - (u^2-1)) applied to a sparse vector."""
-        return _apply_columns(self._inv_columns[self.system._gen_index(s)], vec)
+        """The inverse u^-2 S_s applied to a sparse vector over Q(u)."""
+        return _apply_columns(
+            self._rf_tables[1][self.system._gen_index(s)], vec, RF_ZERO)
 
     # dense output
 
     def tau_matrix(self, s) -> RatMatrix:
-        return self._matrix([self.apply(s, {j: RF_ONE}) for j in range(self.n)])
+        columns = self._columns[self.system._gen_index(s)]
+        return self._matrix([_apply_columns(columns, {j: P_ONE})
+                             for j in range(self.n)])
 
     def _dense(self, vec: SparseVec) -> list[RatFunc]:
         return [vec.get(i, RF_ZERO) for i in range(self.n)]
 
-    def _matrix(self, cols: list[SparseVec]) -> RatMatrix:
-        return RatMatrix([[col.get(i, RF_ZERO) for col in cols]
-                          for i in range(self.n)])
+    def _matrix(self, cols: list[SparseVec], den: Poly = P_ONE) -> RatMatrix:
+        """The RatMatrix with columns cols over Z[u], each entry over den."""
+        return RatMatrix([[RatFunc(col[i], den) if i in col else RF_ZERO
+                           for col in cols] for i in range(self.n)])
 
     # -- the algebra representation ----------------------------------------------------------
 
     def _rho_columns(self, w: GroupElement) -> list[SparseVec]:
-        """The columns of T_w, built up the canonical word and memoized."""
+        """The columns of T_w over Z[u], built up the canonical word and
+        memoized."""
         cached = self._rho_cache.get(w)
         if cached is not None:
             return cached
         if not w.word:
-            cols = [{j: RF_ONE} for j in range(self.n)]
+            cols = [{j: P_ONE} for j in range(self.n)]
         else:
-            s = w.word[0]
+            columns = self._columns[w.word[0]]
             rest = GroupElement(self.system, w.word[1:])
-            cols = [self.apply(s, col) for col in self._rho_columns(rest)]
+            cols = [_apply_columns(columns, col)
+                    for col in self._rho_columns(rest)]
         self._rho_cache[w] = cols
         return cols
 
@@ -135,15 +164,19 @@ class ModuleRep:
         """The matrix of the basis element T_w."""
         return self._matrix(self._rho_columns(w))
 
-    def _rho_inv_columns(self, w: GroupElement) -> list[SparseVec]:
-        """The columns of T_w^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1}, w = s_1...s_k."""
-        cols = [{j: RF_ONE} for j in range(self.n)]
+    def _s_word_columns(self, w: GroupElement) -> list[SparseVec]:
+        """The columns of S_w = u^(2 l(w)) T_w^-1 = S_{s_k} ... S_{s_1} over
+        Z[u], w = s_1...s_k."""
+        cols = [{j: P_ONE} for j in range(self.n)]
         for s in w.word:
-            cols = [self.apply_inv(s, col) for col in cols]
+            columns = self._s_columns[s]
+            cols = [_apply_columns(columns, col) for col in cols]
         return cols
 
     def rho_inv(self, w: GroupElement) -> RatMatrix:
-        return self._matrix(self._rho_inv_columns(w))
+        """The matrix of T_w^-1, u^(-2 l(w)) S_w."""
+        return self._matrix(self._s_word_columns(w),
+                            Poly.monomial(1, 2 * w.length))
 
     def rho_elt(self, h: HeckeElt) -> RatMatrix:
         """Extend rho linearly to a finitely supported combination."""
@@ -155,14 +188,14 @@ class ModuleRep:
         return out
 
     def character(self, w: GroupElement) -> RatFunc:
-        return _trace(self._rho_columns(w))
+        return RatFunc(_trace(self._rho_columns(w)))
 
 
-def _apply_columns(columns, vec: dict, zero=RF_ZERO) -> dict:
+def _apply_columns(columns, vec: dict, zero=P_ZERO) -> dict:
     """Sum c * (column i) over the entries i: c of vec, dropping cancellations.
 
-    The coefficients are RatFuncs, or ints (zero = 0) for a table from
-    `ModuleRep.columns_at`.
+    The coefficients are Polys, RatFuncs (zero = RF_ZERO) for `apply` and
+    `apply_inv`, or ints (zero = 0) for a table from `ModuleRep.columns_at`.
     """
     out = {}
     get = out.get
@@ -178,10 +211,10 @@ def _sparse_items(items) -> dict:
     return {i: c for i, c in items if c}
 
 
-def _trace(cols: list[SparseVec]) -> RatFunc:
-    t = RF_ZERO
+def _trace(cols: list[SparseVec]) -> Poly:
+    t = P_ZERO
     for j, col in enumerate(cols):
-        t = t + col.get(j, RF_ZERO)
+        t = t + col.get(j, P_ZERO)
     return t
 
 
@@ -203,15 +236,15 @@ def _eigenline_ratios(lam: RatFunc) -> dict:
     head_partner v[head] = lam v[tail], fixes the slope of the line."""
     ratios = {}
     for style in (SOLID, DASHED):
-        tail_self = _TAU_CASES[("tail", style)][0] or RF_ZERO
-        r = (lam - tail_self) / _TAU_CASES[("head", style)][1]
+        tail_self = _RF_TAU_CASES[("tail", style)][0] or RF_ZERO
+        r = (lam - tail_self) / _RF_TAU_CASES[("head", style)][1]
         ratios[("tail", style)] = r
         ratios[("head", style)] = r.inverse()
     return ratios
 
 
-_IND_RATIOS = _eigenline_ratios(RF_U2)     # 1 on every edge
-_SGN_RATIOS = _eigenline_ratios(-RF_ONE)   # -1/u^2 solid, -(u+1)/(u^2-u) dashed
+_IND_RATIOS = _eigenline_ratios(RF_U * RF_U)   # 1 on every edge
+_SGN_RATIOS = _eigenline_ratios(-RF_ONE)       # -1/u^2 solid, -(u+1)/(u^2-u) dashed
 
 
 def _eigenline(pairing, start: int, ratios: dict) -> SparseVec | None:
@@ -291,6 +324,15 @@ def _sign_diagonal(digraph: SLabeledDigraph):
     return signs
 
 
+def _twist(p: Poly, top: int) -> Poly:
+    """u^top sigma(p), sigma the substitution u -> -1/u, for p of degree at
+    most top: the coefficient reversal sum (-1)^k c_k u^(top-k) of
+    p = sum c_k u^k."""
+    cs = p.coeffs
+    return Poly([0] * (top + 1 - len(cs))
+                + [-c if k % 2 else c for k, c in enumerate(cs)][::-1])
+
+
 def reversal_identities(digraph: SLabeledDigraph,
                         words: Sequence[GroupElement]) -> list[IdentityReport]:
     """Check the two matrix-level reversal identities and their traces.
@@ -301,8 +343,14 @@ def reversal_identities(digraph: SLabeledDigraph,
       sign:  rho_rev(T_w) equals eps_w u_w (D rho(T_w^{-1}) D)^T with D the
              source-distance sign diagonal (requires acyclicity).
 
-    Both sides are lists of sparse columns, so the matrices compare by
-    their nonzero entries and the traces come from the column diagonals.
+    Both sides are lists of sparse columns over Z[u], with no denominator:
+    rho(T_{w^-1})^-1 = u^(-2l) S_{w^-1} (l = l(w)), so its sigma image is
+    u^(2l) sigma(S_{w^-1}).  S_{w^-1} is a product of l operators S_s whose
+    coefficients have degree at most 2, so its entries have degree at most
+    2l and that image is the coefficient reversal `_twist`, again in Z[u].
+    On the sign side u_w rho(T_w^-1) = u^(2l) u^(-2l) S_w is S_w itself.
+    The matrices compare by their nonzero entries and the traces come from
+    the column diagonals.
     """
     rep = ModuleRep(digraph)
     rev = ModuleRep(digraph.reverse())
@@ -311,22 +359,21 @@ def reversal_identities(digraph: SLabeledDigraph,
     for w in words:
         report = IdentityReport(word=str(w))
         lhs = rev._rho_columns(w)
-        twisted = [{i: sigma_map(c) for i, c in col.items()}
-                   for col in rep._rho_inv_columns(w.inverse())]
+        top = 2 * w.length
+        s_cols = rep._s_word_columns(w.inverse())
+        twisted = [{i: _twist(c, top) for i, c in col.items()}
+                   for col in s_cols]
         report.twist_matrix = lhs == twisted
-        report.twist_trace = _trace(lhs) == _trace(twisted)
+        report.twist_trace = _trace(lhs) == _twist(_trace(s_cols), top)
         if signs is None:
             report.skipped = "sign identity needs acyclic components with sources"
         else:
             eps = -1 if w.length % 2 else 1
-            uw = RF_U ** (2 * w.length)
-            # entry (i, j) of rho(T_w^{-1}) lands at (j, i), times
-            # eps_w u_w D_i D_j
+            # entry (i, j) of S_w lands at (j, i), times eps_w D_i D_j
             flipped: list[SparseVec] = [{} for _ in range(rep.n)]
-            for j, col in enumerate(rep._rho_inv_columns(w)):
+            for j, col in enumerate(rep._s_word_columns(w)):
                 for i, c in col.items():
-                    scaled = uw * c
-                    flipped[i][j] = scaled if signs[i] * signs[j] == eps else -scaled
+                    flipped[i][j] = c if signs[i] * signs[j] == eps else -c
             report.sign_matrix = lhs == flipped
             report.sign_trace = _trace(lhs) == _trace(flipped)
         reports.append(report)

@@ -70,6 +70,25 @@ def test_poly_coeffs_match_reference(coeffs):
     assert [type(c) for c in got] == [type(c) for c in want]
 
 
+def test_poly_product_and_truth_value_match_reference():
+    # sparse factors with Fraction coefficients: the zero-skipping product
+    # against the full convolution; a Poly is true iff it is nonzero
+    rng = random.Random(1729)
+    choices = [0, 0, 0, 1, -2, 5, Fraction(1, 2), Fraction(-2, 3)]
+    for _ in range(300):
+        a = [rng.choice(choices) for _ in range(rng.randint(0, 9))]
+        b = [rng.choice(choices) for _ in range(rng.randint(0, 9))]
+        full = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                full[i + j] += x * y
+        product = Poly(a) * Poly(b)
+        assert product.coeffs == _reference_coeffs(full)
+        assert bool(product) == any(full)
+        assert (Poly(a) + Poly(b)) - Poly(b) == Poly(a)
+    assert not P_ZERO and not Poly((0, 0)) and P_ONE and Poly((0, 1))
+
+
 def test_poly_p_small_values():
     assert poly_p(0) == P_ONE
     assert poly_p(1) == Poly((1, 0, -1))
@@ -201,8 +220,9 @@ def test_cayley_hamilton_random_4x4():
 
 
 def dense_char_poly(m):
-    """Berkowitz on the whole matrix: the reference for the block split in
-    `char_poly`."""
+    """Berkowitz over Q(u) on the whole matrix, the RatFunc method that
+    `char_poly` ran on each block before it cleared denominators: the
+    reference for the block split and for Berkowitz over Z[u]."""
     n = m.n
     if n == 0:
         return (RF_ONE,)
@@ -272,6 +292,21 @@ def test_block_char_poly_matches_dense_reference_on_rho():
             splits.add((len(sizes) > 1, max(sizes) > 1))
     # one block, several 1x1 blocks, and several blocks of which some are larger
     assert splits == {(False, True), (True, False), (True, True)}
+
+
+def test_char_poly_matches_ratfunc_berkowitz_on_fixtures():
+    # rho(T_w) has polynomial entries (d = 1); the entries of rho_inv(w)
+    # have powers of u up to u^(2 l(w)) as denominators
+    dens = set()
+    for label, g in charpoly_digraphs():
+        if label.startswith("figure"):
+            continue
+        rep = ModuleRep(g)
+        for w in g.system.enumerate(2):
+            for m in (rep.rho(w), rep.rho_inv(w)):
+                assert char_poly(m) == dense_char_poly(m), (label, str(w))
+                dens.update(x.den.degree for row in m.rows for x in row)
+    assert dens == {0, 1, 2, 3, 4}
 
 
 def _permuted(m, perm):

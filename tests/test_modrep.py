@@ -9,15 +9,16 @@ import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph
-from wdigraph.exactalg import (RF_ONE, RF_U, RF_ZERO, RatMatrix, char_poly,
-                               eval_at, lampoly_mul, rf, sigma,
+from wdigraph.exactalg import (RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix,
+                               char_poly, eval_at, lampoly_mul, rf, sigma,
                                solve_simultaneous_eigenspace)
 from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
                                build_lv, build_example, build_regular,
                                family_divisibility_ok)
 from wdigraph.hecke import invert_Tw
-from wdigraph.modrep import (BarSolution, ModuleRep, _restricted_component_counts,
-                             _sign_diagonal,
+from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
+                             _S_CASES, _restricted_component_counts,
+                             _sign_diagonal, _twist,
                              bar_from_source, linear_char_dims, reversal_identities,
                              theorem_checkers, zero_hecke_action)
 from wdigraph.validator import random_two_label_digraph
@@ -98,6 +99,11 @@ def _lv(system):
     return build_lv(system, DiagramAutomorphism.identity(system))
 
 
+def _lv_a3_flip():
+    a3 = make_a3()
+    return build_lv(a3, DiagramAutomorphism.from_mapping(a3, {"r": "t", "t": "r"}))
+
+
 # the sparse inverse against the Hecke-algebra expansion of T_w^{-1}, over all
 # of W or over the words up to a length
 @pytest.mark.parametrize("build, max_length", [
@@ -106,7 +112,11 @@ def _lv(system):
     (lambda: build_regular(make_a3()), None),
     (lambda: _lv(make_b3()), 3),
     (lambda: build_example("h3_nonselfassoc"), 3),
-], ids=["fig4_m2", "lv_a3", "regular_a3", "lv_b3", "h3_nonselfassoc"])
+    (_lv_a3_flip, 3),
+    (lambda: build_example("b3_no_bar"), 3),
+    (lambda: build_example("affine_a2_cycle"), 3),
+], ids=["fig4_m2", "lv_a3", "regular_a3", "lv_b3", "h3_nonselfassoc",
+        "lv_a3_flip", "b3_no_bar", "affine_a2_cycle"])
 def test_rho_inverse_roundtrip(build, max_length):
     g = build()
     rep = ModuleRep(g)
@@ -617,8 +627,7 @@ def reversal_inputs():
     rejects, where the braid relation and so the identities may fail."""
     a3, b3 = make_a3(), make_b3()
     yield "lv_a3", _lv(a3)
-    yield "lv_a3_flip", build_lv(
-        a3, DiagramAutomorphism.from_mapping(a3, {"r": "t", "t": "r"}))
+    yield "lv_a3_flip", _lv_a3_flip()
     yield "lv_b3", _lv(b3)
     yield "regular_a3", build_regular(a3)
     for name in ("h3_nonselfassoc", "b3_no_bar", "affine_a2_cycle"):
@@ -641,3 +650,98 @@ def test_reversal_identities_match_dense_reference():
     # the rejected templates fail an identity; the cycle skips the sign one
     assert any(False in row for row in outcomes)
     assert any(row[-1] for row in outcomes)
+
+
+# -- the reversal identities over Z[u] against the RatFunc identities they
+# -- replaced -------------------------------------------------------------------------------------
+
+
+def ratfunc_reversal_identities(g, words):
+    """The reversal identities over Q(u): the twist side is sigma of the
+    u^-2 columns of rho(T_{w^-1})^-1, the sign side scales rho(T_w^-1) by
+    u_w = u^(2 l(w)).  Same reports as `reversal_identities`."""
+    rep = ModuleRep(g)
+    rev = ModuleRep(g.reverse())
+    signs = _sign_diagonal(g)
+
+    def rho_cols(r, w):
+        return [word_apply(r, w.word, {j: RF_ONE}) for j in range(r.n)]
+
+    def rho_inv_cols(w):
+        cols = [{j: RF_ONE} for j in range(rep.n)]
+        for s in w.word:
+            cols = [rep.apply_inv(s, col) for col in cols]
+        return cols
+
+    def trace(cols):
+        t = RF_ZERO
+        for j, col in enumerate(cols):
+            t = t + col.get(j, RF_ZERO)
+        return t
+
+    reports = []
+    for w in words:
+        report = IdentityReport(word=str(w))
+        lhs = rho_cols(rev, w)
+        twisted = [{i: sigma(c) for i, c in col.items()}
+                   for col in rho_inv_cols(w.inverse())]
+        report.twist_matrix = lhs == twisted
+        report.twist_trace = trace(lhs) == trace(twisted)
+        if signs is None:
+            report.skipped = "sign identity needs acyclic components with sources"
+        else:
+            eps = -1 if w.length % 2 else 1
+            uw = RF_U ** (2 * w.length)
+            flipped = [{} for _ in range(rep.n)]
+            for j, col in enumerate(rho_inv_cols(w)):
+                for i, c in col.items():
+                    scaled = uw * c
+                    flipped[i][j] = scaled if signs[i] * signs[j] == eps else -scaled
+            report.sign_matrix = lhs == flipped
+            report.sign_trace = trace(lhs) == trace(flipped)
+        reports.append(report)
+    return reports
+
+
+def test_reversal_identities_match_ratfunc_reference_on_fixtures():
+    # the seven modules benchmark fixtures, the words up to length 3 and the
+    # longest element of a finite group
+    fixtures = [(label, g) for label, g in reversal_inputs()
+                if not label.startswith("figure")]
+    assert len(fixtures) == 7
+    for label, g in fixtures:
+        words = g.system.enumerate(3)
+        if g.system.is_finite():
+            words.append(g.system.longest_element())
+        assert reversal_identities(g, words) == \
+            ratfunc_reversal_identities(g, words), label
+
+
+def test_reversal_identities_match_ratfunc_reference_on_random_digraphs():
+    rng = random.Random(2718)
+    seen = Counter()
+    for n in range(2, 7):
+        for _ in range(60):
+            g = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8]), n=n)
+            words = g.system.enumerate(2 * n)
+            reports = reversal_identities(g, words)
+            assert reports == ratfunc_reversal_identities(g, words)
+            seen["cases"] += len(reports)
+            seen["twist fails"] += sum(not r.twist_matrix for r in reports)
+            seen["sign checked"] += sum(r.skipped is None for r in reports)
+    assert seen["cases"] == 2400
+    assert seen["twist fails"] > 100 and seen["sign checked"] > 100
+
+
+def test_twist_is_sigma_times_a_power_of_u():
+    # the S_s coefficients have degree <= 2, so the entries of S_w have
+    # degree <= 2 l(w), the range in which `_twist` is exact
+    assert max(c.degree for case in _S_CASES.values() for c in case
+               if c is not None) == 2
+    rng = random.Random(161)
+    for _ in range(300):
+        p = Poly([rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(rng.randint(0, 9))])
+        top = rng.randint(p.degree or 0, 12)
+        got = _twist(p, top)
+        assert isinstance(got, Poly)
+        assert RatFunc(got) == RF_U ** top * sigma(RatFunc(p))
