@@ -236,6 +236,9 @@ def cmd_bar_op(args) -> int:
     edge, got, tree = sol.witness
     print(f"bar operator: inconsistent at edge {edge.src} -> {edge.dst} "
           f"[{edge.label}, {edge.style}]")
+    i = next(i for i, (a, b) in enumerate(zip(got, tree)) if a != b)
+    print(f"first difference at {g.vertices[i]}: along the edge {got[i]}, "
+          f"along the tree {tree[i]}")
     return 1
 
 

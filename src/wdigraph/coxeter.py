@@ -387,9 +387,6 @@ class CoxeterSystem:
               if not (self.left_descents(w) & Jset)]
         return wj, xj
 
-    def support(self, w: "GroupElement") -> frozenset[int]:
-        return frozenset(w.word)
-
     # -- twisted involutions / diagram automorphisms ------------------------------------------------
 
     def twisted_involutions(self, star: "DiagramAutomorphism",

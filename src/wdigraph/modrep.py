@@ -14,16 +14,15 @@ ModuleRep keeps that pairing as per-column coefficient tables over Z[u]
 so the inverse is u^-2 S_s and rho(T_w)^-1 = u^(-2 l(w)) S_w with S_w in
 Z[u] too.  The one kernel, `_apply_columns`, maps a sparse vector {index:
 nonzero coefficient} to another in time proportional to its support.  The
-columns of rho(T_w) (memoized) and of S_w, characters and both reversal
-identities are computed over Z[u] with no denominator; a value becomes a
-`RatFunc` only where it leaves the layer: `rho`, `rho_inv`, `tau_matrix`,
-`character`, and `apply`/`apply_inv` with the bar propagation, whose factor
-u/(u+1) is not a Laurent polynomial (their Q(u) tables are derived from the
-Z[u] ones on first use).  `columns_at(u)` specializes the tau_s table to an
-integer u, and the same kernel then runs on ints: the oracle in `validator`
-decides the relations that way.  Dense matrices (`tau_matrix`, `rho`,
-`rho_inv`, `rho_elt`) are built only for output such as characteristic
-polynomials.
+columns of rho(T_w) (memoized) and of S_w, characters, both reversal
+identities and the bar propagation are computed over Z[u]; the bar images
+carry their denominator u^a (u+1)^b as a pair of exponents.  A value becomes
+a `RatFunc` only where it leaves the layer: `rho`, `rho_inv`, `tau_matrix`,
+`character` and the vectors of a `BarSolution`.  `columns_at(u)`
+specializes the tau_s table to an integer u, and the same kernel then runs
+on ints: the oracle in `validator` decides the relations that way.  Dense
+matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for
+output such as characteristic polynomials.
 
 Each 2x2 block has the distinct eigenvalues u^2 and -1, so each eigenspace
 of a block is a line, v[head] = r v[tail]: r = 1 for u^2, r = -1/u^2 (solid)
@@ -37,14 +36,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import inf
 from typing import Sequence
 
 from .coxeter import GroupElement
 from .digraph import DASHED, SOLID, SLabeledDigraph
-from .exactalg import (P_ONE, P_U, P_ZERO, RF_ONE, RF_U, RF_U_M2, RF_ZERO,
-                       Poly, RatFunc, RatMatrix, rf)
+from .exactalg import (P_ONE, P_U, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
+                       RatFunc, RatMatrix)
 from .hecke import HeckeElt
 
 U2 = Poly((0, 0, 1))                    # u^2
@@ -66,18 +64,11 @@ _TAU_CASES = {
 _S_CASES = {key: (((self_c or P_ZERO) - U2M1) or None, partner_c)
             for key, (self_c, partner_c) in _TAU_CASES.items()}
 
+# and for S_s - u: the numerator of a dashed edge's bar step
+_S_MINUS_U_CASES = {key: (((self_c or P_ZERO) - P_U) or None, partner_c)
+                    for key, (self_c, partner_c) in _S_CASES.items()}
 
-def _over_q(cases: dict, scale: RatFunc = RF_ONE) -> dict:
-    """The cases with each coefficient c turned into the RatFunc scale * c."""
-    return {key: tuple(None if c is None else scale * RatFunc(c) for c in case)
-            for key, case in cases.items()}
-
-
-# tau_s and tau_s^-1 = u^-2 S_s over Q(u), for vectors that leave Z[u]
-_RF_TAU_CASES = _over_q(_TAU_CASES)
-_RF_INV_CASES = _over_q(_S_CASES, RF_U_M2)
-
-# a sparse vector: index -> nonzero coefficient (a Poly, a RatFunc or an int)
+# a sparse vector: index -> nonzero coefficient (a Poly or an int)
 SparseVec = dict
 
 
@@ -100,11 +91,6 @@ class ModuleRep:
         return [[(partner,) + cases[(role, style)]
                  for partner, role, style in row] for row in self._pairing]
 
-    @cached_property
-    def _rf_tables(self) -> tuple[list, list]:
-        """The tables of tau_s and tau_s^-1 over Q(u), built on first use."""
-        return self._table(_RF_TAU_CASES), self._table(_RF_INV_CASES)
-
     def columns_at(self, u: int) -> list[list[tuple]]:
         """The column tables of the tau_s with u specialized to the integer u.
 
@@ -115,27 +101,12 @@ class ModuleRep:
                  for key, case in _TAU_CASES.items()}
         return self._table(cases)
 
-    # -- the generator operators (the one sparse kernel) ---------------------------------
-
-    def apply(self, s, vec: SparseVec) -> SparseVec:
-        """tau_s applied to a sparse vector over Q(u), in O(|support|)."""
-        return _apply_columns(
-            self._rf_tables[0][self.system._gen_index(s)], vec, RF_ZERO)
-
-    def apply_inv(self, s, vec: SparseVec) -> SparseVec:
-        """The inverse u^-2 S_s applied to a sparse vector over Q(u)."""
-        return _apply_columns(
-            self._rf_tables[1][self.system._gen_index(s)], vec, RF_ZERO)
-
-    # dense output
+    # -- dense output ------------------------------------------------------------------------
 
     def tau_matrix(self, s) -> RatMatrix:
         columns = self._columns[self.system._gen_index(s)]
         return self._matrix([_apply_columns(columns, {j: P_ONE})
                              for j in range(self.n)])
-
-    def _dense(self, vec: SparseVec) -> list[RatFunc]:
-        return [vec.get(i, RF_ZERO) for i in range(self.n)]
 
     def _matrix(self, cols: list[SparseVec], den: Poly = P_ONE) -> RatMatrix:
         """The RatMatrix with columns cols over Z[u], each entry over den."""
@@ -194,8 +165,8 @@ class ModuleRep:
 def _apply_columns(columns, vec: dict, zero=P_ZERO) -> dict:
     """Sum c * (column i) over the entries i: c of vec, dropping cancellations.
 
-    The coefficients are Polys, RatFuncs (zero = RF_ZERO) for `apply` and
-    `apply_inv`, or ints (zero = 0) for a table from `ModuleRep.columns_at`.
+    The coefficients are Polys, from a Z[u] table of `ModuleRep`, or ints
+    (zero = 0), from a table of `ModuleRep.columns_at`.
     """
     out = {}
     get = out.get
@@ -205,10 +176,6 @@ def _apply_columns(columns, vec: dict, zero=P_ZERO) -> dict:
             out[i] = get(i, zero) + self_c * c
         out[partner] = get(partner, zero) + partner_c * c
     return {i: c for i, c in out.items() if c}
-
-
-def _sparse_items(items) -> dict:
-    return {i: c for i, c in items if c}
 
 
 def _trace(cols: list[SparseVec]) -> Poly:
@@ -236,8 +203,8 @@ def _eigenline_ratios(lam: RatFunc) -> dict:
     head_partner v[head] = lam v[tail], fixes the slope of the line."""
     ratios = {}
     for style in (SOLID, DASHED):
-        tail_self = _RF_TAU_CASES[("tail", style)][0] or RF_ZERO
-        r = (lam - tail_self) / _RF_TAU_CASES[("head", style)][1]
+        tail_self = RatFunc(_TAU_CASES[("tail", style)][0] or P_ZERO)
+        r = (lam - tail_self) / RatFunc(_TAU_CASES[("head", style)][1])
         ratios[("tail", style)] = r
         ratios[("head", style)] = r.inverse()
     return ratios
@@ -424,6 +391,11 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
     canonical (label-first) order; a non-tree edge is a pure consistency
     check performed at the moment it is encountered, and the first failing
     edge is the witness.
+
+    Each image is P / (u^a (u+1)^b) with P sparse over Z[u], kept as
+    (P, a, b).  Since rho(T_s)^{-1} = u^-2 S_s, a solid edge maps it to
+    (S_s P, a+2, b), and since u/(u+1) (u^-2 S_s - u^-1) = (S_s - u) /
+    (u(u+1)), a dashed edge maps it to ((S_s - u) P, a+1, b+1).
     """
     analysis = digraph.analyze()
     if analysis.n_components != 1:
@@ -433,32 +405,58 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
         raise ValueError("bar propagation needs a unique source")
     source = sources[0]
     rep = ModuleRep(digraph)
-    u_inv = RF_U ** (-1)
-    factor = rf([0, 1], [1, 1])  # u/(u+1) = (1/u + 1)^{-1}
+    steps = {SOLID: (rep._s_columns, 2, 0),
+             DASHED: (rep._table(_S_MINUS_U_CASES), 1, 1)}
 
-    images: dict[str, SparseVec] = {source: {digraph.vertex_index[source]: RF_ONE}}
+    images = {source: ({digraph.vertex_index[source]: P_ONE}, 0, 0)}
     queue = deque([source])
     while queue:
         v = queue.popleft()
+        vec, a, b = images[v]
         for e in digraph.out_edges(v):
-            image = images[v]
-            propagated = rep.apply_inv(e.label, image)
-            if e.style == DASHED:
-                propagated = _sparse_items(
-                    (i, factor * (propagated.get(i, RF_ZERO)
-                                  - u_inv * image.get(i, RF_ZERO)))
-                    for i in propagated.keys() | image.keys())
-            if e.dst not in images:
+            table, da, db = steps[e.style]
+            propagated = (_apply_columns(table[rep.system._gen_index(e.label)],
+                                         vec), a + da, b + db)
+            known = images.get(e.dst)
+            if known is None:
                 images[e.dst] = propagated
                 queue.append(e.dst)
-            elif propagated != images[e.dst]:
+            elif not _same_image(propagated, known):
                 return BarSolution(images=None, consistent=False,
-                                   witness=(e, rep._dense(propagated),
-                                            rep._dense(images[e.dst])))
+                                   witness=(e, _as_ratfuncs(propagated, rep.n),
+                                            _as_ratfuncs(known, rep.n)))
     if len(images) != rep.n:
         raise ValueError("not every vertex is reachable from the source")
-    return BarSolution(images={v: rep._dense(x) for v, x in images.items()},
+    return BarSolution(images={v: _as_ratfuncs(x, rep.n)
+                               for v, x in images.items()},
                        consistent=True)
+
+
+def _u_powers(a: int, b: int) -> Poly:
+    """u^a (u+1)^b."""
+    return Poly.monomial(1, a) * U_PLUS_1 ** b
+
+
+def _same_image(x: tuple, y: tuple) -> bool:
+    """Whether the bar images P / (u^a (u+1)^b) and Q / (u^c (u+1)^d) are
+    equal: the same support, and then P = Q if the exponents agree, or else
+    P u^c (u+1)^d = Q u^a (u+1)^b with the common powers cancelled."""
+    (p, a, b), (q, c, d) = x, y
+    if p.keys() != q.keys():
+        return False
+    if (a, b) == (c, d):
+        return p == q
+    low_a, low_b = min(a, c), min(b, d)
+    p_scale = _u_powers(c - low_a, d - low_b)
+    q_scale = _u_powers(a - low_a, b - low_b)
+    return all(p[i] * p_scale == q[i] * q_scale for i in p)
+
+
+def _as_ratfuncs(image: tuple, n: int) -> list[RatFunc]:
+    """The bar image (P, a, b) as a dense list of n RatFuncs."""
+    vec, a, b = image
+    den = _u_powers(a, b)
+    return [RatFunc(vec[i], den) if i in vec else RF_ZERO for i in range(n)]
 
 
 # -- theorem-level checkers ------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from math import inf
 
 from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from .families import TEMPLATES, family_divisibility_ok
-from .modrep import ModuleRep, _apply_columns, _sparse_items
+from .modrep import ModuleRep, _apply_columns
 
 # the cycle templates (m >= 2) by their dashed slots
 _FIGURE_BY_DASHES = {template.dashes: figure
@@ -256,7 +256,7 @@ def brute_force_check(digraph: SLabeledDigraph):
             expected = {i: (u * u - 1) * c for i, c in once.items()}
             expected[j] = expected.get(j, 0) + u * u
             if (_apply_columns(columns[s], once, 0)
-                    != _sparse_items(expected.items())):
+                    != {i: c for i, c in expected.items() if c}):
                 return RelationWitness("quadratic", (system.generators[s],),
                                        digraph.vertices[j])
     tables = {}

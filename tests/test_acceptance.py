@@ -23,7 +23,7 @@ from wdigraph.modrep import (ModuleRep, bar_from_source, linear_char_dims,
 from wdigraph.validator import brute_force_check, is_w_digraph, \
     random_two_label_digraph
 
-from conftest import make_a3, make_b3, make_h3
+from conftest import RatFuncOperators, make_a3, make_b3, make_h3
 
 RANDOM_SEED = 987654321
 S, D = SOLID, DASHED
@@ -257,9 +257,10 @@ def test_criterion_05_tables():
             system = dihedral(max(n, 2))
             g = build_family(system, FamilySpec(figure, m))
             rep = ModuleRep(g)
+            ops = RatFuncOperators(g)
             for v in g.vertices:
                 config = vertex_config(g, v, "s", "t")
-                assert kappa_coefficient(rep, g, v) == KAPPA_TABLE[config], \
+                assert kappa_coefficient(ops, g, v) == KAPPA_TABLE[config], \
                     (figure, m, v)
                 seen.add(config)
             at1 = (rep.tau_matrix("s") * rep.tau_matrix("t")).apply_entrywise(

@@ -153,12 +153,6 @@ def test_twisted_involutions_counts(a3, b3):
     assert len(b3.twisted_involutions(DiagramAutomorphism.identity(b3))) == 20
 
 
-def test_support(a3):
-    assert a3.support(a3.identity()) == frozenset()
-    assert a3.support(a3.element("rsr")) == {0, 1}
-    assert a3.support(a3.longest_element()) == {0, 1, 2}
-
-
 def test_conjugation_by_w0(a3, b3):
     ident = DiagramAutomorphism.identity(a3)
     sharp = a3.conjugation_automorphism_by_w0(ident)

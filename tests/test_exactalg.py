@@ -288,7 +288,7 @@ def test_block_char_poly_matches_dense_reference_on_rho():
             m = rep.rho(w)
             assert char_poly(m) == dense_char_poly(m), (label, str(w))
             sizes = [len(c) for c in
-                     g.restrict(g.system.support(w)).components()]
+                     g.restrict(frozenset(w.word)).components()]
             splits.add((len(sizes) > 1, max(sizes) > 1))
     # one block, several 1x1 blocks, and several blocks of which some are larger
     assert splits == {(False, True), (True, False), (True, True)}

@@ -9,21 +9,22 @@ import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph
-from wdigraph.exactalg import (RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix,
-                               char_poly, eval_at, lampoly_mul, rf, sigma,
-                               solve_simultaneous_eigenspace)
+from wdigraph.exactalg import (P_ONE, RF_ONE, RF_U, RF_ZERO, Poly, RatFunc,
+                               RatMatrix, char_poly, eval_at, lampoly_mul, rf,
+                               sigma, solve_simultaneous_eigenspace)
 from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
                                build_lv, build_example, build_regular,
                                family_divisibility_ok)
 from wdigraph.hecke import invert_Tw
 from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
-                             _S_CASES, _restricted_component_counts,
-                             _sign_diagonal, _twist,
-                             bar_from_source, linear_char_dims, reversal_identities,
+                             _S_CASES, _apply_columns,
+                             _restricted_component_counts, _same_image,
+                             _sign_diagonal, _twist, bar_from_source,
+                             linear_char_dims, reversal_identities,
                              theorem_checkers, zero_hecke_action)
 from wdigraph.validator import random_two_label_digraph
 
-from conftest import make_a3, make_b3, subgraph
+from conftest import RatFuncOperators, make_a3, make_b3, subgraph
 from test_validator import group_digraphs, random_labeled_digraph, word_apply
 
 U2 = RF_U * RF_U
@@ -64,7 +65,7 @@ def test_eigenvector_closed_forms(style):
     # alpha - (u+1)/(u^2-u) beta (dashed) carry -1
     a1 = CoxeterSystem(["s"], {})
     g = SLabeledDigraph(a1, ["x", "y"], [("x", "y", "s", style)])
-    rep = ModuleRep(g)
+    rep = RatFuncOperators(g)
     assert rep.apply("s", {0: RF_ONE, 1: RF_ONE}) == {0: U2, 1: U2}
     coeff = -(RF_U ** (-2)) if style == SOLID else -rf([1, 1], [0, -1, 1])
     assert rep.apply("s", {0: RF_ONE, 1: coeff}) == {0: -RF_ONE, 1: -coeff}
@@ -77,7 +78,7 @@ def test_character_at_identity(i23):
 
 def test_reduced_word_independence(i23):
     g = build_family(i23, FamilySpec(2, 3))
-    rep = ModuleRep(g)
+    rep = RatFuncOperators(g)
     for j in range(rep.n):
         assert word_apply(rep, [0, 1, 0], {j: RF_ONE}) == \
             word_apply(rep, [1, 0, 1], {j: RF_ONE})
@@ -128,16 +129,21 @@ def test_rho_inverse_roundtrip(build, max_length):
 
 @pytest.mark.parametrize("name", ["b3_no_bar", "h3_nonselfassoc"])
 def test_tau_inv_apply_matches_dense(name):
-    # b3_no_bar is all solid; h3_nonselfassoc has dashed edges
+    # b3_no_bar is all solid; h3_nonselfassoc has dashed edges; both the Z[u]
+    # kernel on S_s, over u^2, and the Q(u) reference give tau_s^-1
     g = build_example(name)
     rep = ModuleRep(g)
+    ops = RatFuncOperators(g)
     ident = RatMatrix.identity(rep.n)
-    for s in g.system.generators:
+    for k, s in enumerate(g.system.generators):
         dense = (rep.tau_matrix(s) - ident.scale(U2 - RF_ONE)).scale(RF_U ** -2)
         for j in range(rep.n):
             column = {i: row[j] for i, row in enumerate(dense.rows)
                       if row[j] != RF_ZERO}
-            assert rep.apply_inv(s, {j: RF_ONE}) == column
+            s_column = _apply_columns(rep._s_columns[k], {j: P_ONE})
+            assert {i: RatFunc(c, Poly((0, 0, 1)))
+                    for i, c in s_column.items()} == column
+            assert ops.apply_inv(s, {j: RF_ONE}) == column
 
 
 def test_linear_char_dims_family(i23):
@@ -165,7 +171,7 @@ def test_linear_char_dims_union(i23):
 def test_sgn_weights_are_eigenvector(i23):
     g = build_family(i23, FamilySpec(6, 2))
     dims = linear_char_dims(g)
-    rep = ModuleRep(g)
+    rep = RatFuncOperators(g)
     vec = {i: dims.sgn_weights[v] for i, v in enumerate(g.vertices)}
     for s in "st":
         assert rep.apply(s, vec) == {i: -c for i, c in vec.items()}
@@ -208,9 +214,10 @@ def vertex_config(g, v, s_name, t_name):
     return (sdir, sstyle, tdir, tstyle)
 
 
-def kappa_coefficient(rep, g, v):
+def kappa_coefficient(ops, g, v):
+    """The diagonal entry of tau_s tau_t at v, with `RatFuncOperators` ops."""
     i = g.vertex_index[v]
-    return rep.apply("s", rep.apply("t", {i: RF_ONE})).get(i, RF_ZERO)
+    return ops.apply("s", ops.apply("t", {i: RF_ONE})).get(i, RF_ZERO)
 
 
 def test_kappa_table_polynomials():
@@ -228,7 +235,7 @@ def test_kappa_all_16_configurations():
     for figure, m, n in cases:
         system = CoxeterSystem.dihedral(n)
         g = build_family(system, FamilySpec(figure, m))
-        rep = ModuleRep(g)
+        rep = RatFuncOperators(g)
         for v in g.vertices:
             config = vertex_config(g, v, "s", "t")
             assert kappa_coefficient(rep, g, v) == KAPPA_TABLE[config], \
@@ -243,7 +250,7 @@ def test_trace_constant_term_counts_sinks():
     for figure, m, n in [(1, 3, 3), (2, 2, 2), (4, 2, 3), (6, 2, 2), (7, 1, 5)]:
         system = CoxeterSystem.dihedral(n)
         g = build_family(system, FamilySpec(figure, m))
-        rep = ModuleRep(g)
+        rep = RatFuncOperators(g)
         trace = RF_ZERO
         for v in g.vertices:
             trace = trace + kappa_coefficient(rep, g, v)
@@ -374,6 +381,97 @@ def test_bar_witness_b3_fixture():
 def test_bar_requires_source():
     with pytest.raises(ValueError, match="source"):
         bar_from_source(build_example("affine_a2_cycle"))
+
+
+# -- bar propagation over Z[u] against the RatFunc propagation it replaced ---------------------
+
+
+def ratfunc_bar_from_source(g):
+    """Bar propagation over Q(u) with `RatFuncOperators`: the solid step is
+    tau_s^-1, the dashed step u/(u+1) (tau_s^-1 - 1/u).  Same BFS, same
+    checks, same BarSolution as `bar_from_source`."""
+    analysis = g.analyze()
+    if analysis.n_components != 1:
+        raise ValueError("bar propagation needs a connected digraph")
+    sources = analysis.components[0].sources
+    if len(sources) != 1:
+        raise ValueError("bar propagation needs a unique source")
+    source = sources[0]
+    ops = RatFuncOperators(g)
+    u_inv = RF_U ** (-1)
+    factor = rf([0, 1], [1, 1])  # u/(u+1)
+
+    def dense(vec):
+        return [vec.get(i, RF_ZERO) for i in range(ops.n)]
+
+    images = {source: {g.vertex_index[source]: RF_ONE}}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for e in g.out_edges(v):
+            image = images[v]
+            propagated = ops.apply_inv(e.label, image)
+            if e.style == DASHED:
+                propagated = {
+                    i: c for i in propagated.keys() | image.keys()
+                    if (c := factor * (propagated.get(i, RF_ZERO)
+                                       - u_inv * image.get(i, RF_ZERO)))}
+            if e.dst not in images:
+                images[e.dst] = propagated
+                queue.append(e.dst)
+            elif propagated != images[e.dst]:
+                return BarSolution(images=None, consistent=False,
+                                   witness=(e, dense(propagated),
+                                            dense(images[e.dst])))
+    if len(images) != ops.n:
+        raise ValueError("not every vertex is reachable from the source")
+    return BarSolution(images={v: dense(x) for v, x in images.items()},
+                       consistent=True)
+
+
+def test_same_image_cancels_common_powers():
+    # P / (u^a (u+1)^b) against images with other exponents: on the inputs of
+    # the differential test below, no two equal images have unequal exponents
+    u, u1 = Poly((0, 1)), Poly((1, 1))
+    one = {0: P_ONE}
+    assert _same_image(({0: u}, 1, 0), (one, 0, 0))
+    assert _same_image(({0: u * u1}, 2, 1), (one, 1, 0))
+    assert _same_image(({0: u1, 1: u * u1}, 0, 1), ({0: P_ONE, 1: u}, 0, 0))
+    assert not _same_image(({0: u}, 2, 0), (one, 0, 0))
+    assert not _same_image(({0: u1}, 0, 0), (one, 0, 1))
+    assert not _same_image(({0: u}, 1, 0), ({1: P_ONE}, 0, 0))
+
+
+def bar_inputs():
+    """The examples, the LV and regular digraphs of A3, B3, H3, A4, D4 and
+    B4, the A3 flip LV, and 320 seeded random two-label digraphs over
+    I2(2..6)."""
+    for name in EXAMPLE_NAMES:
+        yield name, build_example(name)
+    yield from group_digraphs()
+    yield "lv_a3_flip", _lv_a3_flip()
+    rng = random.Random(3141)
+    for k in range(320):
+        g0 = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8, 10]))
+        yield f"two-label #{k}", SLabeledDigraph(
+            _DIHEDRAL[rng.choice([2, 3, 4, 5, 6])], g0.vertices, g0.edges)
+
+
+def _bar_outcome(bar, g):
+    try:
+        return bar(g)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_bar_from_source_matches_ratfunc_reference():
+    seen = Counter()
+    for label, g in bar_inputs():
+        got = _bar_outcome(bar_from_source, g)
+        assert got == _bar_outcome(ratfunc_bar_from_source, g), label
+        seen["refused" if isinstance(got, str)
+             else "consistent" if got.consistent else "inconsistent"] += 1
+    assert min(seen["consistent"], seen["inconsistent"], seen["refused"]) > 10
 
 
 # -- theorem checkers ----------------------------------------------------------------------------
@@ -660,8 +758,8 @@ def ratfunc_reversal_identities(g, words):
     """The reversal identities over Q(u): the twist side is sigma of the
     u^-2 columns of rho(T_{w^-1})^-1, the sign side scales rho(T_w^-1) by
     u_w = u^(2 l(w)).  Same reports as `reversal_identities`."""
-    rep = ModuleRep(g)
-    rev = ModuleRep(g.reverse())
+    rep = RatFuncOperators(g)
+    rev = RatFuncOperators(g.reverse())
     signs = _sign_diagonal(g)
 
     def rho_cols(r, w):

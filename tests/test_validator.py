@@ -12,13 +12,13 @@ from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, rf
 from wdigraph.families import (EXAMPLE_NAMES, TEMPLATES, FamilySpec,
                                build_family, build_lv, build_example,
                                build_regular, family_divisibility_ok)
-from wdigraph.modrep import _TAU_CASES, ModuleRep, _sparse_items
+from wdigraph.modrep import _TAU_CASES
 from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 Rejection, RelationWitness, Verdict,
                                 _exact_point, brute_force_check, is_w_digraph,
                                 random_two_label_digraph)
 
-from conftest import subgraph
+from conftest import RatFuncOperators, subgraph
 
 
 def family_on(n, figure, m):
@@ -333,10 +333,11 @@ def test_oracle_matches_dense_reference():
 # -- RatFunc oracle and the per-component classifier they replaced -------------------------
 
 
-def word_apply(rep, word, vec):
-    """tau_{s_1} ... tau_{s_k} (leftmost acting last) on a RatFunc vector."""
+def word_apply(ops, word, vec):
+    """tau_{s_1} ... tau_{s_k} (leftmost acting last) on a RatFunc vector,
+    with `RatFuncOperators` ops."""
     for s in reversed(word):
-        vec = rep.apply(s, vec)
+        vec = ops.apply(s, vec)
     return vec
 
 
@@ -346,14 +347,14 @@ def ratfunc_brute_force_check(g):
     violations = g.validate_structure()
     if violations:
         return RelationWitness("structure", (), "; ".join(violations))
-    rep = ModuleRep(g)
+    rep = RatFuncOperators(g)
     system = g.system
     for s in range(system.rank()):
         for j in range(rep.n):
             once = rep.apply(s, {j: RF_ONE})
             expected = {i: U2M1 * c for i, c in once.items()}
             expected[j] = expected.get(j, RF_ZERO) + U2
-            if rep.apply(s, once) != _sparse_items(expected.items()):
+            if rep.apply(s, once) != {i: c for i, c in expected.items() if c}:
                 return RelationWitness("quadratic", (system.generators[s],),
                                        g.vertices[j])
     for i in range(system.rank()):
@@ -520,7 +521,7 @@ def test_exact_point_clears_the_root_bound():
     rng = random.Random(55)
     for _ in range(20):
         g = random_two_label_digraph(rng, 8, n=5)
-        rep = ModuleRep(g)
+        rep = RatFuncOperators(g)
         for word in ([0, 1, 0, 1, 0], [1, 0, 1, 0, 1], [1, 1, 0, 0, 1]):
             for j in range(rep.n):
                 col = {j: RF_ONE}
