@@ -5,6 +5,11 @@ per-generator edge pairing, component scans, sources/sinks/acyclicity,
 directed path lengths, incoming-label statistics, label-preserving
 isomorphism, and JSON/DOT serialization.
 
+One cached pass over the edges (`_pass`) fills the per-generator edge
+pairing and counts each label's edges at each vertex; `validate_structure`
+and `edge_pairing` both read it.  Label-preserving isomorphism propagates
+one vertex's image per component along both digraphs' pairings.
+
 Every structural question is answered from three walks, each run once per
 digraph on first use and cached: one undirected walk (`_walk`) gives the
 components and a +-1 level per vertex, one Kahn peel (`_peel`) gives
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, NamedTuple
 
 from .coxeter import CoxeterSystem
@@ -63,23 +68,48 @@ class SLabeledDigraph:
         self.edges = tuple(sorted(
             parsed, key=lambda e: (e.label, vi[e.src], vi[e.dst], e.style)))
 
-    # -- invariant checking ------------------------------------------------------
+    # -- the edge pass ------------------------------------------------------------
+
+    @cached_property
+    def _pass(self) -> tuple[list[list[tuple]], list[str], list[str]]:
+        """One pass over the edges: the per-generator pairing, the loop lines
+        and the count lines of `validate_structure`.  A loop meets its vertex
+        once, as its head."""
+        n = len(self.vertices)
+        index, gens = self.vertex_index, self.system.index
+        pairing: list[list[tuple | None]] = [[None] * n for _ in gens]
+        counts = [[0] * n for _ in gens]
+        loops = []
+        for e in self.edges:
+            s, a, b = gens[e.label], index[e.src], index[e.dst]
+            counts[s][a] += 1
+            if a == b:
+                loops.append(f"loop at {e.src} labeled {e.label}")
+            else:
+                counts[s][b] += 1
+            pairing[s][a] = _entry(b, "tail", e.style)
+            pairing[s][b] = _entry(a, "head", e.style)
+        bad = sorted((v, g, counts[s][i]) for g, s in gens.items()
+                     for i, v in enumerate(self.vertices) if counts[s][i] != 1)
+        return pairing, loops, [f"vertex {v} meets {c} edges labeled {g}"
+                                for v, g, c in bad]
 
     def validate_structure(self) -> list[str]:
-        """All violations of the defining invariants (empty list means ok)."""
-        problems = []
-        for e in self.edges:
-            if e.src == e.dst:
-                problems.append(f"loop at {e.src} labeled {e.label}")
-        counts = {(v, g): 0 for v in self.vertices for g in self.system.generators}
-        for e in self.edges:
-            counts[(e.src, e.label)] += 1
-            if e.src != e.dst:
-                counts[(e.dst, e.label)] += 1
-        for (v, g), c in sorted(counts.items()):
-            if c != 1:
-                problems.append(f"vertex {v} meets {c} edges labeled {g}")
-        return problems
+        """All violations of the defining invariants (empty list means ok):
+        the loops in edge order, then every (vertex, label) not met by
+        exactly one edge, sorted by vertex and label name."""
+        _, loops, counts = self._pass
+        return loops + counts
+
+    def edge_pairing(self) -> list[list[tuple]]:
+        """pairing[s][i] = (partner index, "tail" or "head", style) for the
+        edge labeled by generator s at vertex i; raises ValueError with the
+        first count line of `validate_structure` unless every vertex meets
+        exactly one edge per label.  The table is shared: do not mutate it."""
+        pairing, _, counts = self._pass
+        if counts:
+            raise ValueError(counts[0])
+        return pairing
 
     # -- derived digraphs ----------------------------------------------------------
 
@@ -93,29 +123,6 @@ class SLabeledDigraph:
         return SLabeledDigraph(self.system, self.vertices,
                                [Edge(e.dst, e.src, e.label, e.style)
                                 for e in self.edges])
-
-    def edge_pairing(self) -> list[list[tuple]]:
-        """pairing[s][i] = (partner index, "tail" or "head", style) for the
-        edge labeled by generator s at vertex i; raises ValueError unless
-        every vertex meets exactly one edge per label."""
-        n = len(self.vertices)
-        index = self.vertex_index
-        pairing: list[list[tuple | None]] = [
-            [None] * n for _ in range(self.system.rank())]
-        for e in self.edges:
-            s = self.system._gen_index(e.label)
-            a, b = index[e.src], index[e.dst]
-            if pairing[s][a] is not None or pairing[s][b] is not None:
-                raise ValueError(f"vertex meets two edges labeled {e.label}")
-            pairing[s][a] = (b, "tail", e.style)
-            pairing[s][b] = (a, "head", e.style)
-        for s, row in enumerate(pairing):
-            for i, entry in enumerate(row):
-                if entry is None:
-                    raise ValueError(
-                        f"vertex {self.vertices[i]} has no edge labeled "
-                        f"{self.system.generators[s]}")
-        return pairing
 
     @cached_property
     def _out(self) -> dict[str, list[Edge]]:
@@ -317,75 +324,32 @@ class SLabeledDigraph:
     def labeled_isomorphic(self, other: "SLabeledDigraph"):
         """A label/style/direction-preserving bijection, or None.
 
-        Backtracking seeded by local vertex signatures; exact and adequate at
-        the scales this library works with.
+        The image of a component's first vertex fixes the map on the whole
+        component (`_propagate`).  Each component, in vertex order, keeps the
+        first unused image that closes: exact, because isomorphic components
+        can be swapped.  Raises `edge_pairing`'s ValueError on a digraph that
+        breaks the one-edge-per-label rule.
         """
         if set(self.system.generators) != set(other.system.generators):
             return None
         if len(self.vertices) != len(other.vertices) or len(self.edges) != len(other.edges):
             return None
-
-        def signature(g: "SLabeledDigraph", v: str):
-            incident = []
-            for e in g.edges:
-                if e.src == v:
-                    incident.append(("out", e.label, e.style))
-                if e.dst == v:
-                    incident.append(("in", e.label, e.style))
-            return tuple(sorted(incident))
-
-        sig1 = {v: signature(self, v) for v in self.vertices}
-        sig2 = {v: signature(other, v) for v in other.vertices}
-        if sorted(sig1.values()) != sorted(sig2.values()):
-            return None
-
-        edge_set2 = set(other.edges)
-        # match rarest signatures first to cut branching
-        rarity = {}
-        for v, s in sig1.items():
-            rarity.setdefault(s, []).append(v)
-        order = sorted(self.vertices, key=lambda v: (len(rarity[sig1[v]]), v))
-        candidates = {v: [w for w in other.vertices if sig2[w] == sig1[v]]
-                      for v in self.vertices}
-        adjacency: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adjacency[e.src].append(e)
-            adjacency[e.dst].append(e)
-
-        mapping: dict[str, str] = {}
-        used: set[str] = set()
-
-        def consistent(v: str, w: str) -> bool:
-            for e in adjacency[v]:
-                a, b = e.src, e.dst
-                ia, ib = mapping.get(a), mapping.get(b)
-                if a == v:
-                    ia = w
-                if b == v:
-                    ib = w
-                if ia is not None and ib is not None:
-                    if Edge(ia, ib, e.label, e.style) not in edge_set2:
-                        return False
-            return True
-
-        def backtrack(i: int) -> bool:
-            if i == len(order):
-                return True
-            v = order[i]
-            for w in candidates[v]:
-                if w in used or not consistent(v, w):
-                    continue
-                mapping[v] = w
-                used.add(w)
-                if backtrack(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-            return False
-
-        if backtrack(0):
-            return dict(mapping)
-        return None
+        mine, theirs = self.edge_pairing(), other.edge_pairing()
+        theirs = [theirs[other.system.index[g]] for g in self.system.generators]
+        image: dict[int, int] = {}
+        used: set[int] = set()
+        for comp in self._walk[0]:
+            root = self.vertex_index[comp[0]]
+            for w in range(len(other.vertices)):
+                if w not in used:
+                    trial = _propagate(mine, theirs, root, w)
+                    if trial is not None:
+                        break
+            else:
+                return None
+            image.update(trial)
+            used.update(trial.values())
+        return {v: other.vertices[image[i]] for i, v in enumerate(self.vertices)}
 
     # -- unions, equality, serialization ----------------------------------------------------------
 
@@ -427,6 +391,38 @@ class SLabeledDigraph:
     def __repr__(self):
         return (f"SLabeledDigraph({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges)")
+
+
+@cache
+def _entry(partner: int, role: str, style: str) -> tuple:
+    """One shared tuple per pairing entry: cached pairings hold no copies."""
+    return partner, role, style
+
+
+def _propagate(mine, theirs, root: int, w: int):
+    """The map root -> w extended along both pairings over root's component,
+    or None when roles, styles or injectivity break.  Its image is w's whole
+    component, so it never meets the image of another component."""
+    trial = {root: w}
+    taken = {w}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        x = trial[v]
+        for row, their_row in zip(mine, theirs):
+            (p, *kind), (q, *their_kind) = row[v], their_row[x]
+            if kind != their_kind:      # role and style
+                return None
+            if p in trial:
+                if trial[p] != q:
+                    return None
+            elif q in taken:
+                return None
+            else:
+                trial[p] = q
+                taken.add(q)
+                stack.append(p)
+    return trial
 
 
 def _dot_id(name: str) -> str:

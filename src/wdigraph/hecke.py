@@ -22,6 +22,7 @@ from .coxeter import CoxeterSystem, GroupElement
 from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from .exactalg import (Poly, RF_ONE, RF_U, RF_U2, RF_U2M1, RF_U_M2, RF_ZERO,
                        RatFunc, matrix_rank, poly_p, rf, ubar)
+from .families import TEMPLATES, FamilySpec, family_arc_steps
 
 
 class HeckeElt:
@@ -354,8 +355,6 @@ def dihedral_case_basis(system: CoxeterSystem, s, t, figure: int, m: int
     the template's label/style sequence.  Returned in template vertex order
     a0..a_{m-1}, b1..bm.
     """
-    from .families import TEMPLATES, FamilySpec, family_arc_steps
-
     dd = Dihedral(system, s, t)
     n = dd.n
     template = TEMPLATES.get(figure)

@@ -1,6 +1,7 @@
 """Tests for the labeled digraph structure and its analyses."""
 
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph, load_digraph
 from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_example,
                                build_family, build_lv, build_regular)
+from wdigraph.validator import random_two_label_digraph
 
 from conftest import subgraph
 
@@ -43,6 +45,22 @@ def test_validate_loop():
     a1 = CoxeterSystem(["s"], {})
     g = SLabeledDigraph(a1, ["x"], [("x", "x", "s", SOLID)])
     assert any("loop" in p for p in g.validate_structure())
+
+
+def test_validate_structure_lines_and_order():
+    # vertex names sort against their index order, generators are declared
+    # out of name order; a loop, a label met twice and labels met by no edge
+    system = CoxeterSystem(["t", "r", "s"],
+                           {("t", "s"): 3, ("r", "s"): 2, ("r", "t"): 3})
+    g = SLabeledDigraph(system, ["y", "x", "b", "a"], [
+        ("y", "y", "t", SOLID), ("x", "y", "r", DASHED), ("b", "a", "r", SOLID),
+        ("x", "b", "s", SOLID), ("x", "a", "s", DASHED), ("a", "b", "t", DASHED)])
+    assert g.validate_structure() == [
+        "loop at y labeled t",
+        "vertex x meets 2 edges labeled s",
+        "vertex x meets 0 edges labeled t",
+        "vertex y meets 0 edges labeled s",
+    ]
 
 
 def test_restrict(i23):
@@ -404,10 +422,10 @@ def test_adjacency_matches_edge_scans(name):
 def test_edge_pairing_rejects_broken_digraphs(i23):
     doubled = SLabeledDigraph(i23, ["x", "y", "z"],
                               [("x", "y", "s", SOLID), ("x", "z", "s", SOLID)])
-    with pytest.raises(ValueError, match="^vertex meets two edges labeled s$"):
+    with pytest.raises(ValueError, match="^vertex x meets 2 edges labeled s$"):
         doubled.edge_pairing()
     missing = SLabeledDigraph(i23, ["x", "y"], [("x", "y", "s", SOLID)])
-    with pytest.raises(ValueError, match="^vertex x has no edge labeled t$"):
+    with pytest.raises(ValueError, match="^vertex x meets 0 edges labeled t$"):
         missing.edge_pairing()
 
 
@@ -490,3 +508,197 @@ def test_graded_check_matches_all_pairs_reference(i23):
             all_pairs_equal_path_lengths(g), label
         graded += g._grading() is not None
     assert 300 < graded < len(inputs) - 300
+
+
+# -- isomorphism by propagation against the backtracking it replaced ----------------------
+
+
+def backtracking_isomorphic(self, other):
+    """A label/style/direction-preserving bijection, or None.
+
+    Backtracking seeded by local vertex signatures: `labeled_isomorphic` as
+    it once ran, kept as the reference for the propagation that replaced it.
+    """
+    if set(self.system.generators) != set(other.system.generators):
+        return None
+    if len(self.vertices) != len(other.vertices) or len(self.edges) != len(other.edges):
+        return None
+
+    def signature(g: "SLabeledDigraph", v: str):
+        incident = []
+        for e in g.edges:
+            if e.src == v:
+                incident.append(("out", e.label, e.style))
+            if e.dst == v:
+                incident.append(("in", e.label, e.style))
+        return tuple(sorted(incident))
+
+    sig1 = {v: signature(self, v) for v in self.vertices}
+    sig2 = {v: signature(other, v) for v in other.vertices}
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return None
+
+    edge_set2 = set(other.edges)
+    # match rarest signatures first to cut branching
+    rarity = {}
+    for v, s in sig1.items():
+        rarity.setdefault(s, []).append(v)
+    order = sorted(self.vertices, key=lambda v: (len(rarity[sig1[v]]), v))
+    candidates = {v: [w for w in other.vertices if sig2[w] == sig1[v]]
+                  for v in self.vertices}
+    adjacency: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+    for e in self.edges:
+        adjacency[e.src].append(e)
+        adjacency[e.dst].append(e)
+
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+
+    def consistent(v: str, w: str) -> bool:
+        for e in adjacency[v]:
+            a, b = e.src, e.dst
+            ia, ib = mapping.get(a), mapping.get(b)
+            if a == v:
+                ia = w
+            if b == v:
+                ib = w
+            if ia is not None and ib is not None:
+                if Edge(ia, ib, e.label, e.style) not in edge_set2:
+                    return False
+        return True
+
+    def backtrack(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in candidates[v]:
+            if w in used or not consistent(v, w):
+                continue
+            mapping[v] = w
+            used.add(w)
+            if backtrack(i + 1):
+                return True
+            del mapping[v]
+            used.discard(w)
+        return False
+
+    if backtrack(0):
+        return dict(mapping)
+    return None
+
+
+def relabelled(g, rng):
+    """A copy of g with its vertices renamed and reordered at random."""
+    names = [f"w{i}" for i in range(len(g.vertices))]
+    rng.shuffle(names)
+    rename = dict(zip(g.vertices, names))
+    rng.shuffle(names)
+    return SLabeledDigraph(g.system, names,
+                           [Edge(rename[e.src], rename[e.dst], e.label, e.style)
+                            for e in g.edges])
+
+
+def assert_edge_preserving(g, h, iso):
+    """iso is a bijection of vertices carrying every edge of g to one of h."""
+    assert sorted(iso) == sorted(g.vertices)
+    assert sorted(iso.values()) == sorted(h.vertices)
+    edges = set(h.edges)
+    for e in g.edges:
+        assert Edge(iso[e.src], iso[e.dst], e.label, e.style) in edges, e
+
+
+def isomorphism_inputs():
+    """The template grid over I2(2..8), seeded random two-label digraphs,
+    the LV and regular digraphs of A3 and B3, the named examples, and
+    disjoint unions of template pairs."""
+    dihedral = {n: CoxeterSystem.dihedral(n) for n in range(2, 9)}
+    grid = {}
+    for figure in range(1, 9):
+        for m in ([1] if figure in (7, 8) else [2, 3, 4, 5]):
+            for n in range(2, 9):
+                grid[figure, m, n] = build_family(dihedral[n],
+                                                  FamilySpec(figure, m))
+    inputs = [(f"figure {f} m={m} n={n}", g) for (f, m, n), g in grid.items()]
+    rng = random.Random(1515)
+    for k in range(320):
+        g = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8, 10]))
+        n = rng.randrange(2, 9)
+        inputs.append((f"two-label #{k} n={n}",
+                       SLabeledDigraph(dihedral[n], g.vertices, g.edges)))
+    a3 = CoxeterSystem(["r", "s", "t"], {("r", "s"): 3, ("s", "t"): 3})
+    b3 = CoxeterSystem(["r", "s", "t"], {("r", "s"): 3, ("s", "t"): 4})
+    for name, system in (("A3", a3), ("B3", b3)):
+        inputs.append((f"lv {name}", build_lv(
+            system, DiagramAutomorphism.identity(system))))
+        inputs.append((f"regular {name}", build_regular(system)))
+    inputs += [(name, build_example(name)) for name in EXAMPLE_NAMES]
+    for figure, other in [(1, 1), (1, 2), (2, 3), (4, 5), (6, 6), (7, 8),
+                          (4, 4), (2, 2)]:
+        for n in (3, 4):
+            m = 1 if figure in (7, 8) else 2
+            m2 = 1 if other in (7, 8) else 2
+            g, h = grid[figure, m, n], grid[other, m2, n]
+            inputs.append((f"union {figure},{other} n={n}", g.disjoint_union(h)))
+            inputs.append((f"union {figure},{other}r n={n}",
+                           g.disjoint_union(h.reverse())))
+    return inputs
+
+
+def isomorphism_pairs():
+    """Each input against its reverse, a seeded relabelled copy and two
+    random inputs of the same shape, plus a double cover and pairs over
+    systems declaring their generators in different orders."""
+    inputs = isomorphism_inputs()
+    rng = random.Random(77)
+    shape = {}
+    for label, g in inputs:
+        key = (g.system.generators, len(g.vertices), len(g.edges))
+        shape.setdefault(key, []).append((label, g))
+    for label, g in inputs:
+        yield f"{label} / reverse", g, g.reverse()
+        yield f"{label} / relabelled", g, relabelled(g, rng)
+        peers = shape[(g.system.generators, len(g.vertices), len(g.edges))]
+        for other_label, h in rng.sample(peers, min(2, len(peers))):
+            yield f"{label} / {other_label}", g, relabelled(h, rng)
+    # an alternating 4-cycle maps onto one figure 7 twice over, not onto two
+    i23 = CoxeterSystem.dihedral(3)
+    cycle = SLabeledDigraph(i23, list("abcd"), [
+        ("a", "b", "s", SOLID), ("a", "d", "t", SOLID), ("c", "b", "t", SOLID),
+        ("c", "d", "s", SOLID)])
+    fig7 = build_family(i23, FamilySpec(7, 1))
+    yield "4-cycle / two figure 7s", cycle, fig7.disjoint_union(fig7)
+    st = CoxeterSystem.dihedral(4, ("s", "t"))
+    ts = CoxeterSystem.dihedral(4, ("t", "s"))
+    g = build_family(st, FamilySpec(4, 2))
+    yield "s,t / t,s", g, SLabeledDigraph(ts, g.vertices, g.edges)
+    yield "s,t / t,s reversed", g, SLabeledDigraph(ts, g.vertices,
+                                                  g.reverse().edges)
+
+
+def test_propagation_matches_backtracking_reference():
+    outcomes = {True: 0, False: 0}
+    pairs = 0
+    for label, g, h in isomorphism_pairs():
+        iso = g.labeled_isomorphic(h)
+        assert (iso is None) == (backtracking_isomorphic(g, h) is None), label
+        if iso is not None:
+            assert_edge_preserving(g, h, iso)
+        outcomes[iso is not None] += 1
+        pairs += 1
+    assert pairs >= 2000
+    assert outcomes[True] > 500 and outcomes[False] > 500
+
+
+@pytest.mark.parametrize("name, orders", [
+    ("H3", {("r", "s"): 3, ("s", "t"): 5}),
+    ("B4", {("q", "r"): 3, ("r", "s"): 3, ("s", "t"): 4}),
+])
+def test_propagation_at_scale(name, orders):
+    system = CoxeterSystem(sorted({g for pair in orders for g in pair}), orders)
+    g = build_regular(system)
+    copy = relabelled(g, random.Random(2024))
+    assert_edge_preserving(g, copy, g.labeled_isomorphic(copy))
+    first, *rest = copy.edges
+    flipped = first._replace(style=DASHED if first.style == SOLID else SOLID)
+    assert g.labeled_isomorphic(
+        SLabeledDigraph(system, copy.vertices, [flipped, *rest])) is None
