@@ -36,30 +36,22 @@ def _emit_digraph(g: SLabeledDigraph) -> int:
     return 0
 
 
-def _load_system(path: str) -> CoxeterSystem:
+def _load(loader, noun: str, path: str):
+    """loader(path), with every way a file can fail turned into a UsageError
+    that names the noun ("system" or "digraph")."""
     try:
-        return CoxeterSystem.from_json(path)
+        return loader(path)
     except FileNotFoundError as exc:
-        raise UsageError(f"system file not found: {exc.filename}") from exc
+        raise UsageError(f"{noun} file not found: {exc.filename}") from exc
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
             AttributeError) as exc:
-        raise UsageError(f"bad system file {path}: {exc}") from exc
-
-
-def _load_digraph(path: str) -> SLabeledDigraph:
-    try:
-        return load_digraph(path)
-    except FileNotFoundError as exc:
-        raise UsageError(f"digraph file not found: {exc.filename}") from exc
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
-            AttributeError) as exc:
-        raise UsageError(f"bad digraph file {path}: {exc}") from exc
+        raise UsageError(f"bad {noun} file {path}: {exc}") from exc
 
 
 def _load_module_digraph(path: str) -> SLabeledDigraph:
     """A digraph that module computations can act on: one edge per label at
     every vertex."""
-    g = _load_digraph(path)
+    g = _load(load_digraph, "digraph", path)
     problems = g.validate_structure()
     if problems:
         raise StructureError("\n".join(f"violation: {p}" for p in problems))
@@ -90,7 +82,7 @@ def _parse_words(system: CoxeterSystem, text: str):
 
 def cmd_family(args) -> int:
     if args.system:
-        system = _load_system(args.system)
+        system = _load(CoxeterSystem.from_json, "system", args.system)
     elif args.n:
         try:
             for name in (args.s, args.t):
@@ -108,7 +100,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_lv(args) -> int:
-    system = _load_system(args.system)
+    system = _load(CoxeterSystem.from_json, "system", args.system)
     star = _parse_star(system, args.star)
     try:
         return _emit_digraph(build_lv(system, star, args.length_bound))
@@ -117,7 +109,7 @@ def cmd_lv(args) -> int:
 
 
 def cmd_regular(args) -> int:
-    system = _load_system(args.system)
+    system = _load(CoxeterSystem.from_json, "system", args.system)
     try:
         return _emit_digraph(build_regular(system, args.length_bound))
     except ValueError as exc:
@@ -143,7 +135,7 @@ def _oracle_line(witness) -> str:
 def cmd_validate(args) -> int:
     if args.oracle and not args.both:
         return cmd_oracle(args)
-    g = _load_digraph(args.digraph)
+    g = _load(load_digraph, "digraph", args.digraph)
     verdict = is_w_digraph(g)
     accepted = verdict.is_w_digraph
     if args.explain or verdict.structural_violations:
@@ -263,7 +255,7 @@ def cmd_theorems(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    print(_load_digraph(args.digraph).to_dot())
+    print(_load(load_digraph, "digraph", args.digraph).to_dot())
     return 0
 
 

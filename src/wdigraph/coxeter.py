@@ -146,33 +146,6 @@ class CoxeterSystem:
 
     # -- canonical forms ------------------------------------------------------------------
 
-    def braid_orbit(self, word: Word) -> tuple[Word, ...]:
-        """All reduced words reachable from a reduced word by braid moves, sorted.
-
-        A reference for tests: the word problem below never enumerates orbits.
-        """
-        seen = {tuple(word)}
-        queue = list(seen)
-        matrix = self.matrix
-        while queue:
-            w = queue.pop()
-            lw = len(w)
-            for i in range(lw - 1):
-                s, t = w[i], w[i + 1]
-                if s == t:
-                    continue
-                n = matrix[s][t]
-                if n is inf or i + n > lw:
-                    continue
-                if any(w[i + k] != (s if k % 2 == 0 else t) for k in range(2, n)):
-                    continue
-                repl = tuple((t if k % 2 == 0 else s) for k in range(n))
-                new = w[:i] + repl + w[i + n:]
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-        return tuple(sorted(seen))
-
     def _rmult(self, w: Word, s: int) -> Word:
         """Canonical word of w*s for a canonical word w, memoized.
 
@@ -272,11 +245,6 @@ class CoxeterSystem:
         if x.system is not self:
             raise ValueError("element belongs to a different system")
 
-    def left_descents(self, w: "GroupElement") -> set[int]:
-        """Generators s with l(sw) < l(w)."""
-        return {s for s in range(len(self.generators))
-                if len(self._walk((s,), w.word)) < len(w.word)}
-
     # -- enumeration ------------------------------------------------------------------------
 
     def enumerate(self, length_bound=None) -> list["GroupElement"]:
@@ -284,9 +252,12 @@ class CoxeterSystem:
 
         BFS over right multiplication from the identity.  Requesting the whole
         group of an infinite system, or of one whose order (`parabolic_order`)
-        is over MAX_ELEMENTS, is an error raised before any element is built;
-        a length-bounded run raises once it has built over MAX_ELEMENTS.
+        is over MAX_ELEMENTS, is an error raised before any element is built,
+        and so is a negative bound; a length-bounded run raises once it has
+        built over MAX_ELEMENTS.
         """
+        if length_bound is not None and length_bound < 0:
+            raise ValueError(f"length bound must be >= 0, not {length_bound}")
         if length_bound is None:
             order = self.parabolic_order()
             if order is inf:
@@ -375,17 +346,6 @@ class CoxeterSystem:
             if self._is_descent(xw, s):
                 xw = self._rmult(xw, s)
         return not xw
-
-    # -- parabolic subgroups ---------------------------------------------------------------------
-
-    def parabolic_data(self, J: Iterable):
-        """(elements of W_J, distinguished right coset representatives X_J)."""
-        Jset = {self._gen_index(s) for s in J}
-        everything = self.enumerate()
-        wj = [w for w in everything if set(w.word) <= Jset]
-        xj = [w for w in everything
-              if not (self.left_descents(w) & Jset)]
-        return wj, xj
 
     # -- twisted involutions / diagram automorphisms ------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Labeled directed multigraphs with solid/dashed edges, one edge per label
 at each vertex, plus the derived graphs and structural analyses used by the
 classification and module machinery: restrictions, reversal, the
-per-generator edge pairing, component scans, sources/sinks/acyclicity,
-directed path lengths, incoming-label statistics, label-preserving
-isomorphism, and JSON/DOT serialization.
+per-generator edge pairing, component scans, sources, sinks and acyclicity
+per component, directed path lengths, incoming-label statistics,
+label-preserving isomorphism, and JSON/DOT serialization.
 
 One cached pass over the edges (`_pass`) fills the per-generator edge
 pairing and counts each label's edges at each vertex; `validate_structure`
@@ -14,7 +14,7 @@ Every structural question is answered from three walks, each run once per
 digraph on first use and cached: one undirected walk (`_walk`) gives the
 components and a +-1 level per vertex, one Kahn peel (`_peel`) gives
 acyclicity and a topological order, and one BFS (`distances_from`) gives
-directed path lengths, reachability and the shortest circuit.  Each costs
+the directed path lengths from a vertex and the shortest circuit.  Each costs
 O(V + E); a digraph that is never traversed never runs them.
 """
 
@@ -149,13 +149,6 @@ class SLabeledDigraph:
     def out_edges(self, v: str) -> list[Edge]:
         return list(self._out[v])
 
-    def successors(self, v: str) -> list[str]:
-        """Heads of directed edges out of v (styles ignored, as in the arrow view)."""
-        return list(self._succ[v])
-
-    def undirected_neighbors(self, v: str) -> list[str]:
-        return [w for w, _ in self._steps[v]]
-
     # -- the three walks --------------------------------------------------------------
 
     @cached_property
@@ -197,7 +190,8 @@ class SLabeledDigraph:
         return order
 
     def distances_from(self, alpha: str) -> dict[str, int]:
-        """`path_length_mu(alpha, v)` for every v reachable from alpha, by one BFS."""
+        """The least number of edges on a directed path from alpha to v, for
+        every v reachable from alpha, by one BFS."""
         dist = {alpha: 0}
         queue = [alpha]
         for v in queue:
@@ -221,10 +215,6 @@ class SLabeledDigraph:
         with_out = {e.src for e in self.edges}
         return [v for v in self.vertices if v not in with_out]
 
-    def is_acyclic(self) -> bool:
-        """No nonempty directed circuit in the arrow view."""
-        return len(self._peel) == len(self.vertices)
-
     def analyze(self) -> "ComponentAnalysis":
         """Sources, sinks and acyclicity per component, read off the whole
         digraph: no edge leaves a component."""
@@ -236,13 +226,6 @@ class SLabeledDigraph:
                             sinks=tuple(v for v in comp if v in sinks),
                             acyclic=peeled.issuperset(comp))
             for comp in self._walk[0]))
-
-    def path_length_mu(self, alpha: str, beta: str):
-        """Minimum number of edges in a directed path, or None if unreachable."""
-        return self.distances_from(alpha).get(beta)
-
-    def reachable_from(self, alpha: str) -> set[str]:
-        return set(self.distances_from(alpha))
 
     def _grading(self) -> dict[str, int] | None:
         """A level per vertex with level(dst) = level(src) + 1 on every edge,
@@ -304,10 +287,6 @@ class SLabeledDigraph:
 
     # -- incoming-label statistics ---------------------------------------------------------
 
-    def in_label_set(self, beta: str) -> frozenset[str]:
-        """Labels of edges (either style) coming into beta."""
-        return frozenset(e.label for e in self.edges if e.dst == beta)
-
     def descent_counts(self) -> dict[frozenset, int]:
         """How many vertices have each incoming-label set."""
         labels: dict[str, set[str]] = {v: set() for v in self.vertices}
@@ -352,21 +331,6 @@ class SLabeledDigraph:
         return {v: other.vertices[image[i]] for i, v in enumerate(self.vertices)}
 
     # -- unions, equality, serialization ----------------------------------------------------------
-
-    def disjoint_union(self, other: "SLabeledDigraph",
-                       suffixes=("", "'")) -> "SLabeledDigraph":
-        if self.system is not other.system:
-            raise ValueError("disjoint union requires a shared system")
-        a, b = suffixes
-        verts = [v + a for v in self.vertices] + [v + b for v in other.vertices]
-        edges = ([Edge(e.src + a, e.dst + a, e.label, e.style) for e in self.edges]
-                 + [Edge(e.src + b, e.dst + b, e.label, e.style) for e in other.edges])
-        return SLabeledDigraph(self.system, verts, edges)
-
-    def same_structure(self, other: "SLabeledDigraph") -> bool:
-        return (self.vertices == other.vertices and self.edges == other.edges
-                and self.system.generators == other.system.generators
-                and self.system.matrix == other.system.matrix)
 
     def to_json(self) -> dict:
         return {

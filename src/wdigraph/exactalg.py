@@ -311,9 +311,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return self.den.coeffs == (1,)
-
     def __bool__(self) -> bool:
         """Nonzero, as for numbers."""
         return bool(self.num.coeffs)
@@ -410,7 +407,7 @@ def rf(num, den=None) -> RatFunc:
     return RatFunc(to_poly(num), to_poly(den))
 
 
-# -- field automorphisms and evaluation ----------------------------------------------
+# -- field automorphisms ------------------------------------------------------------
 
 
 def _substitute_inverse(p: Poly, sign: int) -> tuple[Poly, int]:
@@ -443,21 +440,6 @@ def sigma(f: RatFunc) -> RatFunc:
 def ubar(f: RatFunc) -> RatFunc:
     """The involutory field automorphism substituting u -> 1/u."""
     return _substitute(f, 1)
-
-
-def zeta(f: RatFunc) -> RatFunc:
-    """The field automorphism substituting u -> -u."""
-    def sub(p: Poly) -> Poly:
-        return Poly([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
-    return RatFunc(sub(f.num), sub(f.den))
-
-
-def eval_at(f: RatFunc, q) -> Fraction:
-    """Evaluate f at the rational point q; raises at a pole."""
-    dv = f.den(q)
-    if dv == 0:
-        raise ZeroDivisionError(f"pole at u = {q}")
-    return _norm_coeff(Fraction(f.num(q)) / Fraction(dv))
 
 
 # -- matrices --------------------------------------------------------------------------
@@ -540,9 +522,6 @@ class RatMatrix:
         for i in range(self.n):
             t = t + self.rows[i][i]
         return t
-
-    def apply_entrywise(self, fn) -> "RatMatrix":
-        return RatMatrix([[fn(a) for a in r] for r in self.rows])
 
     def is_zero(self) -> bool:
         return all(a.num.is_zero() for r in self.rows for a in r)
@@ -671,14 +650,6 @@ def lampoly_mul(a: Sequence, b: Sequence, zero=RF_ZERO) -> tuple:
                 if cb:
                     out[i + j] = out[i + j] + ca * cb
     return tuple(out)
-
-
-def lampoly_eval_matrix(coeffs: Sequence[RatFunc], m: RatMatrix) -> RatMatrix:
-    """Evaluate an ascending coefficient tuple at a matrix argument (Horner)."""
-    acc = RatMatrix.zero(m.n)
-    for c in reversed(coeffs):
-        acc = acc * m + RatMatrix.identity(m.n).scale(c)
-    return acc
 
 
 def lampoly_str(coeffs: Sequence[RatFunc], var: str = "x") -> str:

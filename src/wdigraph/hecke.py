@@ -161,16 +161,6 @@ class HeckeElt:
         return f"HeckeElt({self})"
 
 
-def Ts_circ(system: CoxeterSystem, s) -> HeckeElt:
-    """(u+1)^{-1} (T_s - u)."""
-    return HeckeElt.one(system).left_mult_circ(s)
-
-
-def Ts_circ_inverse(system: CoxeterSystem, s) -> HeckeElt:
-    """(u^2-u)^{-1} (T_s - (u^2-u-1))."""
-    return HeckeElt.one(system).left_mult_circ_inverse(s)
-
-
 def invert_Tw(w: GroupElement) -> HeckeElt:
     """The inverse of T_w, expanded along the reversed reduced word."""
     h = HeckeElt.one(w.system)
@@ -218,9 +208,6 @@ class Dihedral:
         if not 0 <= k <= self.n:
             raise ValueError(f"k must lie in 0..{self.n}")
 
-    def longest(self) -> GroupElement:
-        return self.word_s(self.n)
-
     def sigma(self, k: int) -> HeckeElt:
         """Sum of T_w over the length-k elements of the parabolic."""
         self._check_k(k)
@@ -259,18 +246,6 @@ class Dihedral:
         """(eta_j + gamma_j)/2; the half stays in the rationals."""
         half = RatFunc(Poly((Fraction(1, 2),)))
         return (self.eta(j) + self.gamma(j)).scale(half)
-
-
-def dihedral_elements(system: CoxeterSystem, s, t, j: int) -> dict[str, HeckeElt]:
-    """The five named families at index j, keyed by family name."""
-    dd = Dihedral(system, s, t)
-    return {
-        "sigma": dd.sigma(j),
-        "phi": dd.phi(j),
-        "eta": dd.eta(j),
-        "gamma": dd.gamma(j),
-        "delta": dd.delta(j),
-    }
 
 
 # -- digraph extraction from a supporting subset ------------------------------------------

@@ -1,10 +1,18 @@
-"""Shared Coxeter systems and references for the test suite."""
+"""Shared Coxeter systems and references for the test suite.
+
+Also here: conveniences and references that only tests call, each a function
+of the object it reads, so that the package keeps only what the program uses
+(`test_surface.py`)."""
+
+from fractions import Fraction
+from math import inf
 
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem
-from wdigraph.digraph import SLabeledDigraph
-from wdigraph.exactalg import RF_U2M1, RF_U_M2, RF_ZERO
+from wdigraph.digraph import Edge, SLabeledDigraph
+from wdigraph.exactalg import RF_U2M1, RF_U_M2, RF_ZERO, Poly, RatFunc, RatMatrix
+from wdigraph.hecke import Dihedral, HeckeElt
 from wdigraph.modrep import ModuleRep
 
 
@@ -69,6 +77,163 @@ def _apply_dense_columns(columns, vec):
         for i, x in columns[j].items():
             out[i] = out.get(i, RF_ZERO) + x * c
     return {i: c for i, c in out.items() if c}
+
+
+# -- coxeter ------------------------------------------------------------------
+
+
+def braid_orbit(system, word):
+    """All reduced words reachable from a reduced word by braid moves, sorted.
+
+    A reference for tests: the word problem never enumerates orbits.
+    """
+    seen = {tuple(word)}
+    queue = list(seen)
+    matrix = system.matrix
+    while queue:
+        w = queue.pop()
+        lw = len(w)
+        for i in range(lw - 1):
+            s, t = w[i], w[i + 1]
+            if s == t:
+                continue
+            n = matrix[s][t]
+            if n is inf or i + n > lw:
+                continue
+            if any(w[i + k] != (s if k % 2 == 0 else t) for k in range(2, n)):
+                continue
+            repl = tuple((t if k % 2 == 0 else s) for k in range(n))
+            new = w[:i] + repl + w[i + n:]
+            if new not in seen:
+                seen.add(new)
+                queue.append(new)
+    return tuple(sorted(seen))
+
+
+def left_descents(system, w):
+    """Generators s with l(sw) < l(w)."""
+    return {s for s in range(system.rank())
+            if len(system.canonical((s,) + w.word)) < len(w.word)}
+
+
+def parabolic_data(system, J):
+    """(elements of W_J, distinguished right coset representatives X_J),
+    read off all of W."""
+    Jset = {system.gen(s).word[0] for s in J}
+    everything = system.enumerate()
+    wj = [w for w in everything if set(w.word) <= Jset]
+    xj = [w for w in everything if not (left_descents(system, w) & Jset)]
+    return wj, xj
+
+
+# -- digraph -------------------------------------------------------------------
+
+
+def successors(g, v):
+    """Heads of directed edges out of v (styles ignored, as in the arrow view)."""
+    return [e.dst for e in g.out_edges(v)]
+
+
+def undirected_neighbors(g, v):
+    """The other ends of the edges at v, in edge order; a loop is listed once."""
+    out = []
+    for e in g.edges:
+        if e.src == v:
+            out.append(e.dst)
+        elif e.dst == v:
+            out.append(e.src)
+    return out
+
+
+def is_acyclic(g):
+    """No nonempty directed circuit in the arrow view."""
+    return g.analyze().all_acyclic
+
+
+def path_length_mu(g, alpha, beta):
+    """Minimum number of edges in a directed path, or None if unreachable."""
+    return g.distances_from(alpha).get(beta)
+
+
+def reachable_from(g, alpha):
+    return set(g.distances_from(alpha))
+
+
+def in_label_set(g, beta):
+    """Labels of edges (either style) coming into beta."""
+    return frozenset(e.label for e in g.edges if e.dst == beta)
+
+
+def disjoint_union(g, h, suffixes=("", "'")):
+    if g.system is not h.system:
+        raise ValueError("disjoint union requires a shared system")
+    a, b = suffixes
+    verts = [v + a for v in g.vertices] + [v + b for v in h.vertices]
+    edges = ([Edge(e.src + a, e.dst + a, e.label, e.style) for e in g.edges]
+             + [Edge(e.src + b, e.dst + b, e.label, e.style) for e in h.edges])
+    return SLabeledDigraph(g.system, verts, edges)
+
+
+def same_structure(g, h):
+    return (g.vertices == h.vertices and g.edges == h.edges
+            and g.system.generators == h.system.generators
+            and g.system.matrix == h.system.matrix)
+
+
+# -- exactalg ------------------------------------------------------------------
+
+
+def is_poly(f):
+    return f.den.coeffs == (1,)
+
+
+def apply_entrywise(m, fn):
+    return RatMatrix([[fn(a) for a in r] for r in m.rows])
+
+
+def zeta(f):
+    """The field automorphism substituting u -> -u."""
+    def sub(p):
+        return Poly([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
+    return RatFunc(sub(f.num), sub(f.den))
+
+
+def eval_at(f, q):
+    """Evaluate f at the rational point q; raises at a pole.  An integral
+    value comes back as an int."""
+    dv = f.den(q)
+    if dv == 0:
+        raise ZeroDivisionError(f"pole at u = {q}")
+    value = Fraction(f.num(q)) / Fraction(dv)
+    return value.numerator if value.denominator == 1 else value
+
+
+def lampoly_eval_matrix(coeffs, m):
+    """Evaluate an ascending coefficient tuple at a matrix argument (Horner)."""
+    acc = RatMatrix.zero(m.n)
+    for c in reversed(coeffs):
+        acc = acc * m + RatMatrix.identity(m.n).scale(c)
+    return acc
+
+
+# -- hecke ---------------------------------------------------------------------
+
+
+def Ts_circ(system, s):
+    """(u+1)^{-1} (T_s - u)."""
+    return HeckeElt.one(system).left_mult_circ(s)
+
+
+def Ts_circ_inverse(system, s):
+    """(u^2-u)^{-1} (T_s - (u^2-u-1))."""
+    return HeckeElt.one(system).left_mult_circ_inverse(s)
+
+
+def dihedral_elements(system, s, t, j):
+    """The five named families at index j, keyed by family name."""
+    dd = Dihedral(system, s, t)
+    return {"sigma": dd.sigma(j), "phi": dd.phi(j), "eta": dd.eta(j),
+            "gamma": dd.gamma(j), "delta": dd.delta(j)}
 
 
 @pytest.fixture(scope="session")

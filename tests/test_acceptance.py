@@ -11,7 +11,7 @@ import pytest
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from wdigraph.exactalg import (RF_ONE, RF_U, RF_ZERO, RatFunc, char_poly,
-                               eval_at, lampoly_mul, poly_p, rf, sigma)
+                               lampoly_mul, poly_p, rf, sigma)
 from wdigraph.families import (FamilySpec, build_family, build_lv,
                                build_example, build_regular,
                                family_divisibility_ok)
@@ -23,7 +23,8 @@ from wdigraph.modrep import (ModuleRep, bar_from_source, linear_char_dims,
 from wdigraph.validator import brute_force_check, is_w_digraph, \
     random_two_label_digraph
 
-from conftest import RatFuncOperators, make_a3, make_b3, make_h3
+from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
+                      eval_at, make_a3, make_b3, make_h3, reachable_from)
 
 RANDOM_SEED = 987654321
 S, D = SOLID, DASHED
@@ -67,8 +68,8 @@ def fixtures():
         "ex_fig2": build_example("ex_fig2"),
         "h3_fixture": build_example("h3_nonselfassoc"),
         "b3_no_bar": build_example("b3_no_bar"),
-        "union_fig1_fig1": fig1.disjoint_union(fig1),
-        "union_fig7_fig7": fig7.disjoint_union(fig7),
+        "union_fig1_fig1": disjoint_union(fig1, fig1),
+        "union_fig7_fig7": disjoint_union(fig7, fig7),
         "affine_a2_cycle": build_example("affine_a2_cycle"),
     }
     return out
@@ -263,8 +264,8 @@ def test_criterion_05_tables():
                 assert kappa_coefficient(ops, g, v) == KAPPA_TABLE[config], \
                     (figure, m, v)
                 seen.add(config)
-            at1 = (rep.tau_matrix("s") * rep.tau_matrix("t")).apply_entrywise(
-                lambda f: rf(eval_at(f, 1)))
+            at1 = apply_entrywise(rep.tau_matrix("s") * rep.tau_matrix("t"),
+                                  lambda f: rf(eval_at(f, 1)))
             assert char_poly(at1) == TABLE_POLYS[figure](m), (figure, m)
     assert seen == set(KAPPA_TABLE)
     report(5, "all 16 local trace coefficients and all u=1 characteristic "
@@ -499,7 +500,7 @@ def test_criterion_11_zero_hecke(fixtures):
             elements = system.enumerate(length_bound=len(g.vertices))
         for alpha in g.vertices:
             reached = {zero_hecke_action(g, w, alpha)[1] for w in elements}
-            assert reached == g.reachable_from(alpha), (name, alpha)
+            assert reached == reachable_from(g, alpha), (name, alpha)
             total += 1
     report(11, f"longest-element action reaches sinks; word reachability "
                f"matches graph reachability over {total} start vertices")

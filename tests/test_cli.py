@@ -282,6 +282,16 @@ def test_lv_element_bound(capsys, monkeypatch, a3_file):
     assert "error: more than 20 elements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lv", "regular"])
+def test_negative_length_bound_is_usage_error(capsys, a3_file, command):
+    code = main([command, "--system", a3_file, "--length-bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: length bound must be >= 0, not -1\n"
+    code, out = run(capsys, command, "--system", a3_file, "--length-bound", "0")
+    assert code == 0 and json.loads(out)["vertices"] == ["e"]
+
+
 def test_theorems_has_no_element_bound(capsys, monkeypatch, tmp_path, a3_file):
     code, out = run(capsys, "lv", "--system", a3_file)
     assert code == 0

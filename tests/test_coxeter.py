@@ -8,23 +8,25 @@ import pytest
 from wdigraph import coxeter
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 
+from conftest import braid_orbit, left_descents, parabolic_data
+
 
 def words(system, orbit):
     return {system.word_to_str(w) for w in orbit}
 
 
 def test_braid_orbit_a3(a3):
-    orbit = a3.braid_orbit(a3.word_from_str("srs"))
+    orbit = braid_orbit(a3, a3.word_from_str("srs"))
     assert words(a3, orbit) == {"srs", "rsr"}
 
 
 def test_braid_orbit_commutation(a3):
-    orbit = a3.braid_orbit(a3.word_from_str("rt"))
+    orbit = braid_orbit(a3, a3.word_from_str("rt"))
     assert words(a3, orbit) == {"rt", "tr"}
 
 
 def test_braid_orbit_empty(a3):
-    assert a3.braid_orbit(()) == ((),)
+    assert braid_orbit(a3, ()) == ((),)
 
 
 def test_multiply_by_generator_identity(a3):
@@ -73,6 +75,13 @@ def test_enumerate_bounded(affine_a2):
     assert by_len == [1, 3, 6, 9]
     with pytest.raises(ValueError):
         affine_a2.enumerate()
+
+
+def test_enumerate_refuses_a_negative_bound(a3, affine_a2):
+    for system in (a3, affine_a2):
+        with pytest.raises(ValueError, match="length bound must be >= 0"):
+            system.enumerate(length_bound=-1)
+        assert [str(w) for w in system.enumerate(length_bound=0)] == ["e"]
 
 
 def test_is_finite(a3, b3, h3, affine_a2):
@@ -128,11 +137,11 @@ def test_bruhat_maximum(a3):
 
 
 def test_parabolic_data(a3):
-    full, xj = a3.parabolic_data("rst")
+    full, xj = parabolic_data(a3, "rst")
     assert len(full) == 24 and [str(w) for w in xj] == ["e"]
-    wj, xj = a3.parabolic_data("")
+    wj, xj = parabolic_data(a3, "")
     assert len(wj) == 1 and len(xj) == 24
-    wj, xj = a3.parabolic_data("st")
+    wj, xj = parabolic_data(a3, "st")
     assert len(wj) == 6 and len(xj) == 4
     assert len(wj) * len(xj) == 24
 
@@ -141,7 +150,7 @@ def test_parabolic_counts_b3(b3):
     full = b3.enumerate()
     assert len(full) == 48
     for J in ["", "r", "s", "t", "rs", "rt", "st", "rst"]:
-        wj, xj = b3.parabolic_data(J)
+        wj, xj = parabolic_data(b3, J)
         assert len(wj) * len(xj) == 48
 
 
@@ -251,7 +260,7 @@ class OrbitReference:
 
     def orbit(self, word):
         if word not in self.orbits:
-            orbit = self.system.braid_orbit(word)
+            orbit = braid_orbit(self.system, word)
             self.orbits.update(dict.fromkeys(orbit, orbit))
         return self.orbits[word]
 
@@ -314,7 +323,7 @@ def test_word_problem_matches_braid_orbits(name):
             for side in ("right", "left"):
                 got, delta = system.multiply_by_generator(w, s, side)
                 assert (got.word, delta) == ref.multiply(w.word, s, side)
-        assert system.left_descents(w) == {v[0] for v in ref.orbit(w.word) if v}
+        assert left_descents(system, w) == {v[0] for v in ref.orbit(w.word) if v}
     if len(elems) <= 120:
         for x, y in itertools.product(elems, repeat=2):
             assert system.bruhat_leq(x, y) == ref.bruhat_leq(x.word, y.word)
@@ -436,7 +445,7 @@ def test_canonicalization_idempotent_random_words(word):
     canon = system.canonical(word)
     assert system.canonical(canon) == canon
     # canonical word is ShortLex-minimal over its braid orbit
-    orbit = system.braid_orbit(canon)
+    orbit = braid_orbit(system, canon)
     assert canon == min(orbit)
 
 

@@ -7,11 +7,12 @@ import random
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem
-from wdigraph.exactalg import RF_ONE, RF_U, RatFunc, poly_p, rf, zeta
+from wdigraph.exactalg import RF_ONE, RF_U, RatFunc, poly_p, rf
 from wdigraph.families import FamilySpec, build_family
-from wdigraph.hecke import (Dihedral, HeckeElt, SupportsError, Ts_circ,
-                            Ts_circ_inverse, bar, dihedral_case_basis,
-                            dihedral_elements, invert_Tw, supports_digraph)
+from wdigraph.hecke import (Dihedral, HeckeElt, SupportsError, bar,
+                            dihedral_case_basis, invert_Tw, supports_digraph)
+
+from conftest import Ts_circ, Ts_circ_inverse, dihedral_elements, zeta
 
 U2 = RF_U * RF_U
 

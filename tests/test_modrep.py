@@ -10,7 +10,7 @@ import pytest
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph
 from wdigraph.exactalg import (P_ONE, RF_ONE, RF_U, RF_ZERO, Poly, RatFunc,
-                               RatMatrix, char_poly, eval_at, lampoly_mul, rf,
+                               RatMatrix, char_poly, lampoly_mul, rf,
                                sigma, solve_simultaneous_eigenspace)
 from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
                                build_lv, build_example, build_regular,
@@ -24,7 +24,9 @@ from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              theorem_checkers, zero_hecke_action)
 from wdigraph.validator import random_two_label_digraph
 
-from conftest import RatFuncOperators, make_a3, make_b3, subgraph
+from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
+                      eval_at, is_poly, make_a3, make_b3, path_length_mu,
+                      reachable_from, subgraph)
 from test_validator import group_digraphs, random_labeled_digraph, word_apply
 
 U2 = RF_U * RF_U
@@ -162,7 +164,7 @@ def test_linear_char_dims_cycle():
 
 def test_linear_char_dims_union(i23):
     g = build_family(i23, FamilySpec(7, 1))
-    both = g.disjoint_union(g)
+    both = disjoint_union(g, g)
     dims = linear_char_dims(both)
     assert (dims.dim_ind, dims.dim_sgn) == (2, 2)
     assert (dims.predicted_ind, dims.predicted_sgn) == (2, 2)
@@ -254,7 +256,7 @@ def test_trace_constant_term_counts_sinks():
         trace = RF_ZERO
         for v in g.vertices:
             trace = trace + kappa_coefficient(rep, g, v)
-        assert trace.is_poly()
+        assert is_poly(trace)
         assert trace.num[0] == 1
 
 
@@ -292,8 +294,8 @@ def test_table_char_polys_at_u_equals_1():
             system = CoxeterSystem.dihedral(max(n, 2))
             g = build_family(system, FamilySpec(figure, m))
             rep = ModuleRep(g)
-            at1 = (rep.tau_matrix("s") * rep.tau_matrix("t")).apply_entrywise(
-                lambda f: rf(eval_at(f, 1)))
+            at1 = apply_entrywise(rep.tau_matrix("s") * rep.tau_matrix("t"),
+                                  lambda f: rf(eval_at(f, 1)))
             assert char_poly(at1) == TABLE_POLYS[figure](m), (figure, m)
 
 
@@ -350,7 +352,7 @@ def test_zero_hecke_reachability_matches_bfs(a3):
     elems = a3.enumerate()
     for alpha in lv.vertices:
         reached = {zero_hecke_action(lv, w, alpha)[1] for w in elems}
-        assert reached == lv.reachable_from(alpha)
+        assert reached == reachable_from(lv, alpha)
 
 
 # -- bar propagation -------------------------------------------------------------------------
@@ -626,7 +628,7 @@ def subgraph_sign_diagonal(g):
             return None
         sub = subgraph(g, comp.vertices)
         for v in comp.vertices:
-            mu = sub.path_length_mu(comp.sources[0], v)
+            mu = path_length_mu(sub, comp.sources[0], v)
             if mu is None:
                 return None
             signs[g.vertex_index[v]] = -1 if mu % 2 else 1
@@ -650,7 +652,7 @@ def dense_reversal_identities(g, words):
     out = []
     for w in words:
         lhs = rev.rho(w)
-        rhs1 = rep.rho_inv(w.inverse()).apply_entrywise(sigma)
+        rhs1 = apply_entrywise(rep.rho_inv(w.inverse()), sigma)
         row = [str(w), lhs == rhs1, lhs.trace() == rhs1.trace()]
         if signs is None:
             row += [None, None, "sign identity needs acyclic components with sources"]
@@ -677,7 +679,7 @@ def loop_digraph():
     fig1 = build_family(i22, FamilySpec(1, 2))
     looped = SLabeledDigraph(i22, ["x", "y"], [
         ("x", "y", "s", SOLID), ("x", "x", "t", SOLID), ("y", "y", "t", DASHED)])
-    return fig1.disjoint_union(looped, suffixes=("", "_loop"))
+    return disjoint_union(fig1, looped, suffixes=("", "_loop"))
 
 
 def eigenspace_inputs():
