@@ -7,14 +7,19 @@ characteristic polynomials, and exact nullspaces/eigenspaces.
 
 `char_poly` clears denominators first: with d the monic lcm of the entries'
 denominators (d = 1 for every rho(T_w), whose entries lie in Z[u]), it runs
-the division-free Berkowitz method once per block of d M on `Poly` entries
-and divides the coefficients by powers of d at the end.  The blocks are the
-connected components of the support (indices i, j joined when M[i][j] or
-M[j][i] is nonzero).  Permuting rows and columns alike by blocks makes the
-matrix block-diagonal, a similar matrix, so the product of the blocks'
-polynomials is exactly the characteristic polynomial.  For rho(T_w) the blocks
-are the components of the restriction to supp(w), so the cost follows the
-largest such component, not the dimension.
+the division-free Berkowitz method once per block of d M and divides the
+coefficients by powers of d at the end.  The blocks are the connected
+components of the support (indices i, j joined when M[i][j] or M[j][i] is
+nonzero).  Permuting rows and columns alike by blocks makes the matrix
+block-diagonal, a similar matrix, so the product of the blocks' polynomials
+is exactly the characteristic polynomial.  For rho(T_w) the blocks are the
+components of the restriction to supp(w), so the cost follows the largest
+such component, not the dimension.
+
+Berkowitz runs on Python ints: each block is packed once by Kronecker
+substitution u = 2^bits (`_pack`; von zur Gathen and Gerhard, Modern
+Computer Algebra, section 8.4), with bits from a coefficient bound proved in
+`char_poly`, and its polynomial is read back once (`_unpack`).
 
 Everything here is an immutable value; all operations are pure.  Coefficients
 are stored as plain ints whenever the denominator is 1, so the hot loops run
@@ -24,6 +29,7 @@ on machine/long integer arithmetic instead of Fraction objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -230,6 +236,32 @@ def _add_product(out: list, a: tuple, b: tuple) -> None:
 P_ZERO = Poly(())
 P_ONE = Poly((1,))
 P_U = Poly((0, 1))
+
+
+def _pack(p: Poly, bits: int) -> int:
+    """p(2^bits) for p with integer coefficients: Kronecker substitution."""
+    v = 0
+    for c in reversed(p.coeffs):
+        v = (v << bits) + c
+    return v
+
+
+def _unpack(v: int, bits: int) -> Poly:
+    """The integer polynomial p with p(2^bits) = v whose coefficients lie
+    strictly between -2^(bits-1) and 2^(bits-1): the inverse of `_pack` on
+    such polynomials.
+
+    Adding 2^(bits-1) to every signed digit makes each one a plain base-2^bits
+    digit, so all of them are read off one binary string in linear time.
+    """
+    if not v:
+        return P_ZERO
+    digits = v.bit_length() // bits + 1
+    half = 1 << (bits - 1)
+    text = bin(v + int(("1" + "0" * (bits - 1)) * digits, 2))[2:]
+    text = text.zfill(digits * bits)
+    return Poly([int(text[i - bits:i], 2) - half
+                 for i in range(len(text), 0, -bits)])
 
 
 def poly_p(d: int) -> Poly:
@@ -547,6 +579,19 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
     det(xI - d M) = d^n det((x/d) I - M), the coefficient of x^k in
     det(xI - M) is exactly C_k / d^(n-k), and RatFunc's canonical form makes
     it the same value any other exact method gives.
+
+    Each block B (size b) runs on integers.  With D the lcm of its
+    coefficients' denominators (D = 1 over Z[u]), A = D B has integer
+    entries, and Berkowitz runs on the ints A_ij(2^bits): evaluation at an
+    integer is a ring map and Berkowitz only adds and multiplies, so it
+    returns the values C'_k(2^bits) of the coefficients of det(xI - A).  C'_k
+    is (-1)^(b-k) times the sum of the principal minors of size b - k, and a
+    minor on the index set J is a signed sum of products with one entry from
+    each column j in J, so its coefficient L1 norm is at most the product of
+    the column norms c_j = sum_i |A_ij|_1 over J.  Summed over all J, every
+    coefficient of every C'_k is at most bound = prod_j (1 + c_j) in absolute
+    value, below 2^(bits-1) for bits = bound.bit_length() + 1, so `_unpack`
+    reads C'_k back from its signed digits, and C_k = C'_k / D^(b-k).
     """
     n = m.n
     dens = {x.den for row in m.rows for x in row}
@@ -579,8 +624,8 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
                     seen[j] = True
                     stack.append(j)
         block.sort()
-        out = lampoly_mul(out, _berkowitz([[rows[i][j] for j in block]
-                                           for i in block]), P_ZERO)
+        out = lampoly_mul(out, _block_char_poly(
+            [[rows[i][j] for j in block] for i in block]), P_ZERO)
     coeffs, power = [], P_ONE
     for c in reversed(out):            # C_n, C_(n-1), ..., C_0
         coeffs.append(RatFunc(c, power))
@@ -588,54 +633,67 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
     return tuple(reversed(coeffs))
 
 
-def _berkowitz(rows: list[list[Poly]]) -> tuple[Poly, ...]:
-    """Monic characteristic polynomial of a nonempty square matrix over Z[u]
-    (or Q[u]) by the Berkowitz method, as an ascending coefficient tuple.
+def _block_char_poly(rows: list[list[Poly]]) -> tuple[Poly, ...]:
+    """det(xI - B) for one block over Q[u], by Berkowitz on packed ints (the
+    bound is proved in `char_poly`)."""
+    content = 1
+    for row in rows:
+        for x in row:
+            for c in x.coeffs:
+                if type(c) is not int:
+                    content = lcm(content, c.denominator)
+    if content != 1:
+        rows = [[x.scale(content) for x in row] for row in rows]
+    bound = 1
+    for j in range(len(rows)):
+        bound *= 1 + sum(abs(c) for row in rows for c in row[j].coeffs)
+    bits = bound.bit_length() + 1
+    packed = _berkowitz([[_pack(x, bits) for x in row] for row in rows])
+    polys = [_unpack(v, bits) for v in packed]
+    if content == 1:
+        return tuple(polys)
+    size = len(rows)
+    return tuple(p.scale(Fraction(1, content ** (size - k)))
+                 for k, p in enumerate(polys))
 
-    The method is division-free on the matrix entries, so no pivot choices
-    affect the (exact) result.
+
+def _berkowitz(rows: list[list[int]]) -> list[int]:
+    """Monic characteristic polynomial of a nonempty square integer matrix
+    by the division-free Berkowitz method, as an ascending coefficient list.
+
+    The leading principal submatrix A_m (the first m rows and columns) grows
+    one index at a time: A_(m+1) = [[A_m, C], [R, a]], and
+    det(xI - A_(m+1)) = (x - a) det(xI - A_m) - R adj(xI - A_m) C.  In
+    coefficients, highest power first, that is the lower-triangular Toeplitz
+    matrix with first column (1, -a, -R C, -R A_m C, ..., -R A_m^(m-1) C)
+    applied to those of det(xI - A_m).  A_m is kept as sparse rows, so zero
+    entries cost nothing, and R A_m^j C is 0 for every j once R or C is.
     """
-    def vector(rows) -> list[Poly]:
-        # coefficients of char poly of the submatrix, highest power first
-        k = len(rows)
-        if k == 1:
-            return [P_ONE, -rows[0][0]]
-        a = rows[0][0]
-        r_row = rows[0][1:]
-        c_col = [rows[i][0] for i in range(1, k)]
-        sub = [row[1:] for row in rows[1:]]
-        # items = [1, -a, -R C, -R A C, -R A^2 C, ...]
-        items = [P_ONE, -a]
-        vec = c_col
-        for _ in range(k - 1):
-            items.append(-_dot(r_row, vec))
-            vec = [_dot(row, vec) for row in sub]
-        prev = vector(sub)
-        out = [P_ZERO] * (k + 1)
-        for i in range(k + 1):
-            acc = P_ZERO
-            for j in range(k):
-                d = i - j
-                if 0 <= d <= k:
-                    t = items[d]
-                    if t and prev[j]:
-                        acc = acc + t * prev[j]
-            out[i] = acc
-        return out
-
-    return tuple(reversed(vector(rows)))
-
-
-def _dot(xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
-    """sum x * y, accumulated in one coefficient list."""
-    out: list = []
-    for x, y in zip(xs, ys):
-        a, b = x.coeffs, y.coeffs
-        if a and b:
-            if len(out) < len(a) + len(b) - 1:
-                out += [0] * (len(a) + len(b) - 1 - len(out))
-            _add_product(out, a, b)
-    return Poly(out)
+    k = len(rows)
+    prev = [1, -rows[0][0]]                  # highest power first
+    sparse = [[(0, rows[0][0])] if rows[0][0] else []]
+    for m in range(1, k):
+        a = rows[m][m]
+        col = [rows[i][m] for i in range(m)]
+        row = [(j, x) for j, x in enumerate(rows[m][:m]) if x]
+        items = [1, -a]
+        vec = col
+        for step in range(m):
+            if not row or not any(vec):
+                items += [0] * (m - step)
+                break
+            items.append(-sum(x * vec[j] for j, x in row))
+            if step < m - 1:
+                vec = [sum(x * vec[j] for j, x in r) for r in sparse]
+        prev = [sum(items[i - j] * prev[j]
+                    for j in range(max(0, i - m - 1), min(i, m) + 1))
+                for i in range(m + 2)]
+        for i, x in enumerate(col):
+            if x:
+                sparse[i].append((m, x))
+        sparse.append(row + [(m, a)] if a else row)
+    prev.reverse()
+    return prev
 
 
 def lampoly_mul(a: Sequence, b: Sequence, zero=RF_ZERO) -> tuple:

@@ -14,15 +14,21 @@ ModuleRep keeps that pairing as per-column coefficient tables over Z[u]
 so the inverse is u^-2 S_s and rho(T_w)^-1 = u^(-2 l(w)) S_w with S_w in
 Z[u] too.  The one kernel, `_apply_columns`, maps a sparse vector {index:
 nonzero coefficient} to another in time proportional to its support.  The
-columns of rho(T_w) (memoized) and of S_w, characters, both reversal
-identities and the bar propagation are computed over Z[u]; the bar images
-carry their denominator u^a (u+1)^b as a pair of exponents.  A value becomes
-a `RatFunc` only where it leaves the layer: `rho`, `rho_inv`, `tau_matrix`,
-`character` and the vectors of a `BarSolution`.  `columns_at(u)`
-specializes the tau_s table to an integer u, and the same kernel then runs
-on ints: the oracle in `validator` decides the relations that way.  Dense
-matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for
-output such as characteristic polynomials.
+columns of rho(T_w) (memoized) and of S_w, characters and the bar
+propagation are computed over Z[u]; the bar images carry their denominator
+u^a (u+1)^b as a pair of exponents.  A value becomes a `RatFunc` only where
+it leaves the layer: `rho`, `rho_inv`, `tau_matrix`, `character` and the
+vectors of a `BarSolution`.
+
+The same kernel also runs on ints, with a table specialized to one integer
+u.  Every column of the tau_s, S_s and u^2 sigma(S_s) tables has
+coefficient L1 norm at most 5, so two products of k such tables agree
+exactly when they agree at u = 2^`_exact_bits(k)` (the Cauchy-bound proof is
+in its docstring).  The oracle in `validator` decides the relations on
+`columns_at(u)` that way, and `reversal_identities` decides both identities
+and their traces at one such point per word.  Dense matrices
+(`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for output such
+as characteristic polynomials.
 
 Each 2x2 block has the distinct eigenvalues u^2 and -1, so each eigenspace
 of a block is a line, v[head] = r v[tail]: r = 1 for u^2, r = -1/u^2 (solid)
@@ -42,7 +48,7 @@ from typing import Sequence
 from .coxeter import GroupElement
 from .digraph import DASHED, SOLID, SLabeledDigraph
 from .exactalg import (P_ONE, P_U, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
-                       RatFunc, RatMatrix)
+                       RatFunc, RatMatrix, _pack)
 from .hecke import HeckeElt
 
 U2 = Poly((0, 0, 1))                    # u^2
@@ -63,6 +69,22 @@ _TAU_CASES = {
 # the same for S_s = tau_s - (u^2-1) = u^2 tau_s^-1, again over Z[u]
 _S_CASES = {key: (((self_c or P_ZERO) - U2M1) or None, partner_c)
             for key, (self_c, partner_c) in _TAU_CASES.items()}
+
+
+def _twist(p: Poly, top: int) -> Poly:
+    """u^top sigma(p), sigma the substitution u -> -1/u, for p of degree at
+    most top: the coefficient reversal sum (-1)^k c_k u^(top-k) of
+    p = sum c_k u^k."""
+    cs = p.coeffs
+    return Poly([0] * (top + 1 - len(cs))
+                + [-c if k % 2 else c for k, c in enumerate(cs)][::-1])
+
+
+# the same for u^2 sigma(S_s), entrywise: the S_s coefficients have degree at
+# most 2, so each is a coefficient reversal, again in Z[u]
+_TWISTED_S_CASES = {key: tuple(None if c is None else _twist(c, 2)
+                               for c in case)
+                    for key, case in _S_CASES.items()}
 
 # and for S_s - u: the numerator of a dashed edge's bar step
 _S_MINUS_U_CASES = {key: (((self_c or P_ZERO) - P_U) or None, partner_c)
@@ -138,11 +160,7 @@ class ModuleRep:
     def _s_word_columns(self, w: GroupElement) -> list[SparseVec]:
         """The columns of S_w = u^(2 l(w)) T_w^-1 = S_{s_k} ... S_{s_1} over
         Z[u], w = s_1...s_k."""
-        cols = [{j: P_ONE} for j in range(self.n)]
-        for s in w.word:
-            columns = self._s_columns[s]
-            cols = [_apply_columns(columns, col) for col in cols]
-        return cols
+        return _word_columns(self._s_columns, w.word, self.n)
 
     def rho_inv(self, w: GroupElement) -> RatMatrix:
         """The matrix of T_w^-1, u^(-2 l(w)) S_w."""
@@ -178,10 +196,52 @@ def _apply_columns(columns, vec: dict, zero=P_ZERO) -> dict:
     return {i: c for i, c in out.items() if c}
 
 
-def _trace(cols: list[SparseVec]) -> Poly:
-    t = P_ZERO
+def _exact_bits(k: int, terms: int = 1) -> int:
+    """Bits b such that evaluation at u = 2^b decides, exactly, an equality
+    between sums of `terms` entries of two products of k column tables whose
+    columns all have coefficient L1 norm at most 5.
+
+    The coefficient L1 norm |p|_1 is submultiplicative on Z[u], so the
+    largest column norm of a table is submultiplicative under products: each
+    entry of a product of k tables, applied to a unit column, is an integer
+    polynomial with |p|_1 <= 5^k.  A sum of `terms` such entries on each side
+    differs from the other by an integer polynomial whose coefficients are at
+    most 2 * terms * 5^k in absolute value.  If it is nonzero, each of its
+    roots lies below Cauchy's bound 1 + 2 * terms * 5^k in absolute value;
+    2^(3k+2) = 4 * 8^k > 1 + 2 * 5^k, and 2^((terms-1).bit_length()) >= terms,
+    so 2^b lies past the bound and the difference does not vanish there.
+    This is a coefficient bound, not sampling.  The tau_s, S_s and u^2
+    sigma(S_s) tables all have column norm at most 5 (the dashed head column
+    of tau_s, u^2-u-1 and u^2-u, attains it).
+    """
+    return 3 * k + 2 + (terms - 1).bit_length()
+
+
+def _packed_table(pairing, cases: dict, bits: int) -> list[list[tuple]]:
+    """The column table of `cases` over an edge pairing, as `ModuleRep`
+    builds it, with u specialized to 2^bits."""
+    packed = {key: tuple(None if c is None else _pack(c, bits) for c in case)
+              for key, case in cases.items()}
+    return [[(partner,) + packed[(role, style)] for partner, role, style in row]
+            for row in pairing]
+
+
+def _word_columns(table, word, n: int, one=P_ONE, zero=P_ZERO
+                  ) -> list[SparseVec]:
+    """table[word[-1]] ... table[word[0]] applied to the n unit columns
+    (word[0] acts first), over Z[u] or, with one = 1 and zero = 0, over
+    the integers of a specialized table."""
+    cols = [{j: one} for j in range(n)]
+    for s in word:
+        columns = table[s]
+        cols = [_apply_columns(columns, col, zero) for col in cols]
+    return cols
+
+
+def _trace(cols: list[SparseVec], zero=P_ZERO):
+    t = zero
     for j, col in enumerate(cols):
-        t = t + col.get(j, P_ZERO)
+        t = t + col.get(j, zero)
     return t
 
 
@@ -291,15 +351,6 @@ def _sign_diagonal(digraph: SLabeledDigraph):
     return signs
 
 
-def _twist(p: Poly, top: int) -> Poly:
-    """u^top sigma(p), sigma the substitution u -> -1/u, for p of degree at
-    most top: the coefficient reversal sum (-1)^k c_k u^(top-k) of
-    p = sum c_k u^k."""
-    cs = p.coeffs
-    return Poly([0] * (top + 1 - len(cs))
-                + [-c if k % 2 else c for k, c in enumerate(cs)][::-1])
-
-
 def reversal_identities(digraph: SLabeledDigraph,
                         words: Sequence[GroupElement]) -> list[IdentityReport]:
     """Check the two matrix-level reversal identities and their traces.
@@ -310,39 +361,45 @@ def reversal_identities(digraph: SLabeledDigraph,
       sign:  rho_rev(T_w) equals eps_w u_w (D rho(T_w^{-1}) D)^T with D the
              source-distance sign diagonal (requires acyclicity).
 
-    Both sides are lists of sparse columns over Z[u], with no denominator:
-    rho(T_{w^-1})^-1 = u^(-2l) S_{w^-1} (l = l(w)), so its sigma image is
-    u^(2l) sigma(S_{w^-1}).  S_{w^-1} is a product of l operators S_s whose
-    coefficients have degree at most 2, so its entries have degree at most
-    2l and that image is the coefficient reversal `_twist`, again in Z[u].
-    On the sign side u_w rho(T_w^-1) = u^(2l) u^(-2l) S_w is S_w itself.
-    The matrices compare by their nonzero entries and the traces come from
-    the column diagonals.
+    Both sides lie in Z[u], with no denominator: rho(T_{w^-1})^-1 =
+    u^(-2l) S_{w^-1} (l = l(w)), and sigma is a ring map, so its sigma image
+    u^(2l) sigma(S_{w^-1}) is the product of the tables u^2 sigma(S_s)
+    (`_TWISTED_S_CASES`) along the same word.  On the sign side u_w
+    rho(T_w^-1) = u^(2l) u^(-2l) S_w is S_w itself.
+
+    Each side is a product of l tables whose columns have coefficient L1
+    norm at most 5, so both are evaluated at the one integer point
+    u = 2^bits, bits = `_exact_bits(l, n)`, and compared as ints: the matrices
+    entry by entry, the traces as sums of n diagonal entries.  By the bound
+    in `_exact_bits` the ints agree exactly when the polynomials do.
     """
-    rep = ModuleRep(digraph)
-    rev = ModuleRep(digraph.reverse())
+    pairing = digraph.edge_pairing()
+    rev_pairing = digraph.reverse().edge_pairing()
     signs = _sign_diagonal(digraph)
+    n = len(digraph.vertices)
     reports = []
     for w in words:
         report = IdentityReport(word=str(w))
-        lhs = rev._rho_columns(w)
-        top = 2 * w.length
-        s_cols = rep._s_word_columns(w.inverse())
-        twisted = [{i: _twist(c, top) for i, c in col.items()}
-                   for col in s_cols]
+        bits = _exact_bits(w.length, n)
+        lhs = _word_columns(_packed_table(rev_pairing, _TAU_CASES, bits),
+                            w.word[::-1], n, 1, 0)
+        twisted = _word_columns(
+            _packed_table(pairing, _TWISTED_S_CASES, bits),
+            w.inverse().word, n, 1, 0)
         report.twist_matrix = lhs == twisted
-        report.twist_trace = _trace(lhs) == _twist(_trace(s_cols), top)
+        report.twist_trace = _trace(lhs, 0) == _trace(twisted, 0)
         if signs is None:
             report.skipped = "sign identity needs acyclic components with sources"
         else:
             eps = -1 if w.length % 2 else 1
             # entry (i, j) of S_w lands at (j, i), times eps_w D_i D_j
-            flipped: list[SparseVec] = [{} for _ in range(rep.n)]
-            for j, col in enumerate(rep._s_word_columns(w)):
+            flipped: list[SparseVec] = [{} for _ in range(n)]
+            for j, col in enumerate(_word_columns(
+                    _packed_table(pairing, _S_CASES, bits), w.word, n, 1, 0)):
                 for i, c in col.items():
                     flipped[i][j] = c if signs[i] * signs[j] == eps else -c
             report.sign_matrix = lhs == flipped
-            report.sign_trace = _trace(lhs) == _trace(flipped)
+            report.sign_trace = _trace(lhs, 0) == _trace(flipped, 0)
         reports.append(report)
     return reports
 

@@ -13,17 +13,14 @@ soundness test of the whole library.
 
 The oracle runs on integers, not over Q(u).  Every forward coefficient of
 tau_s lies in Z[u], and every column of tau_s has coefficient L1 norm at most
-5 (the dashed head column, u^2-u-1 and u^2-u).  The L1 norm is
-submultiplicative, so after k applications to a unit column every entry is an
-integer polynomial whose coefficients sum in absolute value to at most 5^k,
-and the two sides of a relation differ entrywise by integer polynomials with
-coefficients at most 2 * 5^k in absolute value (for the quadratic relation,
-k = 2: 25 + 2 * 5 + 1 = 36 <= 50).  A nonzero such polynomial has every root
-below Cauchy's bound 1 + 2 * 5^k in absolute value, and 2^(3k+2) = 4 * 8^k is
-larger, so it does not vanish there: evaluating both sides at the integer
-u = 2^(3k+2), with k = 2 for the quadratic relation and k = n(s,t) for the
-braid relation, decides each entry's equality exactly.  This is a coefficient
-bound, not sampling.
+5, so after k applications to a unit column the two sides of a relation
+differ entrywise by integer polynomials with coefficients at most 2 * 5^k in
+absolute value (for the quadratic relation, k = 2: 25 + 2 * 5 + 1 = 36 <=
+50).  Such a polynomial, if nonzero, has no root at u = 2^`_exact_bits(k)`
+(the Cauchy-bound proof is in `modrep._exact_bits`), so evaluating both
+sides there, with k = 2 for the quadratic relation and k = n(s,t) for the
+braid relation, decides each entry's equality exactly.  This is a
+coefficient bound, not sampling.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from math import inf
 
 from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from .families import TEMPLATES, family_divisibility_ok
-from .modrep import ModuleRep, _apply_columns
+from .modrep import ModuleRep, _apply_columns, _exact_bits
 
 # the cycle templates (m >= 2) by their dashed slots
 _FIGURE_BY_DASHES = {template.dashes: figure
@@ -223,12 +220,6 @@ class RelationWitness:
     column: str        # vertex whose column first differs, or "" for quadratic
 
 
-def _exact_point(k: int) -> int:
-    """An integer u past every root of the differences after k applications
-    (the coefficient bound in the module docstring)."""
-    return 1 << (3 * k + 2)
-
-
 def brute_force_check(digraph: SLabeledDigraph):
     """Check the defining operator relations exactly; None means all hold.
 
@@ -238,7 +229,7 @@ def brute_force_check(digraph: SLabeledDigraph):
     difference.  Each generator acts by 2x2 blocks, so an alternating word
     keeps a unit column inside its {s,t}-component and each check costs the
     size of that component, not the number of vertices.  Both sides are
-    evaluated at the integer `_exact_point(k)` for k applications (k = 2 for
+    evaluated at the integer 2^`_exact_bits(k)` for k applications (k = 2 for
     the quadratic relation, k = n(s,t) for the braid relation), which decides
     the polynomial identity exactly.
     """
@@ -247,7 +238,7 @@ def brute_force_check(digraph: SLabeledDigraph):
         return RelationWitness("structure", (), "; ".join(violations))
     rep = ModuleRep(digraph)
     system = digraph.system
-    u = _exact_point(2)
+    u = 1 << _exact_bits(2)
     columns = rep.columns_at(u)
     for s in range(system.rank()):
         # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2
@@ -266,7 +257,7 @@ def brute_force_check(digraph: SLabeledDigraph):
             if n is inf or n <= 1:
                 continue
             if n not in tables:
-                tables[n] = rep.columns_at(_exact_point(n))
+                tables[n] = rep.columns_at(1 << _exact_bits(n))
             columns = tables[n]
             pair = (system.generators[i], system.generators[j])
             left = [(i, j)[k % 2] for k in range(n)]     # i j i ..., n letters

@@ -28,8 +28,11 @@ from wdigraph.exactalg import (
     solve_simultaneous_eigenspace,
     ubar,
     _norm_coeff,
+    _pack,
+    _unpack,
 )
-from wdigraph.families import FamilySpec, build_family
+from wdigraph.coxeter import DiagramAutomorphism
+from wdigraph.families import FamilySpec, build_family, build_lv
 from wdigraph.modrep import ModuleRep
 
 from conftest import eval_at, is_poly, lampoly_eval_matrix, zeta
@@ -265,6 +268,70 @@ def dense_char_poly(m):
     return tuple(reversed(vector([list(r) for r in m.rows])))
 
 
+def poly_berkowitz(rows):
+    """Monic characteristic polynomial of a nonempty square matrix over Q[u]
+    by the Berkowitz method on `Poly` entries, as an ascending coefficient
+    tuple: the method `char_poly` ran on each block before it packed the
+    block into integers, and the reference for the packing."""
+    def vector(rows):
+        # coefficients of the char poly of the submatrix, highest power first
+        k = len(rows)
+        if k == 1:
+            return [P_ONE, -rows[0][0]]
+        a = rows[0][0]
+        r_row = rows[0][1:]
+        c_col = [rows[i][0] for i in range(1, k)]
+        sub = [row[1:] for row in rows[1:]]
+        # items = [1, -a, -R C, -R A C, -R A^2 C, ...]
+        items = [P_ONE, -a]
+        vec = c_col
+        for _ in range(k - 1):
+            items.append(-poly_dot(r_row, vec))
+            vec = [poly_dot(row, vec) for row in sub]
+        prev = vector(sub)
+        out = [P_ZERO] * (k + 1)
+        for i in range(k + 1):
+            acc = P_ZERO
+            for j in range(k):
+                d = i - j
+                if 0 <= d <= k:
+                    t = items[d]
+                    if t and prev[j]:
+                        acc = acc + t * prev[j]
+            out[i] = acc
+        return out
+
+    return tuple(reversed(vector(rows)))
+
+
+def poly_dot(xs, ys):
+    """sum x * y over Polys."""
+    out = P_ZERO
+    for x, y in zip(xs, ys):
+        if x and y:
+            out = out + x * y
+    return out
+
+
+def poly_char_poly(m):
+    """det(xI - M) by `poly_berkowitz` on the whole of d M, d the monic lcm
+    of the entries' denominators, with no block split and no packing."""
+    if m.n == 0:
+        return (RF_ONE,)
+    d = common_denominator(m)
+    rows = [[x.num * d.divmod(x.den)[0] for x in row] for row in m.rows]
+    cp = poly_berkowitz(rows)
+    return tuple(RatFunc(c, d ** (m.n - k)) for k, c in enumerate(cp))
+
+
+def common_denominator(m):
+    """The monic lcm of the denominators of m's entries."""
+    d = P_ONE
+    for x in {x.den for row in m.rows for x in row}:
+        d = d * x.divmod(d.gcd(x))[0]
+    return d
+
+
 def charpoly_digraphs():
     """The modules benchmark fixtures and the figure 1-8 templates with
     m <= 3 over I2(2..6)."""
@@ -357,6 +424,117 @@ def test_block_char_poly_matches_dense_reference_on_special_matrices():
         for m in (RatMatrix.identity(k), RatMatrix.zero(k)):
             assert char_poly(m) == dense_char_poly(m)
     assert char_poly(RatMatrix.zero(3)) == (RF_ZERO,) * 3 + (RF_ONE,)
+
+
+def support_blocks(m):
+    """The index sets of the components of the support of m (i and j joined
+    when m[i][j] or m[j][i] is nonzero), by union-find."""
+    parent = list(range(m.n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+    for i in range(m.n):
+        for j in range(m.n):
+            if m.rows[i][j]:
+                parent[root(i)] = root(j)
+    blocks = {}
+    for i in range(m.n):
+        blocks.setdefault(root(i), []).append(i)
+    return list(blocks.values())
+
+
+def blockwise_char_poly(m):
+    """det(xI - M) from `poly_char_poly` and `dense_char_poly` on the
+    support blocks of d M, d the common denominator, which must agree on
+    every block.  The blocks' polynomials are multiplied over Z[u], and the
+    coefficient of x^k is divided by d^(n-k)."""
+    d = common_denominator(m)
+    dm = RatMatrix([[x * RatFunc(d) for x in row] for row in m.rows])
+    out = (P_ONE,)
+    for block in support_blocks(dm):
+        sub = RatMatrix([[dm.rows[i][j] for j in block] for i in block])
+        reference = poly_char_poly(sub)
+        assert reference == dense_char_poly(sub)
+        out = lampoly_mul(out, tuple(c.num for c in reference), P_ZERO)
+    return tuple(RatFunc(c, d ** (m.n - k)) for k, c in enumerate(out))
+
+
+def test_char_poly_matches_poly_berkowitz_on_fixtures_and_b4_lv():
+    # the seven modules benchmark fixtures, whole matrices (the same
+    # matrices meet `dense_char_poly` in
+    # test_char_poly_matches_ratfunc_berkowitz_on_fixtures), and B4 LV, 76
+    # vertices, where the whole-matrix references take 10-30 s a matrix, so
+    # both run on its support blocks
+    b4 = CoxeterSystem(["q", "r", "s", "t"],
+                       {("q", "r"): 3, ("r", "s"): 3, ("s", "t"): 4})
+    inputs = [(label, g) for label, g in charpoly_digraphs()
+              if not label.startswith("figure")]
+    assert len(inputs) == 7
+    inputs.append(("lv_b4", build_lv(b4, DiagramAutomorphism.identity(b4))))
+    sizes = set()
+    for label, g in inputs:
+        rep = ModuleRep(g)
+        for w in g.system.enumerate(2):
+            for m in (rep.rho(w), rep.rho_inv(w)):
+                got = char_poly(m)
+                if m.n <= 30:
+                    assert got == poly_char_poly(m), (label, str(w))
+                else:
+                    assert got == blockwise_char_poly(m), (label, str(w))
+                sizes.add(m.n)
+    assert 76 in sizes
+
+
+def test_char_poly_edge_cases_match_references():
+    rng = random.Random(1913)
+    big = (1 << 61) - 1
+    p = Poly((big, -big, big))
+    e = rf([rng.randint(-5, 5) for _ in range(3)])
+    cases = {
+        "1x1": RatMatrix([[rf([3, -2, 5])]]),
+        "zero 1x1": RatMatrix.zero(1),
+        "zero 4x4": RatMatrix.zero(4),
+        # [p]: the coefficients 1 and -p sum in L1 norm to 1 + |p|_1, exactly
+        # the bound; a coupled 2x2 block with p on the diagonal comes close
+        "bound 1x1": RatMatrix([[RatFunc(p)]]),
+        "bound 2x2": RatMatrix([[RatFunc(p), RF_ZERO], [e, RatFunc(p)]]),
+        # non-monic rational denominators: the monic forms leave Fraction
+        # coefficients in the numerators, so a block's integer content is
+        # not 1
+        "fractions": RatMatrix([
+            [rf([1, 2], [3, 5]), rf(Fraction(1, 3)), RF_ZERO],
+            [rf([Fraction(-1, 2), 1]), rf([1, 1], [2, 0, 7]), rf(1, [4, 6])],
+            [RF_ZERO, rf([2, 0, Fraction(5, 4)]), rf([0, 3])]]),
+    }
+    assert any(type(c) is Fraction for row in cases["fractions"].rows
+               for x in row for c in x.num.coeffs)
+    for label, m in cases.items():
+        got = char_poly(m)
+        assert got == poly_char_poly(m) == dense_char_poly(m), label
+    assert char_poly(cases["1x1"]) == (-rf([3, -2, 5]), RF_ONE)
+    assert char_poly(cases["zero 4x4"]) == (RF_ZERO,) * 4 + (RF_ONE,)
+    bound = 1 + sum(abs(c) for c in p.coeffs)
+    assert sum(abs(c) for x in char_poly(cases["bound 1x1"])
+               for c in x.num.coeffs) == bound
+
+
+@st.composite
+def packable(draw):
+    bits = draw(st.integers(2, 80))
+    top = (1 << (bits - 1)) - 1
+    coeffs = draw(st.lists(st.one_of(st.sampled_from([top, -top, 0, 1, -1]),
+                                     st.integers(-top, top)), max_size=12))
+    return Poly(coeffs), bits
+
+
+@given(packable())
+@settings(max_examples=300, deadline=None)
+def test_unpack_inverts_pack(case):
+    p, bits = case
+    assert _pack(p, bits) == sum(c << (bits * i) for i, c in enumerate(p.coeffs))
+    assert _unpack(_pack(p, bits), bits) == p
 
 
 def test_lampoly_mul():

@@ -17,9 +17,10 @@ from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
                                family_divisibility_ok)
 from wdigraph.hecke import invert_Tw
 from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
-                             _S_CASES, _apply_columns,
-                             _restricted_component_counts, _same_image,
-                             _sign_diagonal, _twist, bar_from_source,
+                             _S_CASES, _TAU_CASES, _TWISTED_S_CASES,
+                             _apply_columns, _restricted_component_counts,
+                             _same_image, _sign_diagonal, _trace, _twist,
+                             bar_from_source,
                              linear_char_dims, reversal_identities,
                              theorem_checkers, zero_hecke_action)
 from wdigraph.validator import random_two_label_digraph
@@ -817,6 +818,71 @@ def test_reversal_identities_match_ratfunc_reference_on_fixtures():
             ratfunc_reversal_identities(g, words), label
 
 
+def zu_reversal_identities(g, words):
+    """The reversal identities on sparse Z[u] columns, as `reversal_identities`
+    computed them before it moved to one integer point: the twist side is
+    the coefficient reversal `_twist` of S_{w^-1}, the sign side S_w."""
+    rep = ModuleRep(g)
+    rev = ModuleRep(g.reverse())
+    signs = _sign_diagonal(g)
+    reports = []
+    for w in words:
+        report = IdentityReport(word=str(w))
+        lhs = rev._rho_columns(w)
+        top = 2 * w.length
+        s_cols = rep._s_word_columns(w.inverse())
+        twisted = [{i: _twist(c, top) for i, c in col.items()}
+                   for col in s_cols]
+        report.twist_matrix = lhs == twisted
+        report.twist_trace = _trace(lhs) == _twist(_trace(s_cols), top)
+        if signs is None:
+            report.skipped = "sign identity needs acyclic components with sources"
+        else:
+            eps = -1 if w.length % 2 else 1
+            flipped = [{} for _ in range(rep.n)]
+            for j, col in enumerate(rep._s_word_columns(w)):
+                for i, c in col.items():
+                    flipped[i][j] = c if signs[i] * signs[j] == eps else -c
+            report.sign_matrix = lhs == flipped
+            report.sign_trace = _trace(lhs) == _trace(flipped)
+        reports.append(report)
+    return reports
+
+
+def test_reversal_identities_match_zu_reference_on_fixtures():
+    # the seven modules benchmark fixtures, the words up to length 4 and the
+    # longest element of a finite group
+    fixtures = [(label, g) for label, g in reversal_inputs()
+                if not label.startswith("figure")]
+    assert len(fixtures) == 7
+    outcomes = Counter()
+    for label, g in fixtures:
+        words = g.system.enumerate(4)
+        if g.system.is_finite():
+            words.append(g.system.longest_element())
+        reports = reversal_identities(g, words)
+        assert reports == zu_reversal_identities(g, words), label
+        outcomes.update(r.skipped is None for r in reports)
+    assert outcomes[True] and outcomes[False]
+
+
+def test_integer_point_premises():
+    # every column of the three tables the identities multiply has
+    # coefficient L1 norm at most 5, the premise of `_exact_bits` ...
+    for cases in (_TAU_CASES, _S_CASES, _TWISTED_S_CASES):
+        for case in cases.values():
+            assert all(c is None or isinstance(c, Poly) for c in case)
+            assert sum(abs(x) for c in case if c is not None
+                       for x in c.coeffs) <= 5
+    # ... and the twisted table is u^2 sigma(S_s), computed over Q(u)
+    for key, case in _S_CASES.items():
+        for got, c in zip(_TWISTED_S_CASES[key], case):
+            if c is None:
+                assert got is None
+            else:
+                assert RatFunc(got) == U2 * sigma(RatFunc(c)), key
+
+
 def test_reversal_identities_match_ratfunc_reference_on_random_digraphs():
     rng = random.Random(2718)
     seen = Counter()
@@ -826,6 +892,7 @@ def test_reversal_identities_match_ratfunc_reference_on_random_digraphs():
             words = g.system.enumerate(2 * n)
             reports = reversal_identities(g, words)
             assert reports == ratfunc_reversal_identities(g, words)
+            assert reports == zu_reversal_identities(g, words)
             seen["cases"] += len(reports)
             seen["twist fails"] += sum(not r.twist_matrix for r in reports)
             seen["sign checked"] += sum(r.skipped is None for r in reports)

@@ -12,10 +12,10 @@ from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, rf
 from wdigraph.families import (EXAMPLE_NAMES, TEMPLATES, FamilySpec,
                                build_family, build_lv, build_example,
                                build_regular, family_divisibility_ok)
-from wdigraph.modrep import _TAU_CASES
+from wdigraph.modrep import _TAU_CASES, _exact_bits
 from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 Rejection, RelationWitness, Verdict,
-                                _exact_point, brute_force_check, is_w_digraph,
+                                brute_force_check, is_w_digraph,
                                 random_two_label_digraph)
 
 from conftest import RatFuncOperators, is_poly, same_structure, subgraph
@@ -532,7 +532,12 @@ def test_exact_point_clears_the_root_bound():
                                for x in c.num.coeffs) <= 5 ** k
     # ... and u = 2^(3k+2) lies past Cauchy's bound 1 + 2 * 5^k
     for k in range(40):
-        assert _exact_point(k) > 1 + 2 * 5 ** k
+        assert _exact_bits(k) == 3 * k + 2
+        assert 1 << _exact_bits(k) > 1 + 2 * 5 ** k
+    # a sum of n entries on each side, such as a trace, stays past the bound
+    for k in range(31):
+        for n in range(1, 1001):
+            assert 2 ** _exact_bits(k, n) > 1 + 2 * n * 5 ** k, (k, n)
 
 
 def test_integer_oracle_matches_ratfunc_reference():
