@@ -83,7 +83,7 @@ def _parse_words(system: CoxeterSystem, text: str):
 def cmd_family(args) -> int:
     if args.system:
         system = _load(CoxeterSystem.from_json, "system", args.system)
-    elif args.n:
+    elif args.n is not None:
         try:
             for name in (args.s, args.t):
                 check_generator_name(name)

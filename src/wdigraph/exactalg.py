@@ -5,16 +5,17 @@ rational functions are canonical num/den pairs (monic denominator, gcd one),
 and matrices over them support the linear algebra needed elsewhere: products,
 characteristic polynomials, and exact nullspaces/eigenspaces.
 
-`char_poly` clears denominators first: with d the monic lcm of the entries'
-denominators (d = 1 for every rho(T_w), whose entries lie in Z[u]), it runs
-the division-free Berkowitz method once per block of d M and divides the
-coefficients by powers of d at the end.  The blocks are the connected
-components of the support (indices i, j joined when M[i][j] or M[j][i] is
-nonzero).  Permuting rows and columns alike by blocks makes the matrix
-block-diagonal, a similar matrix, so the product of the blocks' polynomials
-is exactly the characteristic polynomial.  For rho(T_w) the blocks are the
-components of the restriction to supp(w), so the cost follows the largest
-such component, not the dimension.
+`char_poly` clears denominators once, first: with d the monic lcm of the
+entries' denominators and D the lcm of the denominators of the coefficients
+of d M (d = D = 1 for every rho(T_w), whose entries lie in Z[u]), it runs
+the division-free Berkowitz method once per block of D d M, on integers
+only, and divides the coefficients by powers of D d at the end.  The
+blocks are the connected components of the support (indices i, j joined
+when M[i][j] or M[j][i] is nonzero).  Permuting rows and columns alike by
+blocks makes the matrix block-diagonal, a similar matrix, so the product of
+the blocks' polynomials is exactly the characteristic polynomial.  For
+rho(T_w) the blocks are the components of the restriction to supp(w), so
+the cost follows the largest such component, not the dimension.
 
 Berkowitz runs on Python ints: each block is packed once by Kronecker
 substitution u = 2^bits (`_pack`; von zur Gathen and Gerhard, Modern
@@ -580,18 +581,20 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
     det(xI - M) is exactly C_k / d^(n-k), and RatFunc's canonical form makes
     it the same value any other exact method gives.
 
-    Each block B (size b) runs on integers.  With D the lcm of its
-    coefficients' denominators (D = 1 over Z[u]), A = D B has integer
-    entries, and Berkowitz runs on the ints A_ij(2^bits): evaluation at an
-    integer is a ring map and Berkowitz only adds and multiplies, so it
-    returns the values C'_k(2^bits) of the coefficients of det(xI - A).  C'_k
-    is (-1)^(b-k) times the sum of the principal minors of size b - k, and a
+    The integer content goes with d: D, the lcm of the denominators of the
+    coefficients of the entries of d M (D = 1 for every rho(T_w)), leaves
+    every entry of D d M in Z[u], and the argument above holds with D d in
+    place of d.  So each block B (size b) of D d M runs on integers:
+    Berkowitz runs on the ints B_ij(2^bits), since evaluation at an integer
+    is a ring map and Berkowitz only adds and multiplies, and returns the
+    values C'_k(2^bits) of the coefficients of det(xI - B).  C'_k is
+    (-1)^(b-k) times the sum of the principal minors of size b - k, and a
     minor on the index set J is a signed sum of products with one entry from
     each column j in J, so its coefficient L1 norm is at most the product of
-    the column norms c_j = sum_i |A_ij|_1 over J.  Summed over all J, every
-    coefficient of every C'_k is at most bound = prod_j (1 + c_j) in absolute
-    value, below 2^(bits-1) for bits = bound.bit_length() + 1, so `_unpack`
-    reads C'_k back from its signed digits, and C_k = C'_k / D^(b-k).
+    the column norms c_j = sum_i |B_ij|_1 over J.  Summed over all J, every
+    coefficient of every C'_k is at most bound = prod_j (1 + c_j) in
+    absolute value, below 2^(bits-1) for bits = bound.bit_length() + 1, so
+    `_unpack` reads C'_k back from its signed digits.
     """
     n = m.n
     dens = {x.den for row in m.rows for x in row}
@@ -603,6 +606,15 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
     else:
         factor = {den: d.divmod(den)[0] for den in dens}
         rows = [[x.num * factor[x.den] for x in row] for row in m.rows]
+    content = 1
+    for row in rows:
+        for x in row:
+            for c in x.coeffs:
+                if type(c) is not int:
+                    content = lcm(content, c.denominator)
+    if content != 1:
+        rows = [[x.scale(content) for x in row] for row in rows]
+        d = d.scale(content)
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
@@ -634,27 +646,14 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
 
 
 def _block_char_poly(rows: list[list[Poly]]) -> tuple[Poly, ...]:
-    """det(xI - B) for one block over Q[u], by Berkowitz on packed ints (the
+    """det(xI - B) for one block over Z[u], by Berkowitz on packed ints (the
     bound is proved in `char_poly`)."""
-    content = 1
-    for row in rows:
-        for x in row:
-            for c in x.coeffs:
-                if type(c) is not int:
-                    content = lcm(content, c.denominator)
-    if content != 1:
-        rows = [[x.scale(content) for x in row] for row in rows]
     bound = 1
     for j in range(len(rows)):
         bound *= 1 + sum(abs(c) for row in rows for c in row[j].coeffs)
     bits = bound.bit_length() + 1
     packed = _berkowitz([[_pack(x, bits) for x in row] for row in rows])
-    polys = [_unpack(v, bits) for v in packed]
-    if content == 1:
-        return tuple(polys)
-    size = len(rows)
-    return tuple(p.scale(Fraction(1, content ** (size - k)))
-                 for k, p in enumerate(polys))
+    return tuple(_unpack(v, bits) for v in packed)
 
 
 def _berkowitz(rows: list[list[int]]) -> list[int]:

@@ -9,26 +9,30 @@ coefficient patterns
              head -> (u^2-u) tail + (u^2-u-1) head
 
 so each operator has at most two nonzero entries per column, all in Z[u].
-ModuleRep keeps that pairing as per-column coefficient tables over Z[u]
-(`Poly`): one for tau_s, and one for S_s = tau_s - (u^2-1) = u^2 tau_s^-1,
-so the inverse is u^-2 S_s and rho(T_w)^-1 = u^(-2 l(w)) S_w with S_w in
-Z[u] too.  The one kernel, `_apply_columns`, maps a sparse vector {index:
-nonzero coefficient} to another in time proportional to its support.  The
-columns of rho(T_w) (memoized) and of S_w, characters and the bar
-propagation are computed over Z[u]; the bar images carry their denominator
-u^a (u+1)^b as a pair of exponents.  A value becomes a `RatFunc` only where
-it leaves the layer: `rho`, `rho_inv`, `tau_matrix`, `character` and the
-vectors of a `BarSolution`.
+One builder, `_table`, reads a table of per-column coefficients off the
+pairing: for tau_s, for S_s = tau_s - (u^2-1) = u^2 tau_s^-1 (so the
+inverse is u^-2 S_s and rho(T_w)^-1 = u^(-2 l(w)) S_w with S_w in Z[u]
+too), and for the twisted and bar tables below.  The one kernel,
+`_apply_columns`, maps a sparse vector {index: nonzero coefficient} to
+another in time proportional to its support, and the one word product,
+`_word_apply`, runs it along a word.  The columns of rho(T_w) (memoized per
+element) and of S_w, characters and the bar propagation are computed over
+Z[u]; the bar images carry their denominator u^a (u+1)^b as a pair of
+exponents.  A value becomes a `RatFunc` only where it leaves the layer:
+`rho`, `rho_inv`, `tau_matrix`, `character` and the vectors of a
+`BarSolution`.
 
-The same kernel also runs on ints, with a table specialized to one integer
-u.  Every column of the tau_s, S_s and u^2 sigma(S_s) tables has
-coefficient L1 norm at most 5, so two products of k such tables agree
-exactly when they agree at u = 2^`_exact_bits(k)` (the Cauchy-bound proof is
-in its docstring).  The oracle in `validator` decides the relations on
-`columns_at(u)` that way, and `reversal_identities` decides both identities
-and their traces at one such point per word.  Dense matrices
-(`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for output such
-as characteristic polynomials.
+The same kernel also runs on ints: `_table(pairing, cases, at)` maps every
+coefficient through `at`, for example its value at one integer u.  Every
+column of the tau_s, S_s and u^2 sigma(S_s) tables has coefficient L1 norm
+at most 5, so two products of k such tables agree exactly when they agree
+at u = 2^`_exact_bits(k)` (the Cauchy-bound proof is in its docstring).
+The oracle in `validator` decides the relations that way, and
+`reversal_identities` decides both identities and their traces at one such
+point per word, on the tau_s table of the reversed digraph read off the
+role-swapped pairing (`_reversed_pairing`), with no digraph built.  Dense
+matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for
+output such as characteristic polynomials.
 
 Each 2x2 block has the distinct eigenvalues u^2 and -1, so each eigenspace
 of a block is a line, v[head] = r v[tail]: r = 1 for u^2, r = -1/u^2 (solid)
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf
 from typing import Sequence
 
@@ -101,34 +106,15 @@ class ModuleRep:
         self.digraph = digraph
         self.system = digraph.system
         self.n = len(digraph.vertices)
-        self._pairing = digraph.edge_pairing()
         # _columns[s][i] = (partner, self coefficient or None, partner
-        # coefficient) of column i of tau_s over Z[u]; _s_columns likewise
-        # for S_s = u^2 tau_s^-1
-        self._columns = self._table(_TAU_CASES)
-        self._s_columns = self._table(_S_CASES)
+        # coefficient) of column i of tau_s over Z[u]
+        self._columns = _table(digraph.edge_pairing(), _TAU_CASES)
         self._rho_cache: dict[GroupElement, list[SparseVec]] = {}
-
-    def _table(self, cases: dict) -> list[list[tuple]]:
-        return [[(partner,) + cases[(role, style)]
-                 for partner, role, style in row] for row in self._pairing]
-
-    def columns_at(self, u: int) -> list[list[tuple]]:
-        """The column tables of the tau_s with u specialized to the integer u.
-
-        Every coefficient lies in Z[u], so every entry is an int and
-        `_apply_columns(table[s], vec, 0)` runs the kernel on integers.
-        """
-        cases = {key: tuple(None if c is None else c(u) for c in case)
-                 for key, case in _TAU_CASES.items()}
-        return self._table(cases)
 
     # -- dense output ------------------------------------------------------------------------
 
     def tau_matrix(self, s) -> RatMatrix:
-        columns = self._columns[self.system._gen_index(s)]
-        return self._matrix([_apply_columns(columns, {j: P_ONE})
-                             for j in range(self.n)])
+        return self.rho(self.system.gen(s))
 
     def _matrix(self, cols: list[SparseVec], den: Poly = P_ONE) -> RatMatrix:
         """The RatMatrix with columns cols over Z[u], each entry over den."""
@@ -138,33 +124,23 @@ class ModuleRep:
     # -- the algebra representation ----------------------------------------------------------
 
     def _rho_columns(self, w: GroupElement) -> list[SparseVec]:
-        """The columns of T_w over Z[u], built up the canonical word and
-        memoized."""
-        cached = self._rho_cache.get(w)
-        if cached is not None:
-            return cached
-        if not w.word:
-            cols = [{j: P_ONE} for j in range(self.n)]
-        else:
-            columns = self._columns[w.word[0]]
-            rest = GroupElement(self.system, w.word[1:])
-            cols = [_apply_columns(columns, col)
-                    for col in self._rho_columns(rest)]
-        self._rho_cache[w] = cols
+        """The columns of T_w = T_{s_1} ... T_{s_k} over Z[u], w = s_1...s_k
+        (s_k acts first), memoized per element."""
+        cols = self._rho_cache.get(w)
+        if cols is None:
+            cols = self._rho_cache[w] = _word_columns(
+                self._columns, w.word[::-1], self.n)
         return cols
 
     def rho(self, w: GroupElement) -> RatMatrix:
         """The matrix of the basis element T_w."""
         return self._matrix(self._rho_columns(w))
 
-    def _s_word_columns(self, w: GroupElement) -> list[SparseVec]:
-        """The columns of S_w = u^(2 l(w)) T_w^-1 = S_{s_k} ... S_{s_1} over
-        Z[u], w = s_1...s_k."""
-        return _word_columns(self._s_columns, w.word, self.n)
-
     def rho_inv(self, w: GroupElement) -> RatMatrix:
-        """The matrix of T_w^-1, u^(-2 l(w)) S_w."""
-        return self._matrix(self._s_word_columns(w),
+        """The matrix of T_w^-1, u^(-2 l(w)) S_w, where S_w = u^(2 l(w))
+        T_w^-1 = S_{s_k} ... S_{s_1} over Z[u], w = s_1...s_k."""
+        table = _table(self.digraph.edge_pairing(), _S_CASES)
+        return self._matrix(_word_columns(table, w.word, self.n),
                             Poly.monomial(1, 2 * w.length))
 
     def rho_elt(self, h: HeckeElt) -> RatMatrix:
@@ -180,11 +156,23 @@ class ModuleRep:
         return RatFunc(_trace(self._rho_columns(w)))
 
 
+def _table(pairing, cases: dict, at=None) -> list[list[tuple]]:
+    """The column table of `cases` over an edge pairing: table[s][i] =
+    (partner, self coefficient or None, partner coefficient) of column i.
+    With `at`, every coefficient c becomes at(c), for example its value at
+    one integer u."""
+    if at is not None:
+        cases = {key: tuple(None if c is None else at(c) for c in case)
+                 for key, case in cases.items()}
+    return [[(partner,) + cases[(role, style)] for partner, role, style in row]
+            for row in pairing]
+
+
 def _apply_columns(columns, vec: dict, zero=P_ZERO) -> dict:
     """Sum c * (column i) over the entries i: c of vec, dropping cancellations.
 
-    The coefficients are Polys, from a Z[u] table of `ModuleRep`, or ints
-    (zero = 0), from a table of `ModuleRep.columns_at`.
+    The coefficients are Polys, from a Z[u] `_table`, or ints (zero = 0),
+    from a `_table` with u specialized to an integer.
     """
     out = {}
     get = out.get
@@ -194,6 +182,14 @@ def _apply_columns(columns, vec: dict, zero=P_ZERO) -> dict:
             out[i] = get(i, zero) + self_c * c
         out[partner] = get(partner, zero) + partner_c * c
     return {i: c for i, c in out.items() if c}
+
+
+def _word_apply(table, word, vec: dict, zero=P_ZERO) -> dict:
+    """table[word[-1]] ... table[word[0]] applied to vec: word[0] acts
+    first."""
+    for s in word:
+        vec = _apply_columns(table[s], vec, zero)
+    return vec
 
 
 def _exact_bits(k: int, terms: int = 1) -> int:
@@ -217,25 +213,11 @@ def _exact_bits(k: int, terms: int = 1) -> int:
     return 3 * k + 2 + (terms - 1).bit_length()
 
 
-def _packed_table(pairing, cases: dict, bits: int) -> list[list[tuple]]:
-    """The column table of `cases` over an edge pairing, as `ModuleRep`
-    builds it, with u specialized to 2^bits."""
-    packed = {key: tuple(None if c is None else _pack(c, bits) for c in case)
-              for key, case in cases.items()}
-    return [[(partner,) + packed[(role, style)] for partner, role, style in row]
-            for row in pairing]
-
-
 def _word_columns(table, word, n: int, one=P_ONE, zero=P_ZERO
                   ) -> list[SparseVec]:
-    """table[word[-1]] ... table[word[0]] applied to the n unit columns
-    (word[0] acts first), over Z[u] or, with one = 1 and zero = 0, over
-    the integers of a specialized table."""
-    cols = [{j: one} for j in range(n)]
-    for s in word:
-        columns = table[s]
-        cols = [_apply_columns(columns, col, zero) for col in cols]
-    return cols
+    """`_word_apply` on the n unit columns, over Z[u] or, with one = 1 and
+    zero = 0, over the integers of a specialized table."""
+    return [_word_apply(table, word, {j: one}, zero) for j in range(n)]
 
 
 def _trace(cols: list[SparseVec], zero=P_ZERO):
@@ -374,18 +356,17 @@ def reversal_identities(digraph: SLabeledDigraph,
     in `_exact_bits` the ints agree exactly when the polynomials do.
     """
     pairing = digraph.edge_pairing()
-    rev_pairing = digraph.reverse().edge_pairing()
+    rev_pairing = _reversed_pairing(pairing)
     signs = _sign_diagonal(digraph)
     n = len(digraph.vertices)
     reports = []
     for w in words:
         report = IdentityReport(word=str(w))
-        bits = _exact_bits(w.length, n)
-        lhs = _word_columns(_packed_table(rev_pairing, _TAU_CASES, bits),
+        at = partial(_pack, bits=_exact_bits(w.length, n))
+        lhs = _word_columns(_table(rev_pairing, _TAU_CASES, at),
                             w.word[::-1], n, 1, 0)
-        twisted = _word_columns(
-            _packed_table(pairing, _TWISTED_S_CASES, bits),
-            w.inverse().word, n, 1, 0)
+        twisted = _word_columns(_table(pairing, _TWISTED_S_CASES, at),
+                                w.inverse().word, n, 1, 0)
         report.twist_matrix = lhs == twisted
         report.twist_trace = _trace(lhs, 0) == _trace(twisted, 0)
         if signs is None:
@@ -395,13 +376,20 @@ def reversal_identities(digraph: SLabeledDigraph,
             # entry (i, j) of S_w lands at (j, i), times eps_w D_i D_j
             flipped: list[SparseVec] = [{} for _ in range(n)]
             for j, col in enumerate(_word_columns(
-                    _packed_table(pairing, _S_CASES, bits), w.word, n, 1, 0)):
+                    _table(pairing, _S_CASES, at), w.word, n, 1, 0)):
                 for i, c in col.items():
                     flipped[i][j] = c if signs[i] * signs[j] == eps else -c
             report.sign_matrix = lhs == flipped
             report.sign_trace = _trace(lhs, 0) == _trace(flipped, 0)
         reports.append(report)
     return reports
+
+
+def _reversed_pairing(pairing) -> list[list[tuple]]:
+    """The edge pairing of the reversed digraph: every edge turns round, so
+    tail and head swap, except at a loop, which stays its vertex's head."""
+    return [[(p, "tail" if p != i and role == "head" else "head", style)
+             for i, (p, role, style) in enumerate(row)] for row in pairing]
 
 
 # -- the 0-specialization action -----------------------------------------------------------------
@@ -461,9 +449,11 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
     if len(sources) != 1:
         raise ValueError("bar propagation needs a unique source")
     source = sources[0]
-    rep = ModuleRep(digraph)
-    steps = {SOLID: (rep._s_columns, 2, 0),
-             DASHED: (rep._table(_S_MINUS_U_CASES), 1, 1)}
+    pairing = digraph.edge_pairing()
+    gen_index = digraph.system._gen_index
+    n = len(digraph.vertices)
+    steps = {SOLID: (_table(pairing, _S_CASES), 2, 0),
+             DASHED: (_table(pairing, _S_MINUS_U_CASES), 1, 1)}
 
     images = {source: ({digraph.vertex_index[source]: P_ONE}, 0, 0)}
     queue = deque([source])
@@ -472,19 +462,19 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
         vec, a, b = images[v]
         for e in digraph.out_edges(v):
             table, da, db = steps[e.style]
-            propagated = (_apply_columns(table[rep.system._gen_index(e.label)],
-                                         vec), a + da, b + db)
+            propagated = (_apply_columns(table[gen_index(e.label)], vec),
+                          a + da, b + db)
             known = images.get(e.dst)
             if known is None:
                 images[e.dst] = propagated
                 queue.append(e.dst)
             elif not _same_image(propagated, known):
                 return BarSolution(images=None, consistent=False,
-                                   witness=(e, _as_ratfuncs(propagated, rep.n),
-                                            _as_ratfuncs(known, rep.n)))
-    if len(images) != rep.n:
+                                   witness=(e, _as_ratfuncs(propagated, n),
+                                            _as_ratfuncs(known, n)))
+    if len(images) != n:
         raise ValueError("not every vertex is reachable from the source")
-    return BarSolution(images={v: _as_ratfuncs(x, rep.n)
+    return BarSolution(images={v: _as_ratfuncs(x, n)
                                for v, x in images.items()},
                        consistent=True)
 

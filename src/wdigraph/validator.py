@@ -20,7 +20,9 @@ absolute value (for the quadratic relation, k = 2: 25 + 2 * 5 + 1 = 36 <=
 (the Cauchy-bound proof is in `modrep._exact_bits`), so evaluating both
 sides there, with k = 2 for the quadratic relation and k = n(s,t) for the
 braid relation, decides each entry's equality exactly.  This is a
-coefficient bound, not sampling.
+coefficient bound, not sampling.  The integer tables are read straight off
+the edge pairing by `modrep._table`, each coefficient evaluated at the
+point, and words run through `modrep._word_apply`; no `ModuleRep` is built.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from math import inf
 
 from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from .families import TEMPLATES, family_divisibility_ok
-from .modrep import ModuleRep, _apply_columns, _exact_bits
+from .modrep import (_TAU_CASES, _apply_columns, _exact_bits, _table,
+                     _word_apply)
 
 # the cycle templates (m >= 2) by their dashed slots
 _FIGURE_BY_DASHES = {template.dashes: figure
@@ -236,13 +239,14 @@ def brute_force_check(digraph: SLabeledDigraph):
     violations = digraph.validate_structure()
     if violations:
         return RelationWitness("structure", (), "; ".join(violations))
-    rep = ModuleRep(digraph)
+    pairing = digraph.edge_pairing()
     system = digraph.system
+    n_vertices = len(digraph.vertices)
     u = 1 << _exact_bits(2)
-    columns = rep.columns_at(u)
+    columns = _table(pairing, _TAU_CASES, lambda c: c(u))
     for s in range(system.rank()):
         # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2
-        for j in range(rep.n):
+        for j in range(n_vertices):
             once = _apply_columns(columns[s], {j: 1}, 0)
             expected = {i: (u * u - 1) * c for i, c in once.items()}
             expected[j] = expected.get(j, 0) + u * u
@@ -257,24 +261,21 @@ def brute_force_check(digraph: SLabeledDigraph):
             if n is inf or n <= 1:
                 continue
             if n not in tables:
-                tables[n] = rep.columns_at(1 << _exact_bits(n))
+                point = 1 << _exact_bits(n)
+                tables[n] = _table(pairing, _TAU_CASES, lambda c: c(point))
             columns = tables[n]
             pair = (system.generators[i], system.generators[j])
-            left = [(i, j)[k % 2] for k in range(n)]     # i j i ..., n letters
+            # the two alternating words of n letters; `_word_apply` lets
+            # word[0] act first, so it multiplies each word reversed, and
+            # reversal keeps this pair of words, so the relation is the same
+            left = [(i, j)[k % 2] for k in range(n)]
             right = [(j, i)[k % 2] for k in range(n)]
-            for col in range(rep.n):
-                if (_word_apply(columns, left, {col: 1})
-                        != _word_apply(columns, right, {col: 1})):
+            for col in range(n_vertices):
+                if (_word_apply(columns, left, {col: 1}, 0)
+                        != _word_apply(columns, right, {col: 1}, 0)):
                     return RelationWitness("braid", pair,
                                            digraph.vertices[col])
     return None
-
-
-def _word_apply(columns, word, vec: dict) -> dict:
-    """tau_{s_1} ... tau_{s_k} (leftmost acting last) on an integer vector."""
-    for s in reversed(word):
-        vec = _apply_columns(columns[s], vec, 0)
-    return vec
 
 
 def random_two_label_digraph(rng: random.Random, n_vertices: int,

@@ -413,6 +413,9 @@ def test_unsafe_generator_name_in_digraph_file(capsys, tmp_path):
     pytest.param(["--s", "a", "--t", "a"], "generator names must be distinct",
                  id="equal"),
     pytest.param(["--n", "1"], "order n(s,t) must be >= 2 or inf", id="order"),
+    # --n 0 is given, so the message names the bad order, not a missing --n
+    pytest.param(["--n", "0"], "order n(s,t) must be >= 2 or inf",
+                 id="order_zero"),
 ])
 def test_family_refuses_what_other_commands_would(capsys, flags, message):
     # without the check, validate would refuse the emitted digraph

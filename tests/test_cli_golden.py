@@ -3,11 +3,12 @@
 Each row of the table runs `cli.main` in process on a fixed argv inside a
 fresh temporary directory, and records its exit code and the sha256 of its
 stdout and stderr, with the directory's path replaced by `<tmp>`.  The rows
-build the LV and regular digraphs of A3, B3 and H3, the named examples and
-the eight dihedral templates at two sizes each, run every reading command on
-each of them, and feed a broken digraph, a missing file and malformed JSON
-to the loaders.  `cli_golden.json` pins every byte of those outputs; after a
-deliberate change of output, re-record it with
+build the LV and regular digraphs of A3, B3 and H3, the LV digraph of B4,
+the named examples and the eight dihedral templates at two sizes each, run
+every reading command on each of them, and feed a broken digraph, a
+missing file and malformed JSON to the loaders.  `cli_golden.json` pins
+every byte of those outputs; after a deliberate change of output, re-record
+it with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.json
 """
@@ -32,6 +33,12 @@ SYSTEMS = {
     "h3": {"generators": ["r", "s", "t"], "matrix": {"r,s": 3, "s,t": 5, "r,t": 2}},
 }
 
+# B4 LV (76 vertices, with dashed edges) pins the module layer on a larger
+# digraph; regular B4 is left out, since its --charpoly is a dense 384x384
+# matrix
+B4 = {"generators": ["q", "r", "s", "t"],
+      "matrix": {"q,r": 3, "r,s": 3, "s,t": 4, "q,s": 2, "q,t": 2, "r,t": 2}}
+
 # the I2(3) digraph whose vertex a meets no edge labeled t
 BROKEN = {"system": {"generators": ["s", "t"], "matrix": {"s,t": 3}},
           "vertices": ["a", "b"],
@@ -55,6 +62,7 @@ def _digraphs() -> dict:
         for kind in ("lv", "regular"):
             out[f"{kind}-{system}"] = (
                 [kind, "--system", f"{TMP}/{system}.json"], RST_WORDS)
+    out["lv-b4"] = (["lv", "--system", f"{TMP}/b4.json"], "st,rst,qrs")
     for name in ("affine_a2_cycle", "b3_no_bar", "h3_nonselfassoc",
                  "ex_fig2", "ex_fig3"):
         out[f"example-{name}"] = (["example", name],
@@ -110,6 +118,7 @@ def _error_rows() -> list:
 def _prepare(tmp: Path) -> None:
     for name, data in SYSTEMS.items():
         (tmp / f"{name}.json").write_text(json.dumps(data))
+    (tmp / "b4.json").write_text(json.dumps(B4))
     (tmp / "broken-i2-3.json").write_text(json.dumps(BROKEN))
     (tmp / "junk.json").write_text("{not json")
 

@@ -537,6 +537,14 @@ def test_unpack_inverts_pack(case):
     assert _unpack(_pack(p, bits), bits) == p
 
 
+@given(packable())
+@settings(max_examples=300, deadline=None)
+def test_pack_is_evaluation_at_a_power_of_two(case):
+    # `_pack` and the Horner evaluation `Poly.__call__` agree at u = 2^bits
+    p, bits = case
+    assert p(1 << bits) == _pack(p, bits)
+
+
 def test_lampoly_mul():
     # (x - 1)(x + 1) = x^2 - 1
     a = (rf(-1), RF_ONE)

@@ -19,10 +19,11 @@ from wdigraph.hecke import invert_Tw
 from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              _S_CASES, _TAU_CASES, _TWISTED_S_CASES,
                              _apply_columns, _restricted_component_counts,
-                             _same_image, _sign_diagonal, _trace, _twist,
-                             bar_from_source,
-                             linear_char_dims, reversal_identities,
-                             theorem_checkers, zero_hecke_action)
+                             _reversed_pairing, _same_image, _sign_diagonal,
+                             _table, _trace, _twist, _word_columns,
+                             bar_from_source, linear_char_dims,
+                             reversal_identities, theorem_checkers,
+                             zero_hecke_action)
 from wdigraph.validator import random_two_label_digraph
 
 from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
@@ -138,12 +139,13 @@ def test_tau_inv_apply_matches_dense(name):
     rep = ModuleRep(g)
     ops = RatFuncOperators(g)
     ident = RatMatrix.identity(rep.n)
+    s_table = _table(g.edge_pairing(), _S_CASES)
     for k, s in enumerate(g.system.generators):
         dense = (rep.tau_matrix(s) - ident.scale(U2 - RF_ONE)).scale(RF_U ** -2)
         for j in range(rep.n):
             column = {i: row[j] for i, row in enumerate(dense.rows)
                       if row[j] != RF_ZERO}
-            s_column = _apply_columns(rep._s_columns[k], {j: P_ONE})
+            s_column = _apply_columns(s_table[k], {j: P_ONE})
             assert {i: RatFunc(c, Poly((0, 0, 1)))
                     for i, c in s_column.items()} == column
             assert ops.apply_inv(s, {j: RF_ONE}) == column
@@ -740,6 +742,23 @@ def reversal_inputs():
                     _DIHEDRAL[2], FamilySpec(figure, m))
 
 
+def test_reversed_pairing_is_the_pairing_of_the_reversed_digraph():
+    # the role swap reversal_identities reads its tau_s table from, against
+    # the pairing of the digraph `reverse()` builds
+    rng = random.Random(3141)
+    inputs = [*reversal_inputs(), ("loop", loop_digraph())]
+    inputs += [(f"two-label #{k}", random_two_label_digraph(
+        rng, rng.choice([2, 4, 6, 8, 10]), n=rng.choice([2, 3, 4, 5])))
+        for k in range(100)]
+    for label, g in inputs:
+        assert _reversed_pairing(g.edge_pairing()) == \
+            g.reverse().edge_pairing(), label
+    # a loop stays its vertex's head
+    loop = loop_digraph()
+    x = loop.vertex_index["x_loop"]
+    assert _reversed_pairing(loop.edge_pairing())[1][x] == (x, "head", SOLID)
+
+
 def test_reversal_identities_match_dense_reference():
     outcomes = set()
     for label, g in reversal_inputs():
@@ -822,15 +841,16 @@ def zu_reversal_identities(g, words):
     """The reversal identities on sparse Z[u] columns, as `reversal_identities`
     computed them before it moved to one integer point: the twist side is
     the coefficient reversal `_twist` of S_{w^-1}, the sign side S_w."""
-    rep = ModuleRep(g)
     rev = ModuleRep(g.reverse())
+    s_table = _table(g.edge_pairing(), _S_CASES)
+    n = len(g.vertices)
     signs = _sign_diagonal(g)
     reports = []
     for w in words:
         report = IdentityReport(word=str(w))
         lhs = rev._rho_columns(w)
         top = 2 * w.length
-        s_cols = rep._s_word_columns(w.inverse())
+        s_cols = _word_columns(s_table, w.inverse().word, n)
         twisted = [{i: _twist(c, top) for i, c in col.items()}
                    for col in s_cols]
         report.twist_matrix = lhs == twisted
@@ -839,8 +859,8 @@ def zu_reversal_identities(g, words):
             report.skipped = "sign identity needs acyclic components with sources"
         else:
             eps = -1 if w.length % 2 else 1
-            flipped = [{} for _ in range(rep.n)]
-            for j, col in enumerate(rep._s_word_columns(w)):
+            flipped = [{} for _ in range(n)]
+            for j, col in enumerate(_word_columns(s_table, w.word, n)):
                 for i, c in col.items():
                     flipped[i][j] = c if signs[i] * signs[j] == eps else -c
             report.sign_matrix = lhs == flipped
