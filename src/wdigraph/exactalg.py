@@ -422,9 +422,6 @@ class RatFunc:
 RF_ZERO = RatFunc(P_ZERO, P_ONE, _canonical=True)
 RF_ONE = RatFunc(P_ONE, P_ONE, _canonical=True)
 RF_U = RatFunc(P_U, P_ONE, _canonical=True)
-RF_U2 = RF_U * RF_U                     # u^2
-RF_U2M1 = RF_U2 - RF_ONE                # u^2 - 1
-RF_U_M2 = RF_U ** (-2)                  # u^-2
 
 
 def rf(num, den=None) -> RatFunc:
@@ -493,11 +490,6 @@ class RatMatrix:
         object.__setattr__(self, "rows", rows)
 
     @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[RF_ONE if i == j else RF_ZERO for j in range(n)]
-                          for i in range(n)])
-
-    @staticmethod
     def zero(n: int) -> "RatMatrix":
         return RatMatrix([[RF_ZERO] * n for _ in range(n)])
 
@@ -555,9 +547,6 @@ class RatMatrix:
         for i in range(self.n):
             t = t + self.rows[i][i]
         return t
-
-    def is_zero(self) -> bool:
-        return all(a.num.is_zero() for r in self.rows for a in r)
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.rows) + "]"

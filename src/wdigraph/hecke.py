@@ -1,14 +1,14 @@
 """The Hecke algebra of a Coxeter system in its standard basis.
 
 Elements are finitely supported maps from group elements to rational
-functions.  Products expand the left factor along canonical reduced words
-into generator multiplications, using the two-case rule
-
-    T_s T_w = T_{sw}                       if l(sw) > l(w)
-    T_s T_w = u^2 T_{sw} + (u^2-1) T_w     if l(sw) < l(w),
-
-so no structure-constant table is ever materialized.  Also here: inverses of
-basis elements, the normalized generators realizing dashed edges, the bar
+functions.  The algebra is the module of its own left-regular digraph, in
+which every edge is solid and runs w -> sw when l(sw) > l(w), so left
+multiplication by a generator is `modrep`'s kernel on the columns of that
+digraph, with the coefficients of `modrep._TAU_CASES`; products expand the
+left factor along canonical reduced words into such multiplications, and no
+structure-constant table is ever materialized.  The same kernel gives the
+inverses of the generators, the normalized generators realizing dashed
+edges, and their inverses.  Also here: inverses of basis elements, the bar
 involution, the dihedral element families, and the extraction of a labeled
 digraph from a subset of a module that supports one.
 """
@@ -19,10 +19,21 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coxeter import CoxeterSystem, GroupElement
-from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
-from .exactalg import (Poly, RF_ONE, RF_U, RF_U2, RF_U2M1, RF_U_M2, RF_ZERO,
-                       RatFunc, matrix_rank, poly_p, rf, ubar)
+from .digraph import SOLID, Edge, SLabeledDigraph
+from .exactalg import (P_ZERO, Poly, RF_ONE, RF_U, RF_ZERO, RatFunc,
+                       matrix_rank, poly_p, ubar)
 from .families import TEMPLATES, FamilySpec, family_arc_steps
+from .modrep import _TAU_CASES, _apply_columns, _shifted
+
+# the regular columns of (T_s - c)/d, (c, d) the self and partner
+# coefficients of tau_s at one (role, style): T_s at (tail, solid), T_s^-1 at
+# (head, solid), the generator of a dashed edge at (tail, dashed) and its
+# inverse at (head, dashed).  Keyed by that (role, style), then by the role
+# of the column; every edge of the regular digraph is solid.
+_GENERATORS = {key: {role: tuple(None if x is None else RatFunc(x, d)
+                                 for x in _shifted(c or P_ZERO)[(role, SOLID)])
+                     for role in ("tail", "head")}
+               for key, (c, d) in _TAU_CASES.items()}
 
 
 class HeckeElt:
@@ -86,9 +97,6 @@ class HeckeElt:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __getitem__(self, w: GroupElement) -> RatFunc:
         return self.coeffs.get(w, RF_ZERO)
 
@@ -97,39 +105,19 @@ class HeckeElt:
 
     # -- multiplication ----------------------------------------------------------------
 
-    def left_mult_gen(self, s) -> "HeckeElt":
-        """Left multiplication by the generator basis element for s."""
+    def _left_mult(self, s, key=("tail", SOLID)) -> "HeckeElt":
+        """Left multiplication by (T_s - c)/d, (c, d) the self and partner
+        coefficients of `_TAU_CASES[key]`: T_s by default.  Column w of the
+        regular module has the partner sw and is the tail when l(sw) > l(w).
+        """
         system = self.system
         si = system._gen_index(s)
-        out: dict[GroupElement, RatFunc] = {}
-
-        def add(w, c):
-            acc = out.get(w)
-            out[w] = c if acc is None else acc + c
-
-        for w, c in self.coeffs.items():
+        roles = _GENERATORS[key]
+        columns = {}
+        for w in self.coeffs:
             sw, delta = system.multiply_by_generator(w, si, "left")
-            if delta > 0:
-                add(sw, c)
-            else:
-                add(sw, RF_U2 * c)
-                add(w, RF_U2M1 * c)
-        return HeckeElt(system, out)
-
-    def left_mult_gen_inverse(self, s) -> "HeckeElt":
-        """Left multiplication by the inverse of a generator basis element."""
-        # u^{-2} (T_s - (u^2 - 1))
-        return (self.left_mult_gen(s) - self.scale(RF_U2M1)).scale(RF_U_M2)
-
-    def left_mult_circ(self, s) -> "HeckeElt":
-        """Left multiplication by the normalized generator realizing dashed edges."""
-        c = rf(1, [1, 1])  # 1/(u+1)
-        return (self.left_mult_gen(s) - self.scale(RF_U)).scale(c)
-
-    def left_mult_circ_inverse(self, s) -> "HeckeElt":
-        c = rf(1, [0, -1, 1])  # 1/(u^2-u)
-        shift = rf([-1, -1, 1])  # u^2-u-1
-        return (self.left_mult_gen(s) - self.scale(shift)).scale(c)
+            columns[w] = (sw,) + roles["tail" if delta > 0 else "head"]
+        return HeckeElt(system, _apply_columns(columns, self.coeffs, RF_ZERO))
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         if self.system is not other.system:
@@ -138,7 +126,7 @@ class HeckeElt:
         for w, c in self.coeffs.items():
             term = other
             for s in reversed(w.word):
-                term = term.left_mult_gen(s)
+                term = term._left_mult(s)
             out = out + term.scale(c)
         return out
 
@@ -165,7 +153,7 @@ def invert_Tw(w: GroupElement) -> HeckeElt:
     """The inverse of T_w, expanded along the reversed reduced word."""
     h = HeckeElt.one(w.system)
     for s in w.word:
-        h = h.left_mult_gen_inverse(s)
+        h = h._left_mult(s, ("head", SOLID))
     return h
 
 
@@ -300,24 +288,17 @@ def supports_digraph(X: Sequence[HeckeElt], names: Sequence[str] | None = None
     for i, h in enumerate(X):
         for si in range(system.rank()):
             gname = system.generators[si]
-            hits = []
-            t_h = h.left_mult_gen(si)
-            if t_h in index_of:
-                hits.append(Edge(names[i], names[index_of[t_h]], gname, SOLID))
-            ti_h = h.left_mult_gen_inverse(si)
-            if ti_h in index_of:
-                hits.append(Edge(names[index_of[ti_h]], names[i], gname, SOLID))
-            c_h = h.left_mult_circ(si)
-            if c_h in index_of:
-                hits.append(Edge(names[i], names[index_of[c_h]], gname, DASHED))
-            ci_h = h.left_mult_circ_inverse(si)
-            if ci_h in index_of:
-                hits.append(Edge(names[index_of[ci_h]], names[i], gname, DASHED))
-            if len(set(hits)) != 1:
+            hits = set()
+            for role, style in _TAU_CASES:
+                j = index_of.get(h._left_mult(si, (role, style)))
+                if j is not None:
+                    tail, head = (i, j) if role == "tail" else (j, i)
+                    hits.add(Edge(names[tail], names[head], gname, style))
+            if len(hits) != 1:
                 raise SupportsError(
-                    f"member {i} has {len(set(hits))} transforms landing in the "
+                    f"member {i} has {len(hits)} transforms landing in the "
                     f"subset for generator {gname}", index=i, generator=gname)
-            edges.add(hits[0])
+            edges |= hits
     return SLabeledDigraph(system, list(names), sorted(edges))
 
 
@@ -354,11 +335,7 @@ def dihedral_case_basis(system: CoxeterSystem, s, t, figure: int, m: int
     def run(chain_start, steps):
         out = [chain_start]
         for label, style in steps:
-            prev = out[-1]
-            if style == SOLID:
-                out.append(prev.left_mult_gen(label))
-            else:
-                out.append(prev.left_mult_circ(label))
+            out.append(out[-1]._left_mult(label, ("tail", style)))
         return out
 
     left = run(start, left_steps)

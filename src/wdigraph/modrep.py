@@ -2,22 +2,25 @@
 
 Each generator acts through a block-structured operator: along its edge
 pairing, the tail/head of a solid edge and of a dashed edge see the four
-coefficient patterns
+coefficient patterns of the one case table, `_TAU_CASES`,
 
     solid:   tail -> head;            head -> u^2 tail + (u^2-1) head
     dashed:  tail -> u tail + (u+1) head;
              head -> (u^2-u) tail + (u^2-u-1) head
 
 so each operator has at most two nonzero entries per column, all in Z[u].
+Every other table is tau_s - c, read off it by `_shifted(c)`: S_s = tau_s -
+(u^2-1) = u^2 tau_s^-1 (so the inverse is u^-2 S_s and rho(T_w)^-1 =
+u^(-2 l(w)) S_w with S_w in Z[u] too), S_s - u for the bar propagation, and
+u^2 sigma(S_s) for the twist identity.  The Hecke algebra in `hecke` reads
+its generators off the same table, as (T_s - c)/d for the self and partner
+coefficients (c, d) of each case, and runs them through the same kernel.
 One builder, `_table`, reads a table of per-column coefficients off the
-pairing: for tau_s, for S_s = tau_s - (u^2-1) = u^2 tau_s^-1 (so the
-inverse is u^-2 S_s and rho(T_w)^-1 = u^(-2 l(w)) S_w with S_w in Z[u]
-too), and for the twisted and bar tables below.  The one kernel,
-`_apply_columns`, maps a sparse vector {index: nonzero coefficient} to
-another in time proportional to its support, and the one word product,
-`_word_apply`, runs it along a word.  The columns of rho(T_w) (memoized per
-element) and of S_w, characters and the bar propagation are computed over
-Z[u]; the bar images carry their denominator u^a (u+1)^b as a pair of
+pairing.  The one kernel, `_apply_columns`, maps a sparse vector {index:
+nonzero coefficient} to another in time proportional to its support, and
+the one word product, `_word_apply`, runs it along a word.  The columns of
+rho(T_w) (memoized per element) and of S_w, characters and the bar
+propagation are computed over Z[u]; the bar images carry their denominator u^a (u+1)^b as a pair of
 exponents.  A value becomes a `RatFunc` only where it leaves the layer:
 `rho`, `rho_inv`, `tau_matrix`, `character` and the vectors of a
 `BarSolution`.
@@ -32,7 +35,8 @@ The oracle in `validator` decides the relations that way, and
 point per word, on the tau_s table of the reversed digraph read off the
 role-swapped pairing (`_reversed_pairing`), with no digraph built.  Dense
 matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for
-output such as characteristic polynomials.
+output such as characteristic polynomials.  The 0-Hecke action
+(`zero_hecke_action`) is the same word product on the tau_s table at u = 0.
 
 Each 2x2 block has the distinct eigenvalues u^2 and -1, so each eigenspace
 of a block is a line, v[head] = r v[tail]: r = 1 for u^2, r = -1/u^2 (solid)
@@ -53,8 +57,7 @@ from typing import Sequence
 from .coxeter import GroupElement
 from .digraph import DASHED, SOLID, SLabeledDigraph
 from .exactalg import (P_ONE, P_U, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
-                       RatFunc, RatMatrix, _pack)
-from .hecke import HeckeElt
+                       RatFunc, RatMatrix, _pack, sigma)
 
 U2 = Poly((0, 0, 1))                    # u^2
 U2M1 = Poly((-1, 0, 1))                 # u^2 - 1
@@ -63,7 +66,9 @@ U2MU = Poly((0, -1, 1))                 # u^2 - u
 U2MUM1 = Poly((-1, -1, 1))              # u^2 - u - 1
 
 # per-column (self, partner) coefficients of tau_s over Z[u], keyed by (role,
-# style); a zero self coefficient is None, so the kernel skips it
+# style); a zero self coefficient is None, so the kernel skips it.  This is
+# the one place the generator rule is written: every other table here, and
+# the Hecke algebra's own generators in `hecke`, are read off it
 _TAU_CASES = {
     ("tail", SOLID): (None, P_ONE),
     ("head", SOLID): (U2M1, U2),
@@ -71,29 +76,24 @@ _TAU_CASES = {
     ("head", DASHED): (U2MUM1, U2MU),
 }
 
-# the same for S_s = tau_s - (u^2-1) = u^2 tau_s^-1, again over Z[u]
-_S_CASES = {key: (((self_c or P_ZERO) - U2M1) or None, partner_c)
+
+def _shifted(c: Poly) -> dict:
+    """The cases of tau_s - c, again over Z[u]."""
+    return {key: (((self_c or P_ZERO) - c) or None, partner_c)
             for key, (self_c, partner_c) in _TAU_CASES.items()}
 
 
-def _twist(p: Poly, top: int) -> Poly:
-    """u^top sigma(p), sigma the substitution u -> -1/u, for p of degree at
-    most top: the coefficient reversal sum (-1)^k c_k u^(top-k) of
-    p = sum c_k u^k."""
-    cs = p.coeffs
-    return Poly([0] * (top + 1 - len(cs))
-                + [-c if k % 2 else c for k, c in enumerate(cs)][::-1])
+# S_s = tau_s - (u^2-1) = u^2 tau_s^-1, and S_s - u, the numerator of a
+# dashed edge's bar step
+_S_CASES = _shifted(U2M1)
+_S_MINUS_U_CASES = _shifted(U2M1 + P_U)
 
-
-# the same for u^2 sigma(S_s), entrywise: the S_s coefficients have degree at
-# most 2, so each is a coefficient reversal, again in Z[u]
-_TWISTED_S_CASES = {key: tuple(None if c is None else _twist(c, 2)
+# u^2 sigma(S_s), entrywise: the S_s coefficients have degree at most 2, so
+# each image lies in Z[u] again
+_TWISTED_S_CASES = {key: tuple(None if c is None
+                               else (RatFunc(U2) * sigma(RatFunc(c))).num
                                for c in case)
                     for key, case in _S_CASES.items()}
-
-# and for S_s - u: the numerator of a dashed edge's bar step
-_S_MINUS_U_CASES = {key: (((self_c or P_ZERO) - P_U) or None, partner_c)
-                    for key, (self_c, partner_c) in _S_CASES.items()}
 
 # a sparse vector: index -> nonzero coefficient (a Poly or an int)
 SparseVec = dict
@@ -143,8 +143,9 @@ class ModuleRep:
         return self._matrix(_word_columns(table, w.word, self.n),
                             Poly.monomial(1, 2 * w.length))
 
-    def rho_elt(self, h: HeckeElt) -> RatMatrix:
-        """Extend rho linearly to a finitely supported combination."""
+    def rho_elt(self, h) -> RatMatrix:
+        """Extend rho linearly to a finitely supported combination, a
+        `hecke.HeckeElt`."""
         if h.system is not self.system:
             raise ValueError("element from a different system")
         out = RatMatrix.zero(self.n)
@@ -171,8 +172,10 @@ def _table(pairing, cases: dict, at=None) -> list[list[tuple]]:
 def _apply_columns(columns, vec: dict, zero=P_ZERO) -> dict:
     """Sum c * (column i) over the entries i: c of vec, dropping cancellations.
 
-    The coefficients are Polys, from a Z[u] `_table`, or ints (zero = 0),
-    from a `_table` with u specialized to an integer.
+    The coefficients are Polys, from a Z[u] `_table`, ints (zero = 0), from
+    a `_table` with u specialized to an integer, or RatFuncs (zero =
+    RF_ZERO), from the Hecke algebra's regular columns, keyed by group
+    element.
     """
     out = {}
     get = out.get
@@ -397,23 +400,18 @@ def _reversed_pairing(pairing) -> list[list[tuple]]:
 
 def zero_hecke_action(digraph: SLabeledDigraph, w: GroupElement, alpha: str
                       ) -> tuple[int, str]:
-    """Apply the degenerate generators along a reduced word of w.
+    """Apply the degenerate generators along a reduced word of w: the tau_s
+    table at u = 0.
 
-    Each generator follows its edge out of the current vertex if one leaves
-    it, and otherwise negates; the result is always +/- one vertex.
+    A tail moves to its head with coefficient 1, and a head (or a loop, where
+    tau_s is the scalar 2u^2 - 1 or 2u^2 - 2u - 1) is negated, so the result
+    is always +/- one vertex.  A digraph that breaks the one-edge-per-label
+    rule raises `edge_pairing`'s ValueError.
     """
-    sign, v = 1, alpha
-    gens = digraph.system.generators
-    out_by_label = {}
-    for e in digraph.edges:
-        out_by_label[(e.src, e.label)] = e.dst
-    for s in reversed(w.word):
-        dst = out_by_label.get((v, gens[s]))
-        if dst is None:
-            sign = -sign
-        else:
-            v = dst
-    return sign, v
+    table = _table(digraph.edge_pairing(), _TAU_CASES, lambda c: c(0))
+    vec = _word_apply(table, w.word[::-1], {digraph.vertex_index[alpha]: 1}, 0)
+    ((i, sign),) = vec.items()
+    return sign, digraph.vertices[i]
 
 
 # -- bar operator propagation ------------------------------------------------------------------------

@@ -10,10 +10,15 @@ from math import inf
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem
-from wdigraph.digraph import Edge, SLabeledDigraph
-from wdigraph.exactalg import RF_U2M1, RF_U_M2, RF_ZERO, Poly, RatFunc, RatMatrix
+from wdigraph.digraph import DASHED, Edge, SLabeledDigraph
+from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix
 from wdigraph.hecke import Dihedral, HeckeElt
 from wdigraph.modrep import ModuleRep
+
+
+RF_U2 = RF_U * RF_U                     # u^2
+RF_U2M1 = RF_U2 - RF_ONE                # u^2 - 1
+RF_U_M2 = RF_U ** (-2)                  # u^-2
 
 
 def make_a3():
@@ -187,6 +192,15 @@ def is_poly(f):
     return f.den.coeffs == (1,)
 
 
+def identity_matrix(n):
+    return RatMatrix([[RF_ONE if i == j else RF_ZERO for j in range(n)]
+                      for i in range(n)])
+
+
+def matrix_is_zero(m):
+    return not any(a for r in m.rows for a in r)
+
+
 def apply_entrywise(m, fn):
     return RatMatrix([[fn(a) for a in r] for r in m.rows])
 
@@ -212,21 +226,30 @@ def lampoly_eval_matrix(coeffs, m):
     """Evaluate an ascending coefficient tuple at a matrix argument (Horner)."""
     acc = RatMatrix.zero(m.n)
     for c in reversed(coeffs):
-        acc = acc * m + RatMatrix.identity(m.n).scale(c)
+        acc = acc * m + identity_matrix(m.n).scale(c)
     return acc
 
 
 # -- hecke ---------------------------------------------------------------------
 
 
+def hecke_is_zero(h):
+    return not h.coeffs
+
+
+def left_mult_gen(h, s):
+    """T_s h."""
+    return h._left_mult(s)
+
+
 def Ts_circ(system, s):
-    """(u+1)^{-1} (T_s - u)."""
-    return HeckeElt.one(system).left_mult_circ(s)
+    """(u+1)^{-1} (T_s - u), the generator of a dashed edge."""
+    return HeckeElt.one(system)._left_mult(s, ("tail", DASHED))
 
 
 def Ts_circ_inverse(system, s):
     """(u^2-u)^{-1} (T_s - (u^2-u-1))."""
-    return HeckeElt.one(system).left_mult_circ_inverse(s)
+    return HeckeElt.one(system)._left_mult(s, ("head", DASHED))
 
 
 def dihedral_elements(system, s, t, j):

@@ -24,7 +24,8 @@ from wdigraph.validator import brute_force_check, is_w_digraph, \
     random_two_label_digraph
 
 from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
-                      eval_at, make_a3, make_b3, make_h3, reachable_from)
+                      eval_at, left_mult_gen, make_a3, make_b3, make_h3,
+                      reachable_from)
 
 RANDOM_SEED = 987654321
 S, D = SOLID, DASHED
@@ -196,14 +197,14 @@ def test_criterion_04_case_identities_and_supports():
         m = (n + 1) // 2
         eta = dd.eta(m - 1)
         lhs = (HeckeElt.T(dd.word_t(m - 1))
-               * (eta.left_mult_gen("s") - eta.scale(RF_U)))
+               * (left_mult_gen(eta, "s") - eta.scale(RF_U)))
         rhs = (HeckeElt.T(system.longest_element())
                - HeckeElt.one(system).scale(RF_U ** n))
         assert lhs == rhs, ("case4", n)
         gamma = dd.gamma(m - 1)
         tprime = "t" if m % 2 == 0 else "s"
         inner = HeckeElt.T(dd.word_s(m - 1)) * gamma
-        lhs5 = inner.left_mult_gen(tprime) - inner.scale(RF_U)
+        lhs5 = left_mult_gen(inner, tprime) - inner.scale(RF_U)
         assert lhs5 == alternating_sum(system, n), ("case5", n)
         # the chain closing elements of figures 4 and 5
         one_over = rf(1, [1, 1])
@@ -217,10 +218,10 @@ def test_criterion_04_case_identities_and_supports():
         dd = Dihedral(system, "s", "t")
         m = (n + 2) // 2
         delta = dd.delta(m - 2)
-        step1 = delta.left_mult_gen("s") - delta.scale(RF_U)
+        step1 = left_mult_gen(delta, "s") - delta.scale(RF_U)
         step2 = HeckeElt.T(dd.word_t(m - 2)) * step1
         tprime = "t" if m % 2 == 0 else "s"
-        lhs6 = step2.left_mult_gen(tprime) - step2.scale(RF_U)
+        lhs6 = left_mult_gen(step2, tprime) - step2.scale(RF_U)
         assert lhs6 == alternating_sum(system, n), ("case6", n)
         assert dihedral_case_basis(system, "s", "t", 6, m)[-1] == \
             alternating_sum(system, n).scale(rf(1, [1, 2, 1])), \

@@ -3,16 +3,22 @@ element families, the bar involution, and digraph extraction."""
 
 import itertools
 import random
+from collections import Counter
+from math import inf
 
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem
-from wdigraph.exactalg import RF_ONE, RF_U, RatFunc, poly_p, rf
+from wdigraph.digraph import DASHED, SOLID
+from wdigraph.exactalg import RF_ONE, RF_U, RatFunc, poly_p, rf, ubar
 from wdigraph.families import FamilySpec, build_family
 from wdigraph.hecke import (Dihedral, HeckeElt, SupportsError, bar,
                             dihedral_case_basis, invert_Tw, supports_digraph)
+from wdigraph.modrep import _TAU_CASES
 
-from conftest import Ts_circ, Ts_circ_inverse, dihedral_elements, zeta
+from conftest import (RF_U2, RF_U2M1, RF_U_M2, Ts_circ, Ts_circ_inverse,
+                      dihedral_elements, hecke_is_zero, left_mult_gen,
+                      make_affine_a2, make_b3, zeta)
 
 U2 = RF_U * RF_U
 
@@ -37,17 +43,17 @@ def T(system, word):
 
 
 def test_left_mult_identity(i23):
-    assert T(i23, "e").left_mult_gen("s") == T(i23, "s")
+    assert left_mult_gen(T(i23, "e"), "s") == T(i23, "s")
 
 
 def test_quadratic_relation_expansion(i23):
     # T_s T_s = u^2 + (u^2-1) T_s
-    prod = T(i23, "s").left_mult_gen("s")
+    prod = left_mult_gen(T(i23, "s"), "s")
     assert prod == T(i23, "e").scale(U2) + T(i23, "s").scale(U2 - RF_ONE)
 
 
 def test_length_additive(i23):
-    assert T(i23, "ts").left_mult_gen("s") == T(i23, "sts")
+    assert left_mult_gen(T(i23, "ts"), "s") == T(i23, "sts")
 
 
 def test_product_length_additive_all_pairs(i24):
@@ -57,8 +63,9 @@ def test_product_length_additive_all_pairs(i24):
 
 
 def test_braid_relation(i23):
-    lhs = T(i23, "e").left_mult_gen("s").left_mult_gen("t").left_mult_gen("s")
-    rhs = T(i23, "e").left_mult_gen("t").left_mult_gen("s").left_mult_gen("t")
+    lhs, rhs = T(i23, "e"), T(i23, "e")
+    for s, t in zip("sts", "tst"):
+        lhs, rhs = left_mult_gen(lhs, s), left_mult_gen(rhs, t)
     assert lhs == rhs
 
 
@@ -68,7 +75,7 @@ def test_quadratic_relation_factored(i23):
         prod = (T(i23, g) * T(i23, g)
                 - T(i23, g).scale(U2 - RF_ONE)
                 - T(i23, "e").scale(U2))
-        assert prod.is_zero()
+        assert hecke_is_zero(prod)
 
 
 def test_associativity_random_triples(i25, a3):
@@ -116,7 +123,7 @@ def test_ts_circ(i23):
     lam = rf([0, -1, 1], [1, 1])
     prod = ((circ * circ) - circ.scale(lam - RF_ONE)
             - T(i23, "e").scale(lam))
-    assert prod.is_zero()
+    assert hecke_is_zero(prod)
 
 
 def test_bar_fixes_identity(i23):
@@ -160,7 +167,7 @@ def test_phi1_n5(i25):
     phi1 = dd.phi(1)
     expected = T(i25, "s") + T(i25, "t") + T(i25, "e").scale(rf([1, 0, -1]))
     assert phi1 == expected
-    assert phi1.left_mult_gen("s") == T(i25, "e").scale(U2) + T(i25, "st")
+    assert left_mult_gen(phi1, "s") == T(i25, "e").scale(U2) + T(i25, "st")
 
 
 def test_zeta_twist_eta_gives_gamma():
@@ -227,3 +234,112 @@ def test_printing(i23):
     h = T(i23, "s").scale(rf(1, [1, 1])) + T(i23, "e").scale(rf([0, -1], [1, 1]))
     assert str(h) == "((-u)/(1+u))*T[e] + ((1)/(1+u))*T[s]"
     assert str(HeckeElt.zero(i23)) == "0"
+
+
+# -- the generator rule written out, as the algebra computed it before its
+# -- generators were read off modrep's case table ------------------------------------------
+
+
+def rule_left_mult_gen(h, s):
+    """T_s T_w = T_sw if l(sw) > l(w), and u^2 T_sw + (u^2-1) T_w if not."""
+    system = h.system
+    si = system._gen_index(s)
+    out = {}
+
+    def add(w, c):
+        acc = out.get(w)
+        out[w] = c if acc is None else acc + c
+
+    for w, c in h.coeffs.items():
+        sw, delta = system.multiply_by_generator(w, si, "left")
+        if delta > 0:
+            add(sw, c)
+        else:
+            add(sw, RF_U2 * c)
+            add(w, RF_U2M1 * c)
+    return HeckeElt(system, out)
+
+
+def rule_left_mult_gen_inverse(h, s):
+    """u^-2 (T_s - (u^2-1)) h."""
+    return (rule_left_mult_gen(h, s) - h.scale(RF_U2M1)).scale(RF_U_M2)
+
+
+def rule_left_mult_circ(h, s):
+    """(u+1)^-1 (T_s - u) h."""
+    return (rule_left_mult_gen(h, s) - h.scale(RF_U)).scale(rf(1, [1, 1]))
+
+
+def rule_left_mult_circ_inverse(h, s):
+    """(u^2-u)^-1 (T_s - (u^2-u-1)) h."""
+    return ((rule_left_mult_gen(h, s) - h.scale(rf([-1, -1, 1])))
+            .scale(rf(1, [0, -1, 1])))
+
+
+def rule_mul(x, y):
+    out = HeckeElt.zero(x.system)
+    for w, c in x.coeffs.items():
+        term = y
+        for s in reversed(w.word):
+            term = rule_left_mult_gen(term, s)
+        out = out + term.scale(c)
+    return out
+
+
+def rule_invert_Tw(w):
+    h = HeckeElt.one(w.system)
+    for s in w.word:
+        h = rule_left_mult_gen_inverse(h, s)
+    return h
+
+
+def rule_bar(h):
+    out = HeckeElt.zero(h.system)
+    for w, c in h.coeffs.items():
+        out = out + rule_invert_Tw(w.inverse()).scale(ubar(c))
+    return out
+
+
+# the four operators in the (role, style) order of `_TAU_CASES`
+RULE_OPERATORS = {("tail", SOLID): rule_left_mult_gen,
+                  ("head", SOLID): rule_left_mult_gen_inverse,
+                  ("tail", DASHED): rule_left_mult_circ,
+                  ("head", DASHED): rule_left_mult_circ_inverse}
+
+# coefficients with monomial and non-monomial denominators
+_COEFFS = [rf(1), rf(-2), rf([0, 1]), rf([1, -1, 1]), rf(1, [0, 1]),
+           rf([2, 1], [1, 1]), rf(1, [0, -1, 1]), rf([0, 3], [-1, 0, 1])]
+
+
+def random_hecke_elt(rng, elements):
+    system = elements[0].system
+    return HeckeElt(system, {rng.choice(elements): rng.choice(_COEFFS)
+                             for _ in range(rng.randint(1, 4))})
+
+
+def test_generator_rule_matches_written_rule():
+    # seeded random elements supported on words of length <= 5, over finite
+    # and infinite, dihedral and rank-three systems
+    systems = [CoxeterSystem.dihedral(3), CoxeterSystem.dihedral(4),
+               CoxeterSystem.dihedral(6), CoxeterSystem.dihedral(inf),
+               make_b3(), make_affine_a2()]
+    assert list(RULE_OPERATORS) == list(_TAU_CASES)
+    rng = random.Random(1919)
+    checked = Counter()
+    for system in systems:
+        elements = system.enumerate(5)
+        for _ in range(20):
+            h = random_hecke_elt(rng, elements)
+            for s in range(system.rank()):
+                for key, rule in RULE_OPERATORS.items():
+                    assert h._left_mult(s, key) == rule(h, s), (key, h)
+                    checked["operators"] += 1
+            x = random_hecke_elt(rng, elements)
+            assert x * h == rule_mul(x, h)
+            assert bar(h) == rule_bar(h)
+            checked["products and bars"] += 1
+        for w in elements:
+            assert invert_Tw(w) == rule_invert_Tw(w), w
+            checked["inverses"] += 1
+    assert checked == {"operators": 1120, "products and bars": 120,
+                       "inverses": 114}

@@ -20,15 +20,15 @@ from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              _S_CASES, _TAU_CASES, _TWISTED_S_CASES,
                              _apply_columns, _restricted_component_counts,
                              _reversed_pairing, _same_image, _sign_diagonal,
-                             _table, _trace, _twist, _word_columns,
+                             _table, _trace, _word_columns,
                              bar_from_source, linear_char_dims,
                              reversal_identities, theorem_checkers,
                              zero_hecke_action)
 from wdigraph.validator import random_two_label_digraph
 
 from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
-                      eval_at, is_poly, make_a3, make_b3, path_length_mu,
-                      reachable_from, subgraph)
+                      eval_at, identity_matrix, is_poly, make_a3, make_b3,
+                      path_length_mu, reachable_from, subgraph)
 from test_validator import group_digraphs, random_labeled_digraph, word_apply
 
 U2 = RF_U * RF_U
@@ -128,7 +128,7 @@ def test_rho_inverse_roundtrip(build, max_length):
     for w in g.system.enumerate(max_length):
         inv = rep.rho_inv(w)
         assert inv == rep.rho_elt(invert_Tw(w)), w
-        assert rep.rho(w) * inv == RatMatrix.identity(rep.n), w
+        assert rep.rho(w) * inv == identity_matrix(rep.n), w
 
 
 @pytest.mark.parametrize("name", ["b3_no_bar", "h3_nonselfassoc"])
@@ -138,7 +138,7 @@ def test_tau_inv_apply_matches_dense(name):
     g = build_example(name)
     rep = ModuleRep(g)
     ops = RatFuncOperators(g)
-    ident = RatMatrix.identity(rep.n)
+    ident = identity_matrix(rep.n)
     s_table = _table(g.edge_pairing(), _S_CASES)
     for k, s in enumerate(g.system.generators):
         dense = (rep.tau_matrix(s) - ident.scale(U2 - RF_ONE)).scale(RF_U ** -2)
@@ -356,6 +356,78 @@ def test_zero_hecke_reachability_matches_bfs(a3):
     for alpha in lv.vertices:
         reached = {zero_hecke_action(lv, w, alpha)[1] for w in elems}
         assert reached == reachable_from(lv, alpha)
+
+
+def out_edge_walk(digraph, w, alpha):
+    """The 0-Hecke action as a walk along out-edges, as `zero_hecke_action`
+    computed it before it ran the tau_s table at u = 0: each generator
+    follows its edge out of the current vertex if one leaves it, and
+    otherwise negates."""
+    sign, v = 1, alpha
+    gens = digraph.system.generators
+    out_by_label = {}
+    for e in digraph.edges:
+        out_by_label[(e.src, e.label)] = e.dst
+    for s in reversed(w.word):
+        dst = out_by_label.get((v, gens[s]))
+        if dst is None:
+            sign = -sign
+        else:
+            v = dst
+    return sign, v
+
+
+def zero_hecke_inputs():
+    """The seven modules fixtures, the template grid over I2(2..7) and 100
+    seeded random two-label digraphs, none with a loop."""
+    yield from ((label, g) for label, g in reversal_inputs()
+                if not label.startswith("figure"))
+    for figure in range(1, 9):
+        for m in ([1] if figure in (7, 8) else [2, 3, 4, 5]):
+            for n in range(2, 8):
+                yield f"figure {figure} m={m} n={n}", build_family(
+                    _DIHEDRAL[n], FamilySpec(figure, m))
+    rng = random.Random(1919)
+    for k in range(100):
+        yield f"two-label #{k}", random_two_label_digraph(
+            rng, rng.choice([2, 4, 6, 8, 10]), n=rng.choice([2, 3, 4, 5, 6]))
+
+
+def test_zero_hecke_action_matches_out_edge_walk():
+    seen = Counter()
+    for label, g in zero_hecke_inputs():
+        assert all(e.src != e.dst for e in g.edges), label
+        words = g.system.enumerate(4)
+        if g.system.is_finite():
+            words.append(g.system.longest_element())
+        for w in words:
+            for alpha in g.vertices:
+                got = zero_hecke_action(g, w, alpha)
+                assert got == out_edge_walk(g, w, alpha), (label, w, alpha)
+                seen[got[0]] += 1
+        seen["digraphs"] += 1
+    assert seen["digraphs"] == 7 + 156 + 100
+    assert seen[1] > 1000 and seen[-1] > 1000
+
+
+def test_zero_hecke_loop_negates():
+    # tau_t on a loop is the scalar 2u^2 - 1 (solid) or 2u^2 - 2u - 1
+    # (dashed), -1 at u = 0; the out-edge walk followed the loop instead
+    g = loop_digraph()
+    t = g.system.element("t")
+    for alpha in ("x_loop", "y_loop"):
+        assert zero_hecke_action(g, t, alpha) == (-1, alpha)
+        assert out_edge_walk(g, t, alpha) == (1, alpha)
+
+
+def test_zero_hecke_missing_edge_raises(i23):
+    # a vertex with no t-edge breaks the one-edge-per-label rule; the walk
+    # negated there, the action raises the pairing's error
+    g = SLabeledDigraph(i23, ["a", "b"], [("a", "b", "s", SOLID)])
+    t = i23.element("t")
+    assert out_edge_walk(g, t, "a") == (-1, "a")
+    with pytest.raises(ValueError, match="meets 0 edges labeled t"):
+        zero_hecke_action(g, t, "a")
 
 
 # -- bar propagation -------------------------------------------------------------------------
@@ -835,6 +907,15 @@ def test_reversal_identities_match_ratfunc_reference_on_fixtures():
             words.append(g.system.longest_element())
         assert reversal_identities(g, words) == \
             ratfunc_reversal_identities(g, words), label
+
+
+def _twist(p: Poly, top: int) -> Poly:
+    """u^top sigma(p), sigma the substitution u -> -1/u, for p of degree at
+    most top: the coefficient reversal sum (-1)^k c_k u^(top-k) of
+    p = sum c_k u^k."""
+    cs = p.coeffs
+    return Poly([0] * (top + 1 - len(cs))
+                + [-c if k % 2 else c for k, c in enumerate(cs)][::-1])
 
 
 def zu_reversal_identities(g, words):

@@ -8,11 +8,22 @@ in `PAPER_API`, through which a test states a paper claim or a public
 output; an entry that gains a caller in `src/` no longer needs the exception
 and must leave the list.  Helpers that only tests call belong in the tests
 (`tests/conftest.py`).
+
+The caller count matches a method by its bare name, so a method that
+another class of the package also defines is kept alive by the other's
+callers.  `SHARED_METHOD_NAMES` pins those names, so that a new clash is
+reviewed.  Each module also imports alone, in a fresh interpreter, which no
+import order of the test session can stand in for.
 """
 
 import ast
-from collections import Counter
+import os
+import subprocess
+import sys
+from collections import Counter, defaultdict
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wdigraph"
@@ -36,6 +47,19 @@ PAPER_API = {
         "label-preserving isomorphism, stated against its reference",
     "validator.random_two_label_digraph":
         "the seeded random digraphs the classifier is checked on",
+}
+
+# method name -> the classes defining it, for every name defined on more
+# than one class of the package
+SHARED_METHOD_NAMES = {
+    "_walk": {"coxeter.CoxeterSystem", "digraph.SLabeledDigraph"},
+    "identity": {"coxeter.CoxeterSystem", "coxeter.DiagramAutomorphism"},
+    "inverse": {"coxeter.CoxeterSystem", "coxeter.GroupElement",
+                "exactalg.RatFunc"},
+    "is_zero": {"exactalg.Poly", "exactalg.RatFunc"},
+    "scale": {"exactalg.Poly", "exactalg.RatMatrix", "hecke.HeckeElt"},
+    "to_json": {"coxeter.CoxeterSystem", "digraph.SLabeledDigraph"},
+    "zero": {"exactalg.RatMatrix", "hecke.HeckeElt"},
 }
 
 
@@ -108,3 +132,26 @@ def test_paper_api_is_minimal():
     called = sorted(q for q in PAPER_API if callers[q] > 0)
     assert not called, ("PAPER_API entries that src now calls, so they "
                         "need no exception: " + ", ".join(called))
+
+
+def test_shared_method_names_are_pinned():
+    classes = defaultdict(set)
+    for qual, name, _ in _definitions():
+        if qual.count(".") == 2:
+            classes[name].add(qual.rsplit(".", 1)[0])
+    shared = {name: owners for name, owners in classes.items()
+              if len(owners) > 1}
+    assert shared == SHARED_METHOD_NAMES, (
+        "a method name defined on more than one class keeps each of them "
+        "alive for the caller count; check that every one of them has its "
+        "own caller in src or bench, then update SHARED_METHOD_NAMES")
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                          if p.stem != "__init__"))
+def test_module_imports_alone(module):
+    # an import cycle between two modules shows only when one of them is
+    # imported first, in an interpreter that has imported neither
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    subprocess.run([sys.executable, "-c", f"import wdigraph.{module}"],
+                   check=True, env=env)
