@@ -31,11 +31,6 @@ class StructureError(Exception):
     """The digraph breaks the one-edge-per-label invariant."""
 
 
-def _emit_digraph(g: SLabeledDigraph) -> int:
-    print(json.dumps(g.to_json(), indent=2, sort_keys=True))
-    return 0
-
-
 def _load(loader, noun: str, path: str):
     """loader(path), with every way a file can fail turned into a UsageError
     that names the noun ("system" or "digraph")."""
@@ -67,10 +62,7 @@ def _parse_star(system: CoxeterSystem, text: str | None) -> DiagramAutomorphism:
             raise UsageError(f"bad automorphism entry {part!r}; use src:dst")
         src, dst = part.split(":", 1)
         mapping[src.strip()] = dst.strip()
-    try:
-        return DiagramAutomorphism.from_mapping(system, mapping)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return DiagramAutomorphism.from_mapping(system, mapping)
 
 
 def _parse_words(system: CoxeterSystem, text: str):
@@ -80,47 +72,50 @@ def _parse_words(system: CoxeterSystem, text: str):
         raise UsageError(f"bad word list {text!r}: {exc}") from exc
 
 
-def cmd_family(args) -> int:
+def _builder(cmd):
+    """A subcommand that builds a digraph and prints it as JSON.  A
+    ValueError on the way, from the system, the automorphism or the
+    builder, is a usage error."""
+    def run(args) -> int:
+        try:
+            g = cmd(args)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        print(json.dumps(g.to_json(), indent=2, sort_keys=True))
+        return 0
+    return run
+
+
+@_builder
+def cmd_family(args) -> SLabeledDigraph:
     if args.system:
         system = _load(CoxeterSystem.from_json, "system", args.system)
     elif args.n is not None:
-        try:
-            for name in (args.s, args.t):
-                check_generator_name(name)
-            system = CoxeterSystem.dihedral(args.n, (args.s, args.t))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        for name in (args.s, args.t):
+            check_generator_name(name)
+        system = CoxeterSystem.dihedral(args.n, (args.s, args.t))
     else:
         raise UsageError("family needs --system or --n")
-    try:
-        spec = FamilySpec(args.figure, args.m, args.s, args.t)
-        return _emit_digraph(build_family(system, spec))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = FamilySpec(args.figure, args.m, args.s, args.t)
+    return build_family(system, spec)
 
 
-def cmd_lv(args) -> int:
+@_builder
+def cmd_lv(args) -> SLabeledDigraph:
     system = _load(CoxeterSystem.from_json, "system", args.system)
     star = _parse_star(system, args.star)
-    try:
-        return _emit_digraph(build_lv(system, star, args.length_bound))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return build_lv(system, star, args.length_bound)
 
 
-def cmd_regular(args) -> int:
+@_builder
+def cmd_regular(args) -> SLabeledDigraph:
     system = _load(CoxeterSystem.from_json, "system", args.system)
-    try:
-        return _emit_digraph(build_regular(system, args.length_bound))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return build_regular(system, args.length_bound)
 
 
-def cmd_example(args) -> int:
-    try:
-        return _emit_digraph(build_example(args.name))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+@_builder
+def cmd_example(args) -> SLabeledDigraph:
+    return build_example(args.name)
 
 
 def _oracle_line(witness) -> str:

@@ -3,12 +3,17 @@
 Elements are stored as ShortLex-minimal reduced words (generator order =
 declaration order).  One memoized primitive, the canonical word of w*s, solves
 the word problem one dihedral parabolic W_{s,t} at a time (w = w^J * w_J,
-Bjorner-Brenti 2.4) for every Coxeter matrix; products, inverses, descents,
-enumeration and the Bruhat order (lifting property, 2.2.7) are walks of it.
+Bjorner-Brenti 2.4) for every Coxeter matrix; products, inverses, descents
+and the Bruhat order (lifting property, 2.2.7) are walks of it.
+
+One BFS from the identity along the steps that raise length, `up_walk`,
+lists elements and the arrows between them: `enumerate` along right
+multiplication, the twisted involutions along w -> sw or s w s* without
+enumerating W, and the arrows of the digraphs that `families` builds.
 
 Orders come from the classification of finite irreducible diagrams: |W_J|
 (`parabolic_order`) is the product of the closed-form orders of the components
-of the Coxeter diagram on J, so finiteness, and `enumerate`'s refusal of a
+of the Coxeter diagram on J, so finiteness, and the walk's refusal of a
 group over MAX_ELEMENTS, are decided before any element is built.
 """
 
@@ -21,7 +26,7 @@ from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
-MAX_ELEMENTS = 100_000  # safety bound on what `enumerate` may produce
+MAX_ELEMENTS = 100_000  # safety bound on the elements `up_walk` may build
 
 
 def check_generator_name(g: str) -> None:
@@ -221,17 +226,9 @@ class CoxeterSystem:
     def gen(self, s) -> "GroupElement":
         return GroupElement(self, (self._gen_index(s),))
 
-    def multiply_by_generator(self, w: "GroupElement", s, side: str = "left"):
-        """(ws or sw, +1/-1) depending on whether the length rose or fell."""
-        si = self._gen_index(s)
-        if side == "right":
-            new = self._rmult(w.word, si)
-        elif side == "left":
-            new = self._walk((si,), w.word)
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        delta = 1 if len(new) > len(w.word) else -1
-        return GroupElement(self, new), delta
+    def lmult(self, w: Word, s: int) -> Word:
+        """Canonical word of s*w for a canonical word w."""
+        return self._walk((s,), w)
 
     def mult(self, x: "GroupElement", y: "GroupElement") -> "GroupElement":
         self._check_element(x)
@@ -247,15 +244,21 @@ class CoxeterSystem:
 
     # -- enumeration ------------------------------------------------------------------------
 
-    def enumerate(self, length_bound=None) -> list["GroupElement"]:
-        """All elements of length <= bound (or all of W), sorted (length, ShortLex).
+    def up_walk(self, step, length_bound=None) -> tuple[list[Word], list]:
+        """(words, arrows): a BFS from the identity along the steps that raise
+        length.  step(w, s) gives (target, tag) for a canonical word w and a
+        generator index s; the walk follows it when the target is longer
+        than w and no longer than the bound, and returns the words reached,
+        sorted (length, ShortLex), and the arrows (w, s, target, tag) taken.
 
-        BFS over right multiplication from the identity.  Requesting the whole
-        group of an infinite system, or of one whose order (`parabolic_order`)
-        is over MAX_ELEMENTS, is an error raised before any element is built,
-        and so is a negative bound; a length-bounded run raises once it has
-        built over MAX_ELEMENTS.
+        A negative bound is refused, and so is a walk over the whole group
+        of an infinite system or of one whose order (`parabolic_order`) is
+        over MAX_ELEMENTS, before any element is built; a bounded walk
+        raises once it has built over MAX_ELEMENTS elements, as words it
+        keeps or as products w*s it memoizes (over MAX_ELEMENTS * rank).
         """
+        too_many = f"more than {MAX_ELEMENTS} elements to enumerate"
+        rank = len(self.generators)
         if length_bound is not None and length_bound < 0:
             raise ValueError(f"length bound must be >= 0, not {length_bound}")
         if length_bound is None:
@@ -264,32 +267,34 @@ class CoxeterSystem:
                 raise ValueError("cannot enumerate an infinite Coxeter group; "
                                  "pass a length bound")
             if order > MAX_ELEMENTS:
-                raise ValueError(f"more than {MAX_ELEMENTS} elements "
-                                 "to enumerate")
-            if self._all_elements is not None:
-                return list(self._all_elements)
-        frontier = [()]
-        seen = {()}
-        out = [()]
-        length = 0
-        ngens = len(self.generators)
-        while frontier:
-            if length_bound is not None and length >= length_bound:
-                break
-            nxt = set()
-            for w in frontier:
-                for s in range(ngens):
-                    new = self._rmult(w, s)
-                    if len(new) > len(w) and new not in seen:
-                        seen.add(new)
-                        nxt.add(new)
+                raise ValueError(too_many)
+            length_bound = inf
+        words, arrows, seen = [()], [], {()}
+        products = len(self._products)
+        for w in words:                 # a FIFO queue: words grows behind w
+            if len(w) >= length_bound:
+                continue                # no step from w stays within the bound
+            for s in range(rank):
+                target, tag = step(w, s)
+                if len(w) < len(target) <= length_bound:
+                    arrows.append((w, s, target, tag))
+                    if target not in seen:
+                        seen.add(target)
+                        words.append(target)
                         if len(seen) > MAX_ELEMENTS:
-                            raise ValueError(f"more than {MAX_ELEMENTS} elements "
-                                             "to enumerate")
-            frontier = sorted(nxt)
-            out.extend(frontier)
-            length += 1
-        elements = [GroupElement(self, w) for w in out]
+                            raise ValueError(too_many)
+            if len(self._products) - products > MAX_ELEMENTS * rank:
+                raise ValueError(too_many)
+        return sorted(words, key=lambda w: (len(w), w)), arrows
+
+    def enumerate(self, length_bound=None) -> list["GroupElement"]:
+        """All elements of length <= bound (or all of W), sorted (length,
+        ShortLex): the up-walk along right multiplication."""
+        if length_bound is None and self._all_elements is not None:
+            return list(self._all_elements)
+        words, _ = self.up_walk(lambda w, s: (self._rmult(w, s), None),
+                                length_bound)
+        elements = [GroupElement(self, w) for w in words]
         if length_bound is None:
             self._all_elements = list(elements)
         return elements
@@ -349,13 +354,27 @@ class CoxeterSystem:
 
     # -- twisted involutions / diagram automorphisms ------------------------------------------------
 
-    def twisted_involutions(self, star: "DiagramAutomorphism",
-                            length_bound=None) -> list["GroupElement"]:
-        """All x with star(x) = x^{-1}, in (length, ShortLex) order."""
+    def twisted_step(self, star: "DiagramAutomorphism"):
+        """The up-walk step that reaches the twisted involutions, star(x) =
+        x^{-1}: w -> sw, tagged True, when sw = w star(s), else w -> s w
+        star(s), tagged False (Richardson-Springer 1990; Hultman 2005)."""
         if not star.is_involution():
             raise ValueError("the diagram automorphism must be involutory")
-        return [x for x in self.enumerate(length_bound)
-                if star.apply(x) == self.inverse(x)]
+        perm = star.perm
+
+        def step(w: Word, s: int) -> tuple[Word, bool]:
+            sw = self.lmult(w, s)
+            if len(sw) < len(w) or sw == self._rmult(w, perm[s]):
+                return sw, True
+            return self._rmult(sw, perm[s]), False
+        return step
+
+    def twisted_involutions(self, star: "DiagramAutomorphism",
+                            length_bound=None) -> list["GroupElement"]:
+        """All x with star(x) = x^{-1}, in (length, ShortLex) order: the
+        up-walk along `twisted_step`."""
+        words, _ = self.up_walk(self.twisted_step(star), length_bound)
+        return [GroupElement(self, w) for w in words]
 
     def conjugation_automorphism_by_w0(self, star: "DiagramAutomorphism"
                                        ) -> "DiagramAutomorphism":
@@ -432,9 +451,6 @@ class DiagramAutomorphism:
     def apply(self, x: GroupElement) -> GroupElement:
         return GroupElement(self.system,
                             self.system.canonical(self.perm[s] for s in x.word))
-
-    def apply_gen(self, s: int) -> int:
-        return self.perm[s]
 
     def is_involution(self) -> bool:
         return all(self.perm[self.perm[i]] == i for i in range(len(self.perm)))

@@ -7,8 +7,9 @@ of the source, the two into the sink) in the per-figure patterns of the
 template table below, which also holds each figure's condition on n.
 
 Also here: the twisted-involution digraph attached to an involutory diagram
-automorphism, the left-regular digraph on all of W, and a handful of
-named example digraphs used as fixtures throughout.
+automorphism and the left-regular digraph on all of W, each the arrows of
+one `CoxeterSystem.up_walk` with its tags read as edge styles, and a handful
+of named example digraphs used as fixtures throughout.
 """
 
 from __future__ import annotations
@@ -119,42 +120,27 @@ def build_lv(system: CoxeterSystem, star: DiagramAutomorphism,
 
     For each vertex w and generator s with l(sw) > l(w): a solid edge
     w -> s w star(s) when sw != w star(s), and a dashed edge w -> sw when
-    sw = w star(s).
+    sw = w star(s); the arrows of the up-walk along `twisted_step`.
     """
-    involutions = system.twisted_involutions(star, length_bound)
-    vertex_of = {x: str(x) for x in involutions}
-    members = set(involutions)
-    edges = []
-    for w in involutions:
-        for si in range(system.rank()):
-            sw, delta = system.multiply_by_generator(w, si, "left")
-            if delta < 0:
-                continue
-            ws = system.multiply_by_generator(w, star.apply_gen(si), "right")[0]
-            if sw == ws:
-                target = sw
-                style = DASHED
-            else:
-                target = system.multiply_by_generator(sw, star.apply_gen(si),
-                                                      "right")[0]
-                style = SOLID
-            if target in members:
-                edges.append(Edge(vertex_of[w], vertex_of[target],
-                                  system.generators[si], style))
-    return SLabeledDigraph(system, [vertex_of[x] for x in involutions], edges)
+    walk = system.up_walk(system.twisted_step(star), length_bound)
+    return _walk_digraph(system, walk, {True: DASHED, False: SOLID})
 
 
 def build_regular(system: CoxeterSystem, length_bound=None) -> SLabeledDigraph:
-    """The left-Cayley digraph: solid x -> sx whenever that multiplies up."""
-    elements = system.enumerate(length_bound)
-    members = set(elements)
-    edges = []
-    for x in elements:
-        for si in range(system.rank()):
-            sx, delta = system.multiply_by_generator(x, si, "left")
-            if delta > 0 and sx in members:
-                edges.append(Edge(str(x), str(sx), system.generators[si], SOLID))
-    return SLabeledDigraph(system, [str(x) for x in elements], edges)
+    """The left-Cayley digraph: solid x -> sx whenever that multiplies up;
+    the arrows of the up-walk along left multiplication."""
+    walk = system.up_walk(lambda w, s: (system.lmult(w, s), None), length_bound)
+    return _walk_digraph(system, walk, {None: SOLID})
+
+
+def _walk_digraph(system: CoxeterSystem, walk, styles: dict) -> SLabeledDigraph:
+    """The digraph of an up-walk's (words, arrows): each arrow an edge of
+    style styles[tag]."""
+    words, arrows = walk
+    name, label = system.word_to_str, system.generators
+    return SLabeledDigraph(
+        system, [name(w) for w in words],
+        [Edge(name(w), name(t), label[s], styles[tag]) for w, s, t, tag in arrows])
 
 
 # -- named example digraphs --------------------------------------------------------

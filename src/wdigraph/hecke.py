@@ -115,8 +115,9 @@ class HeckeElt:
         roles = _GENERATORS[key]
         columns = {}
         for w in self.coeffs:
-            sw, delta = system.multiply_by_generator(w, si, "left")
-            columns[w] = (sw,) + roles["tail" if delta > 0 else "head"]
+            sw = system.lmult(w.word, si)
+            columns[w] = ((GroupElement(system, sw),)
+                          + roles["tail" if len(sw) > len(w.word) else "head"])
         return HeckeElt(system, _apply_columns(columns, self.coeffs, RF_ZERO))
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":

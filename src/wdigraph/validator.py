@@ -193,7 +193,7 @@ def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
     for i in range(system.rank()):
         for j in range(i + 1, system.rank()):
             n = system.order(i, j)
-            if n is inf or n <= 1:
+            if n is inf:
                 continue
             pair = (system.generators[i], system.generators[j])
             seen = [False] * len(names)
@@ -258,7 +258,7 @@ def brute_force_check(digraph: SLabeledDigraph):
     for i in range(system.rank()):
         for j in range(i + 1, system.rank()):
             n = system.order(i, j)
-            if n is inf or n <= 1:
+            if n is inf:
                 continue
             if n not in tables:
                 point = 1 << _exact_bits(n)

@@ -9,7 +9,7 @@ from math import inf
 
 import pytest
 
-from wdigraph.coxeter import CoxeterSystem
+from wdigraph.coxeter import CoxeterSystem, GroupElement
 from wdigraph.digraph import DASHED, Edge, SLabeledDigraph
 from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix
 from wdigraph.hecke import Dihedral, HeckeElt
@@ -113,6 +113,19 @@ def braid_orbit(system, word):
                 seen.add(new)
                 queue.append(new)
     return tuple(sorted(seen))
+
+
+def multiply_by_generator(system, w, s, side="left"):
+    """(ws or sw, +1/-1) depending on whether the length rose or fell."""
+    si = system._gen_index(s)
+    if side == "right":
+        new = system._rmult(w.word, si)
+    elif side == "left":
+        new = system.lmult(w.word, si)
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    delta = 1 if len(new) > len(w.word) else -1
+    return GroupElement(system, new), delta
 
 
 def left_descents(system, w):

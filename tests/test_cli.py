@@ -282,6 +282,17 @@ def test_lv_element_bound(capsys, monkeypatch, a3_file):
     assert "error: more than 20 elements" in capsys.readouterr().err
 
 
+def test_bounded_lv_element_bound(capsys, monkeypatch, a3_file):
+    # a bounded walk that keeps few words is refused on the work it does
+    monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 12)
+    code = main(["lv", "--system", a3_file, "--length-bound", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: more than 12 elements to enumerate\n"
+    code, out = run(capsys, "lv", "--system", a3_file, "--length-bound", "3")
+    assert code == 0 and len(json.loads(out)["vertices"]) == 7
+
+
 @pytest.mark.parametrize("command", ["lv", "regular"])
 def test_negative_length_bound_is_usage_error(capsys, a3_file, command):
     code = main([command, "--system", a3_file, "--length-bound", "-1"])

@@ -6,9 +6,12 @@ from math import inf
 import pytest
 
 from wdigraph import coxeter
-from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
+from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, GroupElement
+from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
+from wdigraph.families import build_lv, build_regular
 
-from conftest import braid_orbit, left_descents, parabolic_data
+from conftest import (braid_orbit, left_descents, multiply_by_generator,
+                      parabolic_data)
 
 
 def words(system, orbit):
@@ -30,23 +33,19 @@ def test_braid_orbit_empty(a3):
 
 
 def test_multiply_by_generator_identity(a3):
-    e = a3.identity()
-    for g in "rst":
-        res, delta = a3.multiply_by_generator(e, g, "left")
-        assert str(res) == g and delta == 1
+    for si, g in enumerate("rst"):
+        assert a3.word_to_str(a3.lmult((), si)) == g
 
 
 def test_multiply_by_generator_descent(a3):
-    w = a3.element("rsr")
-    res, delta = a3.multiply_by_generator(w, "r", "left")
-    assert (str(res), delta) == ("sr", -1)
+    w = a3.word_from_str("rsr")
+    assert a3.word_to_str(a3.lmult(w, 0)) == "sr"
 
 
 def test_multiply_by_generator_i2_5():
     i25 = CoxeterSystem.dihedral(5)
-    w = i25.element("stst")
-    res, delta = i25.multiply_by_generator(w, "s", "left")
-    assert (str(res), delta) == ("tst", -1)
+    w = i25.word_from_str("stst")
+    assert i25.word_to_str(i25.lmult(w, 0)) == "tst"
 
 
 def test_enumerate_a1():
@@ -189,11 +188,9 @@ def test_length_subadditive_and_inverse():
 
 def test_length_changes_by_one(a3):
     for w in a3.enumerate():
-        for g in "rst":
-            _, delta = a3.multiply_by_generator(w, g, "left")
-            assert delta in (1, -1)
-            _, delta = a3.multiply_by_generator(w, g, "right")
-            assert delta in (1, -1)
+        for si in range(a3.rank()):
+            assert abs(len(a3.lmult(w.word, si)) - w.length) == 1
+            assert abs(len(a3._rmult(w.word, si)) - w.length) == 1
 
 
 def test_unique_longest(a3):
@@ -321,12 +318,109 @@ def test_word_problem_matches_braid_orbits(name):
     for w in elems:
         for s in range(system.rank()):
             for side in ("right", "left"):
-                got, delta = system.multiply_by_generator(w, s, side)
+                got, delta = multiply_by_generator(system, w, s, side)
                 assert (got.word, delta) == ref.multiply(w.word, s, side)
         assert left_descents(system, w) == {v[0] for v in ref.orbit(w.word) if v}
     if len(elems) <= 120:
         for x, y in itertools.product(elems, repeat=2):
             assert system.bruhat_leq(x, y) == ref.bruhat_leq(x.word, y.word)
+
+
+# -- differential test of the up-walk against enumerate-then-filter --------------------
+
+
+def reference_enumerate(system, length_bound):
+    """The layered BFS over right multiplication that `enumerate` ran before
+    the up-walk: canonical words sorted (length, ShortLex)."""
+    frontier = [()]
+    seen = {()}
+    out = [()]
+    length = 0
+    while frontier:
+        if length_bound is not None and length >= length_bound:
+            break
+        nxt = set()
+        for w in frontier:
+            for s in range(system.rank()):
+                new = system._rmult(w, s)
+                if len(new) > len(w) and new not in seen:
+                    seen.add(new)
+                    nxt.add(new)
+        frontier = sorted(nxt)
+        out.extend(frontier)
+        length += 1
+    return [GroupElement(system, w) for w in out]
+
+
+def reference_twisted_involutions(system, star, length_bound):
+    """Every element up to the bound, filtered by star(x) = x^{-1}."""
+    return [x for x in reference_enumerate(system, length_bound)
+            if star.apply(x) == system.inverse(x)]
+
+
+def reference_build_lv(system, star, length_bound):
+    """The twisted-involution digraph by one left and two right
+    multiplications per vertex and generator."""
+    involutions = reference_twisted_involutions(system, star, length_bound)
+    members = {x.word for x in involutions}
+    edges = []
+    for w in involutions:
+        for si in range(system.rank()):
+            sw = system.lmult(w.word, si)
+            if len(sw) < w.length:
+                continue
+            ws = system._rmult(w.word, star.perm[si])
+            if sw == ws:
+                target, style = sw, DASHED
+            else:
+                target, style = system._rmult(sw, star.perm[si]), SOLID
+            if target in members:
+                edges.append(Edge(str(w), system.word_to_str(target),
+                                  system.generators[si], style))
+    return SLabeledDigraph(system, [str(x) for x in involutions], edges)
+
+
+def reference_build_regular(system, length_bound):
+    """The left-Cayley digraph by one left multiplication per element and
+    generator."""
+    elements = reference_enumerate(system, length_bound)
+    members = {x.word for x in elements}
+    edges = []
+    for x in elements:
+        for si in range(system.rank()):
+            sx = system.lmult(x.word, si)
+            if len(sx) > x.length and sx in members:
+                edges.append(Edge(str(x), system.word_to_str(sx),
+                                  system.generators[si], SOLID))
+    return SLabeledDigraph(system, [str(x) for x in elements], edges)
+
+
+def involutory_automorphisms(system):
+    out = []
+    for perm in itertools.permutations(range(system.rank())):
+        try:
+            star = DiagramAutomorphism(system, perm)
+        except ValueError:
+            continue
+        if star.is_involution():
+            out.append(star)
+    return out
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SYSTEMS)
+def test_up_walk_matches_enumerate_then_filter(name):
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    stars = involutory_automorphisms(system)
+    for bound in [*range(5), *([None] if system.is_finite() else [])]:
+        assert system.enumerate(bound) == reference_enumerate(system, bound)
+        assert (build_regular(system, bound).to_json()
+                == reference_build_regular(system, bound).to_json())
+        for star in stars:
+            assert (system.twisted_involutions(star, bound)
+                    == reference_twisted_involutions(system, star, bound))
+            assert (build_lv(system, star, bound).to_json()
+                    == reference_build_lv(system, star, bound).to_json())
 
 
 # -- groups and words beyond braid-orbit enumeration ---------------------------------
@@ -432,6 +526,22 @@ def test_enumerate_element_bound(monkeypatch):
     assert a3._products == {}   # refused from |W| = 24, before any product
     with pytest.raises(ValueError, match="more than 20 elements"):
         a3.enumerate(length_bound=5)
+
+
+def test_bounded_walk_bounds_its_products(monkeypatch):
+    # the twisted walk on A3 up to length 5 keeps 9 words but memoizes 44
+    # products, more than MAX_ELEMENTS * rank = 36: it has built more than
+    # 12 elements of W, and is refused for that
+    a3 = CoxeterSystem(list("rst"), {("r", "s"): 3, ("s", "t"): 3})
+    star = DiagramAutomorphism.identity(a3)
+    assert len(a3.twisted_involutions(star, 5)) == 9
+    assert len(a3._products) == 44
+    monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 12)
+    a3 = CoxeterSystem(list("rst"), {("r", "s"): 3, ("s", "t"): 3})
+    with pytest.raises(ValueError, match="more than 12 elements to enumerate"):
+        a3.twisted_involutions(star, 5)
+    assert len(a3._products) > 36
+    assert len(a3.twisted_involutions(star, 3)) == 7    # 18 products
 
 
 from hypothesis import given, settings

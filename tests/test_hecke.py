@@ -8,7 +8,7 @@ from math import inf
 
 import pytest
 
-from wdigraph.coxeter import CoxeterSystem
+from wdigraph.coxeter import CoxeterSystem, GroupElement
 from wdigraph.digraph import DASHED, SOLID
 from wdigraph.exactalg import RF_ONE, RF_U, RatFunc, poly_p, rf, ubar
 from wdigraph.families import FamilySpec, build_family
@@ -251,8 +251,8 @@ def rule_left_mult_gen(h, s):
         out[w] = c if acc is None else acc + c
 
     for w, c in h.coeffs.items():
-        sw, delta = system.multiply_by_generator(w, si, "left")
-        if delta > 0:
+        sw = GroupElement(system, system.lmult(w.word, si))
+        if sw.length > w.length:
             add(sw, c)
         else:
             add(sw, RF_U2 * c)
