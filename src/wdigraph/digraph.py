@@ -12,10 +12,11 @@ one vertex's image per component along both digraphs' pairings.
 
 Every structural question is answered from three walks, each run once per
 digraph on first use and cached: one undirected walk (`_walk`) gives the
-components and a +-1 level per vertex, one Kahn peel (`_peel`) gives
-acyclicity and a topological order, and one BFS (`distances_from`) gives
-the directed path lengths from a vertex and the shortest circuit.  Each costs
-O(V + E); a digraph that is never traversed never runs them.
+components and a (solid, dashed) level pair per vertex, one Kahn peel
+(`_peel`) gives acyclicity and a topological order, and one BFS
+(`distances_from`) gives the directed path lengths from a vertex and the
+shortest circuit.  Each costs O(V + E); a digraph that is never traversed
+never runs them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .coxeter import CoxeterSystem
 
 SOLID = "solid"
 DASHED = "dashed"
+
+# the change of the (solid, dashed) level pair along an edge of each style
+LEVEL_STEP = {SOLID: (1, 0), DASHED: (0, 1)}
 
 
 class Edge(NamedTuple):
@@ -136,14 +140,17 @@ class SLabeledDigraph:
         return {v: [e.dst for e in out] for v, out in self._out.items()}
 
     @cached_property
-    def _steps(self) -> dict[str, list[tuple[str, int]]]:
-        """Undirected neighbours, each with the level change +1 along the
-        edge or -1 against it (a loop is listed once)."""
-        steps: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
+    def _steps(self) -> dict[str, list[tuple[str, int, int]]]:
+        """Undirected neighbours, each with the change (da, db) of the level
+        pair: the edge's `LEVEL_STEP` along it, its negative against it (a
+        loop is listed once)."""
+        steps: dict[str, list[tuple[str, int, int]]] = {
+            v: [] for v in self.vertices}
         for e in self.edges:
-            steps[e.src].append((e.dst, 1))
+            da, db = LEVEL_STEP[e.style]
+            steps[e.src].append((e.dst, da, db))
             if e.dst != e.src:
-                steps[e.dst].append((e.src, -1))
+                steps[e.dst].append((e.src, -da, -db))
         return steps
 
     def out_edges(self, v: str) -> list[Edge]:
@@ -152,23 +159,26 @@ class SLabeledDigraph:
     # -- the three walks --------------------------------------------------------------
 
     @cached_property
-    def _walk(self) -> tuple[list[list[str]], dict[str, int]]:
+    def _walk(self) -> tuple[list[list[str]], dict[str, tuple[int, int]]]:
         """The connected components of the underlying undirected multigraph,
-        each in vertex order, and a level per vertex: 0 at the first vertex
-        of its component, +1 along an edge and -1 against it on the walk."""
-        level: dict[str, int] = {}
+        each in vertex order, and a level pair per vertex, (net solid steps,
+        net dashed steps) on the walk: (0, 0) at the first vertex of its
+        component, raised by an edge's `LEVEL_STEP` along it and lowered by
+        it against it."""
+        level: dict[str, tuple[int, int]] = {}
         comps = []
         for root in self.vertices:
             if root in level:
                 continue
-            level[root] = 0
+            level[root] = (0, 0)
             comp = [root]
             stack = [root]
             while stack:
                 v = stack.pop()
-                for w, step in self._steps[v]:
+                a, b = level[v]
+                for w, da, db in self._steps[v]:
                     if w not in level:
-                        level[w] = level[v] + step
+                        level[w] = (a + da, b + db)
                         comp.append(w)
                         stack.append(w)
             comps.append(sorted(comp, key=self.vertex_index.get))
@@ -227,13 +237,14 @@ class SLabeledDigraph:
                             acyclic=peeled.issuperset(comp))
             for comp in self._walk[0]))
 
-    def _grading(self) -> dict[str, int] | None:
-        """A level per vertex with level(dst) = level(src) + 1 on every edge,
-        0 at the first vertex of each component; None if there is none."""
+    def _grading(self) -> bool:
+        """Whether the walk's level a + b (net steps along edges, 0 at the
+        first vertex of each component) rises by 1 on every edge.  Any such
+        grading is fixed along the walk by its value at the first vertex, so
+        this one exists whenever some grading does."""
         level = self._walk[1]
-        if all(level[e.dst] == level[e.src] + 1 for e in self.edges):
-            return level
-        return None
+        return all(sum(level[e.dst]) == sum(level[e.src]) + 1
+                   for e in self.edges)
 
     def equal_path_lengths_check(self):
         """None if any two directed paths between equal endpoints agree in length.
@@ -249,7 +260,7 @@ class SLabeledDigraph:
         without one the check falls back to a BFS and a longest-path DP from
         every vertex.
         """
-        if self._grading() is not None:
+        if self._grading():
             return None
         circuit = self._shortest_circuit()
         if circuit is not None:

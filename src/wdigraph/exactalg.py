@@ -5,15 +5,9 @@ rational functions are canonical num/den pairs (monic denominator, gcd one),
 and matrices over them support the linear algebra needed elsewhere: products,
 characteristic polynomials, and exact nullspaces/eigenspaces.
 
-`char_poly` clears denominators once, first: with d the monic lcm of the
-entries' denominators and D the lcm of the denominators of the coefficients
-of d M (d = D = 1 for every rho(T_w), whose entries lie in Z[u]), it runs
-the division-free Berkowitz method once per block of D d M, on integers
-only, and divides the coefficients by powers of D d at the end.  The
-blocks are the connected components of the support (indices i, j joined
-when M[i][j] or M[j][i] is nonzero).  Permuting rows and columns alike by
-blocks makes the matrix block-diagonal, a similar matrix, so the product of
-the blocks' polynomials is exactly the characteristic polynomial.  For
+`char_poly` takes matrices over Z[u], such as every rho(T_w), and runs the
+division-free Berkowitz method on integers only, once per block: per
+connected component of the support (the proof is in its docstring).  For
 rho(T_w) the blocks are the components of the restriction to supp(w), so
 the cost follows the largest such component, not the dimension.
 
@@ -30,7 +24,6 @@ on machine/long integer arithmetic instead of Fraction objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -553,57 +546,38 @@ class RatMatrix:
 
 
 def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
-    """Monic characteristic polynomial det(xI - M), block by block over Z[u].
+    """Monic characteristic polynomial det(xI - M) of a matrix over Z[u],
+    block by block; raises ValueError on any entry outside Z[u].
 
     Returns the coefficient tuple in ascending powers of the outer variable.
-    With d the monic lcm of the entries' denominators (d = 1 for every
-    rho(T_w)), the entries of d M are polynomials, and Berkowitz runs on them
-    with no division.  The blocks are the connected components of the graph
-    on the indices with an edge i - j (i != j) whenever M[i][j] or M[j][i] is
-    nonzero.  Listing the indices block after block is a simultaneous
-    permutation P of rows and columns, and P M P^-1 is block-diagonal (an
-    entry between two blocks is zero by construction).  Similar matrices
-    share their characteristic polynomial, and that of a block-diagonal
-    matrix is the product of its blocks' polynomials, so the product of the
-    blocks' Berkowitz polynomials is det(xI - d M) = sum C_k x^k.  Since
-    det(xI - d M) = d^n det((x/d) I - M), the coefficient of x^k in
-    det(xI - M) is exactly C_k / d^(n-k), and RatFunc's canonical form makes
-    it the same value any other exact method gives.
+    The blocks are the connected components of the graph on the indices
+    with an edge i - j (i != j) whenever M[i][j] or M[j][i] is nonzero.
+    Listing the indices block after block is a simultaneous permutation P of
+    rows and columns, and P M P^-1 is block-diagonal (an entry between two
+    blocks is zero by construction).  Similar matrices share their
+    characteristic polynomial, and that of a block-diagonal matrix is the
+    product of its blocks' polynomials, so the product of the blocks'
+    Berkowitz polynomials is det(xI - M).
 
-    The integer content goes with d: D, the lcm of the denominators of the
-    coefficients of the entries of d M (D = 1 for every rho(T_w)), leaves
-    every entry of D d M in Z[u], and the argument above holds with D d in
-    place of d.  So each block B (size b) of D d M runs on integers:
-    Berkowitz runs on the ints B_ij(2^bits), since evaluation at an integer
-    is a ring map and Berkowitz only adds and multiplies, and returns the
-    values C'_k(2^bits) of the coefficients of det(xI - B).  C'_k is
-    (-1)^(b-k) times the sum of the principal minors of size b - k, and a
-    minor on the index set J is a signed sum of products with one entry from
-    each column j in J, so its coefficient L1 norm is at most the product of
-    the column norms c_j = sum_i |B_ij|_1 over J.  Summed over all J, every
-    coefficient of every C'_k is at most bound = prod_j (1 + c_j) in
-    absolute value, below 2^(bits-1) for bits = bound.bit_length() + 1, so
-    `_unpack` reads C'_k back from its signed digits.
+    Each block B (size b) runs on integers: Berkowitz runs on the ints
+    B_ij(2^bits), since evaluation at an integer is a ring map and Berkowitz
+    only adds and multiplies, and returns the values C_k(2^bits) of the
+    coefficients of det(xI - B).  C_k is (-1)^(b-k) times the sum of the
+    principal minors of size b - k, and a minor on the index set J is a
+    signed sum of products with one entry from each column j in J, so its
+    coefficient L1 norm is at most the product of the column norms c_j =
+    sum_i |B_ij|_1 over J.  Summed over all J, every coefficient of every
+    C_k is at most bound = prod_j (1 + c_j) in absolute value, below
+    2^(bits-1) for bits = bound.bit_length() + 1, so `_unpack` reads C_k
+    back from its signed digits.
     """
     n = m.n
-    dens = {x.den for row in m.rows for x in row}
-    d = P_ONE
-    for den in dens:
-        d = d * den.divmod(d.gcd(den))[0]
-    if d == P_ONE:
-        rows = [[x.num for x in row] for row in m.rows]
-    else:
-        factor = {den: d.divmod(den)[0] for den in dens}
-        rows = [[x.num * factor[x.den] for x in row] for row in m.rows]
-    content = 1
-    for row in rows:
+    for row in m.rows:
         for x in row:
-            for c in x.coeffs:
-                if type(c) is not int:
-                    content = lcm(content, c.denominator)
-    if content != 1:
-        rows = [[x.scale(content) for x in row] for row in rows]
-        d = d.scale(content)
+            if x.den.coeffs != (1,) or any(type(c) is not int
+                                           for c in x.num.coeffs):
+                raise ValueError(f"char_poly takes entries in Z[u], not {x}")
+    rows = [[x.num for x in row] for row in m.rows]
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
@@ -627,11 +601,7 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
         block.sort()
         out = lampoly_mul(out, _block_char_poly(
             [[rows[i][j] for j in block] for i in block]), P_ZERO)
-    coeffs, power = [], P_ONE
-    for c in reversed(out):            # C_n, C_(n-1), ..., C_0
-        coeffs.append(RatFunc(c, power))
-        power = power * d
-    return tuple(reversed(coeffs))
+    return tuple(RatFunc(c) for c in out)
 
 
 def _block_char_poly(rows: list[list[Poly]]) -> tuple[Poly, ...]:

@@ -22,8 +22,8 @@ the one word product, `_word_apply`, runs it along a word.  The columns of
 rho(T_w) (memoized per element) and of S_w, characters and the bar
 propagation are computed over Z[u]; the bar images carry their denominator u^a (u+1)^b as a pair of
 exponents.  A value becomes a `RatFunc` only where it leaves the layer:
-`rho`, `rho_inv`, `tau_matrix`, `character` and the vectors of a
-`BarSolution`.
+`rho`, `rho_inv`, `tau_matrix`, `character`, the vectors of a
+`BarSolution` and the sign weights of `linear_char_dims`.
 
 The same kernel also runs on ints: `_table(pairing, cases, at)` maps every
 coefficient through `at`, for example its value at one integer u.  Every
@@ -38,12 +38,11 @@ matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for
 output such as characteristic polynomials.  The 0-Hecke action
 (`zero_hecke_action`) is the same word product on the tau_s table at u = 0.
 
-Each 2x2 block has the distinct eigenvalues u^2 and -1, so each eigenspace
-of a block is a line, v[head] = r v[tail]: r = 1 for u^2, r = -1/u^2 (solid)
-or -(u+1)/(u^2-u) (dashed) for -1.  A simultaneous eigenvector of all tau_s
-lies on every block's line, so `linear_char_dims` walks each component once
-per character and counts those whose ratios agree around every circuit; a
-loop (tau_s the scalar 2u^2 - 1 or 2u^2 - 2u - 1) forces its component to 0.
+The linear characters need no arithmetic: `linear_char_dims` finds the
+trivial eigenline on every component without a loop, and the sign eigenline
+on every component whose edges each raise the digraph walk's (net solid, net
+dashed) level pair by the unit of their own style (the proof is in its
+docstring).
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ from math import inf
 from typing import Sequence
 
 from .coxeter import GroupElement
-from .digraph import DASHED, SOLID, SLabeledDigraph
-from .exactalg import (P_ONE, P_U, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
+from .digraph import DASHED, LEVEL_STEP, SOLID, SLabeledDigraph
+from .exactalg import (P_ONE, P_U, P_ZERO, RF_ONE, RF_ZERO, Poly,
                        RatFunc, RatMatrix, _pack, sigma)
 
 U2 = Poly((0, 0, 1))                    # u^2
@@ -243,68 +242,79 @@ class LinearCharacterDims:
 
 
 def _eigenline_ratios(lam: RatFunc) -> dict:
-    """v[partner] / v[i] on the lam-eigenline of a block, keyed by the (role,
-    style) of vertex i: the block's first row, tail_self v[tail] +
-    head_partner v[head] = lam v[tail], fixes the slope of the line."""
-    ratios = {}
-    for style in (SOLID, DASHED):
-        tail_self = RatFunc(_TAU_CASES[("tail", style)][0] or P_ZERO)
-        r = (lam - tail_self) / RatFunc(_TAU_CASES[("head", style)][1])
-        ratios[("tail", style)] = r
-        ratios[("head", style)] = r.inverse()
-    return ratios
+    """v[head] / v[tail] on the lam-eigenline of a block, keyed by the
+    block's style: the block's first row, tail_self v[tail] + head_partner
+    v[head] = lam v[tail], fixes the slope of the line."""
+    return {style: (lam - RatFunc(_TAU_CASES[("tail", style)][0] or P_ZERO))
+            / RatFunc(_TAU_CASES[("head", style)][1])
+            for style in (SOLID, DASHED)}
 
 
-_IND_RATIOS = _eigenline_ratios(RF_U * RF_U)   # 1 on every edge
-_SGN_RATIOS = _eigenline_ratios(-RF_ONE)       # -1/u^2 solid, -(u+1)/(u^2-u) dashed
-
-
-def _eigenline(pairing, start: int, ratios: dict) -> SparseVec | None:
-    """The simultaneous eigenvector on start's component that is 1 at start,
-    or None if the component carries none (ratios disagree around a circuit,
-    or a loop)."""
-    values = {start: RF_ONE}
-    queue = deque([start])
-    while queue:
-        i = queue.popleft()
-        for row in pairing:
-            partner, role, style = row[i]
-            if partner == i:
-                return None
-            value = values[i] * ratios[(role, style)]
-            known = values.get(partner)
-            if known is None:
-                values[partner] = value
-                queue.append(partner)
-            elif known != value:
-                return None
-    return values
+_SGN_RATIOS = _eigenline_ratios(-RF_ONE)  # -1/u^2 solid, -(u+1)/(u^2-u) dashed
 
 
 def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
     """Eigenspace dimensions for the two linear characters, with the
-    structural predictions (component count; acyclic component count).
+    structural predictions (component count; acyclic component count), read
+    off the digraph's one walk and its (solid, dashed) level pairs.
 
-    Each component is walked once per character, from its source when it has
-    exactly one; when every component is acyclic with one source and carries
-    the sign eigenvector, its values (1 at each source) are `sgn_weights`.
+    Each 2x2 block of tau_s (an s-edge x -> y) has the distinct eigenvalues
+    u^2 and -1, each with a line of eigenvectors v[y] = r v[x]: r = 1 for
+    u^2 (ind), and r = R_solid = -1/u^2 or R_dashed = -(u+1)/(u^2-u) for -1
+    (sgn), by the edge's style (`_eigenline_ratios`).  A loop at x makes
+    tau_s the scalar 2u^2 - 1 or 2u^2 - 2u - 1 there, neither eigenvalue,
+    so it forces v[x] = 0.  A simultaneous eigenvector lies on every block's
+    line, so on a connected component it is fixed by its value at one
+    vertex, and each character's eigenspace has one dimension per component
+    on which the line closes up: no loop, and the ratios multiply to 1
+    around every circuit.
+
+    - ind: every ratio is 1, so the line exists iff the component has no
+      loop.
+    - sgn: the walk reaches v with the value R_solid^a R_dashed^b times the
+      root's, (a, b) the net solid and dashed steps, its level pair.  That
+      value is (-1)^(a+b) u^-(2a+b) (u+1)^b (u-1)^-b, and u, u+1, u-1 are
+      distinct irreducibles, so it is 1 iff a = b = 0.  The circuits that
+      each edge off the walk's tree closes with the tree span all circuits,
+      and that of an edge x -> y has the net counts level(y) - level(x) -
+      the edge's `LEVEL_STEP`, up to sign.  So the line exists iff every
+      edge raises the level pair by the unit of its own style.  A loop
+      raises nothing, so sgn implies ind.
+
+    When every component has one source and carries the sign line (so is
+    acyclic), its values, 1 at each source, are `sgn_weights`: R_solid^da
+    R_dashed^db for the level pair (da, db) relative to the source, one
+    `RatFunc` per distinct pair.
     """
-    pairing = digraph.edge_pairing()
+    digraph.edge_pairing()      # raises unless one edge per label at a vertex
     analysis = digraph.analyze()
-    index = digraph.vertex_index
-    starts = [index[c.sources[0] if len(c.sources) == 1 else c.vertices[0]]
-              for c in analysis.components]
-    ind = [_eigenline(pairing, i, _IND_RATIOS) for i in starts]
-    sgn = [_eigenline(pairing, i, _SGN_RATIOS) for i in starts]
+    level = digraph._walk[1]
+    which = {v: k for k, c in enumerate(analysis.components)
+             for v in c.vertices}
+    looped, ungraded = set(), set()
+    for e in digraph.edges:
+        (a, b), (da, db) = level[e.src], LEVEL_STEP[e.style]
+        if level[e.dst] != (a + da, b + db):
+            ungraded.add(which[e.src])
+            if e.src == e.dst:
+                looped.add(which[e.src])
     weights = None
-    if all(len(c.sources) == 1 and c.acyclic and values is not None
-           for c, values in zip(analysis.components, sgn)):
-        weights = {digraph.vertices[i]: x for values in sgn
-                   for i, x in values.items()}
+    if not ungraded and all(len(c.sources) == 1 for c in analysis.components):
+        weights, powers = {}, {}
+        for c in analysis.components:
+            a0, b0 = level[c.sources[0]]
+            for v in c.vertices:
+                a, b = level[v]
+                key = (a - a0, b - b0)
+                if key not in powers:
+                    powers[key] = (_SGN_RATIOS[SOLID] ** key[0]
+                                   * _SGN_RATIOS[DASHED] ** key[1])
+                weights[v] = powers[key]
+    n = analysis.n_components
     return LinearCharacterDims(
-        dim_ind=sum(values is not None for values in ind),
-        dim_sgn=sum(values is not None for values in sgn),
-        predicted_ind=analysis.n_components,
+        dim_ind=n - len(looped),
+        dim_sgn=n - len(ungraded),
+        predicted_ind=n,
         predicted_sgn=analysis.n_acyclic,
         sgn_weights=weights,
     )

@@ -153,12 +153,41 @@ def test_parabolic_counts_b3(b3):
         assert len(wj) * len(xj) == 48
 
 
-def test_twisted_involutions_counts(a3, b3):
-    ident = DiagramAutomorphism.identity(a3)
-    assert len(a3.twisted_involutions(ident)) == 10
-    flip = DiagramAutomorphism.from_mapping(a3, {"r": "t", "t": "r"})
-    assert len(a3.twisted_involutions(flip)) == 10
-    assert len(b3.twisted_involutions(DiagramAutomorphism.identity(b3))) == 20
+def named_system(name):
+    """A_n, B_n or D_n on the first n of the letters a, b, c, d, f, g, or H3:
+    a chain of order-3 bonds, its last bond of order 4 in B_n, its last
+    generator joined to the third from the end in D_n."""
+    kind, n = name[0], int(name[1:])
+    gens = "abcdfg"[:n]
+    chain = gens[:-1] if kind == "D" else gens
+    orders = {(x, y): 3 for x, y in zip(chain, chain[1:])}
+    if kind == "B":
+        orders[(gens[-2], gens[-1])] = 4
+    elif kind == "D":
+        orders[(gens[-3], gens[-1])] = 3
+    elif kind == "H":
+        orders[(gens[-2], gens[-1])] = 5
+    return CoxeterSystem(list(gens), orders)
+
+
+# the involutions of W, the identity among them
+INVOLUTION_COUNTS = {"A1": 2, "A2": 4, "A3": 10, "A4": 26, "A5": 76, "A6": 232,
+                     "B2": 6, "B3": 20, "B4": 76, "B5": 312,
+                     "D4": 44, "D5": 156, "H3": 32}
+
+
+def test_twisted_involutions_counts():
+    for name, count in INVOLUTION_COUNTS.items():
+        system = named_system(name)
+        ident = DiagramAutomorphism.identity(system)
+        involutions = system.twisted_involutions(ident)
+        assert len(involutions) == count, name
+        # star = conjugation by w0: w* = w^-1 iff (w w0)^2 = 1, so w -> w w0
+        # maps its twisted involutions onto the involutions
+        sharp = system.conjugation_automorphism_by_w0(ident)
+        w0 = system.longest_element()
+        assert ({w * w0 for w in system.twisted_involutions(sharp)}
+                == set(involutions)), name
 
 
 def test_conjugation_by_w0(a3, b3):

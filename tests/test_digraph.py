@@ -487,15 +487,17 @@ def ungraded_equal_lengths(system):
 
 def test_grading_is_sufficient_not_necessary(i23):
     g = ungraded_equal_lengths(i23)
-    assert g._grading() is None and is_acyclic(g)
+    assert not g._grading() and is_acyclic(g)
     assert g.equal_path_lengths_check() is None
     shortcut = SLabeledDigraph(i23, list("abc"), [
         ("a", "b", "s", SOLID), ("b", "c", "t", SOLID), ("a", "c", "t", SOLID)])
-    assert shortcut._grading() is None
+    assert not shortcut._grading()
     assert shortcut.equal_path_lengths_check() == ("a", "c", 1, 2)
-    fig = build_family(i23, FamilySpec(1, 3))
-    assert fig._grading() == {"a0": 0, "a1": 1, "a2": 2, "b1": 1, "b2": 2,
-                              "b3": 3}
+    # the walk's (net solid, net dashed) level pairs, summed by `_grading`
+    fig = build_family(i23, FamilySpec(2, 3))
+    assert fig._grading()
+    assert fig._walk[1] == {"a0": (0, 0), "a1": (0, 1), "a2": (1, 1),
+                            "b1": (1, 0), "b2": (2, 0), "b3": (2, 1)}
 
 
 def test_graded_check_matches_all_pairs_reference(i23):
@@ -508,7 +510,7 @@ def test_graded_check_matches_all_pairs_reference(i23):
     for label, g in inputs:
         assert g.equal_path_lengths_check() == \
             all_pairs_equal_path_lengths(g), label
-        graded += g._grading() is not None
+        graded += g._grading()
     assert 300 < graded < len(inputs) - 300
 
 

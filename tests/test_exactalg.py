@@ -315,22 +315,18 @@ def poly_dot(xs, ys):
 
 
 def poly_char_poly(m):
-    """det(xI - M) by `poly_berkowitz` on the whole of d M, d the monic lcm
-    of the entries' denominators, with no block split and no packing."""
+    """det(xI - M) for M over Z[u] by `poly_berkowitz` on the whole matrix,
+    with no block split and no packing."""
     if m.n == 0:
         return (RF_ONE,)
-    d = common_denominator(m)
-    rows = [[x.num * d.divmod(x.den)[0] for x in row] for row in m.rows]
-    cp = poly_berkowitz(rows)
-    return tuple(RatFunc(c, d ** (m.n - k)) for k, c in enumerate(cp))
+    return tuple(RatFunc(c) for c in poly_berkowitz(
+        [[x.num for x in row] for row in m.rows]))
 
 
-def common_denominator(m):
-    """The monic lcm of the denominators of m's entries."""
-    d = P_ONE
-    for x in {x.den for row in m.rows for x in row}:
-        d = d * x.divmod(d.gcd(x))[0]
-    return d
+def s_w(rep, w):
+    """S_w = u^(2 l(w)) rho(T_w)^-1, the Z[u] matrix `rho_inv` divides by
+    u^(2 l(w))."""
+    return rep.rho_inv(w).scale(RF_U ** (2 * w.length))
 
 
 def charpoly_digraphs():
@@ -361,18 +357,15 @@ def test_block_char_poly_matches_dense_reference_on_rho():
 
 
 def test_char_poly_matches_ratfunc_berkowitz_on_fixtures():
-    # rho(T_w) has polynomial entries (d = 1); the entries of rho_inv(w)
-    # have powers of u up to u^(2 l(w)) as denominators
-    dens = set()
+    # rho(T_w) and S_w = u^(2 l(w)) rho(T_w)^-1 both have entries in Z[u]
     for label, g in charpoly_digraphs():
         if label.startswith("figure"):
             continue
         rep = ModuleRep(g)
         for w in g.system.enumerate(2):
-            for m in (rep.rho(w), rep.rho_inv(w)):
+            for m in (rep.rho(w), s_w(rep, w)):
+                assert all(x.den == P_ONE for row in m.rows for x in row)
                 assert char_poly(m) == dense_char_poly(m), (label, str(w))
-                dens.update(x.den.degree for row in m.rows for x in row)
-    assert dens == {0, 1, 2, 3, 4}
 
 
 def _permuted(m, perm):
@@ -447,19 +440,16 @@ def support_blocks(m):
 
 
 def blockwise_char_poly(m):
-    """det(xI - M) from `poly_char_poly` and `dense_char_poly` on the
-    support blocks of d M, d the common denominator, which must agree on
-    every block.  The blocks' polynomials are multiplied over Z[u], and the
-    coefficient of x^k is divided by d^(n-k)."""
-    d = common_denominator(m)
-    dm = RatMatrix([[x * RatFunc(d) for x in row] for row in m.rows])
+    """det(xI - M) for M over Z[u] from `poly_char_poly` and
+    `dense_char_poly` on the support blocks of M, which must agree on every
+    block; the blocks' polynomials are multiplied over Z[u]."""
     out = (P_ONE,)
-    for block in support_blocks(dm):
-        sub = RatMatrix([[dm.rows[i][j] for j in block] for i in block])
+    for block in support_blocks(m):
+        sub = RatMatrix([[m.rows[i][j] for j in block] for i in block])
         reference = poly_char_poly(sub)
         assert reference == dense_char_poly(sub)
         out = lampoly_mul(out, tuple(c.num for c in reference), P_ZERO)
-    return tuple(RatFunc(c, d ** (m.n - k)) for k, c in enumerate(out))
+    return tuple(RatFunc(c) for c in out)
 
 
 def test_char_poly_matches_poly_berkowitz_on_fixtures_and_b4_lv():
@@ -478,7 +468,7 @@ def test_char_poly_matches_poly_berkowitz_on_fixtures_and_b4_lv():
     for label, g in inputs:
         rep = ModuleRep(g)
         for w in g.system.enumerate(2):
-            for m in (rep.rho(w), rep.rho_inv(w)):
+            for m in (rep.rho(w), s_w(rep, w)):
                 got = char_poly(m)
                 if m.n <= 30:
                     assert got == poly_char_poly(m), (label, str(w))
@@ -501,16 +491,7 @@ def test_char_poly_edge_cases_match_references():
         # the bound; a coupled 2x2 block with p on the diagonal comes close
         "bound 1x1": RatMatrix([[RatFunc(p)]]),
         "bound 2x2": RatMatrix([[RatFunc(p), RF_ZERO], [e, RatFunc(p)]]),
-        # non-monic rational denominators: the monic forms leave Fraction
-        # coefficients in the numerators, so a block's integer content is
-        # not 1
-        "fractions": RatMatrix([
-            [rf([1, 2], [3, 5]), rf(Fraction(1, 3)), RF_ZERO],
-            [rf([Fraction(-1, 2), 1]), rf([1, 1], [2, 0, 7]), rf(1, [4, 6])],
-            [RF_ZERO, rf([2, 0, Fraction(5, 4)]), rf([0, 3])]]),
     }
-    assert any(type(c) is Fraction for row in cases["fractions"].rows
-               for x in row for c in x.num.coeffs)
     for label, m in cases.items():
         got = char_poly(m)
         assert got == poly_char_poly(m) == dense_char_poly(m), label
@@ -519,6 +500,12 @@ def test_char_poly_edge_cases_match_references():
     bound = 1 + sum(abs(c) for c in p.coeffs)
     assert sum(abs(c) for x in char_poly(cases["bound 1x1"])
                for c in x.num.coeffs) == bound
+    # entries outside Z[u]: a denominator, or a Fraction coefficient in a
+    # polynomial entry
+    for x in (rf(1, [0, 1]), rf([1, 1], [3, 5]), rf(Fraction(1, 3)),
+              rf([Fraction(-1, 2), 1])):
+        with pytest.raises(ValueError, match="Z\\[u\\]"):
+            char_poly(RatMatrix([[RF_ONE, RF_ZERO], [RF_ZERO, x]]))
 
 
 @st.composite

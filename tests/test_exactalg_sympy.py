@@ -23,6 +23,9 @@ nonzero_poly_st = poly_st.filter(lambda p: not p.is_zero())
 # the denominators include non-monomial ones such as 1 + u or u^2 - 2
 ratfunc_st = st.builds(RatFunc, poly_st, nonzero_poly_st)
 nonzero_ratfunc_st = ratfunc_st.filter(lambda f: not f.is_zero())
+# the entries `char_poly` takes: integer polynomials
+int_poly_st = st.lists(st.integers(min_value=-6, max_value=6), min_size=0,
+                       max_size=5).map(lambda cs: RatFunc(Poly(cs)))
 
 
 def to_ring(p: Poly):
@@ -74,12 +77,12 @@ def sparse_matrices(draw):
     """Square RatMatrix of size <= 6: indices fall into up to three groups,
     entries between groups are zero except, when `triangular`, above the
     diagonal (so one of M[i][j], M[j][i] is zero), and each remaining entry
-    is zero or a random rational function."""
+    is zero or a random integer polynomial."""
     n = draw(st.integers(min_value=0, max_value=6))
     group = draw(st.lists(st.integers(min_value=0, max_value=2),
                           min_size=n, max_size=n))
     triangular = draw(st.booleans())
-    rows = [[draw(ratfunc_st)
+    rows = [[draw(int_poly_st)
              if (group[i] == group[j] or (triangular and i < j))
              and draw(st.booleans()) else RF_ZERO
              for j in range(n)] for i in range(n)]

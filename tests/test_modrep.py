@@ -9,16 +9,17 @@ import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph
-from wdigraph.exactalg import (P_ONE, RF_ONE, RF_U, RF_ZERO, Poly, RatFunc,
-                               RatMatrix, char_poly, lampoly_mul, rf,
+from wdigraph.exactalg import (P_ONE, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
+                               RatFunc, RatMatrix, char_poly, lampoly_mul, rf,
                                sigma, solve_simultaneous_eigenspace)
 from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
                                build_lv, build_example, build_regular,
                                family_divisibility_ok)
 from wdigraph.hecke import invert_Tw
 from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
-                             _S_CASES, _TAU_CASES, _TWISTED_S_CASES,
-                             _apply_columns, _restricted_component_counts,
+                             LinearCharacterDims, _S_CASES, _TAU_CASES,
+                             _TWISTED_S_CASES, _apply_columns,
+                             _eigenline_ratios, _restricted_component_counts,
                              _reversed_pairing, _same_image, _sign_diagonal,
                              _table, _trace, _word_columns,
                              bar_from_source, linear_char_dims,
@@ -29,7 +30,8 @@ from wdigraph.validator import random_two_label_digraph
 from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
                       eval_at, identity_matrix, is_poly, make_a3, make_b3,
                       path_length_mu, reachable_from, subgraph)
-from test_validator import group_digraphs, random_labeled_digraph, word_apply
+from test_validator import (GROUP_ORDERS, group_digraphs,
+                            random_labeled_digraph, word_apply)
 
 U2 = RF_U * RF_U
 
@@ -572,6 +574,22 @@ def test_theorems_regular_a3_bound_attained(a3):
     assert report.vertex_bound["attained"]
 
 
+def test_index_bound_fails_when_every_subset_is_over_by_one():
+    # a path x0 - x1 - x2 - x3 - x4 over I2(2), labels s, t, s, t, with a
+    # t-loop at x0 and an s-loop at x4: each failing subset has exactly one
+    # component more than [W : W_J], so the bound admits no margin
+    i22 = _DIHEDRAL[2]
+    path = SLabeledDigraph(i22, [f"x{i}" for i in range(5)], [
+        ("x0", "x1", "s", SOLID), ("x1", "x2", "t", SOLID),
+        ("x2", "x3", "s", SOLID), ("x3", "x4", "t", SOLID),
+        ("x0", "x0", "t", SOLID), ("x4", "x4", "s", SOLID)])
+    report = theorem_checkers(path)
+    assert report.index_bound == {
+        "status": "fail",
+        "per_subset": {"empty": (5, 4), "s": (3, 2), "t": (3, 2),
+                       "st": (1, 1)}}
+
+
 def test_theorems_take_orders_from_the_classification(monkeypatch):
     """The report is unchanged when enumerating W is impossible, and its
     bounds equal |W| and [W : W_J] counted over the enumerated elements."""
@@ -795,6 +813,128 @@ def test_linear_char_dims_matches_dense_reference():
     assert (loop.dim_ind, loop.dim_sgn, loop.predicted_ind) == (1, 1, 2)
     assert seen["weights"] > 100 and seen["no weights"] > 100
     assert seen["sgn below prediction"] > 10
+
+
+# -- the eigenlines on level pairs against the RatFunc walk they replaced ---------------------
+
+
+def test_eigenline_ratios_read_off_the_tau_cases():
+    # the premise of `linear_char_dims`: on the u^2 line every ratio is 1,
+    # on the -1 line it is -1/u^2 (solid) or -(u+1)/(u^2-u) (dashed)
+    assert _eigenline_ratios(U2) == {SOLID: RF_ONE, DASHED: RF_ONE}
+    assert _eigenline_ratios(-RF_ONE) == {SOLID: rf(-1, [0, 0, 1]),
+                                          DASHED: rf([-1, -1], [0, -1, 1])}
+
+
+def ratfunc_eigenline_ratios(lam):
+    """v[partner] / v[i] on the lam-eigenline of a block, keyed by the (role,
+    style) of vertex i, from the block's first row."""
+    ratios = {}
+    for style in (SOLID, DASHED):
+        tail_self = RatFunc(_TAU_CASES[("tail", style)][0] or P_ZERO)
+        r = (lam - tail_self) / RatFunc(_TAU_CASES[("head", style)][1])
+        ratios[("tail", style)] = r
+        ratios[("head", style)] = r.inverse()
+    return ratios
+
+
+def ratfunc_eigenline(pairing, start, ratios):
+    """The simultaneous eigenvector on start's component that is 1 at start,
+    multiplied out in `RatFunc` along a BFS, or None if the component
+    carries none (ratios disagree around a circuit, or a loop)."""
+    values = {start: RF_ONE}
+    queue = deque([start])
+    while queue:
+        i = queue.popleft()
+        for row in pairing:
+            partner, role, style = row[i]
+            if partner == i:
+                return None
+            value = values[i] * ratios[(role, style)]
+            known = values.get(partner)
+            if known is None:
+                values[partner] = value
+                queue.append(partner)
+            elif known != value:
+                return None
+    return values
+
+
+def ratfunc_linear_char_dims(g):
+    """`linear_char_dims` by the `RatFunc` eigenline walk it replaced: each
+    component walked once per character, from its source when it has
+    exactly one."""
+    pairing = g.edge_pairing()
+    analysis = g.analyze()
+    starts = [g.vertex_index[c.sources[0] if len(c.sources) == 1
+                             else c.vertices[0]]
+              for c in analysis.components]
+    ind = [ratfunc_eigenline(pairing, i, ratfunc_eigenline_ratios(U2))
+           for i in starts]
+    sgn = [ratfunc_eigenline(pairing, i, ratfunc_eigenline_ratios(-RF_ONE))
+           for i in starts]
+    weights = None
+    if all(len(c.sources) == 1 and c.acyclic and values is not None
+           for c, values in zip(analysis.components, sgn)):
+        weights = {g.vertices[i]: x for values in sgn
+                   for i, x in values.items()}
+    return LinearCharacterDims(
+        dim_ind=sum(values is not None for values in ind),
+        dim_sgn=sum(values is not None for values in sgn),
+        predicted_ind=analysis.n_components,
+        predicted_sgn=analysis.n_acyclic,
+        sgn_weights=weights)
+
+
+def random_looped_digraph(rng, system, n_vertices):
+    """One random involution of the vertices per generator: each fixed point
+    a loop, each swapped pair one edge, of random direction and style."""
+    vertices = [f"v{i}" for i in range(n_vertices)]
+    edges = []
+    for label in system.generators:
+        rest = list(vertices)
+        rng.shuffle(rest)
+        while rest:
+            a = rest.pop()
+            b = a if not rest or rng.random() < 0.2 else rest.pop()
+            if rng.random() < 0.5:
+                a, b = b, a
+            edges.append((a, b, label, SOLID if rng.random() < 0.5 else DASHED))
+    return SLabeledDigraph(system, vertices, edges)
+
+
+def eigenline_inputs():
+    """`eigenspace_inputs`, plus the one module fixture it lacks, seeded
+    random digraphs with loops over I2(2..6) and A3, and the LV and regular
+    digraphs of H3 and B4 and the LV digraph of F4."""
+    yield from eigenspace_inputs()
+    yield "lv_a3_flip", _lv_a3_flip()
+    rng = random.Random(1729)
+    a3 = make_a3()
+    for k in range(200):
+        system = a3 if k % 3 == 2 else _DIHEDRAL[rng.choice([2, 3, 4, 5, 6])]
+        yield f"looped #{k}", random_looped_digraph(rng, system,
+                                                    rng.randint(1, 12))
+    for name, orders in [("H3", GROUP_ORDERS["H3"]),
+                         ("B4", GROUP_ORDERS["B4"]),
+                         ("F4", {("q", "r"): 3, ("r", "s"): 4, ("s", "t"): 3})]:
+        system = CoxeterSystem(sorted({x for pair in orders for x in pair}),
+                               orders)
+        yield f"lv {name}", _lv(system)
+        if name != "F4":
+            yield f"regular {name}", build_regular(system)
+
+
+def test_linear_char_dims_matches_ratfunc_eigenline_reference():
+    seen = Counter()
+    for label, g in eigenline_inputs():
+        dims = linear_char_dims(g)
+        assert dims == ratfunc_linear_char_dims(g), label
+        seen["weighted" if dims.sgn_weights is not None else "unweighted"] += 1
+        seen["sgn fails, ind holds"] += dims.dim_sgn < dims.dim_ind
+        seen["loop"] += dims.dim_ind < dims.predicted_ind
+    assert seen["weighted"] > 100 and seen["unweighted"] > 100
+    assert seen["sgn fails, ind holds"] > 50 and seen["loop"] > 50
 
 
 def reversal_inputs():
