@@ -16,7 +16,8 @@ components and a (solid, dashed) level pair per vertex, one Kahn peel
 (`_peel`) gives acyclicity and a topological order, and one BFS
 (`distances_from`) gives the directed path lengths from a vertex and the
 shortest circuit.  Each costs O(V + E); a digraph that is never traversed
-never runs them.
+never runs them.  `analyze` reads the first two once and keeps its frozen
+result, so the CLI and the module layer share one analysis.
 """
 
 from __future__ import annotations
@@ -227,7 +228,12 @@ class SLabeledDigraph:
 
     def analyze(self) -> "ComponentAnalysis":
         """Sources, sinks and acyclicity per component, read off the whole
-        digraph: no edge leaves a component."""
+        digraph: no edge leaves a component.  Computed once per digraph; the
+        result is frozen, so every caller shares it."""
+        return self._analysis
+
+    @cached_property
+    def _analysis(self) -> "ComponentAnalysis":
         sources, sinks = set(self.sources()), set(self.sinks())
         peeled = set(self._peel)
         return ComponentAnalysis(tuple(

@@ -528,31 +528,34 @@ class TheoremReport:
 
 def _restricted_component_counts(digraph: SLabeledDigraph) -> list[int]:
     """counts[mask] = the number of components of `digraph.restrict(J)`, J
-    the generators whose bits are set in mask: one union-find per subset over
-    the vertex indices and the edges labeled in J, with no digraph built."""
-    index = digraph.vertex_index
-    rank = digraph.system.rank()
-    by_label: list[list[tuple[int, int]]] = [[] for _ in range(rank)]
-    for e in digraph.edges:
-        by_label[digraph.system._gen_index(e.label)].append(
-            (index[e.src], index[e.dst]))
-    n = len(digraph.vertices)
-    counts = []
-    for mask in range(1 << rank):
-        parent = list(range(n))
-        comps = n
-        for s in range(rank):
-            if not mask >> s & 1:
-                continue
-            for a, b in by_label[s]:
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
+    the generators whose bits are set in mask, with no digraph built.  The
+    union-find forest of a mask is that of the mask without its top bit,
+    copied, joined along the top generator's edges, read off the edge
+    pairing (a loop joins nothing), so it raises `edge_pairing`'s
+    ValueError on a digraph that breaks the one-edge-per-label rule.  The
+    masks are grown depth first, so at most rank forests are held at once."""
+    pairing = digraph.edge_pairing()
+    rank = len(pairing)
+    counts = [0] * (1 << rank)
+
+    def grow(mask: int, parent: list[int], comps: int) -> None:
+        counts[mask] = comps
+        for s in range(mask.bit_length(), rank):
+            forest, joined = list(parent), comps
+            for a, (b, role, _) in enumerate(pairing[s]):
+                if role != "tail":
+                    continue
+                while forest[a] != a:
+                    forest[a] = a = forest[forest[a]]
+                while forest[b] != b:
+                    forest[b] = b = forest[forest[b]]
                 if a != b:
-                    parent[a] = b
-                    comps -= 1
-        counts.append(comps)
+                    forest[a] = b
+                    joined -= 1
+            grow(mask | 1 << s, forest, joined)
+
+    n = len(digraph.vertices)
+    grow(0, list(range(n)), n)
     return counts
 
 

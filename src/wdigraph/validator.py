@@ -20,9 +20,21 @@ absolute value (for the quadratic relation, k = 2: 25 + 2 * 5 + 1 = 36 <=
 (the Cauchy-bound proof is in `modrep._exact_bits`), so evaluating both
 sides there, with k = 2 for the quadratic relation and k = n(s,t) for the
 braid relation, decides each entry's equality exactly.  This is a
-coefficient bound, not sampling.  The integer tables are read straight off
-the edge pairing by `modrep._table`, each coefficient evaluated at the
+coefficient bound, not sampling.
+
+Each relation lives in one small block, and the oracle runs it once per
+distinct block.  The quadratic relation on a column reads only the 2x2 block
+of its edge, which the (role, style) of the column fixes.  The braid relation
+on a column reads only its alternating cycle in the {s,t}-restriction, which
+n(s,t) and the cycle word (the (role, style) of the s-edge and of the t-edge
+at each position of the walk) fix up to the names of the vertices.  So the
+quadratic relation is run once per (role, style) and generator, and the
+braid relation once per (n, cycle word, position) that a column needs; every
+other column reads the verdict back.  The integer tables are read straight
+off the edge pairing by `modrep._table`, each coefficient evaluated at the
 point, and words run through `modrep._word_apply`; no `ModuleRep` is built.
+The LV and regular digraphs repeat a handful of cycle words over thousands
+of components.
 """
 
 from __future__ import annotations
@@ -33,8 +45,7 @@ from math import inf
 
 from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from .families import TEMPLATES, family_divisibility_ok
-from .modrep import (_TAU_CASES, _apply_columns, _exact_bits, _table,
-                     _word_apply)
+from .modrep import _TAU_CASES, _apply_columns, _exact_bits, _table, _word_apply
 
 # the cycle templates (m >= 2) by their dashed slots
 _FIGURE_BY_DASHES = {template.dashes: figure
@@ -229,12 +240,32 @@ def brute_force_check(digraph: SLabeledDigraph):
     The quadratic relation is checked for every generator and the
     alternating-product identity for every pair with finite order, one unit
     column at a time in vertex order, with an early exit on the first
-    difference.  Each generator acts by 2x2 blocks, so an alternating word
-    keeps a unit column inside its {s,t}-component and each check costs the
-    size of that component, not the number of vertices.  Both sides are
-    evaluated at the integer 2^`_exact_bits(k)` for k applications (k = 2 for
-    the quadratic relation, k = n(s,t) for the braid relation), which decides
-    the polynomial identity exactly.
+    difference, so the witness names the first failing column.  Both sides
+    are evaluated at the integer 2^`_exact_bits(k)` for k applications (k = 2
+    for the quadratic relation, k = n(s,t) for the braid relation), which
+    decides the polynomial identity exactly.
+
+    A column whose check is already decided on an equal block reads that
+    verdict back.  Why this is exact:
+    - tau_s maps a unit column into its s-edge's 2x2 block, whose entries
+      `_TAU_CASES` gives from the (role, style) of each end; the other end
+      has the other role and the same style.  So the quadratic relation on a
+      column depends only on its (role, style), and it is run once per case
+      and generator.
+    - An alternating word keeps a unit column inside its alternating cycle,
+      walked from its first vertex by `_alternating_cycle`.  In walk
+      positions, the s-partner and the t-partner of position p are p + 1
+      and p - 1, one each, by the parity of p, and the coefficients at p
+      come from the (role, style) of the s-edge and of the t-edge there.  So
+      the restriction of tau_s and tau_t to the cycle, in positions, is
+      fixed by n(s,t) and the cycle word, and equality of the two sides on
+      a column depends only on them and on the column's position, not on
+      vertex names.  A cycle is walked and keyed by (n, word) when its first
+      column comes up, and each (key, position) is run when a column first
+      needs it.  Nothing is decided ahead of that column, so a digraph
+      rejected at its first column costs one cycle.
+    Each run costs the size of its cycle, and a digraph whose cycles repeat
+    a few words costs little more than one walk per component.
     """
     violations = digraph.validate_structure()
     if violations:
@@ -245,16 +276,22 @@ def brute_force_check(digraph: SLabeledDigraph):
     u = 1 << _exact_bits(2)
     columns = _table(pairing, _TAU_CASES, lambda c: c(u))
     for s in range(system.rank()):
-        # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2
-        for j in range(n_vertices):
-            once = _apply_columns(columns[s], {j: 1}, 0)
-            expected = {i: (u * u - 1) * c for i, c in once.items()}
-            expected[j] = expected.get(j, 0) + u * u
-            if (_apply_columns(columns[s], once, 0)
-                    != {i: c for i, c in expected.items() if c}):
+        quadratic = {}   # (role, style) -> whether the relation holds
+        for j, (_, role, style) in enumerate(pairing[s]):
+            holds = quadratic.get((role, style))
+            if holds is None:
+                # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2
+                once = _apply_columns(columns[s], {j: 1}, 0)
+                expected = {i: (u * u - 1) * c for i, c in once.items()}
+                expected[j] = expected.get(j, 0) + u * u
+                holds = quadratic[role, style] = (
+                    _apply_columns(columns[s], once, 0)
+                    == {i: c for i, c in expected.items() if c})
+            if not holds:
                 return RelationWitness("quadratic", (system.generators[s],),
                                        digraph.vertices[j])
     tables = {}
+    braid = {}   # (n, cycle word) -> the verdict per position
     for i in range(system.rank()):
         for j in range(i + 1, system.rank()):
             n = system.order(i, j)
@@ -265,14 +302,32 @@ def brute_force_check(digraph: SLabeledDigraph):
                 tables[n] = _table(pairing, _TAU_CASES, lambda c: c(point))
             columns = tables[n]
             pair = (system.generators[i], system.generators[j])
+            ps, pt = pairing[i], pairing[j]
             # the two alternating words of n letters; `_word_apply` lets
             # word[0] act first, so it multiplies each word reversed, and
             # reversal keeps this pair of words, so the relation is the same
             left = [(i, j)[k % 2] for k in range(n)]
             right = [(j, i)[k % 2] for k in range(n)]
+            block = [None] * n_vertices      # column -> verdicts of its key
+            position = [0] * n_vertices
             for col in range(n_vertices):
-                if (_word_apply(columns, left, {col: 1}, 0)
-                        != _word_apply(columns, right, {col: 1}, 0)):
+                if block[col] is None:
+                    cycle = _alternating_cycle(ps, pt, col)
+                    word = tuple(ps[v][1:] + pt[v][1:] for v in cycle)
+                    verdicts = braid.get((n, word))
+                    if verdicts is None:
+                        verdicts = braid[n, word] = [None] * len(cycle)
+                    for p, v in enumerate(cycle):
+                        block[v] = verdicts
+                        position[v] = p
+                verdicts = block[col]
+                p = position[col]
+                holds = verdicts[p]
+                if holds is None:
+                    holds = verdicts[p] = (
+                        _word_apply(columns, left, {col: 1}, 0)
+                        == _word_apply(columns, right, {col: 1}, 0))
+                if not holds:
                     return RelationWitness("braid", pair,
                                            digraph.vertices[col])
     return None

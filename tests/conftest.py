@@ -13,7 +13,9 @@ from wdigraph.coxeter import CoxeterSystem, GroupElement
 from wdigraph.digraph import DASHED, Edge, SLabeledDigraph
 from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix
 from wdigraph.hecke import Dihedral, HeckeElt
-from wdigraph.modrep import ModuleRep
+from wdigraph.modrep import (_TAU_CASES, ModuleRep, _apply_columns, _exact_bits,
+                             _table, _word_apply)
+from wdigraph.validator import RelationWitness
 
 
 RF_U2 = RF_U * RF_U                     # u^2
@@ -196,6 +198,49 @@ def same_structure(g, h):
     return (g.vertices == h.vertices and g.edges == h.edges
             and g.system.generators == h.system.generators
             and g.system.matrix == h.system.matrix)
+
+
+# -- validator -----------------------------------------------------------------
+
+
+def column_brute_force_check(g):
+    """The integer oracle one column at a time, the reference of the keyed
+    `brute_force_check`: whole-digraph tables at 2^`_exact_bits(k)`, both
+    relations run on every unit column in vertex order, the same early exit
+    and the same `RelationWitness`."""
+    violations = g.validate_structure()
+    if violations:
+        return RelationWitness("structure", (), "; ".join(violations))
+    pairing = g.edge_pairing()
+    system = g.system
+    n_vertices = len(g.vertices)
+    u = 1 << _exact_bits(2)
+    columns = _table(pairing, _TAU_CASES, lambda c: c(u))
+    for s in range(system.rank()):
+        # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2
+        for j in range(n_vertices):
+            once = _apply_columns(columns[s], {j: 1}, 0)
+            expected = {i: (u * u - 1) * c for i, c in once.items()}
+            expected[j] = expected.get(j, 0) + u * u
+            if (_apply_columns(columns[s], once, 0)
+                    != {i: c for i, c in expected.items() if c}):
+                return RelationWitness("quadratic", (system.generators[s],),
+                                       g.vertices[j])
+    for i in range(system.rank()):
+        for j in range(i + 1, system.rank()):
+            n = system.order(i, j)
+            if n is inf:
+                continue
+            point = 1 << _exact_bits(n)
+            columns = _table(pairing, _TAU_CASES, lambda c: c(point))
+            pair = (system.generators[i], system.generators[j])
+            left = [(i, j)[k % 2] for k in range(n)]
+            right = [(j, i)[k % 2] for k in range(n)]
+            for col in range(n_vertices):
+                if (_word_apply(columns, left, {col: 1}, 0)
+                        != _word_apply(columns, right, {col: 1}, 0)):
+                    return RelationWitness("braid", pair, g.vertices[col])
+    return None
 
 
 # -- exactalg ------------------------------------------------------------------

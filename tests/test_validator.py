@@ -15,10 +15,11 @@ from wdigraph.families import (EXAMPLE_NAMES, TEMPLATES, FamilySpec,
 from wdigraph.modrep import _TAU_CASES, _exact_bits
 from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 Rejection, RelationWitness, Verdict,
-                                brute_force_check, is_w_digraph,
-                                random_two_label_digraph)
+                                _alternating_cycle, brute_force_check,
+                                is_w_digraph, random_two_label_digraph)
 
-from conftest import RatFuncOperators, is_poly, same_structure, subgraph
+from conftest import (RatFuncOperators, column_brute_force_check, is_poly,
+                      same_structure, subgraph)
 
 
 def family_on(n, figure, m):
@@ -541,12 +542,16 @@ def test_exact_point_clears_the_root_bound():
 
 
 def test_integer_oracle_matches_ratfunc_reference():
+    # the keyed oracle against the column-by-column integer oracle it
+    # replaced, and both against the Q(u) one
     outcomes = {"none": 0, "quadratic": 0, "braid": 0, "structure": 0}
-    for label, g in [*oracle_inputs(), *group_digraphs()]:
+    for label, g in [*oracle_inputs(), *group_digraphs(),
+                     *non_alphabetical_inputs()]:
         witness = brute_force_check(g)
+        assert witness == column_brute_force_check(g), label
         assert witness == ratfunc_brute_force_check(g), label
         outcomes[witness.kind if witness else "none"] += 1
-    assert outcomes["none"] > 100 and outcomes["braid"] > 500
+    assert outcomes["none"] > 200 and outcomes["braid"] > 1000
     assert outcomes["structure"] == 1
 
 
@@ -630,5 +635,139 @@ DIHEDRAL = [CoxeterSystem.dihedral(n) for n in range(2, 9)]
 def test_property_oracle_and_classifier(systems, data):
     g = data.draw(labeled_digraphs(systems))
     witness = brute_force_check(g)
+    assert witness == column_brute_force_check(g)
     assert witness == ratfunc_brute_force_check(g)
     assert is_w_digraph(g).is_w_digraph == (witness is None)
+
+
+# -- the keyed oracle on many components sharing cycle words ------------------------------
+
+
+def keyed_components(g, i, j):
+    """The components of the restriction to generators i < j as the oracle
+    keys them: walked from their first vertex in vertex order, each gives
+    ((n, cycle word), its vertex indices)."""
+    pairing = g.edge_pairing()
+    ps, pt = pairing[i], pairing[j]
+    n = g.system.order(i, j)
+    seen = set()
+    for start in range(len(g.vertices)):
+        if start not in seen:
+            cycle = _alternating_cycle(ps, pt, start)
+            seen.update(cycle)
+            yield (n, tuple(ps[v][1:] + pt[v][1:] for v in cycle)), cycle
+
+
+def passing_columns(g):
+    """The vertices whose column passes every check up to the first failing
+    pair, each read off the column reference on g with that vertex moved to
+    the front."""
+    passing = []
+    for v in g.vertices:
+        front = (v,) + tuple(x for x in g.vertices if x != v)
+        witness = column_brute_force_check(SLabeledDigraph(g.system, front,
+                                                           g.edges))
+        if witness is None or witness.column != v:
+            passing.append(v)
+    return passing
+
+
+def many_component_rejections():
+    """Disjoint unions of 3 to 5 relabeled copies of one or two rejected
+    random digraphs over I2(2..6), A3 or B3.  Half copy one digraph with a
+    passing column, lead with the copies of that vertex, so that the
+    components through them share their cycle words and pass, and shuffle
+    the rest; the other half are shuffled whole."""
+    rng = random.Random(2207)
+    systems = [CoxeterSystem.dihedral(n) for n in range(2, 7)] + RANK_THREE
+    for k in range(160):
+        system = systems[k % len(systems)]
+        bases, leads = [], []
+        while len(bases) < 1 + k % 2:
+            g0 = random_labeled_digraph(rng, system, rng.choice([2, 4, 6]))
+            if column_brute_force_check(g0) is None:
+                continue
+            if k % 2 == 0:
+                leads = passing_columns(g0)
+                if not leads:
+                    continue
+            bases.append(g0)
+        copies = [rng.choice(bases) for _ in range(rng.randint(3, 5))]
+        vertices, edges = [], []
+        for c, base in enumerate(copies):
+            vertices += [f"c{c}{v}" for v in base.vertices]
+            edges += [Edge(f"c{c}{e.src}", f"c{c}{e.dst}", e.label, e.style)
+                      for e in base.edges]
+        rng.shuffle(vertices)
+        if leads:
+            lead = rng.choice(leads)
+            firsts = [f"c{c}{lead}" for c in range(len(copies))]
+            vertices = firsts + [v for v in vertices if v not in firsts]
+        yield (f"{system.generators} #{k}, {len(copies)} copies",
+               SLabeledDigraph(system, vertices, edges))
+
+
+def test_keyed_oracle_on_many_component_rejections():
+    """Whole witnesses equal both references on unions whose copies share
+    cycle words.  Each rejected cycle here fails at every position (so does
+    every cycle word with m <= 4 under n = 2..8), so the witness is the first
+    vertex of its cycle and no copy walked later can hold it; what the set
+    makes sure of is that verdicts decided on one component are read back
+    for others before the failing one is walked."""
+    read_back = shared_word = 0
+    for label, g in many_component_rejections():
+        witness = brute_force_check(g)
+        assert witness is not None, label
+        assert witness == column_brute_force_check(g), label
+        assert witness == ratfunc_brute_force_check(g), label
+        gens = g.system.generators
+        pairs = [(i, j) for i in range(len(gens))
+                 for j in range(i + 1, len(gens))]
+        walked = {pair: list(keyed_components(g, *pair)) for pair in pairs}
+        # the components the oracle walks up to the failing one
+        col = g.vertex_index[witness.column]
+        failing = tuple(gens.index(x) for x in witness.generators)
+        keys = []
+        for pair in pairs[:pairs.index(failing) + 1]:
+            for key, cycle in walked[pair]:
+                keys.append(key)
+                if pair == failing and col in cycle:
+                    assert cycle[0] == col, label
+                    break
+        read_back += len(set(keys)) < len(keys)
+        # one cycle word under two orders n(s,t)
+        orders = {}
+        for pair in pairs:
+            for n, word in (key for key, _ in walked[pair]):
+                orders.setdefault(word, set()).add(n)
+        shared_word += any(len(ns) > 1 for ns in orders.values())
+    assert read_back > 60 and shared_word > 10
+
+
+def test_keyed_oracle_keys_cycle_words_by_order():
+    """A template on (r, s) copied onto (r, t) gives both restrictions one
+    cycle word; it holds under n(r,s) and fails under n(r,t), so a verdict
+    keyed by the word alone would be read back wrongly."""
+    cases = 0
+    for figure in range(1, 7):
+        for m in (2, 3, 4):
+            n1 = TEMPLATES[figure].divisor(m)
+            if n1 < 2:
+                continue
+            system = CoxeterSystem(["r", "s", "t"], {
+                ("r", "s"): n1, ("r", "t"): n1 + 1, ("s", "t"): 2})
+            template = build_family(CoxeterSystem.dihedral(n1, ("r", "s")),
+                                    FamilySpec(figure, m, "r", "s"))
+            copied = [Edge(e.src, e.dst, "t", e.style)
+                      for e in template.edges if e.label == "s"]
+            g = SLabeledDigraph(system, template.vertices,
+                                [*template.edges, *copied])
+            (rs, rt) = (list(keyed_components(g, 0, k)) for k in (1, 2))
+            assert [word for (_, word), _ in rs] == [word for (_, word), _ in rt]
+            witness = brute_force_check(g)
+            assert witness == RelationWitness("braid", ("r", "t"),
+                                              g.vertices[0]), (figure, m)
+            assert witness == column_brute_force_check(g), (figure, m)
+            assert witness == ratfunc_brute_force_check(g), (figure, m)
+            cases += 1
+    assert cases >= 12
