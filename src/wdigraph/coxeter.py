@@ -1,19 +1,22 @@
-"""Coxeter systems with exact group-element arithmetic via the word problem.
+"""Coxeter systems with exact group-element arithmetic.
 
-Elements are stored as ShortLex-minimal reduced words (generator order =
+Elements are named by their ShortLex-minimal reduced words (generator order =
 declaration order).  One memoized primitive, the canonical word of w*s, solves
 the word problem one dihedral parabolic W_{s,t} at a time (w = w^J * w_J,
 Bjorner-Brenti 2.4) for every Coxeter matrix; products, inverses, descents
 and the Bruhat order (lifting property, 2.2.7) are walks of it.
 
 One BFS from the identity along the steps that raise length, `up_walk`,
-lists elements and the arrows between them: `enumerate` along right
-multiplication, the twisted involutions along w -> sw or s w s* without
-enumerating W, and the arrows of the digraphs that `families` builds.
+lists W along left multiplication and the twisted involutions along w -> sw
+or s w s*, with the arrows between them.  Both steps use four operations:
+left and right multiplication by a generator, the left-descent test and the
+canonical word.  When W is finite and every order is at most 6 they act on
+the matrix of w^-1 on the simple roots, one packed int per column
+(`roots`); every other system walks canonical words.
 
 Orders come from the classification of finite irreducible diagrams: |W_J|
 (`parabolic_order`) is the product of the closed-form orders of the components
-of the Coxeter diagram on J, so finiteness, and the walk's refusal of a
+of the Coxeter diagram on J, so finiteness, and a walk's refusal of a
 group over MAX_ELEMENTS, are decided before any element is built.
 """
 
@@ -21,8 +24,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, inf, prod
 from typing import Iterable, Sequence
+
+from .roots import WalkOps, root_ops
 
 Word = tuple[int, ...]
 
@@ -85,6 +91,7 @@ class CoxeterSystem:
         self._products: dict[tuple[Word, int], Word] = {}
         self._descents: dict[tuple[Word, int], bool] = {}
         self._all_elements: list[GroupElement] | None = None
+        self._walk_ops: WalkOps | None = None
 
     # -- construction ------------------------------------------------------------
 
@@ -244,56 +251,92 @@ class CoxeterSystem:
 
     # -- enumeration ------------------------------------------------------------------------
 
-    def up_walk(self, step, length_bound=None) -> tuple[list[Word], list]:
-        """(words, arrows): a BFS from the identity along the steps that raise
-        length.  step(w, s) gives (target, tag) for a canonical word w and a
-        generator index s; the walk follows it when the target is longer
-        than w and no longer than the bound, and returns the words reached,
-        sorted (length, ShortLex), and the arrows (w, s, target, tag) taken.
+    def _ops(self) -> "WalkOps":
+        """The representation the walks carry elements in, chosen at the
+        first walk: root coordinates when W is finite and every order is at
+        most 6, canonical words otherwise."""
+        if self._walk_ops is None:
+            orders = {m for row in self.matrix for m in row}
+            if orders <= {1, 2, 3, 4, 5, 6} and self.is_finite():
+                self._walk_ops = root_ops(self.matrix)
+            else:
+                self._walk_ops = self._word_ops()
+        return self._walk_ops
 
-        A negative bound is refused, and so is a walk over the whole group
-        of an infinite system or of one whose order (`parabolic_order`) is
-        over MAX_ELEMENTS, before any element is built; a bounded walk
-        raises once it has built over MAX_ELEMENTS elements, as words it
-        keeps or as products w*s it memoizes (over MAX_ELEMENTS * rank).
+    def _word_ops(self) -> "WalkOps":
+        """The walk's operations on canonical words, through `_rmult`; its
+        work is the products w*s memoized."""
+        lmult = lru_cache(maxsize=1)(self.lmult)    # the descent test, then left
+        return WalkOps((), lmult, self._rmult,
+                       lambda w, s: len(lmult(w, s)) < len(w), lambda w: w,
+                       self._products.__len__, on_words=True)
+
+    def up_walk(self, star: "DiagramAutomorphism | None" = None,
+                length_bound=None) -> tuple[list[Word], list]:
+        """(words, arrows): a BFS from the identity along the steps w -> sw
+        that raise length (tag None), or with an involutory star along the
+        twisted steps: w -> sw (tag True) when s w star(s) = w, else
+        w -> s w star(s), two longer (tag False; Richardson-Springer 1990,
+        Hultman 2005).  Returns the words of length <= bound, sorted
+        (length, ShortLex), and the arrows (w, s, target, tag) taken.
+
+        Refused before any element is built: a negative bound, all of an
+        infinite group, and all of a group of order over MAX_ELEMENTS when
+        the walk lists W or walks words.  Otherwise the walk raises once it
+        has built over MAX_ELEMENTS elements: words kept, and on words
+        over MAX_ELEMENTS * rank products memoized, on roots elements named.
         """
-        too_many = f"more than {MAX_ELEMENTS} elements to enumerate"
-        rank = len(self.generators)
+        if star is not None and not star.is_involution():
+            raise ValueError("the diagram automorphism must be involutory")
         if length_bound is not None and length_bound < 0:
             raise ValueError(f"length bound must be >= 0, not {length_bound}")
+        too_many = f"more than {MAX_ELEMENTS} elements to enumerate"
+        ops = self._ops()
         if length_bound is None:
             order = self.parabolic_order()
             if order is inf:
                 raise ValueError("cannot enumerate an infinite Coxeter group; "
                                  "pass a length bound")
-            if order > MAX_ELEMENTS:
+            if order > MAX_ELEMENTS and (star is None or ops.on_words):
                 raise ValueError(too_many)
             length_bound = inf
-        words, arrows, seen = [()], [], {()}
-        products = len(self._products)
-        for w in words:                 # a FIFO queue: words grows behind w
-            if len(w) >= length_bound:
+        left, right, descent, name = ops.left, ops.right, ops.descent, ops.name
+        perm = None if star is None else star.perm
+        rank = len(self.generators)
+        budget = ops.built() + MAX_ELEMENTS * (rank if ops.on_words else 1)
+        seen = {ops.identity: ()}
+        queue, arrows = [ops.identity], []
+        for w in queue:                 # a FIFO queue: it grows behind w
+            word = seen[w]
+            if len(word) >= length_bound:
                 continue                # no step from w stays within the bound
             for s in range(rank):
-                target, tag = step(w, s)
-                if len(w) < len(target) <= length_bound:
-                    arrows.append((w, s, target, tag))
-                    if target not in seen:
-                        seen.add(target)
-                        words.append(target)
-                        if len(seen) > MAX_ELEMENTS:
-                            raise ValueError(too_many)
-            if len(self._products) - products > MAX_ELEMENTS * rank:
+                if descent(w, s):
+                    continue
+                target, tag = left(w, s), None
+                if perm is not None:
+                    sws = right(target, perm[s])
+                    target, tag = (target, True) if sws == w else (sws, False)
+                known = seen.get(target)
+                if known is None:
+                    known = name(target)
+                    if len(known) > length_bound:
+                        continue
+                    seen[target] = known
+                    queue.append(target)
+                    if len(seen) > MAX_ELEMENTS:
+                        raise ValueError(too_many)
+                arrows.append((word, s, known, tag))
+            if ops.built() > budget:
                 raise ValueError(too_many)
-        return sorted(words, key=lambda w: (len(w), w)), arrows
+        return sorted(seen.values(), key=lambda w: (len(w), w)), arrows
 
     def enumerate(self, length_bound=None) -> list["GroupElement"]:
         """All elements of length <= bound (or all of W), sorted (length,
-        ShortLex): the up-walk along right multiplication."""
+        ShortLex): the up-walk along left multiplication."""
         if length_bound is None and self._all_elements is not None:
             return list(self._all_elements)
-        words, _ = self.up_walk(lambda w, s: (self._rmult(w, s), None),
-                                length_bound)
+        words, _ = self.up_walk(None, length_bound)
         elements = [GroupElement(self, w) for w in words]
         if length_bound is None:
             self._all_elements = list(elements)
@@ -354,26 +397,11 @@ class CoxeterSystem:
 
     # -- twisted involutions / diagram automorphisms ------------------------------------------------
 
-    def twisted_step(self, star: "DiagramAutomorphism"):
-        """The up-walk step that reaches the twisted involutions, star(x) =
-        x^{-1}: w -> sw, tagged True, when sw = w star(s), else w -> s w
-        star(s), tagged False (Richardson-Springer 1990; Hultman 2005)."""
-        if not star.is_involution():
-            raise ValueError("the diagram automorphism must be involutory")
-        perm = star.perm
-
-        def step(w: Word, s: int) -> tuple[Word, bool]:
-            sw = self.lmult(w, s)
-            if len(sw) < len(w) or sw == self._rmult(w, perm[s]):
-                return sw, True
-            return self._rmult(sw, perm[s]), False
-        return step
-
     def twisted_involutions(self, star: "DiagramAutomorphism",
                             length_bound=None) -> list["GroupElement"]:
         """All x with star(x) = x^{-1}, in (length, ShortLex) order: the
-        up-walk along `twisted_step`."""
-        words, _ = self.up_walk(self.twisted_step(star), length_bound)
+        twisted up-walk."""
+        words, _ = self.up_walk(star, length_bound)
         return [GroupElement(self, w) for w in words]
 
     def conjugation_automorphism_by_w0(self, star: "DiagramAutomorphism"

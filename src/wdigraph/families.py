@@ -120,16 +120,16 @@ def build_lv(system: CoxeterSystem, star: DiagramAutomorphism,
 
     For each vertex w and generator s with l(sw) > l(w): a solid edge
     w -> s w star(s) when sw != w star(s), and a dashed edge w -> sw when
-    sw = w star(s); the arrows of the up-walk along `twisted_step`.
+    sw = w star(s); the arrows of the twisted up-walk.
     """
-    walk = system.up_walk(system.twisted_step(star), length_bound)
+    walk = system.up_walk(star, length_bound)
     return _walk_digraph(system, walk, {True: DASHED, False: SOLID})
 
 
 def build_regular(system: CoxeterSystem, length_bound=None) -> SLabeledDigraph:
     """The left-Cayley digraph: solid x -> sx whenever that multiplies up;
     the arrows of the up-walk along left multiplication."""
-    walk = system.up_walk(lambda w, s: (system.lmult(w, s), None), length_bound)
+    walk = system.up_walk(None, length_bound)
     return _walk_digraph(system, walk, {None: SOLID})
 
 
@@ -137,10 +137,10 @@ def _walk_digraph(system: CoxeterSystem, walk, styles: dict) -> SLabeledDigraph:
     """The digraph of an up-walk's (words, arrows): each arrow an edge of
     style styles[tag]."""
     words, arrows = walk
-    name, label = system.word_to_str, system.generators
+    name, label = {w: system.word_to_str(w) for w in words}, system.generators
     return SLabeledDigraph(
-        system, [name(w) for w in words],
-        [Edge(name(w), name(t), label[s], styles[tag]) for w, s, t, tag in arrows])
+        system, list(name.values()),
+        [Edge(name[w], name[t], label[s], styles[tag]) for w, s, t, tag in arrows])
 
 
 # -- named example digraphs --------------------------------------------------------

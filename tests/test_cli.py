@@ -275,15 +275,24 @@ def fig7_over_order(order):
                       for g in "st"]}
 
 
-def test_lv_element_bound(capsys, monkeypatch, a3_file):
+def test_lv_element_bound(capsys, monkeypatch, tmp_path):
+    # I2(7) x A1 walks canonical words, so its lv is refused from
+    # |W| = 28 > MAX_ELEMENTS before any element is built
+    path = tmp_path / "i27a1.json"
+    path.write_text(json.dumps({"generators": ["r", "s", "t"],
+                                "matrix": {"s,t": 7}}))
     monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 20)
-    code = main(["lv", "--system", a3_file])
+    code = main(["lv", "--system", str(path)])
     assert code == 2
     assert "error: more than 20 elements" in capsys.readouterr().err
+    monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 28)
+    code, out = run(capsys, "lv", "--system", str(path))
+    assert code == 0 and len(json.loads(out)["vertices"]) == 16
 
 
 def test_bounded_lv_element_bound(capsys, monkeypatch, a3_file):
-    # a bounded walk that keeps few words is refused on the work it does
+    # a bounded walk that keeps few words is refused on the work it does:
+    # on A3's root coordinates, the 9 words up to length 5 take 16 names
     monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 12)
     code = main(["lv", "--system", a3_file, "--length-bound", "5"])
     captured = capsys.readouterr()

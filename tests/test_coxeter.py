@@ -5,7 +5,7 @@ from math import inf
 
 import pytest
 
-from wdigraph import coxeter
+from wdigraph import coxeter, roots
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, GroupElement
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from wdigraph.families import build_lv, build_regular
@@ -154,26 +154,30 @@ def test_parabolic_counts_b3(b3):
 
 
 def named_system(name):
-    """A_n, B_n or D_n on the first n of the letters a, b, c, d, f, g, or H3:
-    a chain of order-3 bonds, its last bond of order 4 in B_n, its last
-    generator joined to the third from the end in D_n."""
+    """A_n, B_n, D_n, E_n, F4, G2 or H_n on the first n of the letters
+    a, b, c, d, f, g, h, i: a chain of order-3 bonds, its last bond of order
+    4 in B_n and 5 in H_n, its middle bond of order 4 in F4, its one bond of
+    order 6 in G2; in D_n and E_n the last generator is off the chain,
+    joined to the third from the end (D_n) or to the third (E_n)."""
     kind, n = name[0], int(name[1:])
-    gens = "abcdfg"[:n]
-    chain = gens[:-1] if kind == "D" else gens
+    gens = "abcdfghi"[:n]
+    chain = gens[:-1] if kind in "DE" else gens
     orders = {(x, y): 3 for x, y in zip(chain, chain[1:])}
-    if kind == "B":
-        orders[(gens[-2], gens[-1])] = 4
+    if kind in "BGH":
+        orders[(gens[-2], gens[-1])] = {"B": 4, "G": 6, "H": 5}[kind]
+    elif kind == "F":
+        orders[(gens[1], gens[2])] = 4
     elif kind == "D":
         orders[(gens[-3], gens[-1])] = 3
-    elif kind == "H":
-        orders[(gens[-2], gens[-1])] = 5
+    elif kind == "E":
+        orders[(gens[2], gens[-1])] = 3
     return CoxeterSystem(list(gens), orders)
 
 
 # the involutions of W, the identity among them
 INVOLUTION_COUNTS = {"A1": 2, "A2": 4, "A3": 10, "A4": 26, "A5": 76, "A6": 232,
                      "B2": 6, "B3": 20, "B4": 76, "B5": 312,
-                     "D4": 44, "D5": 156, "H3": 32}
+                     "D4": 44, "D5": 156, "H3": 32, "E6": 892, "E7": 10_208}
 
 
 def test_twisted_involutions_counts():
@@ -182,6 +186,8 @@ def test_twisted_involutions_counts():
         ident = DiagramAutomorphism.identity(system)
         involutions = system.twisted_involutions(ident)
         assert len(involutions) == count, name
+        if system.parabolic_order() > coxeter.MAX_ELEMENTS:
+            continue                    # E7: W is not listed, so has no w0
         # star = conjugation by w0: w* = w^-1 iff (w w0)^2 = 1, so w -> w w0
         # maps its twisted involutions onto the involutions
         sharp = system.conjugation_automorphism_by_w0(ident)
@@ -436,10 +442,17 @@ def involutory_automorphisms(system):
     return out
 
 
+# the systems of DIFFERENTIAL_SYSTEMS whose walks carry canonical words: an
+# order of 7 or more, or an infinite group; the rest walk on root coordinates
+WORD_WALKS = ("I2(7)", "I2(8)", "I2(9)", "I2(10)", "I2(7)xA1", "affine_A2",
+              "affine_C2", "triangle_337", "I2(inf)", "rank4_345")
+
+
 @pytest.mark.parametrize("name", DIFFERENTIAL_SYSTEMS)
 def test_up_walk_matches_enumerate_then_filter(name):
     gens, orders = DIFFERENTIAL_SYSTEMS[name]
     system = CoxeterSystem(list(gens), orders)
+    assert system._ops().on_words == (name in WORD_WALKS)
     stars = involutory_automorphisms(system)
     for bound in [*range(5), *([None] if system.is_finite() else [])]:
         assert system.enumerate(bound) == reference_enumerate(system, bound)
@@ -450,6 +463,26 @@ def test_up_walk_matches_enumerate_then_filter(name):
                     == reference_twisted_involutions(system, star, bound))
             assert (build_lv(system, star, bound).to_json()
                     == reference_build_lv(system, star, bound).to_json())
+
+
+def word_walking(system):
+    """The same system, made to walk canonical words through `_rmult`."""
+    system = CoxeterSystem.from_json(system.to_json())
+    system._walk_ops = system._word_ops()
+    return system
+
+
+@pytest.mark.parametrize("name,kinds", [
+    ("F4", "lv regular"), ("D5", "lv regular"), ("H4", "lv")])
+def test_root_walk_matches_word_walk(name, kinds):
+    system = named_system(name)
+    words = word_walking(system)
+    assert not system._ops().on_words and words._ops().on_words
+    if "regular" in kinds:
+        assert build_regular(system).to_json() == build_regular(words).to_json()
+    for star in involutory_automorphisms(system):
+        assert (build_lv(system, star).to_json()
+                == build_lv(words, DiagramAutomorphism(words, star.perm)).to_json())
 
 
 # -- groups and words beyond braid-orbit enumeration ---------------------------------
@@ -558,19 +591,107 @@ def test_enumerate_element_bound(monkeypatch):
 
 
 def test_bounded_walk_bounds_its_products(monkeypatch):
-    # the twisted walk on A3 up to length 5 keeps 9 words but memoizes 44
-    # products, more than MAX_ELEMENTS * rank = 36: it has built more than
-    # 12 elements of W, and is refused for that
+    # on canonical words (affine A2), the twisted walk up to length 6 keeps
+    # 10 words but memoizes 69 products, more than MAX_ELEMENTS * rank = 36:
+    # it has built more than 12 elements of W, and is refused for that
+    affine_a2 = DIFFERENTIAL_SYSTEMS["affine_A2"]
+    system = CoxeterSystem(list(affine_a2[0]), affine_a2[1])
+    star = DiagramAutomorphism.identity(system)
+    assert system._ops().on_words
+    assert len(system.twisted_involutions(star, 6)) == 10
+    assert len(system._products) == 69
+    monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 12)
+    system = CoxeterSystem(list(affine_a2[0]), affine_a2[1])
+    with pytest.raises(ValueError, match="more than 12 elements to enumerate"):
+        system.twisted_involutions(star, 6)
+    assert len(system._products) > 36
+    assert len(system.twisted_involutions(star, 3)) == 7   # 15 more products
+
+
+def test_root_walk_bounds_the_elements_it_names(monkeypatch):
+    # on root coordinates (A3), the twisted walk over all of W keeps 10
+    # words and names 16 elements besides the identity, the vertices among
+    # them: with MAX_ELEMENTS = 12 it is refused for those, not for |W| = 24
     a3 = CoxeterSystem(list("rst"), {("r", "s"): 3, ("s", "t"): 3})
     star = DiagramAutomorphism.identity(a3)
-    assert len(a3.twisted_involutions(star, 5)) == 9
-    assert len(a3._products) == 44
+    assert not a3._ops().on_words
+    assert len(a3.twisted_involutions(star)) == 10
+    assert a3._ops().built() == 17
+    monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 16)
+    a3 = CoxeterSystem(list("rst"), {("r", "s"): 3, ("s", "t"): 3})
+    assert len(a3.twisted_involutions(star)) == 10
     monkeypatch.setattr(coxeter, "MAX_ELEMENTS", 12)
     a3 = CoxeterSystem(list("rst"), {("r", "s"): 3, ("s", "t"): 3})
     with pytest.raises(ValueError, match="more than 12 elements to enumerate"):
-        a3.twisted_involutions(star, 5)
-    assert len(a3._products) > 36
-    assert len(a3.twisted_involutions(star, 3)) == 7    # 18 products
+        a3.twisted_involutions(star)
+    assert len(a3.twisted_involutions(star, 3)) == 7    # 10 names
+    with pytest.raises(ValueError, match="more than 12 elements to enumerate"):
+        a3.enumerate()                  # a walk over all of W: refused up front
+
+
+# -- the packing width of root coordinates ------------------------------------------
+
+
+PHI = (1 + 5 ** 0.5) / 2
+
+
+def positive_roots(system):
+    """The positive roots of the system's root coordinates, each a tuple of
+    coefficients a + b*phi as pairs (a, b): the closure of the simple roots
+    under r(v) = v + (sum over t of a_rt v_t - 2 v_r) alpha_r, the Cartan
+    entries read off `roots._CARTAN`.  A root is positive when its
+    coefficients are; a float decides a + b*phi, which is at least
+    1/(3|b|) away from 0 when it is not 0."""
+    n = system.rank()
+
+    def cartan(r, t):
+        m = system.matrix[r][t]
+        return roots._CARTAN[m][r > t] if m > 2 else (0, 0)
+
+    def reflect(v, r):
+        a, b = -2 * v[r][0], -2 * v[r][1]
+        for t in range(n):
+            if t != r:
+                (p, q), (x, y) = cartan(r, t), v[t]
+                a, b = a + p * x + q * y, b + p * y + q * x + q * y
+        return v[:r] + ((v[r][0] + a, v[r][1] + b),) + v[r + 1:]
+    simple = [tuple((int(s == t), 0) for t in range(n)) for s in range(n)]
+    found, queue = set(simple), list(simple)
+    for v in queue:
+        for r in range(n):
+            u = reflect(v, r)
+            if u not in found and all(a + b * PHI > -1e-9 for a, b in u):
+                found.add(u)
+                queue.append(u)
+    return found
+
+
+POSITIVE_ROOT_COUNTS = {
+    **{f"A{n}": n * (n + 1) // 2 for n in range(1, 9)},
+    **{f"B{n}": n * n for n in range(2, 9)},
+    **{f"D{n}": n * (n - 1) for n in range(4, 9)},
+    "E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6, "H3": 15, "H4": 60,
+    "I2(5)": 5,
+}
+
+
+@pytest.mark.parametrize("name", POSITIVE_ROOT_COUNTS)
+def test_packing_width_holds_every_positive_root(name):
+    # the premises of root coordinates: every coefficient of every positive
+    # root lies strictly inside the signed digits of the width the system
+    # picks (so packed equality and digit reads are exact), that width is
+    # the least such, and a coefficient a + b*phi has a, b >= 0, so the
+    # packed int of a root's column has the root's sign (H3, H4 and I2(5)
+    # are the finite types with an order 5)
+    system = (CoxeterSystem.dihedral(5) if name == "I2(5)"
+              else named_system(name))
+    bits = system._ops().bits
+    roots = positive_roots(system)
+    assert len(roots) == POSITIVE_ROOT_COUNTS[name]
+    largest = max(abs(c) for v in roots for pair in v for c in pair)
+    assert largest < 1 << (bits - 1)
+    assert largest >= 1 << (bits - 2)
+    assert all(c >= 0 for v in roots for pair in v for c in pair)
 
 
 from hypothesis import given, settings
