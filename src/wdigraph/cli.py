@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .coxeter import CoxeterSystem, DiagramAutomorphism, check_generator_name
 from .digraph import SLabeledDigraph, load_digraph
@@ -81,7 +82,7 @@ def _builder(cmd):
             g = cmd(args)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        print(json.dumps(g.to_json(), indent=2, sort_keys=True))
+        print(g.to_json_text())
         return 0
     return run
 
@@ -254,7 +255,11 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on first use and kept for the process:
+    each `parse_args` returns a fresh namespace, and the subcommands'
+    functions read the module's names when they run."""
     parser = argparse.ArgumentParser(
         prog="wdigraph",
         description="Exact computation with labeled digraphs for Coxeter "

@@ -406,14 +406,21 @@ class CoxeterSystem:
 
     def conjugation_automorphism_by_w0(self, star: "DiagramAutomorphism"
                                        ) -> "DiagramAutomorphism":
-        """The automorphism s -> w0 * star(s) * w0 of the diagram."""
-        w0 = self.longest_element()
+        """The automorphism s -> w0 * star(s) * w0 of the diagram: on the
+        walk's representation, t = w0 star(s) w0 is the generator with
+        t * w0 = w0 * star(s)."""
+        ops = self._ops()
+        w0 = ops.identity
+        for s in reversed(self.longest_element().word):
+            w0 = ops.left(w0, s)
+        rank = len(self.generators)
         perm = []
-        for i in range(len(self.generators)):
-            img = self.mult(self.mult(w0, star.apply(self.gen(i))), w0)
-            if len(img.word) != 1:
+        for s in star.perm:
+            image = ops.right(w0, s)
+            t = next((t for t in range(rank) if ops.left(w0, t) == image), None)
+            if t is None:
                 raise ValueError("conjugation by w0 did not yield a generator")
-            perm.append(img.word[0])
+            perm.append(t)
         return DiagramAutomorphism(self, tuple(perm))
 
 
@@ -475,10 +482,6 @@ class DiagramAutomorphism:
         for src, dst in mapping.items():
             perm[system._gen_index(src)] = system._gen_index(dst)
         return DiagramAutomorphism(system, perm)
-
-    def apply(self, x: GroupElement) -> GroupElement:
-        return GroupElement(self.system,
-                            self.system.canonical(self.perm[s] for s in x.word))
 
     def is_involution(self) -> bool:
         return all(self.perm[self.perm[i]] == i for i in range(len(self.perm)))

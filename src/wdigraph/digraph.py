@@ -26,6 +26,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple
 
 from .coxeter import CoxeterSystem
@@ -357,6 +358,18 @@ class SLabeledDigraph:
                        "style": e.style} for e in self.edges],
         }
 
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json(), indent=2, sort_keys=True), written
+        without building the dict tree: each name is escaped once by the C
+        escaper that `ensure_ascii` uses, and each edge fills one template."""
+        quoted = {v: encode_basestring_ascii(v) for v in self.vertices}
+        names = {g: encode_basestring_ascii(g) for g in self.system.generators}
+        edges = [_EDGE_JSON % (quoted[e.src], names[e.label], e.style,
+                               quoted[e.dst]) for e in self.edges]
+        system = json.dumps(self.system.to_json(), indent=2, sort_keys=True)
+        return _DIGRAPH_JSON % (_json_list(edges), system.replace("\n", "\n  "),
+                                _json_list([quoted[v] for v in self.vertices]))
+
     def to_dot(self) -> str:
         lines = ["digraph G {"]
         for v in self.vertices:
@@ -372,6 +385,18 @@ class SLabeledDigraph:
     def __repr__(self):
         return (f"SLabeledDigraph({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges)")
+
+
+# `to_json_text`'s frame and its edge, at their indents, keys sorted; a style
+# needs no escaping
+_DIGRAPH_JSON = '{\n  "edges": %s,\n  "system": %s,\n  "vertices": %s\n}'
+_EDGE_JSON = ('{\n      "from": %s,\n      "label": %s,\n      "style": "%s",\n'
+              '      "to": %s\n    }')
+
+
+def _json_list(items: list[str]) -> str:
+    """A list one level into `_DIGRAPH_JSON`, its items written out."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 @cache

@@ -9,7 +9,7 @@ from math import inf
 
 import pytest
 
-from wdigraph.coxeter import CoxeterSystem, GroupElement
+from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, GroupElement
 from wdigraph.digraph import DASHED, Edge, SLabeledDigraph
 from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix
 from wdigraph.hecke import Dihedral, HeckeElt
@@ -128,6 +128,24 @@ def multiply_by_generator(system, w, s, side="left"):
         raise ValueError("side must be 'left' or 'right'")
     delta = 1 if len(new) > len(w.word) else -1
     return GroupElement(system, new), delta
+
+
+def apply_star(star, x):
+    """The image of the group element x under the diagram automorphism."""
+    return star.system.element(tuple(star.perm[s] for s in x.word))
+
+
+def conjugation_by_w0_products(system, star):
+    """s -> w0 star(s) w0 by two products of group elements per generator,
+    the reference of `conjugation_automorphism_by_w0`."""
+    w0 = system.longest_element()
+    perm = []
+    for i in range(system.rank()):
+        image = system.mult(system.mult(w0, apply_star(star, system.gen(i))), w0)
+        if len(image.word) != 1:
+            raise ValueError("conjugation by w0 did not yield a generator")
+        perm.append(image.word[0])
+    return DiagramAutomorphism(system, tuple(perm))
 
 
 def left_descents(system, w):

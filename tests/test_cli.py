@@ -1,8 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdigraph import coxeter
+from wdigraph import cli, coxeter
 from wdigraph.cli import main
 from wdigraph.digraph import load_digraph
 from wdigraph.families import EXAMPLE_NAMES, build_example
@@ -554,3 +558,60 @@ def test_damaged_files_keep_the_exit_code_contract(base, damages):
             assert code in (0, 1, 2), argv
             if code == 2:
                 assert err.getvalue().startswith("error:"), argv
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parser is built on first use: a process that only imports the
+    CLI (as every set-up of the benchmark does) pays nothing for it."""
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counting(self, *a, **k):\n"
+             "    built.append(1)\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counting\n"
+             "import wdigraph.cli\n"
+             "assert not built, len(built)\n")
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_main_calls_share_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert main(["example", "b3_no_bar"]) == 0
+    first = len(built)
+    assert first > 1                    # the parser and its subparsers
+    assert main(["example", "ex_fig2"]) == 0
+    assert len(built) == first
+
+
+def test_back_to_back_calls_match_fresh_processes(tmp_path, monkeypatch):
+    """Calls in one process answer byte for byte as the first call of a
+    fresh process does: the parser keeps no state between them."""
+    monkeypatch.setenv("COLUMNS", "80")     # usage lines wrap at this width
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(build_example("b3_no_bar").to_json_text())
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv in (["--format", "json", "theorems", "f.json"],
+                 ["theorems", "f.json"], ["theorems"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        fresh = subprocess.run([sys.executable, "-m", "wdigraph.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert code == 2 and "required: digraph" in err.getvalue()

@@ -10,8 +10,8 @@ from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, GroupElement
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from wdigraph.families import build_lv, build_regular
 
-from conftest import (braid_orbit, left_descents, multiply_by_generator,
-                      parabolic_data)
+from conftest import (apply_star, braid_orbit, conjugation_by_w0_products,
+                      left_descents, multiply_by_generator, parabolic_data)
 
 
 def words(system, orbit):
@@ -390,7 +390,7 @@ def reference_enumerate(system, length_bound):
 def reference_twisted_involutions(system, star, length_bound):
     """Every element up to the bound, filtered by star(x) = x^{-1}."""
     return [x for x in reference_enumerate(system, length_bound)
-            if star.apply(x) == system.inverse(x)]
+            if apply_star(star, x) == system.inverse(x)]
 
 
 def reference_build_lv(system, star, length_bound):
@@ -515,9 +515,13 @@ INFINITE_DIFFERENTIAL = ("affine_A2", "affine_C2", "triangle_337", "I2(inf)",
                          "rank4_345")
 
 
+FINITE_DIFFERENTIAL = [name for name in DIFFERENTIAL_SYSTEMS
+                       if name not in INFINITE_DIFFERENTIAL]
+
+
 @pytest.mark.parametrize("gens,orders", [
     *(pytest.param(*DIFFERENTIAL_SYSTEMS[name], id=name)
-      for name in DIFFERENTIAL_SYSTEMS if name not in INFINITE_DIFFERENTIAL),
+      for name in FINITE_DIFFERENTIAL),
     *(pytest.param(sorted({g for pair in p.values[0] for g in pair}), p.values[0],
                    id=p.id) for p in LARGE_GROUPS),
 ])
@@ -541,6 +545,20 @@ def test_parabolic_order_infinite(name):
     system = CoxeterSystem(list(gens), orders)
     assert system.parabolic_order() is inf
     assert not system.is_finite()
+
+
+@pytest.mark.parametrize("name", FINITE_DIFFERENTIAL)
+def test_conjugation_by_w0_matches_products(name):
+    """s -> w0 s* w0 read off the walk's representation equals two products
+    of group elements per generator, on root coordinates and on words."""
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    words = word_walking(system)
+    for star in involutory_automorphisms(system):
+        expected = conjugation_by_w0_products(system, star).perm
+        assert system.conjugation_automorphism_by_w0(star).perm == expected
+        assert words.conjugation_automorphism_by_w0(
+            DiagramAutomorphism(words, star.perm)).perm == expected
 
 
 E_TYPES = {

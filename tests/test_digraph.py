@@ -2,6 +2,7 @@
 
 import json
 import random
+from math import inf
 
 import pytest
 
@@ -14,6 +15,9 @@ from wdigraph.validator import random_two_label_digraph
 from conftest import (disjoint_union, in_label_set, is_acyclic, path_length_mu,
                       reachable_from, same_structure, subgraph, successors,
                       undirected_neighbors)
+from test_cli_golden import FAMILY_SIZES
+from test_coxeter import (DIFFERENTIAL_SYSTEMS, INFINITE_DIFFERENTIAL,
+                          involutory_automorphisms)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +187,45 @@ def test_json_roundtrip(i23):
     data = json.loads(json.dumps(g.to_json()))
     g2 = load_digraph(data)
     assert same_structure(g2, g)
+
+
+def stdlib_text(g):
+    return json.dumps(g.to_json(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SYSTEMS)
+def test_json_text_is_the_stdlib_dump_on_walked_digraphs(name):
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    stars = involutory_automorphisms(system)
+    for bound in (0, 3, *([None] if name not in INFINITE_DIFFERENTIAL else [])):
+        for g in (build_regular(system, bound),
+                  *(build_lv(system, star, bound) for star in stars)):
+            assert g.to_json_text() == stdlib_text(g), (name, bound)
+
+
+def test_json_text_is_the_stdlib_dump_on_examples_and_templates():
+    digraphs = [build_example(name) for name in EXAMPLE_NAMES]
+    for figure, sizes in FAMILY_SIZES.items():
+        digraphs += [build_family(CoxeterSystem.dihedral(n), FamilySpec(figure, m))
+                     for m, n in sizes]
+    assert len(digraphs) == 5 + 16
+    for g in digraphs:
+        assert g.to_json_text() == stdlib_text(g)
+
+
+def test_json_text_edge_cases():
+    a1 = build_regular(CoxeterSystem(["s"], {}), 0)
+    assert not a1.edges and '"edges": [],' in a1.to_json_text()
+    infinite = build_regular(CoxeterSystem.dihedral(inf), 2)
+    assert '"s,t": "inf"' in infinite.to_json_text()
+    # one-character names that JSON escapes, allowed to library code
+    odd = CoxeterSystem(['"', "\\", "α"], {('"', "\\"): 3, ("\\", "α"): 4})
+    text = build_regular(odd, 3).to_json_text()
+    assert '"\\""' in text and '"\\\\"' in text and '"\\u03b1"' in text
+    for g in (a1, infinite, build_regular(odd, 3), build_regular(odd, 0)):
+        assert g.to_json_text() == stdlib_text(g)
+        assert same_structure(load_digraph(json.loads(g.to_json_text())), g)
 
 
 def test_json_system_by_path(tmp_path, i23):
