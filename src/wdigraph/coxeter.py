@@ -343,9 +343,18 @@ class CoxeterSystem:
         return elements
 
     def longest_element(self) -> "GroupElement":
+        """w0, walked up from the identity by left multiplication by the
+        least s that is not a left descent: each step raises the length by
+        one, and w0 is the one element of which every s is a left descent."""
         if not self.is_finite():
             raise ValueError("infinite Coxeter groups have no longest element")
-        return self.enumerate()[-1]
+        ops, rank = self._ops(), len(self.generators)
+        w = ops.identity
+        while True:
+            s = next((s for s in range(rank) if not ops.descent(w, s)), None)
+            if s is None:
+                return GroupElement(self, ops.name(w))
+            w = ops.left(w, s)
 
     # -- group orders via the diagram classification ------------------------------------------
 

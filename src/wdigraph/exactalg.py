@@ -14,7 +14,10 @@ the cost follows the largest such component, not the dimension.
 Berkowitz runs on Python ints: each block is packed once by Kronecker
 substitution u = 2^bits (`_pack`; von zur Gathen and Gerhard, Modern
 Computer Algebra, section 8.4), with bits from a coefficient bound proved in
-`char_poly`, and its polynomial is read back once (`_unpack`).
+`char_poly`, and its polynomial is read back once (`_unpack`).  The block
+polynomials are multiplied the same way: packed at one width read off their
+norms, multiplied as polynomials over the ints (`lampoly_mul`), and each
+coefficient of the product unpacked once.
 
 Everything here is an immutable value; all operations are pure.  Coefficients
 are stored as plain ints whenever the denominator is 1, so the hot loops run
@@ -570,6 +573,17 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
     C_k is at most bound = prod_j (1 + c_j) in absolute value, below
     2^(bits-1) for bits = bound.bit_length() + 1, so `_unpack` reads C_k
     back from its signed digits.
+
+    The block polynomials p_1, ..., p_r in Z[u][x] are then multiplied as
+    integers at one width.  Let |p| be the sum of |c| over every (x, u)
+    coefficient c of p.  This norm is submultiplicative: each coefficient
+    of p q is a sum of products of one coefficient of p and one of q, so
+    |p q| <= |p| |q|.  Hence every coefficient of det(xI - M) = p_1 ... p_r
+    is at most bound = |p_1| ... |p_r| < 2^(bits-1) in absolute value, for
+    bits = bound.bit_length() + 1.  Packing each coefficient of every p_i
+    at u = 2^bits is the ring map Z[u][x] -> Z[x] of evaluation, so the
+    product of the packed polynomials is the packed det(xI - M), and
+    `_unpack` reads each of its coefficients back once.
     """
     n = m.n
     for row in m.rows:
@@ -584,7 +598,7 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
             if i != j and x:
                 nbrs[i].append(j)
                 nbrs[j].append(i)
-    out: tuple[Poly, ...] = (P_ONE,)
+    polys, bound = [], 1
     seen = [False] * n
     for start in range(n):
         if seen[start]:
@@ -599,9 +613,14 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
                     seen[j] = True
                     stack.append(j)
         block.sort()
-        out = lampoly_mul(out, _block_char_poly(
-            [[rows[i][j] for j in block] for i in block]), P_ZERO)
-    return tuple(RatFunc(c) for c in out)
+        p = _block_char_poly([[rows[i][j] for j in block] for i in block])
+        polys.append(p)
+        bound *= sum(abs(c) for x in p for c in x.coeffs)
+    bits = bound.bit_length() + 1
+    out: tuple = (1,)
+    for p in polys:
+        out = lampoly_mul(out, [_pack(x, bits) for x in p], 0)
+    return tuple(RatFunc(_unpack(v, bits)) for v in out)
 
 
 def _block_char_poly(rows: list[list[Poly]]) -> tuple[Poly, ...]:
@@ -656,7 +675,8 @@ def _berkowitz(rows: list[list[int]]) -> list[int]:
 
 def lampoly_mul(a: Sequence, b: Sequence, zero=RF_ZERO) -> tuple:
     """Product of two polynomials given as ascending coefficient tuples over
-    one ring: RatFuncs, or Polys with zero = P_ZERO."""
+    one ring: RatFuncs, Polys with zero = P_ZERO, or ints with zero = 0
+    (`char_poly` multiplies its packed block polynomials so)."""
     if not a or not b:
         return ()
     out = [zero] * (len(a) + len(b) - 1)

@@ -508,10 +508,32 @@ def _same_image(x: tuple, y: tuple) -> bool:
 
 
 def _as_ratfuncs(image: tuple, n: int) -> list[RatFunc]:
-    """The bar image (P, a, b) as a dense list of n RatFuncs."""
+    """The bar image (P, a, b) as a dense list of n RatFuncs, each reduced
+    with no gcd: u and u+1 are the only irreducible factors of u^a (u+1)^b,
+    so an entry is in lowest terms once the powers of u that divide it (at
+    most a) and the factors u+1 (at most b, each found as a zero remainder
+    of synthetic division at -1) are cancelled."""
     vec, a, b = image
-    den = _u_powers(a, b)
-    return [RatFunc(vec[i], den) if i in vec else RF_ZERO for i in range(n)]
+    dens: dict[tuple[int, int], Poly] = {}
+    out = [RF_ZERO] * n
+    for i, p in vec.items():
+        cs = p.coeffs
+        shift = 0
+        while shift < a and not cs[shift]:
+            shift += 1
+        cs, a_i, b_i = list(cs[shift:]), a - shift, b
+        while b_i and len(cs) > 1:
+            q = cs[:]                   # becomes [P(-1), quotient by u+1]
+            for k in range(len(q) - 2, -1, -1):
+                q[k] -= q[k + 1]
+            if q[0]:
+                break
+            cs, b_i = q[1:], b_i - 1
+        den = dens.get((a_i, b_i))
+        if den is None:
+            den = dens[a_i, b_i] = _u_powers(a_i, b_i)
+        out[i] = RatFunc(Poly(cs), den, _canonical=True)
+    return out
 
 
 # -- theorem-level checkers ------------------------------------------------------------------------

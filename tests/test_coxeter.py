@@ -561,6 +561,30 @@ def test_conjugation_by_w0_matches_products(name):
             DiagramAutomorphism(words, star.perm)).perm == expected
 
 
+@pytest.mark.parametrize("name", FINITE_DIFFERENTIAL)
+def test_longest_element_walk_matches_enumerate(name):
+    """w0 walked up from the identity is the last element `enumerate`
+    lists, on root coordinates and on words, and nothing is listed to find
+    it."""
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    for walker in (system, word_walking(system)):
+        w0 = walker.longest_element()
+        assert walker._all_elements is None
+        assert w0.word == walker.enumerate()[-1].word
+
+
+@pytest.mark.parametrize("name", INFINITE_DIFFERENTIAL)
+def test_longest_element_refused_on_infinite_groups(name):
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    with pytest.raises(ValueError, match="no longest element"):
+        system.longest_element()
+    with pytest.raises(ValueError, match="no longest element"):
+        system.conjugation_automorphism_by_w0(
+            DiagramAutomorphism.identity(system))
+
+
 E_TYPES = {
     "E6": ({("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("d", "f"): 3,
             ("c", "g"): 3}, 51_840),

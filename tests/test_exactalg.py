@@ -1,5 +1,6 @@
 """Tests for the exact polynomial / rational-function / matrix layer."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -476,6 +477,69 @@ def test_char_poly_matches_poly_berkowitz_on_fixtures_and_b4_lv():
                     assert got == blockwise_char_poly(m), (label, str(w))
                 sizes.add(m.n)
     assert 76 in sizes
+
+
+def norm1(p):
+    """The sum of |c| over every (x, u) coefficient of a polynomial given
+    as its ascending tuple of RatFunc coefficients over Z[u]."""
+    return sum(abs(c) for x in p for c in x.num.coeffs)
+
+
+def assert_width_premise(m):
+    """The block product's width premise in `char_poly`: every coefficient
+    of det(xI - M) is at most bound = prod |p_i|_1 over the block
+    polynomials p_i, which is below 2^(bits - 1); the block polynomials'
+    product over Z[u] is det(xI - M)."""
+    polys = [char_poly(RatMatrix([[m.rows[i][j] for j in block]
+                                  for i in block]))
+             for block in support_blocks(m)]
+    bound = math.prod(norm1(p) for p in polys)
+    bits = bound.bit_length() + 1
+    got = char_poly(m)
+    assert max(abs(c) for x in got for c in x.num.coeffs) <= bound
+    assert norm1(got) <= bound < 1 << (bits - 1)
+    expected = (P_ONE,)
+    for p in polys:
+        expected = lampoly_mul(expected, tuple(x.num for x in p), P_ZERO)
+    assert got == tuple(RatFunc(c) for c in expected)
+    return got
+
+
+def test_block_product_width_premise_on_rho():
+    for _, g in charpoly_digraphs():
+        rep = ModuleRep(g)
+        for w in g.system.enumerate(3):
+            assert_width_premise(rep.rho(w))
+
+
+def test_block_product_width_premise_on_many_equal_blocks():
+    rng = random.Random(2024)
+    # 40 blocks x - 1: the coefficients are the binomials C(40, k), up to
+    # C(40, 20) ~ 1.4e11 against the bound 2^40
+    got = assert_width_premise(identity_matrix(40))
+    assert got == tuple(rf((-1) ** (40 - k) * math.comb(40, k))
+                        for k in range(41))
+    # 30 permuted copies of the solid tau_s block, (x - u^2)(x + 1) each
+    tau = [[RF_ZERO, U2], [RF_ONE, U2 - RF_ONE]]
+    rows = [[RF_ZERO] * 60 for _ in range(60)]
+    for k in range(30):
+        for i in range(2):
+            rows[2 * k + i][2 * k:2 * k + 2] = tau[i]
+    m = _permuted(RatMatrix(rows), rng.sample(range(60), 60))
+    factor = (Poly((0, 0, -1)), Poly((1, 0, -1)), P_ONE)
+    expected = (P_ONE,)
+    for _ in range(30):
+        expected = lampoly_mul(expected, factor, P_ZERO)
+    assert assert_width_premise(m) == tuple(RatFunc(c) for c in expected)
+    # a permuted diagonal of repeated -u^2, u^2 - 1 and 1
+    diag = [-U2, U2 - RF_ONE, RF_ONE] * 12
+    rng.shuffle(diag)
+    m = RatMatrix([[diag[i] if i == j else RF_ZERO for j in range(36)]
+                   for i in range(36)])
+    expected = (P_ONE,)
+    for d in diag:
+        expected = lampoly_mul(expected, (-d.num, P_ONE), P_ZERO)
+    assert assert_width_premise(m) == tuple(RatFunc(c) for c in expected)
 
 
 def test_char_poly_edge_cases_match_references():

@@ -2,6 +2,7 @@
 reversal identities, the 0-specialization, bar propagation, and the
 theorem-level checkers."""
 
+import itertools
 import random
 from collections import Counter, deque
 
@@ -18,10 +19,10 @@ from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
 from wdigraph.hecke import invert_Tw
 from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              LinearCharacterDims, _S_CASES, _TAU_CASES,
-                             _TWISTED_S_CASES, _apply_columns,
+                             _TWISTED_S_CASES, _apply_columns, _as_ratfuncs,
                              _eigenline_ratios, _restricted_component_counts,
                              _reversed_pairing, _same_image, _sign_diagonal,
-                             _table, _trace, _word_columns,
+                             _table, _trace, _u_powers, _word_columns,
                              bar_from_source, linear_char_dims,
                              reversal_identities, theorem_checkers,
                              zero_hecke_action)
@@ -519,6 +520,27 @@ def test_same_image_cancels_common_powers():
     assert not _same_image(({0: u}, 2, 0), (one, 0, 0))
     assert not _same_image(({0: u1}, 0, 0), (one, 0, 1))
     assert not _same_image(({0: u}, 1, 0), ({1: P_ONE}, 0, 0))
+
+
+def test_as_ratfuncs_matches_gcd_reduction():
+    # P u^i (u+1)^j over u^a (u+1)^b, i > a and j > b included, for random
+    # integer P of degree <= 6, some with P(-1) = 0: the reduction by u and
+    # u+1 alone against the Euclid gcd of the RatFunc constructor
+    rng = random.Random(2718)
+    for i, j, a, b in itertools.product(range(5), repeat=4):
+        scale = Poly.monomial(1, i) * Poly((1, 1)) ** j
+        vec = {}
+        for k in range(8):
+            cs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 7))]
+            if k % 2:
+                cs[0] -= Poly(cs)(-1)          # P(-1) = 0
+            p = Poly(cs)
+            if p:
+                vec[2 * k] = p * scale
+        got = _as_ratfuncs((vec, a, b), 16)
+        den = _u_powers(a, b)
+        assert got == [RatFunc(vec[k], den) if k in vec else RF_ZERO
+                       for k in range(16)], (i, j, a, b)
 
 
 def bar_inputs():
