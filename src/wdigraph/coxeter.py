@@ -90,7 +90,6 @@ class CoxeterSystem:
         self.matrix = tuple(tuple(row) for row in mat)
         self._products: dict[tuple[Word, int], Word] = {}
         self._descents: dict[tuple[Word, int], bool] = {}
-        self._all_elements: list[GroupElement] | None = None
         self._walk_ops: WalkOps | None = None
 
     # -- construction ------------------------------------------------------------
@@ -334,13 +333,8 @@ class CoxeterSystem:
     def enumerate(self, length_bound=None) -> list["GroupElement"]:
         """All elements of length <= bound (or all of W), sorted (length,
         ShortLex): the up-walk along left multiplication."""
-        if length_bound is None and self._all_elements is not None:
-            return list(self._all_elements)
         words, _ = self.up_walk(None, length_bound)
-        elements = [GroupElement(self, w) for w in words]
-        if length_bound is None:
-            self._all_elements = list(elements)
-        return elements
+        return [GroupElement(self, w) for w in words]
 
     def longest_element(self) -> "GroupElement":
         """w0, walked up from the identity by left multiplication by the

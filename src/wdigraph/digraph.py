@@ -469,12 +469,13 @@ class ComponentAnalysis:
         return all(c.acyclic for c in self.components)
 
 
-def load_digraph(source, base_dir: str | None = None) -> SLabeledDigraph:
+def load_digraph(source) -> SLabeledDigraph:
     """Load a digraph from a JSON dict or file path.
 
     The "system" entry may be inline or a path to a system file, resolved
     relative to the digraph file when one was given.
     """
+    base_dir = ""
     if isinstance(source, (str, os.PathLike)):
         base_dir = os.path.dirname(os.fspath(source))
         with open(source) as fh:
@@ -483,11 +484,8 @@ def load_digraph(source, base_dir: str | None = None) -> SLabeledDigraph:
         data = source
     sysdata = data["system"]
     if isinstance(sysdata, str):
-        path = sysdata if os.path.isabs(sysdata) or base_dir is None \
-            else os.path.join(base_dir, sysdata)
-        system = CoxeterSystem.from_json(path)
-    else:
-        system = CoxeterSystem.from_json(sysdata)
+        sysdata = os.path.join(base_dir, sysdata)
+    system = CoxeterSystem.from_json(sysdata)
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str)
                                                  for v in vertices):

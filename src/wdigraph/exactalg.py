@@ -378,6 +378,10 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if self.num.is_zero() or other.num.is_zero():
             return RF_ZERO
+        if other.den.coeffs == other.num.coeffs == (1,):
+            return self
+        if self.den.coeffs == self.num.coeffs == (1,):
+            return other
         if self.den.coeffs == (1,) and other.den.coeffs == (1,):
             return RatFunc(self.num * other.num, P_ONE, _canonical=True)
         return RatFunc(self.num * other.num, self.den * other.den)
@@ -688,8 +692,8 @@ def lampoly_mul(a: Sequence, b: Sequence, zero=RF_ZERO) -> tuple:
     return tuple(out)
 
 
-def lampoly_str(coeffs: Sequence[RatFunc], var: str = "x") -> str:
-    """Render an ascending RatFunc coefficient tuple as a readable polynomial."""
+def lampoly_str(coeffs: Sequence[RatFunc]) -> str:
+    """Render an ascending RatFunc coefficient tuple as a polynomial in x."""
     parts = []
     for i, c in enumerate(coeffs):
         if c.is_zero():
@@ -697,9 +701,9 @@ def lampoly_str(coeffs: Sequence[RatFunc], var: str = "x") -> str:
         if i == 0:
             parts.append(f"({c})")
         elif i == 1:
-            parts.append(f"({c})*{var}")
+            parts.append(f"({c})*x")
         else:
-            parts.append(f"({c})*{var}^{i}")
+            parts.append(f"({c})*x^{i}")
     return " + ".join(parts) if parts else "0"
 
 

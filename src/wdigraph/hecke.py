@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .coxeter import CoxeterSystem, GroupElement
+from .coxeter import CoxeterSystem, GroupElement, _alternation
 from .digraph import SOLID, Edge, SLabeledDigraph
 from .exactalg import (P_ZERO, Poly, RF_ONE, RF_U, RF_ZERO, RatFunc,
                        matrix_rank, poly_p, ubar)
@@ -185,13 +185,12 @@ class Dihedral:
     def word_s(self, k: int) -> GroupElement:
         """The alternating word ...sts with k letters, ending in s."""
         self._check_k(k)
-        letters = [(self.s if i % 2 == 0 else self.t) for i in range(k)][::-1]
-        return self.system.element(letters)
+        return self.system.element(_alternation(self.s, self.t, k))
 
     def word_t(self, k: int) -> GroupElement:
+        """The alternating word ...tst with k letters, ending in t."""
         self._check_k(k)
-        letters = [(self.t if i % 2 == 0 else self.s) for i in range(k)][::-1]
-        return self.system.element(letters)
+        return self.system.element(_alternation(self.t, self.s, k))
 
     def _check_k(self, k: int):
         if not 0 <= k <= self.n:
@@ -215,21 +214,21 @@ class Dihedral:
             out = out + self.sigma(i).scale(RatFunc(poly_p(j - i)))
         return out
 
-    def eta(self, j: int) -> HeckeElt:
-        """phi_j + u phi_{j-1} + u^2 phi_{j-2} + ... + u^j phi_0."""
+    def _phi_series(self, j: int, x: RatFunc) -> HeckeElt:
+        """phi_j + x phi_{j-1} + x^2 phi_{j-2} + ... + x^j phi_0."""
         self._check_k(j)
         out = HeckeElt.zero(self.system)
         for i in range(j + 1):
-            out = out + self.phi(j - i).scale(RF_U ** i)
+            out = out + self.phi(j - i).scale(x ** i)
         return out
+
+    def eta(self, j: int) -> HeckeElt:
+        """phi_j + u phi_{j-1} + u^2 phi_{j-2} + ... + u^j phi_0."""
+        return self._phi_series(j, RF_U)
 
     def gamma(self, j: int) -> HeckeElt:
         """phi_j - u phi_{j-1} + u^2 phi_{j-2} -+ ... + (-u)^j phi_0."""
-        self._check_k(j)
-        out = HeckeElt.zero(self.system)
-        for i in range(j + 1):
-            out = out + self.phi(j - i).scale((-RF_U) ** i)
-        return out
+        return self._phi_series(j, -RF_U)
 
     def delta(self, j: int) -> HeckeElt:
         """(eta_j + gamma_j)/2; the half stays in the rationals."""

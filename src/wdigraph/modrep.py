@@ -22,8 +22,8 @@ the one word product, `_word_apply`, runs it along a word.  The columns of
 rho(T_w) (memoized per element) and of S_w, characters and the bar
 propagation are computed over Z[u]; the bar images carry their denominator u^a (u+1)^b as a pair of
 exponents.  A value becomes a `RatFunc` only where it leaves the layer:
-`rho`, `rho_inv`, `tau_matrix`, `character`, the vectors of a
-`BarSolution` and the sign weights of `linear_char_dims`.
+`rho`, `rho_inv`, `tau_matrix`, `character` and the vectors of a
+`BarSolution`.
 
 The same kernel also runs on ints: `_table(pairing, cases, at)` maps every
 coefficient through `at`, for example its value at one integer u.  Every
@@ -55,8 +55,8 @@ from typing import Sequence
 
 from .coxeter import GroupElement
 from .digraph import DASHED, LEVEL_STEP, SOLID, SLabeledDigraph
-from .exactalg import (P_ONE, P_U, P_ZERO, RF_ONE, RF_ZERO, Poly,
-                       RatFunc, RatMatrix, _pack, sigma)
+from .exactalg import (P_ONE, P_U, P_ZERO, RF_ZERO, Poly, RatFunc, RatMatrix,
+                       _pack, sigma)
 
 U2 = Poly((0, 0, 1))                    # u^2
 U2M1 = Poly((-1, 0, 1))                 # u^2 - 1
@@ -238,19 +238,6 @@ class LinearCharacterDims:
     dim_sgn: int
     predicted_ind: int
     predicted_sgn: int
-    sgn_weights: dict | None
-
-
-def _eigenline_ratios(lam: RatFunc) -> dict:
-    """v[head] / v[tail] on the lam-eigenline of a block, keyed by the
-    block's style: the block's first row, tail_self v[tail] + head_partner
-    v[head] = lam v[tail], fixes the slope of the line."""
-    return {style: (lam - RatFunc(_TAU_CASES[("tail", style)][0] or P_ZERO))
-            / RatFunc(_TAU_CASES[("head", style)][1])
-            for style in (SOLID, DASHED)}
-
-
-_SGN_RATIOS = _eigenline_ratios(-RF_ONE)  # -1/u^2 solid, -(u+1)/(u^2-u) dashed
 
 
 def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
@@ -259,9 +246,10 @@ def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
     off the digraph's one walk and its (solid, dashed) level pairs.
 
     Each 2x2 block of tau_s (an s-edge x -> y) has the distinct eigenvalues
-    u^2 and -1, each with a line of eigenvectors v[y] = r v[x]: r = 1 for
-    u^2 (ind), and r = R_solid = -1/u^2 or R_dashed = -(u+1)/(u^2-u) for -1
-    (sgn), by the edge's style (`_eigenline_ratios`).  A loop at x makes
+    u^2 and -1, each with a line of eigenvectors v[y] = r v[x] whose slope
+    the block's first row in `_TAU_CASES` fixes (tail_self + r head_partner
+    = lam): r = 1 for u^2 (ind), and r = R_solid = -1/u^2 or R_dashed =
+    -(u+1)/(u^2-u) for -1 (sgn), by the edge's style.  A loop at x makes
     tau_s the scalar 2u^2 - 1 or 2u^2 - 2u - 1 there, neither eigenvalue,
     so it forces v[x] = 0.  A simultaneous eigenvector lies on every block's
     line, so on a connected component it is fixed by its value at one
@@ -280,11 +268,6 @@ def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
       the edge's `LEVEL_STEP`, up to sign.  So the line exists iff every
       edge raises the level pair by the unit of its own style.  A loop
       raises nothing, so sgn implies ind.
-
-    When every component has one source and carries the sign line (so is
-    acyclic), its values, 1 at each source, are `sgn_weights`: R_solid^da
-    R_dashed^db for the level pair (da, db) relative to the source, one
-    `RatFunc` per distinct pair.
     """
     digraph.edge_pairing()      # raises unless one edge per label at a vertex
     analysis = digraph.analyze()
@@ -298,25 +281,12 @@ def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
             ungraded.add(which[e.src])
             if e.src == e.dst:
                 looped.add(which[e.src])
-    weights = None
-    if not ungraded and all(len(c.sources) == 1 for c in analysis.components):
-        weights, powers = {}, {}
-        for c in analysis.components:
-            a0, b0 = level[c.sources[0]]
-            for v in c.vertices:
-                a, b = level[v]
-                key = (a - a0, b - b0)
-                if key not in powers:
-                    powers[key] = (_SGN_RATIOS[SOLID] ** key[0]
-                                   * _SGN_RATIOS[DASHED] ** key[1])
-                weights[v] = powers[key]
     n = analysis.n_components
     return LinearCharacterDims(
         dim_ind=n - len(looped),
         dim_sgn=n - len(ungraded),
         predicted_ind=n,
         predicted_sgn=analysis.n_acyclic,
-        sgn_weights=weights,
     )
 
 

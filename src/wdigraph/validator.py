@@ -39,11 +39,10 @@ of components.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import inf
 
-from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
+from .digraph import DASHED, SOLID, SLabeledDigraph
 from .families import TEMPLATES, family_divisibility_ok
 from .modrep import _TAU_CASES, _apply_columns, _exact_bits, _table, _word_apply
 
@@ -332,28 +331,3 @@ def brute_force_check(digraph: SLabeledDigraph):
                                            digraph.vertices[col])
     return None
 
-
-def random_two_label_digraph(rng: random.Random, n_vertices: int,
-                             labels=("s", "t"), n: int = 3) -> SLabeledDigraph:
-    """A uniform 2-regular labeled digraph from two random perfect matchings.
-
-    Each label contributes a perfect matching of the vertices; every matched
-    pair becomes one edge with a random direction and a random style.
-    """
-    from .coxeter import CoxeterSystem
-
-    if n_vertices % 2 != 0 or n_vertices <= 0:
-        raise ValueError("need a positive even number of vertices")
-    system = CoxeterSystem(labels, {(labels[0], labels[1]): n})
-    vertices = [f"v{i}" for i in range(n_vertices)]
-    edges = []
-    for label in labels:
-        shuffled = list(vertices)
-        rng.shuffle(shuffled)
-        for k in range(0, n_vertices, 2):
-            a, b = shuffled[k], shuffled[k + 1]
-            if rng.random() < 0.5:
-                a, b = b, a
-            style = SOLID if rng.random() < 0.5 else DASHED
-            edges.append(Edge(a, b, label, style))
-    return SLabeledDigraph(system, vertices, edges)

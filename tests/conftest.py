@@ -10,7 +10,7 @@ from math import inf
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, GroupElement
-from wdigraph.digraph import DASHED, Edge, SLabeledDigraph
+from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix
 from wdigraph.hecke import Dihedral, HeckeElt
 from wdigraph.modrep import (_TAU_CASES, ModuleRep, _apply_columns, _exact_bits,
@@ -210,6 +210,23 @@ def disjoint_union(g, h, suffixes=("", "'")):
     edges = ([Edge(e.src + a, e.dst + a, e.label, e.style) for e in g.edges]
              + [Edge(e.src + b, e.dst + b, e.label, e.style) for e in h.edges])
     return SLabeledDigraph(g.system, verts, edges)
+
+
+def random_labeled_digraph(rng, system, n_vertices):
+    """One random perfect matching per generator, each pair one edge of
+    random direction and style: the seeded random digraphs the classifier
+    and the module layer are checked on."""
+    vertices = [f"v{i}" for i in range(n_vertices)]
+    edges = []
+    for label in system.generators:
+        shuffled = list(vertices)
+        rng.shuffle(shuffled)
+        for k in range(0, n_vertices, 2):
+            a, b = shuffled[k], shuffled[k + 1]
+            if rng.random() < 0.5:
+                a, b = b, a
+            edges.append(Edge(a, b, label, SOLID if rng.random() < 0.5 else DASHED))
+    return SLabeledDigraph(system, vertices, edges)
 
 
 def same_structure(g, h):

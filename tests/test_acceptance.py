@@ -20,12 +20,11 @@ from wdigraph.hecke import (Dihedral, HeckeElt, dihedral_case_basis,
 from wdigraph.modrep import (ModuleRep, bar_from_source, linear_char_dims,
                              reversal_identities, theorem_checkers,
                              zero_hecke_action)
-from wdigraph.validator import brute_force_check, is_w_digraph, \
-    random_two_label_digraph
+from wdigraph.validator import brute_force_check, is_w_digraph
 
 from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
                       eval_at, left_mult_gen, make_a3, make_b3, make_h3,
-                      reachable_from)
+                      random_labeled_digraph, reachable_from)
 
 RANDOM_SEED = 987654321
 S, D = SOLID, DASHED
@@ -99,7 +98,7 @@ def test_criterion_01_classification_equals_oracle():
     random_cases = 0
     for _ in range(200):
         nv = rng.choice([2, 4, 6, 8, 10, 12])
-        g0 = random_two_label_digraph(rng, nv)
+        g0 = random_labeled_digraph(rng, dihedral(3), nv)
         for n in range(2, 7):
             g = SLabeledDigraph(dihedral(n), g0.vertices, g0.edges)
             assert (is_w_digraph(g).is_w_digraph

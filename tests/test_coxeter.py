@@ -565,13 +565,30 @@ def test_conjugation_by_w0_matches_products(name):
 def test_longest_element_walk_matches_enumerate(name):
     """w0 walked up from the identity is the last element `enumerate`
     lists, on root coordinates and on words, and nothing is listed to find
-    it."""
+    it: on roots, only the elements of w0's canonical word are named."""
     gens, orders = DIFFERENTIAL_SYSTEMS[name]
     system = CoxeterSystem(list(gens), orders)
     for walker in (system, word_walking(system)):
+        walker.up_walk = None       # listing W would call it
         w0 = walker.longest_element()
-        assert walker._all_elements is None
+        if not walker._ops().on_words:
+            assert walker._ops().built() == len(w0.word) + 1
+        del walker.up_walk
         assert w0.word == walker.enumerate()[-1].word
+
+
+@pytest.mark.parametrize("name", ["A3", "H3", "I2(7)xA1", "affine_A2"])
+def test_enumerate_returns_independent_lists(name):
+    """Repeated calls return equal lists, and changing one leaves the next
+    untouched."""
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    bound = 4 if name == "affine_A2" else None
+    first = system.enumerate(bound)
+    expected = list(first)
+    first.pop()
+    first.append(system.identity())
+    assert system.enumerate(bound) == expected
 
 
 @pytest.mark.parametrize("name", INFINITE_DIFFERENTIAL)
@@ -600,7 +617,7 @@ def test_exceptional_orders_without_enumerating(name):
     orders, order = E_TYPES[name]
     system = system_of(orders)
     assert system.parabolic_order() == order
-    assert system._products == {} and system._all_elements is None
+    assert system._products == {} and system._walk_ops is None
 
 
 @pytest.mark.parametrize("system,message", [

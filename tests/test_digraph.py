@@ -10,11 +10,10 @@ from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph, load_digraph
 from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_example,
                                build_family, build_lv, build_regular)
-from wdigraph.validator import random_two_label_digraph
 
 from conftest import (disjoint_union, in_label_set, is_acyclic, path_length_mu,
-                      reachable_from, same_structure, subgraph, successors,
-                      undirected_neighbors)
+                      random_labeled_digraph, reachable_from, same_structure,
+                      subgraph, successors, undirected_neighbors)
 from test_cli_golden import FAMILY_SIZES
 from test_coxeter import (DIFFERENTIAL_SYSTEMS, INFINITE_DIFFERENTIAL,
                           involutory_automorphisms)
@@ -668,7 +667,7 @@ def isomorphism_inputs():
     inputs = [(f"figure {f} m={m} n={n}", g) for (f, m, n), g in grid.items()]
     rng = random.Random(1515)
     for k in range(320):
-        g = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8, 10]))
+        g = random_labeled_digraph(rng, dihedral[3], rng.choice([2, 4, 6, 8, 10]))
         n = rng.randrange(2, 9)
         inputs.append((f"two-label #{k} n={n}",
                        SLabeledDigraph(dihedral[n], g.vertices, g.edges)))

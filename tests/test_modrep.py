@@ -20,19 +20,18 @@ from wdigraph.hecke import invert_Tw
 from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              LinearCharacterDims, _S_CASES, _TAU_CASES,
                              _TWISTED_S_CASES, _apply_columns, _as_ratfuncs,
-                             _eigenline_ratios, _restricted_component_counts,
+                             _restricted_component_counts,
                              _reversed_pairing, _same_image, _sign_diagonal,
                              _table, _trace, _u_powers, _word_columns,
                              bar_from_source, linear_char_dims,
                              reversal_identities, theorem_checkers,
                              zero_hecke_action)
-from wdigraph.validator import random_two_label_digraph
 
 from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
                       eval_at, identity_matrix, is_poly, make_a3, make_b3,
-                      path_length_mu, reachable_from, subgraph)
-from test_validator import (GROUP_ORDERS, group_digraphs,
-                            random_labeled_digraph, word_apply)
+                      path_length_mu, random_labeled_digraph, reachable_from,
+                      subgraph)
+from test_validator import GROUP_ORDERS, group_digraphs, word_apply
 
 U2 = RF_U * RF_U
 
@@ -76,6 +75,37 @@ def test_eigenvector_closed_forms(style):
     assert rep.apply("s", {0: RF_ONE, 1: RF_ONE}) == {0: U2, 1: U2}
     coeff = -(RF_U ** (-2)) if style == SOLID else -rf([1, 1], [0, -1, 1])
     assert rep.apply("s", {0: RF_ONE, 1: coeff}) == {0: -RF_ONE, 1: -coeff}
+
+
+@pytest.mark.parametrize("style", [SOLID, DASHED])
+def test_tau_cases_block_is_quadratic_with_eigenvalues_u2_and_minus_1(style):
+    # the 2x2 block [[tail_self, head_partner], [tail_partner, head_self]]
+    # read straight off the case table, over Z[u]
+    u, one, zero = Poly((0, 1)), P_ONE, P_ZERO
+    tail_self, tail_partner = _TAU_CASES[("tail", style)]
+    head_self, head_partner = _TAU_CASES[("head", style)]
+    block = [[tail_self or zero, head_partner], [tail_partner, head_self or zero]]
+
+    def times(a, b):
+        return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
+                for i in range(2)]
+
+    def shift(c):
+        return [[block[i][j] - (c if i == j else zero) for j in range(2)]
+                for i in range(2)]
+
+    u2 = u * u
+    assert times(shift(u2), shift(-one)) == [[zero, zero], [zero, zero]]
+    # trace u^2 - 1 and determinant -u^2: the characteristic polynomial is
+    # (x - u^2)(x + 1), so u^2 and -1 are the only eigenvalues
+    assert block[0][0] + block[1][1] == u2 - one
+    assert block[0][0] * block[1][1] - block[0][1] * block[1][0] == -u2
+    # and their eigenvectors (tail, head): (1, 1), and (u^2, -1) solid or
+    # (u^2 - u, -(u + 1)) dashed
+    minus = (u2, -one) if style == SOLID else (u2 - u, -(u + one))
+    for lam, vec in ((u2, (one, one)), (-one, minus)):
+        image = [block[i][0] * vec[0] + block[i][1] * vec[1] for i in range(2)]
+        assert image == [lam * x for x in vec]
 
 
 def test_character_at_identity(i23):
@@ -165,7 +195,6 @@ def test_linear_char_dims_cycle():
     dims = linear_char_dims(build_example("affine_a2_cycle"))
     assert (dims.dim_ind, dims.dim_sgn) == (1, 0)
     assert (dims.predicted_ind, dims.predicted_sgn) == (1, 0)
-    assert dims.sgn_weights is None
 
 
 def test_linear_char_dims_union(i23):
@@ -174,15 +203,6 @@ def test_linear_char_dims_union(i23):
     dims = linear_char_dims(both)
     assert (dims.dim_ind, dims.dim_sgn) == (2, 2)
     assert (dims.predicted_ind, dims.predicted_sgn) == (2, 2)
-
-
-def test_sgn_weights_are_eigenvector(i23):
-    g = build_family(i23, FamilySpec(6, 2))
-    dims = linear_char_dims(g)
-    rep = RatFuncOperators(g)
-    vec = {i: dims.sgn_weights[v] for i, v in enumerate(g.vertices)}
-    for s in "st":
-        assert rep.apply(s, vec) == {i: -c for i, c in vec.items()}
 
 
 # -- the local trace coefficient table ---------------------------------------------
@@ -392,8 +412,9 @@ def zero_hecke_inputs():
                     _DIHEDRAL[n], FamilySpec(figure, m))
     rng = random.Random(1919)
     for k in range(100):
-        yield f"two-label #{k}", random_two_label_digraph(
-            rng, rng.choice([2, 4, 6, 8, 10]), n=rng.choice([2, 3, 4, 5, 6]))
+        nv = rng.choice([2, 4, 6, 8, 10])
+        yield f"two-label #{k}", random_labeled_digraph(
+            rng, _DIHEDRAL[rng.choice([2, 3, 4, 5, 6])], nv)
 
 
 def test_zero_hecke_action_matches_out_edge_walk():
@@ -553,7 +574,8 @@ def bar_inputs():
     yield "lv_a3_flip", _lv_a3_flip()
     rng = random.Random(3141)
     for k in range(320):
-        g0 = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8, 10]))
+        g0 = random_labeled_digraph(rng, _DIHEDRAL[3],
+                                    rng.choice([2, 4, 6, 8, 10]))
         yield f"two-label #{k}", SLabeledDigraph(
             _DIHEDRAL[rng.choice([2, 3, 4, 5, 6])], g0.vertices, g0.edges)
 
@@ -697,15 +719,15 @@ def test_two_generator_eigenspace_is_all_ones(i23):
 # component copies, and n x n matrices for both identities.
 
 def dense_linear_char_dims(g):
-    """(dim_ind, dim_sgn, sgn_weights) by simultaneous eigenspaces of the
-    dense generator matrices."""
+    """(dim_ind, dim_sgn) by simultaneous eigenspaces of the dense generator
+    matrices."""
     rep = ModuleRep(g)
     mats = [rep.tau_matrix(s) for s in range(g.system.rank())]
     dim_ind = len(solve_simultaneous_eigenspace(mats, [U2] * len(mats),
                                                 dim=rep.n))
     dim_sgn = len(solve_simultaneous_eigenspace(mats, [rf(-1)] * len(mats),
                                                 dim=rep.n))
-    return dim_ind, dim_sgn, source_bfs_weights(g)
+    return dim_ind, dim_sgn
 
 
 def source_bfs_weights(g):
@@ -814,7 +836,8 @@ def eigenspace_inputs():
                     _DIHEDRAL[n], FamilySpec(figure, m))
     rng = random.Random(8128)
     for k in range(120):
-        g0 = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8, 10, 12]))
+        g0 = random_labeled_digraph(rng, _DIHEDRAL[3],
+                                    rng.choice([2, 4, 6, 8, 10, 12]))
         yield f"two-label #{k}", SLabeledDigraph(
             _DIHEDRAL[rng.choice([2, 3, 4, 5, 6])], g0.vertices, g0.edges)
     for k in range(120):
@@ -826,9 +849,14 @@ def test_linear_char_dims_matches_dense_reference():
     seen = Counter()
     for label, g in eigenspace_inputs():
         dims = linear_char_dims(g)
-        got = (dims.dim_ind, dims.dim_sgn, dims.sgn_weights)
-        assert got == dense_linear_char_dims(g), label
-        seen["weights" if dims.sgn_weights is not None else "no weights"] += 1
+        assert (dims.dim_ind, dims.dim_sgn) == dense_linear_char_dims(g), label
+        # the sign eigenvector, 1 at each source, exists iff every component
+        # has one source and carries the sign character
+        weights = source_bfs_weights(g)
+        one_source = all(len(c.sources) == 1 for c in g.analyze().components)
+        assert (weights is not None) == (
+            one_source and dims.dim_sgn == dims.predicted_ind), label
+        seen["weights" if weights is not None else "no weights"] += 1
         seen["sgn below prediction"] += dims.dim_sgn < dims.predicted_sgn
     # the loop forces its component to 0 for both characters
     loop = linear_char_dims(loop_digraph())
@@ -838,14 +866,6 @@ def test_linear_char_dims_matches_dense_reference():
 
 
 # -- the eigenlines on level pairs against the RatFunc walk they replaced ---------------------
-
-
-def test_eigenline_ratios_read_off_the_tau_cases():
-    # the premise of `linear_char_dims`: on the u^2 line every ratio is 1,
-    # on the -1 line it is -1/u^2 (solid) or -(u+1)/(u^2-u) (dashed)
-    assert _eigenline_ratios(U2) == {SOLID: RF_ONE, DASHED: RF_ONE}
-    assert _eigenline_ratios(-RF_ONE) == {SOLID: rf(-1, [0, 0, 1]),
-                                          DASHED: rf([-1, -1], [0, -1, 1])}
 
 
 def ratfunc_eigenline_ratios(lam):
@@ -895,17 +915,11 @@ def ratfunc_linear_char_dims(g):
            for i in starts]
     sgn = [ratfunc_eigenline(pairing, i, ratfunc_eigenline_ratios(-RF_ONE))
            for i in starts]
-    weights = None
-    if all(len(c.sources) == 1 and c.acyclic and values is not None
-           for c, values in zip(analysis.components, sgn)):
-        weights = {g.vertices[i]: x for values in sgn
-                   for i, x in values.items()}
     return LinearCharacterDims(
         dim_ind=sum(values is not None for values in ind),
         dim_sgn=sum(values is not None for values in sgn),
         predicted_ind=analysis.n_components,
-        predicted_sgn=analysis.n_acyclic,
-        sgn_weights=weights)
+        predicted_sgn=analysis.n_acyclic)
 
 
 def random_looped_digraph(rng, system, n_vertices):
@@ -952,10 +966,12 @@ def test_linear_char_dims_matches_ratfunc_eigenline_reference():
     for label, g in eigenline_inputs():
         dims = linear_char_dims(g)
         assert dims == ratfunc_linear_char_dims(g), label
-        seen["weighted" if dims.sgn_weights is not None else "unweighted"] += 1
+        seen["sgn on every component" if dims.dim_sgn == dims.predicted_ind
+             else "sgn fails somewhere"] += 1
         seen["sgn fails, ind holds"] += dims.dim_sgn < dims.dim_ind
         seen["loop"] += dims.dim_ind < dims.predicted_ind
-    assert seen["weighted"] > 100 and seen["unweighted"] > 100
+    assert (seen["sgn on every component"] > 100
+            and seen["sgn fails somewhere"] > 100)
     assert seen["sgn fails, ind holds"] > 50 and seen["loop"] > 50
 
 
@@ -981,9 +997,10 @@ def test_reversed_pairing_is_the_pairing_of_the_reversed_digraph():
     # the pairing of the digraph `reverse()` builds
     rng = random.Random(3141)
     inputs = [*reversal_inputs(), ("loop", loop_digraph())]
-    inputs += [(f"two-label #{k}", random_two_label_digraph(
-        rng, rng.choice([2, 4, 6, 8, 10]), n=rng.choice([2, 3, 4, 5])))
-        for k in range(100)]
+    for k in range(100):
+        nv = rng.choice([2, 4, 6, 8, 10])
+        inputs.append((f"two-label #{k}", random_labeled_digraph(
+            rng, _DIHEDRAL[rng.choice([2, 3, 4, 5])], nv)))
     for label, g in inputs:
         assert _reversed_pairing(g.edge_pairing()) == \
             g.reverse().edge_pairing(), label
@@ -1151,7 +1168,8 @@ def test_reversal_identities_match_ratfunc_reference_on_random_digraphs():
     seen = Counter()
     for n in range(2, 7):
         for _ in range(60):
-            g = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8]), n=n)
+            g = random_labeled_digraph(rng, _DIHEDRAL[n],
+                                       rng.choice([2, 4, 6, 8]))
             words = g.system.enumerate(2 * n)
             reports = reversal_identities(g, words)
             assert reports == ratfunc_reversal_identities(g, words)

@@ -45,8 +45,6 @@ PAPER_API = {
         "s -> w0 s* w0, through which the LV reversal theorem is stated",
     "digraph.SLabeledDigraph.labeled_isomorphic":
         "label-preserving isomorphism, stated against its reference",
-    "validator.random_two_label_digraph":
-        "the seeded random digraphs the classifier is checked on",
 }
 
 # method name -> the classes defining it, for every name defined on more

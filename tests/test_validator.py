@@ -16,10 +16,10 @@ from wdigraph.modrep import _TAU_CASES, _exact_bits
 from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 Rejection, RelationWitness, Verdict,
                                 _alternating_cycle, brute_force_check,
-                                is_w_digraph, random_two_label_digraph)
+                                is_w_digraph)
 
 from conftest import (RatFuncOperators, column_brute_force_check, is_poly,
-                      same_structure, subgraph)
+                      random_labeled_digraph, same_structure, subgraph)
 
 
 def family_on(n, figure, m):
@@ -162,7 +162,7 @@ def test_infinite_orders_impose_no_condition():
 def test_oracle_quadratic_always_holds():
     rng = random.Random(5)
     for _ in range(10):
-        g = random_two_label_digraph(rng, 6, n=3)
+        g = random_labeled_digraph(rng, CoxeterSystem.dihedral(3), 6)
         witness = brute_force_check(g)
         assert witness is None or witness.kind == "braid"
 
@@ -188,14 +188,15 @@ def test_deciders_agree_on_sample():
     for _ in range(40):
         nv = rng.choice([2, 4, 6, 8])
         for n in range(2, 5):
-            g = random_two_label_digraph(rng, nv, n=n)
+            g = random_labeled_digraph(rng, CoxeterSystem.dihedral(n), nv)
             assert (is_w_digraph(g).is_w_digraph
                     == (brute_force_check(g) is None))
 
 
 def test_random_generator_is_seeded():
-    g1 = random_two_label_digraph(random.Random(3), 8, n=4)
-    g2 = random_two_label_digraph(random.Random(3), 8, n=4)
+    i24 = CoxeterSystem.dihedral(4)
+    g1 = random_labeled_digraph(random.Random(3), i24, 8)
+    g2 = random_labeled_digraph(random.Random(3), i24, 8)
     assert same_structure(g1, g2)
     assert g1.validate_structure() == []
 
@@ -277,22 +278,6 @@ def dense_brute_force_check(g):
     return None
 
 
-def random_labeled_digraph(rng, system, n_vertices):
-    """One random perfect matching per generator, each pair one edge of
-    random direction and style."""
-    vertices = [f"v{i}" for i in range(n_vertices)]
-    edges = []
-    for label in system.generators:
-        shuffled = list(vertices)
-        rng.shuffle(shuffled)
-        for k in range(0, n_vertices, 2):
-            a, b = shuffled[k], shuffled[k + 1]
-            if rng.random() < 0.5:
-                a, b = b, a
-            edges.append(Edge(a, b, label, SOLID if rng.random() < 0.5 else DASHED))
-    return SLabeledDigraph(system, vertices, edges)
-
-
 def oracle_inputs():
     """Criterion 1's template grid, random two-label digraphs over I2(2..6),
     random three-label digraphs over A3, and the named examples."""
@@ -304,7 +289,8 @@ def oracle_inputs():
                     dihedral[n], FamilySpec(figure, m))
     rng = random.Random(4242)
     for k in range(100):
-        g0 = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8, 10, 12]))
+        g0 = random_labeled_digraph(rng, dihedral[3],
+                                    rng.choice([2, 4, 6, 8, 10, 12]))
         for n in range(2, 7):
             yield f"two-label #{k} n={n}", SLabeledDigraph(
                 dihedral[n], g0.vertices, g0.edges)
@@ -521,7 +507,7 @@ def test_exact_point_clears_the_root_bound():
     # ... so k applications to a unit column have L1 norm at most 5^k ...
     rng = random.Random(55)
     for _ in range(20):
-        g = random_two_label_digraph(rng, 8, n=5)
+        g = random_labeled_digraph(rng, CoxeterSystem.dihedral(5), 8)
         rep = RatFuncOperators(g)
         for word in ([0, 1, 0, 1, 0], [1, 0, 1, 0, 1], [1, 1, 0, 0, 1]):
             for j in range(rep.n):
@@ -569,8 +555,8 @@ def non_alphabetical_inputs():
                            build_family(ts[n], FamilySpec(figure, m, *labels)))
     rng = random.Random(1306)
     for k in range(100):
-        g0 = random_two_label_digraph(rng, rng.choice([2, 4, 6, 8, 10, 12]),
-                                      labels=("t", "s"))
+        g0 = random_labeled_digraph(rng, ts[3],
+                                    rng.choice([2, 4, 6, 8, 10, 12]))
         for n in range(2, 6):
             yield f"t,s two-label #{k} n={n}", SLabeledDigraph(
                 ts[n], g0.vertices, g0.edges)
