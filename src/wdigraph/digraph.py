@@ -131,15 +131,11 @@ class SLabeledDigraph:
                                 for e in self.edges])
 
     @cached_property
-    def _out(self) -> dict[str, list[Edge]]:
-        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.src].append(e)
-        return out
-
-    @cached_property
     def _succ(self) -> dict[str, list[str]]:
-        return {v: [e.dst for e in out] for v, out in self._out.items()}
+        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            succ[e.src].append(e.dst)
+        return succ
 
     @cached_property
     def _steps(self) -> dict[str, list[tuple[str, int, int]]]:
@@ -154,9 +150,6 @@ class SLabeledDigraph:
             if e.dst != e.src:
                 steps[e.dst].append((e.src, -da, -db))
         return steps
-
-    def out_edges(self, v: str) -> list[Edge]:
-        return list(self._out[v])
 
     # -- the three walks --------------------------------------------------------------
 

@@ -16,8 +16,11 @@ substitution u = 2^bits (`_pack`; von zur Gathen and Gerhard, Modern
 Computer Algebra, section 8.4), with bits from a coefficient bound proved in
 `char_poly`, and its polynomial is read back once (`_unpack`).  The block
 polynomials are multiplied the same way: packed at one width read off their
-norms, multiplied as polynomials over the ints (`lampoly_mul`), and each
+norms, multiplied as `Poly`s in x over the ints (`Poly.__mul__`), and each
 coefficient of the product unpacked once.
+
+Each operation is written once: subtraction adds the negation, and a power
+of a `RatFunc` is the pair of powers of its numerator and denominator.
 
 Everything here is an immutable value; all operations are pure.  Coefficients
 are stored as plain ints whenever the denominator is 1, so the hot loops run
@@ -106,10 +109,7 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                     for i in range(n)])
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
@@ -365,12 +365,7 @@ class RatFunc:
                        self.den * other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        if other.num.is_zero():
-            return self
-        if self.den.coeffs == (1,) and other.den.coeffs == (1,):
-            return RatFunc(self.num - other.num, P_ONE)
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
+        return self + -other
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den, _canonical=True)
@@ -397,16 +392,13 @@ class RatFunc:
         return RatFunc(self.den, self.num)
 
     def __pow__(self, k: int) -> "RatFunc":
+        """num^k / den^k, canonical as it stands: a prime dividing both
+        powers would divide num and den, and a power of a monic polynomial
+        is monic.  Zero is 0/1, so 0^k is 0/1 for k > 0 and 1/1 for k = 0;
+        a negative power of zero raises in `inverse`."""
         if k < 0:
-            return self.inverse() ** (-k)
-        result = RF_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            return self.inverse() ** -k
+        return RatFunc(self.num ** k, self.den ** k, _canonical=True)
 
     # -- printing -----------------------------------------------------------------
 
@@ -510,9 +502,7 @@ class RatMatrix:
                           for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check(other)
-        return RatMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
+        return self + -other
 
     def __neg__(self) -> "RatMatrix":
         return RatMatrix([[-a for a in r] for r in self.rows])
@@ -621,10 +611,10 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
         polys.append(p)
         bound *= sum(abs(c) for x in p for c in x.coeffs)
     bits = bound.bit_length() + 1
-    out: tuple = (1,)
+    out = P_ONE
     for p in polys:
-        out = lampoly_mul(out, [_pack(x, bits) for x in p], 0)
-    return tuple(RatFunc(_unpack(v, bits)) for v in out)
+        out = out * Poly([_pack(x, bits) for x in p])
+    return tuple(RatFunc(_unpack(v, bits)) for v in out.coeffs)
 
 
 def _block_char_poly(rows: list[list[Poly]]) -> tuple[Poly, ...]:
@@ -675,21 +665,6 @@ def _berkowitz(rows: list[list[int]]) -> list[int]:
         sparse.append(row + [(m, a)] if a else row)
     prev.reverse()
     return prev
-
-
-def lampoly_mul(a: Sequence, b: Sequence, zero=RF_ZERO) -> tuple:
-    """Product of two polynomials given as ascending coefficient tuples over
-    one ring: RatFuncs, Polys with zero = P_ZERO, or ints with zero = 0
-    (`char_poly` multiplies its packed block polynomials so)."""
-    if not a or not b:
-        return ()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-    return tuple(out)
 
 
 def lampoly_str(coeffs: Sequence[RatFunc]) -> str:

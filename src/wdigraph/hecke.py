@@ -76,11 +76,7 @@ class HeckeElt:
         return HeckeElt(self.system, out)
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            acc = out.get(w, RF_ZERO)
-            out[w] = acc - c
-        return HeckeElt(self.system, out)
+        return self + -other
 
     def __neg__(self) -> "HeckeElt":
         return HeckeElt(self.system, {w: -c for w, c in self.coeffs.items()})

@@ -54,7 +54,7 @@ from math import inf
 from typing import Sequence
 
 from .coxeter import GroupElement
-from .digraph import DASHED, LEVEL_STEP, SOLID, SLabeledDigraph
+from .digraph import DASHED, LEVEL_STEP, SOLID, Edge, SLabeledDigraph
 from .exactalg import (P_ONE, P_U, P_ZERO, RF_ZERO, Poly, RatFunc, RatMatrix,
                        _pack, sigma)
 
@@ -410,10 +410,11 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
     The image of the source is itself; along a solid edge the head's image is
     rho(T_s)^{-1} applied to the tail's image, and along a dashed edge it is
     u/(u+1) (rho(T_s)^{-1} - 1/u) applied to it.  Propagation follows a BFS
-    spanning tree of the arrow view, scanning each vertex's out-edges in
-    canonical (label-first) order; a non-tree edge is a pure consistency
-    check performed at the moment it is encountered, and the first failing
-    edge is the witness.
+    spanning tree of the arrow view on vertex indices, stepping from each
+    vertex along its out-edges in the edge pairing, generators in label-name
+    order (the order of `edges`; a loop is its own out-edge); a non-tree
+    edge is a pure consistency check performed at the moment it is
+    encountered, and the first failing edge is the witness.
 
     Each image is P / (u^a (u+1)^b) with P sparse over Z[u], kept as
     (P, a, b).  Since rho(T_s)^{-1} = u^-2 S_s, a solid edge maps it to
@@ -426,34 +427,38 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
     sources = analysis.components[0].sources
     if len(sources) != 1:
         raise ValueError("bar propagation needs a unique source")
-    source = sources[0]
     pairing = digraph.edge_pairing()
-    gen_index = digraph.system._gen_index
-    n = len(digraph.vertices)
+    names = digraph.vertices
+    n = len(names)
     steps = {SOLID: (_table(pairing, _S_CASES), 2, 0),
              DASHED: (_table(pairing, _S_MINUS_U_CASES), 1, 1)}
+    gens = sorted(digraph.system.index.items())
 
-    images = {source: ({digraph.vertex_index[source]: P_ONE}, 0, 0)}
+    source = digraph.vertex_index[sources[0]]
+    images = {source: ({source: P_ONE}, 0, 0)}
     queue = deque([source])
     while queue:
-        v = queue.popleft()
-        vec, a, b = images[v]
-        for e in digraph.out_edges(v):
-            table, da, db = steps[e.style]
-            propagated = (_apply_columns(table[gen_index(e.label)], vec),
-                          a + da, b + db)
-            known = images.get(e.dst)
+        i = queue.popleft()
+        vec, a, b = images[i]
+        for label, s in gens:
+            j, role, style = pairing[s][i]
+            if role == "head" and j != i:
+                continue
+            table, da, db = steps[style]
+            propagated = (_apply_columns(table[s], vec), a + da, b + db)
+            known = images.get(j)
             if known is None:
-                images[e.dst] = propagated
-                queue.append(e.dst)
+                images[j] = propagated
+                queue.append(j)
             elif not _same_image(propagated, known):
+                edge = Edge(names[i], names[j], label, style)
                 return BarSolution(images=None, consistent=False,
-                                   witness=(e, _as_ratfuncs(propagated, n),
+                                   witness=(edge, _as_ratfuncs(propagated, n),
                                             _as_ratfuncs(known, n)))
     if len(images) != n:
         raise ValueError("not every vertex is reachable from the source")
-    return BarSolution(images={v: _as_ratfuncs(x, n)
-                               for v, x in images.items()},
+    return BarSolution(images={names[i]: _as_ratfuncs(x, n)
+                               for i, x in images.items()},
                        consistent=True)
 
 

@@ -167,9 +167,15 @@ def parabolic_data(system, J):
 # -- digraph -------------------------------------------------------------------
 
 
+def out_edges(g, v):
+    """The edges out of v in edge order, by a scan of every edge; a loop at
+    v is one of them."""
+    return [e for e in g.edges if e.src == v]
+
+
 def successors(g, v):
     """Heads of directed edges out of v (styles ignored, as in the arrow view)."""
-    return [e.dst for e in g.out_edges(v)]
+    return [e.dst for e in out_edges(g, v)]
 
 
 def undirected_neighbors(g, v):
@@ -313,6 +319,20 @@ def eval_at(f, q):
         raise ZeroDivisionError(f"pole at u = {q}")
     value = Fraction(f.num(q)) / Fraction(dv)
     return value.numerator if value.denominator == 1 else value
+
+
+def lampoly_mul(a, b, zero=RF_ZERO):
+    """Product of two polynomials in x given as ascending coefficient tuples
+    over one ring: RatFuncs, or Polys with zero = P_ZERO."""
+    if not a or not b:
+        return ()
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] = out[i + j] + ca * cb
+    return tuple(out)
 
 
 def lampoly_eval_matrix(coeffs, m):

@@ -11,7 +11,7 @@ import pytest
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from wdigraph.exactalg import (RF_ONE, RF_U, RF_ZERO, RatFunc, char_poly,
-                               lampoly_mul, poly_p, rf, sigma)
+                               poly_p, rf, sigma)
 from wdigraph.families import (FamilySpec, build_family, build_lv,
                                build_example, build_regular,
                                family_divisibility_ok)
@@ -23,8 +23,8 @@ from wdigraph.modrep import (ModuleRep, bar_from_source, linear_char_dims,
 from wdigraph.validator import brute_force_check, is_w_digraph
 
 from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
-                      eval_at, left_mult_gen, make_a3, make_b3, make_h3,
-                      random_labeled_digraph, reachable_from)
+                      eval_at, lampoly_mul, left_mult_gen, make_a3, make_b3,
+                      make_h3, random_labeled_digraph, reachable_from)
 
 RANDOM_SEED = 987654321
 S, D = SOLID, DASHED

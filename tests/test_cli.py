@@ -175,15 +175,21 @@ def test_analyze_text_examples(capsys, tmp_path, name):
 
 
 def test_bar_op_exit_codes(capsys, tmp_path):
+    # b3_no_bar with its generators declared in name order and as t, s, r:
+    # the propagation steps along the labels in name order, so both fail
+    # first at the same edge
     code, out = run(capsys, "example", "b3_no_bar")
+    data = json.loads(out)
     dpath = tmp_path / "b3.json"
-    dpath.write_text(out)
-    code, out = run(capsys, "bar-op", str(dpath))
-    assert code == 1
-    assert out.splitlines() == [
-        "bar operator: inconsistent at edge v2 -> v4 [t, solid]",
-        "first difference at v1: along the edge (1-u^2)/(u^4), "
-        "along the tree 0"]
+    for generators in (["r", "s", "t"], ["t", "s", "r"]):
+        data["system"]["generators"] = generators
+        dpath.write_text(json.dumps(data))
+        code, out = run(capsys, "bar-op", str(dpath))
+        assert code == 1
+        assert out.splitlines() == [
+            "bar operator: inconsistent at edge v2 -> v4 [t, solid]",
+            "first difference at v1: along the edge (1-u^2)/(u^4), "
+            "along the tree 0"], generators
     code, out = run(capsys, "family", "--figure", "1", "--m", "2", "--n", "2")
     fpath = tmp_path / "fam.json"
     fpath.write_text(out)

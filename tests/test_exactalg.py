@@ -20,7 +20,6 @@ from wdigraph.exactalg import (
     RF_U,
     RF_ZERO,
     char_poly,
-    lampoly_mul,
     matrix_rank,
     nullspace,
     poly_p,
@@ -37,7 +36,7 @@ from wdigraph.families import FamilySpec, build_family, build_lv
 from wdigraph.modrep import ModuleRep
 
 from conftest import (eval_at, identity_matrix, is_poly, lampoly_eval_matrix,
-                      matrix_is_zero, zeta)
+                      lampoly_mul, matrix_is_zero, zeta)
 from test_modrep import reversal_inputs
 
 U2 = RF_U * RF_U

@@ -1,11 +1,12 @@
-"""The exact algebra against sympy: RatFunc arithmetic, the field
+"""The exact algebra against sympy: RatFunc arithmetic and powers, the field
 automorphisms and characteristic polynomials, on random inputs."""
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wdigraph.exactalg import (Poly, RatFunc, RatMatrix, RF_ZERO, char_poly,
@@ -63,6 +64,26 @@ def test_ratfunc_field_operations_match_sympy(a, b, c):
     assert_canonical_and_equal(a - b, sa - sb)
     assert_canonical_and_equal(a * b, sa * sb)
     assert_canonical_and_equal(a / c, sa / sc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ratfunc_st, st.integers(min_value=-3, max_value=4))
+@example(RF_ZERO, 0)
+@example(RF_ZERO, 4)
+@example(RatFunc(Poly([1, 2]), Poly([Fraction(1, 2), 0, 3])), -3)
+@example(RatFunc(Poly([Fraction(2, 3), 0, 1]), Poly([-2, 0, 1])), 4)
+def test_ratfunc_power_matches_sympy(f, k):
+    # non-monomial denominators such as u^2 - 2 included; a negative power
+    # of zero is a division by zero, and 0^0 = 1 (which sympy refuses)
+    if f.is_zero() and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            f ** k
+        return
+    got = f ** k
+    assert_canonical_and_equal(got, to_field(f) ** k if f or k else QU.one)
+    assert all(type(c) is int
+               for c in got.num.coeffs + got.den.coeffs
+               if Fraction(c).denominator == 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

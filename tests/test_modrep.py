@@ -11,8 +11,8 @@ import pytest
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph
 from wdigraph.exactalg import (P_ONE, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
-                               RatFunc, RatMatrix, char_poly, lampoly_mul, rf,
-                               sigma, solve_simultaneous_eigenspace)
+                               RatFunc, RatMatrix, char_poly, rf, sigma,
+                               solve_simultaneous_eigenspace)
 from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
                                build_lv, build_example, build_regular,
                                family_divisibility_ok)
@@ -28,9 +28,9 @@ from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              zero_hecke_action)
 
 from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
-                      eval_at, identity_matrix, is_poly, make_a3, make_b3,
-                      path_length_mu, random_labeled_digraph, reachable_from,
-                      subgraph)
+                      eval_at, identity_matrix, is_poly, lampoly_mul, make_a3,
+                      make_b3, out_edges, path_length_mu,
+                      random_labeled_digraph, reachable_from, subgraph)
 from test_validator import GROUP_ORDERS, group_digraphs, word_apply
 
 U2 = RF_U * RF_U
@@ -509,7 +509,7 @@ def ratfunc_bar_from_source(g):
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for e in g.out_edges(v):
+        for e in out_edges(g, v):
             image = images[v]
             propagated = ops.apply_inv(e.label, image)
             if e.style == DASHED:
@@ -564,12 +564,31 @@ def test_as_ratfuncs_matches_gcd_reduction():
                        for k in range(16)], (i, j, a, b)
 
 
+def b3_no_bar_declared_tsr():
+    """b3_no_bar over the same B3 matrix with its generators declared
+    ["t", "s", "r"]: declaration order is not label-name order."""
+    g = build_example("b3_no_bar")
+    system = CoxeterSystem(["t", "s", "r"], {("r", "s"): 3, ("s", "t"): 4})
+    return SLabeledDigraph(system, g.vertices, g.edges)
+
+
+def i2_3_with_loops():
+    """a -> b labeled s and a -> c labeled t, with a t-loop at b and an
+    s-loop at c: connected, one source, and no other out-edge at b or c."""
+    return SLabeledDigraph(_DIHEDRAL[3], ["a", "b", "c"], [
+        ("a", "b", "s", SOLID), ("a", "c", "t", SOLID),
+        ("b", "b", "t", SOLID), ("c", "c", "s", DASHED)])
+
+
 def bar_inputs():
-    """The examples, the LV and regular digraphs of A3, B3, H3, A4, D4 and
-    B4, the A3 flip LV, and 320 seeded random two-label digraphs over
-    I2(2..6)."""
+    """The examples, b3_no_bar with its generators declared out of name
+    order, a digraph with loops, the LV and regular digraphs of A3, B3, H3,
+    A4, D4 and B4, the A3 flip LV, and 320 seeded random two-label digraphs
+    over I2(2..6)."""
     for name in EXAMPLE_NAMES:
         yield name, build_example(name)
+    yield "b3_no_bar declared t, s, r", b3_no_bar_declared_tsr()
+    yield "I2(3) with loops", i2_3_with_loops()
     yield from group_digraphs()
     yield "lv_a3_flip", _lv_a3_flip()
     rng = random.Random(3141)
@@ -746,7 +765,7 @@ def source_bfs_weights(g):
         queue = deque([src])
         while queue:
             v = queue.popleft()
-            for e in sub.out_edges(v):
+            for e in out_edges(sub, v):
                 candidate = weights[v] * (w_solid if e.style == SOLID else w_dashed)
                 if e.dst in weights:
                     if weights[e.dst] != candidate:

@@ -19,7 +19,8 @@ from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 is_w_digraph)
 
 from conftest import (RatFuncOperators, column_brute_force_check, is_poly,
-                      random_labeled_digraph, same_structure, subgraph)
+                      out_edges, random_labeled_digraph, same_structure,
+                      subgraph)
 
 
 def family_on(n, figure, m):
@@ -398,13 +399,13 @@ def classify_component(component: SLabeledDigraph, n, pair):
     src, snk = sources[0], sinks[0]
 
     # walk the two arcs from the source; they must both run source -> sink
-    first_edges = sorted(component.out_edges(src), key=lambda e: e.label)
+    first_edges = sorted(out_edges(component, src), key=lambda e: e.label)
     arcs = []
     for start_edge in first_edges:
         arc = [start_edge]
         current = start_edge.dst
         while current != snk:
-            nxt = component.out_edges(current)
+            nxt = out_edges(component, current)
             if len(nxt) != 1 or len(arc) > 2 * m:
                 return Rejection("arc from the source does not run to the sink")
             arc.append(nxt[0])
