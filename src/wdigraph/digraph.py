@@ -12,12 +12,15 @@ one vertex's image per component along both digraphs' pairings.
 
 Every structural question is answered from three walks, each run once per
 digraph on first use and cached: one undirected walk (`_walk`) gives the
-components and a (solid, dashed) level pair per vertex, one Kahn peel
-(`_peel`) gives acyclicity and a topological order, and one BFS
-(`distances_from`) gives the directed path lengths from a vertex and the
-shortest circuit.  Each costs O(V + E); a digraph that is never traversed
-never runs them.  `analyze` reads the first two once and keeps its frozen
-result, so the CLI and the module layer share one analysis.
+components, a (solid, dashed) level pair per vertex and, per component,
+whether a loop or some edge breaks the level rules that the grading and the
+sign character read; one Kahn peel (`_peel`) gives acyclicity and a
+topological order; and one BFS (`distances_from`) gives the directed path
+lengths from a vertex and the shortest circuit.  Each costs O(V + E); a
+digraph that is never traversed never runs them.  `analyze` reads the first
+two once and keeps its frozen result, so the CLI and the module layer share
+one analysis.  The rank-two restrictions the deciders inspect are walked
+along the pairing by `alternating_cycles`, one cycle per component.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .coxeter import CoxeterSystem
 
@@ -117,6 +120,29 @@ class SLabeledDigraph:
             raise ValueError(counts[0])
         return pairing
 
+    def alternating_cycles(self, i: int, j: int) -> Iterator[list[int]]:
+        """The components of the restriction to generators i and j, in the
+        order of their first vertices, each as vertex indices walked from its
+        first vertex by taking the i-partner and the j-partner in turn.  On a
+        digraph that passes `validate_structure` every vertex meets one edge
+        of each label, so each component is a single cycle of even length
+        whose labels alternate; `edge_pairing` raises on a count violation.
+        Each cycle is walked when it is asked for, and none is cached."""
+        pairing = self.edge_pairing()
+        first, second = pairing[i], pairing[j]
+        seen = [False] * len(self.vertices)
+        for start in range(len(seen)):
+            if seen[start]:
+                continue
+            cycle = [start]
+            v = first[start][0]
+            while v != start:
+                cycle.append(v)
+                v = (first if len(cycle) % 2 else second)[v][0]
+            for v in cycle:
+                seen[v] = True
+            yield cycle
+
     # -- derived digraphs ----------------------------------------------------------
 
     def restrict(self, J: Iterable) -> "SLabeledDigraph":
@@ -154,20 +180,28 @@ class SLabeledDigraph:
     # -- the three walks --------------------------------------------------------------
 
     @cached_property
-    def _walk(self) -> tuple[list[list[str]], dict[str, tuple[int, int]]]:
+    def _walk(self) -> tuple[list[list[str]], dict[str, tuple[int, int]],
+                             list[tuple[bool, bool, bool]]]:
         """The connected components of the underlying undirected multigraph,
-        each in vertex order, and a level pair per vertex, (net solid steps,
-        net dashed steps) on the walk: (0, 0) at the first vertex of its
+        each in vertex order; a level pair per vertex, (net solid steps, net
+        dashed steps) on the walk: (0, 0) at the first vertex of its
         component, raised by an edge's `LEVEL_STEP` along it and lowered by
-        it against it."""
+        it against it; and three flags per component: whether some edge
+        raises the level pair by other than its `LEVEL_STEP`, whether some
+        edge raises the level sum a + b by other than 1, and whether the
+        component has a loop.  The walk meets every edge from both ends; an
+        edge whose far end already has a level is checked against it, and
+        one that gives the far end its level holds by construction.  A loop
+        raises nothing, so it breaks both rules."""
         level: dict[str, tuple[int, int]] = {}
-        comps = []
+        comps, flags = [], []
         for root in self.vertices:
             if root in level:
                 continue
             level[root] = (0, 0)
             comp = [root]
             stack = [root]
+            off_step = off_sum = looped = False
             while stack:
                 v = stack.pop()
                 a, b = level[v]
@@ -176,8 +210,13 @@ class SLabeledDigraph:
                         level[w] = (a + da, b + db)
                         comp.append(w)
                         stack.append(w)
+                    elif level[w] != (a + da, b + db):
+                        off_step = True
+                        off_sum |= sum(level[w]) != a + b + da + db
+                        looped |= w == v
             comps.append(sorted(comp, key=self.vertex_index.get))
-        return comps, level
+            flags.append((off_step, off_sum, looped))
+        return comps, level, flags
 
     @cached_property
     def _peel(self) -> list[str]:
@@ -242,9 +281,7 @@ class SLabeledDigraph:
         first vertex of each component) rises by 1 on every edge.  Any such
         grading is fixed along the walk by its value at the first vertex, so
         this one exists whenever some grading does."""
-        level = self._walk[1]
-        return all(sum(level[e.dst]) == sum(level[e.src]) + 1
-                   for e in self.edges)
+        return not any(off_sum for _, off_sum, _ in self._walk[2])
 
     def equal_path_lengths_check(self):
         """None if any two directed paths between equal endpoints agree in length.

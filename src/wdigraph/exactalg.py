@@ -135,8 +135,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def divmod(self, other: "Poly"):
@@ -394,11 +395,13 @@ class RatFunc:
     def __pow__(self, k: int) -> "RatFunc":
         """num^k / den^k, canonical as it stands: a prime dividing both
         powers would divide num and den, and a power of a monic polynomial
-        is monic.  Zero is 0/1, so 0^k is 0/1 for k > 0 and 1/1 for k = 0;
-        a negative power of zero raises in `inverse`."""
+        is monic.  A unit denominator passes through unpowered.  Zero is
+        0/1, so 0^k is 0/1 for k > 0 and 1/1 for k = 0; a negative power of
+        zero raises in `inverse`."""
         if k < 0:
             return self.inverse() ** -k
-        return RatFunc(self.num ** k, self.den ** k, _canonical=True)
+        den = self.den if self.den.coeffs == (1,) else self.den ** k
+        return RatFunc(self.num ** k, den, _canonical=True)
 
     # -- printing -----------------------------------------------------------------
 

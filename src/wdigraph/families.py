@@ -146,83 +146,58 @@ def _walk_digraph(system: CoxeterSystem, walk, styles: dict) -> SLabeledDigraph:
 # -- named example digraphs --------------------------------------------------------
 
 
-def _affine_a2_system() -> CoxeterSystem:
-    return CoxeterSystem(["r", "s", "t"],
-                         {("r", "s"): 3, ("s", "t"): 3, ("r", "t"): 3})
+# name -> (generators, orders, vertices, edges)
+_EXAMPLES = {
+    # two directed triangles joined by solid spokes; no source, no sink
+    "affine_a2_cycle": (
+        ["r", "s", "t"], {("r", "s"): 3, ("s", "t"): 3, ("r", "t"): 3},
+        ["a1", "a2", "a3", "b1", "b2", "b3"],
+        [("a1", "a3", "s", SOLID), ("a3", "a2", "t", SOLID),
+         ("a2", "a1", "r", SOLID),
+         ("a1", "b1", "t", SOLID), ("a2", "b2", "s", SOLID),
+         ("a3", "b3", "r", SOLID),
+         ("b1", "b3", "s", SOLID), ("b3", "b2", "t", SOLID),
+         ("b2", "b1", "r", SOLID)]),
+    "b3_no_bar": (
+        ["r", "s", "t"], {("r", "s"): 3, ("s", "t"): 4, ("r", "t"): 2},
+        [f"v{i}" for i in range(12)],
+        [("v0", "v2", "s", SOLID), ("v2", "v4", "r", SOLID),
+         ("v2", "v4", "t", SOLID), ("v4", "v6", "s", SOLID),
+         ("v0", "v1", "t", SOLID), ("v1", "v3", "s", SOLID),
+         ("v3", "v5", "r", SOLID), ("v3", "v5", "t", SOLID),
+         ("v5", "v7", "s", SOLID), ("v6", "v7", "t", SOLID),
+         ("v0", "v8", "r", SOLID), ("v8", "v9", "t", SOLID),
+         ("v1", "v9", "r", SOLID), ("v8", "v10", "s", SOLID),
+         ("v10", "v6", "r", SOLID), ("v9", "v11", "s", SOLID),
+         ("v10", "v11", "t", SOLID), ("v11", "v7", "r", SOLID)]),
+    "h3_nonselfassoc": (
+        ["r", "s", "t"], {("r", "s"): 3, ("s", "t"): 5, ("r", "t"): 2},
+        ["a1", "a2", "a3", "b1", "b2", "b3"],
+        [("a1", "a2", "s", DASHED),
+         ("a1", "b1", "r", DASHED), ("a1", "b1", "t", DASHED),
+         ("a2", "b2", "r", SOLID), ("b1", "b2", "s", SOLID),
+         ("a2", "a3", "t", SOLID), ("b2", "b3", "t", SOLID),
+         ("a3", "b3", "r", SOLID), ("a3", "b3", "s", SOLID)]),
+    "ex_fig2": (
+        ["s", "t"], {("s", "t"): 3},
+        [f"g{i}" for i in range(1, 7)],
+        [("g1", "g2", "s", DASHED), ("g2", "g3", "t", SOLID),
+         ("g3", "g4", "s", SOLID), ("g1", "g6", "t", SOLID),
+         ("g6", "g5", "s", SOLID), ("g5", "g4", "t", DASHED)]),
+    "ex_fig3": (
+        ["r", "s", "t"], {("r", "s"): 3, ("s", "t"): 3, ("r", "t"): 2},
+        ["g1", "g2", "g3", "g4"],
+        [("g4", "g1", "t", SOLID), ("g3", "g1", "s", SOLID),
+         ("g3", "g4", "r", DASHED), ("g2", "g1", "r", DASHED),
+         ("g4", "g2", "s", SOLID), ("g3", "g2", "t", SOLID)]),
+}
 
-
-def _b3_system() -> CoxeterSystem:
-    return CoxeterSystem(["r", "s", "t"],
-                         {("r", "s"): 3, ("s", "t"): 4, ("r", "t"): 2})
-
-
-def _h3_system() -> CoxeterSystem:
-    return CoxeterSystem(["r", "s", "t"],
-                         {("r", "s"): 3, ("s", "t"): 5, ("r", "t"): 2})
-
-
-def _a3_system() -> CoxeterSystem:
-    return CoxeterSystem(["r", "s", "t"],
-                         {("r", "s"): 3, ("s", "t"): 3, ("r", "t"): 2})
+EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 
 def build_example(name: str) -> SLabeledDigraph:
     """Named fixture digraphs, embedded as explicit vertex/edge data."""
-    if name == "affine_a2_cycle":
-        # two directed triangles joined by solid spokes; no source, no sink
-        system = _affine_a2_system()
-        edges = [
-            ("a1", "a3", "s", SOLID), ("a3", "a2", "t", SOLID),
-            ("a2", "a1", "r", SOLID),
-            ("a1", "b1", "t", SOLID), ("a2", "b2", "s", SOLID),
-            ("a3", "b3", "r", SOLID),
-            ("b1", "b3", "s", SOLID), ("b3", "b2", "t", SOLID),
-            ("b2", "b1", "r", SOLID),
-        ]
-        return SLabeledDigraph(system, ["a1", "a2", "a3", "b1", "b2", "b3"], edges)
-    if name == "b3_no_bar":
-        system = _b3_system()
-        edges = [
-            ("v0", "v2", "s", SOLID), ("v2", "v4", "r", SOLID),
-            ("v2", "v4", "t", SOLID), ("v4", "v6", "s", SOLID),
-            ("v0", "v1", "t", SOLID), ("v1", "v3", "s", SOLID),
-            ("v3", "v5", "r", SOLID), ("v3", "v5", "t", SOLID),
-            ("v5", "v7", "s", SOLID), ("v6", "v7", "t", SOLID),
-            ("v0", "v8", "r", SOLID), ("v8", "v9", "t", SOLID),
-            ("v1", "v9", "r", SOLID), ("v8", "v10", "s", SOLID),
-            ("v10", "v6", "r", SOLID), ("v9", "v11", "s", SOLID),
-            ("v10", "v11", "t", SOLID), ("v11", "v7", "r", SOLID),
-        ]
-        vertices = [f"v{i}" for i in range(12)]
-        return SLabeledDigraph(system, vertices, edges)
-    if name == "h3_nonselfassoc":
-        system = _h3_system()
-        edges = [
-            ("a1", "a2", "s", DASHED),
-            ("a1", "b1", "r", DASHED), ("a1", "b1", "t", DASHED),
-            ("a2", "b2", "r", SOLID), ("b1", "b2", "s", SOLID),
-            ("a2", "a3", "t", SOLID), ("b2", "b3", "t", SOLID),
-            ("a3", "b3", "r", SOLID), ("a3", "b3", "s", SOLID),
-        ]
-        return SLabeledDigraph(system, ["a1", "a2", "a3", "b1", "b2", "b3"], edges)
-    if name == "ex_fig2":
-        system = CoxeterSystem.dihedral(3)
-        edges = [
-            ("g1", "g2", "s", DASHED), ("g2", "g3", "t", SOLID),
-            ("g3", "g4", "s", SOLID), ("g1", "g6", "t", SOLID),
-            ("g6", "g5", "s", SOLID), ("g5", "g4", "t", DASHED),
-        ]
-        return SLabeledDigraph(system, [f"g{i}" for i in range(1, 7)], edges)
-    if name == "ex_fig3":
-        system = _a3_system()
-        edges = [
-            ("g4", "g1", "t", SOLID), ("g3", "g1", "s", SOLID),
-            ("g3", "g4", "r", DASHED), ("g2", "g1", "r", DASHED),
-            ("g4", "g2", "s", SOLID), ("g3", "g2", "t", SOLID),
-        ]
-        return SLabeledDigraph(system, ["g1", "g2", "g3", "g4"], edges)
-    raise ValueError(f"unknown example {name!r}")
-
-
-EXAMPLE_NAMES = ("affine_a2_cycle", "b3_no_bar", "h3_nonselfassoc",
-                 "ex_fig2", "ex_fig3")
+    if name not in _EXAMPLES:
+        raise ValueError(f"unknown example {name!r}")
+    generators, orders, vertices, edges = _EXAMPLES[name]
+    return SLabeledDigraph(CoxeterSystem(generators, orders), vertices, edges)

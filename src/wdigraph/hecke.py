@@ -257,24 +257,22 @@ def _as_vectors(X: Sequence[HeckeElt]):
     return vecs
 
 
-def supports_digraph(X: Sequence[HeckeElt], names: Sequence[str] | None = None
-                     ) -> SLabeledDigraph:
+def supports_digraph(X: Sequence[HeckeElt]) -> SLabeledDigraph:
     """Extract the labeled digraph supported by a subset of an algebra module.
 
     For each member and each generator, exactly one of the four transforms
     T_s x, T_s^{-1} x, circ(s) x, circ(s)^{-1} x must equal another member;
     a solid edge records the T_s and T_s^{-1} cases, a dashed edge the other
-    two, oriented so that the transform maps tail to head.  Raises
-    SupportsError if the subset is dependent or some transform count is not
-    exactly one.
+    two, oriented so that the transform maps tail to head.  Member i is the
+    vertex x<i>.  Raises SupportsError if the subset is dependent or some
+    transform count is not exactly one.
     """
     if not X:
         raise SupportsError("empty subset")
     system = X[0].system
     if matrix_rank(_as_vectors(X)) != len(X):
         raise SupportsError("subset is linearly dependent")
-    if names is None:
-        names = [f"x{i}" for i in range(len(X))]
+    names = [f"x{i}" for i in range(len(X))]
     index_of = {}
     for i, h in enumerate(X):
         if h in index_of:
@@ -295,7 +293,7 @@ def supports_digraph(X: Sequence[HeckeElt], names: Sequence[str] | None = None
                     f"member {i} has {len(hits)} transforms landing in the "
                     f"subset for generator {gname}", index=i, generator=gname)
             edges |= hits
-    return SLabeledDigraph(system, list(names), sorted(edges))
+    return SLabeledDigraph(system, names, sorted(edges))
 
 
 def dihedral_case_basis(system: CoxeterSystem, s, t, figure: int, m: int

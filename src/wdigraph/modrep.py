@@ -54,7 +54,7 @@ from math import inf
 from typing import Sequence
 
 from .coxeter import GroupElement
-from .digraph import DASHED, LEVEL_STEP, SOLID, Edge, SLabeledDigraph
+from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from .exactalg import (P_ONE, P_U, P_ZERO, RF_ZERO, Poly, RatFunc, RatMatrix,
                        _pack, sigma)
 
@@ -265,26 +265,20 @@ def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
       distinct irreducibles, so it is 1 iff a = b = 0.  The circuits that
       each edge off the walk's tree closes with the tree span all circuits,
       and that of an edge x -> y has the net counts level(y) - level(x) -
-      the edge's `LEVEL_STEP`, up to sign.  So the line exists iff every
-      edge raises the level pair by the unit of its own style.  A loop
-      raises nothing, so sgn implies ind.
+      the edge's `digraph.LEVEL_STEP`, up to sign.  So the line exists iff
+      every edge raises the level pair by the unit of its own style.  A
+      loop raises nothing, so sgn implies ind.
+
+    The walk flags each component that has a loop and each on which some
+    edge breaks that rule, so both dimensions are counts of its flags.
     """
     digraph.edge_pairing()      # raises unless one edge per label at a vertex
     analysis = digraph.analyze()
-    level = digraph._walk[1]
-    which = {v: k for k, c in enumerate(analysis.components)
-             for v in c.vertices}
-    looped, ungraded = set(), set()
-    for e in digraph.edges:
-        (a, b), (da, db) = level[e.src], LEVEL_STEP[e.style]
-        if level[e.dst] != (a + da, b + db):
-            ungraded.add(which[e.src])
-            if e.src == e.dst:
-                looped.add(which[e.src])
+    flags = digraph._walk[2]
     n = analysis.n_components
     return LinearCharacterDims(
-        dim_ind=n - len(looped),
-        dim_sgn=n - len(ungraded),
+        dim_ind=n - sum(looped for _, _, looped in flags),
+        dim_sgn=n - sum(off_step for off_step, _, _ in flags),
         predicted_ind=n,
         predicted_sgn=analysis.n_acyclic,
     )

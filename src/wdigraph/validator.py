@@ -4,12 +4,15 @@ The classifier inspects every rank-two restriction: each connected component
 must be a 2m-cycle carrying one of the eight templates, with the matching
 divisibility condition against the order n(s,t).  Once every vertex meets
 one edge per label, each component of the {s,t}-restriction is a single
-cycle whose labels alternate, so the classifier walks it straight from the
-digraph's edge pairing, builds no digraph, and is linear in the size of the
-digraph.  The brute-force oracle instead applies the generator
-operators and verifies the quadratic relation and the length-n alternating
-product identity exactly.  Their agreement on random inputs is the central
-soundness test of the whole library.
+cycle whose labels alternate.  `SLabeledDigraph.alternating_cycles` walks
+them one at a time, straight from the digraph's edge pairing, and both
+deciders run over that one decomposition of every finite pair
+(`_finite_pairs`): the classifier reads each cycle off the pairing, builds
+no digraph, and is linear in the size of the digraph.  The brute-force
+oracle instead applies the generator operators and verifies the quadratic
+relation and the length-n alternating product identity exactly.  Their
+agreement on random inputs is the central soundness test of the whole
+library.
 
 The oracle runs on integers, not over Q(u).  Every forward coefficient of
 tau_s lies in Z[u], and every column of tau_s has coefficient L1 norm at most
@@ -95,19 +98,6 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _alternating_cycle(ps, pt, start: int) -> list[int]:
-    """The component of `start` in a rank-two restriction, walked from start
-    by taking the s-partner and the t-partner in turn (ps, pt: the two edge
-    pairings).  Every vertex meets one edge of each label, so the walk is a
-    single cycle of even length whose labels alternate."""
-    cycle = [start]
-    v = ps[start][0]
-    while v != start:
-        cycle.append(v)
-        v = (ps if len(cycle) % 2 else pt)[v][0]
-    return cycle
-
-
 def _arc(first, second, source: int) -> list[tuple[int, str]]:
     """The directed path out of the source whose edges take their labels
     from the pairings first, second, first, ... in turn, as (head, style)
@@ -183,43 +173,44 @@ def _classify_cycle(names, ps, pt, cycle: list[int], n, pair):
     return FamilyMatch(figure, m, witness)
 
 
+def _finite_pairs(digraph: SLabeledDigraph):
+    """(i, j, n, pair, cycles) for each pair of generators i < j of finite
+    order n = n(s_i, s_j): pair holds their names, and cycles the components
+    of the restriction to them from `alternating_cycles`.  Pairs of infinite
+    order impose no condition."""
+    system = digraph.system
+    for i in range(system.rank()):
+        for j in range(i + 1, system.rank()):
+            n = system.order(i, j)
+            if n is not inf:
+                yield (i, j, n, (system.generators[i], system.generators[j]),
+                       digraph.alternating_cycles(i, j))
+
+
 def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
     """The classification decision procedure over all rank-two restrictions.
 
-    Pairs of generators with infinite order impose no condition; the digraph
-    is accepted when every component of every finite rank-two restriction
-    matches a template with its divisibility condition.  The components of
-    a restriction are walked in the order of their first vertices, straight
-    from the digraph's edge pairing.
+    The digraph is accepted when every component of every finite rank-two
+    restriction matches a template with its divisibility condition.  The
+    components of a restriction are classified in the order of their first
+    vertices, each as the alternating cycle the digraph walks.
     """
     violations = tuple(digraph.validate_structure())
     if violations:
         return Verdict(False, violations, ())
-    system = digraph.system
     names = digraph.vertices
     pairing = digraph.edge_pairing()
     reports = []
     ok = True
-    for i in range(system.rank()):
-        for j in range(i + 1, system.rank()):
-            n = system.order(i, j)
-            if n is inf:
-                continue
-            pair = (system.generators[i], system.generators[j])
-            seen = [False] * len(names)
-            comps = []
-            for start in range(len(names)):
-                if seen[start]:
-                    continue
-                cycle = _alternating_cycle(pairing[i], pairing[j], start)
-                for v in cycle:
-                    seen[v] = True
-                result = _classify_cycle(names, pairing[i], pairing[j],
-                                         cycle, n, pair)
-                comps.append(result)
-                if isinstance(result, Rejection):
-                    ok = False
-            reports.append(PairReport(pair, n, tuple(comps)))
+    for i, j, n, pair, cycles in _finite_pairs(digraph):
+        comps = []
+        for cycle in cycles:
+            result = _classify_cycle(names, pairing[i], pairing[j], cycle, n,
+                                     pair)
+            comps.append(result)
+            if isinstance(result, Rejection):
+                ok = False
+        reports.append(PairReport(pair, n, tuple(comps)))
     return Verdict(ok, (), tuple(reports))
 
 
@@ -252,15 +243,16 @@ def brute_force_check(digraph: SLabeledDigraph):
       column depends only on its (role, style), and it is run once per case
       and generator.
     - An alternating word keeps a unit column inside its alternating cycle,
-      walked from its first vertex by `_alternating_cycle`.  In walk
-      positions, the s-partner and the t-partner of position p are p + 1
-      and p - 1, one each, by the parity of p, and the coefficients at p
-      come from the (role, style) of the s-edge and of the t-edge there.  So
-      the restriction of tau_s and tau_t to the cycle, in positions, is
-      fixed by n(s,t) and the cycle word, and equality of the two sides on
-      a column depends only on them and on the column's position, not on
-      vertex names.  A cycle is walked and keyed by (n, word) when its first
-      column comes up, and each (key, position) is run when a column first
+      as `SLabeledDigraph.alternating_cycles` walks it from its first
+      vertex.  In walk positions, the s-partner and the t-partner of
+      position p are p + 1 and p - 1, one each, by the parity of p, and the
+      coefficients at p come from the (role, style) of the s-edge and of
+      the t-edge there.  So the restriction of tau_s and tau_t to the cycle,
+      in positions, is fixed by n(s,t) and the cycle word, and equality of
+      the two sides on a column depends only on them and on the column's
+      position, not on vertex names.  The first column that no cycle has
+      met starts the next cycle `alternating_cycles` walks, which is keyed
+      by (n, word) then, and each (key, position) is run when a column first
       needs it.  Nothing is decided ahead of that column, so a digraph
       rejected at its first column costs one cycle.
     Each run costs the size of its cycle, and a digraph whose cycles repeat
@@ -291,43 +283,36 @@ def brute_force_check(digraph: SLabeledDigraph):
                                        digraph.vertices[j])
     tables = {}
     braid = {}   # (n, cycle word) -> the verdict per position
-    for i in range(system.rank()):
-        for j in range(i + 1, system.rank()):
-            n = system.order(i, j)
-            if n is inf:
-                continue
-            if n not in tables:
-                point = 1 << _exact_bits(n)
-                tables[n] = _table(pairing, _TAU_CASES, lambda c: c(point))
-            columns = tables[n]
-            pair = (system.generators[i], system.generators[j])
-            ps, pt = pairing[i], pairing[j]
-            # the two alternating words of n letters; `_word_apply` lets
-            # word[0] act first, so it multiplies each word reversed, and
-            # reversal keeps this pair of words, so the relation is the same
-            left = [(i, j)[k % 2] for k in range(n)]
-            right = [(j, i)[k % 2] for k in range(n)]
-            block = [None] * n_vertices      # column -> verdicts of its key
-            position = [0] * n_vertices
-            for col in range(n_vertices):
-                if block[col] is None:
-                    cycle = _alternating_cycle(ps, pt, col)
-                    word = tuple(ps[v][1:] + pt[v][1:] for v in cycle)
-                    verdicts = braid.get((n, word))
-                    if verdicts is None:
-                        verdicts = braid[n, word] = [None] * len(cycle)
-                    for p, v in enumerate(cycle):
-                        block[v] = verdicts
-                        position[v] = p
-                verdicts = block[col]
-                p = position[col]
-                holds = verdicts[p]
-                if holds is None:
-                    holds = verdicts[p] = (
-                        _word_apply(columns, left, {col: 1}, 0)
-                        == _word_apply(columns, right, {col: 1}, 0))
-                if not holds:
-                    return RelationWitness("braid", pair,
-                                           digraph.vertices[col])
+    for i, j, n, pair, cycles in _finite_pairs(digraph):
+        if n not in tables:
+            point = 1 << _exact_bits(n)
+            tables[n] = _table(pairing, _TAU_CASES, lambda c: c(point))
+        columns = tables[n]
+        ps, pt = pairing[i], pairing[j]
+        # the two alternating words of n letters; `_word_apply` lets word[0]
+        # act first, so it multiplies each word reversed, and reversal keeps
+        # this pair of words, so the relation is the same
+        left = [(i, j)[k % 2] for k in range(n)]
+        right = [(j, i)[k % 2] for k in range(n)]
+        block = [None] * n_vertices      # column -> verdicts of its key
+        position = [0] * n_vertices
+        for col in range(n_vertices):
+            if block[col] is None:
+                # the first column no cycle has met starts the next cycle
+                cycle = next(cycles)
+                word = tuple(ps[v][1:] + pt[v][1:] for v in cycle)
+                verdicts = braid.get((n, word))
+                if verdicts is None:
+                    verdicts = braid[n, word] = [None] * len(cycle)
+                for p, v in enumerate(cycle):
+                    block[v] = verdicts
+                    position[v] = p
+            verdicts, p = block[col], position[col]
+            holds = verdicts[p]
+            if holds is None:
+                holds = verdicts[p] = (
+                    _word_apply(columns, left, {col: 1}, 0)
+                    == _word_apply(columns, right, {col: 1}, 0))
+            if not holds:
+                return RelationWitness("braid", pair, digraph.vertices[col])
     return None
-

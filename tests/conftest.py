@@ -10,7 +10,7 @@ from math import inf
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, GroupElement
-from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
+from wdigraph.digraph import DASHED, LEVEL_STEP, SOLID, Edge, SLabeledDigraph
 from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix
 from wdigraph.hecke import Dihedral, HeckeElt
 from wdigraph.modrep import (_TAU_CASES, ModuleRep, _apply_columns, _exact_bits,
@@ -206,6 +206,57 @@ def reachable_from(g, alpha):
 def in_label_set(g, beta):
     """Labels of edges (either style) coming into beta."""
     return frozenset(e.label for e in g.edges if e.dst == beta)
+
+
+def scan_alternating_cycles(g, s, t):
+    """The components of `g.restrict((s, t))` in the order of their first
+    vertices, each as vertex indices walked from its first vertex by taking
+    the s-partner and the t-partner in turn, partners and components found
+    by edge scans: the reference of `SLabeledDigraph.alternating_cycles`."""
+    h = g.restrict((s, t))
+    partner = {}
+    for e in h.edges:
+        partner[e.label, e.src] = e.dst
+        partner[e.label, e.dst] = e.src
+    cycles, seen = [], set()
+    for root in h.vertices:
+        if root in seen:
+            continue
+        comp, stack = {root}, [root]
+        while stack:
+            for w in undirected_neighbors(h, stack.pop()):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        cycle, v = [root], partner[s, root]
+        while v != root:
+            cycle.append(v)
+            v = partner[t if len(cycle) % 2 == 0 else s, v]
+        assert set(cycle) == comp
+        cycles.append([g.vertex_index[v] for v in cycle])
+    return cycles
+
+
+def scan_walk_flags(g):
+    """Per component of `g._walk`, (some edge raises the level pair by other
+    than its `LEVEL_STEP`, some edge raises the level sum by other than 1,
+    the component has a loop), read by the edge scans that
+    `linear_char_dims` and `_grading` once ran over the walk's level pairs:
+    the reference of the walk's own flags."""
+    comps, level = g._walk[0], g._walk[1]
+    which = {v: k for k, comp in enumerate(comps) for v in comp}
+    looped, ungraded, unsummed = set(), set(), set()
+    for e in g.edges:
+        (a, b), (da, db) = level[e.src], LEVEL_STEP[e.style]
+        if level[e.dst] != (a + da, b + db):
+            ungraded.add(which[e.src])
+            if e.src == e.dst:
+                looped.add(which[e.src])
+        if sum(level[e.dst]) != a + b + 1:
+            unsummed.add(which[e.src])
+    return [(k in ungraded, k in unsummed, k in looped)
+            for k in range(len(comps))]
 
 
 def disjoint_union(g, h, suffixes=("", "'")):

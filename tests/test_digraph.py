@@ -13,7 +13,8 @@ from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_example,
 
 from conftest import (disjoint_union, in_label_set, is_acyclic, path_length_mu,
                       random_labeled_digraph, reachable_from, same_structure,
-                      subgraph, successors, undirected_neighbors)
+                      scan_alternating_cycles, scan_walk_flags, subgraph,
+                      successors, undirected_neighbors)
 from test_cli_golden import FAMILY_SIZES
 from test_coxeter import (DIFFERENTIAL_SYSTEMS, INFINITE_DIFFERENTIAL,
                           involutory_automorphisms)
@@ -460,6 +461,46 @@ def test_adjacency_matches_edge_scans(name):
             g.edge_pairing()
     else:
         assert g.edge_pairing() == expected
+
+
+def walk_inputs():
+    """The template grid, seeded random digraphs and the examples of the
+    oracle's inputs, the group digraphs and the adjacency fixtures, which
+    include a loop and an edgeless digraph."""
+    from test_validator import group_digraphs, oracle_inputs
+
+    return [*oracle_inputs(), *group_digraphs(),
+            *adjacency_fixtures().items()]
+
+
+def test_alternating_cycles_match_edge_scans():
+    walked = broken = 0
+    for label, g in walk_inputs():
+        gens = g.system.generators
+        pairs = [(i, j) for i in range(len(gens))
+                 for j in range(i + 1, len(gens))]
+        if scan_pairing(g) is None:
+            for i, j in pairs:
+                with pytest.raises(ValueError):
+                    list(g.alternating_cycles(i, j))
+            broken += 1
+            continue
+        for i, j in pairs:
+            assert list(g.alternating_cycles(i, j)) == \
+                scan_alternating_cycles(g, gens[i], gens[j]), (label, i, j)
+            walked += 1
+    assert walked > 1000 and broken == 4
+
+
+def test_walk_flags_match_edge_scans():
+    seen = [0, 0, 0]
+    for label, g in walk_inputs():
+        flags = g._walk[2]
+        assert flags == scan_walk_flags(g), label
+        for k in range(3):
+            seen[k] += sum(f[k] for f in flags)
+    off_step, off_sum, looped = seen
+    assert off_step > off_sum > 100 and looped == 1
 
 
 def test_edge_pairing_rejects_broken_digraphs(i23):

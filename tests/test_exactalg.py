@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wdigraph.coxeter import CoxeterSystem
+import wdigraph.exactalg as exactalg
 from wdigraph.exactalg import (
     P_ONE,
     P_U,
@@ -185,6 +186,21 @@ def test_ring_laws(p, q, r):
 def test_zeta_flips_odd_coefficients():
     assert zeta(rf([1, 2, 3, 4])) == rf([1, -2, 3, -4])
     assert zeta(zeta(RF_U)) == RF_U
+
+
+def test_power_multiplies_only_what_it_needs(monkeypatch):
+    # u^k takes one squaring per bit of k after the first and one product
+    # per set bit; the unit denominator is passed through, not powered
+    products = []
+    add_product = exactalg._add_product
+    monkeypatch.setattr(exactalg, "_add_product",
+                        lambda *args: products.append(1) or add_product(*args))
+    for k in range(40):
+        products.clear()
+        power = RF_U ** k
+        assert len(products) == max(k.bit_length() - 1, 0) + bin(k).count("1")
+        assert power.den is RF_U.den
+        assert power == RatFunc(Poly.monomial(1, k), P_ONE)
 
 
 def test_char_poly_identity():

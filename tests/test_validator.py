@@ -15,12 +15,11 @@ from wdigraph.families import (EXAMPLE_NAMES, TEMPLATES, FamilySpec,
 from wdigraph.modrep import _TAU_CASES, _exact_bits
 from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 Rejection, RelationWitness, Verdict,
-                                _alternating_cycle, brute_force_check,
-                                is_w_digraph)
+                                brute_force_check, is_w_digraph)
 
 from conftest import (RatFuncOperators, column_brute_force_check, is_poly,
                       out_edges, random_labeled_digraph, same_structure,
-                      subgraph)
+                      scan_alternating_cycles, subgraph)
 
 
 def family_on(n, figure, m):
@@ -637,12 +636,9 @@ def keyed_components(g, i, j):
     pairing = g.edge_pairing()
     ps, pt = pairing[i], pairing[j]
     n = g.system.order(i, j)
-    seen = set()
-    for start in range(len(g.vertices)):
-        if start not in seen:
-            cycle = _alternating_cycle(ps, pt, start)
-            seen.update(cycle)
-            yield (n, tuple(ps[v][1:] + pt[v][1:] for v in cycle)), cycle
+    s, t = g.system.generators[i], g.system.generators[j]
+    for cycle in scan_alternating_cycles(g, s, t):
+        yield (n, tuple(ps[v][1:] + pt[v][1:] for v in cycle)), cycle
 
 
 def passing_columns(g):
