@@ -5,30 +5,29 @@ per-generator edge pairing, component scans, sources, sinks and acyclicity
 per component, directed path lengths, incoming-label statistics,
 label-preserving isomorphism, and JSON/DOT serialization.
 
-One cached pass over the edges (`_pass`) fills the per-generator edge
-pairing and counts each label's edges at each vertex; `validate_structure`
-and `edge_pairing` both read it.  Label-preserving isomorphism propagates
-one vertex's image per component along both digraphs' pairings.
-
-Every structural question is answered from three walks, each run once per
-digraph on first use and cached: one undirected walk (`_walk`) gives the
-components, a (solid, dashed) level pair per vertex and, per component,
-whether a loop or some edge breaks the level rules that the grading and the
-sign character read; one Kahn peel (`_peel`) gives acyclicity and a
-topological order; and one BFS (`distances_from`) gives the directed path
-lengths from a vertex and the shortest circuit.  Each costs O(V + E); a
-digraph that is never traversed never runs them.  `analyze` reads the first
-two once and keeps its frozen result, so the CLI and the module layer share
-one analysis.  The rank-two restrictions the deciders inspect are walked
-along the pairing by `alternating_cycles`, one cycle per component.
+A digraph is held as its edge pairing alone (`edge_pairing`), which the
+tuple form, `load_digraph` and the builders of `families` all write through
+`_fill`; a second edge of one label at a vertex goes to an extra row of its
+generator, so the rows hold every edge.  The structure report, `edges`, the
+serializations and the derived digraphs are read off the rows.  Three walks
+over the rows by vertex index, each cached on first use and O(V + E),
+answer every structural question: `_walk` gives the components, a (solid,
+dashed) level pair per vertex and the per-component flags that the grading
+and the sign character read; `_peel` (Kahn) gives acyclicity and a
+topological order; `distances_from` (BFS) gives path lengths and the
+shortest circuit.  `analyze` keeps its frozen result, so the CLI and the
+module layer share one analysis, and `alternating_cycles` walks the
+rank-two restrictions the deciders inspect.  Label-preserving isomorphism
+propagates one vertex's image per component along both pairings.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple
 
@@ -49,65 +48,63 @@ class Edge(NamedTuple):
 
 
 class SLabeledDigraph:
-    """Vertices plus generator-labeled solid/dashed directed edges.
-
-    Edges are kept in canonical (label, src, dst, style) order so that
-    serialization and equality are deterministic.  Vertex order is meaningful:
-    it fixes the basis order of the associated module.
+    """Vertices plus generator-labeled solid/dashed directed edges, held as
+    their edge pairing.  Vertex order is meaningful: it fixes the basis
+    order of the associated module and indexes every per-vertex table.
+    `edges` lists the edges by label name, then tail index, head index and
+    style, whatever order they were given in.
     """
 
     def __init__(self, system: CoxeterSystem, vertices: Iterable[str],
                  edges: Iterable[tuple]):
+        """The digraph of (src, dst, label, style) edges, checked in turn."""
         self.system = system
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        self.vertex_index = index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        parsed = []
-        for e in edges:
-            edge = Edge(*e)
-            if edge.style not in (SOLID, DASHED):
-                raise ValueError(f"bad edge style {edge.style!r}")
-            if edge.src not in self.vertex_index or edge.dst not in self.vertex_index:
-                raise ValueError(f"edge {edge} references unknown vertex")
-            if edge.label not in system.index:
-                raise ValueError(f"edge {edge} has a label outside the system")
-            parsed.append(edge)
-        vi = self.vertex_index
-        self.edges = tuple(sorted(
-            parsed, key=lambda e: (e.label, vi[e.src], vi[e.dst], e.style)))
+        self._pairing, self._gens = _fill(system.rank(), len(index),
+                                          _checked_arcs(system, index, edges))
 
-    # -- the edge pass ------------------------------------------------------------
+    @classmethod
+    def _on_pairing(cls, system: CoxeterSystem, vertices: tuple[str, ...],
+                    pairing: list, gens: list[int]) -> "SLabeledDigraph":
+        """The digraph of the rows `_fill` returns, on distinct vertex ids."""
+        g = cls.__new__(cls)
+        g.system, g.vertices, g._pairing, g._gens = system, vertices, pairing, gens
+        return g
 
     @cached_property
-    def _pass(self) -> tuple[list[list[tuple]], list[str], list[str]]:
-        """One pass over the edges: the per-generator pairing, the loop lines
-        and the count lines of `validate_structure`.  A loop meets its vertex
-        once, as its head."""
-        n = len(self.vertices)
-        index, gens = self.vertex_index, self.system.index
-        pairing: list[list[tuple | None]] = [[None] * n for _ in gens]
-        counts = [[0] * n for _ in gens]
-        loops = []
-        for e in self.edges:
-            s, a, b = gens[e.label], index[e.src], index[e.dst]
-            counts[s][a] += 1
-            if a == b:
-                loops.append(f"loop at {e.src} labeled {e.label}")
-            else:
-                counts[s][b] += 1
-            pairing[s][a] = _entry(b, "tail", e.style)
-            pairing[s][b] = _entry(a, "head", e.style)
-        bad = sorted((v, g, counts[s][i]) for g, s in gens.items()
-                     for i, v in enumerate(self.vertices) if counts[s][i] != 1)
-        return pairing, loops, [f"vertex {v} meets {c} edges labeled {g}"
-                                for v, g, c in bad]
+    def vertex_index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    # -- the pairing --------------------------------------------------------------
+
+    @cached_property
+    def _report(self) -> tuple[list[str], list[str]]:
+        """The loop lines and the count lines of `validate_structure`; a
+        loop meets its vertex once, as its head.  Only a digraph with an
+        extra row or an empty slot has count lines."""
+        names, labels, rows = self.vertices, self.system.generators, self._pairing
+        loops = sorted((labels[s], i, e[2]) for s, row in zip(self._gens, rows)
+                       for i, e in enumerate(row) if e is not None and e[0] == i)
+        if len(rows) == len(labels) and not any(None in row for row in rows):
+            bad = []
+        else:
+            counts = [[0] * len(names) for _ in labels]
+            for s, row in zip(self._gens, rows):
+                for i, e in enumerate(row):
+                    counts[s][i] += e is not None
+            bad = sorted((v, g, counts[s][i]) for s, g in enumerate(labels)
+                         for i, v in enumerate(names) if counts[s][i] != 1)
+        return ([f"loop at {names[i]} labeled {g}" for g, i, _ in loops],
+                [f"vertex {v} meets {c} edges labeled {g}" for v, g, c in bad])
 
     def validate_structure(self) -> list[str]:
         """All violations of the defining invariants (empty list means ok):
         the loops in edge order, then every (vertex, label) not met by
         exactly one edge, sorted by vertex and label name."""
-        _, loops, counts = self._pass
+        loops, counts = self._report
         return loops + counts
 
     def edge_pairing(self) -> list[list[tuple]]:
@@ -115,10 +112,10 @@ class SLabeledDigraph:
         edge labeled by generator s at vertex i; raises ValueError with the
         first count line of `validate_structure` unless every vertex meets
         exactly one edge per label.  The table is shared: do not mutate it."""
-        pairing, _, counts = self._pass
+        counts = self._report[1]
         if counts:
             raise ValueError(counts[0])
-        return pairing
+        return self._pairing
 
     def alternating_cycles(self, i: int, j: int) -> Iterator[list[int]]:
         """The components of the restriction to generators i and j, in the
@@ -143,60 +140,79 @@ class SLabeledDigraph:
                 seen[v] = True
             yield cycle
 
+    def _by_label(self) -> Iterator[tuple[int, list[tuple[int, int, str]]]]:
+        """(s, the s-edges as (tail, head, style), sorted) for each generator
+        s in label-name order.  Each edge is read at its tail (a loop at its
+        vertex), so only a generator with extra rows needs the sort."""
+        labels = self.system.generators
+        for s in sorted(range(len(labels)), key=labels.__getitem__):
+            rows = [row for k, row in zip(self._gens, self._pairing) if k == s]
+            arcs = [(i, e[0], e[2]) for row in rows for i, e in enumerate(row)
+                    if e is not None and (e[1] == "tail" or e[0] == i)]
+            if len(rows) > 1:
+                arcs.sort()
+            yield s, arcs
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        names, labels = self.vertices, self.system.generators
+        return tuple(Edge(names[a], names[b], labels[s], style)
+                     for s, arcs in self._by_label() for a, b, style in arcs)
+
+    def _edge_count(self) -> int:
+        return sum(len(arcs) for _, arcs in self._by_label())
+
     # -- derived digraphs ----------------------------------------------------------
 
     def restrict(self, J: Iterable) -> "SLabeledDigraph":
         """Same vertices, only edges labeled by elements of J."""
-        Jnames = {self.system.generators[self.system._gen_index(s)] for s in J}
-        return SLabeledDigraph(self.system, self.vertices,
-                               [e for e in self.edges if e.label in Jnames])
+        keep = {self.system._gen_index(s) for s in J}
+        empty = [None] * len(self.vertices)
+        return SLabeledDigraph._on_pairing(
+            self.system, self.vertices,
+            [row if s in keep else empty
+             for s, row in zip(self._gens, self._pairing)], self._gens)
 
     def reverse(self) -> "SLabeledDigraph":
-        return SLabeledDigraph(self.system, self.vertices,
-                               [Edge(e.dst, e.src, e.label, e.style)
-                                for e in self.edges])
+        return SLabeledDigraph._on_pairing(
+            self.system, self.vertices, reversed_pairing(self._pairing),
+            self._gens)
 
     @cached_property
-    def _succ(self) -> dict[str, list[str]]:
-        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            succ[e.src].append(e.dst)
-        return succ
-
-    @cached_property
-    def _steps(self) -> dict[str, list[tuple[str, int, int]]]:
-        """Undirected neighbours, each with the change (da, db) of the level
-        pair: the edge's `LEVEL_STEP` along it, its negative against it (a
-        loop is listed once)."""
-        steps: dict[str, list[tuple[str, int, int]]] = {
-            v: [] for v in self.vertices}
-        for e in self.edges:
-            da, db = LEVEL_STEP[e.style]
-            steps[e.src].append((e.dst, da, db))
-            if e.dst != e.src:
-                steps[e.dst].append((e.src, -da, -db))
-        return steps
+    def _arrows(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per vertex index, the heads of the edges out of it and the tails
+        of the edges into it; a loop is in both."""
+        succ = [[] for _ in self.vertices]
+        pred = [[] for _ in self.vertices]
+        for row in self._pairing:
+            for i, e in enumerate(row):
+                if e is not None:
+                    if e[1] == "head":
+                        pred[i].append(e[0])
+                    if e[1] == "tail" or e[0] == i:
+                        succ[i].append(e[0])
+        return succ, pred
 
     # -- the three walks --------------------------------------------------------------
 
     @cached_property
-    def _walk(self) -> tuple[list[list[str]], dict[str, tuple[int, int]],
+    def _walk(self) -> tuple[list[list[int]], list[tuple[int, int]],
                              list[tuple[bool, bool, bool]]]:
-        """The connected components of the underlying undirected multigraph,
-        each in vertex order; a level pair per vertex, (net solid steps, net
-        dashed steps) on the walk: (0, 0) at the first vertex of its
-        component, raised by an edge's `LEVEL_STEP` along it and lowered by
-        it against it; and three flags per component: whether some edge
-        raises the level pair by other than its `LEVEL_STEP`, whether some
-        edge raises the level sum a + b by other than 1, and whether the
-        component has a loop.  The walk meets every edge from both ends; an
-        edge whose far end already has a level is checked against it, and
-        one that gives the far end its level holds by construction.  A loop
-        raises nothing, so it breaks both rules."""
-        level: dict[str, tuple[int, int]] = {}
+        """The connected components of the underlying undirected multigraph
+        as sorted vertex indices; a level pair per vertex index, (net solid
+        steps, net dashed steps) from the first vertex of its component,
+        each edge's `LEVEL_STEP` counted along it and negated against it;
+        and three flags per component: some edge raises the level pair by
+        other than its `LEVEL_STEP`, some edge raises the level sum a + b by
+        other than 1, the component has a loop.  Each edge is met from both
+        ends (a loop once, as its head), and checked when its far end
+        already has a level.  A loop raises nothing, so it breaks both
+        rules."""
+        rows = self._pairing
+        level: list[tuple[int, int] | None] = [None] * len(self.vertices)
         comps, flags = [], []
-        for root in self.vertices:
-            if root in level:
+        for root in range(len(level)):
+            if level[root] is not None:
                 continue
             level[root] = (0, 0)
             comp = [root]
@@ -205,8 +221,15 @@ class SLabeledDigraph:
             while stack:
                 v = stack.pop()
                 a, b = level[v]
-                for w, da, db in self._steps[v]:
-                    if w not in level:
+                for row in rows:
+                    e = row[v]
+                    if e is None:
+                        continue
+                    w, role, style = e
+                    da, db = LEVEL_STEP[style]
+                    if role == "head":
+                        da, db = -da, -db
+                    if level[w] is None:
                         level[w] = (a + da, b + db)
                         comp.append(w)
                         stack.append(w)
@@ -214,32 +237,34 @@ class SLabeledDigraph:
                         off_step = True
                         off_sum |= sum(level[w]) != a + b + da + db
                         looped |= w == v
-            comps.append(sorted(comp, key=self.vertex_index.get))
+            comps.append(sorted(comp))
             flags.append((off_step, off_sum, looped))
         return comps, level, flags
 
     @cached_property
-    def _peel(self) -> list[str]:
-        """Kahn's algorithm: vertices in a topological order, as far as it
-        gets.  It covers exactly the vertices no directed circuit leads to."""
-        indeg = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            indeg[e.dst] += 1
-        order = [v for v in self.vertices if indeg[v] == 0]
+    def _peel(self) -> list[int]:
+        """Kahn's algorithm: vertex indices in a topological order, as far
+        as it gets.  It covers exactly the vertices no directed circuit
+        leads to."""
+        succ, pred = self._arrows
+        indeg = [len(p) for p in pred]
+        order = [v for v, d in enumerate(indeg) if d == 0]
         for v in order:
-            for w in self._succ[v]:
+            for w in succ[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     order.append(w)
         return order
 
-    def distances_from(self, alpha: str) -> dict[str, int]:
-        """The least number of edges on a directed path from alpha to v, for
-        every v reachable from alpha, by one BFS."""
+    def distances_from(self, alpha: int) -> dict[int, int]:
+        """The least number of edges on a directed path from vertex index
+        alpha to v, for every vertex index v reachable from alpha, by one
+        BFS."""
+        succ = self._arrows[0]
         dist = {alpha: 0}
         queue = [alpha]
         for v in queue:
-            for w in self._succ[v]:
+            for w in succ[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -249,15 +274,13 @@ class SLabeledDigraph:
 
     def components(self) -> list[list[str]]:
         """Connected components of the underlying undirected multigraph."""
-        return [list(comp) for comp in self._walk[0]]
+        return [[self.vertices[i] for i in comp] for comp in self._walk[0]]
 
     def sources(self) -> list[str]:
-        with_in = {e.dst for e in self.edges}
-        return [v for v in self.vertices if v not in with_in]
+        return [v for v, p in zip(self.vertices, self._arrows[1]) if not p]
 
     def sinks(self) -> list[str]:
-        with_out = {e.src for e in self.edges}
-        return [v for v in self.vertices if v not in with_out]
+        return [v for v, s in zip(self.vertices, self._arrows[0]) if not s]
 
     def analyze(self) -> "ComponentAnalysis":
         """Sources, sinks and acyclicity per component, read off the whole
@@ -273,8 +296,8 @@ class SLabeledDigraph:
             ComponentDetail(vertices=tuple(comp),
                             sources=tuple(v for v in comp if v in sources),
                             sinks=tuple(v for v in comp if v in sinks),
-                            acyclic=peeled.issuperset(comp))
-            for comp in self._walk[0]))
+                            acyclic=peeled.issuperset(indices))
+            for comp, indices in zip(self.components(), self._walk[0])))
 
     def _grading(self) -> bool:
         """Whether the walk's level a + b (net steps along edges, 0 at the
@@ -304,47 +327,46 @@ class SLabeledDigraph:
             v, length = circuit
             return (v, v, 0, length)
         # acyclic: longest path lengths by DP over the peel's topological order
-        for alpha in self.vertices:
+        succ, names = self._arrows[0], self.vertices
+        for alpha in range(len(names)):
             shortest = self.distances_from(alpha)
             longest = {alpha: 0}
             for v in self._peel:
                 if v in longest:
-                    for w in self._succ[v]:
+                    for w in succ[v]:
                         cand = longest[v] + 1
                         if longest.get(w, -1) < cand:
                             longest[w] = cand
-            for beta in self.vertices:
+            for beta in range(len(names)):
                 if beta in shortest and shortest[beta] != longest[beta]:
-                    return (alpha, beta, shortest[beta], longest[beta])
+                    return (names[alpha], names[beta], shortest[beta],
+                            longest[beta])
         return None
 
     def _shortest_circuit(self):
         """(v, length): the first vertex in vertex order on a directed
-        circuit, and the length of the shortest circuit through it; None on
-        acyclic input.  Only vertices the peel left can lie on a circuit."""
+        circuit, and the length of the shortest circuit through it, closed
+        by an edge from one of its predecessors; None on acyclic input.
+        Only vertices the peel left can lie on a circuit."""
         peeled = set(self._peel)
-        for v in self.vertices:
-            if v in peeled:
-                continue
-            dist = self.distances_from(v)
-            back = [dist[e.src] + 1 for e in self.edges
-                    if e.dst == v and e.src in dist]
-            if back:
-                return v, min(back)
+        for v, pred in enumerate(self._arrows[1]):
+            if v not in peeled:
+                dist = self.distances_from(v)
+                back = [dist[p] + 1 for p in pred if p in dist]
+                if back:
+                    return self.vertices[v], min(back)
         return None
 
     # -- incoming-label statistics ---------------------------------------------------------
 
     def descent_counts(self) -> dict[frozenset, int]:
-        """How many vertices have each incoming-label set."""
-        labels: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            labels[e.dst].add(e.label)
-        counts: dict[frozenset, int] = {}
-        for v in self.vertices:
-            key = frozenset(labels[v])
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        """How many vertices have each incoming-label set: the labels of the
+        rows in which the vertex is a head."""
+        rows, labels = list(zip(self._gens, self._pairing)), self.system.generators
+        return dict(Counter(
+            frozenset(labels[s] for s, row in rows
+                      if row[i] is not None and row[i][1] == "head")
+            for i in range(len(self.vertices))))
 
     # -- isomorphism --------------------------------------------------------------------------
 
@@ -359,14 +381,15 @@ class SLabeledDigraph:
         """
         if set(self.system.generators) != set(other.system.generators):
             return None
-        if len(self.vertices) != len(other.vertices) or len(self.edges) != len(other.edges):
+        if (len(self.vertices) != len(other.vertices)
+                or self._edge_count() != other._edge_count()):
             return None
         mine, theirs = self.edge_pairing(), other.edge_pairing()
         theirs = [theirs[other.system.index[g]] for g in self.system.generators]
         image: dict[int, int] = {}
         used: set[int] = set()
         for comp in self._walk[0]:
-            root = self.vertex_index[comp[0]]
+            root = comp[0]
             for w in range(len(other.vertices)):
                 if w not in used:
                     trial = _propagate(mine, theirs, root, w)
@@ -378,7 +401,7 @@ class SLabeledDigraph:
             used.update(trial.values())
         return {v: other.vertices[image[i]] for i, v in enumerate(self.vertices)}
 
-    # -- unions, equality, serialization ----------------------------------------------------------
+    # -- serialization ----------------------------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
@@ -390,15 +413,16 @@ class SLabeledDigraph:
 
     def to_json_text(self) -> str:
         """json.dumps(self.to_json(), indent=2, sort_keys=True), written
-        without building the dict tree: each name is escaped once by the C
-        escaper that `ensure_ascii` uses, and each edge fills one template."""
-        quoted = {v: encode_basestring_ascii(v) for v in self.vertices}
-        names = {g: encode_basestring_ascii(g) for g in self.system.generators}
-        edges = [_EDGE_JSON % (quoted[e.src], names[e.label], e.style,
-                               quoted[e.dst]) for e in self.edges]
+        without building the dict tree or the `Edge` tuples: each name is
+        escaped once by the C escaper that `ensure_ascii` uses, and each
+        edge fills one template."""
+        quoted = [encode_basestring_ascii(v) for v in self.vertices]
+        labels = [encode_basestring_ascii(g) for g in self.system.generators]
+        edges = [_EDGE_JSON % (quoted[a], labels[s], style, quoted[b])
+                 for s, arcs in self._by_label() for a, b, style in arcs]
         system = json.dumps(self.system.to_json(), indent=2, sort_keys=True)
         return _DIGRAPH_JSON % (_json_list(edges), system.replace("\n", "\n  "),
-                                _json_list([quoted[v] for v in self.vertices]))
+                                _json_list(quoted))
 
     def to_dot(self) -> str:
         lines = ["digraph G {"]
@@ -414,7 +438,58 @@ class SLabeledDigraph:
 
     def __repr__(self):
         return (f"SLabeledDigraph({len(self.vertices)} vertices, "
-                f"{len(self.edges)} edges)")
+                f"{self._edge_count()} edges)")
+
+
+def _checked_arcs(system: CoxeterSystem, index: dict[str, int],
+                  edges: Iterable[tuple]) -> Iterator[tuple[int, int, int, str]]:
+    """(s, tail index, head index, style) of each (src, dst, label, style)
+    edge, once its style, its two ends and its label pass, in that order."""
+    for src, dst, label, style in edges:
+        if style not in (SOLID, DASHED):
+            raise ValueError(f"bad edge style {style!r}")
+        a = index.get(src)
+        if a is None or index.get(dst) is None:
+            raise ValueError(f"edge {Edge(src, dst, label, style)} references "
+                             f"unknown vertex")
+        if label not in system.index:
+            raise ValueError(f"edge {Edge(src, dst, label, style)} has a label "
+                             f"outside the system")
+        yield system.index[label], a, index[dst], style
+
+
+def _fill(rank: int, n: int, arcs: Iterable[tuple[int, int, int, str]]
+          ) -> tuple[list[list[tuple | None]], list[int]]:
+    """The rows of (s, tail, head, style) arcs on n vertices, and the
+    generator of each: row s < rank is generator s's pairing, and an edge
+    that finds a slot there taken goes to the first extra row of its
+    generator free at both its ends, or a new one."""
+    rows = [[None] * n for _ in range(rank)]
+    gens = list(range(rank))
+    share = {}.setdefault       # equal entries share one tuple
+    for s, a, b, style in arcs:
+        row = rows[s]
+        if row[a] is not None or row[b] is not None:
+            row = next((r for k, r in zip(gens, rows) if k == s
+                        and r[a] is None and r[b] is None), None)
+            if row is None:
+                row = [None] * n
+                rows.append(row)
+                gens.append(s)
+        if a != b:
+            tail = (b, "tail", style)
+            row[a] = share(tail, tail)
+        head = (a, "head", style)
+        row[b] = share(head, head)
+    return rows, gens
+
+
+def reversed_pairing(pairing) -> list[list[tuple | None]]:
+    """The rows of the reversed digraph: every edge turns round, so tail
+    and head swap, except at a loop, which stays its vertex's head."""
+    return [[None if e is None
+             else (e[0], "tail" if e[0] != i and e[1] == "head" else "head", e[2])
+             for i, e in enumerate(row)] for row in pairing]
 
 
 # `to_json_text`'s frame and its edge, at their indents, keys sorted; a style
@@ -427,12 +502,6 @@ _EDGE_JSON = ('{\n      "from": %s,\n      "label": %s,\n      "style": "%s",\n'
 def _json_list(items: list[str]) -> str:
     """A list one level into `_DIGRAPH_JSON`, its items written out."""
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-
-
-@cache
-def _entry(partner: int, role: str, style: str) -> tuple:
-    """One shared tuple per pairing entry: cached pairings hold no copies."""
-    return partner, role, style
 
 
 def _propagate(mine, theirs, root: int, w: int):
@@ -503,7 +572,9 @@ def load_digraph(source) -> SLabeledDigraph:
     """Load a digraph from a JSON dict or file path.
 
     The "system" entry may be inline or a path to a system file, resolved
-    relative to the digraph file when one was given.
+    relative to the digraph file when one was given.  The edge dicts go
+    through the tuple form's one pass, so they are checked as it checks
+    its tuples, and no list of tuples is made.
     """
     base_dir = ""
     if isinstance(source, (str, os.PathLike)):
@@ -520,5 +591,13 @@ def load_digraph(source) -> SLabeledDigraph:
     if not isinstance(vertices, list) or not all(isinstance(v, str)
                                                  for v in vertices):
         raise ValueError("vertices must be a list of strings")
-    edges = [(e["from"], e["to"], e["label"], e["style"]) for e in data["edges"]]
-    return SLabeledDigraph(system, vertices, edges)
+    edges = data["edges"]
+    try:
+        return SLabeledDigraph(system, vertices, (
+            (e["from"], e["to"], e["label"], e["style"]) for e in edges))
+    except (ValueError, TypeError):
+        # the one pass checks each edge as it reads it; an edge dict that
+        # lacks a key, anywhere in the list, is still reported first
+        for e in edges:
+            e["from"], e["to"], e["label"], e["style"]
+        raise

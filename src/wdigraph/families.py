@@ -19,7 +19,7 @@ from math import inf
 from typing import Callable, NamedTuple
 
 from .coxeter import CoxeterSystem, DiagramAutomorphism
-from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
+from .digraph import DASHED, SOLID, SLabeledDigraph, _fill
 
 
 class Template(NamedTuple):
@@ -91,13 +91,9 @@ def build_family(system: CoxeterSystem, spec: FamilySpec) -> SLabeledDigraph:
     left, right = family_arc_steps(spec)
     left_names = [f"a{i}" for i in range(m)] + [f"b{m}"]
     right_names = ["a0"] + [f"b{i}" for i in range(1, m + 1)]
-    edges = []
-    for i in range(m):
-        label, style = left[i]
-        edges.append(Edge(left_names[i], left_names[i + 1], label, style))
-    for i in range(m):
-        label, style = right[i]
-        edges.append(Edge(right_names[i], right_names[i + 1], label, style))
+    edges = [(names[i], names[i + 1], label, style)
+             for names, steps in ((left_names, left), (right_names, right))
+             for i, (label, style) in enumerate(steps)]
     vertices = [f"a{i}" for i in range(m)] + [f"b{i}" for i in range(1, m + 1)]
     return SLabeledDigraph(system, vertices, edges)
 
@@ -134,13 +130,15 @@ def build_regular(system: CoxeterSystem, length_bound=None) -> SLabeledDigraph:
 
 
 def _walk_digraph(system: CoxeterSystem, walk, styles: dict) -> SLabeledDigraph:
-    """The digraph of an up-walk's (words, arrows): each arrow an edge of
-    style styles[tag]."""
+    """The digraph of an up-walk's (words, arrows): vertex i is words[i],
+    named by its word, and each arrow an edge of style styles[tag], written
+    straight into the edge pairing.  Distinct words have distinct names."""
     words, arrows = walk
-    name, label = {w: system.word_to_str(w) for w in words}, system.generators
-    return SLabeledDigraph(
-        system, list(name.values()),
-        [Edge(name[w], name[t], label[s], styles[tag]) for w, s, t, tag in arrows])
+    index = {w: i for i, w in enumerate(words)}
+    return SLabeledDigraph._on_pairing(
+        system, tuple(map(system.word_to_str, words)),
+        *_fill(system.rank(), len(words),
+               ((s, index[w], index[t], styles[tag]) for w, s, t, tag in arrows)))
 
 
 # -- named example digraphs --------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coxeter import CoxeterSystem, GroupElement, _alternation
-from .digraph import SOLID, Edge, SLabeledDigraph
+from .digraph import SOLID, SLabeledDigraph
 from .exactalg import (P_ZERO, Poly, RF_ONE, RF_U, RF_ZERO, RatFunc,
                        matrix_rank, poly_p, ubar)
 from .families import TEMPLATES, FamilySpec, family_arc_steps
@@ -287,13 +287,13 @@ def supports_digraph(X: Sequence[HeckeElt]) -> SLabeledDigraph:
                 j = index_of.get(h._left_mult(si, (role, style)))
                 if j is not None:
                     tail, head = (i, j) if role == "tail" else (j, i)
-                    hits.add(Edge(names[tail], names[head], gname, style))
+                    hits.add((names[tail], names[head], gname, style))
             if len(hits) != 1:
                 raise SupportsError(
                     f"member {i} has {len(hits)} transforms landing in the "
                     f"subset for generator {gname}", index=i, generator=gname)
             edges |= hits
-    return SLabeledDigraph(system, names, sorted(edges))
+    return SLabeledDigraph(system, names, edges)
 
 
 def dihedral_case_basis(system: CoxeterSystem, s, t, figure: int, m: int

@@ -33,9 +33,9 @@ at u = 2^`_exact_bits(k)` (the Cauchy-bound proof is in its docstring).
 The oracle in `validator` decides the relations that way, and
 `reversal_identities` decides both identities and their traces at one such
 point per word, on the tau_s table of the reversed digraph read off the
-role-swapped pairing (`_reversed_pairing`), with no digraph built.  Dense
-matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only for
-output such as characteristic polynomials.  The 0-Hecke action
+role-swapped pairing (`digraph.reversed_pairing`), with no digraph built.
+Dense matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only
+for output such as characteristic polynomials.  The 0-Hecke action
 (`zero_hecke_action`) is the same word product on the tau_s table at u = 0.
 
 The linear characters need no arithmetic: `linear_char_dims` finds the
@@ -54,7 +54,7 @@ from math import inf
 from typing import Sequence
 
 from .coxeter import GroupElement
-from .digraph import DASHED, SOLID, Edge, SLabeledDigraph
+from .digraph import DASHED, SOLID, Edge, SLabeledDigraph, reversed_pairing
 from .exactalg import (P_ONE, P_U, P_ZERO, RF_ZERO, Poly, RatFunc, RatMatrix,
                        _pack, sigma)
 
@@ -305,8 +305,9 @@ def _sign_diagonal(digraph: SLabeledDigraph):
     for comp in digraph.analyze().components:
         if len(comp.sources) != 1 or not comp.acyclic:
             return None
-        for v, mu in digraph.distances_from(comp.sources[0]).items():
-            signs[digraph.vertex_index[v]] = -1 if mu % 2 else 1
+        source = digraph.vertex_index[comp.sources[0]]
+        for i, mu in digraph.distances_from(source).items():
+            signs[i] = -1 if mu % 2 else 1
     return signs
 
 
@@ -333,7 +334,7 @@ def reversal_identities(digraph: SLabeledDigraph,
     in `_exact_bits` the ints agree exactly when the polynomials do.
     """
     pairing = digraph.edge_pairing()
-    rev_pairing = _reversed_pairing(pairing)
+    rev_pairing = reversed_pairing(pairing)
     signs = _sign_diagonal(digraph)
     n = len(digraph.vertices)
     reports = []
@@ -360,13 +361,6 @@ def reversal_identities(digraph: SLabeledDigraph,
             report.sign_trace = _trace(lhs, 0) == _trace(flipped, 0)
         reports.append(report)
     return reports
-
-
-def _reversed_pairing(pairing) -> list[list[tuple]]:
-    """The edge pairing of the reversed digraph: every edge turns round, so
-    tail and head swap, except at a loop, which stays its vertex's head."""
-    return [[(p, "tail" if p != i and role == "head" else "head", style)
-             for i, (p, role, style) in enumerate(row)] for row in pairing]
 
 
 # -- the 0-specialization action -----------------------------------------------------------------

@@ -4,13 +4,17 @@ Also here: conveniences and references that only tests call, each a function
 of the object it reads, so that the package keeps only what the program uses
 (`test_surface.py`)."""
 
+import json
+import os
 from fractions import Fraction
+from functools import cached_property
 from math import inf
 
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, GroupElement
-from wdigraph.digraph import DASHED, LEVEL_STEP, SOLID, Edge, SLabeledDigraph
+from wdigraph.digraph import (DASHED, LEVEL_STEP, SOLID, ComponentAnalysis,
+                              ComponentDetail, Edge, SLabeledDigraph, _dot_id)
 from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix
 from wdigraph.hecke import Dihedral, HeckeElt
 from wdigraph.modrep import (_TAU_CASES, ModuleRep, _apply_columns, _exact_bits,
@@ -194,13 +198,19 @@ def is_acyclic(g):
     return g.analyze().all_acyclic
 
 
+def distances_by_name(g, alpha):
+    """`g.distances_from` with vertices named."""
+    dist = g.distances_from(g.vertex_index[alpha])
+    return {g.vertices[i]: d for i, d in dist.items()}
+
+
 def path_length_mu(g, alpha, beta):
     """Minimum number of edges in a directed path, or None if unreachable."""
-    return g.distances_from(alpha).get(beta)
+    return distances_by_name(g, alpha).get(beta)
 
 
 def reachable_from(g, alpha):
-    return set(g.distances_from(alpha))
+    return set(distances_by_name(g, alpha))
 
 
 def in_label_set(g, beta):
@@ -244,8 +254,9 @@ def scan_walk_flags(g):
     the component has a loop), read by the edge scans that
     `linear_char_dims` and `_grading` once ran over the walk's level pairs:
     the reference of the walk's own flags."""
-    comps, level = g._walk[0], g._walk[1]
-    which = {v: k for k, comp in enumerate(comps) for v in comp}
+    comps = g._walk[0]
+    level = dict(zip(g.vertices, g._walk[1]))
+    which = {g.vertices[i]: k for k, comp in enumerate(comps) for i in comp}
     looped, ungraded, unsummed = set(), set(), set()
     for e in g.edges:
         (a, b), (da, db) = level[e.src], LEVEL_STEP[e.style]
@@ -257,6 +268,184 @@ def scan_walk_flags(g):
             unsummed.add(which[e.src])
     return [(k in ungraded, k in unsummed, k in looped)
             for k in range(len(comps))]
+
+
+def scan_shortest_circuit(g):
+    """`g._shortest_circuit()` with the edges into each candidate vertex
+    found by a scan of every edge, as the digraph once found them."""
+    peeled = {g.vertices[i] for i in g._peel}
+    for v in g.vertices:
+        if v in peeled:
+            continue
+        dist = distances_by_name(g, v)
+        back = [dist[e.src] + 1 for e in g.edges
+                if e.dst == v and e.src in dist]
+        if back:
+            return v, min(back)
+    return None
+
+
+class TupleDigraph:
+    """A digraph held as its sorted `Edge` tuples, as `SLabeledDigraph` was
+    before it held its edge pairing: the same checks in the same order, the
+    edges sorted by (label, tail index, head index, style), one pass over
+    them (`_pass`) for the pairing and the structure report, and name-keyed
+    adjacency for the components, sources, sinks and acyclicity.  The
+    reference of the pairing-backed digraph."""
+
+    def __init__(self, system, vertices, edges):
+        self.system = system
+        self.vertices = tuple(vertices)
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValueError("duplicate vertex ids")
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        parsed = []
+        for e in edges:
+            edge = Edge(*e)
+            if edge.style not in (SOLID, DASHED):
+                raise ValueError(f"bad edge style {edge.style!r}")
+            if edge.src not in self.vertex_index or edge.dst not in self.vertex_index:
+                raise ValueError(f"edge {edge} references unknown vertex")
+            if edge.label not in system.index:
+                raise ValueError(f"edge {edge} has a label outside the system")
+            parsed.append(edge)
+        vi = self.vertex_index
+        self.edges = tuple(sorted(
+            parsed, key=lambda e: (e.label, vi[e.src], vi[e.dst], e.style)))
+
+    @cached_property
+    def _pass(self):
+        n = len(self.vertices)
+        index, gens = self.vertex_index, self.system.index
+        pairing = [[None] * n for _ in gens]
+        counts = [[0] * n for _ in gens]
+        loops = []
+        for e in self.edges:
+            s, a, b = gens[e.label], index[e.src], index[e.dst]
+            counts[s][a] += 1
+            if a == b:
+                loops.append(f"loop at {e.src} labeled {e.label}")
+            else:
+                counts[s][b] += 1
+            pairing[s][a] = (b, "tail", e.style)
+            pairing[s][b] = (a, "head", e.style)
+        bad = sorted((v, g, counts[s][i]) for g, s in gens.items()
+                     for i, v in enumerate(self.vertices) if counts[s][i] != 1)
+        return pairing, loops, [f"vertex {v} meets {c} edges labeled {g}"
+                                for v, g, c in bad]
+
+    def validate_structure(self):
+        _, loops, counts = self._pass
+        return loops + counts
+
+    def edge_pairing(self):
+        pairing, _, counts = self._pass
+        if counts:
+            raise ValueError(counts[0])
+        return pairing
+
+    def restrict(self, J):
+        Jnames = {self.system.generators[self.system._gen_index(s)] for s in J}
+        return TupleDigraph(self.system, self.vertices,
+                            [e for e in self.edges if e.label in Jnames])
+
+    def reverse(self):
+        return TupleDigraph(self.system, self.vertices,
+                            [Edge(e.dst, e.src, e.label, e.style)
+                             for e in self.edges])
+
+    def components(self):
+        steps = {v: [] for v in self.vertices}
+        for e in self.edges:
+            steps[e.src].append(e.dst)
+            steps[e.dst].append(e.src)
+        seen, comps = set(), []
+        for root in self.vertices:
+            if root in seen:
+                continue
+            comp, stack = {root}, [root]
+            while stack:
+                for w in steps[stack.pop()]:
+                    if w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            seen |= comp
+            comps.append(sorted(comp, key=self.vertex_index.get))
+        return comps
+
+    def analyze(self):
+        succ = {v: [] for v in self.vertices}
+        indeg = {v: 0 for v in self.vertices}
+        for e in self.edges:
+            succ[e.src].append(e.dst)
+            indeg[e.dst] += 1
+        sources = {v for v in self.vertices if indeg[v] == 0}
+        sinks = {v for v in self.vertices if not succ[v]}
+        peeled = [v for v in self.vertices if indeg[v] == 0]
+        for v in peeled:
+            for w in succ[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    peeled.append(w)
+        return ComponentAnalysis(tuple(
+            ComponentDetail(vertices=tuple(comp),
+                            sources=tuple(v for v in comp if v in sources),
+                            sinks=tuple(v for v in comp if v in sinks),
+                            acyclic=set(peeled).issuperset(comp))
+            for comp in self.components()))
+
+    def to_json(self):
+        return {"system": self.system.to_json(),
+                "vertices": list(self.vertices),
+                "edges": [{"from": e.src, "to": e.dst, "label": e.label,
+                           "style": e.style} for e in self.edges]}
+
+    def to_json_text(self):
+        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+
+    def to_dot(self):
+        lines = ["digraph G {"]
+        for v in self.vertices:
+            lines.append(f"  {_dot_id(v)};")
+        for e in self.edges:
+            attrs = f"label={_dot_id(e.label)}"
+            if e.style == DASHED:
+                attrs += ", style=dashed"
+            lines.append(f"  {_dot_id(e.src)} -> {_dot_id(e.dst)} [{attrs}];")
+        lines.append("}")
+        return "\n".join(lines)
+
+
+def reference_load_digraph(source):
+    """`load_digraph` as it was before the one pass: every edge dict read
+    into a tuple, then the tuple form checks them all."""
+    base_dir = ""
+    if isinstance(source, (str, os.PathLike)):
+        base_dir = os.path.dirname(os.fspath(source))
+        with open(source) as fh:
+            data = json.load(fh)
+    else:
+        data = source
+    sysdata = data["system"]
+    if isinstance(sysdata, str):
+        sysdata = os.path.join(base_dir, sysdata)
+    system = CoxeterSystem.from_json(sysdata)
+    vertices = data["vertices"]
+    if not isinstance(vertices, list) or not all(isinstance(v, str)
+                                                 for v in vertices):
+        raise ValueError("vertices must be a list of strings")
+    edges = [(e["from"], e["to"], e["label"], e["style"]) for e in data["edges"]]
+    return TupleDigraph(system, vertices, edges)
+
+
+def reference_walk_digraph(system, walk, styles):
+    """The digraph of an up-walk's (words, arrows) as `families` once built
+    it: each arrow named and handed to the tuple form."""
+    words, arrows = walk
+    name, label = {w: system.word_to_str(w) for w in words}, system.generators
+    return TupleDigraph(
+        system, list(name.values()),
+        [Edge(name[w], name[t], label[s], styles[tag]) for w, s, t, tag in arrows])
 
 
 def disjoint_union(g, h, suffixes=("", "'")):

@@ -8,12 +8,17 @@ import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph, load_digraph
+from wdigraph import families, hecke
 from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_example,
                                build_family, build_lv, build_regular)
 
-from conftest import (disjoint_union, in_label_set, is_acyclic, path_length_mu,
-                      random_labeled_digraph, reachable_from, same_structure,
-                      scan_alternating_cycles, scan_walk_flags, subgraph,
+import conftest
+from conftest import (TupleDigraph, disjoint_union, distances_by_name,
+                      in_label_set, is_acyclic, make_a3, path_length_mu,
+                      random_labeled_digraph, reachable_from,
+                      reference_load_digraph, reference_walk_digraph,
+                      same_structure, scan_alternating_cycles,
+                      scan_shortest_circuit, scan_walk_flags, subgraph,
                       successors, undirected_neighbors)
 from test_cli_golden import FAMILY_SIZES
 from test_coxeter import (DIFFERENTIAL_SYSTEMS, INFINITE_DIFFERENTIAL,
@@ -446,13 +451,13 @@ def test_adjacency_matches_edge_scans(name):
         assert successors(g, v) == succ[v]
         assert undirected_neighbors(g, v) == scan_neighbors(g, v)
         assert reachable_from(g, v) == scan_reachable(g, v)
-        assert g.distances_from(v) == bfs_distances(succ, v)
+        assert distances_by_name(g, v) == bfs_distances(succ, v)
     assert g.components() == scan_components(g)
     assert g._shortest_circuit() == scan_circuit(g, succ)
     assert is_acyclic(g) == (scan_circuit(g, succ) is None) \
         == three_colour_acyclic(g)
     # the peel is a topological order of what it covers
-    position = {v: i for i, v in enumerate(g._peel)}
+    position = {g.vertices[v]: i for i, v in enumerate(g._peel)}
     assert all(position[e.src] < position[e.dst]
                for e in g.edges if e.dst in position)
     expected = scan_pairing(g)
@@ -578,8 +583,9 @@ def test_grading_is_sufficient_not_necessary(i23):
     # the walk's (net solid, net dashed) level pairs, summed by `_grading`
     fig = build_family(i23, FamilySpec(2, 3))
     assert fig._grading()
-    assert fig._walk[1] == {"a0": (0, 0), "a1": (0, 1), "a2": (1, 1),
-                            "b1": (1, 0), "b2": (2, 0), "b3": (2, 1)}
+    assert dict(zip(fig.vertices, fig._walk[1])) == {
+        "a0": (0, 0), "a1": (0, 1), "a2": (1, 1),
+        "b1": (1, 0), "b2": (2, 0), "b3": (2, 1)}
 
 
 def test_graded_check_matches_all_pairs_reference(i23):
@@ -788,3 +794,164 @@ def test_propagation_at_scale(name, orders):
     flipped = first._replace(style=DASHED if first.style == SOLID else SOLID)
     assert g.labeled_isomorphic(
         SLabeledDigraph(system, copy.vertices, [flipped, *rest])) is None
+
+
+# -- the pairing-backed digraph against the tuple form it replaced -------------------------
+
+
+def both_ways(monkeypatch, module, build):
+    """build() as it is, and again with `module`'s `SLabeledDigraph` swapped
+    for the tuple-form reference, so both are built from the same edges."""
+    with monkeypatch.context() as patched:
+        patched.setattr(module, "SLabeledDigraph", TupleDigraph)
+        reference = build()
+    return build(), reference
+
+
+def pairing_inputs(monkeypatch):
+    """(label, digraph, reference): the `lv` and `regular` digraphs of every
+    differential system (length bound 4 on the infinite ones), the template
+    grid, seeded random digraphs, the examples, `supports_digraph` outputs,
+    b3_no_bar with its generators declared t, s, r, and digraphs with a
+    loop, a doubled label and a missing label."""
+    for name, (gens, orders) in DIFFERENTIAL_SYSTEMS.items():
+        system = CoxeterSystem(list(gens), orders)
+        bound = 4 if name in INFINITE_DIFFERENTIAL else None
+        yield (f"regular {name}", build_regular(system, bound),
+               reference_walk_digraph(system, system.up_walk(None, bound),
+                                      {None: SOLID}))
+        for star in involutory_automorphisms(system):
+            yield (f"lv {name} {star.perm}", build_lv(system, star, bound),
+                   reference_walk_digraph(system, system.up_walk(star, bound),
+                                          {True: DASHED, False: SOLID}))
+    for figure in range(1, 9):
+        for m in ([1] if figure in (7, 8) else [2, 3, 4, 5]):
+            for n in range(2, 11):
+                system = CoxeterSystem.dihedral(n)
+                yield (f"figure {figure} m={m} n={n}", *both_ways(
+                    monkeypatch, families,
+                    lambda: build_family(system, FamilySpec(figure, m))))
+    for k in range(60):
+        system = CoxeterSystem.dihedral(2 + k % 5) if k % 2 else make_a3()
+        yield (f"random #{k}", *both_ways(
+            monkeypatch, conftest, lambda: random_labeled_digraph(
+                random.Random(k), system, 2 * (k % 6 + 1))))
+    for name in EXAMPLE_NAMES:
+        yield name, *both_ways(monkeypatch, families,
+                               lambda: build_example(name))
+    for figure, m, n in [(1, 3, 3), (2, 2, 2), (3, 4, 4), (4, 2, 3),
+                         (5, 3, 5), (6, 2, 2), (6, 3, 4)]:
+        X = hecke.dihedral_case_basis(CoxeterSystem.dihedral(n), "s", "t",
+                                      figure, m)
+        yield (f"supports figure {figure} m={m}",
+               *both_ways(monkeypatch, hecke,
+                          lambda: hecke.supports_digraph(X)))
+    _, orders, vertices, edges = families._EXAMPLES["b3_no_bar"]
+    tsr = CoxeterSystem(["t", "s", "r"], orders)
+    yield ("b3_no_bar over t, s, r", SLabeledDigraph(tsr, vertices, edges),
+           TupleDigraph(tsr, vertices, edges))
+    i23 = CoxeterSystem.dihedral(3)
+    for label, edges in [
+            ("loop", [("x", "x", "s", SOLID), ("x", "y", "t", DASHED),
+                      ("y", "y", "s", DASHED), ("y", "y", "s", DASHED)]),
+            ("doubled", [("x", "y", "s", SOLID), ("z", "x", "s", DASHED),
+                         ("x", "y", "t", SOLID), ("y", "z", "s", SOLID),
+                         ("x", "y", "s", SOLID), ("z", "z", "t", SOLID)]),
+            ("missing", [("y", "x", "s", SOLID), ("x", "z", "t", DASHED)])]:
+        yield (label, SLabeledDigraph(i23, "xyz", edges[::-1]),
+               TupleDigraph(i23, "xyz", edges))
+
+
+def assert_same_digraph(label, g, reference):
+    try:
+        expected = reference.edge_pairing()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            g.edge_pairing()
+        assert str(raised.value) == str(exc), label
+    else:
+        assert g.edge_pairing() == expected, label
+    assert g.edges == reference.edges, label
+    assert g.validate_structure() == reference.validate_structure(), label
+    assert g.analyze() == reference.analyze(), label
+    assert g.components() == reference.components(), label
+    assert g.to_json_text() == reference.to_json_text(), label
+    assert g.to_dot() == reference.to_dot(), label
+
+
+def test_pairing_digraph_matches_tuple_reference(monkeypatch):
+    broken = 0
+    inputs = list(pairing_inputs(monkeypatch))
+    for label, g, reference in inputs:
+        assert_same_digraph(label, g, reference)
+        assert_same_digraph(f"{label} loaded", load_digraph(reference.to_json()),
+                            reference)
+        gens = g.system.generators
+        subsets = [()] + [(s,) for s in gens] + [
+            (gens[i], gens[j]) for i in range(len(gens))
+            for j in range(i + 1, len(gens))]
+        for h, r, how in [(g, reference, ""),
+                          (g.reverse(), reference.reverse(), " reversed")]:
+            if how:
+                assert_same_digraph(label + how, h, r)
+            for J in subsets:
+                assert_same_digraph(f"{label}{how} on {J}", h.restrict(J),
+                                    r.restrict(J))
+        broken += bool(reference.validate_structure())
+    assert (len(inputs), broken) == (383, 19)
+
+
+def test_load_matches_tuple_reference_on_damaged_files():
+    """Every message and exception type of `load_digraph`, on damaged
+    files, is the tuple form's: a malformed edge dict anywhere in the list
+    is reported before any check fails."""
+    from test_cli import FUZZ_BASES, FUZZ_PARTS, JUNK, damage
+
+    rng = random.Random(29)
+    bases = [base for base in FUZZ_BASES if isinstance(base["system"], dict)]
+    raised = set()
+    for _ in range(600):
+        data = json.loads(json.dumps(rng.choice(bases)))
+        for _ in range(rng.randint(1, 3)):
+            damage(data, rng.choice(sorted(FUZZ_PARTS)),
+                   rng.choice(["drop", "retype", "duplicate", "redirect"]),
+                   rng.randrange(61), rng.choice(JUNK))
+        outcomes = []
+        for load in (load_digraph, reference_load_digraph):
+            try:
+                outcomes.append(load(data))
+            except Exception as exc:        # noqa: BLE001 - compared below
+                outcomes.append((type(exc), str(exc)))
+        got, expected = outcomes
+        if isinstance(expected, TupleDigraph):
+            assert_same_digraph(repr(data), got, expected)
+        else:
+            assert got == expected, data
+            raised.add(expected[0])
+    assert {KeyError, TypeError, ValueError} <= raised
+    # an edge that fails a check, or a repeated vertex, before a later edge
+    # that lacks a key: the missing key is reported
+    base = build_example("ex_fig2").to_json()
+    for damaged in (dict(base, edges=[dict(base["edges"][0], style="dotted"),
+                                      *base["edges"][1:-1], {"from": "g1"}]),
+                    dict(base, vertices=base["vertices"] * 2,
+                         edges=[*base["edges"], {"from": "g1"}])):
+        with pytest.raises(KeyError, match="'to'"):
+            load_digraph(damaged)
+
+
+def cyclic_inputs():
+    """The cyclic digraphs among the walk inputs (template grid, random
+    digraphs, examples, group digraphs), with their reversals."""
+    for label, g in walk_inputs():
+        if not is_acyclic(g):
+            yield label, g
+            yield f"{label} reversed", g.reverse()
+
+
+def test_shortest_circuit_matches_edge_scan():
+    labels = set()
+    for label, g in cyclic_inputs():
+        assert g._shortest_circuit() == scan_shortest_circuit(g), label
+        labels.add(label)
+    assert "affine_a2_cycle" in labels and len(labels) > 500

@@ -9,7 +9,7 @@ from collections import Counter, deque
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
-from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph
+from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph, reversed_pairing
 from wdigraph.exactalg import (P_ONE, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
                                RatFunc, RatMatrix, char_poly, rf, sigma,
                                solve_simultaneous_eigenspace)
@@ -20,16 +20,16 @@ from wdigraph.hecke import invert_Tw
 from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              LinearCharacterDims, _S_CASES, _TAU_CASES,
                              _TWISTED_S_CASES, _apply_columns, _as_ratfuncs,
-                             _restricted_component_counts,
-                             _reversed_pairing, _same_image, _sign_diagonal,
+                             _restricted_component_counts, _same_image,
+                             _sign_diagonal,
                              _table, _trace, _u_powers, _word_columns,
                              bar_from_source, linear_char_dims,
                              reversal_identities, theorem_checkers,
                              zero_hecke_action)
 
-from conftest import (RatFuncOperators, apply_entrywise, disjoint_union,
-                      eval_at, identity_matrix, is_poly, lampoly_mul, make_a3,
-                      make_b3, out_edges, path_length_mu,
+from conftest import (RatFuncOperators, TupleDigraph, apply_entrywise,
+                      disjoint_union, eval_at, identity_matrix, is_poly,
+                      lampoly_mul, make_a3, make_b3, out_edges, path_length_mu,
                       random_labeled_digraph, reachable_from, subgraph)
 from test_validator import GROUP_ORDERS, group_digraphs, word_apply
 
@@ -1012,8 +1012,9 @@ def reversal_inputs():
 
 
 def test_reversed_pairing_is_the_pairing_of_the_reversed_digraph():
-    # the role swap reversal_identities reads its tau_s table from, against
-    # the pairing of the digraph `reverse()` builds
+    # the role swap reversal_identities reads its tau_s table from (and
+    # `reverse()` is built on), against the pairing of the turned-round
+    # `Edge` tuples
     rng = random.Random(3141)
     inputs = [*reversal_inputs(), ("loop", loop_digraph())]
     for k in range(100):
@@ -1021,12 +1022,13 @@ def test_reversed_pairing_is_the_pairing_of_the_reversed_digraph():
         inputs.append((f"two-label #{k}", random_labeled_digraph(
             rng, _DIHEDRAL[rng.choice([2, 3, 4, 5])], nv)))
     for label, g in inputs:
-        assert _reversed_pairing(g.edge_pairing()) == \
-            g.reverse().edge_pairing(), label
+        turned = TupleDigraph(g.system, g.vertices, g.edges).reverse()
+        assert reversed_pairing(g.edge_pairing()) == turned.edge_pairing() \
+            == g.reverse().edge_pairing(), label
     # a loop stays its vertex's head
     loop = loop_digraph()
     x = loop.vertex_index["x_loop"]
-    assert _reversed_pairing(loop.edge_pairing())[1][x] == (x, "head", SOLID)
+    assert reversed_pairing(loop.edge_pairing())[1][x] == (x, "head", SOLID)
 
 
 def test_reversal_identities_match_dense_reference():
