@@ -17,8 +17,10 @@ and the sign character read; `_peel` (Kahn) gives acyclicity and a
 topological order; `distances_from` (BFS) gives path lengths and the
 shortest circuit.  `analyze` keeps its frozen result, so the CLI and the
 module layer share one analysis, and `alternating_cycles` walks the
-rank-two restrictions the deciders inspect.  Label-preserving isomorphism
-propagates one vertex's image per component along both pairings.
+rank-two restrictions the deciders inspect, each cycle with its word of
+(role, style) pairs per walk position, the key both deciders decide by.
+Label-preserving isomorphism propagates one vertex's image per component
+along both pairings.
 """
 
 from __future__ import annotations
@@ -117,28 +119,45 @@ class SLabeledDigraph:
             raise ValueError(counts[0])
         return self._pairing
 
-    def alternating_cycles(self, i: int, j: int) -> Iterator[list[int]]:
+    def alternating_cycles(self, i: int, j: int
+                           ) -> Iterator[tuple[list[int], tuple]]:
         """The components of the restriction to generators i and j, in the
-        order of their first vertices, each as vertex indices walked from its
-        first vertex by taking the i-partner and the j-partner in turn.  On a
-        digraph that passes `validate_structure` every vertex meets one edge
-        of each label, so each component is a single cycle of even length
-        whose labels alternate; `edge_pairing` raises on a count violation.
-        Each cycle is walked when it is asked for, and none is cached."""
+        order of their first vertices, each as (cycle, word): cycle holds its
+        vertex indices walked from its first vertex by taking the i-partner
+        and the j-partner in turn, and word[p] the (role, style) of the
+        i-edge, then of the j-edge, at walk position p, as one 4-tuple.  On
+        a digraph that passes `validate_structure` every vertex meets one
+        edge of each label, so each component is a single cycle of even
+        length whose labels alternate: in walk positions, mod the length,
+        the i-partner of p is p + 1 and the j-partner p - 1 when p is even,
+        the other way round when p is odd.  `edge_pairing` raises on a count
+        violation.  Each cycle is walked when it is asked for, and none is
+        cached."""
         pairing = self.edge_pairing()
         first, second = pairing[i], pairing[j]
         seen = [False] * len(self.vertices)
         for start in range(len(seen)):
             if seen[start]:
                 continue
-            cycle = [start]
-            v = first[start][0]
-            while v != start:
-                cycle.append(v)
-                v = (first if len(cycle) % 2 else second)[v][0]
-            for v in cycle:
+            cycle, word, v = [], [], start
+            while True:
+                # two positions per turn: an even one, left by its i-edge,
+                # then an odd one, left by its j-edge
+                a, b = first[v], second[v]
                 seen[v] = True
-            yield cycle
+                cycle.append(v)
+                word.append((a[1], a[2], b[1], b[2]))
+                v = a[0]
+                if v == start:
+                    break
+                a, b = first[v], second[v]
+                seen[v] = True
+                cycle.append(v)
+                word.append((a[1], a[2], b[1], b[2]))
+                v = b[0]
+                if v == start:
+                    break
+            yield cycle, tuple(word)
 
     def _by_label(self) -> Iterator[tuple[int, list[tuple[int, int, str]]]]:
         """(s, the s-edges as (tail, head, style), sorted) for each generator

@@ -162,10 +162,15 @@ def _table(pairing, cases: dict, at=None) -> list[list[tuple]]:
     With `at`, every coefficient c becomes at(c), for example its value at
     one integer u."""
     if at is not None:
-        cases = {key: tuple(None if c is None else at(c) for c in case)
-                 for key, case in cases.items()}
+        cases = _cases_at(cases, at)
     return [[(partner,) + cases[(role, style)] for partner, role, style in row]
             for row in pairing]
+
+
+def _cases_at(cases: dict, at) -> dict:
+    """`cases` with every coefficient c mapped to at(c); None stays None."""
+    return {key: tuple(None if c is None else at(c) for c in case)
+            for key, case in cases.items()}
 
 
 def _apply_columns(columns, vec: dict, zero=P_ZERO) -> dict:

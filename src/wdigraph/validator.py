@@ -5,14 +5,16 @@ must be a 2m-cycle carrying one of the eight templates, with the matching
 divisibility condition against the order n(s,t).  Once every vertex meets
 one edge per label, each component of the {s,t}-restriction is a single
 cycle whose labels alternate.  `SLabeledDigraph.alternating_cycles` walks
-them one at a time, straight from the digraph's edge pairing, and both
-deciders run over that one decomposition of every finite pair
-(`_finite_pairs`): the classifier reads each cycle off the pairing, builds
-no digraph, and is linear in the size of the digraph.  The brute-force
-oracle instead applies the generator operators and verifies the quadratic
-relation and the length-n alternating product identity exactly.  Their
-agreement on random inputs is the central soundness test of the whole
-library.
+them one at a time, straight from the digraph's edge pairing, each with its
+cycle word, which fixes it up to the names of its vertices, and both
+deciders run over that one keyed decomposition of every finite pair
+(`_finite_pairs`).  The classifier decides each word once per pair, in walk
+positions (`_decide_word`), so a component costs one lookup and its
+witness; it builds no digraph and is linear in the size of the digraph.
+The brute-force oracle instead applies the generator operators and
+verifies the quadratic relation and the length-n alternating product
+identity exactly.  Their agreement on random inputs is the central
+soundness test of the whole library.
 
 The oracle runs on integers, not over Q(u).  Every forward coefficient of
 tau_s lies in Z[u], and every column of tau_s has coefficient L1 norm at most
@@ -31,13 +33,14 @@ of its edge, which the (role, style) of the column fixes.  The braid relation
 on a column reads only its alternating cycle in the {s,t}-restriction, which
 n(s,t) and the cycle word (the (role, style) of the s-edge and of the t-edge
 at each position of the walk) fix up to the names of the vertices.  So the
-quadratic relation is run once per (role, style) and generator, and the
-braid relation once per (n, cycle word, position) that a column needs; every
-other column reads the verdict back.  The integer tables are read straight
-off the edge pairing by `modrep._table`, each coefficient evaluated at the
-point, and words run through `modrep._word_apply`; no `ModuleRep` is built.
-The LV and regular digraphs repeat a handful of cycle words over thousands
-of components.
+quadratic relation is run once per (role, style) and generator, on the 2x2
+block of a column and its partner, and the braid relation once per (n,
+cycle word, position) that a column needs, on the two positional tables of
+the cycle (`_positional_tables`); every other column reads the verdict
+back.  The four cases of `modrep._TAU_CASES` are evaluated once per point,
+through `modrep._cases_at` as `modrep._table` evaluates them, no table of
+the whole digraph is built, and words run through `modrep._word_apply`; no
+`ModuleRep` is built.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from math import inf
 
 from .digraph import DASHED, SOLID, SLabeledDigraph
 from .families import TEMPLATES, family_divisibility_ok
-from .modrep import _TAU_CASES, _apply_columns, _exact_bits, _table, _word_apply
+from .modrep import (_TAU_CASES, _apply_columns, _cases_at, _exact_bits,
+                     _word_apply)
 
 # the cycle templates (m >= 2) by their dashed slots
 _FIGURE_BY_DASHES = {template.dashes: figure
@@ -98,49 +102,46 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _arc(first, second, source: int) -> list[tuple[int, str]]:
-    """The directed path out of the source whose edges take their labels
-    from the pairings first, second, first, ... in turn, as (head, style)
-    per edge; it ends at the first vertex it cannot leave, the sink."""
-    pairings = (first, second)
-    arc = []
-    v = source
-    while True:
-        partner, role, style = pairings[len(arc) % 2][v]
-        if role != "tail":
-            return arc
-        arc.append((partner, style))
-        v = partner
-
-
-def _classify_cycle(names, ps, pt, cycle: list[int], n, pair):
-    """Match one alternating cycle of the restriction to `pair` against the
-    eight templates.
+def _decide_word(word: tuple, n: int, pair) -> tuple | Rejection:
+    """The template match of the alternating cycle of a cycle word under
+    the order n of `pair`, decided in walk positions: the `Rejection`, or
+    (figure, m, ((position, template vertex name), ...)) in witness order.
 
     Sources and sinks alternate around a cycle, so a single source means a
     single sink, and both arcs out of the source run to it; what is left to
     check is where the sink sits, which edges are dashed, and the
-    divisibility condition against n.
+    divisibility condition against n.  By the parity rule of
+    `SLabeledDigraph.alternating_cycles`, the a-arc, which leaves the source
+    by its i-edge, runs one way round the cycle and the b-arc the other.
     """
-    m = len(cycle) // 2
+    size = len(word)
+    m = size // 2
     if m == 1:
-        x = cycle[0]
-        (y, role, style), (_, t_role, t_style) = ps[x], pt[x]
+        role, style, t_role, t_style = word[0]
         if role != t_role:
             return Rejection("the two edges must be parallel, same direction")
         if style != t_style:
             return Rejection("the two parallel edges must share one style")
-        src, snk = (x, y) if role == "tail" else (y, x)
-        return FamilyMatch(7 if style == SOLID else 8, 1,
-                           {names[src]: "a0", names[snk]: "b1"})
+        src = 0 if role == "tail" else 1
+        return 7 if style == SOLID else 8, 1, ((src, "a0"), (1 - src, "b1"))
 
-    sources = [v for v in cycle if ps[v][1] == pt[v][1] == "tail"]
+    sources = [p for p, (role, _, t_role, _) in enumerate(word)
+               if role == t_role == "tail"]
     if len(sources) != 1:
         return Rejection(f"{len(sources)} sources, need exactly 1")
     src = sources[0]
-    # the s-labeled edge out of the source starts the a-arc, the t-labeled
-    # one the b-arc
-    a_arc, b_arc = _arc(ps, pt, src), _arc(pt, ps, src)
+    step = -1 if src % 2 else 1
+    # the styles along each arc up to the sink, read at each edge's tail:
+    # word[p][k] is the role at p of the label the arc leaves p by
+    arcs = []
+    for direction, k in ((step, 0), (-step, 2)):
+        styles, p = [], src
+        while word[p][k] == "tail":
+            styles.append(word[p][k + 1])
+            p = (p + direction) % size
+            k = 2 - k
+        arcs.append(styles)
+    a_arc, b_arc = arcs
     if len(a_arc) != m:
         # the two lengths in label-name order
         first, second = len(a_arc), len(b_arc)
@@ -151,7 +152,7 @@ def _classify_cycle(names, ps, pt, cycle: list[int], n, pair):
 
     dash_slots = set()
     for arc, tag in ((a_arc, "left"), (b_arc, "right")):
-        for i, (_, style) in enumerate(arc):
+        for i, style in enumerate(arc):
             if style == DASHED:
                 if i == 0:
                     dash_slots.add(f"{tag}_first")
@@ -165,25 +166,25 @@ def _classify_cycle(names, ps, pt, cycle: list[int], n, pair):
     if not family_divisibility_ok(figure, m, n):
         divisor = TEMPLATES[figure].divisor(m)
         return Rejection(f"figure {figure} needs {divisor} | n, n = {n}")
-    witness = {names[src]: "a0", names[a_arc[-1][0]]: f"b{m}"}
-    for i, (v, _) in enumerate(a_arc[:-1]):
-        witness[names[v]] = f"a{i + 1}"
-    for i, (v, _) in enumerate(b_arc[:-1]):
-        witness[names[v]] = f"b{i + 1}"
-    return FamilyMatch(figure, m, witness)
+    sink = (src + m * step) % size
+    return figure, m, ((src, "a0"), (sink, f"b{m}"),
+                       *(((src + i * step) % size, f"a{i}")
+                         for i in range(1, m)),
+                       *(((src - i * step) % size, f"b{i}")
+                         for i in range(1, m)))
 
 
 def _finite_pairs(digraph: SLabeledDigraph):
-    """(i, j, n, pair, cycles) for each pair of generators i < j of finite
-    order n = n(s_i, s_j): pair holds their names, and cycles the components
-    of the restriction to them from `alternating_cycles`.  Pairs of infinite
-    order impose no condition."""
+    """(n, pair, cycles) for each pair of generators i < j of finite order
+    n = n(s_i, s_j): pair holds their names, and cycles the components of
+    the restriction to them from `alternating_cycles`, each with its cycle
+    word.  Pairs of infinite order impose no condition."""
     system = digraph.system
     for i in range(system.rank()):
         for j in range(i + 1, system.rank()):
             n = system.order(i, j)
             if n is not inf:
-                yield (i, j, n, (system.generators[i], system.generators[j]),
+                yield (n, (system.generators[i], system.generators[j]),
                        digraph.alternating_cycles(i, j))
 
 
@@ -193,23 +194,30 @@ def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
     The digraph is accepted when every component of every finite rank-two
     restriction matches a template with its divisibility condition.  The
     components of a restriction are classified in the order of their first
-    vertices, each as the alternating cycle the digraph walks.
+    vertices, each as the alternating cycle the digraph walks.  Each cycle
+    word is decided once per pair, by `_decide_word`; a component then
+    costs one lookup, and a match its witness, the names at its positions.
     """
     violations = tuple(digraph.validate_structure())
     if violations:
         return Verdict(False, violations, ())
     names = digraph.vertices
-    pairing = digraph.edge_pairing()
     reports = []
     ok = True
-    for i, j, n, pair, cycles in _finite_pairs(digraph):
+    for n, pair, cycles in _finite_pairs(digraph):
+        decided = {}   # cycle word -> its result under this pair
         comps = []
-        for cycle in cycles:
-            result = _classify_cycle(names, pairing[i], pairing[j], cycle, n,
-                                     pair)
-            comps.append(result)
+        for cycle, word in cycles:
+            result = decided.get(word)
+            if result is None:
+                result = decided[word] = _decide_word(word, n, pair)
             if isinstance(result, Rejection):
                 ok = False
+                comps.append(result)
+            else:
+                figure, m, slots = result
+                comps.append(FamilyMatch(figure, m, {names[cycle[q]]: name
+                                                     for q, name in slots}))
         reports.append(PairReport(pair, n, tuple(comps)))
     return Verdict(ok, (), tuple(reports))
 
@@ -224,6 +232,23 @@ class RelationWitness:
     column: str        # vertex whose column first differs, or "" for quadratic
 
 
+def _positional_tables(word: tuple, cases: dict) -> tuple[list, list]:
+    """The column tables of tau_i and tau_j on the cycle of a cycle word, by
+    walk position: entry p is (partner position, self coefficient or None,
+    partner coefficient), the partner p + 1 or p - 1 by the parity rule of
+    `SLabeledDigraph.alternating_cycles`, the coefficients `cases` of the
+    (role, style) at p of the i-edge and of the j-edge."""
+    size = len(word)
+    first, second = [], []
+    for p, (role, style, t_role, t_style) in enumerate(word):
+        ahead, back = (p + 1) % size, (p - 1) % size
+        if p % 2:
+            ahead, back = back, ahead
+        first.append((ahead,) + cases[role, style])
+        second.append((back,) + cases[t_role, t_style])
+    return first, second
+
+
 def brute_force_check(digraph: SLabeledDigraph):
     """Check the defining operator relations exactly; None means all hold.
 
@@ -233,28 +258,34 @@ def brute_force_check(digraph: SLabeledDigraph):
     difference, so the witness names the first failing column.  Both sides
     are evaluated at the integer 2^`_exact_bits(k)` for k applications (k = 2
     for the quadratic relation, k = n(s,t) for the braid relation), which
-    decides the polynomial identity exactly.
+    decides the polynomial identity exactly; the four cases of
+    `_TAU_CASES` are evaluated once per point, and no table of the whole
+    digraph is built.
 
     A column whose check is already decided on an equal block reads that
     verdict back.  Why this is exact:
     - tau_s maps a unit column into its s-edge's 2x2 block, whose entries
       `_TAU_CASES` gives from the (role, style) of each end; the other end
       has the other role and the same style.  So the quadratic relation on a
-      column depends only on its (role, style), and it is run once per case
-      and generator.
+      column depends only on its (role, style): it is run once per case and
+      generator, on the block of the first such column and its partner as
+      positions 0 and 1.
     - An alternating word keeps a unit column inside its alternating cycle,
       as `SLabeledDigraph.alternating_cycles` walks it from its first
       vertex.  In walk positions, the s-partner and the t-partner of
       position p are p + 1 and p - 1, one each, by the parity of p, and the
       coefficients at p come from the (role, style) of the s-edge and of
-      the t-edge there.  So the restriction of tau_s and tau_t to the cycle,
-      in positions, is fixed by n(s,t) and the cycle word, and equality of
-      the two sides on a column depends only on them and on the column's
-      position, not on vertex names.  The first column that no cycle has
-      met starts the next cycle `alternating_cycles` walks, which is keyed
-      by (n, word) then, and each (key, position) is run when a column first
-      needs it.  Nothing is decided ahead of that column, so a digraph
-      rejected at its first column costs one cycle.
+      the t-edge there, which the cycle word lists.  So the whole-digraph
+      tables of tau_s and tau_t at the point for n(s,t), restricted to the
+      cycle and relabeled by position, are exactly the two tables
+      `_positional_tables` builds from the word and the cases at that
+      point, and the two sides on a column, read in positions, depend only
+      on n(s,t), the word and the column's position, not on vertex names.
+      The first column that no cycle has met starts the next cycle
+      `alternating_cycles` walks; its key (n, word) gets its tables then,
+      and each (key, position) is run on them when a column first needs
+      it.  Nothing is decided ahead of that column, so a digraph rejected
+      at its first column costs one cycle.
     Each run costs the size of its cycle, and a digraph whose cycles repeat
     a few words costs little more than one walk per component.
     """
@@ -265,54 +296,58 @@ def brute_force_check(digraph: SLabeledDigraph):
     system = digraph.system
     n_vertices = len(digraph.vertices)
     u = 1 << _exact_bits(2)
-    columns = _table(pairing, _TAU_CASES, lambda c: c(u))
+    cases = _cases_at(_TAU_CASES, lambda c: c(u))
+    tau_at = {2: cases}   # k -> the cases at 2^_exact_bits(k)
     for s in range(system.rank()):
+        row = pairing[s]
         quadratic = {}   # (role, style) -> whether the relation holds
-        for j, (_, role, style) in enumerate(pairing[s]):
+        for col, (partner, role, style) in enumerate(row):
             holds = quadratic.get((role, style))
             if holds is None:
-                # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2
-                once = _apply_columns(columns[s], {j: 1}, 0)
-                expected = {i: (u * u - 1) * c for i, c in once.items()}
-                expected[j] = expected.get(j, 0) + u * u
+                # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2,
+                # on the block of the column (0) and its partner (1)
+                edge_block = ((1,) + cases[role, style],
+                              (0,) + cases[row[partner][1:]])
+                once = _apply_columns(edge_block, {0: 1}, 0)
+                expected = {p: (u * u - 1) * c for p, c in once.items()}
+                expected[0] = expected.get(0, 0) + u * u
                 holds = quadratic[role, style] = (
-                    _apply_columns(columns[s], once, 0)
-                    == {i: c for i, c in expected.items() if c})
+                    _apply_columns(edge_block, once, 0)
+                    == {p: c for p, c in expected.items() if c})
             if not holds:
                 return RelationWitness("quadratic", (system.generators[s],),
-                                       digraph.vertices[j])
-    tables = {}
-    braid = {}   # (n, cycle word) -> the verdict per position
-    for i, j, n, pair, cycles in _finite_pairs(digraph):
-        if n not in tables:
+                                       digraph.vertices[col])
+    braid = {}   # (n, cycle word) -> (positional tables, verdict per position)
+    for n, pair, cycles in _finite_pairs(digraph):
+        cases = tau_at.get(n)
+        if cases is None:
             point = 1 << _exact_bits(n)
-            tables[n] = _table(pairing, _TAU_CASES, lambda c: c(point))
-        columns = tables[n]
-        ps, pt = pairing[i], pairing[j]
-        # the two alternating words of n letters; `_word_apply` lets word[0]
-        # act first, so it multiplies each word reversed, and reversal keeps
+            cases = tau_at[n] = _cases_at(_TAU_CASES, lambda c: c(point))
+        # the two alternating words of n letters over the positional tables
+        # (0 the s-table, 1 the t-table); `_word_apply` lets word[0] act
+        # first, so it multiplies each word reversed, and reversal keeps
         # this pair of words, so the relation is the same
-        left = [(i, j)[k % 2] for k in range(n)]
-        right = [(j, i)[k % 2] for k in range(n)]
-        block = [None] * n_vertices      # column -> verdicts of its key
+        left = [k % 2 for k in range(n)]
+        right = [1 - k % 2 for k in range(n)]
+        block = [None] * n_vertices      # column -> its key's entry
         position = [0] * n_vertices
         for col in range(n_vertices):
             if block[col] is None:
                 # the first column no cycle has met starts the next cycle
-                cycle = next(cycles)
-                word = tuple(ps[v][1:] + pt[v][1:] for v in cycle)
-                verdicts = braid.get((n, word))
-                if verdicts is None:
-                    verdicts = braid[n, word] = [None] * len(cycle)
+                cycle, word = next(cycles)
+                entry = braid.get((n, word))
+                if entry is None:
+                    entry = braid[n, word] = (_positional_tables(word, cases),
+                                              [None] * len(word))
                 for p, v in enumerate(cycle):
-                    block[v] = verdicts
+                    block[v] = entry
                     position[v] = p
-            verdicts, p = block[col], position[col]
+            (tables, verdicts), p = block[col], position[col]
             holds = verdicts[p]
             if holds is None:
                 holds = verdicts[p] = (
-                    _word_apply(columns, left, {col: 1}, 0)
-                    == _word_apply(columns, right, {col: 1}, 0))
+                    _word_apply(tables, left, {p: 1}, 0)
+                    == _word_apply(tables, right, {p: 1}, 0))
             if not holds:
                 return RelationWitness("braid", pair, digraph.vertices[col])
     return None

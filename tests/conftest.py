@@ -220,14 +220,19 @@ def in_label_set(g, beta):
 
 def scan_alternating_cycles(g, s, t):
     """The components of `g.restrict((s, t))` in the order of their first
-    vertices, each as vertex indices walked from its first vertex by taking
-    the s-partner and the t-partner in turn, partners and components found
-    by edge scans: the reference of `SLabeledDigraph.alternating_cycles`."""
+    vertices, each as (cycle, word): the vertex indices walked from its
+    first vertex by taking the s-partner and the t-partner in turn, and per
+    position the (role, style) of the s-edge, then of the t-edge, partners,
+    roles, styles and components all found by edge scans (a loop meets its
+    vertex as its head): the reference of
+    `SLabeledDigraph.alternating_cycles`."""
     h = g.restrict((s, t))
-    partner = {}
+    partner, end = {}, {}
     for e in h.edges:
         partner[e.label, e.src] = e.dst
         partner[e.label, e.dst] = e.src
+        end[e.label, e.src] = ("tail", e.style)
+        end[e.label, e.dst] = ("head", e.style)
     cycles, seen = [], set()
     for root in h.vertices:
         if root in seen:
@@ -244,7 +249,8 @@ def scan_alternating_cycles(g, s, t):
             cycle.append(v)
             v = partner[t if len(cycle) % 2 == 0 else s, v]
         assert set(cycle) == comp
-        cycles.append([g.vertex_index[v] for v in cycle])
+        cycles.append(([g.vertex_index[v] for v in cycle],
+                       tuple(end[s, v] + end[t, v] for v in cycle)))
     return cycles
 
 

@@ -491,8 +491,12 @@ def test_alternating_cycles_match_edge_scans():
             broken += 1
             continue
         for i, j in pairs:
-            assert list(g.alternating_cycles(i, j)) == \
-                scan_alternating_cycles(g, gens[i], gens[j]), (label, i, j)
+            # each cycle with its word of (role, style) pairs, both scanned
+            cycles = list(g.alternating_cycles(i, j))
+            assert cycles == scan_alternating_cycles(g, gens[i], gens[j]), \
+                (label, i, j)
+            assert all(len(word) == len(cycle) and isinstance(word, tuple)
+                       for cycle, word in cycles), (label, i, j)
             walked += 1
     assert walked > 1000 and broken == 4
 

@@ -12,10 +12,12 @@ from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, rf
 from wdigraph.families import (EXAMPLE_NAMES, TEMPLATES, FamilySpec,
                                build_family, build_lv, build_example,
                                build_regular, family_divisibility_ok)
-from wdigraph.modrep import _TAU_CASES, _exact_bits
+from wdigraph import validator
+from wdigraph.modrep import _TAU_CASES, _cases_at, _exact_bits, _table
 from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 Rejection, RelationWitness, Verdict,
-                                brute_force_check, is_w_digraph)
+                                _positional_tables, brute_force_check,
+                                is_w_digraph)
 
 from conftest import (RatFuncOperators, column_brute_force_check, is_poly,
                       out_edges, random_labeled_digraph, same_structure,
@@ -632,13 +634,11 @@ def test_property_oracle_and_classifier(systems, data):
 def keyed_components(g, i, j):
     """The components of the restriction to generators i < j as the oracle
     keys them: walked from their first vertex in vertex order, each gives
-    ((n, cycle word), its vertex indices)."""
-    pairing = g.edge_pairing()
-    ps, pt = pairing[i], pairing[j]
+    ((n, cycle word), its vertex indices), read off the edge scans."""
     n = g.system.order(i, j)
     s, t = g.system.generators[i], g.system.generators[j]
-    for cycle in scan_alternating_cycles(g, s, t):
-        yield (n, tuple(ps[v][1:] + pt[v][1:] for v in cycle)), cycle
+    for cycle, word in scan_alternating_cycles(g, s, t):
+        yield (n, word), cycle
 
 
 def passing_columns(g):
@@ -754,3 +754,170 @@ def test_keyed_oracle_keys_cycle_words_by_order():
             assert witness == ratfunc_brute_force_check(g), (figure, m)
             cases += 1
     assert cases >= 12
+
+
+# -- the keyed classifier against the per-cycle classifier it replaced --------------------
+
+
+def pairing_arc(first, second, source):
+    """The directed path out of the source whose edges take their labels
+    from the pairings first, second, first, ... in turn, as (head, style)
+    per edge; it ends at the first vertex it cannot leave, the sink."""
+    pairings = (first, second)
+    arc = []
+    v = source
+    while True:
+        partner, role, style = pairings[len(arc) % 2][v]
+        if role != "tail":
+            return arc
+        arc.append((partner, style))
+        v = partner
+
+
+def classify_cycle(names, ps, pt, cycle, n, pair):
+    """One alternating cycle of the restriction to `pair` matched against
+    the eight templates by vertex name, its source, arcs and dashes read off
+    the edge pairing."""
+    m = len(cycle) // 2
+    if m == 1:
+        x = cycle[0]
+        (y, role, style), (_, t_role, t_style) = ps[x], pt[x]
+        if role != t_role:
+            return Rejection("the two edges must be parallel, same direction")
+        if style != t_style:
+            return Rejection("the two parallel edges must share one style")
+        src, snk = (x, y) if role == "tail" else (y, x)
+        return FamilyMatch(7 if style == SOLID else 8, 1,
+                           {names[src]: "a0", names[snk]: "b1"})
+
+    sources = [v for v in cycle if ps[v][1] == pt[v][1] == "tail"]
+    if len(sources) != 1:
+        return Rejection(f"{len(sources)} sources, need exactly 1")
+    src = sources[0]
+    a_arc, b_arc = pairing_arc(ps, pt, src), pairing_arc(pt, ps, src)
+    if len(a_arc) != m:
+        first, second = len(a_arc), len(b_arc)
+        if pair[1] < pair[0]:
+            first, second = second, first
+        return Rejection(f"sink not opposite the source "
+                         f"(arc lengths {first}, {second})")
+
+    dash_slots = set()
+    for arc, tag in ((a_arc, "left"), (b_arc, "right")):
+        for i, (_, style) in enumerate(arc):
+            if style == DASHED:
+                if i == 0:
+                    dash_slots.add(f"{tag}_first")
+                elif i == m - 1:
+                    dash_slots.add(f"{tag}_last")
+                else:
+                    return Rejection("dashed edge in the interior of an arc")
+    figure = _FIGURE_BY_DASHES.get(frozenset(dash_slots))
+    if figure is None:
+        return Rejection(f"dash pattern {sorted(dash_slots)} matches no figure")
+    if not family_divisibility_ok(figure, m, n):
+        divisor = TEMPLATES[figure].divisor(m)
+        return Rejection(f"figure {figure} needs {divisor} | n, n = {n}")
+    witness = {names[src]: "a0", names[a_arc[-1][0]]: f"b{m}"}
+    for i, (v, _) in enumerate(a_arc[:-1]):
+        witness[names[v]] = f"a{i + 1}"
+    for i, (v, _) in enumerate(b_arc[:-1]):
+        witness[names[v]] = f"b{i + 1}"
+    return FamilyMatch(figure, m, witness)
+
+
+def per_cycle_is_w_digraph(g):
+    """The classifier with every cycle classified by name on its own, the
+    cycles found by edge scans: the reference of the keyed `is_w_digraph`."""
+    violations = tuple(g.validate_structure())
+    if violations:
+        return Verdict(False, violations, ())
+    names, pairing, system = g.vertices, g.edge_pairing(), g.system
+    reports = []
+    ok = True
+    for i in range(system.rank()):
+        for j in range(i + 1, system.rank()):
+            n = system.order(i, j)
+            if n is inf:
+                continue
+            pair = (system.generators[i], system.generators[j])
+            comps = [classify_cycle(names, pairing[i], pairing[j], cycle, n,
+                                    pair)
+                     for cycle, _ in scan_alternating_cycles(g, *pair)]
+            ok = ok and not any(isinstance(c, Rejection) for c in comps)
+            reports.append(PairReport(pair, n, tuple(comps)))
+    return Verdict(ok, (), tuple(reports))
+
+
+def test_keyed_classifier_matches_per_cycle_reference():
+    accepted = rejected = 0
+    for label, g in [*oracle_inputs(), *group_digraphs(),
+                     *non_alphabetical_inputs(), *many_component_rejections()]:
+        verdict = is_w_digraph(g)
+        reference = per_cycle_is_w_digraph(g)
+        assert verdict == reference, label
+        assert repr(verdict) == repr(reference), label   # witness order too
+        assert verdict.describe() == reference.describe(), label
+        accepted += verdict.is_w_digraph
+        rejected += any(isinstance(c, Rejection)
+                        for pr in verdict.pair_reports for c in pr.components)
+    assert accepted > 200 and rejected > 1000
+
+
+def test_keyed_classifier_decides_each_word_once(monkeypatch):
+    """On B4 regular each pair decides one result per distinct (n, cycle
+    word), far fewer than its components."""
+    system = CoxeterSystem(["q", "r", "s", "t"], GROUP_ORDERS["B4"])
+    g = build_regular(system)
+    decided = {}
+    real = validator._decide_word
+
+    def counted(word, n, pair):
+        decided.setdefault(pair, []).append((n, word))
+        return real(word, n, pair)
+
+    monkeypatch.setattr(validator, "_decide_word", counted)
+    verdict = is_w_digraph(g)
+    assert verdict.is_w_digraph and len(verdict.pair_reports) == 6
+    for report in verdict.pair_reports:
+        keys = decided[report.pair]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {(report.n, word) for _, word in
+                             scan_alternating_cycles(g, *report.pair)}
+        assert 10 * len(keys) <= len(report.components), report.pair
+
+
+# -- the oracle's positional tables against the whole-digraph tables -----------------------
+
+
+def test_positional_tables_are_the_whole_tables_on_a_cycle():
+    """Each (n, cycle word)'s positional tables are `_table`'s tables of
+    tau_s and tau_t, at both exact points, restricted to the cycle and
+    relabeled by walk position: the premise of `brute_force_check`."""
+    rng = random.Random(3001)
+    systems = DIHEDRAL + RANK_THREE
+    inputs = [g for _, g in group_digraphs()]
+    inputs += [random_labeled_digraph(rng, systems[k % len(systems)],
+                                      2 * (k % 6 + 1)) for k in range(300)]
+    keys = set()
+    for g in inputs:
+        pairing, system = g.edge_pairing(), g.system
+        for i in range(system.rank()):
+            for j in range(i + 1, system.rank()):
+                n = system.order(i, j)
+                if n is inf:
+                    continue
+                pair = (system.generators[i], system.generators[j])
+                for k in (2, n):
+                    point = 1 << _exact_bits(k)
+                    whole = _table(pairing, _TAU_CASES, lambda c: c(point))
+                    cases = _cases_at(_TAU_CASES, lambda c: c(point))
+                    for cycle, word in scan_alternating_cycles(g, *pair):
+                        position = {v: p for p, v in enumerate(cycle)}
+                        expected = tuple(
+                            [(position[whole[s][v][0]],) + whole[s][v][1:]
+                             for v in cycle] for s in (i, j))
+                        assert _positional_tables(word, cases) == expected, \
+                            (pair, k, cycle)
+                        keys.add((n, word))
+    assert len(keys) > 400
