@@ -17,7 +17,11 @@ the matrix of w^-1 on the simple roots, one packed int per column
 Orders come from the classification of finite irreducible diagrams: |W_J|
 (`parabolic_order`) is the product of the closed-form orders of the components
 of the Coxeter diagram on J, so finiteness, and a walk's refusal of a
-group over MAX_ELEMENTS, are decided before any element is built.
+group over MAX_ELEMENTS, are decided before any element is built.  Each
+component's type is read off its node degrees and its edges whose label is
+not 3 (`_component_order`): a tree with one node of degree 3 and every label
+3 is D_k or E6-E8 by the BFS distances to its leaves, and a path is A_k, or
+B_k, F4, H3 or H4 by where its one other label sits.
 """
 
 from __future__ import annotations
@@ -236,14 +240,6 @@ class CoxeterSystem:
         """Canonical word of s*w for a canonical word w."""
         return self._walk((s,), w)
 
-    def mult(self, x: "GroupElement", y: "GroupElement") -> "GroupElement":
-        self._check_element(x)
-        self._check_element(y)
-        return GroupElement(self, self._walk(x.word, y.word))
-
-    def inverse(self, x: "GroupElement") -> "GroupElement":
-        return GroupElement(self, self.canonical(x.word[::-1]))
-
     def _check_element(self, x: "GroupElement"):
         if x.system is not self:
             raise ValueError("element belongs to a different system")
@@ -446,10 +442,11 @@ class GroupElement:
         return hash((id(self.system), self.word))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.system.mult(self, other)
+        self.system._check_element(other)
+        return GroupElement(self.system, self.system._walk(self.word, other.word))
 
     def inverse(self) -> "GroupElement":
-        return self.system.inverse(self)
+        return GroupElement(self.system, self.system.canonical(self.word[::-1]))
 
     def sort_key(self):
         return (len(self.word), self.word)
@@ -510,76 +507,56 @@ def _alternation(a: int, b: int, length: int) -> Word:
 def _component_order(comp: list[int], matrix):
     """Order of the parabolic subgroup on one connected diagram component, by
     its finite type (Humphreys, Reflection Groups and Coxeter Groups, 2.11),
-    or math.inf if the type is not finite."""
+    or math.inf itself if the type is not finite.  With k nodes:
+    - k = 2 is I2(m) (order 2m) for its label m;
+    - otherwise the diagram must be a tree, k - 1 edges;
+    - a node of degree >= 3 must be the only one, of degree 3, with every
+      label 3; the BFS distances from it to the leaves, its arms, are
+      (1, 1, k - 3) for D_k and (1, 2, 2..4) for E6-E8;
+    - otherwise the tree is a path: A_k when every label is 3 (A1 is the
+      one node), else one label other than 3 on it: a 4 on an end edge is
+      B_k, a 4 on the middle edge of four nodes is F4, a 5 on an end edge
+      of three or four nodes is H3 or H4.
+    Anything else, an infinite label included, is infinite."""
     k = len(comp)
-    if k == 1:
-        return 2
-    edges = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            m = matrix[comp[a]][comp[b]]
-            if m != 2:
-                if m is inf:
-                    return inf
-                edges.append((comp[a], comp[b], m))
+    edges = [(a, b, matrix[a][b]) for i, a in enumerate(comp)
+             for b in comp[i + 1:] if matrix[a][b] != 2]
     if k == 2:
-        return 2 * edges[0][2]                                  # I2(m)
-    # components of rank >= 3 must be trees
+        m = edges[0][2]
+        return inf if m is inf else 2 * m                       # I2(m)
     if len(edges) != k - 1:
         return inf
-    adjacency = {v: [] for v in comp}
-    for a, b, m in edges:
-        adjacency[a].append((b, m))
-        adjacency[b].append((a, m))
-    degrees = sorted(len(adjacency[v]) for v in comp)
-    labels = sorted(m for _, _, m in edges)
-    if degrees[-1] > 3:
-        return inf
-    branch_nodes = [v for v in comp if len(adjacency[v]) == 3]
-    if len(branch_nodes) > 1:
-        return inf
-    if branch_nodes:
-        if any(m != 3 for _, _, m in edges):
+    degree = dict.fromkeys(comp, 0)
+    for a, b, _ in edges:
+        degree[a] += 1
+        degree[b] += 1
+    other = [(a, b, m) for a, b, m in edges if m != 3]
+    branches = [v for v in comp if degree[v] >= 3]
+    if branches:
+        if len(branches) > 1 or degree[branches[0]] > 3 or other:
             return inf
-        center = branch_nodes[0]
-        arms = []
-        for start, _ in adjacency[center]:
-            length = 1
-            prev, cur = center, start
-            while len(adjacency[cur]) == 2:
-                nxt = [w for w, _ in adjacency[cur] if w != prev][0]
-                prev, cur = cur, nxt
-                length += 1
-            arms.append(length)
-        arms.sort()
-        if arms[0] != 1:
-            return inf
-        if arms[1] == 1:
+        queue, distance = branches[:1], {branches[0]: 0}
+        for v in queue:                 # a FIFO queue: it grows behind v
+            for w in comp:
+                if w not in distance and matrix[v][w] != 2:
+                    distance[w] = distance[v] + 1
+                    queue.append(w)
+        arms = sorted(distance[v] for v in comp if degree[v] == 1)
+        if arms[:2] == [1, 1]:
             return 2 ** (k - 1) * factorial(k)                  # D_k
-        if arms[1] == 2 and arms[2] in (2, 3, 4):
+        if arms[:2] == [1, 2] and arms[2] <= 4:
             return {2: 51_840, 3: 2_903_040, 4: 696_729_600}[arms[2]]  # E6-E8
         return inf
-    # a path: read its edge labels from one end
-    ends = [v for v in comp if len(adjacency[v]) == 1]
-    prev, cur = None, ends[0]
-    path_labels = []
-    while True:
-        nxts = [(w, m) for w, m in adjacency[cur] if w != prev]
-        if not nxts:
-            break
-        (nxt, m) = nxts[0]
-        path_labels.append(m)
-        prev, cur = cur, nxt
-    if labels == [3] * (k - 1):
+    if not other:
         return factorial(k + 1)                                 # A_k
-    if labels == [3] * (k - 2) + [4]:
-        if path_labels[0] == 4 or path_labels[-1] == 4:
-            return 2 ** k * factorial(k)                        # B_k
-        if k == 4 and path_labels[1] == 4:
-            return 1_152                                        # F4
+    if len(other) > 1:
         return inf
-    if labels == [3] * (k - 2) + [5]:
-        if k in (3, 4) and (path_labels[0] == 5 or path_labels[-1] == 5):
-            return {3: 120, 4: 14_400}[k]                       # H3, H4
-        return inf
+    [(a, b, m)] = other
+    end = 1 in (degree[a], degree[b])
+    if m == 4 and end:
+        return 2 ** k * factorial(k)                            # B_k
+    if m == 4 and k == 4:
+        return 1_152                                            # F4
+    if m == 5 and end and k <= 4:
+        return {3: 120, 4: 14_400}[k]                           # H3, H4
     return inf

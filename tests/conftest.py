@@ -8,7 +8,7 @@ import json
 import os
 from fractions import Fraction
 from functools import cached_property
-from math import inf
+from math import factorial, inf
 
 import pytest
 
@@ -145,7 +145,7 @@ def conjugation_by_w0_products(system, star):
     w0 = system.longest_element()
     perm = []
     for i in range(system.rank()):
-        image = system.mult(system.mult(w0, apply_star(star, system.gen(i))), w0)
+        image = w0 * apply_star(star, system.gen(i)) * w0
         if len(image.word) != 1:
             raise ValueError("conjugation by w0 did not yield a generator")
         perm.append(image.word[0])
@@ -166,6 +166,85 @@ def parabolic_data(system, J):
     wj = [w for w in everything if set(w.word) <= Jset]
     xj = [w for w in everything if not (left_descents(system, w) & Jset)]
     return wj, xj
+
+
+def reference_component_order(comp: list[int], matrix):
+    """The order of the parabolic subgroup on one connected diagram
+    component by arm and path walks, the reference of
+    `coxeter._component_order`: its finite type (Humphreys, Reflection Groups
+    and Coxeter Groups, 2.11), or math.inf if the type is not finite."""
+    k = len(comp)
+    if k == 1:
+        return 2
+    edges = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            m = matrix[comp[a]][comp[b]]
+            if m != 2:
+                if m is inf:
+                    return inf
+                edges.append((comp[a], comp[b], m))
+    if k == 2:
+        return 2 * edges[0][2]                                  # I2(m)
+    # components of rank >= 3 must be trees
+    if len(edges) != k - 1:
+        return inf
+    adjacency = {v: [] for v in comp}
+    for a, b, m in edges:
+        adjacency[a].append((b, m))
+        adjacency[b].append((a, m))
+    degrees = sorted(len(adjacency[v]) for v in comp)
+    labels = sorted(m for _, _, m in edges)
+    if degrees[-1] > 3:
+        return inf
+    branch_nodes = [v for v in comp if len(adjacency[v]) == 3]
+    if len(branch_nodes) > 1:
+        return inf
+    if branch_nodes:
+        if any(m != 3 for _, _, m in edges):
+            return inf
+        center = branch_nodes[0]
+        arms = []
+        for start, _ in adjacency[center]:
+            length = 1
+            prev, cur = center, start
+            while len(adjacency[cur]) == 2:
+                nxt = [w for w, _ in adjacency[cur] if w != prev][0]
+                prev, cur = cur, nxt
+                length += 1
+            arms.append(length)
+        arms.sort()
+        if arms[0] != 1:
+            return inf
+        if arms[1] == 1:
+            return 2 ** (k - 1) * factorial(k)                  # D_k
+        if arms[1] == 2 and arms[2] in (2, 3, 4):
+            return {2: 51_840, 3: 2_903_040, 4: 696_729_600}[arms[2]]  # E6-E8
+        return inf
+    # a path: read its edge labels from one end
+    ends = [v for v in comp if len(adjacency[v]) == 1]
+    prev, cur = None, ends[0]
+    path_labels = []
+    while True:
+        nxts = [(w, m) for w, m in adjacency[cur] if w != prev]
+        if not nxts:
+            break
+        (nxt, m) = nxts[0]
+        path_labels.append(m)
+        prev, cur = cur, nxt
+    if labels == [3] * (k - 1):
+        return factorial(k + 1)                                 # A_k
+    if labels == [3] * (k - 2) + [4]:
+        if path_labels[0] == 4 or path_labels[-1] == 4:
+            return 2 ** k * factorial(k)                        # B_k
+        if k == 4 and path_labels[1] == 4:
+            return 1_152                                        # F4
+        return inf
+    if labels == [3] * (k - 2) + [5]:
+        if k in (3, 4) and (path_labels[0] == 5 or path_labels[-1] == 5):
+            return {3: 120, 4: 14_400}[k]                       # H3, H4
+        return inf
+    return inf
 
 
 # -- digraph -------------------------------------------------------------------

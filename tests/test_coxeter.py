@@ -1,6 +1,7 @@
 """Tests for Coxeter-system word arithmetic, enumeration, and classification."""
 
 import itertools
+import random
 from math import inf
 
 import pytest
@@ -11,7 +12,8 @@ from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
 from wdigraph.families import build_lv, build_regular
 
 from conftest import (apply_star, braid_orbit, conjugation_by_w0_products,
-                      left_descents, multiply_by_generator, parabolic_data)
+                      left_descents, multiply_by_generator, parabolic_data,
+                      reference_component_order)
 
 
 def words(system, orbit):
@@ -390,7 +392,7 @@ def reference_enumerate(system, length_bound):
 def reference_twisted_involutions(system, star, length_bound):
     """Every element up to the bound, filtered by star(x) = x^{-1}."""
     return [x for x in reference_enumerate(system, length_bound)
-            if apply_star(star, x) == system.inverse(x)]
+            if apply_star(star, x) == x.inverse()]
 
 
 def reference_build_lv(system, star, length_bound):
@@ -545,6 +547,48 @@ def test_parabolic_order_infinite(name):
     system = CoxeterSystem(list(gens), orders)
     assert system.parabolic_order() is inf
     assert not system.is_finite()
+
+
+def random_diagrams(rng, count):
+    """`count` seeded Coxeter matrices of rank 1..10, as lists of rows: half
+    random labelled trees (each node joined to the one before it, or to a
+    random earlier node; labels mostly 3, else 4, 5, 6, 7 or inf), half
+    dense random matrices over {2, 3, 4, 5, 6, inf}."""
+    diagrams = []
+    for index in range(count):
+        k = rng.randint(1, 10)
+        matrix = [[1 if a == b else 2 for b in range(k)] for a in range(k)]
+        if index % 2:
+            pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+            labels = [rng.choice((2, 3, 4, 5, 6, inf)) for _ in pairs]
+        else:
+            pairs = [(rng.choice((b - 1, rng.randrange(b))), b)
+                     for b in range(1, k)]
+            labels = [3 if rng.random() < 0.8 else rng.choice((4, 5, 6, 7, inf))
+                      for _ in pairs]
+        for (a, b), m in zip(pairs, labels):
+            matrix[a][b] = matrix[b][a] = m
+        diagrams.append(matrix)
+    return diagrams
+
+
+def test_component_order_matches_walk_reference():
+    """The classification read off degrees and the edges not labelled 3
+    gives the order of the arm and path walks it replaced, and math.inf
+    itself exactly where they do, on the component of generator 0 of each
+    seeded diagram; the grid reaches every exceptional type."""
+    seen = set()
+    for matrix in random_diagrams(random.Random(20131), 20_000):
+        comp = [0]
+        for v in comp:                  # grows behind v
+            comp.extend(w for w in range(len(matrix))
+                        if w not in comp and matrix[v][w] != 2)
+        comp.sort()
+        got = coxeter._component_order(comp, matrix)
+        expected = reference_component_order(comp, matrix)
+        assert got == expected and (got is inf) == (expected is inf), matrix
+        seen.add(got)
+    assert {1_152, 120, 14_400, 51_840, 2_903_040, 696_729_600} <= seen
 
 
 @pytest.mark.parametrize("name", FINITE_DIFFERENTIAL)

@@ -52,8 +52,7 @@ PAPER_API = {
 SHARED_METHOD_NAMES = {
     "_walk": {"coxeter.CoxeterSystem", "digraph.SLabeledDigraph"},
     "identity": {"coxeter.CoxeterSystem", "coxeter.DiagramAutomorphism"},
-    "inverse": {"coxeter.CoxeterSystem", "coxeter.GroupElement",
-                "exactalg.RatFunc"},
+    "inverse": {"coxeter.GroupElement", "exactalg.RatFunc"},
     "is_zero": {"exactalg.Poly", "exactalg.RatFunc"},
     "scale": {"exactalg.Poly", "exactalg.RatMatrix", "hecke.HeckeElt"},
     "to_json": {"coxeter.CoxeterSystem", "digraph.SLabeledDigraph"},
