@@ -245,8 +245,7 @@ def cmd_theorems(args) -> int:
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
-    failed = any(isinstance(v, dict) and v.get("status") == "fail"
-                 for v in payload.values())
+    failed = any(v.get("status") == "fail" for v in payload.values())
     return 1 if failed else 0
 
 

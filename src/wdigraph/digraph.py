@@ -18,7 +18,9 @@ topological order; `distances_from` (BFS) gives path lengths and the
 shortest circuit.  `analyze` keeps its frozen result, so the CLI and the
 module layer share one analysis, and `alternating_cycles` walks the
 rank-two restrictions the deciders inspect, each cycle with its word of
-(role, style) pairs per walk position, the key both deciders decide by.
+(role, style) pairs per walk position, the key both deciders decide by;
+`cycle_pairing` reads a word back as its cycle's edge pairing on walk
+positions.
 Label-preserving isomorphism propagates one vertex's image per component
 along both pairings.
 """
@@ -128,9 +130,8 @@ class SLabeledDigraph:
         i-edge, then of the j-edge, at walk position p, as one 4-tuple.  On
         a digraph that passes `validate_structure` every vertex meets one
         edge of each label, so each component is a single cycle of even
-        length whose labels alternate: in walk positions, mod the length,
-        the i-partner of p is p + 1 and the j-partner p - 1 when p is even,
-        the other way round when p is odd.  `edge_pairing` raises on a count
+        length whose labels alternate, and `cycle_pairing(word)` is its edge
+        pairing on walk positions.  `edge_pairing` raises on a count
         violation.  Each cycle is walked when it is asked for, and none is
         cached."""
         pairing = self.edge_pairing()
@@ -509,6 +510,22 @@ def reversed_pairing(pairing) -> list[list[tuple | None]]:
     return [[None if e is None
              else (e[0], "tail" if e[0] != i and e[1] == "head" else "head", e[2])
              for i, e in enumerate(row)] for row in pairing]
+
+
+def cycle_pairing(word: tuple) -> list[list[tuple]]:
+    """The edge pairing of the alternating cycle of a cycle word from
+    `SLabeledDigraph.alternating_cycles`, on its walk positions: a row for
+    the i-edges, then one for the j-edges, entry p (partner position, role,
+    style) as in `edge_pairing`.  The walk's parity rule gives the
+    partners: the i-partner of p is p + 1 and the j-partner p - 1 when p is
+    even, the other way round when p is odd, mod the length."""
+    size = len(word)
+    first, second = [], []
+    for p, (role, style, t_role, t_style) in enumerate(word):
+        step = 1 if p % 2 == 0 else -1
+        first.append(((p + step) % size, role, style))
+        second.append(((p - step) % size, t_role, t_style))
+    return [first, second]
 
 
 # `to_json_text`'s frame and its edge, at their indents, keys sorted; a style

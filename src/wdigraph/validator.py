@@ -35,8 +35,8 @@ n(s,t) and the cycle word (the (role, style) of the s-edge and of the t-edge
 at each position of the walk) fix up to the names of the vertices.  So the
 quadratic relation is run once per (role, style) and generator, on the 2x2
 block of a column and its partner, and the braid relation once per (n,
-cycle word, position) that a column needs, on the two positional tables of
-the cycle (`_positional_tables`); every other column reads the verdict
+cycle word, position) that a column needs, on the `modrep._table` tables of
+the word's `digraph.cycle_pairing`; every other column reads the verdict
 back.  The four cases of `modrep._TAU_CASES` are evaluated once per point,
 through `modrep._cases_at` as `modrep._table` evaluates them, no table of
 the whole digraph is built, and words run through `modrep._word_apply`; no
@@ -48,10 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .digraph import DASHED, SOLID, SLabeledDigraph
+from .digraph import DASHED, SOLID, SLabeledDigraph, cycle_pairing
 from .families import TEMPLATES, family_divisibility_ok
 from .modrep import (_TAU_CASES, _apply_columns, _cases_at, _exact_bits,
-                     _word_apply)
+                     _table, _word_apply)
 
 # the cycle templates (m >= 2) by their dashed slots
 _FIGURE_BY_DASHES = {template.dashes: figure
@@ -110,37 +110,36 @@ def _decide_word(word: tuple, n: int, pair) -> tuple | Rejection:
     Sources and sinks alternate around a cycle, so a single source means a
     single sink, and both arcs out of the source run to it; what is left to
     check is where the sink sits, which edges are dashed, and the
-    divisibility condition against n.  By the parity rule of
-    `SLabeledDigraph.alternating_cycles`, the a-arc, which leaves the source
-    by its i-edge, runs one way round the cycle and the b-arc the other.
+    divisibility condition against n.  The a-arc leaves the source by its
+    i-edge and the b-arc by its j-edge, each followed along the partners of
+    the word's `cycle_pairing`.
     """
-    size = len(word)
-    m = size // 2
+    m = len(word) // 2
     if m == 1:
         role, style, t_role, t_style = word[0]
         if role != t_role:
             return Rejection("the two edges must be parallel, same direction")
         if style != t_style:
             return Rejection("the two parallel edges must share one style")
-        src = 0 if role == "tail" else 1
-        return 7 if style == SOLID else 8, 1, ((src, "a0"), (1 - src, "b1"))
+        src, sink = (0, 1) if role == "tail" else (1, 0)
+        return 7 if style == SOLID else 8, 1, ((src, "a0"), (sink, "b1"))
 
     sources = [p for p, (role, _, t_role, _) in enumerate(word)
                if role == t_role == "tail"]
     if len(sources) != 1:
         return Rejection(f"{len(sources)} sources, need exactly 1")
     src = sources[0]
-    step = -1 if src % 2 else 1
-    # the styles along each arc up to the sink, read at each edge's tail:
-    # word[p][k] is the role at p of the label the arc leaves p by
+    # each arc up to the sink as (head position, style) per edge, its
+    # labels taken from the two rows in turn
+    pairing = cycle_pairing(word)
     arcs = []
-    for direction, k in ((step, 0), (-step, 2)):
-        styles, p = [], src
-        while word[p][k] == "tail":
-            styles.append(word[p][k + 1])
-            p = (p + direction) % size
-            k = 2 - k
-        arcs.append(styles)
+    for row, other in (pairing, pairing[::-1]):
+        arc, p = [], src
+        while row[p][1] == "tail":
+            p, _, style = row[p]
+            arc.append((p, style))
+            row, other = other, row
+        arcs.append(arc)
     a_arc, b_arc = arcs
     if len(a_arc) != m:
         # the two lengths in label-name order
@@ -152,7 +151,7 @@ def _decide_word(word: tuple, n: int, pair) -> tuple | Rejection:
 
     dash_slots = set()
     for arc, tag in ((a_arc, "left"), (b_arc, "right")):
-        for i, style in enumerate(arc):
+        for i, (_, style) in enumerate(arc):
             if style == DASHED:
                 if i == 0:
                     dash_slots.add(f"{tag}_first")
@@ -166,12 +165,11 @@ def _decide_word(word: tuple, n: int, pair) -> tuple | Rejection:
     if not family_divisibility_ok(figure, m, n):
         divisor = TEMPLATES[figure].divisor(m)
         return Rejection(f"figure {figure} needs {divisor} | n, n = {n}")
-    sink = (src + m * step) % size
-    return figure, m, ((src, "a0"), (sink, f"b{m}"),
-                       *(((src + i * step) % size, f"a{i}")
-                         for i in range(1, m)),
-                       *(((src - i * step) % size, f"b{i}")
-                         for i in range(1, m)))
+    return figure, m, ((src, "a0"), (a_arc[-1][0], f"b{m}"),
+                       *((p, f"a{i}")
+                         for i, (p, _) in enumerate(a_arc[:-1], 1)),
+                       *((p, f"b{i}")
+                         for i, (p, _) in enumerate(b_arc[:-1], 1)))
 
 
 def _finite_pairs(digraph: SLabeledDigraph):
@@ -229,33 +227,18 @@ def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
 class RelationWitness:
     kind: str          # "structure", "quadratic" or "braid"
     generators: tuple
-    column: str        # vertex whose column first differs, or "" for quadratic
-
-
-def _positional_tables(word: tuple, cases: dict) -> tuple[list, list]:
-    """The column tables of tau_i and tau_j on the cycle of a cycle word, by
-    walk position: entry p is (partner position, self coefficient or None,
-    partner coefficient), the partner p + 1 or p - 1 by the parity rule of
-    `SLabeledDigraph.alternating_cycles`, the coefficients `cases` of the
-    (role, style) at p of the i-edge and of the j-edge."""
-    size = len(word)
-    first, second = [], []
-    for p, (role, style, t_role, t_style) in enumerate(word):
-        ahead, back = (p + 1) % size, (p - 1) % size
-        if p % 2:
-            ahead, back = back, ahead
-        first.append((ahead,) + cases[role, style])
-        second.append((back,) + cases[t_role, t_style])
-    return first, second
+    # the vertex of the first failing column; for "structure", the
+    # violation lines joined by "; "
+    column: str
 
 
 def brute_force_check(digraph: SLabeledDigraph):
     """Check the defining operator relations exactly; None means all hold.
 
     The quadratic relation is checked for every generator and the
-    alternating-product identity for every pair with finite order, one unit
-    column at a time in vertex order, with an early exit on the first
-    difference, so the witness names the first failing column.  Both sides
+    alternating-product identity for every pair with finite order, on unit
+    columns, and the first pair or generator with a difference is reported
+    with its first failing column in vertex order as the witness.  Both sides
     are evaluated at the integer 2^`_exact_bits(k)` for k applications (k = 2
     for the quadratic relation, k = n(s,t) for the braid relation), which
     decides the polynomial identity exactly; the four cases of
@@ -272,20 +255,18 @@ def brute_force_check(digraph: SLabeledDigraph):
       positions 0 and 1.
     - An alternating word keeps a unit column inside its alternating cycle,
       as `SLabeledDigraph.alternating_cycles` walks it from its first
-      vertex.  In walk positions, the s-partner and the t-partner of
-      position p are p + 1 and p - 1, one each, by the parity of p, and the
-      coefficients at p come from the (role, style) of the s-edge and of
-      the t-edge there, which the cycle word lists.  So the whole-digraph
-      tables of tau_s and tau_t at the point for n(s,t), restricted to the
-      cycle and relabeled by position, are exactly the two tables
-      `_positional_tables` builds from the word and the cases at that
-      point, and the two sides on a column, read in positions, depend only
-      on n(s,t), the word and the column's position, not on vertex names.
-      The first column that no cycle has met starts the next cycle
-      `alternating_cycles` walks; its key (n, word) gets its tables then,
-      and each (key, position) is run on them when a column first needs
-      it.  Nothing is decided ahead of that column, so a digraph rejected
-      at its first column costs one cycle.
+      vertex, and the cycle's edge pairing relabeled by walk position is
+      `cycle_pairing` of its word.  So the whole-digraph tables of tau_s
+      and tau_t at the point for n(s,t), restricted to the cycle and
+      relabeled by position, are `_table` of that pairing and the cases at
+      that point, and the two sides on a column, read in positions, depend
+      only on n(s,t), the word and the column's position, not on vertex
+      names.  The cycles are walked in order, keeping the least failing
+      column, and each (n, word) gets its tables when first walked; a
+      (key, position) is run when a column below that least one first
+      needs it.  The walk stops at the first cycle whose first vertex lies
+      past it, or at once when a cycle fails at its first vertex, so a
+      digraph rejected at its first column costs one cycle.
     Each run costs the size of its cycle, and a digraph whose cycles repeat
     a few words costs little more than one walk per component.
     """
@@ -317,37 +298,38 @@ def brute_force_check(digraph: SLabeledDigraph):
             if not holds:
                 return RelationWitness("quadratic", (system.generators[s],),
                                        digraph.vertices[col])
-    braid = {}   # (n, cycle word) -> (positional tables, verdict per position)
+    braid = {}   # (n, cycle word) -> (its cycle's tables, verdict per position)
     for n, pair, cycles in _finite_pairs(digraph):
         cases = tau_at.get(n)
         if cases is None:
             point = 1 << _exact_bits(n)
             cases = tau_at[n] = _cases_at(_TAU_CASES, lambda c: c(point))
-        # the two alternating words of n letters over the positional tables
-        # (0 the s-table, 1 the t-table); `_word_apply` lets word[0] act
+        # the two alternating words of n letters over a cycle's tables (0
+        # the s-table, 1 the t-table); `_word_apply` lets word[0] act
         # first, so it multiplies each word reversed, and reversal keeps
         # this pair of words, so the relation is the same
         left = [k % 2 for k in range(n)]
         right = [1 - k % 2 for k in range(n)]
-        block = [None] * n_vertices      # column -> its key's entry
-        position = [0] * n_vertices
-        for col in range(n_vertices):
-            if block[col] is None:
-                # the first column no cycle has met starts the next cycle
-                cycle, word = next(cycles)
-                entry = braid.get((n, word))
-                if entry is None:
-                    entry = braid[n, word] = (_positional_tables(word, cases),
-                                              [None] * len(word))
-                for p, v in enumerate(cycle):
-                    block[v] = entry
-                    position[v] = p
-            (tables, verdicts), p = block[col], position[col]
-            holds = verdicts[p]
-            if holds is None:
-                holds = verdicts[p] = (
-                    _word_apply(tables, left, {p: 1}, 0)
-                    == _word_apply(tables, right, {p: 1}, 0))
-            if not holds:
-                return RelationWitness("braid", pair, digraph.vertices[col])
+        failing = n_vertices   # the least failing column so far
+        for cycle, word in cycles:
+            if cycle[0] > failing:
+                break
+            entry = braid.get((n, word))
+            if entry is None:
+                entry = braid[n, word] = (_table(cycle_pairing(word), cases),
+                                          [None] * len(word))
+            tables, verdicts = entry
+            for p, col in enumerate(cycle):
+                if col < failing:
+                    holds = verdicts[p]
+                    if holds is None:
+                        holds = verdicts[p] = (
+                            _word_apply(tables, left, {p: 1}, 0)
+                            == _word_apply(tables, right, {p: 1}, 0))
+                    if not holds:
+                        failing = col
+            if failing == cycle[0]:
+                break
+        if failing < n_vertices:
+            return RelationWitness("braid", pair, digraph.vertices[failing])
     return None

@@ -22,12 +22,12 @@ cases) runs with
 from itertools import product
 
 from wdigraph.coxeter import CoxeterSystem
-from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph
+from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph, cycle_pairing
 from wdigraph.families import (TEMPLATES, FamilySpec, build_family,
                                family_divisibility_ok)
-from wdigraph.modrep import _TAU_CASES, _cases_at, _exact_bits, _word_apply
-from wdigraph.validator import (FamilyMatch, _positional_tables,
-                                brute_force_check, is_w_digraph)
+from wdigraph.modrep import (_TAU_CASES, _cases_at, _exact_bits, _table,
+                             _word_apply)
+from wdigraph.validator import FamilyMatch, brute_force_check, is_w_digraph
 
 ORDERS = range(2, 9)
 
@@ -86,10 +86,11 @@ def admitted_templates(n: int, m: int) -> dict:
 
 def braid_verdicts(g: SLabeledDigraph, n: int) -> list[bool]:
     """Whether the braid relation of order n holds on each walk position of
-    the one alternating cycle of g, on its positional tables."""
+    the one alternating cycle of g, on its tables by walk position."""
     (_, word), = g.alternating_cycles(0, 1)
     point = 1 << _exact_bits(n)
-    tables = _positional_tables(word, _cases_at(_TAU_CASES, lambda c: c(point)))
+    tables = _table(cycle_pairing(word),
+                    _cases_at(_TAU_CASES, lambda c: c(point)))
     left = [k % 2 for k in range(n)]
     right = [1 - k % 2 for k in range(n)]
     return [_word_apply(tables, left, {p: 1}, 0)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
-from wdigraph.digraph import DASHED, SOLID, Edge, SLabeledDigraph
+from wdigraph.digraph import (DASHED, SOLID, Edge, SLabeledDigraph,
+                              cycle_pairing)
 from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, rf
 from wdigraph.families import (EXAMPLE_NAMES, TEMPLATES, FamilySpec,
                                build_family, build_lv, build_example,
@@ -16,8 +17,7 @@ from wdigraph import validator
 from wdigraph.modrep import _TAU_CASES, _cases_at, _exact_bits, _table
 from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 Rejection, RelationWitness, Verdict,
-                                _positional_tables, brute_force_check,
-                                is_w_digraph)
+                                brute_force_check, is_w_digraph)
 
 from conftest import (RatFuncOperators, column_brute_force_check, is_poly,
                       out_edges, random_labeled_digraph, same_structure,
@@ -756,6 +756,125 @@ def test_keyed_oracle_keys_cycle_words_by_order():
     assert cases >= 12
 
 
+def pulled_cycles(monkeypatch) -> dict:
+    """Wrap `SLabeledDigraph.alternating_cycles` to count the cycles taken
+    from it per pair of generator indices; a pair never iterated is absent."""
+    pulled = {}
+    walk = SLabeledDigraph.alternating_cycles
+
+    def counted(self, i, j):
+        for item in walk(self, i, j):
+            pulled[i, j] = pulled.get((i, j), 0) + 1
+            yield item
+
+    monkeypatch.setattr(SLabeledDigraph, "alternating_cycles", counted)
+    return pulled
+
+
+def relabeled_union(parts):
+    """The disjoint union of the digraphs in parts, over the system of the
+    first, the vertices of part c renamed with the prefix c{c}, in turn."""
+    return SLabeledDigraph(
+        parts[0].system,
+        [f"c{c}{v}" for c, g in enumerate(parts) for v in g.vertices],
+        [Edge(f"c{c}{e.src}", f"c{c}{e.dst}", e.label, e.style)
+         for c, g in enumerate(parts) for e in g.edges])
+
+
+def test_oracle_pulls_no_cycle_past_a_first_column_witness(monkeypatch):
+    """A braid failure at the least vertex of a cycle is the witness at
+    once: on copies of a rejected template failing at vertex 0, the failing
+    pair takes one cycle from `alternating_cycles`; a passing pair before
+    it, and every pair of an accepted union, takes each cycle once."""
+    pulled = pulled_cycles(monkeypatch)
+    rejected = 0
+    for n in range(2, 9):
+        for figure in range(1, 7):
+            for m in (2, 3, 4):
+                if family_divisibility_ok(figure, m, n):
+                    continue
+                g = relabeled_union([family_on(n, figure, m)] * 3)
+                pulled.clear()
+                assert brute_force_check(g) == RelationWitness(
+                    "braid", ("s", "t"), g.vertices[0]), (n, figure, m)
+                assert pulled == {(0, 1): 1}, (n, figure, m)
+                rejected += 1
+    # a template on (r, s) copied onto (r, t): (r, s) passes, (r, t) fails
+    system = CoxeterSystem(["r", "s", "t"], {("r", "s"): 4, ("r", "t"): 5,
+                                             ("s", "t"): 2})
+    template = build_family(CoxeterSystem.dihedral(4, ("r", "s")),
+                            FamilySpec(2, 4, "r", "s"))
+    g = relabeled_union([SLabeledDigraph(
+        system, template.vertices,
+        [*template.edges, *(Edge(e.src, e.dst, "t", e.style)
+                            for e in template.edges if e.label == "s")])] * 3)
+    pulled.clear()
+    assert brute_force_check(g) == RelationWitness("braid", ("r", "t"),
+                                                   g.vertices[0])
+    assert pulled == {(0, 1): 3, (0, 2): 1}
+    assert rejected > 50
+    for label, base in list(group_digraphs())[:4]:
+        g = relabeled_union([base] * 2)
+        pulled.clear()
+        assert brute_force_check(g) is None, label
+        gens = g.system.generators
+        assert pulled == {
+            (i, j): len(scan_alternating_cycles(g, gens[i], gens[j]))
+            for i in range(len(gens)) for j in range(i + 1, len(gens))
+            if g.system.order(i, j) is not inf}, label
+
+
+def test_oracle_finds_the_least_failing_column_at_any_position(monkeypatch):
+    """Every cycle word the tests reach fails the braid relation at all of
+    its walk positions or at none (the atlas checks m <= 4), so here the
+    relation is made to fail at chosen positions of every cycle: the
+    witness is the least vertex at such a position, and the loop takes
+    cycles only up to the first whose first vertex lies past it, or up to
+    the witness's own cycle when the witness is its first vertex."""
+    pulled = pulled_cycles(monkeypatch)
+    real = validator._word_apply
+    rigged_positions = set()
+
+    def rigged(table, word, vec, zero):
+        out = real(table, word, vec, zero)
+        (p,) = vec
+        if word[0] == 0 and p in rigged_positions:   # the left word only
+            out = {**out, "rigged": 1}
+        return out
+
+    monkeypatch.setattr(validator, "_word_apply", rigged)
+    rng = random.Random(3203)
+    inputs = 0
+    for n in (3, 4, 6):
+        parts = [family_on(n, figure, m) for figure in TEMPLATES
+                 for m in (1, 2, 3, 4) if family_divisibility_ok(figure, m, n)]
+        for _ in range(10):
+            union = relabeled_union(rng.sample(parts, 4))
+            vertices = list(union.vertices)
+            rng.shuffle(vertices)
+            g = SLabeledDigraph(union.system, vertices, union.edges)
+            cycles = [cycle for cycle, _ in scan_alternating_cycles(g, "s", "t")]
+            firsts = [cycle[0] for cycle in cycles]
+            for chosen in ({1}, {2}, {3}, {5}, {2, 7}, {0, 3}):
+                rigged_positions.clear()
+                rigged_positions.update(chosen)
+                pulled.clear()
+                least = min((cycle[p] for cycle in cycles for p in chosen
+                             if p < len(cycle)), default=None)
+                if least is None:
+                    expected, taken = None, len(cycles)
+                else:
+                    expected = RelationWitness("braid", ("s", "t"),
+                                               g.vertices[least])
+                    taken = (firsts.index(least) + 1 if least in firsts
+                             else next((k + 1 for k, v in enumerate(firsts)
+                                        if v > least), len(cycles)))
+                assert brute_force_check(g) == expected, (n, chosen)
+                assert pulled == {(0, 1): taken}, (n, chosen)
+                inputs += expected is not None and least not in firsts
+    assert inputs > 100
+
+
 # -- the keyed classifier against the per-cycle classifier it replaced --------------------
 
 
@@ -887,13 +1006,14 @@ def test_keyed_classifier_decides_each_word_once(monkeypatch):
         assert 10 * len(keys) <= len(report.components), report.pair
 
 
-# -- the oracle's positional tables against the whole-digraph tables -----------------------
+# -- the oracle's cycle tables against the whole-digraph tables ---------------------------
 
 
 def test_positional_tables_are_the_whole_tables_on_a_cycle():
-    """Each (n, cycle word)'s positional tables are `_table`'s tables of
-    tau_s and tau_t, at both exact points, restricted to the cycle and
-    relabeled by walk position: the premise of `brute_force_check`."""
+    """Each (n, cycle word)'s tables, `_table` over its `cycle_pairing`,
+    are `_table`'s tables of tau_s and tau_t over the whole digraph, at both
+    exact points, restricted to the cycle and relabeled by walk position:
+    the premise of `brute_force_check`."""
     rng = random.Random(3001)
     systems = DIHEDRAL + RANK_THREE
     inputs = [g for _, g in group_digraphs()]
@@ -914,10 +1034,10 @@ def test_positional_tables_are_the_whole_tables_on_a_cycle():
                     cases = _cases_at(_TAU_CASES, lambda c: c(point))
                     for cycle, word in scan_alternating_cycles(g, *pair):
                         position = {v: p for p, v in enumerate(cycle)}
-                        expected = tuple(
+                        expected = list(
                             [(position[whole[s][v][0]],) + whole[s][v][1:]
                              for v in cycle] for s in (i, j))
-                        assert _positional_tables(word, cases) == expected, \
+                        assert _table(cycle_pairing(word), cases) == expected, \
                             (pair, k, cycle)
                         keys.add((n, word))
     assert len(keys) > 400
