@@ -5,13 +5,16 @@ must be a 2m-cycle carrying one of the eight templates, with the matching
 divisibility condition against the order n(s,t).  Once every vertex meets
 one edge per label, each component of the {s,t}-restriction is a single
 cycle whose labels alternate.  `SLabeledDigraph.alternating_cycles` walks
-them one at a time, straight from the digraph's edge pairing, each with its
-cycle word, which fixes it up to the names of its vertices, and both
-deciders run over that one keyed decomposition of every finite pair
-(`_finite_pairs`).  The classifier decides each word once per pair, in walk
-positions (`_decide_word`), so a component costs one lookup and its
-witness; it builds no digraph and is linear in the size of the digraph.
-The brute-force oracle instead applies the generator operators and
+them straight from the digraph's edge pairing, each with its cycle word,
+which fixes it up to the names of its vertices, and
+`SLabeledDigraph.cycle_words` keeps one walk per pair as its distinct words
+and a slot per vertex, its (word, walk position); both deciders read that
+one keyed decomposition of every finite pair (`_finite_pairs`).  The
+classifier decides each word once per pair, in walk positions
+(`_decide_word`), and its verdict reads those results alone; the reports,
+with a witness per component, are built from them when first read.  It
+builds no digraph and is linear in the size of the digraph.  The
+brute-force oracle instead applies the generator operators and
 verifies the quadratic relation and the length-n alternating product
 identity exactly.  Their agreement on random inputs is the central
 soundness test of the whole library.
@@ -36,10 +39,11 @@ at each position of the walk) fix up to the names of the vertices.  So the
 quadratic relation is run once per (role, style) and generator, on the 2x2
 block of a column and its partner, and the braid relation once per (n,
 cycle word, position) that a column needs, on the `modrep._table` tables of
-the word's `digraph.cycle_pairing`; every other column reads the verdict
-back.  The four cases of `modrep._TAU_CASES` are evaluated once per point,
-through `modrep._cases_at` as `modrep._table` evaluates them, no table of
-the whole digraph is built, and words run through `modrep._word_apply`; no
+the word's `digraph.cycle_pairing`; the columns are scanned in vertex order
+by their slots, and every other column reads the verdict back.  The four
+cases of `modrep._TAU_CASES` are evaluated once per point, through
+`modrep._cases_at` as `modrep._table` evaluates them, no table of the whole
+digraph is built, and words run through `modrep._word_apply`; no
 `ModuleRep` is built.
 """
 
@@ -78,11 +82,31 @@ class PairReport:
     components: tuple  # FamilyMatch or Rejection per component
 
 
+class _OnFirstRead:
+    """A dataclass field that may be given a function of no arguments in
+    place of its value: the function is called when the field is first
+    read, and its result kept as the value."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)   # the field has no default
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class Verdict:
     is_w_digraph: bool
     structural_violations: tuple[str, ...]
-    pair_reports: tuple[PairReport, ...]
+    pair_reports: tuple[PairReport, ...] = _OnFirstRead()
 
     def describe(self) -> str:
         lines = []
@@ -173,51 +197,59 @@ def _decide_word(word: tuple, n: int, pair) -> tuple | Rejection:
 
 
 def _finite_pairs(digraph: SLabeledDigraph):
-    """(n, pair, cycles) for each pair of generators i < j of finite order
-    n = n(s_i, s_j): pair holds their names, and cycles the components of
-    the restriction to them from `alternating_cycles`, each with its cycle
-    word.  Pairs of infinite order impose no condition."""
+    """((i, j), n, pair, words, slots) for each pair of generators i < j of
+    finite order n = n(s_i, s_j): pair holds their names, and words and
+    slots the keyed decomposition of the restriction to them,
+    `SLabeledDigraph.cycle_words`.  Pairs of infinite order impose no
+    condition."""
     system = digraph.system
     for i in range(system.rank()):
         for j in range(i + 1, system.rank()):
             n = system.order(i, j)
             if n is not inf:
-                yield (n, (system.generators[i], system.generators[j]),
-                       digraph.alternating_cycles(i, j))
+                yield ((i, j), n, (system.generators[i], system.generators[j]),
+                       *digraph.cycle_words(i, j))
 
 
 def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
     """The classification decision procedure over all rank-two restrictions.
 
     The digraph is accepted when every component of every finite rank-two
-    restriction matches a template with its divisibility condition.  The
-    components of a restriction are classified in the order of their first
-    vertices, each as the alternating cycle the digraph walks.  Each cycle
-    word is decided once per pair, by `_decide_word`; a component then
-    costs one lookup, and a match its witness, the names at its positions.
+    restriction matches a template with its divisibility condition.  Each
+    distinct cycle word of a restriction is decided once, by `_decide_word`,
+    and the verdict reads only those results.  The reports, every component
+    in the order of its first vertex with its witness, the names at the
+    positions of its match, are built from the same results when
+    `Verdict.pair_reports` is first read (`_pair_reports`).
     """
     violations = tuple(digraph.validate_structure())
     if violations:
         return Verdict(False, violations, ())
+    decided = [(ij, n, pair, {word: _decide_word(word, n, pair)
+                              for word in words})
+               for ij, n, pair, words, _ in _finite_pairs(digraph)]
+    ok = not any(isinstance(result, Rejection)
+                 for *_, results in decided for result in results.values())
+    return Verdict(ok, (), lambda: _pair_reports(digraph, decided))
+
+
+def _pair_reports(digraph: SLabeledDigraph, decided) -> tuple[PairReport, ...]:
+    """A `PairReport` per ((i, j), n, pair, result per cycle word) in
+    decided, its components walked again by `alternating_cycles`."""
     names = digraph.vertices
     reports = []
-    ok = True
-    for n, pair, cycles in _finite_pairs(digraph):
-        decided = {}   # cycle word -> its result under this pair
+    for (i, j), n, pair, results in decided:
         comps = []
-        for cycle, word in cycles:
-            result = decided.get(word)
-            if result is None:
-                result = decided[word] = _decide_word(word, n, pair)
+        for cycle, word in digraph.alternating_cycles(i, j):
+            result = results[word]
             if isinstance(result, Rejection):
-                ok = False
                 comps.append(result)
             else:
-                figure, m, slots = result
+                figure, m, named = result
                 comps.append(FamilyMatch(figure, m, {names[cycle[q]]: name
-                                                     for q, name in slots}))
+                                                     for q, name in named}))
         reports.append(PairReport(pair, n, tuple(comps)))
-    return Verdict(ok, (), tuple(reports))
+    return tuple(reports)
 
 
 # -- the brute-force oracle -------------------------------------------------------------------
@@ -261,21 +293,20 @@ def brute_force_check(digraph: SLabeledDigraph):
       relabeled by position, are `_table` of that pairing and the cases at
       that point, and the two sides on a column, read in positions, depend
       only on n(s,t), the word and the column's position, not on vertex
-      names.  The cycles are walked in order, keeping the least failing
-      column, and each (n, word) gets its tables when first walked; a
-      (key, position) is run when a column below that least one first
-      needs it.  The walk stops at the first cycle whose first vertex lies
-      past it, or at once when a cycle fails at its first vertex, so a
-      digraph rejected at its first column costs one cycle.
+      names.  The columns are scanned in vertex order, each by its slot in
+      `SLabeledDigraph.cycle_words`, its (word, position); each (n, word)
+      gets its tables when a column first needs them, and a slot is run
+      when a column first meets it, so the first column whose slot fails
+      is the least failing one.  Once every slot of the pair holds, no
+      later column can fail, and the scan stops.
     Each run costs the size of its cycle, and a digraph whose cycles repeat
-    a few words costs little more than one walk per component.
+    a few words costs little more than one walk per pair.
     """
     violations = digraph.validate_structure()
     if violations:
         return RelationWitness("structure", (), "; ".join(violations))
     pairing = digraph.edge_pairing()
     system = digraph.system
-    n_vertices = len(digraph.vertices)
     u = 1 << _exact_bits(2)
     cases = _cases_at(_TAU_CASES, lambda c: c(u))
     tau_at = {2: cases}   # k -> the cases at 2^_exact_bits(k)
@@ -299,7 +330,7 @@ def brute_force_check(digraph: SLabeledDigraph):
                 return RelationWitness("quadratic", (system.generators[s],),
                                        digraph.vertices[col])
     braid = {}   # (n, cycle word) -> (its cycle's tables, verdict per position)
-    for n, pair, cycles in _finite_pairs(digraph):
+    for _, n, pair, words, slots in _finite_pairs(digraph):
         cases = tau_at.get(n)
         if cases is None:
             point = 1 << _exact_bits(n)
@@ -310,26 +341,26 @@ def brute_force_check(digraph: SLabeledDigraph):
         # this pair of words, so the relation is the same
         left = [k % 2 for k in range(n)]
         right = [1 - k % 2 for k in range(n)]
-        failing = n_vertices   # the least failing column so far
-        for cycle, word in cycles:
-            if cycle[0] > failing:
-                break
+        at_slot = [(word, p) for word in words for p in range(len(word))]
+        known = [False] * len(at_slot)   # per slot: decided, and it holds
+        unknown = len(at_slot)
+        for col, slot in enumerate(slots):
+            if known[slot]:
+                continue
+            word, p = at_slot[slot]
             entry = braid.get((n, word))
             if entry is None:
                 entry = braid[n, word] = (_table(cycle_pairing(word), cases),
                                           [None] * len(word))
             tables, verdicts = entry
-            for p, col in enumerate(cycle):
-                if col < failing:
-                    holds = verdicts[p]
-                    if holds is None:
-                        holds = verdicts[p] = (
-                            _word_apply(tables, left, {p: 1}, 0)
-                            == _word_apply(tables, right, {p: 1}, 0))
-                    if not holds:
-                        failing = col
-            if failing == cycle[0]:
-                break
-        if failing < n_vertices:
-            return RelationWitness("braid", pair, digraph.vertices[failing])
+            holds = verdicts[p]
+            if holds is None:
+                holds = verdicts[p] = (_word_apply(tables, left, {p: 1}, 0)
+                                       == _word_apply(tables, right, {p: 1}, 0))
+            if not holds:
+                return RelationWitness("braid", pair, digraph.vertices[col])
+            known[slot] = True
+            unknown -= 1
+            if not unknown:
+                break   # every slot holds, so every later column does
     return None

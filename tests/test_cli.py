@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdigraph import cli, coxeter
+from wdigraph import cli, coxeter, validator
 from wdigraph.cli import main
 from wdigraph.digraph import load_digraph
 from wdigraph.families import EXAMPLE_NAMES, build_example
+
+from test_validator import group_digraphs
 
 SYSTEM_I2_3 = {"generators": ["s", "t"], "matrix": {"s,t": 3}}
 
@@ -123,6 +125,27 @@ def test_oracle_command(capsys, tmp_path):
     assert "failing braid" in out
     code, out = run(capsys, "validate", str(dpath))
     assert code == 1
+
+
+def test_validate_both_builds_no_witness(capsys, monkeypatch, tmp_path):
+    """`validate --both` prints only the verdicts, so on the LV and regular
+    digraphs of A3, B3, H3, A4, D4 and B4 it builds no `FamilyMatch`."""
+    built = []
+    real = validator.FamilyMatch
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(validator, "FamilyMatch", counted)
+    checked = 0
+    for label, g in group_digraphs():
+        path = tmp_path / "g.json"
+        path.write_text(g.to_json_text())
+        code, out = run(capsys, "validate", str(path), "--both")
+        assert (code, out) == (0, "accepted\noracle: ok\n"), label
+        checked += 1
+    assert checked == 12 and built == []
 
 
 def test_validate_explain_divisibility_rejection(capsys, tmp_path):

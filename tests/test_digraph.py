@@ -501,6 +501,33 @@ def test_alternating_cycles_match_edge_scans():
     assert walked > 1000 and broken == 4
 
 
+def test_cycle_words_number_the_scanned_positions():
+    """`cycle_words` keeps the distinct words of the scanned cycles in the
+    order of their first vertices, and each vertex's slot names its (word,
+    walk position) among those pairs numbered in turn; it is kept per
+    pair."""
+    decomposed = 0
+    for label, g in walk_inputs():
+        if scan_pairing(g) is None:
+            continue
+        gens = g.system.generators
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                cycles = scan_alternating_cycles(g, gens[i], gens[j])
+                at = {v: (word, p) for cycle, word in cycles
+                      for p, v in enumerate(cycle)}
+                words, slots = g.cycle_words(i, j)
+                assert words == tuple(dict.fromkeys(w for _, w in cycles)), \
+                    (label, i, j)
+                numbered = [(w, p) for w in words for p in range(len(w))]
+                assert [numbered[s] for s in slots] == [
+                    at[v] for v in range(len(g.vertices))], (label, i, j)
+                assert g.cycle_words(i, j) == (words, slots)
+                assert g.cycle_words(i, j)[1] is slots
+                decomposed += 1
+    assert decomposed > 1000
+
+
 def test_walk_flags_match_edge_scans():
     seen = [0, 0, 0]
     for label, g in walk_inputs():

@@ -1,6 +1,7 @@
 """Tests for the classification decision procedure and the brute-force oracle."""
 
 import random
+from itertools import islice
 from math import inf
 
 import pytest
@@ -756,19 +757,18 @@ def test_keyed_oracle_keys_cycle_words_by_order():
     assert cases >= 12
 
 
-def pulled_cycles(monkeypatch) -> dict:
-    """Wrap `SLabeledDigraph.alternating_cycles` to count the cycles taken
-    from it per pair of generator indices; a pair never iterated is absent."""
-    pulled = {}
+def entered_pairs(monkeypatch) -> dict:
+    """Wrap `SLabeledDigraph.alternating_cycles` to count the walks entered
+    per pair of generator indices; a pair never walked is absent."""
+    entered = {}
     walk = SLabeledDigraph.alternating_cycles
 
     def counted(self, i, j):
-        for item in walk(self, i, j):
-            pulled[i, j] = pulled.get((i, j), 0) + 1
-            yield item
+        entered[i, j] = entered.get((i, j), 0) + 1
+        yield from walk(self, i, j)
 
     monkeypatch.setattr(SLabeledDigraph, "alternating_cycles", counted)
-    return pulled
+    return entered
 
 
 def relabeled_union(parts):
@@ -781,24 +781,28 @@ def relabeled_union(parts):
          for c, g in enumerate(parts) for e in g.edges])
 
 
-def test_oracle_pulls_no_cycle_past_a_first_column_witness(monkeypatch):
-    """A braid failure at the least vertex of a cycle is the witness at
-    once: on copies of a rejected template failing at vertex 0, the failing
-    pair takes one cycle from `alternating_cycles`; a passing pair before
-    it, and every pair of an accepted union, takes each cycle once."""
-    pulled = pulled_cycles(monkeypatch)
-    rejected = 0
-    for n in range(2, 9):
-        for figure in range(1, 7):
-            for m in (2, 3, 4):
-                if family_divisibility_ok(figure, m, n):
-                    continue
-                g = relabeled_union([family_on(n, figure, m)] * 3)
-                pulled.clear()
-                assert brute_force_check(g) == RelationWitness(
-                    "braid", ("s", "t"), g.vertices[0]), (n, figure, m)
-                assert pulled == {(0, 1): 1}, (n, figure, m)
-                rejected += 1
+def test_deciders_walk_each_pair_once(monkeypatch):
+    """`is_w_digraph` then `brute_force_check` on one digraph enter the walk
+    of each finite pair once between them, whatever either decides; on a
+    union whose (r, s) passes and whose (r, t) fails, the oracle alone
+    enters those two walks and never (s, t)'s."""
+    entered = entered_pairs(monkeypatch)
+    rng = random.Random(3301)
+    inputs = [g for _, g in group_digraphs()]
+    inputs += [g for _, g in islice(many_component_rejections(), 40)]
+    inputs += [random_labeled_digraph(rng, RANK_THREE[k % 2], 2 * (k % 6 + 1))
+               for k in range(60)]
+    walked = 0
+    for g in inputs:
+        entered.clear()
+        is_w_digraph(g)
+        brute_force_check(g)
+        rank = g.system.rank()
+        assert entered == ({} if g.validate_structure() else {
+            (i, j): 1 for i in range(rank) for j in range(i + 1, rank)
+            if g.system.order(i, j) is not inf}), g
+        walked += bool(entered)
+    assert walked > 80
     # a template on (r, s) copied onto (r, t): (r, s) passes, (r, t) fails
     system = CoxeterSystem(["r", "s", "t"], {("r", "s"): 4, ("r", "t"): 5,
                                              ("s", "t"): 2})
@@ -808,30 +812,33 @@ def test_oracle_pulls_no_cycle_past_a_first_column_witness(monkeypatch):
         system, template.vertices,
         [*template.edges, *(Edge(e.src, e.dst, "t", e.style)
                             for e in template.edges if e.label == "s")])] * 3)
-    pulled.clear()
+    entered.clear()
     assert brute_force_check(g) == RelationWitness("braid", ("r", "t"),
                                                    g.vertices[0])
-    assert pulled == {(0, 1): 3, (0, 2): 1}
-    assert rejected > 50
-    for label, base in list(group_digraphs())[:4]:
-        g = relabeled_union([base] * 2)
-        pulled.clear()
-        assert brute_force_check(g) is None, label
-        gens = g.system.generators
-        assert pulled == {
-            (i, j): len(scan_alternating_cycles(g, gens[i], gens[j]))
-            for i in range(len(gens)) for j in range(i + 1, len(gens))
-            if g.system.order(i, j) is not inf}, label
+    assert entered == {(0, 1): 1, (0, 2): 1}
+
+
+def test_reports_are_built_once_when_first_read(monkeypatch):
+    """The classifier's verdict walks each finite pair once; its reports
+    walk each pair once more when first read, and are kept, so `repr`, `==`
+    and a second read walk nothing."""
+    entered = entered_pairs(monkeypatch)
+    g = build_regular(CoxeterSystem(["q", "r", "s", "t"], GROUP_ORDERS["B4"]))
+    verdict = is_w_digraph(g)
+    assert verdict.is_w_digraph and len(entered) == 6
+    walked = dict(entered)
+    reports = verdict.pair_reports
+    assert entered == {pair: 2 * k for pair, k in walked.items()}
+    assert verdict.pair_reports is reports and verdict == verdict
+    assert "FamilyMatch(figure=" in repr(verdict)
+    assert entered == {pair: 2 * k for pair, k in walked.items()}
 
 
 def test_oracle_finds_the_least_failing_column_at_any_position(monkeypatch):
     """Every cycle word the tests reach fails the braid relation at all of
     its walk positions or at none (the atlas checks m <= 4), so here the
     relation is made to fail at chosen positions of every cycle: the
-    witness is the least vertex at such a position, and the loop takes
-    cycles only up to the first whose first vertex lies past it, or up to
-    the witness's own cycle when the witness is its first vertex."""
-    pulled = pulled_cycles(monkeypatch)
+    witness is the least vertex at such a position."""
     real = validator._word_apply
     rigged_positions = set()
 
@@ -858,19 +865,14 @@ def test_oracle_finds_the_least_failing_column_at_any_position(monkeypatch):
             for chosen in ({1}, {2}, {3}, {5}, {2, 7}, {0, 3}):
                 rigged_positions.clear()
                 rigged_positions.update(chosen)
-                pulled.clear()
                 least = min((cycle[p] for cycle in cycles for p in chosen
                              if p < len(cycle)), default=None)
                 if least is None:
-                    expected, taken = None, len(cycles)
+                    expected = None
                 else:
                     expected = RelationWitness("braid", ("s", "t"),
                                                g.vertices[least])
-                    taken = (firsts.index(least) + 1 if least in firsts
-                             else next((k + 1 for k, v in enumerate(firsts)
-                                        if v > least), len(cycles)))
                 assert brute_force_check(g) == expected, (n, chosen)
-                assert pulled == {(0, 1): taken}, (n, chosen)
                 inputs += expected is not None and least not in firsts
     assert inputs > 100
 
