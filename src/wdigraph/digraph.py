@@ -19,9 +19,9 @@ shortest circuit.  `analyze` keeps its frozen result, so the CLI and the
 module layer share one analysis, and `alternating_cycles` walks the
 rank-two restrictions the deciders inspect, each cycle with its word of
 (role, style) pairs per walk position, the key both deciders decide by;
-`cycle_words` keeps one such walk per pair, as its distinct words and a
-slot per vertex, and `cycle_pairing` reads a word back as its cycle's edge
-pairing on walk positions.
+`cycle_words` keeps one such walk per pair, as its distinct words, each
+with the first vertex of its first cycle, and `cycle_pairing` reads a word
+back as its cycle's edge pairing on walk positions.
 Label-preserving isomorphism propagates one vertex's image per component
 along both pairings.
 """
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,7 +134,8 @@ class SLabeledDigraph:
         length whose labels alternate, and `cycle_pairing(word)` is its edge
         pairing on walk positions.  `edge_pairing` raises on a count
         violation.  Each cycle is walked when it is asked for, and none is
-        cached; `cycle_words` keeps what the deciders read of the walk."""
+        cached; `cycle_words` keeps what the deciders read of the walk, each
+        distinct word and the first vertex of its first cycle."""
         pairing = self.edge_pairing()
         first, second = pairing[i], pairing[j]
         seen = [False] * len(self.vertices)
@@ -166,25 +166,17 @@ class SLabeledDigraph:
     def _cycle_words(self) -> dict:
         return {}
 
-    def cycle_words(self, i: int, j: int) -> tuple[tuple, array]:
-        """(words, slots): the distinct cycle words of the restriction to
-        generators i and j, in the order of the first vertices of their
-        cycles, and per vertex index its slot, its walk position plus the
-        lengths of the words before its cycle's word, so that the slots
-        number the (word, position) pairs in turn.  One walk of
+    def cycle_words(self, i: int, j: int) -> dict[tuple, int]:
+        """The distinct cycle words of the restriction to generators i and
+        j, in the order of the first vertices of their cycles, each mapped
+        to the first vertex of its first cycle: one walk of
         `alternating_cycles`, kept per pair."""
         found = self._cycle_words.get((i, j))
         if found is None:
-            words, base = {}, 0   # word -> its first slot
-            slots = array("i", bytes(4 * len(self.vertices)))
+            found = {}
             for cycle, word in self.alternating_cycles(i, j):
-                first = words.get(word)
-                if first is None:
-                    first = words[word] = base
-                    base += len(word)
-                for slot, v in enumerate(cycle, first):
-                    slots[v] = slot
-            found = self._cycle_words[i, j] = (tuple(words), slots)
+                found.setdefault(word, cycle[0])
+            self._cycle_words[i, j] = found
         return found
 
     def _by_label(self) -> Iterator[tuple[int, list[tuple[int, int, str]]]]:

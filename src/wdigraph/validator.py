@@ -7,9 +7,9 @@ one edge per label, each component of the {s,t}-restriction is a single
 cycle whose labels alternate.  `SLabeledDigraph.alternating_cycles` walks
 them straight from the digraph's edge pairing, each with its cycle word,
 which fixes it up to the names of its vertices, and
-`SLabeledDigraph.cycle_words` keeps one walk per pair as its distinct words
-and a slot per vertex, its (word, walk position); both deciders read that
-one keyed decomposition of every finite pair (`_finite_pairs`).  The
+`SLabeledDigraph.cycle_words` keeps one walk per pair as its distinct words,
+each with the first vertex of its first cycle; both deciders read that one
+keyed decomposition of every finite pair (`_finite_pairs`).  The
 classifier decides each word once per pair, in walk positions
 (`_decide_word`), and its verdict reads those results alone; the reports,
 with a witness per component, are built from them when first read.  It
@@ -38,13 +38,13 @@ n(s,t) and the cycle word (the (role, style) of the s-edge and of the t-edge
 at each position of the walk) fix up to the names of the vertices.  So the
 quadratic relation is run once per (role, style) and generator, on the 2x2
 block of a column and its partner, and the braid relation once per (n,
-cycle word, position) that a column needs, on the `modrep._table` tables of
-the word's `digraph.cycle_pairing`; the columns are scanned in vertex order
-by their slots, and every other column reads the verdict back.  The four
-cases of `modrep._TAU_CASES` are evaluated once per point, through
-`modrep._cases_at` as `modrep._table` evaluates them, no table of the whole
-digraph is built, and words run through `modrep._word_apply`; no
-`ModuleRep` is built.
+cycle word), at walk position 0, on the `modrep._table` tables of the
+word's `digraph.cycle_pairing`: on one cycle its verdicts are all or none
+(the proof is in `brute_force_check`), and every other column reads the
+verdict back.  The four cases of `modrep._TAU_CASES` are evaluated once per
+point, through `modrep._cases_at` as `modrep._table` evaluates them, no
+table of the whole digraph is built, and words run through
+`modrep._word_apply`; no `ModuleRep` is built.
 """
 
 from __future__ import annotations
@@ -197,9 +197,9 @@ def _decide_word(word: tuple, n: int, pair) -> tuple | Rejection:
 
 
 def _finite_pairs(digraph: SLabeledDigraph):
-    """((i, j), n, pair, words, slots) for each pair of generators i < j of
-    finite order n = n(s_i, s_j): pair holds their names, and words and
-    slots the keyed decomposition of the restriction to them,
+    """((i, j), n, pair, words) for each pair of generators i < j of finite
+    order n = n(s_i, s_j): pair holds their names, and words the keyed
+    decomposition of the restriction to them,
     `SLabeledDigraph.cycle_words`.  Pairs of infinite order impose no
     condition."""
     system = digraph.system
@@ -208,7 +208,7 @@ def _finite_pairs(digraph: SLabeledDigraph):
             n = system.order(i, j)
             if n is not inf:
                 yield ((i, j), n, (system.generators[i], system.generators[j]),
-                       *digraph.cycle_words(i, j))
+                       digraph.cycle_words(i, j))
 
 
 def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
@@ -227,7 +227,7 @@ def is_w_digraph(digraph: SLabeledDigraph) -> Verdict:
         return Verdict(False, violations, ())
     decided = [(ij, n, pair, {word: _decide_word(word, n, pair)
                               for word in words})
-               for ij, n, pair, words, _ in _finite_pairs(digraph)]
+               for ij, n, pair, words in _finite_pairs(digraph)]
     ok = not any(isinstance(result, Rejection)
                  for *_, results in decided for result in results.values())
     return Verdict(ok, (), lambda: _pair_reports(digraph, decided))
@@ -293,14 +293,33 @@ def brute_force_check(digraph: SLabeledDigraph):
       relabeled by position, are `_table` of that pairing and the cases at
       that point, and the two sides on a column, read in positions, depend
       only on n(s,t), the word and the column's position, not on vertex
-      names.  The columns are scanned in vertex order, each by its slot in
-      `SLabeledDigraph.cycle_words`, its (word, position); each (n, word)
-      gets its tables when a column first needs them, and a slot is run
-      when a column first meets it, so the first column whose slot fails
-      is the least failing one.  Once every slot of the pair holds, no
-      later column can fail, and the scan stops.
-    Each run costs the size of its cycle, and a digraph whose cycles repeat
-    a few words costs little more than one walk per pair.
+      names.
+    - Nor on the position: on one cycle the relation holds at every
+      position or at none, for every m and n.  On the span of the cycle,
+      let A and B be the two alternating products of n factors, A starting
+      with tau_s, D = A - B, and s' = s for even n, s' = t for odd n.  Then
+      tau_s B = A tau_s', and the quadratic relation tau^2 = (u^2-1) tau +
+      u^2, expanded at the left end of tau_s A and at the right end of
+      B tau_s', gives tau_s A - B tau_s' = (u^2-1) D.  Together
+
+          tau_s D + D tau_s' = (u^2-1) D,
+
+      and the same holds with s and t swapped, which swaps A and B.  So
+      D e_p = 0 gives D tau_s' e_p = 0, where tau_s' e_p = c e_p + d e_q
+      with q the s'-partner of p and d one of 1, u^2, u+1, u^2-u, never 0;
+      hence D e_q = 0.  The twin identity reaches the other partner of p,
+      and the cycle is connected through the partners, so D vanishes on
+      all of its columns or on none.  The quadratic relation is checked on
+      every block before the braid loop runs, so the premise holds
+      whenever it runs, and `_exact_bits(n)` decides each entry exactly,
+      so the integer verdicts are all or none too.
+    So each (n, word) is run once, from position 0, and every other cycle
+    with that key reads its verdict back.  The words come in the order of
+    their first cycles, each with that cycle's first vertex, its least
+    (`SLabeledDigraph.cycle_words`), so the first failing word gives the
+    least failing column of its pair.  Each run costs the size of its
+    cycle, and a digraph whose cycles repeat a few words costs little more
+    than one walk per pair.
     """
     violations = digraph.validate_structure()
     if violations:
@@ -329,8 +348,8 @@ def brute_force_check(digraph: SLabeledDigraph):
             if not holds:
                 return RelationWitness("quadratic", (system.generators[s],),
                                        digraph.vertices[col])
-    braid = {}   # (n, cycle word) -> (its cycle's tables, verdict per position)
-    for _, n, pair, words, slots in _finite_pairs(digraph):
+    braid = {}   # (n, cycle word) -> whether the relation holds on its cycle
+    for _, n, pair, words in _finite_pairs(digraph):
         cases = tau_at.get(n)
         if cases is None:
             point = 1 << _exact_bits(n)
@@ -341,26 +360,13 @@ def brute_force_check(digraph: SLabeledDigraph):
         # this pair of words, so the relation is the same
         left = [k % 2 for k in range(n)]
         right = [1 - k % 2 for k in range(n)]
-        at_slot = [(word, p) for word in words for p in range(len(word))]
-        known = [False] * len(at_slot)   # per slot: decided, and it holds
-        unknown = len(at_slot)
-        for col, slot in enumerate(slots):
-            if known[slot]:
-                continue
-            word, p = at_slot[slot]
-            entry = braid.get((n, word))
-            if entry is None:
-                entry = braid[n, word] = (_table(cycle_pairing(word), cases),
-                                          [None] * len(word))
-            tables, verdicts = entry
-            holds = verdicts[p]
+        for word, first in words.items():
+            holds = braid.get((n, word))
             if holds is None:
-                holds = verdicts[p] = (_word_apply(tables, left, {p: 1}, 0)
-                                       == _word_apply(tables, right, {p: 1}, 0))
+                tables = _table(cycle_pairing(word), cases)
+                holds = braid[n, word] = (
+                    _word_apply(tables, left, {0: 1}, 0)
+                    == _word_apply(tables, right, {0: 1}, 0))
             if not holds:
-                return RelationWitness("braid", pair, digraph.vertices[col])
-            known[slot] = True
-            unknown -= 1
-            if not unknown:
-                break   # every slot holds, so every later column does
+                return RelationWitness("braid", pair, digraph.vertices[first])
     return None

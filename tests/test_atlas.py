@@ -25,8 +25,9 @@ from wdigraph.coxeter import CoxeterSystem
 from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph, cycle_pairing
 from wdigraph.families import (TEMPLATES, FamilySpec, build_family,
                                family_divisibility_ok)
-from wdigraph.modrep import (_TAU_CASES, _cases_at, _exact_bits, _table,
-                             _word_apply)
+from wdigraph.exactalg import P_ONE, P_ZERO
+from wdigraph.modrep import (_TAU_CASES, U2M1, _apply_columns, _cases_at,
+                             _exact_bits, _table, _word_apply)
 from wdigraph.validator import FamilyMatch, brute_force_check, is_w_digraph
 
 ORDERS = range(2, 9)
@@ -145,3 +146,55 @@ def test_deciders_agree_on_every_cycle_word_up_to_six_vertices():
     all of its positions or at none."""
     summary = atlas(3)
     assert summary["mixed_braid_verdicts"] == []
+
+
+def combination(*terms) -> dict:
+    """The sum of c * vec over the (c, vec) in terms, sparse over Z[u]."""
+    out = {}
+    for c, vec in terms:
+        for i, x in vec.items():
+            out[i] = out.get(i, P_ZERO) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+def test_braid_defect_meets_the_quadratic_relation_identity():
+    """The premise of the oracle's one-position braid run, over Z[u].  On
+    the tables of every cycle word of the tier-1 atlas, let A and B be the
+    alternating products of n factors starting with tau_s and with tau_t,
+    and D = A - B: then tau_x D + D tau_x' = (u^2-1) D on every unit column,
+    for x = s and for x = t, where x' = x for even n and the other
+    generator for odd n (the proof is in `brute_force_check`)."""
+    top = max(ORDERS)
+    checked = failing = 0
+    for m in range(1, 4):
+        for case in cases(m):
+            g = cycle_digraph(CoxeterSystem.dihedral(top), case)
+            (_, word), = g.alternating_cycles(0, 1)
+            tables = _table(cycle_pairing(word), _TAU_CASES)
+            size = len(word)
+            # chains[x][p][k]: the alternating product of k factors with
+            # tau_x rightmost, so acting first, on e_p
+            chains = [[[{p: P_ONE}] for p in range(size)] for x in (0, 1)]
+            for x in (0, 1):
+                for chain in chains[x]:
+                    for k in range(top):
+                        chain.append(_apply_columns(tables[(x + k) % 2],
+                                                    chain[-1]))
+            for n in ORDERS:
+                # A has tau_s leftmost, so tau_(n-1 mod 2) rightmost
+                d = [combination((P_ONE, chains[(n - 1) % 2][p][n]),
+                                 (-P_ONE, chains[n % 2][p][n]))
+                     for p in range(size)]
+                failing += any(d)
+                for x in (0, 1):
+                    dual = x if n % 2 == 0 else 1 - x
+                    for p, (q, c, e) in enumerate(tables[dual]):
+                        # column p of tau_x' is c e_p + e e_q, so the
+                        # identity on e_p reads tau_x D e_p + (c - (u^2-1))
+                        # D e_p + e D e_q = 0
+                        assert not combination(
+                            (P_ONE, _apply_columns(tables[x], d[p])),
+                            ((c or P_ZERO) - U2M1, d[p]), (e, d[q])), \
+                            (case, n, x, p)
+                        checked += 1
+    assert checked > 60000 and failing > 5000

@@ -503,9 +503,8 @@ def test_alternating_cycles_match_edge_scans():
 
 def test_cycle_words_number_the_scanned_positions():
     """`cycle_words` keeps the distinct words of the scanned cycles in the
-    order of their first vertices, and each vertex's slot names its (word,
-    walk position) among those pairs numbered in turn; it is kept per
-    pair."""
+    order of their first vertices, each mapped to the first vertex of its
+    first cycle, the least vertex of all its cycles; it is kept per pair."""
     decomposed = 0
     for label, g in walk_inputs():
         if scan_pairing(g) is None:
@@ -514,16 +513,12 @@ def test_cycle_words_number_the_scanned_positions():
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 cycles = scan_alternating_cycles(g, gens[i], gens[j])
-                at = {v: (word, p) for cycle, word in cycles
-                      for p, v in enumerate(cycle)}
-                words, slots = g.cycle_words(i, j)
-                assert words == tuple(dict.fromkeys(w for _, w in cycles)), \
-                    (label, i, j)
-                numbered = [(w, p) for w in words for p in range(len(w))]
-                assert [numbered[s] for s in slots] == [
-                    at[v] for v in range(len(g.vertices))], (label, i, j)
-                assert g.cycle_words(i, j) == (words, slots)
-                assert g.cycle_words(i, j)[1] is slots
+                firsts = [(w, min(v for cycle, x in cycles if x == w
+                                  for v in cycle))
+                          for w in dict.fromkeys(w for _, w in cycles)]
+                words = g.cycle_words(i, j)
+                assert list(words.items()) == firsts, (label, i, j)
+                assert g.cycle_words(i, j) is words
                 decomposed += 1
     assert decomposed > 1000
 

@@ -1,6 +1,7 @@
 """Tests for the classification decision procedure and the brute-force oracle."""
 
 import random
+from collections import Counter
 from itertools import islice
 from math import inf
 
@@ -834,47 +835,40 @@ def test_reports_are_built_once_when_first_read(monkeypatch):
     assert entered == {pair: 2 * k for pair, k in walked.items()}
 
 
-def test_oracle_finds_the_least_failing_column_at_any_position(monkeypatch):
-    """Every cycle word the tests reach fails the braid relation at all of
-    its walk positions or at none (the atlas checks m <= 4), so here the
-    relation is made to fail at chosen positions of every cycle: the
-    witness is the least vertex at such a position."""
-    real = validator._word_apply
-    rigged_positions = set()
+def test_oracle_runs_each_key_once_from_position_zero(monkeypatch):
+    """On the group digraphs `brute_force_check` runs the braid relation
+    once per distinct (n, cycle word) of the finite pairs, both sides from
+    walk position 0 (a cycle's verdicts are all or none by position), on
+    the word's tables at the exact point for n."""
+    real_pairing, real_apply = validator.cycle_pairing, validator._word_apply
+    runs, words = [], []
 
-    def rigged(table, word, vec, zero):
-        out = real(table, word, vec, zero)
-        (p,) = vec
-        if word[0] == 0 and p in rigged_positions:   # the left word only
-            out = {**out, "rigged": 1}
-        return out
+    def pairing(word):
+        words.append(word)
+        return real_pairing(word)
 
-    monkeypatch.setattr(validator, "_word_apply", rigged)
-    rng = random.Random(3203)
-    inputs = 0
-    for n in (3, 4, 6):
-        parts = [family_on(n, figure, m) for figure in TEMPLATES
-                 for m in (1, 2, 3, 4) if family_divisibility_ok(figure, m, n)]
-        for _ in range(10):
-            union = relabeled_union(rng.sample(parts, 4))
-            vertices = list(union.vertices)
-            rng.shuffle(vertices)
-            g = SLabeledDigraph(union.system, vertices, union.edges)
-            cycles = [cycle for cycle, _ in scan_alternating_cycles(g, "s", "t")]
-            firsts = [cycle[0] for cycle in cycles]
-            for chosen in ({1}, {2}, {3}, {5}, {2, 7}, {0, 3}):
-                rigged_positions.clear()
-                rigged_positions.update(chosen)
-                least = min((cycle[p] for cycle in cycles for p in chosen
-                             if p < len(cycle)), default=None)
-                if least is None:
-                    expected = None
-                else:
-                    expected = RelationWitness("braid", ("s", "t"),
-                                               g.vertices[least])
-                assert brute_force_check(g) == expected, (n, chosen)
-                inputs += expected is not None and least not in firsts
-    assert inputs > 100
+    def counted(table, letters, vec, zero):
+        n, word = len(letters), words[-1]
+        point = 1 << _exact_bits(n)
+        assert table == _table(cycle_pairing(word),
+                               _cases_at(_TAU_CASES, lambda c: c(point)))
+        runs.append((n, word, tuple(vec.items())))
+        return real_apply(table, letters, vec, zero)
+
+    monkeypatch.setattr(validator, "cycle_pairing", pairing)
+    monkeypatch.setattr(validator, "_word_apply", counted)
+    for label, g in group_digraphs():
+        runs.clear()
+        assert brute_force_check(g) is None, label
+        system = g.system
+        keys = {(system.order(i, j), word)
+                for i in range(system.rank())
+                for j in range(i + 1, system.rank())
+                if system.order(i, j) is not inf
+                for _, word in scan_alternating_cycles(
+                    g, system.generators[i], system.generators[j])}
+        assert Counter(runs) == Counter({(n, word, ((0, 1),)): 2
+                                         for n, word in keys}), label
 
 
 # -- the keyed classifier against the per-cycle classifier it replaced --------------------
