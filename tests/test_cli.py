@@ -224,6 +224,22 @@ def test_bar_op_exit_codes(capsys, tmp_path):
     code, out = run(capsys, "bar-op", str(cpath))
     assert code == 1
     assert out == "error: bar propagation needs a unique source\n"
+    # one source, v3, whose edges reach only the sinks v5 and v0: the
+    # directed cycle v1 -> v4 -> v2 -> v1 is never reached
+    edges = [("v2", "v1", "r", "dashed"), ("v3", "v5", "r", "solid"),
+             ("v4", "v0", "r", "dashed"), ("v1", "v0", "s", "dashed"),
+             ("v3", "v5", "s", "solid"), ("v4", "v2", "s", "dashed"),
+             ("v1", "v4", "t", "solid"), ("v2", "v5", "t", "dashed"),
+             ("v3", "v0", "t", "solid")]
+    cpath.write_text(json.dumps({
+        "system": {"generators": ["r", "s", "t"],
+                   "matrix": {"r,s": 3, "s,t": 3, "r,t": 2}},
+        "vertices": [f"v{i}" for i in range(6)],
+        "edges": [{"from": a, "to": b, "label": label, "style": style}
+                  for a, b, label, style in edges]}))
+    code, out = run(capsys, "bar-op", str(cpath))
+    assert code == 1
+    assert out == "error: not every vertex is reachable from the source\n"
 
 
 def test_theorems_command(capsys, tmp_path, affine_file):
@@ -238,6 +254,57 @@ def test_theorems_command(capsys, tmp_path, affine_file):
         "message": "no W-graph over the rationals can afford this module",
         "status": "fires",
     }
+
+
+def test_theorems_exit_codes(capsys, tmp_path):
+    # a source_sink failure exits 1: the 4-cycle a -> b <- c -> d <- a
+    dpath = tmp_path / "cycle4.json"
+    dpath.write_text(json.dumps({
+        "system": SYSTEM_I2_3, "vertices": ["a", "b", "c", "d"],
+        "edges": [{"from": a, "to": b, "label": label, "style": "solid"}
+                  for a, b, label in [("a", "b", "s"), ("c", "b", "t"),
+                                      ("c", "d", "s"), ("a", "d", "t")]]}))
+    code, out = run(capsys, "--format", "json", "theorems", str(dpath))
+    assert code == 1
+    assert json.loads(out)["source_sink"]["status"] == "fail"
+    # an infinite order leaves nothing to check, and exits 0
+    spath = tmp_path / "inf.json"
+    spath.write_text(json.dumps({"generators": ["s", "t"],
+                                 "matrix": {"s,t": "inf"}}))
+    code, out = run(capsys, "family", "--system", str(spath), "--figure", "7",
+                    "--m", "1")
+    dpath.write_text(out)
+    code, out = run(capsys, "--format", "json", "theorems", str(dpath))
+    assert code == 0
+    assert json.loads(out)["source_sink"] == {
+        "status": "not-applicable", "reason": "some order is infinite"}
+
+
+def test_bad_star_and_word_list_are_usage_errors(capsys, tmp_path, a3_file):
+    assert main(["lv", "--system", a3_file, "--star", "s"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad automorphism entry 's'" in captured.err
+    code, out = run(capsys, "example", "b3_no_bar")
+    dpath = tmp_path / "b3.json"
+    dpath.write_text(out)
+    assert main(["character", str(dpath), "--words", "xq"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad word list 'xq'" in captured.err
+
+
+def test_validate_both_reports_disagreement(capsys, monkeypatch, tmp_path):
+    code, out = run(capsys, "example", "b3_no_bar")
+    dpath = tmp_path / "b3.json"
+    dpath.write_text(out)
+    witness = validator.RelationWitness("braid", ("r", "s"), "v0")
+    monkeypatch.setattr(cli, "brute_force_check", lambda g: witness)
+    code, out = run(capsys, "validate", str(dpath), "--both")
+    assert code == 1
+    assert out == ("accepted\n"
+                   "oracle: failing braid relation for r,s at column v0\n"
+                   "DISAGREEMENT between classifier and oracle\n")
 
 
 def test_identities_command(capsys, tmp_path):

@@ -187,6 +187,15 @@ def test_isomorphism_respects_styles(i23):
     assert g1.labeled_isomorphic(g8) is None
 
 
+def test_isomorphism_needs_equal_generators_and_vertex_counts(i23):
+    g = build_family(i23, FamilySpec(7, 1))
+    renamed = build_family(CoxeterSystem.dihedral(3, ("s", "u")),
+                           FamilySpec(7, 1, "s", "u"))
+    assert g.labeled_isomorphic(renamed) is None
+    # two copies of g: the same generators, twice the vertices
+    assert g.labeled_isomorphic(disjoint_union(g, g)) is None
+
+
 def test_json_roundtrip(i23):
     g = build_family(i23, FamilySpec(6, 3))
     data = json.loads(json.dumps(g.to_json()))

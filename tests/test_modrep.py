@@ -5,6 +5,7 @@ theorem-level checkers."""
 import itertools
 import random
 from collections import Counter, deque
+from math import inf
 
 import pytest
 
@@ -694,6 +695,30 @@ def test_restricted_component_counts_match_restrict_reference():
                                     if mask >> i & 1]).components())
                     for mask in range(1 << len(gens))]
         assert _restricted_component_counts(g) == expected, label
+
+
+def test_source_sink_fails_on_a_cycle_with_two_sources(i23):
+    # the 4-cycle a -> b <- c -> d <- a: two sources and two sinks in one
+    # acyclic component
+    g = SLabeledDigraph(i23, ["a", "b", "c", "d"], [
+        ("a", "b", "s", SOLID), ("c", "b", "t", SOLID),
+        ("c", "d", "s", SOLID), ("a", "d", "t", SOLID)])
+    report = theorem_checkers(g)
+    assert report.source_sink == {
+        "status": "fail", "unique_per_component": False,
+        "finite_has_both": False, "acyclic": True,
+        "counts_match_components": False}
+    assert report.wgraph_obstruction == {"status": "not-applicable"}
+
+
+def test_theorems_over_an_infinite_order_are_not_applicable():
+    g = build_family(CoxeterSystem.dihedral(inf), FamilySpec(7, 1))
+    report = theorem_checkers(g)
+    assert report.source_sink == {"status": "not-applicable",
+                                  "reason": "some order is infinite"}
+    assert report.index_bound == report.vertex_bound == {
+        "status": "not-applicable", "reason": "infinite group"}
+    assert report.wgraph_obstruction == {"status": "not-applicable"}
 
 
 def test_wgraph_obstruction_fires_on_cycle():

@@ -15,7 +15,7 @@ from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, rf
 from wdigraph.families import (EXAMPLE_NAMES, TEMPLATES, FamilySpec,
                                build_family, build_lv, build_example,
                                build_regular, family_divisibility_ok)
-from wdigraph import validator
+from wdigraph import modrep, validator
 from wdigraph.modrep import _TAU_CASES, _cases_at, _exact_bits, _table
 from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 Rejection, RelationWitness, Verdict,
@@ -869,6 +869,52 @@ def test_oracle_runs_each_key_once_from_position_zero(monkeypatch):
                     g, system.generators[i], system.generators[j])}
         assert Counter(runs) == Counter({(n, word, ((0, 1),)): 2
                                          for n, word in keys}), label
+
+
+def template_grid():
+    """The template digraphs of `oracle_inputs`, each figure and m over
+    I2(2..10)."""
+    return [(label, g) for label, g in oracle_inputs()
+            if label.startswith("figure ")]
+
+
+@pytest.mark.parametrize("case, rigged", [
+    pytest.param(("head", SOLID), (modrep.U2, modrep.U2), id="solid"),
+    pytest.param(("tail", DASHED), (modrep.U2, modrep.U2MU), id="dashed"),
+])
+def test_rigged_case_gives_the_column_witness(monkeypatch, case, rigged):
+    """With one case of `_TAU_CASES` rigged so that the quadratic relation
+    fails on its block, the once-per-case check gives the witness of the
+    column-by-column reference: the first column, generators in order
+    and columns in vertex order, of a failing case, or the braid witness
+    when no column has one."""
+    inputs = [*template_grid(), *group_digraphs()]
+    monkeypatch.setitem(modrep._TAU_CASES, case, rigged)
+    kinds = Counter()
+    for label, g in inputs:
+        witness = brute_force_check(g)
+        assert witness == column_brute_force_check(g), label
+        kinds[witness.kind if witness else "none"] += 1
+    assert kinds["quadratic"] > 100 and kinds["braid"] and kinds["none"], kinds
+
+
+def test_oracle_runs_the_quadratic_relation_once_per_case(monkeypatch):
+    """On every accepted group digraph the quadratic relation costs eight
+    kernel applications, two for each case of `_TAU_CASES`, whatever the
+    size of the digraph, and the braid relation runs through
+    `_word_apply` alone."""
+    real = validator._apply_columns
+    calls = []
+
+    def counted(columns, vec, zero):
+        calls.append(len(columns))
+        return real(columns, vec, zero)
+
+    monkeypatch.setattr(validator, "_apply_columns", counted)
+    for label, g in group_digraphs():
+        calls.clear()
+        assert brute_force_check(g) is None, label
+        assert calls == [2] * 8, label
 
 
 # -- the keyed classifier against the per-cycle classifier it replaced --------------------
