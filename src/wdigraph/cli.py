@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import cache
 
 from .coxeter import CoxeterSystem, DiagramAutomorphism, check_generator_name
@@ -161,7 +160,7 @@ def cmd_analyze(args) -> int:
     dims = linear_char_dims(g)
     if args.format == "json":
         payload = {
-            "components": [asdict(c) for c in analysis.components],
+            "components": [vars(c) for c in analysis.components],
             "dim_ind": dims.dim_ind,
             "dim_sgn": dims.dim_sgn,
             "violations": [],

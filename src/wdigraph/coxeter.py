@@ -157,7 +157,7 @@ class CoxeterSystem:
         return tuple(self._gen_index(ch) for ch in text)
 
     def word_to_str(self, word: Word) -> str:
-        return "".join(self.generators[i] for i in word) if word else "e"
+        return "".join(map(self.generators.__getitem__, word)) if word else "e"
 
     # -- canonical forms ------------------------------------------------------------------
 
@@ -273,7 +273,10 @@ class CoxeterSystem:
         twisted steps: w -> sw (tag True) when s w star(s) = w, else
         w -> s w star(s), two longer (tag False; Richardson-Springer 1990,
         Hultman 2005).  Returns the words of length <= bound, sorted
-        (length, ShortLex), and the arrows (w, s, target, tag) taken.
+        (length, ShortLex), and the arrows (i, j, s, tag) taken, each from
+        words[i] to words[j]: the walk numbers each element as it finds it,
+        and the numbers are mapped to positions in the sorted words once, at
+        the end.
 
         Refused before any element is built: a negative bound, all of an
         infinite group, and all of a group of order over MAX_ELEMENTS when
@@ -299,11 +302,10 @@ class CoxeterSystem:
         perm = None if star is None else star.perm
         rank = len(self.generators)
         budget = ops.built() + MAX_ELEMENTS * (rank if ops.on_words else 1)
-        seen = {ops.identity: ()}
-        queue, arrows = [ops.identity], []
-        for w in queue:                 # a FIFO queue: it grows behind w
-            word = seen[w]
-            if len(word) >= length_bound:
+        seen = {ops.identity: 0}        # element -> its number in the walk
+        queue, words, arrows = [ops.identity], [()], []
+        for i, w in enumerate(queue):   # a FIFO queue: it grows behind w
+            if len(words[i]) >= length_bound:
                 continue                # no step from w stays within the bound
             for s in range(rank):
                 if descent(w, s):
@@ -312,19 +314,25 @@ class CoxeterSystem:
                 if perm is not None:
                     sws = right(target, perm[s])
                     target, tag = (target, True) if sws == w else (sws, False)
-                known = seen.get(target)
-                if known is None:
-                    known = name(target)
-                    if len(known) > length_bound:
+                j = seen.get(target)
+                if j is None:
+                    word = name(target)
+                    if len(word) > length_bound:
                         continue
-                    seen[target] = known
+                    j = seen[target] = len(words)
+                    words.append(word)
                     queue.append(target)
                     if len(seen) > MAX_ELEMENTS:
                         raise ValueError(too_many)
-                arrows.append((word, s, known, tag))
+                arrows.append((i, j, s, tag))
             if ops.built() > budget:
                 raise ValueError(too_many)
-        return sorted(seen.values(), key=lambda w: (len(w), w)), arrows
+        order = sorted(range(len(words)),
+                       key=lambda i: (len(words[i]), words[i]))
+        position = sorted(range(len(order)), key=order.__getitem__)  # inverse
+        return ([words[i] for i in order],
+                [(position[i], position[j], s, tag)
+                 for i, j, s, tag in arrows])
 
     def enumerate(self, length_bound=None) -> list["GroupElement"]:
         """All elements of length <= bound (or all of W), sorted (length,

@@ -5,25 +5,33 @@ per-generator edge pairing, component scans, sources, sinks and acyclicity
 per component, directed path lengths, incoming-label statistics,
 label-preserving isomorphism, and JSON/DOT serialization.
 
-A digraph is held as its edge pairing alone (`edge_pairing`), which the
-tuple form, `load_digraph` and the builders of `families` all write through
-`_fill`; a second edge of one label at a vertex goes to an extra row of its
-generator, so the rows hold every edge.  The structure report, `edges`, the
-serializations and the derived digraphs are read off the rows.  Three walks
-over the rows by vertex index, each cached on first use and O(V + E),
-answer every structural question: `_walk` gives the components, a (solid,
-dashed) level pair per vertex and the per-component flags that the grading
-and the sign character read; `_peel` (Kahn) gives acyclicity and a
-topological order; `distances_from` (BFS) gives path lengths and the
-shortest circuit.  `analyze` keeps its frozen result, so the CLI and the
-module layer share one analysis, and `alternating_cycles` walks the
-rank-two restrictions the deciders inspect, each cycle with its word of
-(role, style) pairs per walk position, the key both deciders decide by;
-`cycle_words` keeps one such walk per pair, as its distinct words, each
-with the first vertex of its first cycle, and `cycle_pairing` reads a word
-back as its cycle's edge pairing on walk positions.
-Label-preserving isomorphism propagates one vertex's image per component
-along both pairings.
+A digraph is held as its edge pairing alone, two flat arrays per row: a
+partner position and a code byte per vertex, the code naming the (role,
+style) of the vertex's end of the edge (`END_CODES`; 0 marks an empty
+slot).  Row s < rank is generator s's, and a second edge of one label at a
+vertex goes to an extra row of its generator, so the rows hold every edge.
+The tuple form, `load_digraph` and the builders of `families` all write it
+through one loop, `_fill`, which checks each edge as it reads it and notes
+every loop; the structure report reads the loops it noted and finds the
+empty slots by a byte search, so a digraph that passes costs no scan of its
+entries.  `coded_pairing` hands the rows to the deciders and the module
+layer; `edge_pairing` is a view of them as (partner, role, style) tuples,
+built on first use.  `edges`, the serializations and the derived digraphs
+are read off the rows.  Three walks over the rows by vertex index, each
+cached on first use and O(V + E), answer every structural question: `_walk`
+gives the components, a (solid, dashed) level pair per vertex and the
+per-component flags that the grading and the sign character read; `_peel`
+(Kahn) gives acyclicity and a topological order; `distances_from` (BFS)
+gives path lengths and the shortest circuit.  `analyze` keeps its frozen
+result, so the CLI and the module layer share one analysis, and
+`alternating_cycles` walks the rank-two restrictions the deciders inspect,
+each cycle with its word, a `bytes` key with one byte per walk position,
+the code of the i-edge in its low three bits and that of the j-edge above
+them; `cycle_words` keeps one such walk per pair, as its distinct words,
+each with the first vertex of its first cycle, and `cycle_pairing` reads a
+word back as its cycle's edge pairing on walk positions.  Label-preserving
+isomorphism propagates one vertex's image per component along both
+pairings.
 """
 
 from __future__ import annotations
@@ -33,7 +41,9 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .coxeter import CoxeterSystem
@@ -43,6 +53,31 @@ DASHED = "dashed"
 
 # the change of the (solid, dashed) level pair along an edge of each style
 LEVEL_STEP = {SOLID: (1, 0), DASHED: (0, 1)}
+
+# the code of a vertex's end of an edge in the pairing's code rows; 0 marks
+# an empty slot, and a head's code is its tail's plus one, so a tail's code
+# is odd
+END_CODES = {("tail", SOLID): 1, ("head", SOLID): 2,
+             ("tail", DASHED): 3, ("head", DASHED): 4}
+CODE_ENDS = (None, *END_CODES)                  # code -> (role, style)
+_TAIL_CODES = {style: END_CODES["tail", style] for style in (SOLID, DASHED)}
+# code -> the change of the level pair along the edge away from this end:
+# `LEVEL_STEP` from a tail, negated from a head
+_CODE_STEP = (None, (1, 0), (-1, 0), (0, 1), (0, -1))
+# `bytes.translate` tables: a code row turned round, its tails and its heads
+# as 1s, its codes shifted to a j-code; a cycle word's i-codes and j-codes
+_TURNED = bytes.maketrans(bytes((1, 2, 3, 4)), bytes((2, 1, 4, 3)))
+_TAILS = bytes.maketrans(bytes((1, 2, 3, 4)), bytes((1, 0, 1, 0)))
+_HEADS = bytes.maketrans(bytes((1, 2, 3, 4)), bytes((0, 1, 0, 1)))
+_SHIFTED = bytes.maketrans(bytes((1, 2, 3, 4)), bytes((8, 16, 24, 32)))
+_I_CODES = bytes(range(8)) * 32
+_J_CODES = bytes(b >> 3 for b in range(256))
+# a cycle word's byte -> the (role, style) of its i-edge and of its j-edge;
+# and -> 1 where both are tails, at a source of the cycle
+WORD_ENDS = {i | j << 3: (CODE_ENDS[i], CODE_ENDS[j])
+             for i in range(5) for j in range(5)}
+WORD_SOURCES = bytes(b & 1 and b >> 3 & 1 for b in range(256))
+_EDGE_KEYS = itemgetter("from", "to", "label", "style")
 
 
 class Edge(NamedTuple):
@@ -68,15 +103,18 @@ class SLabeledDigraph:
         self.vertex_index = index = {v: i for i, v in enumerate(self.vertices)}
         if len(index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        self._pairing, self._gens = _fill(system.rank(), len(index),
-                                          _checked_arcs(system, index, edges))
+        self._rows, self._gens, self._loops = _fill(
+            system.rank(), len(index), edges, index, system.index, _TAIL_CODES)
 
     @classmethod
-    def _on_pairing(cls, system: CoxeterSystem, vertices: tuple[str, ...],
-                    pairing: list, gens: list[int]) -> "SLabeledDigraph":
-        """The digraph of the rows `_fill` returns, on distinct vertex ids."""
+    def _on_rows(cls, system: CoxeterSystem, vertices: tuple[str, ...],
+                 rows: list, gens: list[int], loops: list
+                 ) -> "SLabeledDigraph":
+        """The digraph of the rows, generators and loops `_fill` returns,
+        on distinct vertex ids."""
         g = cls.__new__(cls)
-        g.system, g.vertices, g._pairing, g._gens = system, vertices, pairing, gens
+        g.system, g.vertices = system, vertices
+        g._rows, g._gens, g._loops = rows, gens, loops
         return g
 
     @cached_property
@@ -88,18 +126,20 @@ class SLabeledDigraph:
     @cached_property
     def _report(self) -> tuple[list[str], list[str]]:
         """The loop lines and the count lines of `validate_structure`; a
-        loop meets its vertex once, as its head.  Only a digraph with an
-        extra row or an empty slot has count lines."""
-        names, labels, rows = self.vertices, self.system.generators, self._pairing
-        loops = sorted((labels[s], i, e[2]) for s, row in zip(self._gens, rows)
-                       for i, e in enumerate(row) if e is not None and e[0] == i)
-        if len(rows) == len(labels) and not any(None in row for row in rows):
+        loop meets its vertex once, as its head.  The loops are the ones
+        `_fill` noted, and only a digraph with an extra row or an empty
+        slot, which a byte search finds, has count lines."""
+        names, labels = self.vertices, self.system.generators
+        rows, gens = self._rows, self._gens
+        loops = sorted((labels[gens[k]], i, CODE_ENDS[rows[k][1][i]][1])
+                       for k, i in self._loops)
+        if len(rows) == len(labels) and not any(0 in codes for _, codes in rows):
             bad = []
         else:
             counts = [[0] * len(names) for _ in labels]
-            for s, row in zip(self._gens, rows):
-                for i, e in enumerate(row):
-                    counts[s][i] += e is not None
+            for s, (_, codes) in zip(gens, rows):
+                for i, c in enumerate(codes):
+                    counts[s][i] += c > 0
             bad = sorted((v, g, counts[s][i]) for s, g in enumerate(labels)
                          for i, v in enumerate(names) if counts[s][i] != 1)
         return ([f"loop at {names[i]} labeled {g}" for g, i, _ in loops],
@@ -112,61 +152,75 @@ class SLabeledDigraph:
         loops, counts = self._report
         return loops + counts
 
-    def edge_pairing(self) -> list[list[tuple]]:
-        """pairing[s][i] = (partner index, "tail" or "head", style) for the
-        edge labeled by generator s at vertex i; raises ValueError with the
-        first count line of `validate_structure` unless every vertex meets
-        exactly one edge per label.  The table is shared: do not mutate it."""
+    def coded_pairing(self) -> list[tuple[list[int], bytearray]]:
+        """rows[s] = (partners, codes) for generator s: partners[i] the
+        index of the other end of the s-edge at vertex i, and codes[i] the
+        `END_CODES` code of its (role, style) at i; raises ValueError with
+        the first count line of `validate_structure` unless every vertex
+        meets exactly one edge per label.  The rows are shared: do not
+        mutate them."""
         counts = self._report[1]
         if counts:
             raise ValueError(counts[0])
-        return self._pairing
+        return self._rows
+
+    def edge_pairing(self) -> list[list[tuple]]:
+        """pairing[s][i] = (partner index, "tail" or "head", style) for the
+        edge labeled by generator s at vertex i: a view of `coded_pairing`,
+        with its ValueError, built on first use and shared: do not mutate
+        it."""
+        self.coded_pairing()
+        return self._edge_view
+
+    @cached_property
+    def _edge_view(self) -> list[list[tuple]]:
+        return [[(p, *CODE_ENDS[c]) for p, c in zip(partners, codes)]
+                for partners, codes in self._rows]
 
     def alternating_cycles(self, i: int, j: int
-                           ) -> Iterator[tuple[list[int], tuple]]:
+                           ) -> Iterator[tuple[list[int], bytes]]:
         """The components of the restriction to generators i and j, in the
         order of their first vertices, each as (cycle, word): cycle holds its
         vertex indices walked from its first vertex by taking the i-partner
-        and the j-partner in turn, and word[p] the (role, style) of the
-        i-edge, then of the j-edge, at walk position p, as one 4-tuple.  On
-        a digraph that passes `validate_structure` every vertex meets one
-        edge of each label, so each component is a single cycle of even
-        length whose labels alternate, and `cycle_pairing(word)` is its edge
-        pairing on walk positions.  `edge_pairing` raises on a count
-        violation.  Each cycle is walked when it is asked for, and none is
-        cached; `cycle_words` keeps what the deciders read of the walk, each
+        and the j-partner in turn, and word[p] the codes of the i-edge and
+        the j-edge at walk position p, as i-code | j-code << 3.  On a
+        digraph that passes `validate_structure` every vertex meets one edge
+        of each label, so each component is a single cycle of even length
+        whose labels alternate, and `cycle_pairing(word)` is its edge
+        pairing on walk positions.  `coded_pairing` raises on a count violation.  Each
+        cycle is walked when it is asked for, and none is cached;
+        `cycle_words` keeps what the deciders read of the walk, each
         distinct word and the first vertex of its first cycle."""
-        pairing = self.edge_pairing()
-        first, second = pairing[i], pairing[j]
-        seen = [False] * len(self.vertices)
-        for start in range(len(seen)):
-            if seen[start]:
-                continue
-            cycle, word, v = [], [], start
+        rows = self.coded_pairing()
+        (first, i_codes), (second, j_codes) = rows[i], rows[j]
+        both = bytes(map(or_, i_codes, j_codes.translate(_SHIFTED)))
+        seen = bytearray(len(both))
+        start = seen.find(0)
+        while start >= 0:
+            cycle, word, v = [], bytearray(), start
             while True:
                 # two positions per turn: an even one, left by its i-edge,
                 # then an odd one, left by its j-edge
-                a, b = first[v], second[v]
-                seen[v] = True
+                seen[v] = 1
                 cycle.append(v)
-                word.append((a[1], a[2], b[1], b[2]))
-                v = a[0]
+                word.append(both[v])
+                v = first[v]
                 if v == start:
                     break
-                a, b = first[v], second[v]
-                seen[v] = True
+                seen[v] = 1
                 cycle.append(v)
-                word.append((a[1], a[2], b[1], b[2]))
-                v = b[0]
+                word.append(both[v])
+                v = second[v]
                 if v == start:
                     break
-            yield cycle, tuple(word)
+            yield cycle, bytes(word)
+            start = seen.find(0, start + 1)
 
     @cached_property
     def _cycle_words(self) -> dict:
         return {}
 
-    def cycle_words(self, i: int, j: int) -> dict[tuple, int]:
+    def cycle_words(self, i: int, j: int) -> dict[bytes, int]:
         """The distinct cycle words of the restriction to generators i and
         j, in the order of the first vertices of their cycles, each mapped
         to the first vertex of its first cycle: one walk of
@@ -181,14 +235,20 @@ class SLabeledDigraph:
 
     def _by_label(self) -> Iterator[tuple[int, list[tuple[int, int, str]]]]:
         """(s, the s-edges as (tail, head, style), sorted) for each generator
-        s in label-name order.  Each edge is read at its tail (a loop at its
-        vertex), so only a generator with extra rows needs the sort."""
-        labels = self.system.generators
+        s in label-name order.  Each edge is read at its tail, or a loop at
+        its vertex, so only a generator with extra rows or a loop needs the
+        sort."""
+        labels, rows, gens = self.system.generators, self._rows, self._gens
+        vertices = range(len(self.vertices))
         for s in sorted(range(len(labels)), key=labels.__getitem__):
-            rows = [row for k, row in zip(self._gens, self._pairing) if k == s]
-            arcs = [(i, e[0], e[2]) for row in rows for i, e in enumerate(row)
-                    if e is not None and (e[1] == "tail" or e[0] == i)]
-            if len(rows) > 1:
+            ks = [k for k, g in enumerate(gens) if g == s]
+            arcs = [(i, partners[i], CODE_ENDS[codes[i]][1])
+                    for partners, codes in map(rows.__getitem__, ks)
+                    for i in compress(vertices, codes.translate(_TAILS))]
+            looped = [(i, i, CODE_ENDS[rows[k][1][i]][1])
+                      for k, i in self._loops if gens[k] == s]
+            if len(ks) > 1 or looped:
+                arcs += looped
                 arcs.sort()
             yield s, arcs
 
@@ -199,23 +259,32 @@ class SLabeledDigraph:
                      for s, arcs in self._by_label() for a, b, style in arcs)
 
     def _edge_count(self) -> int:
-        return sum(len(arcs) for _, arcs in self._by_label())
+        """The tails, counted by a byte count, and the loops."""
+        return len(self._loops) + sum(codes.translate(_TAILS).count(1)
+                                      for _, codes in self._rows)
 
     # -- derived digraphs ----------------------------------------------------------
 
     def restrict(self, J: Iterable) -> "SLabeledDigraph":
         """Same vertices, only edges labeled by elements of J."""
         keep = {self.system._gen_index(s) for s in J}
-        empty = [None] * len(self.vertices)
-        return SLabeledDigraph._on_pairing(
+        empty = ([0] * len(self.vertices), bytearray(len(self.vertices)))
+        gens = self._gens
+        return SLabeledDigraph._on_rows(
             self.system, self.vertices,
-            [row if s in keep else empty
-             for s, row in zip(self._gens, self._pairing)], self._gens)
+            [row if s in keep else empty for s, row in zip(gens, self._rows)],
+            gens, [(k, i) for k, i in self._loops if gens[k] in keep])
 
     def reverse(self) -> "SLabeledDigraph":
-        return SLabeledDigraph._on_pairing(
-            self.system, self.vertices, reversed_pairing(self._pairing),
-            self._gens)
+        """Every edge turned round: tail and head swap their codes, by one
+        byte translation per row, except at a loop, which stays its
+        vertex's head.  The partner rows are shared."""
+        rows = [(partners, codes.translate(_TURNED))
+                for partners, codes in self._rows]
+        for k, i in self._loops:
+            rows[k][1][i] = self._rows[k][1][i]
+        return SLabeledDigraph._on_rows(self.system, self.vertices, rows,
+                                        self._gens, self._loops)
 
     @cached_property
     def _arrows(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -223,13 +292,15 @@ class SLabeledDigraph:
         of the edges into it; a loop is in both."""
         succ = [[] for _ in self.vertices]
         pred = [[] for _ in self.vertices]
-        for row in self._pairing:
-            for i, e in enumerate(row):
-                if e is not None:
-                    if e[1] == "head":
-                        pred[i].append(e[0])
-                    if e[1] == "tail" or e[0] == i:
-                        succ[i].append(e[0])
+        vertices = range(len(self.vertices))
+        for partners, codes in self._rows:
+            for i in compress(vertices, codes.translate(_TAILS)):
+                succ[i].append(partners[i])
+            for i in compress(vertices, codes.translate(_HEADS)):
+                p = partners[i]
+                pred[i].append(p)
+                if p == i:
+                    succ[i].append(p)
         return succ, pred
 
     # -- the three walks --------------------------------------------------------------
@@ -247,7 +318,7 @@ class SLabeledDigraph:
         ends (a loop once, as its head), and checked when its far end
         already has a level.  A loop raises nothing, so it breaks both
         rules."""
-        rows = self._pairing
+        rows = self._rows
         level: list[tuple[int, int] | None] = [None] * len(self.vertices)
         comps, flags = [], []
         for root in range(len(level)):
@@ -260,14 +331,12 @@ class SLabeledDigraph:
             while stack:
                 v = stack.pop()
                 a, b = level[v]
-                for row in rows:
-                    e = row[v]
-                    if e is None:
+                for partners, codes in rows:
+                    c = codes[v]
+                    if not c:
                         continue
-                    w, role, style = e
-                    da, db = LEVEL_STEP[style]
-                    if role == "head":
-                        da, db = -da, -db
+                    w = partners[v]
+                    da, db = _CODE_STEP[c]
                     if level[w] is None:
                         level[w] = (a + da, b + db)
                         comp.append(w)
@@ -401,10 +470,11 @@ class SLabeledDigraph:
     def descent_counts(self) -> dict[frozenset, int]:
         """How many vertices have each incoming-label set: the labels of the
         rows in which the vertex is a head."""
-        rows, labels = list(zip(self._gens, self._pairing)), self.system.generators
+        labels = self.system.generators
+        heads = [(labels[s], codes.translate(_HEADS))
+                 for s, (_, codes) in zip(self._gens, self._rows)]
         return dict(Counter(
-            frozenset(labels[s] for s, row in rows
-                      if row[i] is not None and row[i][1] == "head")
+            frozenset(g for g, head in heads if head[i])
             for i in range(len(self.vertices))))
 
     # -- isomorphism --------------------------------------------------------------------------
@@ -415,7 +485,7 @@ class SLabeledDigraph:
         The image of a component's first vertex fixes the map on the whole
         component (`_propagate`).  Each component, in vertex order, keeps the
         first unused image that closes: exact, because isomorphic components
-        can be swapped.  Raises `edge_pairing`'s ValueError on a digraph that
+        can be swapped.  Raises `coded_pairing`'s ValueError on a digraph that
         breaks the one-edge-per-label rule.
         """
         if set(self.system.generators) != set(other.system.generators):
@@ -423,7 +493,7 @@ class SLabeledDigraph:
         if (len(self.vertices) != len(other.vertices)
                 or self._edge_count() != other._edge_count()):
             return None
-        mine, theirs = self.edge_pairing(), other.edge_pairing()
+        mine, theirs = self.coded_pairing(), other.coded_pairing()
         theirs = [theirs[other.system.index[g]] for g in self.system.generators]
         image: dict[int, int] = {}
         used: set[int] = set()
@@ -480,71 +550,64 @@ class SLabeledDigraph:
                 f"{self._edge_count()} edges)")
 
 
-def _checked_arcs(system: CoxeterSystem, index: dict[str, int],
-                  edges: Iterable[tuple]) -> Iterator[tuple[int, int, int, str]]:
-    """(s, tail index, head index, style) of each (src, dst, label, style)
-    edge, once its style, its two ends and its label pass, in that order."""
-    for src, dst, label, style in edges:
-        if style not in (SOLID, DASHED):
-            raise ValueError(f"bad edge style {style!r}")
-        a = index.get(src)
-        if a is None or index.get(dst) is None:
-            raise ValueError(f"edge {Edge(src, dst, label, style)} references "
-                             f"unknown vertex")
-        if label not in system.index:
-            raise ValueError(f"edge {Edge(src, dst, label, style)} has a label "
-                             f"outside the system")
-        yield system.index[label], a, index[dst], style
-
-
-def _fill(rank: int, n: int, arcs: Iterable[tuple[int, int, int, str]]
-          ) -> tuple[list[list[tuple | None]], list[int]]:
-    """The rows of (s, tail, head, style) arcs on n vertices, and the
-    generator of each: row s < rank is generator s's pairing, and an edge
-    that finds a slot there taken goes to the first extra row of its
-    generator free at both its ends, or a new one."""
-    rows = [[None] * n for _ in range(rank)]
+def _fill(rank: int, n: int, edges: Iterable[tuple], vertex, label, code
+          ) -> tuple[list[tuple[list[int], bytearray]], list[int],
+                     list[tuple[int, int]]]:
+    """The rows of (src, dst, label, style) edges on n vertices, the
+    generator of each row and the (row, vertex) of each loop: `vertex`,
+    `label` and `code` map an edge's ends to vertex indices, its label to a
+    generator and its style to its tail's code, each edge checked as it is
+    read, its style, then its two ends, then its label.  Row s < rank is
+    generator s's pairing, and an edge that finds a slot there taken goes
+    to the first extra row of its generator free at both its ends, or a new
+    one.  A loop is written once, as its vertex's head."""
+    rows = [([0] * n, bytearray(n)) for _ in range(rank)]
     gens = list(range(rank))
-    share = {}.setdefault       # equal entries share one tuple
-    for s, a, b, style in arcs:
-        row = rows[s]
-        if row[a] is not None or row[b] is not None:
-            row = next((r for k, r in zip(gens, rows) if k == s
-                        and r[a] is None and r[b] is None), None)
-            if row is None:
-                row = [None] * n
-                rows.append(row)
+    loops = []
+    for edge in edges:
+        src, dst, name, style = edge
+        try:
+            tail = code[style]
+        except (KeyError, TypeError):
+            raise ValueError(f"bad edge style {style!r}") from None
+        try:
+            a, b, k = vertex[src], vertex[dst], label[name]
+        except KeyError:
+            raise ValueError(f"edge {Edge(*edge)} " + (
+                "has a label outside the system"
+                if src in vertex and dst in vertex
+                else "references unknown vertex")) from None
+        partners, codes = rows[k]
+        if codes[a] or codes[b]:
+            s = k
+            k = next((r for r in range(rank, len(rows)) if gens[r] == s
+                      and not rows[r][1][a] and not rows[r][1][b]), len(rows))
+            if k == len(rows):
+                rows.append(([0] * n, bytearray(n)))
                 gens.append(s)
+            partners, codes = rows[k]
         if a != b:
-            tail = (b, "tail", style)
-            row[a] = share(tail, tail)
-        head = (a, "head", style)
-        row[b] = share(head, head)
-    return rows, gens
+            partners[a], codes[a] = b, tail
+        else:
+            loops.append((k, a))
+        partners[b], codes[b] = a, tail + 1
+    return rows, gens, loops
 
 
-def reversed_pairing(pairing) -> list[list[tuple | None]]:
-    """The rows of the reversed digraph: every edge turns round, so tail
-    and head swap, except at a loop, which stays its vertex's head."""
-    return [[None if e is None
-             else (e[0], "tail" if e[0] != i and e[1] == "head" else "head", e[2])
-             for i, e in enumerate(row)] for row in pairing]
-
-
-def cycle_pairing(word: tuple) -> list[list[tuple]]:
+def cycle_pairing(word: bytes) -> list[tuple[list[int], bytes]]:
     """The edge pairing of the alternating cycle of a cycle word from
-    `SLabeledDigraph.alternating_cycles`, on its walk positions: a row for
-    the i-edges, then one for the j-edges, entry p (partner position, role,
-    style) as in `edge_pairing`.  The walk's parity rule gives the
-    partners: the i-partner of p is p + 1 and the j-partner p - 1 when p is
-    even, the other way round when p is odd, mod the length."""
+    `SLabeledDigraph.alternating_cycles` on a digraph that passes
+    `validate_structure`, so of even length, on its walk positions: a row
+    for the i-edges, then one for the j-edges, each (partners, codes) as in
+    `coded_pairing`, the codes read off the word by one byte translation
+    each.  The walk's parity rule gives the partners: the i-partner of p is
+    p + 1 and the j-partner p - 1 when p is even, the other way round when
+    p is odd, mod the length."""
     size = len(word)
-    first, second = [], []
-    for p, (role, style, t_role, t_style) in enumerate(word):
-        step = 1 if p % 2 == 0 else -1
-        first.append(((p + step) % size, role, style))
-        second.append(((p - step) % size, t_role, t_style))
-    return [first, second]
+    # inside the walk the j-partner of p is the i-partner of p - 1, plus 1
+    second = [size - 1, *[((p - 1) ^ 1) + 1 for p in range(1, size - 1)], 0]
+    return [([p ^ 1 for p in range(size)], word.translate(_I_CODES)),
+            (second, word.translate(_J_CODES))]
 
 
 # `to_json_text`'s frame and its edge, at their indents, keys sorted; a style
@@ -561,18 +624,20 @@ def _json_list(items: list[str]) -> str:
 
 def _propagate(mine, theirs, root: int, w: int):
     """The map root -> w extended along both pairings over root's component,
-    or None when roles, styles or injectivity break.  Its image is w's whole
-    component, so it never meets the image of another component."""
+    or None when codes (roles and styles) or injectivity break.  Its image
+    is w's whole component, so it never meets the image of another
+    component."""
     trial = {root: w}
     taken = {w}
     stack = [root]
     while stack:
         v = stack.pop()
         x = trial[v]
-        for row, their_row in zip(mine, theirs):
-            (p, *kind), (q, *their_kind) = row[v], their_row[x]
-            if kind != their_kind:      # role and style
+        for (partners, codes), (their_partners, their_codes) in zip(mine,
+                                                                     theirs):
+            if codes[v] != their_codes[x]:
                 return None
+            p, q = partners[v], their_partners[x]
             if p in trial:
                 if trial[p] != q:
                     return None
@@ -628,8 +693,9 @@ def load_digraph(source) -> SLabeledDigraph:
 
     The "system" entry may be inline or a path to a system file, resolved
     relative to the digraph file when one was given.  The edge dicts go
-    through the tuple form's one pass, so they are checked as it checks
-    its tuples, and no list of tuples is made.
+    straight into the tuple form's one pass, `_fill`, each read by one
+    C-level item getter, so they are checked as it checks its tuples, and
+    no list of tuples is made.
     """
     base_dir = ""
     if isinstance(source, (str, os.PathLike)):
@@ -648,8 +714,7 @@ def load_digraph(source) -> SLabeledDigraph:
         raise ValueError("vertices must be a list of strings")
     edges = data["edges"]
     try:
-        return SLabeledDigraph(system, vertices, (
-            (e["from"], e["to"], e["label"], e["style"]) for e in edges))
+        return SLabeledDigraph(system, vertices, map(_EDGE_KEYS, edges))
     except (ValueError, TypeError):
         # the one pass checks each edge as it reads it; an edge dict that
         # lacks a key, anywhere in the list, is still reported first

@@ -19,7 +19,7 @@ from math import inf
 from typing import Callable, NamedTuple
 
 from .coxeter import CoxeterSystem, DiagramAutomorphism
-from .digraph import DASHED, SOLID, SLabeledDigraph, _fill
+from .digraph import _TAIL_CODES, DASHED, SOLID, SLabeledDigraph, _fill
 
 
 class Template(NamedTuple):
@@ -131,14 +131,15 @@ def build_regular(system: CoxeterSystem, length_bound=None) -> SLabeledDigraph:
 
 def _walk_digraph(system: CoxeterSystem, walk, styles: dict) -> SLabeledDigraph:
     """The digraph of an up-walk's (words, arrows): vertex i is words[i],
-    named by its word, and each arrow an edge of style styles[tag], written
-    straight into the edge pairing.  Distinct words have distinct names."""
+    named by its word, and each arrow (i, j, s, tag) an edge of style
+    styles[tag] from vertex i to vertex j, written straight into the edge
+    pairing by `_fill`.  Distinct words have distinct names."""
     words, arrows = walk
-    index = {w: i for i, w in enumerate(words)}
-    return SLabeledDigraph._on_pairing(
+    n, rank = len(words), system.rank()
+    return SLabeledDigraph._on_rows(
         system, tuple(map(system.word_to_str, words)),
-        *_fill(system.rank(), len(words),
-               ((s, index[w], index[t], styles[tag]) for w, s, t, tag in arrows)))
+        *_fill(rank, n, arrows, range(n), range(rank),
+               {tag: _TAIL_CODES[style] for tag, style in styles.items()}))
 
 
 # -- named example digraphs --------------------------------------------------------

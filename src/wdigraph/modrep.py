@@ -32,8 +32,8 @@ at most 5, so two products of k such tables agree exactly when they agree
 at u = 2^`_exact_bits(k)` (the Cauchy-bound proof is in its docstring).
 The oracle in `validator` decides the relations that way, and
 `reversal_identities` decides both identities and their traces at one such
-point per word, on the tau_s table of the reversed digraph read off the
-role-swapped pairing (`digraph.reversed_pairing`), with no digraph built.
+point per word, on the tau_s table of the reversed digraph, whose pairing
+`SLabeledDigraph.reverse` reads off by one byte translation per row.
 Dense matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only
 for output such as characteristic polynomials.  The 0-Hecke action
 (`zero_hecke_action`) is the same word product on the tau_s table at u = 0.
@@ -54,7 +54,7 @@ from math import inf
 from typing import Sequence
 
 from .coxeter import GroupElement
-from .digraph import DASHED, SOLID, Edge, SLabeledDigraph, reversed_pairing
+from .digraph import CODE_ENDS, DASHED, SOLID, Edge, SLabeledDigraph
 from .exactalg import (P_ONE, P_U, P_ZERO, RF_ZERO, Poly, RatFunc, RatMatrix,
                        _pack, sigma)
 
@@ -107,7 +107,7 @@ class ModuleRep:
         self.n = len(digraph.vertices)
         # _columns[s][i] = (partner, self coefficient or None, partner
         # coefficient) of column i of tau_s over Z[u]
-        self._columns = _table(digraph.edge_pairing(), _TAU_CASES)
+        self._columns = _table(digraph.coded_pairing(), _TAU_CASES)
         self._rho_cache: dict[GroupElement, list[SparseVec]] = {}
 
     # -- dense output ------------------------------------------------------------------------
@@ -138,7 +138,7 @@ class ModuleRep:
     def rho_inv(self, w: GroupElement) -> RatMatrix:
         """The matrix of T_w^-1, u^(-2 l(w)) S_w, where S_w = u^(2 l(w))
         T_w^-1 = S_{s_k} ... S_{s_1} over Z[u], w = s_1...s_k."""
-        table = _table(self.digraph.edge_pairing(), _S_CASES)
+        table = _table(self.digraph.coded_pairing(), _S_CASES)
         return self._matrix(_word_columns(table, w.word, self.n),
                             Poly.monomial(1, 2 * w.length))
 
@@ -157,14 +157,16 @@ class ModuleRep:
 
 
 def _table(pairing, cases: dict, at=None) -> list[list[tuple]]:
-    """The column table of `cases` over an edge pairing: table[s][i] =
-    (partner, self coefficient or None, partner coefficient) of column i.
-    With `at`, every coefficient c becomes at(c), for example its value at
-    one integer u."""
+    """The column table of `cases` over the (partners, codes) rows of an
+    edge pairing (`SLabeledDigraph.coded_pairing`, `digraph.cycle_pairing`):
+    table[s][i] = (partner, self coefficient or None, partner coefficient)
+    of column i, the case read off its code.  With `at`, every coefficient
+    c becomes at(c), for example its value at one integer u."""
     if at is not None:
         cases = _cases_at(cases, at)
-    return [[(partner,) + cases[(role, style)] for partner, role, style in row]
-            for row in pairing]
+    by_code = [None, *map(cases.__getitem__, CODE_ENDS[1:])]
+    return [[(p,) + by_code[c] for p, c in zip(partners, codes)]
+            for partners, codes in pairing]
 
 
 def _cases_at(cases: dict, at) -> dict:
@@ -277,7 +279,7 @@ def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
     The walk flags each component that has a loop and each on which some
     edge breaks that rule, so both dimensions are counts of its flags.
     """
-    digraph.edge_pairing()      # raises unless one edge per label at a vertex
+    digraph.coded_pairing()     # raises unless one edge per label at a vertex
     analysis = digraph.analyze()
     flags = digraph._walk[2]
     n = analysis.n_components
@@ -338,8 +340,8 @@ def reversal_identities(digraph: SLabeledDigraph,
     entry by entry, the traces as sums of n diagonal entries.  By the bound
     in `_exact_bits` the ints agree exactly when the polynomials do.
     """
-    pairing = digraph.edge_pairing()
-    rev_pairing = reversed_pairing(pairing)
+    pairing = digraph.coded_pairing()
+    rev_pairing = digraph.reverse().coded_pairing()
     signs = _sign_diagonal(digraph)
     n = len(digraph.vertices)
     reports = []
@@ -379,9 +381,9 @@ def zero_hecke_action(digraph: SLabeledDigraph, w: GroupElement, alpha: str
     A tail moves to its head with coefficient 1, and a head (or a loop, where
     tau_s is the scalar 2u^2 - 1 or 2u^2 - 2u - 1) is negated, so the result
     is always +/- one vertex.  A digraph that breaks the one-edge-per-label
-    rule raises `edge_pairing`'s ValueError.
+    rule raises `coded_pairing`'s ValueError.
     """
-    table = _table(digraph.edge_pairing(), _TAU_CASES, lambda c: c(0))
+    table = _table(digraph.coded_pairing(), _TAU_CASES, lambda c: c(0))
     vec = _word_apply(table, w.word[::-1], {digraph.vertex_index[alpha]: 1}, 0)
     ((i, sign),) = vec.items()
     return sign, digraph.vertices[i]
@@ -420,7 +422,8 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
     sources = analysis.components[0].sources
     if len(sources) != 1:
         raise ValueError("bar propagation needs a unique source")
-    pairing = digraph.edge_pairing()
+    pairing = digraph.coded_pairing()
+    ends = digraph.edge_pairing()
     names = digraph.vertices
     n = len(names)
     steps = {SOLID: (_table(pairing, _S_CASES), 2, 0),
@@ -434,7 +437,7 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
         i = queue.popleft()
         vec, a, b = images[i]
         for label, s in gens:
-            j, role, style = pairing[s][i]
+            j, role, style = ends[s][i]
             if role == "head" and j != i:
                 continue
             table, da, db = steps[style]
@@ -520,21 +523,22 @@ def _restricted_component_counts(digraph: SLabeledDigraph) -> list[int]:
     """counts[mask] = the number of components of `digraph.restrict(J)`, J
     the generators whose bits are set in mask, with no digraph built.  The
     union-find forest of a mask is that of the mask without its top bit,
-    copied, joined along the top generator's edges, read off the edge
-    pairing (a loop joins nothing), so it raises `edge_pairing`'s
-    ValueError on a digraph that breaks the one-edge-per-label rule.  The
-    masks are grown depth first, so at most rank forests are held at once."""
-    pairing = digraph.edge_pairing()
-    rank = len(pairing)
+    copied, joined along the top generator's edges, each read once off
+    the edge pairing at its tail (a loop joins nothing), so it raises
+    `coded_pairing`'s ValueError on a digraph that breaks the
+    one-edge-per-label rule.  The masks are grown depth first, so at most
+    rank forests are held at once."""
+    n = len(digraph.vertices)
+    arcs = [[(a, b) for a, b, c in zip(range(n), partners, codes) if c & 1]
+            for partners, codes in digraph.coded_pairing()]
+    rank = len(arcs)
     counts = [0] * (1 << rank)
 
     def grow(mask: int, parent: list[int], comps: int) -> None:
         counts[mask] = comps
         for s in range(mask.bit_length(), rank):
             forest, joined = list(parent), comps
-            for a, (b, role, _) in enumerate(pairing[s]):
-                if role != "tail":
-                    continue
+            for a, b in arcs[s]:
                 while forest[a] != a:
                     forest[a] = a = forest[forest[a]]
                 while forest[b] != b:
@@ -544,7 +548,6 @@ def _restricted_component_counts(digraph: SLabeledDigraph) -> list[int]:
                     joined -= 1
             grow(mask | 1 << s, forest, joined)
 
-    n = len(digraph.vertices)
     grow(0, list(range(n)), n)
     return counts
 

@@ -52,7 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .digraph import DASHED, SOLID, SLabeledDigraph, cycle_pairing
+from .digraph import (CODE_ENDS, DASHED, END_CODES, SOLID, WORD_ENDS,
+                      WORD_SOURCES, SLabeledDigraph, cycle_pairing)
 from .families import TEMPLATES, family_divisibility_ok
 from .modrep import (_TAU_CASES, _apply_columns, _cases_at, _exact_bits,
                      _table, _word_apply)
@@ -126,7 +127,7 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _decide_word(word: tuple, n: int, pair) -> tuple | Rejection:
+def _decide_word(word: bytes, n: int, pair) -> tuple | Rejection:
     """The template match of the alternating cycle of a cycle word under
     the order n of `pair`, decided in walk positions: the `Rejection`, or
     (figure, m, ((position, template vertex name), ...)) in witness order.
@@ -134,13 +135,14 @@ def _decide_word(word: tuple, n: int, pair) -> tuple | Rejection:
     Sources and sinks alternate around a cycle, so a single source means a
     single sink, and both arcs out of the source run to it; what is left to
     check is where the sink sits, which edges are dashed, and the
-    divisibility condition against n.  The a-arc leaves the source by its
-    i-edge and the b-arc by its j-edge, each followed along the partners of
-    the word's `cycle_pairing`.
+    divisibility condition against n.  The sources are read off the word
+    by one byte translation (`digraph.WORD_SOURCES`), and the a-arc leaves
+    the source by its i-edge and the b-arc by its j-edge, each followed
+    along the partners and codes of the word's `cycle_pairing`.
     """
     m = len(word) // 2
     if m == 1:
-        role, style, t_role, t_style = word[0]
+        (role, style), (t_role, t_style) = WORD_ENDS[word[0]]
         if role != t_role:
             return Rejection("the two edges must be parallel, same direction")
         if style != t_style:
@@ -148,19 +150,19 @@ def _decide_word(word: tuple, n: int, pair) -> tuple | Rejection:
         src, sink = (0, 1) if role == "tail" else (1, 0)
         return 7 if style == SOLID else 8, 1, ((src, "a0"), (sink, "b1"))
 
-    sources = [p for p, (role, _, t_role, _) in enumerate(word)
-               if role == t_role == "tail"]
-    if len(sources) != 1:
-        return Rejection(f"{len(sources)} sources, need exactly 1")
-    src = sources[0]
+    sources = word.translate(WORD_SOURCES)
+    count = sources.count(1)
+    if count != 1:
+        return Rejection(f"{count} sources, need exactly 1")
+    src = sources.index(1)
     # each arc up to the sink as (head position, style) per edge, its
     # labels taken from the two rows in turn
     pairing = cycle_pairing(word)
     arcs = []
     for row, other in (pairing, pairing[::-1]):
         arc, p = [], src
-        while row[p][1] == "tail":
-            p, _, style = row[p]
+        while row[1][p] & 1:
+            p, style = row[0][p], CODE_ENDS[row[1][p]][1]
             arc.append((p, style))
             row, other = other, row
         arcs.append(arc)
@@ -280,9 +282,10 @@ def brute_force_check(digraph: SLabeledDigraph):
     Each relation is run once per distinct block, and every column reads
     its verdict back.  Why this is exact:
     - tau_s maps a unit column into its s-edge's 2x2 block, whose entries
-      `_TAU_CASES` gives from the (role, style) of each end; `_fill` writes
-      (b, "tail", style) at a and (a, "head", style) at b, and loops are
-      rejected, so the other end has the other role and the same style.
+      `_TAU_CASES` gives from the (role, style) of each end; `_fill`
+      writes partner b and the tail code of the style at a, partner a and
+      the head code (one more) at b, and loops are rejected, so the other
+      end has the other role and the same style.
       So the quadratic relation on a column depends only on its (role,
       style): it is run once per call for each case, on its block with the
       partner case as positions 0 and 1, and only when a case fails is the
@@ -344,11 +347,13 @@ def brute_force_check(digraph: SLabeledDigraph):
                 != {p: c for p, c in expected.items() if c}):
             failing.add((role, style))
     if failing:
-        for s, row in zip(digraph.system.generators, digraph.edge_pairing()):
-            for col, (_, role, style) in enumerate(row):
-                if (role, style) in failing:
-                    return RelationWitness("quadratic", (s,),
-                                           digraph.vertices[col])
+        failing = [END_CODES[end] for end in failing]
+        for s, (_, codes) in zip(digraph.system.generators,
+                                 digraph.coded_pairing()):
+            cols = [col for col in map(codes.find, failing) if col >= 0]
+            if cols:
+                return RelationWitness("quadratic", (s,),
+                                       digraph.vertices[min(cols)])
     braid = {}   # (n, cycle word) -> whether the relation holds on its cycle
     for _, n, pair, words in _finite_pairs(digraph):
         cases = tau_at.get(n)

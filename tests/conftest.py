@@ -13,8 +13,9 @@ from math import factorial, inf
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, GroupElement
-from wdigraph.digraph import (DASHED, LEVEL_STEP, SOLID, ComponentAnalysis,
-                              ComponentDetail, Edge, SLabeledDigraph, _dot_id)
+from wdigraph.digraph import (CODE_ENDS, DASHED, END_CODES, LEVEL_STEP, SOLID,
+                              ComponentAnalysis, ComponentDetail, Edge,
+                              SLabeledDigraph, _dot_id)
 from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix
 from wdigraph.hecke import Dihedral, HeckeElt
 from wdigraph.modrep import (_TAU_CASES, ModuleRep, _apply_columns, _exact_bits,
@@ -333,6 +334,19 @@ def scan_alternating_cycles(g, s, t):
     return cycles
 
 
+def decoded_word(word):
+    """A cycle word of `SLabeledDigraph.alternating_cycles`, one byte per
+    walk position, as the tuple of (role, style) of the i-edge and of the
+    j-edge per position, the form `scan_alternating_cycles` gives."""
+    return tuple(CODE_ENDS[b & 7] + CODE_ENDS[b >> 3] for b in word)
+
+
+def encoded_word(word):
+    """A word of `scan_alternating_cycles` as the bytes the digraph keys its
+    cycles by: per position, the i-code | the j-code << 3."""
+    return bytes(END_CODES[end[:2]] | END_CODES[end[2:]] << 3 for end in word)
+
+
 def scan_walk_flags(g):
     """Per component of `g._walk`, (some edge raises the level pair by other
     than its `LEVEL_STEP`, some edge raises the level sum by other than 1,
@@ -527,10 +541,80 @@ def reference_walk_digraph(system, walk, styles):
     """The digraph of an up-walk's (words, arrows) as `families` once built
     it: each arrow named and handed to the tuple form."""
     words, arrows = walk
-    name, label = {w: system.word_to_str(w) for w in words}, system.generators
+    name, label = [system.word_to_str(w) for w in words], system.generators
     return TupleDigraph(
-        system, list(name.values()),
-        [Edge(name[w], name[t], label[s], styles[tag]) for w, s, t, tag in arrows])
+        system, name,
+        [Edge(name[i], name[j], label[s], styles[tag]) for i, j, s, tag in arrows])
+
+
+def checked_arcs(system, index, edges):
+    """(s, tail index, head index, style) of each (src, dst, label, style)
+    edge, once its style, its two ends and its label pass, in that order:
+    the checks of `SLabeledDigraph` when it held tuple rows."""
+    for src, dst, label, style in edges:
+        if style not in (SOLID, DASHED):
+            raise ValueError(f"bad edge style {style!r}")
+        a = index.get(src)
+        if a is None or index.get(dst) is None:
+            raise ValueError(f"edge {Edge(src, dst, label, style)} references "
+                             f"unknown vertex")
+        if label not in system.index:
+            raise ValueError(f"edge {Edge(src, dst, label, style)} has a label "
+                             f"outside the system")
+        yield system.index[label], a, index[dst], style
+
+
+def tuple_rows_fill(rank, n, arcs):
+    """The tuple rows of (s, tail, head, style) arcs on n vertices, and the
+    generator of each, as `SLabeledDigraph` once held them: row s < rank is
+    generator s's pairing, entry i (partner, role, style) or None, and an
+    edge that finds a slot there taken goes to the first extra row of its
+    generator free at both its ends, or a new one."""
+    rows = [[None] * n for _ in range(rank)]
+    gens = list(range(rank))
+    for s, a, b, style in arcs:
+        row = rows[s]
+        if row[a] is not None or row[b] is not None:
+            row = next((r for k, r in zip(gens, rows) if k == s
+                        and r[a] is None and r[b] is None), None)
+            if row is None:
+                row = [None] * n
+                rows.append(row)
+                gens.append(s)
+        if a != b:
+            row[a] = (b, "tail", style)
+        row[b] = (a, "head", style)
+    return rows, gens
+
+
+def tuple_rows_load(data):
+    """`load_digraph` on a JSON dict as it ran on tuple rows, up to its
+    (rows, gens): the vertex check, one pass of `checked_arcs` into
+    `tuple_rows_fill`, and a key missing from any edge dict reported
+    before what that pass raised."""
+    system = CoxeterSystem.from_json(data["system"])
+    vertices = data["vertices"]
+    if not isinstance(vertices, list) or not all(isinstance(v, str)
+                                                 for v in vertices):
+        raise ValueError("vertices must be a list of strings")
+    edges = data["edges"]
+    try:
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
+            raise ValueError("duplicate vertex ids")
+        return tuple_rows_fill(system.rank(), len(index), checked_arcs(
+            system, index,
+            ((e["from"], e["to"], e["label"], e["style"]) for e in edges)))
+    except (ValueError, TypeError):
+        for e in edges:
+            e["from"], e["to"], e["label"], e["style"]
+        raise
+
+
+def tuple_rows(g):
+    """The flat rows of g as `tuple_rows_fill` gives them: (rows, gens)."""
+    return ([[(p, *CODE_ENDS[c]) if c else None for p, c in zip(*row)]
+             for row in g._rows], g._gens)
 
 
 def disjoint_union(g, h, suffixes=("", "'")):
@@ -577,7 +661,7 @@ def column_brute_force_check(g):
     violations = g.validate_structure()
     if violations:
         return RelationWitness("structure", (), "; ".join(violations))
-    pairing = g.edge_pairing()
+    pairing = g.coded_pairing()
     system = g.system
     n_vertices = len(g.vertices)
     u = 1 << _exact_bits(2)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from math import inf
 
 import pytest
@@ -13,13 +14,14 @@ from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_example,
                                build_family, build_lv, build_regular)
 
 import conftest
-from conftest import (TupleDigraph, disjoint_union, distances_by_name,
-                      in_label_set, is_acyclic, make_a3, path_length_mu,
-                      random_labeled_digraph, reachable_from,
+from conftest import (TupleDigraph, decoded_word, disjoint_union,
+                      distances_by_name, in_label_set, is_acyclic, make_a3,
+                      path_length_mu, random_labeled_digraph, reachable_from,
                       reference_load_digraph, reference_walk_digraph,
                       same_structure, scan_alternating_cycles,
                       scan_shortest_circuit, scan_walk_flags, subgraph,
-                      successors, undirected_neighbors)
+                      successors, tuple_rows, tuple_rows_load,
+                      undirected_neighbors)
 from test_cli_golden import FAMILY_SIZES
 from test_coxeter import (DIFFERENTIAL_SYSTEMS, INFINITE_DIFFERENTIAL,
                           involutory_automorphisms)
@@ -502,9 +504,9 @@ def test_alternating_cycles_match_edge_scans():
         for i, j in pairs:
             # each cycle with its word of (role, style) pairs, both scanned
             cycles = list(g.alternating_cycles(i, j))
-            assert cycles == scan_alternating_cycles(g, gens[i], gens[j]), \
-                (label, i, j)
-            assert all(len(word) == len(cycle) and isinstance(word, tuple)
+            assert [(cycle, decoded_word(word)) for cycle, word in cycles] \
+                == scan_alternating_cycles(g, gens[i], gens[j]), (label, i, j)
+            assert all(len(word) == len(cycle) and isinstance(word, bytes)
                        for cycle, word in cycles), (label, i, j)
             walked += 1
     assert walked > 1000 and broken == 4
@@ -526,7 +528,8 @@ def test_cycle_words_number_the_scanned_positions():
                                   for v in cycle))
                           for w in dict.fromkeys(w for _, w in cycles)]
                 words = g.cycle_words(i, j)
-                assert list(words.items()) == firsts, (label, i, j)
+                assert [(decoded_word(w), v) for w, v in words.items()] \
+                    == firsts, (label, i, j)
                 assert g.cycle_words(i, j) is words
                 decomposed += 1
     assert decomposed > 1000
@@ -973,6 +976,102 @@ def test_load_matches_tuple_reference_on_damaged_files():
                          edges=[*base["edges"], {"from": "g1"}])):
         with pytest.raises(KeyError, match="'to'"):
             load_digraph(damaged)
+
+
+def round_trip_inputs():
+    """The group digraphs, the template grid, the five examples, and three
+    broken digraphs: an extra row, a loop and an empty slot."""
+    from test_validator import group_digraphs, template_grid
+
+    yield from group_digraphs()
+    yield from template_grid()
+    for name in EXAMPLE_NAMES:
+        yield name, build_example(name)
+    i23 = CoxeterSystem.dihedral(3)
+    yield "extra row", SLabeledDigraph(i23, "xyz", [
+        ("x", "y", "s", SOLID), ("z", "x", "s", DASHED),
+        ("x", "y", "t", SOLID), ("z", "z", "t", SOLID)])
+    yield "loop", SLabeledDigraph(i23, "xy", [
+        ("x", "x", "s", SOLID), ("x", "y", "t", DASHED), ("y", "y", "s", DASHED)])
+    yield "empty slot", SLabeledDigraph(i23, "xy", [("x", "y", "s", SOLID)])
+
+
+def test_json_round_trip_keeps_text_and_structure():
+    """Loading a digraph's JSON text gives back the same text, the same
+    structure report and, where the structure holds, the same pairing."""
+    broken = 0
+    for label, g in round_trip_inputs():
+        text = g.to_json_text()
+        loaded = load_digraph(json.loads(text))
+        assert loaded.to_json_text() == text, label
+        assert loaded.validate_structure() == g.validate_structure(), label
+        if g.validate_structure():
+            broken += 1
+        else:
+            assert loaded.edge_pairing() == g.edge_pairing(), label
+    assert broken == 3
+
+
+def loader_damages(data, rng):
+    """(what, damaged copy of data) for each damage the loader checks, at a
+    random edge or vertex: a bad style, an unknown tail, an unknown head,
+    an unknown label, a key missing from a later edge, a non-string vertex
+    id, and the structural breaks it only records: an edge doubled and an
+    edge turned into a loop."""
+    def copy(change):
+        damaged = json.loads(json.dumps(data))
+        change(damaged, damaged["edges"][rng.randrange(len(damaged["edges"]))])
+        return damaged
+
+    def later_key_missing(d, e):
+        e["style"] = "dotted"
+        del d["edges"][-1]["to"]
+
+    yield "bad style", copy(lambda d, e: e.update(style="dotted"))
+    yield "unknown tail", copy(lambda d, e: e.update({"from": "nowhere"}))
+    yield "unknown head", copy(lambda d, e: e.update(to="nowhere"))
+    yield "unknown label", copy(lambda d, e: e.update(label="z"))
+    yield "later key missing", copy(later_key_missing)
+    yield "non-string vertex", copy(lambda d, e: d["vertices"].__setitem__(
+        rng.randrange(len(d["vertices"])), 7))
+    yield "doubled", copy(lambda d, e: d["edges"].append(dict(e)))
+    yield "loop", copy(lambda d, e: e.update(to=e["from"]))
+
+
+def test_loader_raises_as_the_tuple_rows_loader():
+    """On every damage `load_digraph` raises the exception type and
+    message of the loader that filled tuple rows through a generator of
+    checked arcs, and otherwise fills the same rows, extra rows and loops
+    included."""
+    from test_validator import group_digraphs
+
+    rng = random.Random(36)
+    bases = [g.to_json() for _, g in group_digraphs()]
+    bases += [build_example(name).to_json() for name in EXAMPLE_NAMES]
+    raised = Counter()
+    for data in bases:
+        assert tuple_rows(load_digraph(data)) == tuple_rows_load(data)
+        for what, damaged in loader_damages(data, rng):
+            outcomes = []
+            for load in (load_digraph, tuple_rows_load):
+                try:
+                    outcomes.append(load(damaged))
+                except (KeyError, TypeError, ValueError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            got, expected = outcomes
+            if isinstance(got, SLabeledDigraph):
+                assert tuple_rows(got) == expected, what
+                assert got.validate_structure(), what
+            else:
+                assert got == expected, what
+                raised[what, expected[0]] += 1
+    assert set(raised) == {("bad style", ValueError),
+                           ("unknown tail", ValueError),
+                           ("unknown head", ValueError),
+                           ("unknown label", ValueError),
+                           ("later key missing", KeyError),
+                           ("non-string vertex", ValueError)}
+    assert set(raised.values()) == {len(bases)}
 
 
 def cyclic_inputs():

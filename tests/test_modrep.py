@@ -10,7 +10,7 @@ from math import inf
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
-from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph, reversed_pairing
+from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph
 from wdigraph.exactalg import (P_ONE, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
                                RatFunc, RatMatrix, char_poly, rf, sigma,
                                solve_simultaneous_eigenspace)
@@ -173,7 +173,7 @@ def test_tau_inv_apply_matches_dense(name):
     rep = ModuleRep(g)
     ops = RatFuncOperators(g)
     ident = identity_matrix(rep.n)
-    s_table = _table(g.edge_pairing(), _S_CASES)
+    s_table = _table(g.coded_pairing(), _S_CASES)
     for k, s in enumerate(g.system.generators):
         dense = (rep.tau_matrix(s) - ident.scale(U2 - RF_ONE)).scale(RF_U ** -2)
         for j in range(rep.n):
@@ -1037,9 +1037,9 @@ def reversal_inputs():
 
 
 def test_reversed_pairing_is_the_pairing_of_the_reversed_digraph():
-    # the role swap reversal_identities reads its tau_s table from (and
-    # `reverse()` is built on), against the pairing of the turned-round
-    # `Edge` tuples
+    # the byte translation `reverse()` turns the code rows round by, which
+    # reversal_identities reads its tau_s table from, against the pairing
+    # of the turned-round `Edge` tuples
     rng = random.Random(3141)
     inputs = [*reversal_inputs(), ("loop", loop_digraph())]
     for k in range(100):
@@ -1048,12 +1048,13 @@ def test_reversed_pairing_is_the_pairing_of_the_reversed_digraph():
             rng, _DIHEDRAL[rng.choice([2, 3, 4, 5])], nv)))
     for label, g in inputs:
         turned = TupleDigraph(g.system, g.vertices, g.edges).reverse()
-        assert reversed_pairing(g.edge_pairing()) == turned.edge_pairing() \
-            == g.reverse().edge_pairing(), label
+        assert g.reverse().edge_pairing() == turned.edge_pairing(), label
+        assert g.reverse().validate_structure() \
+            == turned.validate_structure(), label
     # a loop stays its vertex's head
     loop = loop_digraph()
     x = loop.vertex_index["x_loop"]
-    assert reversed_pairing(loop.edge_pairing())[1][x] == (x, "head", SOLID)
+    assert loop.reverse().edge_pairing()[1][x] == (x, "head", SOLID)
 
 
 def test_reversal_identities_match_dense_reference():
@@ -1148,7 +1149,7 @@ def zu_reversal_identities(g, words):
     computed them before it moved to one integer point: the twist side is
     the coefficient reversal `_twist` of S_{w^-1}, the sign side S_w."""
     rev = ModuleRep(g.reverse())
-    s_table = _table(g.edge_pairing(), _S_CASES)
+    s_table = _table(g.coded_pairing(), _S_CASES)
     n = len(g.vertices)
     signs = _sign_diagonal(g)
     reports = []

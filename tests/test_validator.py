@@ -21,9 +21,9 @@ from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 Rejection, RelationWitness, Verdict,
                                 brute_force_check, is_w_digraph)
 
-from conftest import (RatFuncOperators, column_brute_force_check, is_poly,
-                      out_edges, random_labeled_digraph, same_structure,
-                      scan_alternating_cycles, subgraph)
+from conftest import (RatFuncOperators, column_brute_force_check,
+                      encoded_word, is_poly, out_edges, random_labeled_digraph,
+                      same_structure, scan_alternating_cycles, subgraph)
 
 
 def family_on(n, figure, m):
@@ -861,7 +861,7 @@ def test_oracle_runs_each_key_once_from_position_zero(monkeypatch):
         runs.clear()
         assert brute_force_check(g) is None, label
         system = g.system
-        keys = {(system.order(i, j), word)
+        keys = {(system.order(i, j), encoded_word(word))
                 for i in range(system.rank())
                 for j in range(i + 1, system.rank())
                 if system.order(i, j) is not inf
@@ -1043,7 +1043,7 @@ def test_keyed_classifier_decides_each_word_once(monkeypatch):
     for report in verdict.pair_reports:
         keys = decided[report.pair]
         assert len(keys) == len(set(keys))
-        assert set(keys) == {(report.n, word) for _, word in
+        assert set(keys) == {(report.n, encoded_word(word)) for _, word in
                              scan_alternating_cycles(g, *report.pair)}
         assert 10 * len(keys) <= len(report.components), report.pair
 
@@ -1063,7 +1063,7 @@ def test_positional_tables_are_the_whole_tables_on_a_cycle():
                                       2 * (k % 6 + 1)) for k in range(300)]
     keys = set()
     for g in inputs:
-        pairing, system = g.edge_pairing(), g.system
+        pairing, system = g.coded_pairing(), g.system
         for i in range(system.rank()):
             for j in range(i + 1, system.rank()):
                 n = system.order(i, j)
@@ -1079,7 +1079,7 @@ def test_positional_tables_are_the_whole_tables_on_a_cycle():
                         expected = list(
                             [(position[whole[s][v][0]],) + whole[s][v][1:]
                              for v in cycle] for s in (i, j))
-                        assert _table(cycle_pairing(word), cases) == expected, \
-                            (pair, k, cycle)
+                        assert _table(cycle_pairing(encoded_word(word)),
+                                      cases) == expected, (pair, k, cycle)
                         keys.add((n, word))
     assert len(keys) > 400
