@@ -6,13 +6,14 @@ the word problem one dihedral parabolic W_{s,t} at a time (w = w^J * w_J,
 Bjorner-Brenti 2.4) for every Coxeter matrix; products, inverses, descents
 and the Bruhat order (lifting property, 2.2.7) are walks of it.
 
-One BFS from the identity along the steps that raise length, `up_walk`,
-lists W along left multiplication and the twisted involutions along w -> sw
-or s w s*, with the arrows between them.  Both steps use four operations:
-left and right multiplication by a generator, the left-descent test and the
-canonical word.  When W is finite and every order is at most 6 they act on
-the matrix of w^-1 on the simple roots, one packed int per column
-(`roots`); every other system walks canonical words.
+One walk from the identity along the steps that raise length, `up_walk`,
+lists W along left multiplication, one length at a time in ShortLex order,
+and the twisted involutions along w -> sw or s w s* by a BFS, with the
+arrows between them.  The steps use five operations: left and right
+multiplication by a generator, the left-descent test, the test s w s* = w
+and the canonical word.  When W is finite and every order is at most 6
+they act on the matrix of w^-1 on the simple roots, one packed int per
+column (`roots`); every other system walks canonical words.
 
 Orders come from the classification of finite irreducible diagrams: |W_J|
 (`parabolic_order`) is the product of the closed-form orders of the components
@@ -263,26 +264,43 @@ class CoxeterSystem:
         work is the products w*s memoized."""
         lmult = lru_cache(maxsize=1)(self.lmult)    # the descent test, then left
         return WalkOps((), lmult, self._rmult,
-                       lambda w, s: len(lmult(w, s)) < len(w), lambda w: w,
-                       self._products.__len__, on_words=True)
+                       lambda w, s: len(lmult(w, s)) < len(w),
+                       lambda w, s, r: self._rmult(lmult(w, s), r) == w,
+                       lambda w: w, self._products.__len__, on_words=True)
 
     def up_walk(self, star: "DiagramAutomorphism | None" = None,
                 length_bound=None) -> tuple[list[Word], list]:
-        """(words, arrows): a BFS from the identity along the steps w -> sw
-        that raise length (tag None), or with an involutory star along the
-        twisted steps: w -> sw (tag True) when s w star(s) = w, else
-        w -> s w star(s), two longer (tag False; Richardson-Springer 1990,
-        Hultman 2005).  Returns the words of length <= bound, sorted
-        (length, ShortLex), and the arrows (i, j, s, tag) taken, each from
-        words[i] to words[j]: the walk numbers each element as it finds it,
-        and the numbers are mapped to positions in the sorted words once, at
-        the end.
+        """(words, arrows): the elements that the steps raising length reach
+        from the identity, up to length `length_bound` (all of them when it
+        is None), sorted (length, ShortLex), and the arrows (i, j, s, tag)
+        taken, each from words[i] to words[j].
+
+        Without a star the steps are w -> sw (tag None), and the walk lists
+        W one length at a time, each level in ShortLex order.  ShortLex
+        normal forms are suffix-closed (Bjorner-Brenti, Combinatorics of
+        Coxeter Groups, 3.4), so t = sw one longer than w has the word
+        (s,) + word(w) exactly when s is t's least left descent.  With s
+        outer and the level inner, that is when no earlier pass reached t:
+        s is a left descent of t, so t's least one is s or some r < s, and
+        then the pass of r reached t from rt.  The t kept come by first
+        letter, then by the rest of the word, w's: in ShortLex order, each
+        once, and each takes the next free position; the arrows into the
+        others find them in the next level's index.  No word is read back
+        and nothing is sorted.
+
+        With an involutory star the steps are twisted: w -> sw (tag True)
+        when s w star(s) = w (`fixes`), else w -> s w star(s), two longer
+        (tag False; Richardson-Springer 1990, Hultman 2005).  That walk is
+        a BFS: it names each element as it finds it, and its numbers are
+        mapped to positions in the sorted words once, at the end.
 
         Refused before any element is built: a negative bound, all of an
         infinite group, and all of a group of order over MAX_ELEMENTS when
         the walk lists W or walks words.  Otherwise the walk raises once it
         has built over MAX_ELEMENTS elements: words kept, and on words
-        over MAX_ELEMENTS * rank products memoized, on roots elements named.
+        over MAX_ELEMENTS * rank products memoized, on roots elements named
+        (the twisted walk alone names any).  The level walk checks after
+        each pass of one generator over a level.
         """
         if star is not None and not star.is_involution():
             raise ValueError("the diagram automorphism must be involutory")
@@ -298,22 +316,41 @@ class CoxeterSystem:
             if order > MAX_ELEMENTS and (star is None or ops.on_words):
                 raise ValueError(too_many)
             length_bound = inf
-        left, right, descent, name = ops.left, ops.right, ops.descent, ops.name
-        perm = None if star is None else star.perm
+        left, descent = ops.left, ops.descent
         rank = len(self.generators)
         budget = ops.built() + MAX_ELEMENTS * (rank if ops.on_words else 1)
+        words, arrows = [()], []
+        if star is None:
+            level, length = [ops.identity], 0   # the last len(level) words
+            while level and length < length_bound:
+                above, index, start = [], {}, len(words) - len(level)
+                for s in range(rank):
+                    for i, w in enumerate(level, start):
+                        if descent(w, s):
+                            continue
+                        t = left(w, s)
+                        j = index.get(t)
+                        if j is None:       # s is t's least left descent
+                            index[t] = j = len(words)
+                            words.append((s,) + words[i])
+                            above.append(t)
+                        arrows.append((i, j, s, None))
+                    if len(words) > MAX_ELEMENTS or ops.built() > budget:
+                        raise ValueError(too_many)
+                level, length = above, length + 1
+            return words, arrows
+        right, fixes, name, perm = ops.right, ops.fixes, ops.name, star.perm
         seen = {ops.identity: 0}        # element -> its number in the walk
-        queue, words, arrows = [ops.identity], [()], []
+        queue = [ops.identity]
         for i, w in enumerate(queue):   # a FIFO queue: it grows behind w
             if len(words[i]) >= length_bound:
                 continue                # no step from w stays within the bound
             for s in range(rank):
                 if descent(w, s):
                     continue
-                target, tag = left(w, s), None
-                if perm is not None:
-                    sws = right(target, perm[s])
-                    target, tag = (target, True) if sws == w else (sws, False)
+                target, tag = left(w, s), True
+                if not fixes(w, s, perm[s]):
+                    target, tag = right(target, perm[s]), False
                 j = seen.get(target)
                 if j is None:
                     word = name(target)

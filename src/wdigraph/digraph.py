@@ -15,9 +15,8 @@ through one loop, `_fill`, which checks each edge as it reads it and notes
 every loop; the structure report reads the loops it noted and finds the
 empty slots by a byte search, so a digraph that passes costs no scan of its
 entries.  `coded_pairing` hands the rows to the deciders and the module
-layer; `edge_pairing` is a view of them as (partner, role, style) tuples,
-built on first use.  `edges`, the serializations and the derived digraphs
-are read off the rows.  Three walks over the rows by vertex index, each
+layer.  `edges`, the serializations and the derived digraphs are read off
+the rows.  Three walks over the rows by vertex index, each
 cached on first use and O(V + E), answer every structural question: `_walk`
 gives the components, a (solid, dashed) level pair per vertex and the
 per-component flags that the grading and the sign character read; `_peel`
@@ -163,19 +162,6 @@ class SLabeledDigraph:
         if counts:
             raise ValueError(counts[0])
         return self._rows
-
-    def edge_pairing(self) -> list[list[tuple]]:
-        """pairing[s][i] = (partner index, "tail" or "head", style) for the
-        edge labeled by generator s at vertex i: a view of `coded_pairing`,
-        with its ValueError, built on first use and shared: do not mutate
-        it."""
-        self.coded_pairing()
-        return self._edge_view
-
-    @cached_property
-    def _edge_view(self) -> list[list[tuple]]:
-        return [[(p, *CODE_ENDS[c]) for p, c in zip(partners, codes)]
-                for partners, codes in self._rows]
 
     def alternating_cycles(self, i: int, j: int
                            ) -> Iterator[tuple[list[int], bytes]]:

@@ -423,7 +423,6 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
     if len(sources) != 1:
         raise ValueError("bar propagation needs a unique source")
     pairing = digraph.coded_pairing()
-    ends = digraph.edge_pairing()
     names = digraph.vertices
     n = len(names)
     steps = {SOLID: (_table(pairing, _S_CASES), 2, 0),
@@ -437,7 +436,8 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
         i = queue.popleft()
         vec, a, b = images[i]
         for label, s in gens:
-            j, role, style = ends[s][i]
+            partners, codes = pairing[s]
+            j, (role, style) = partners[i], CODE_ENDS[codes[i]]
             if role == "head" and j != i:
                 continue
             table, da, db = steps[style]

@@ -18,6 +18,7 @@ class WalkOps(NamedTuple):
     left: Callable          # (x, s) -> s*x
     right: Callable         # (x, s) -> x*s
     descent: Callable       # (x, s) -> whether l(s*x) < l(x)
+    fixes: Callable         # (x, s, r), s not a left descent -> s*x*r == x
     name: Callable          # x -> the canonical word of x
     built: Callable         # () -> the memo that counts the walk's work
     on_words: bool = False  # canonical words, else root coordinates
@@ -47,66 +48,78 @@ def root_ops(matrix) -> WalkOps:
     column has its root's sign, and so has the int.  s*w adds a_st times
     column s to column t and negates column s; w*s reflects each column,
     changing its coefficient s; the canonical word is the least left
-    descent s and then that of s*w, memoized.  bits is the least width
-    whose signed digits hold every coefficient of every positive root
-    strictly inside their range, so packed equality and the digit reads
-    are exact.
+    descent s, the first negative column, and then that of s*w, memoized.
+    The twisted walk reads its tag off one column: for s not a left
+    descent, s*w*r = w iff w^-1 s w = r iff w^-1(alpha_s) = alpha_r, as
+    that root is positive and a real root's only positive multiple among
+    the roots is itself, so iff column s is the packed alpha_r.
+
+    bits is the least width whose signed digits hold every coefficient of
+    every positive root strictly inside their range, so packed equality
+    and the digit reads are exact.  The positive roots are the closure of
+    the simple ones under the reflections, on tuples of coefficients
+    a + b*phi as pairs (a, b): r permutes the positive roots other than
+    alpha_r (Humphreys, Reflection Groups and Coxeter Groups, 5.6), so no
+    image needs a sign test.
     """
     n = len(matrix)
     phi = any(5 in row for row in matrix)
-    digits = 2 * n if phi else n
+    cartan = [[(t, _CARTAN[matrix[s][t]][s > t])
+               for t in range(n) if matrix[s][t] > 2] for s in range(n)]
 
-    def packing(bits):
-        """(digit, reflect, bonds) at one width."""
-        top = bits * n                      # where the phi digits start
-        half, mask = 1 << (bits - 1), (1 << bits) - 1
-        offset = sum(half << (bits * i) for i in range(digits))
-
-        def digit(v, i):
-            return ((v + offset) >> (bits * i) & mask) - half
-
-        def times_phi(v):                   # phi (a + b phi) = b + (a + b) phi
-            b = (v + (1 << (top - 1))) >> top       # v = a + b 2^top
-            a = v - (b << top)
-            return b + ((a + b) << top)
-
-        def coefficient(v, t):              # coefficient t, packed at digit 0
-            c = digit(v, t)
-            return c + (digit(v, n + t) << top) if phi else c
-
-        def times(a):                       # multiplication by a = (p, q)
-            return times_phi if a == (0, 1) else a[0].__mul__
-        bonds = [[(t, times(_CARTAN[matrix[s][t]][s > t]))
-                  for t in range(n) if matrix[s][t] > 2] for s in range(n)]
-
-        def reflect(v, r):
-            total = -2 * coefficient(v, r)
-            for t, mul in bonds[r]:
-                total += mul(coefficient(v, t))
-            return v + (total << (bits * r))
-        return digit, reflect, bonds
-
-    # the positive roots at a width no finite root system comes near
-    digit, reflect, _ = packing(64)
-    roots = [1 << (64 * s) for s in range(n)]
-    for v in roots:
+    simple = [tuple((int(s == t), 0) for t in range(n)) for s in range(n)]
+    roots, found = list(simple), set(simple)
+    for v in roots:                     # grows behind v
         for r in range(n):
-            u = reflect(v, r)
-            if u > 0 and u not in roots:
+            if v == simple[r]:
+                continue
+            a, b = v[r]
+            a, b = -a, -b
+            for t, (p, q) in cartan[r]:     # phi^2 = phi + 1
+                x, y = v[t]
+                a, b = a + p * x + q * y, b + p * y + q * x + q * y
+            u = (*v[:r], (a, b), *v[r + 1:])
+            if u not in found:
+                found.add(u)
                 roots.append(u)
-    largest = max((abs(digit(v, i)) for v in roots for i in range(digits)),
+    largest = max((abs(c) for v in roots for pair in v for c in pair),
                   default=1)
     bits = largest.bit_length() + 1
-    _, reflect, bonds = packing(bits)
+
+    top = bits * n                      # where the phi digits start
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    offset = sum(half << (bits * i) for i in range(2 * n if phi else n))
+
+    def digit(v, i):
+        return ((v + offset) >> (bits * i) & mask) - half
+
+    def times_phi(v):                   # phi (a + b phi) = b + (a + b) phi
+        b = (v + (1 << (top - 1))) >> top       # v = a + b 2^top
+        a = v - (b << top)
+        return b + ((a + b) << top)
+
+    def coefficient(v, t):              # coefficient t, packed at digit 0
+        c = digit(v, t)
+        return c + (digit(v, n + t) << top) if phi else c
+
+    # the Cartan entries a_st as ints, phi as 0
+    bonds = [[(t, p) for t, (p, q) in row] for row in cartan]
+
+    def reflect(v, r):
+        total = -2 * coefficient(v, r)
+        for t, a in bonds[r]:
+            c = coefficient(v, t)
+            total += a * c if a else times_phi(c)
+        return v + (total << (bits * r))
 
     identity = tuple(1 << (bits * s) for s in range(n))
     names = {identity: ()}
 
     def left(x, s):
-        c = list(x)
-        for t, mul in bonds[s]:
-            c[t] += mul(x[s])
-        c[s] = -x[s]
+        c, v = list(x), x[s]
+        for t, a in bonds[s]:
+            c[t] += a * v if a else times_phi(v)
+        c[s] = -v
         return tuple(c)
 
     def right(x, s):
@@ -114,6 +127,9 @@ def root_ops(matrix) -> WalkOps:
 
     def descent(x, s):
         return x[s] < 0
+
+    def fixes(x, s, r):
+        return x[s] == identity[r]
 
     def name(x):
         path, word = [], names.get(x)
@@ -128,5 +144,5 @@ def root_ops(matrix) -> WalkOps:
             word = (s,) + word
             names[x] = word
         return word
-    return WalkOps(identity, left, right, descent, name, names.__len__,
-                   bits=bits)
+    return WalkOps(identity, left, right, descent, fixes, name,
+                   names.__len__, bits=bits)

@@ -12,6 +12,7 @@ from math import factorial, inf
 
 import pytest
 
+from wdigraph import coxeter
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, GroupElement
 from wdigraph.digraph import (CODE_ENDS, DASHED, END_CODES, LEVEL_STEP, SOLID,
                               ComponentAnalysis, ComponentDetail, Edge,
@@ -151,6 +152,50 @@ def conjugation_by_w0_products(system, star):
             raise ValueError("conjugation by w0 did not yield a generator")
         perm.append(image.word[0])
     return DiagramAutomorphism(system, tuple(perm))
+
+
+def reference_up_walk(system, length_bound=None):
+    """`up_walk` along left multiplication as it was before it listed W one
+    length at a time: a BFS from the identity along w -> sw that raise
+    length, each element it keeps named through `name` as it is found,
+    then every word sorted (length, ShortLex) and every arrow mapped to the
+    sorted positions; with the same refusals, read off
+    `coxeter.MAX_ELEMENTS` when called (all of W only when W is finite)."""
+    limit = coxeter.MAX_ELEMENTS
+    too_many = f"more than {limit} elements to enumerate"
+    ops = system._ops()
+    if length_bound is None:
+        if system.parabolic_order() > limit:
+            raise ValueError(too_many)
+        length_bound = inf
+    rank = system.rank()
+    budget = ops.built() + limit * (rank if ops.on_words else 1)
+    seen = {ops.identity: 0}
+    queue, words, arrows = [ops.identity], [()], []
+    for i, w in enumerate(queue):
+        if len(words[i]) >= length_bound:
+            continue
+        for s in range(rank):
+            if ops.descent(w, s):
+                continue
+            target = ops.left(w, s)
+            j = seen.get(target)
+            if j is None:
+                word = ops.name(target)
+                if len(word) > length_bound:
+                    continue
+                j = seen[target] = len(words)
+                words.append(word)
+                queue.append(target)
+                if len(seen) > limit:
+                    raise ValueError(too_many)
+            arrows.append((i, j, s, None))
+        if ops.built() > budget:
+            raise ValueError(too_many)
+    order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
+    position = sorted(range(len(order)), key=order.__getitem__)
+    return ([words[i] for i in order],
+            [(position[i], position[j], s, tag) for i, j, s, tag in arrows])
 
 
 def left_descents(system, w):
@@ -545,6 +590,14 @@ def reference_walk_digraph(system, walk, styles):
     return TupleDigraph(
         system, name,
         [Edge(name[i], name[j], label[s], styles[tag]) for i, j, s, tag in arrows])
+
+
+def edge_pairing(g):
+    """pairing[s][i] = (partner index, "tail" or "head", style) for the
+    edge labeled by generator s at vertex i: a view of `g.coded_pairing()`,
+    with its ValueError."""
+    return [[(p, *CODE_ENDS[c]) for p, c in zip(partners, codes)]
+            for partners, codes in g.coded_pairing()]
 
 
 def checked_arcs(system, index, edges):

@@ -30,6 +30,8 @@ from wdigraph.modrep import (_TAU_CASES, U2M1, _apply_columns, _cases_at,
                              _exact_bits, _table, _word_apply)
 from wdigraph.validator import FamilyMatch, brute_force_check, is_w_digraph
 
+from conftest import edge_pairing
+
 ORDERS = range(2, 9)
 
 
@@ -64,7 +66,7 @@ def cycle_digraph(system: CoxeterSystem, case: tuple) -> SLabeledDigraph:
 def case_of(g: SLabeledDigraph) -> tuple:
     """The case of a digraph whose restriction to s and t is one cycle,
     walked from its first vertex along s, t, s, ..."""
-    pairing = g.edge_pairing()
+    pairing = edge_pairing(g)
     case, v = [], 0
     for k in range(len(g.vertices)):
         v, role, style = pairing[k % 2][v]

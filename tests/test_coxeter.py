@@ -13,7 +13,7 @@ from wdigraph.families import build_lv, build_regular
 
 from conftest import (apply_star, braid_orbit, conjugation_by_w0_products,
                       left_descents, multiply_by_generator, parabolic_data,
-                      reference_component_order)
+                      reference_component_order, reference_up_walk)
 
 
 def words(system, orbit):
@@ -485,6 +485,123 @@ def test_root_walk_matches_word_walk(name, kinds):
     for star in involutory_automorphisms(system):
         assert (build_lv(system, star).to_json()
                 == build_lv(words, DiagramAutomorphism(words, star.perm)).to_json())
+
+
+# -- the level walk against the BFS-plus-sort walk it replaced ----------------------
+
+
+def walk_bounds(system):
+    return [*range(5), *([None] if system.is_finite() else [])]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SYSTEMS)
+def test_level_walk_matches_reference_up_walk(name):
+    """The regular walk lists the words of the BFS-plus-sort walk it
+    replaced, and the same arrows, on roots and on words."""
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    for walker in (system, word_walking(system)):
+        for bound in walk_bounds(system):
+            words, arrows = walker.up_walk(None, bound)
+            expected_words, expected_arrows = reference_up_walk(walker, bound)
+            assert words == expected_words, bound
+            assert sorted(arrows) == sorted(expected_arrows), bound
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SYSTEMS)
+def test_level_walk_refuses_where_reference_does(name, monkeypatch):
+    """With MAX_ELEMENTS one below and at the number of words kept, the
+    regular walk and the walk it replaced both refuse, with the same
+    message, or both return, each from a cold system, on roots and on
+    words (where the products memoized count too)."""
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    for cold in (lambda: CoxeterSystem(list(gens), orders),
+                 lambda: word_walking(system)):
+        for bound in walk_bounds(system):
+            kept = len(cold().up_walk(None, bound)[0])
+            for limit in (kept - 1, kept):
+                monkeypatch.setattr(coxeter, "MAX_ELEMENTS", limit)
+                outcomes = []
+                for walk in (lambda s: s.up_walk(None, bound),
+                             lambda s: reference_up_walk(s, bound)):
+                    try:
+                        outcomes.append(walk(cold())[0])
+                    except ValueError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (bound, limit)
+                if 0 < limit < kept:       # the identity alone is never refused
+                    assert outcomes[0] == (f"more than {limit} elements "
+                                           "to enumerate")
+                monkeypatch.undo()
+
+
+def test_regular_walk_refuses_past_max_elements(monkeypatch):
+    # A3 has 1, 3, 5, 6 elements of lengths 0 to 3: the walk up to length 3
+    # keeps 15, so it is refused with MAX_ELEMENTS = 14 and not with 15, on
+    # roots and on words; all of W (24) is refused before any element
+    a3 = DIFFERENTIAL_SYSTEMS["A3"]
+    for limit, refused in ((15, False), (14, True)):
+        monkeypatch.setattr(coxeter, "MAX_ELEMENTS", limit)
+        for system in (CoxeterSystem(list(a3[0]), a3[1]),
+                       word_walking(CoxeterSystem(list(a3[0]), a3[1]))):
+            with pytest.raises(ValueError, match=f"^more than {limit} "
+                               "elements to enumerate$"):
+                system.enumerate()
+            assert system._products == {}
+            if refused:
+                with pytest.raises(ValueError, match="^more than 14 elements "
+                                   "to enumerate$"):
+                    system.enumerate(3)
+            else:
+                assert len(system.enumerate(3)) == 15
+
+
+ROOT_WALKS = [name for name in DIFFERENTIAL_SYSTEMS if name not in WORD_WALKS]
+
+
+@pytest.mark.parametrize("name", ROOT_WALKS)
+def test_regular_root_walk_names_no_element(name):
+    """Listing W on root coordinates reads no word back: `name` is never
+    called, and its memo holds the identity alone."""
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    ops = system._ops()
+
+    def unnamed(x):
+        raise AssertionError(f"the regular walk named {x}")
+    system._walk_ops = ops._replace(name=unnamed)
+    assert len(system.up_walk()[0]) == system.parabolic_order()
+    assert ops.built() == 1
+
+
+@pytest.mark.parametrize("name", ROOT_WALKS)
+def test_twisted_tag_reads_one_column(name):
+    """The premise of the twisted walk's tag on roots: at every element w
+    of W and every s that is not a left descent of w, under every
+    involutory star, s w star(s) = w iff column s of w is the packed simple
+    root of star(s)."""
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    ops = system._ops()
+    elements = []
+    for word in system.up_walk()[0]:
+        x = ops.identity
+        for s in reversed(word):
+            x = ops.left(x, s)
+        elements.append(x)
+    tags = set()
+    for star in involutory_automorphisms(system):
+        for x in elements:
+            for s in range(system.rank()):
+                if ops.descent(x, s):
+                    continue
+                r = star.perm[s]
+                fixed = ops.right(ops.left(x, s), r) == x
+                assert (x[s] == 1 << (ops.bits * r)) == fixed
+                assert ops.fixes(x, s, r) == fixed
+                tags.add(fixed)
+    assert tags == ({True, False} if system.rank() > 1 else {True})
 
 
 # -- groups and words beyond braid-orbit enumeration ---------------------------------

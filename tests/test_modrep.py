@@ -29,9 +29,10 @@ from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              zero_hecke_action)
 
 from conftest import (RatFuncOperators, TupleDigraph, apply_entrywise,
-                      disjoint_union, eval_at, identity_matrix, is_poly,
-                      lampoly_mul, make_a3, make_b3, out_edges, path_length_mu,
-                      random_labeled_digraph, reachable_from, subgraph)
+                      disjoint_union, edge_pairing, eval_at, identity_matrix,
+                      is_poly, lampoly_mul, make_a3, make_b3, out_edges,
+                      path_length_mu, random_labeled_digraph, reachable_from,
+                      subgraph)
 from test_validator import GROUP_ORDERS, group_digraphs, word_apply
 
 U2 = RF_U * RF_U
@@ -950,7 +951,7 @@ def ratfunc_linear_char_dims(g):
     """`linear_char_dims` by the `RatFunc` eigenline walk it replaced: each
     component walked once per character, from its source when it has
     exactly one."""
-    pairing = g.edge_pairing()
+    pairing = edge_pairing(g)
     analysis = g.analyze()
     starts = [g.vertex_index[c.sources[0] if len(c.sources) == 1
                              else c.vertices[0]]
@@ -1048,13 +1049,13 @@ def test_reversed_pairing_is_the_pairing_of_the_reversed_digraph():
             rng, _DIHEDRAL[rng.choice([2, 3, 4, 5])], nv)))
     for label, g in inputs:
         turned = TupleDigraph(g.system, g.vertices, g.edges).reverse()
-        assert g.reverse().edge_pairing() == turned.edge_pairing(), label
+        assert edge_pairing(g.reverse()) == turned.edge_pairing(), label
         assert g.reverse().validate_structure() \
             == turned.validate_structure(), label
     # a loop stays its vertex's head
     loop = loop_digraph()
     x = loop.vertex_index["x_loop"]
-    assert loop.reverse().edge_pairing()[1][x] == (x, "head", SOLID)
+    assert edge_pairing(loop.reverse())[1][x] == (x, "head", SOLID)
 
 
 def test_reversal_identities_match_dense_reference():

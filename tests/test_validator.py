@@ -22,7 +22,7 @@ from wdigraph.validator import (_FIGURE_BY_DASHES, FamilyMatch, PairReport,
                                 brute_force_check, is_w_digraph)
 
 from conftest import (RatFuncOperators, column_brute_force_check,
-                      encoded_word, is_poly, out_edges, random_labeled_digraph,
+                      edge_pairing, encoded_word, is_poly, out_edges, random_labeled_digraph,
                       same_structure, scan_alternating_cycles, subgraph)
 
 
@@ -993,7 +993,7 @@ def per_cycle_is_w_digraph(g):
     violations = tuple(g.validate_structure())
     if violations:
         return Verdict(False, violations, ())
-    names, pairing, system = g.vertices, g.edge_pairing(), g.system
+    names, pairing, system = g.vertices, edge_pairing(g), g.system
     reports = []
     ok = True
     for i in range(system.rank()):
