@@ -229,16 +229,9 @@ def cmd_bar_op(args) -> int:
 
 def cmd_theorems(args) -> int:
     g = _load_module_digraph(args.digraph)
-    report = theorem_checkers(g)
-    payload = {
-        "source_sink": report.source_sink,
-        "index_bound": report.index_bound,
-        "vertex_bound": report.vertex_bound,
-        "equal_lengths": report.equal_lengths,
-        "wgraph_obstruction": report.wgraph_obstruction,
-    }
+    payload = vars(theorem_checkers(g))
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")

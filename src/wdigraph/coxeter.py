@@ -378,9 +378,15 @@ class CoxeterSystem:
         return [GroupElement(self, w) for w in words]
 
     def longest_element(self) -> "GroupElement":
-        """w0, walked up from the identity by left multiplication by the
-        least s that is not a left descent: each step raises the length by
-        one, and w0 is the one element of which every s is a left descent."""
+        """w0, named from its walk on the walk's representation."""
+        ops, w0 = self._longest_on_ops()
+        return GroupElement(self, ops.name(w0))
+
+    def _longest_on_ops(self) -> tuple:
+        """(ops, w0 on ops): w0 walked up from the identity by left
+        multiplication by the least s that is not a left descent.  Each step
+        raises the length by one, and w0 is the one element of which every
+        s is a left descent."""
         if not self.is_finite():
             raise ValueError("infinite Coxeter groups have no longest element")
         ops, rank = self._ops(), len(self.generators)
@@ -388,7 +394,7 @@ class CoxeterSystem:
         while True:
             s = next((s for s in range(rank) if not ops.descent(w, s)), None)
             if s is None:
-                return GroupElement(self, ops.name(w))
+                return ops, w
             w = ops.left(w, s)
 
     # -- group orders via the diagram classification ------------------------------------------
@@ -453,10 +459,7 @@ class CoxeterSystem:
         """The automorphism s -> w0 * star(s) * w0 of the diagram: on the
         walk's representation, t = w0 star(s) w0 is the generator with
         t * w0 = w0 * star(s)."""
-        ops = self._ops()
-        w0 = ops.identity
-        for s in reversed(self.longest_element().word):
-            w0 = ops.left(w0, s)
+        ops, w0 = self._longest_on_ops()
         rank = len(self.generators)
         perm = []
         for s in star.perm:

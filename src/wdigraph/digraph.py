@@ -2,8 +2,8 @@
 at each vertex, plus the derived graphs and structural analyses used by the
 classification and module machinery: restrictions, reversal, the
 per-generator edge pairing, component scans, sources, sinks and acyclicity
-per component, directed path lengths, incoming-label statistics,
-label-preserving isomorphism, and JSON/DOT serialization.
+per component, directed path lengths, label-preserving isomorphism, and
+JSON/DOT serialization.
 
 A digraph is held as its edge pairing alone, two flat arrays per row: a
 partner position and a code byte per vertex, the code naming the (role,
@@ -15,9 +15,13 @@ through one loop, `_fill`, which checks each edge as it reads it and notes
 every loop; the structure report reads the loops it noted and finds the
 empty slots by a byte search, so a digraph that passes costs no scan of its
 entries.  `coded_pairing` hands the rows to the deciders and the module
-layer.  `edges`, the serializations and the derived digraphs are read off
-the rows.  Three walks over the rows by vertex index, each
-cached on first use and O(V + E), answer every structural question: `_walk`
+layer, and is the one structure gate: it raises on every violation the
+report lists, loops included, so every reader of the pairing computes only
+on a digraph with one edge per label at each vertex and no loop.  `edges`,
+the serializations and the derived digraphs are read off the rows, and
+still show a broken digraph as it is.  Three walks over the rows by vertex
+index, each cached on first use and O(V + E), answer every structural
+question: `_walk`
 gives the components, a (solid, dashed) level pair per vertex and the
 per-component flags that the grading and the sign character read; `_peel`
 (Kahn) gives acyclicity and a topological order; `distances_from` (BFS)
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -154,13 +157,13 @@ class SLabeledDigraph:
     def coded_pairing(self) -> list[tuple[list[int], bytearray]]:
         """rows[s] = (partners, codes) for generator s: partners[i] the
         index of the other end of the s-edge at vertex i, and codes[i] the
-        `END_CODES` code of its (role, style) at i; raises ValueError with
-        the first count line of `validate_structure` unless every vertex
-        meets exactly one edge per label.  The rows are shared: do not
-        mutate them."""
-        counts = self._report[1]
-        if counts:
-            raise ValueError(counts[0])
+        `END_CODES` code of its (role, style) at i.  The one structure gate:
+        raises ValueError with the first line of `validate_structure` on any
+        violation, so the rows it returns pair the vertices with no loop and
+        no empty slot.  The rows are shared: do not mutate them."""
+        problems = self.validate_structure()
+        if problems:
+            raise ValueError(problems[0])
         return self._rows
 
     def alternating_cycles(self, i: int, j: int
@@ -169,11 +172,11 @@ class SLabeledDigraph:
         order of their first vertices, each as (cycle, word): cycle holds its
         vertex indices walked from its first vertex by taking the i-partner
         and the j-partner in turn, and word[p] the codes of the i-edge and
-        the j-edge at walk position p, as i-code | j-code << 3.  On a
-        digraph that passes `validate_structure` every vertex meets one edge
-        of each label, so each component is a single cycle of even length
-        whose labels alternate, and `cycle_pairing(word)` is its edge
-        pairing on walk positions.  `coded_pairing` raises on a count violation.  Each
+        the j-edge at walk position p, as i-code | j-code << 3.  The
+        digraph passes `coded_pairing`'s gate, so each of the two pairings
+        is a fixed-point-free involution, each component is a single cycle
+        of even length whose labels alternate, closed by a j-step, and
+        `cycle_pairing(word)` is its edge pairing on walk positions.  Each
         cycle is walked when it is asked for, and none is cached;
         `cycle_words` keeps what the deciders read of the walk, each
         distinct word and the first vertex of its first cycle."""
@@ -191,8 +194,6 @@ class SLabeledDigraph:
                 cycle.append(v)
                 word.append(both[v])
                 v = first[v]
-                if v == start:
-                    break
                 seen[v] = 1
                 cycle.append(v)
                 word.append(both[v])
@@ -293,17 +294,16 @@ class SLabeledDigraph:
 
     @cached_property
     def _walk(self) -> tuple[list[list[int]], list[tuple[int, int]],
-                             list[tuple[bool, bool, bool]]]:
+                             list[tuple[bool, bool]]]:
         """The connected components of the underlying undirected multigraph
         as sorted vertex indices; a level pair per vertex index, (net solid
         steps, net dashed steps) from the first vertex of its component,
         each edge's `LEVEL_STEP` counted along it and negated against it;
-        and three flags per component: some edge raises the level pair by
+        and two flags per component: some edge raises the level pair by
         other than its `LEVEL_STEP`, some edge raises the level sum a + b by
-        other than 1, the component has a loop.  Each edge is met from both
-        ends (a loop once, as its head), and checked when its far end
-        already has a level.  A loop raises nothing, so it breaks both
-        rules."""
+        other than 1.  Each edge is met from both ends (a loop once, as its
+        head), and checked when its far end already has a level.  A loop
+        raises nothing, so it breaks both rules."""
         rows = self._rows
         level: list[tuple[int, int] | None] = [None] * len(self.vertices)
         comps, flags = [], []
@@ -313,7 +313,7 @@ class SLabeledDigraph:
             level[root] = (0, 0)
             comp = [root]
             stack = [root]
-            off_step = off_sum = looped = False
+            off_step = off_sum = False
             while stack:
                 v = stack.pop()
                 a, b = level[v]
@@ -330,9 +330,8 @@ class SLabeledDigraph:
                     elif level[w] != (a + da, b + db):
                         off_step = True
                         off_sum |= sum(level[w]) != a + b + da + db
-                        looped |= w == v
             comps.append(sorted(comp))
-            flags.append((off_step, off_sum, looped))
+            flags.append((off_step, off_sum))
         return comps, level, flags
 
     @cached_property
@@ -398,7 +397,7 @@ class SLabeledDigraph:
         first vertex of each component) rises by 1 on every edge.  Any such
         grading is fixed along the walk by its value at the first vertex, so
         this one exists whenever some grading does."""
-        return not any(off_sum for _, off_sum, _ in self._walk[2])
+        return not any(off_sum for _, off_sum in self._walk[2])
 
     def equal_path_lengths_check(self):
         """None if any two directed paths between equal endpoints agree in length.
@@ -451,18 +450,6 @@ class SLabeledDigraph:
                     return self.vertices[v], min(back)
         return None
 
-    # -- incoming-label statistics ---------------------------------------------------------
-
-    def descent_counts(self) -> dict[frozenset, int]:
-        """How many vertices have each incoming-label set: the labels of the
-        rows in which the vertex is a head."""
-        labels = self.system.generators
-        heads = [(labels[s], codes.translate(_HEADS))
-                 for s, (_, codes) in zip(self._gens, self._rows)]
-        return dict(Counter(
-            frozenset(g for g, head in heads if head[i])
-            for i in range(len(self.vertices))))
-
     # -- isomorphism --------------------------------------------------------------------------
 
     def labeled_isomorphic(self, other: "SLabeledDigraph"):
@@ -471,15 +458,15 @@ class SLabeledDigraph:
         The image of a component's first vertex fixes the map on the whole
         component (`_propagate`).  Each component, in vertex order, keeps the
         first unused image that closes: exact, because isomorphic components
-        can be swapped.  Raises `coded_pairing`'s ValueError on a digraph that
-        breaks the one-edge-per-label rule.
+        can be swapped.  Raises `coded_pairing`'s ValueError, before any
+        other test, unless both digraphs pass `validate_structure`.
         """
+        mine, theirs = self.coded_pairing(), other.coded_pairing()
         if set(self.system.generators) != set(other.system.generators):
             return None
         if (len(self.vertices) != len(other.vertices)
                 or self._edge_count() != other._edge_count()):
             return None
-        mine, theirs = self.coded_pairing(), other.coded_pairing()
         theirs = [theirs[other.system.index[g]] for g in self.system.generators]
         image: dict[int, int] = {}
         used: set[int] = set()

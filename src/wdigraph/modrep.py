@@ -39,10 +39,14 @@ for output such as characteristic polynomials.  The 0-Hecke action
 (`zero_hecke_action`) is the same word product on the tau_s table at u = 0.
 
 The linear characters need no arithmetic: `linear_char_dims` finds the
-trivial eigenline on every component without a loop, and the sign eigenline
-on every component whose edges each raise the digraph walk's (net solid, net
-dashed) level pair by the unit of their own style (the proof is in its
-docstring).
+trivial eigenline on every component, and the sign eigenline on every
+component whose edges each raise the digraph walk's (net solid, net dashed)
+level pair by the unit of their own style (the proof is in its docstring).
+
+Every function here that reads the edge pairing calls
+`SLabeledDigraph.coded_pairing` first, so each raises its ValueError, the
+first line of `validate_structure`, on a digraph with a loop or a vertex
+that does not meet exactly one edge per label, and none computes on one.
 """
 
 from __future__ import annotations
@@ -256,16 +260,14 @@ def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
     u^2 and -1, each with a line of eigenvectors v[y] = r v[x] whose slope
     the block's first row in `_TAU_CASES` fixes (tail_self + r head_partner
     = lam): r = 1 for u^2 (ind), and r = R_solid = -1/u^2 or R_dashed =
-    -(u+1)/(u^2-u) for -1 (sgn), by the edge's style.  A loop at x makes
-    tau_s the scalar 2u^2 - 1 or 2u^2 - 2u - 1 there, neither eigenvalue,
-    so it forces v[x] = 0.  A simultaneous eigenvector lies on every block's
-    line, so on a connected component it is fixed by its value at one
-    vertex, and each character's eigenspace has one dimension per component
-    on which the line closes up: no loop, and the ratios multiply to 1
-    around every circuit.
+    -(u+1)/(u^2-u) for -1 (sgn), by the edge's style.  The digraph passes
+    `coded_pairing`'s gate, so tau_s is made of such blocks alone.  A
+    simultaneous eigenvector lies on every block's line, so on a connected
+    component it is fixed by its value at one vertex, and each character's
+    eigenspace has one dimension per component on which the ratios multiply
+    to 1 around every circuit.
 
-    - ind: every ratio is 1, so the line exists iff the component has no
-      loop.
+    - ind: every ratio is 1, so every component carries the line.
     - sgn: the walk reaches v with the value R_solid^a R_dashed^b times the
       root's, (a, b) the net solid and dashed steps, its level pair.  That
       value is (-1)^(a+b) u^-(2a+b) (u+1)^b (u-1)^-b, and u, u+1, u-1 are
@@ -273,19 +275,17 @@ def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
       each edge off the walk's tree closes with the tree span all circuits,
       and that of an edge x -> y has the net counts level(y) - level(x) -
       the edge's `digraph.LEVEL_STEP`, up to sign.  So the line exists iff
-      every edge raises the level pair by the unit of its own style.  A
-      loop raises nothing, so sgn implies ind.
+      every edge raises the level pair by the unit of its own style.
 
-    The walk flags each component that has a loop and each on which some
-    edge breaks that rule, so both dimensions are counts of its flags.
+    The walk flags each component on which some edge breaks that rule, so
+    dim sgn is the count of the unflagged ones.
     """
-    digraph.coded_pairing()     # raises unless one edge per label at a vertex
+    digraph.coded_pairing()     # the structure gate
     analysis = digraph.analyze()
-    flags = digraph._walk[2]
     n = analysis.n_components
     return LinearCharacterDims(
-        dim_ind=n - sum(looped for _, _, looped in flags),
-        dim_sgn=n - sum(off_step for off_step, _, _ in flags),
+        dim_ind=n,
+        dim_sgn=n - sum(off_step for off_step, _ in digraph._walk[2]),
         predicted_ind=n,
         predicted_sgn=analysis.n_acyclic,
     )
@@ -378,10 +378,8 @@ def zero_hecke_action(digraph: SLabeledDigraph, w: GroupElement, alpha: str
     """Apply the degenerate generators along a reduced word of w: the tau_s
     table at u = 0.
 
-    A tail moves to its head with coefficient 1, and a head (or a loop, where
-    tau_s is the scalar 2u^2 - 1 or 2u^2 - 2u - 1) is negated, so the result
-    is always +/- one vertex.  A digraph that breaks the one-edge-per-label
-    rule raises `coded_pairing`'s ValueError.
+    A tail moves to its head with coefficient 1, and a head is negated, so
+    the result is always +/- one vertex.
     """
     table = _table(digraph.coded_pairing(), _TAU_CASES, lambda c: c(0))
     vec = _word_apply(table, w.word[::-1], {digraph.vertex_index[alpha]: 1}, 0)
@@ -407,22 +405,22 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
     u/(u+1) (rho(T_s)^{-1} - 1/u) applied to it.  Propagation follows a BFS
     spanning tree of the arrow view on vertex indices, stepping from each
     vertex along its out-edges in the edge pairing, generators in label-name
-    order (the order of `edges`; a loop is its own out-edge); a non-tree
-    edge is a pure consistency check performed at the moment it is
-    encountered, and the first failing edge is the witness.
+    order (the order of `edges`); a non-tree edge is a pure consistency
+    check performed at the moment it is encountered, and the first failing
+    edge is the witness.
 
     Each image is P / (u^a (u+1)^b) with P sparse over Z[u], kept as
     (P, a, b).  Since rho(T_s)^{-1} = u^-2 S_s, a solid edge maps it to
     (S_s P, a+2, b), and since u/(u+1) (u^-2 S_s - u^-1) = (S_s - u) /
     (u(u+1)), a dashed edge maps it to ((S_s - u) P, a+1, b+1).
     """
+    pairing = digraph.coded_pairing()
     analysis = digraph.analyze()
     if analysis.n_components != 1:
         raise ValueError("bar propagation needs a connected digraph")
     sources = analysis.components[0].sources
     if len(sources) != 1:
         raise ValueError("bar propagation needs a unique source")
-    pairing = digraph.coded_pairing()
     names = digraph.vertices
     n = len(names)
     steps = {SOLID: (_table(pairing, _S_CASES), 2, 0),
@@ -437,9 +435,10 @@ def bar_from_source(digraph: SLabeledDigraph) -> BarSolution:
         vec, a, b = images[i]
         for label, s in gens:
             partners, codes = pairing[s]
-            j, (role, style) = partners[i], CODE_ENDS[codes[i]]
-            if role == "head" and j != i:
+            role, style = CODE_ENDS[codes[i]]
+            if role == "head":
                 continue
+            j = partners[i]
             table, da, db = steps[style]
             propagated = (_apply_columns(table[s], vec), a + da, b + db)
             known = images.get(j)
@@ -524,10 +523,8 @@ def _restricted_component_counts(digraph: SLabeledDigraph) -> list[int]:
     the generators whose bits are set in mask, with no digraph built.  The
     union-find forest of a mask is that of the mask without its top bit,
     copied, joined along the top generator's edges, each read once off
-    the edge pairing at its tail (a loop joins nothing), so it raises
-    `coded_pairing`'s ValueError on a digraph that breaks the
-    one-edge-per-label rule.  The masks are grown depth first, so at most
-    rank forests are held at once."""
+    the edge pairing at its tail.  The masks are grown depth first, so at
+    most rank forests are held at once."""
     n = len(digraph.vertices)
     arcs = [[(a, b) for a, b, c in zip(range(n), partners, codes) if c & 1]
             for partners, codes in digraph.coded_pairing()]
@@ -556,14 +553,16 @@ def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
     """Structured pass/fail/not-applicable report for the structure theorems.
 
     The bounds |W| and [W : W_J] come from `CoxeterSystem.parabolic_order`,
-    so no group element is built and the cost does not grow with |W|."""
+    so no group element is built and the cost does not grow with |W|.
+    The digraph passes `coded_pairing`'s gate first, so a vertex's
+    incoming-label set is empty exactly at a source and full exactly at a
+    sink, and the obstruction's evidence counts those."""
+    digraph.coded_pairing()     # the structure gate
     report = TheoremReport()
     system = digraph.system
     gens = system.generators
     analysis = digraph.analyze()
-    finite_order = all(system.order(i, j) is not inf
-                       for i in range(system.rank())
-                       for j in range(system.rank()))
+    finite_order = all(inf not in row for row in system.matrix)
     order_w = system.parabolic_order()
     finite_w = order_w is not inf
 
@@ -633,15 +632,14 @@ def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
     connected = analysis.n_components == 1
     if proper_finite and connected and not analysis.all_acyclic:
         dims = linear_char_dims(digraph)
-        counts = digraph.descent_counts()
         report.wgraph_obstruction = {
             "status": "fires",
             "message": "no W-graph over the rationals can afford this module",
             "evidence": {
                 "sinks": analysis.n_sinks,
                 "dim_sgn": dims.dim_sgn,
-                "n_in_empty": counts.get(frozenset(), 0),
-                "n_in_full": counts.get(frozenset(system.generators), 0),
+                "n_in_empty": analysis.n_sources,
+                "n_in_full": analysis.n_sinks,
             },
         }
     else:

@@ -6,6 +6,7 @@ of the object it reads, so that the package keeps only what the program uses
 
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, inf
@@ -343,6 +344,25 @@ def in_label_set(g, beta):
     return frozenset(e.label for e in g.edges if e.dst == beta)
 
 
+def descent_counts(g):
+    """How many vertices have each incoming-label set, the labels of the
+    edges into the vertex, by one scan of every edge: the per-vertex scan
+    that `SLabeledDigraph.descent_counts` once ran, and the reference of
+    the source and sink counts that the obstruction's evidence reads."""
+    into = {v: set() for v in g.vertices}
+    for e in g.edges:
+        into[e.dst].add(e.label)
+    return Counter(map(frozenset, into.values()))
+
+
+def assert_refused(call, g):
+    """call(g) raises the structure gate's ValueError: the first line of
+    `g.validate_structure()`."""
+    with pytest.raises(ValueError) as raised:
+        call(g)
+    assert str(raised.value) == g.validate_structure()[0]
+
+
 def scan_alternating_cycles(g, s, t):
     """The components of `g.restrict((s, t))` in the order of their first
     vertices, each as (cycle, word): the vertex indices walked from its
@@ -394,24 +414,20 @@ def encoded_word(word):
 
 def scan_walk_flags(g):
     """Per component of `g._walk`, (some edge raises the level pair by other
-    than its `LEVEL_STEP`, some edge raises the level sum by other than 1,
-    the component has a loop), read by the edge scans that
-    `linear_char_dims` and `_grading` once ran over the walk's level pairs:
-    the reference of the walk's own flags."""
+    than its `LEVEL_STEP`, some edge raises the level sum by other than 1),
+    read by the edge scans that `linear_char_dims` and `_grading` once ran
+    over the walk's level pairs: the reference of the walk's own flags."""
     comps = g._walk[0]
     level = dict(zip(g.vertices, g._walk[1]))
     which = {g.vertices[i]: k for k, comp in enumerate(comps) for i in comp}
-    looped, ungraded, unsummed = set(), set(), set()
+    ungraded, unsummed = set(), set()
     for e in g.edges:
         (a, b), (da, db) = level[e.src], LEVEL_STEP[e.style]
         if level[e.dst] != (a + da, b + db):
             ungraded.add(which[e.src])
-            if e.src == e.dst:
-                looped.add(which[e.src])
         if sum(level[e.dst]) != a + b + 1:
             unsummed.add(which[e.src])
-    return [(k in ungraded, k in unsummed, k in looped)
-            for k in range(len(comps))]
+    return [(k in ungraded, k in unsummed) for k in range(len(comps))]
 
 
 def scan_shortest_circuit(g):

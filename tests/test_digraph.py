@@ -14,9 +14,9 @@ from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_example,
                                build_family, build_lv, build_regular)
 
 import conftest
-from conftest import (TupleDigraph, decoded_word, disjoint_union,
-                      distances_by_name, edge_pairing, in_label_set,
-                      is_acyclic, make_a3, path_length_mu,
+from conftest import (TupleDigraph, decoded_word, descent_counts,
+                      disjoint_union, distances_by_name, edge_pairing,
+                      in_label_set, is_acyclic, make_a3, path_length_mu,
                       random_labeled_digraph, reachable_from,
                       reference_load_digraph, reference_walk_digraph,
                       same_structure, scan_alternating_cycles,
@@ -165,7 +165,7 @@ def test_in_label_set(i23):
     assert in_label_set(g, "a0") == frozenset()
     assert in_label_set(g, "b2") == {"s", "t"}
     cyc = build_example("affine_a2_cycle")
-    counts = cyc.descent_counts()
+    counts = descent_counts(cyc)
     assert counts.get(frozenset(), 0) == 0
 
 
@@ -537,14 +537,14 @@ def test_cycle_words_number_the_scanned_positions():
 
 
 def test_walk_flags_match_edge_scans():
-    seen = [0, 0, 0]
+    seen = [0, 0]
     for label, g in walk_inputs():
         flags = g._walk[2]
         assert flags == scan_walk_flags(g), label
-        for k in range(3):
+        for k in range(2):
             seen[k] += sum(f[k] for f in flags)
-    off_step, off_sum, looped = seen
-    assert off_step > off_sum > 100 and looped == 1
+    off_step, off_sum = seen
+    assert off_step > off_sum > 100
 
 
 def test_edge_pairing_rejects_broken_digraphs(i23):
@@ -902,14 +902,14 @@ def pairing_inputs(monkeypatch):
 
 
 def assert_same_digraph(label, g, reference):
-    try:
-        expected = reference.edge_pairing()
-    except ValueError as exc:
+    problems = reference.validate_structure()
+    if problems:
+        # the structure gate: every violation, a loop too, refuses the rows
         with pytest.raises(ValueError) as raised:
             edge_pairing(g)
-        assert str(raised.value) == str(exc), label
+        assert str(raised.value) == problems[0], label
     else:
-        assert edge_pairing(g) == expected, label
+        assert edge_pairing(g) == reference.edge_pairing(), label
     assert g.edges == reference.edges, label
     assert g.validate_structure() == reference.validate_structure(), label
     assert g.analyze() == reference.analyze(), label

@@ -10,7 +10,7 @@ from math import inf
 import pytest
 
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
-from wdigraph.digraph import DASHED, SOLID, SLabeledDigraph
+from wdigraph.digraph import CODE_ENDS, DASHED, SOLID, SLabeledDigraph
 from wdigraph.exactalg import (P_ONE, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
                                RatFunc, RatMatrix, char_poly, rf, sigma,
                                solve_simultaneous_eigenspace)
@@ -29,7 +29,8 @@ from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              zero_hecke_action)
 
 from conftest import (RatFuncOperators, TupleDigraph, apply_entrywise,
-                      disjoint_union, edge_pairing, eval_at, identity_matrix,
+                      assert_refused, descent_counts, disjoint_union,
+                      edge_pairing, eval_at, identity_matrix,
                       is_poly, lampoly_mul, make_a3, make_b3, out_edges,
                       path_length_mu, random_labeled_digraph, reachable_from,
                       subgraph)
@@ -436,14 +437,14 @@ def test_zero_hecke_action_matches_out_edge_walk():
     assert seen[1] > 1000 and seen[-1] > 1000
 
 
-def test_zero_hecke_loop_negates():
-    # tau_t on a loop is the scalar 2u^2 - 1 (solid) or 2u^2 - 2u - 1
-    # (dashed), -1 at u = 0; the out-edge walk followed the loop instead
+def test_zero_hecke_refuses_a_loop():
+    # a loop digraph defines no module, so the action raises the structure
+    # gate's error, at every vertex; the out-edge walk followed the loop
     g = loop_digraph()
     t = g.system.element("t")
-    for alpha in ("x_loop", "y_loop"):
-        assert zero_hecke_action(g, t, alpha) == (-1, alpha)
-        assert out_edge_walk(g, t, alpha) == (1, alpha)
+    for alpha in ("x_loop", "y_loop", "a0"):
+        assert_refused(lambda g: zero_hecke_action(g, t, alpha), g)
+    assert out_edge_walk(g, t, "x_loop") == (1, "x_loop")
 
 
 def test_zero_hecke_missing_edge_raises(i23):
@@ -640,19 +641,23 @@ def test_theorems_regular_a3_bound_attained(a3):
 
 
 def test_index_bound_fails_when_every_subset_is_over_by_one():
-    # a path x0 - x1 - x2 - x3 - x4 over I2(2), labels s, t, s, t, with a
-    # t-loop at x0 and an s-loop at x4: each failing subset has exactly one
-    # component more than [W : W_J], so the bound admits no margin
-    i22 = _DIHEDRAL[2]
-    path = SLabeledDigraph(i22, [f"x{i}" for i in range(5)], [
-        ("x0", "x1", "s", SOLID), ("x1", "x2", "t", SOLID),
-        ("x2", "x3", "s", SOLID), ("x3", "x4", "t", SOLID),
-        ("x0", "x0", "t", SOLID), ("x4", "x4", "s", SOLID)])
-    report = theorem_checkers(path)
+    # a hexagon x0 ... x5 over A1^3, every order 2: r and s pair x0 x1,
+    # x2 x3 and x4 x5 alike, t pairs x1 x2, x3 x4 and x0 x5.  Only {r, s}
+    # fails, with exactly one component more than [W : W_J], so the bound
+    # admits no margin
+    a1_cubed = CoxeterSystem(["r", "s", "t"], {})
+    hexagon = SLabeledDigraph(a1_cubed, [f"x{i}" for i in range(6)], [
+        (f"x{a}", f"x{b}", label, SOLID)
+        for label, pairs in [("r", [(0, 1), (2, 3), (4, 5)]),
+                             ("s", [(0, 1), (2, 3), (4, 5)]),
+                             ("t", [(1, 2), (3, 4), (0, 5)])]
+        for a, b in pairs])
+    report = theorem_checkers(hexagon)
     assert report.index_bound == {
         "status": "fail",
-        "per_subset": {"empty": (5, 4), "s": (3, 2), "t": (3, 2),
-                       "st": (1, 1)}}
+        "per_subset": {"empty": (6, 8), "r": (3, 4), "s": (3, 4),
+                       "rs": (3, 2), "t": (3, 4), "rt": (1, 2),
+                       "st": (1, 2), "rst": (1, 1)}}
 
 
 def test_theorems_take_orders_from_the_classification(monkeypatch):
@@ -730,6 +735,63 @@ def test_wgraph_obstruction_fires_on_cycle():
     assert obstruction["evidence"]["dim_sgn"] == 0
     assert obstruction["evidence"]["n_in_empty"] == 0
     assert obstruction["evidence"]["n_in_full"] == 0
+
+
+def test_obstruction_evidence_counts_incoming_label_sets():
+    # on a digraph that passes the structure gate a vertex's incoming-label
+    # set is empty exactly at a source and full exactly at a sink, so the
+    # evidence reads the analysis' counts; checked against the edge scan
+    rng = random.Random(2718)
+    inputs = [*group_digraphs(),
+              *((name, build_example(name)) for name in EXAMPLE_NAMES)]
+    for k in range(120):
+        system = make_a3() if k % 3 == 2 else _DIHEDRAL[2 + k % 5]
+        inputs.append((f"random #{k}", random_labeled_digraph(
+            rng, system, rng.choice([2, 4, 6, 8, 10]))))
+    fired = 0
+    for label, g in inputs:
+        counts = descent_counts(g)
+        empty = counts.get(frozenset(), 0)
+        full = counts.get(frozenset(g.system.generators), 0)
+        analysis = g.analyze()
+        assert (analysis.n_sources, analysis.n_sinks) == (empty, full), label
+        obstruction = theorem_checkers(g).wgraph_obstruction
+        if obstruction["status"] == "fires":
+            evidence = obstruction["evidence"]
+            assert (evidence["n_in_empty"], evidence["n_in_full"]) \
+                == (empty, full), label
+            fired += 1
+    assert fired > 20
+
+
+def structurally_broken_digraphs():
+    """A loop digraph, and a disconnected digraph over I2(3) on a, b, c, d
+    with a -> b labeled s and c -> d labeled t, which breaks the count
+    rule at every vertex."""
+    yield "I2(3) with loops", i2_3_with_loops()
+    yield "disconnected", SLabeledDigraph(_DIHEDRAL[3], list("abcd"), [
+        ("a", "b", "s", SOLID), ("c", "d", "t", SOLID)])
+
+
+def test_every_pairing_reader_raises_the_first_structure_line():
+    # `coded_pairing` is the one structure gate: each reader of the pairing
+    # raises its first `validate_structure` line before computing anything,
+    # on a loop as on a count violation, connected or not
+    fixture = build_family(_DIHEDRAL[3], FamilySpec(1, 3))
+    s = _DIHEDRAL[3].element("s")
+    readers = [
+        ModuleRep, linear_char_dims, bar_from_source, theorem_checkers,
+        lambda g: reversal_identities(g, [s]),
+        lambda g: zero_hecke_action(g, s, g.vertices[0]),
+        lambda g: g.labeled_isomorphic(g),
+        lambda g: g.labeled_isomorphic(fixture),
+        lambda g: fixture.labeled_isomorphic(g),
+        lambda g: g.cycle_words(0, 1),
+    ]
+    for label, g in structurally_broken_digraphs():
+        assert g.validate_structure(), label
+        for reader in readers:
+            assert_refused(reader, g)
 
 
 def test_h3_character_not_self_associated(h3):
@@ -855,8 +917,8 @@ _DIHEDRAL = {n: CoxeterSystem.dihedral(n) for n in range(2, 8)}
 
 
 def loop_digraph():
-    """A figure-1 component beside one carrying a t-loop; ModuleRep accepts
-    the loop, on which tau_t is the scalar 2u^2 - 1."""
+    """A figure-1 component beside one carrying a t-loop at each vertex:
+    `reverse` turns it round, and every reader of the pairing refuses it."""
     i22 = _DIHEDRAL[2]
     fig1 = build_family(i22, FamilySpec(1, 2))
     looped = SLabeledDigraph(i22, ["x", "y"], [
@@ -866,7 +928,7 @@ def loop_digraph():
 
 def eigenspace_inputs():
     """The examples, LV and regular A3 and B3, the template grid over
-    I2(2..7), random two- and three-label digraphs, and a loop."""
+    I2(2..7), random two- and three-label digraphs, and a loop digraph."""
     a3, b3 = make_a3(), make_b3()
     for name in EXAMPLE_NAMES:
         yield name, build_example(name)
@@ -893,6 +955,10 @@ def eigenspace_inputs():
 def test_linear_char_dims_matches_dense_reference():
     seen = Counter()
     for label, g in eigenspace_inputs():
+        if g.validate_structure():
+            assert_refused(linear_char_dims, g)
+            seen["refused"] += 1
+            continue
         dims = linear_char_dims(g)
         assert (dims.dim_ind, dims.dim_sgn) == dense_linear_char_dims(g), label
         # the sign eigenvector, 1 at each source, exists iff every component
@@ -903,9 +969,7 @@ def test_linear_char_dims_matches_dense_reference():
             one_source and dims.dim_sgn == dims.predicted_ind), label
         seen["weights" if weights is not None else "no weights"] += 1
         seen["sgn below prediction"] += dims.dim_sgn < dims.predicted_sgn
-    # the loop forces its component to 0 for both characters
-    loop = linear_char_dims(loop_digraph())
-    assert (loop.dim_ind, loop.dim_sgn, loop.predicted_ind) == (1, 1, 2)
+    assert seen["refused"] == 1
     assert seen["weights"] > 100 and seen["no weights"] > 100
     assert seen["sgn below prediction"] > 10
 
@@ -928,15 +992,13 @@ def ratfunc_eigenline_ratios(lam):
 def ratfunc_eigenline(pairing, start, ratios):
     """The simultaneous eigenvector on start's component that is 1 at start,
     multiplied out in `RatFunc` along a BFS, or None if the component
-    carries none (ratios disagree around a circuit, or a loop)."""
+    carries none (ratios disagree around a circuit)."""
     values = {start: RF_ONE}
     queue = deque([start])
     while queue:
         i = queue.popleft()
         for row in pairing:
             partner, role, style = row[i]
-            if partner == i:
-                return None
             value = values[i] * ratios[(role, style)]
             known = values.get(partner)
             if known is None:
@@ -1009,12 +1071,15 @@ def eigenline_inputs():
 def test_linear_char_dims_matches_ratfunc_eigenline_reference():
     seen = Counter()
     for label, g in eigenline_inputs():
+        if g.validate_structure():
+            assert_refused(linear_char_dims, g)
+            seen["loop"] += 1
+            continue
         dims = linear_char_dims(g)
         assert dims == ratfunc_linear_char_dims(g), label
         seen["sgn on every component" if dims.dim_sgn == dims.predicted_ind
              else "sgn fails somewhere"] += 1
         seen["sgn fails, ind holds"] += dims.dim_sgn < dims.dim_ind
-        seen["loop"] += dims.dim_ind < dims.predicted_ind
     assert (seen["sgn on every component"] > 100
             and seen["sgn fails somewhere"] > 100)
     assert seen["sgn fails, ind holds"] > 50 and seen["loop"] > 50
@@ -1037,6 +1102,13 @@ def reversal_inputs():
                     _DIHEDRAL[2], FamilySpec(figure, m))
 
 
+def reversed_rows(g):
+    """The rows of `g.reverse()` as `conftest.edge_pairing` views them, read
+    past the structure gate: `reverse` still turns a loop digraph round."""
+    return [[(p, *CODE_ENDS[c]) for p, c in zip(partners, codes)]
+            for partners, codes in g.reverse()._rows]
+
+
 def test_reversed_pairing_is_the_pairing_of_the_reversed_digraph():
     # the byte translation `reverse()` turns the code rows round by, which
     # reversal_identities reads its tau_s table from, against the pairing
@@ -1049,13 +1121,13 @@ def test_reversed_pairing_is_the_pairing_of_the_reversed_digraph():
             rng, _DIHEDRAL[rng.choice([2, 3, 4, 5])], nv)))
     for label, g in inputs:
         turned = TupleDigraph(g.system, g.vertices, g.edges).reverse()
-        assert edge_pairing(g.reverse()) == turned.edge_pairing(), label
+        assert reversed_rows(g) == turned.edge_pairing(), label
         assert g.reverse().validate_structure() \
             == turned.validate_structure(), label
     # a loop stays its vertex's head
     loop = loop_digraph()
     x = loop.vertex_index["x_loop"]
-    assert edge_pairing(loop.reverse())[1][x] == (x, "head", SOLID)
+    assert reversed_rows(loop)[1][x] == (x, "head", SOLID)
 
 
 def test_reversal_identities_match_dense_reference():

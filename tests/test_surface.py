@@ -43,6 +43,8 @@ PAPER_API = {
         "the Bruhat order on W",
     "coxeter.CoxeterSystem.conjugation_automorphism_by_w0":
         "s -> w0 s* w0, through which the LV reversal theorem is stated",
+    "coxeter.CoxeterSystem.longest_element":
+        "w0, through which the LV reversal and 0-Hecke sink claims are stated",
     "digraph.SLabeledDigraph.labeled_isomorphic":
         "label-preserving isomorphism, stated against its reference",
 }
