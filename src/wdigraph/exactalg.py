@@ -6,18 +6,20 @@ and matrices over them support the linear algebra needed elsewhere: products,
 characteristic polynomials, and exact nullspaces/eigenspaces.
 
 `char_poly` takes matrices over Z[u], such as every rho(T_w), and runs the
-division-free Berkowitz method on integers only, once per block: per
-connected component of the support (the proof is in its docstring).  For
-rho(T_w) the blocks are the components of the restriction to supp(w), so
-the cost follows the largest such component, not the dimension.
+division-free Berkowitz method on integers only, once per distinct block:
+per connected component of the support, with equal blocks sharing one run
+(the proof is in its docstring).  For rho(T_w) the blocks are the
+components of the restriction to supp(w), so the cost follows the largest
+such component, not the dimension.
 
 Berkowitz runs on Python ints: each block is packed once by Kronecker
 substitution u = 2^bits (`_pack`; von zur Gathen and Gerhard, Modern
-Computer Algebra, section 8.4), with bits from a coefficient bound proved in
-`char_poly`, and its polynomial is read back once (`_unpack`).  The block
-polynomials are multiplied the same way: packed at one width read off their
-norms, multiplied as `Poly`s in x over the ints (`Poly.__mul__`), and each
-coefficient of the product unpacked once.
+Computer Algebra, section 8.4), with bits from the Hadamard bound on the
+torus (`_block_bits`; Mignotte, "Some useful bounds", 1982), and its
+polynomial is read back once (`_unpack`).  The block polynomials are
+multiplied the same way: packed at one width read off their norms,
+multiplied in x over the ints one factor at a time, and each coefficient of
+the product unpacked once.
 
 Each operation is written once: subtraction adds the negation, and a power
 of a `RatFunc` is the pair of powers of its numerator and denominator.
@@ -29,6 +31,7 @@ on machine/long integer arithmetic instead of Fraction objects.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -550,8 +553,9 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
     block by block; raises ValueError on any entry outside Z[u].
 
     Returns the coefficient tuple in ascending powers of the outer variable.
-    The blocks are the connected components of the graph on the indices
-    with an edge i - j (i != j) whenever M[i][j] or M[j][i] is nonzero.
+    One pass over the rows skips the zero entries, checks that every other
+    entry lies in Z[u], and joins i and j (i != j) whenever M[i][j] is
+    nonzero.  The blocks are the connected components of that graph.
     Listing the indices block after block is a simultaneous permutation P of
     rows and columns, and P M P^-1 is block-diagonal (an entry between two
     blocks is zero by construction).  Similar matrices share their
@@ -559,43 +563,63 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
     product of its blocks' polynomials, so the product of the blocks'
     Berkowitz polynomials is det(xI - M).
 
-    Each block B (size b) runs on integers: Berkowitz runs on the ints
-    B_ij(2^bits), since evaluation at an integer is a ring map and Berkowitz
-    only adds and multiplies, and returns the values C_k(2^bits) of the
-    coefficients of det(xI - B).  C_k is (-1)^(b-k) times the sum of the
-    principal minors of size b - k, and a minor on the index set J is a
-    signed sum of products with one entry from each column j in J, so its
-    coefficient L1 norm is at most the product of the column norms c_j =
-    sum_i |B_ij|_1 over J.  Summed over all J, every coefficient of every
-    C_k is at most bound = prod_j (1 + c_j) in absolute value, below
-    2^(bits-1) for bits = bound.bit_length() + 1, so `_unpack` reads C_k
-    back from its signed digits.
+    Equal blocks, such as the many copies of one tau_s block in rho(T_s),
+    have equal polynomials, so Berkowitz runs once per distinct block
+    (keyed by its entries) and that polynomial enters the product once for
+    each copy.  The product commutes, so grouping the copies leaves
+    det(xI - M) unchanged.  It is formed one factor at a time, each copy a
+    short factor of the running product: repeated squaring would instead
+    multiply long packed integers by long packed integers.
 
-    The block polynomials p_1, ..., p_r in Z[u][x] are then multiplied as
-    integers at one width.  Let |p| be the sum of |c| over every (x, u)
-    coefficient c of p.  This norm is submultiplicative: each coefficient
-    of p q is a sum of products of one coefficient of p and one of q, so
-    |p q| <= |p| |q|.  Hence every coefficient of det(xI - M) = p_1 ... p_r
-    is at most bound = |p_1| ... |p_r| < 2^(bits-1) in absolute value, for
-    bits = bound.bit_length() + 1.  Packing each coefficient of every p_i
-    at u = 2^bits is the ring map Z[u][x] -> Z[x] of evaluation, so the
-    product of the packed polynomials is the packed det(xI - M), and
-    `_unpack` reads each of its coefficients back once.
+    Each distinct block B (size b) runs on integers: Berkowitz runs on the
+    ints B_ij(2^bits), since evaluation at an integer is a ring map and
+    Berkowitz only adds and multiplies, and returns the values C_k(2^bits)
+    of the coefficients of det(xI - B).  The width is the Hadamard bound on
+    the torus (`_block_bits`).  Let |B_ij|_1 be the sum of |c| over the
+    coefficients of B_ij, b2 = prod_j sum_i (delta_ij + |B_ij|_1)^2, and
+    c any coefficient of P(x, u) = det(xI - B(u)) in Z[x, u].
+    - By Cauchy's estimate in x and then in u, |c| is at most the maximum
+      of |P| on the torus |x| = |u| = 1.
+    - There, each entry satisfies |x delta_ij - B_ij(u)| <= delta_ij +
+      |B_ij|_1.
+    - Hadamard's inequality bounds |det| by the product of the 2-norms of
+      the columns, so |P| <= sqrt(b2) on the torus.
+    So |c| <= sqrt(b2) <= isqrt(b2 - 1) + 1 < 2^(bits-1) for bits =
+    (isqrt(b2 - 1) + 1).bit_length() + 1, and `_unpack` reads C_k back from
+    its signed digits.  A column's 2-norm is at most its 1-norm 1 + c_j,
+    with c_j = sum_i |B_ij|_1, so this width is never wider than the one
+    read off prod_j (1 + c_j).
+
+    The block polynomials p_1, ..., p_r in Z[u][x], each counted with its
+    multiplicity, are then multiplied as integers at one width.  Let |p| be
+    the sum of |c| over every (x, u) coefficient c of p.  This norm is
+    submultiplicative: each coefficient of p q is a sum of products of one
+    coefficient of p and one of q, so |p q| <= |p| |q|.  Hence every
+    coefficient of det(xI - M) = p_1 ... p_r is at most bound = |p_1| ...
+    |p_r| < 2^(bits-1) in absolute value, for bits = bound.bit_length() + 1.
+    Packing each coefficient of every p_i at u = 2^bits is the ring map
+    Z[u][x] -> Z[x] of evaluation, so the product of the packed polynomials
+    is the packed det(xI - M), and `_unpack` reads each of its coefficients
+    back once.
     """
     n = m.n
-    for row in m.rows:
-        for x in row:
-            if x.den.coeffs != (1,) or any(type(c) is not int
-                                           for c in x.num.coeffs):
-                raise ValueError(f"char_poly takes entries in Z[u], not {x}")
-    rows = [[x.num for x in row] for row in m.rows]
+    rows: list[list[Poly]] = []
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
+    for i, row in enumerate(m.rows):
+        nums = []
         for j, x in enumerate(row):
-            if i != j and x:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-    polys, bound = [], 1
+            p = x.num
+            if p.coeffs:
+                if x.den.coeffs != (1,) or any(type(c) is not int
+                                               for c in p.coeffs):
+                    raise ValueError(
+                        f"char_poly takes entries in Z[u], not {x}")
+                if i != j:
+                    nbrs[i].append(j)
+                    nbrs[j].append(i)
+            nums.append(p)
+        rows.append(nums)
+    copies: dict[tuple, int] = {}
     seen = [False] * n
     for start in range(n):
         if seen[start]:
@@ -610,23 +634,41 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
                     seen[j] = True
                     stack.append(j)
         block.sort()
-        p = _block_char_poly([[rows[i][j] for j in block] for i in block])
-        polys.append(p)
-        bound *= sum(abs(c) for x in p for c in x.coeffs)
+        key = tuple(tuple(rows[i][j] for j in block) for i in block)
+        copies[key] = copies.get(key, 0) + 1
+    polys, bound = [], 1
+    for key, k in copies.items():
+        p = _block_char_poly(key)
+        polys.append((p, k))
+        bound *= sum(abs(c) for x in p for c in x.coeffs) ** k
     bits = bound.bit_length() + 1
-    out = P_ONE
-    for p in polys:
-        out = out * Poly([_pack(x, bits) for x in p])
-    return tuple(RatFunc(_unpack(v, bits)) for v in out.coeffs)
+    out = [1]
+    for p, k in polys:
+        factor = [_pack(x, bits) for x in p]
+        for _ in range(k):
+            product = [0] * (len(out) + len(factor) - 1)
+            _add_product(product, out, factor)
+            out = product
+    return tuple(RatFunc(_unpack(v, bits)) for v in out)
 
 
-def _block_char_poly(rows: list[list[Poly]]) -> tuple[Poly, ...]:
-    """det(xI - B) for one block over Z[u], by Berkowitz on packed ints (the
-    bound is proved in `char_poly`)."""
-    bound = 1
+def _block_bits(rows: Sequence[Sequence[Poly]]) -> int:
+    """The width at which one block over Z[u] is packed: the Hadamard bound
+    on the torus, proved in `char_poly`."""
+    b2 = 1
     for j in range(len(rows)):
-        bound *= 1 + sum(abs(c) for row in rows for c in row[j].coeffs)
-    bits = bound.bit_length() + 1
+        col = 0
+        for i, row in enumerate(rows):
+            x = (i == j) + sum(abs(c) for c in row[j].coeffs)
+            col += x * x
+        b2 *= col
+    return (math.isqrt(b2 - 1) + 1).bit_length() + 1
+
+
+def _block_char_poly(rows: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
+    """det(xI - B) for one block over Z[u], by Berkowitz on packed ints (the
+    width is proved in `char_poly`)."""
+    bits = _block_bits(rows)
     packed = _berkowitz([[_pack(x, bits) for x in row] for row in rows])
     return tuple(_unpack(v, bits) for v in packed)
 

@@ -527,13 +527,15 @@ def test_block_product_width_premise_on_rho():
             assert_width_premise(rep.rho(w))
 
 
-def test_block_product_width_premise_on_many_equal_blocks():
+def equal_block_matrices():
+    """Matrices of many equal blocks, each with its det(xI - M): the
+    identity of size 40, 30 permuted copies of the solid tau_s block, and a
+    permuted diagonal of repeated -u^2, u^2 - 1 and 1."""
     rng = random.Random(2024)
     # 40 blocks x - 1: the coefficients are the binomials C(40, k), up to
     # C(40, 20) ~ 1.4e11 against the bound 2^40
-    got = assert_width_premise(identity_matrix(40))
-    assert got == tuple(rf((-1) ** (40 - k) * math.comb(40, k))
-                        for k in range(41))
+    yield identity_matrix(40), tuple(rf((-1) ** (40 - k) * math.comb(40, k))
+                                     for k in range(41))
     # 30 permuted copies of the solid tau_s block, (x - u^2)(x + 1) each
     tau = [[RF_ZERO, U2], [RF_ONE, U2 - RF_ONE]]
     rows = [[RF_ZERO] * 60 for _ in range(60)]
@@ -545,7 +547,7 @@ def test_block_product_width_premise_on_many_equal_blocks():
     expected = (P_ONE,)
     for _ in range(30):
         expected = lampoly_mul(expected, factor, P_ZERO)
-    assert assert_width_premise(m) == tuple(RatFunc(c) for c in expected)
+    yield m, tuple(RatFunc(c) for c in expected)
     # a permuted diagonal of repeated -u^2, u^2 - 1 and 1
     diag = [-U2, U2 - RF_ONE, RF_ONE] * 12
     rng.shuffle(diag)
@@ -554,7 +556,87 @@ def test_block_product_width_premise_on_many_equal_blocks():
     expected = (P_ONE,)
     for d in diag:
         expected = lampoly_mul(expected, (-d.num, P_ONE), P_ZERO)
-    assert assert_width_premise(m) == tuple(RatFunc(c) for c in expected)
+    yield m, tuple(RatFunc(c) for c in expected)
+
+
+def test_block_product_width_premise_on_many_equal_blocks():
+    for m, expected in equal_block_matrices():
+        assert assert_width_premise(m) == expected
+
+
+def column_norm_bits(rows):
+    """The column-norm width of a block: bound.bit_length() + 1 for bound =
+    prod_j (1 + c_j), where c_j is the sum of |c| over the coefficients of
+    column j."""
+    bound = 1
+    for j in range(len(rows)):
+        bound *= 1 + sum(abs(c) for row in rows for c in row[j].coeffs)
+    return bound.bit_length() + 1
+
+
+def hadamard_tight_blocks():
+    """Blocks with a coefficient of det(xI - B) near the Hadamard bound of
+    `_block_bits`, where a narrower width would lose it: the zero 1x1 block
+    (x, at the bound 1), [5] (x - 5 against 6), the adjacency matrix of K4
+    ((x + 1)^3 (x - 3), with a zero diagonal), and a 12x12 Jordan block of
+    1 + u ((x - 1 - u)^12, coefficients up to C(12, 8) C(8, 4) = 34,650
+    against sqrt(9 * 10^11) ~ 9.5e5)."""
+    yield RatMatrix.zero(1)
+    yield RatMatrix([[rf(5)]])
+    yield RatMatrix([[RF_ZERO if i == j else RF_ONE for j in range(4)]
+                     for i in range(4)])
+    yield RatMatrix([[rf([1, 1]) if i == j else RF_ONE if j == i + 1
+                      else RF_ZERO for j in range(12)] for i in range(12)])
+
+
+def test_block_width_premise_at_the_hadamard_width():
+    # every coefficient of each support block's polynomial, from the
+    # unpacked reference `poly_char_poly`, fits the signed digits of
+    # `_block_bits`, and that width is never wider than the column-norm one
+    matrices = [m for m, _ in equal_block_matrices()]
+    matrices += hadamard_tight_blocks()
+    for _, g in charpoly_digraphs():
+        rep = ModuleRep(g)
+        matrices += [rep.rho(w) for w in g.system.enumerate(3)]
+    blocks = {}
+    for m in matrices:
+        for block in support_blocks(m):
+            sub = tuple(tuple(m.rows[i][j] for j in block) for i in block)
+            blocks[sub] = [[x.num for x in row] for row in sub]
+    narrower = 0
+    for sub, rows in blocks.items():
+        bits = exactalg._block_bits(rows)
+        top = max(abs(c) for x in poly_char_poly(RatMatrix(sub))
+                  for c in x.num.coeffs)
+        assert top < 1 << (bits - 1), [[str(x) for x in row] for row in sub]
+        assert bits <= column_norm_bits(rows)
+        narrower += bits < column_norm_bits(rows)
+    assert len(blocks) > 100 and narrower > 0
+
+
+def test_char_poly_runs_berkowitz_once_per_distinct_block(monkeypatch):
+    calls = []
+    real = exactalg._block_char_poly
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+    monkeypatch.setattr(exactalg, "_block_char_poly", counting)
+    identity, tau_copies, _ = (m for m, _ in equal_block_matrices())
+    char_poly(identity)
+    assert len(calls) == 1
+    # a permutation may list a tau_s copy in either order, so two keys
+    calls.clear()
+    char_poly(tau_copies)
+    assert 1 <= len(calls) <= 2
+    g = dict(reversal_inputs())["regular_a3"]
+    rep = ModuleRep(g)
+    for s in g.system.generators:
+        m = rep.rho(g.system.element(s))
+        assert len(support_blocks(m)) == 12
+        calls.clear()
+        assert char_poly(m) == poly_char_poly(m)
+        assert len(calls) == 1, s
 
 
 def test_char_poly_edge_cases_match_references():
@@ -585,6 +667,8 @@ def test_char_poly_edge_cases_match_references():
               rf([Fraction(-1, 2), 1])):
         with pytest.raises(ValueError, match="Z\\[u\\]"):
             char_poly(RatMatrix([[RF_ONE, RF_ZERO], [RF_ZERO, x]]))
+        with pytest.raises(ValueError, match="Z\\[u\\]"):
+            char_poly(RatMatrix([[RF_ONE, x], [RF_ZERO, RF_ONE]]))
 
 
 @st.composite
