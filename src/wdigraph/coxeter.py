@@ -93,6 +93,10 @@ class CoxeterSystem:
                 raise ValueError(f"conflicting orders for ({a},{b})")
             mat[i][j] = mat[j][i] = v
         self.matrix = tuple(tuple(row) for row in mat)
+        # the diagram's links as bitmasks: bit b of _links[a] is set when
+        # a = b or a and b do not commute
+        self._links = tuple(sum(1 << b for b, m in enumerate(row) if m != 2)
+                            for row in self.matrix)
         self._products: dict[tuple[Word, int], Word] = {}
         self._descents: dict[tuple[Word, int], bool] = {}
         self._walk_ops: WalkOps | None = None
@@ -407,29 +411,34 @@ class CoxeterSystem:
         components of the Coxeter diagram on J, or math.inf if one is infinite."""
         if J is None:
             J = range(len(self.generators))
-        orders = [_component_order(comp, self.matrix) for comp in
-                  self._diagram_components({self._gen_index(s) for s in J})]
-        return inf if inf in orders else prod(orders)
+        return self._mask_order(sum({1 << self._gen_index(s) for s in J}), {})
 
-    def _diagram_components(self, J: set[int]) -> list[list[int]]:
-        """The connected components of the Coxeter diagram on the indices J."""
-        seen = set()
-        comps = []
-        for start in sorted(J):
-            if start in seen:
-                continue
-            comp = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in J:
-                    if w not in seen and self.matrix[v][w] != 2:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(comp)
-        return comps
+    def parabolic_orders(self) -> list[int | float]:
+        """orders[mask] = |W_J| for every J, J the generators whose bits are
+        set in mask, each component's order computed once."""
+        memo: dict[int, int | float] = {}
+        return [self._mask_order(mask, memo)
+                for mask in range(1 << len(self.generators))]
+
+    def _mask_order(self, mask: int, memo: dict) -> int | float:
+        """|W_J| for J the bits of mask: the components of the diagram on J
+        are grown as bitmasks, and each one's `_component_order` is read
+        from memo, keyed by its bitmask, or computed into it."""
+        rank, links = len(self.generators), self._links
+        orders = []
+        while mask:
+            comp, todo = 0, mask & -mask
+            while todo:
+                v = todo.bit_length() - 1
+                comp |= 1 << v
+                todo = (todo | links[v]) & mask & ~comp
+            mask &= ~comp
+            order = memo.get(comp)
+            if order is None:
+                order = memo[comp] = _component_order(
+                    [b for b in range(rank) if comp >> b & 1], self.matrix)
+            orders.append(order)
+        return inf if inf in orders else prod(orders)
 
     # -- Bruhat order -------------------------------------------------------------------------
 

@@ -12,9 +12,11 @@ so each operator has at most two nonzero entries per column, all in Z[u].
 Every other table is tau_s - c, read off it by `_shifted(c)`: S_s = tau_s -
 (u^2-1) = u^2 tau_s^-1 (so the inverse is u^-2 S_s and rho(T_w)^-1 =
 u^(-2 l(w)) S_w with S_w in Z[u] too), S_s - u for the bar propagation, and
-u^2 sigma(S_s) for the twist identity.  The Hecke algebra in `hecke` reads
-its generators off the same table, as (T_s - c)/d for the self and partner
-coefficients (c, d) of each case, and runs them through the same kernel.
+u^2 sigma(S_s) for the twist identity, which is tau_s again with tail and
+head exchanged: the tau_s table of the reversed digraph.  The Hecke algebra
+in `hecke` reads its generators off the same table, as (T_s - c)/d for the
+self and partner coefficients (c, d) of each case, and runs them through
+the same kernel.
 One builder, `_table`, reads a table of per-column coefficients off the
 pairing.  The one kernel, `_apply_columns`, maps a sparse vector {index:
 nonzero coefficient} to another in time proportional to its support, and
@@ -30,10 +32,12 @@ coefficient through `at`, for example its value at one integer u.  Every
 column of the tau_s, S_s and u^2 sigma(S_s) tables has coefficient L1 norm
 at most 5, so two products of k such tables agree exactly when they agree
 at u = 2^`_exact_bits(k)` (the Cauchy-bound proof is in its docstring).
-The oracle in `validator` decides the relations that way, and
-`reversal_identities` decides both identities and their traces at one such
-point per word, on the tau_s table of the reversed digraph, whose pairing
-`SLabeledDigraph.reverse` reads off by one byte translation per row.
+The oracle in `validator` decides the relations that way.
+`reversal_identities` builds no reversed digraph: two lemmas in its
+docstring settle both identities factor by factor, the twist identity when
+two reduced words of w^-1 coincide and the sign identity when every edge of
+w's letters joins ends of opposite source-distance parity, and it evaluates
+the products at one such point per word only where they do not.
 Dense matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only
 for output such as characteristic polynomials.  The 0-Hecke action
 (`zero_hecke_action`) is the same word product on the tau_s table at u = 0.
@@ -92,7 +96,9 @@ _S_CASES = _shifted(U2M1)
 _S_MINUS_U_CASES = _shifted(U2M1 + P_U)
 
 # u^2 sigma(S_s), entrywise: the S_s coefficients have degree at most 2, so
-# each image lies in Z[u] again
+# each image lies in Z[u] again.  Case by case it is the _TAU_CASES case of
+# the other role: the tau_s table of the reversed digraph (lemma 1 of
+# `reversal_identities`)
 _TWISTED_S_CASES = {key: tuple(None if c is None
                                else (RatFunc(U2) * sigma(RatFunc(c))).num
                                for c in case)
@@ -332,42 +338,94 @@ def reversal_identities(digraph: SLabeledDigraph,
     u^(-2l) S_{w^-1} (l = l(w)), and sigma is a ring map, so its sigma image
     u^(2l) sigma(S_{w^-1}) is the product of the tables u^2 sigma(S_s)
     (`_TWISTED_S_CASES`) along the same word.  On the sign side u_w
-    rho(T_w^-1) = u^(2l) u^(-2l) S_w is S_w itself.
+    rho(T_w^-1) = u^(2l) u^(-2l) S_w is S_w itself.  With w = s_1...s_k,
+    rho_rev(T_w) = tau'_{s_1} ... tau'_{s_k}, tau'_s the tau_s table of the
+    reversed digraph.  Two lemmas decide most words with no arithmetic.
 
-    Each side is a product of l tables whose columns have coefficient L1
-    norm at most 5, so both are evaluated at the one integer point
-    u = 2^bits, bits = `_exact_bits(l, n)`, and compared as ints: the matrices
-    entry by entry, the traces as sums of n diagonal entries.  By the bound
-    in `_exact_bits` the ints agree exactly when the polynomials do.
+    Lemma 1 (the twist side is the reversed tau table).  Reversing an edge
+    keeps its style and exchanges its tail and head, so tau'_s reads the
+    `_TAU_CASES` case of the other role at each end.  Case by case,
+    u^2 sigma(S_s) is exactly that: S_s = tau_s - (u^2-1) has (self,
+    partner) coefficients (1-u^2, 1) at a solid tail, (0, u^2) at a solid
+    head, (1+u-u^2, u+1) at a dashed tail and (-u, u^2-u) at a dashed head,
+    and u^2 sigma maps them to (u^2-1, u^2), (0, 1), (u^2-u-1, u^2-u) and
+    (u, u+1), the tau_s cases of a solid head, a solid tail, a dashed head
+    and a dashed tail.  So tau'_s = u^2 sigma(S_s) on the pairing of the
+    digraph itself, and both sides of the twist identity are products of
+    that one table: rho_rev(T_w) along s_k, ..., s_1 (s_k acts first) and
+    u^(2l) sigma(S_{w^-1}) along the canonical word of w^-1 (its first
+    letter acts first).  Both are reduced words of w^-1; when they are the
+    same word, the products are the same matrix.
+
+    Lemma 2 (the sign side matches letter by letter).  D^2 = 1, so
+    eps_w D S_w^T D = (-D S_{s_1}^T D) ... (-D S_{s_k}^T D), the same order
+    of letters as rho_rev(T_w).  On the 2x2 block of an s-edge x -> y,
+    -D S_s^T D has the diagonal entries -S_s[x][x] and -S_s[y][y], which by
+    the cases above are tau'_s[x][x] = u^2-1 or u^2-u-1 and tau'_s[y][y] =
+    0 or u, by style; and the off-diagonal entries -D_x D_y S_s[y][x] and
+    -D_x D_y S_s[x][y], against tau'_s[x][y] = S_s[y][x] and tau'_s[y][x] =
+    S_s[x][y], which are nonzero (shifting by a constant keeps the partner
+    coefficients).  So the factor of s equals tau'_s exactly when every
+    s-edge joins ends of opposite parity, D_x D_y = -1, and when that holds
+    for every letter of w the two sides are the same product.
+
+    Equal matrices have equal traces, so a trace is compared only when the
+    matrices differ.  A word the lemmas leave open is computed: each side is
+    a product of l tables whose columns have coefficient L1 norm at most 5,
+    so it is evaluated at the one integer point u = 2^bits, bits =
+    `_exact_bits(l, n)`, and compared as ints: the matrices entry by entry,
+    the traces as sums of n diagonal entries.  By the bound in
+    `_exact_bits` the ints agree exactly when the polynomials do.
     """
     pairing = digraph.coded_pairing()
-    rev_pairing = digraph.reverse().coded_pairing()
     signs = _sign_diagonal(digraph)
     n = len(digraph.vertices)
     reports = []
     for w in words:
         report = IdentityReport(word=str(w))
-        at = partial(_pack, bits=_exact_bits(w.length, n))
-        lhs = _word_columns(_table(rev_pairing, _TAU_CASES, at),
-                            w.word[::-1], n, 1, 0)
-        twisted = _word_columns(_table(pairing, _TWISTED_S_CASES, at),
-                                w.inverse().word, n, 1, 0)
-        report.twist_matrix = lhs == twisted
-        report.twist_trace = _trace(lhs, 0) == _trace(twisted, 0)
+        rev_word, inverse_word = w.word[::-1], w.inverse().word
+        lhs = None
+        if rev_word == inverse_word:
+            report.twist_matrix = report.twist_trace = True
+        else:
+            lhs = _columns_at(pairing, _TWISTED_S_CASES, rev_word, n)
+            report.twist_matrix, report.twist_trace = _compare(
+                lhs, _columns_at(pairing, _TWISTED_S_CASES, inverse_word, n))
         if signs is None:
             report.skipped = "sign identity needs acyclic components with sources"
+        elif all(signs == [-signs[p] for p in pairing[s][0]]
+                 for s in set(w.word)):
+            # every edge of every letter joins D = 1 to D = -1
+            report.sign_matrix = report.sign_trace = True
         else:
+            if lhs is None:
+                lhs = _columns_at(pairing, _TWISTED_S_CASES, rev_word, n)
             eps = -1 if w.length % 2 else 1
             # entry (i, j) of S_w lands at (j, i), times eps_w D_i D_j
             flipped: list[SparseVec] = [{} for _ in range(n)]
-            for j, col in enumerate(_word_columns(
-                    _table(pairing, _S_CASES, at), w.word, n, 1, 0)):
+            for j, col in enumerate(_columns_at(pairing, _S_CASES, w.word, n)):
                 for i, c in col.items():
                     flipped[i][j] = c if signs[i] * signs[j] == eps else -c
-            report.sign_matrix = lhs == flipped
-            report.sign_trace = _trace(lhs, 0) == _trace(flipped, 0)
+            report.sign_matrix, report.sign_trace = _compare(lhs, flipped)
         reports.append(report)
     return reports
+
+
+def _columns_at(pairing, cases: dict, word, n: int) -> list[SparseVec]:
+    """`_word_columns` of the `cases` table along word at u = 2^bits, bits =
+    `_exact_bits(len(word), n)`, with tables for word's letters alone."""
+    at = partial(_pack, bits=_exact_bits(len(word), n))
+    letters = sorted(set(word))
+    table = dict(zip(letters, _table(map(pairing.__getitem__, letters),
+                                     cases, at)))
+    return _word_columns(table, word, n, 1, 0)
+
+
+def _compare(a: list[SparseVec], b: list[SparseVec]) -> tuple[bool, bool]:
+    """(matrices equal, traces equal) for two int column lists."""
+    if a == b:
+        return True, True
+    return False, _trace(a, 0) == _trace(b, 0)
 
 
 # -- the 0-specialization action -----------------------------------------------------------------
@@ -552,8 +610,9 @@ def _restricted_component_counts(digraph: SLabeledDigraph) -> list[int]:
 def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
     """Structured pass/fail/not-applicable report for the structure theorems.
 
-    The bounds |W| and [W : W_J] come from `CoxeterSystem.parabolic_order`,
-    so no group element is built and the cost does not grow with |W|.
+    The bounds |W| and [W : W_J] come from `CoxeterSystem.parabolic_order`
+    and its table over every J, `parabolic_orders`, so no group element is
+    built and the cost does not grow with |W|.
     The digraph passes `coded_pairing`'s gate first, so a vertex's
     incoming-label set is empty exactly at a source and full exactly at a
     sink, and the obstruction's evidence counts those."""
@@ -594,9 +653,9 @@ def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
         results = {}
         ok = True
         restricted_counts = _restricted_component_counts(digraph)
-        for mask in range(1 << len(gens)):
+        for mask, order_j in enumerate(system.parabolic_orders()):
             J = [g for i, g in enumerate(gens) if mask >> i & 1]
-            bound = order_w // system.parabolic_order(J)
+            bound = order_w // order_j
             comps = restricted_counts[mask]
             results["".join(J) or "empty"] = (comps, bound)
             ok = ok and comps <= bound
@@ -626,9 +685,10 @@ def theorem_checkers(digraph: SLabeledDigraph) -> TheoremReport:
 
     # obstruction: with finite proper parabolics, a finite connected digraph
     # affording a rational cell-graph module must be acyclic; so a cyclic one
-    # cannot afford any
-    proper_finite = all(system.parabolic_order(gens[:i] + gens[i + 1:])
-                        is not inf for i in range(len(gens)))
+    # cannot afford any.  Every parabolic of a finite W is finite
+    proper_finite = finite_w or all(
+        system.parabolic_order(gens[:i] + gens[i + 1:]) is not inf
+        for i in range(len(gens)))
     connected = analysis.n_components == 1
     if proper_finite and connected and not analysis.all_acyclic:
         dims = linear_char_dims(digraph)

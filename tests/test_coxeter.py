@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import inf
+from math import inf, prod
 
 import pytest
 
@@ -706,6 +706,43 @@ def test_component_order_matches_walk_reference():
         assert got == expected and (got is inf) == (expected is inf), matrix
         seen.add(got)
     assert {1_152, 120, 14_400, 51_840, 2_903_040, 696_729_600} <= seen
+
+
+def mask_indices(mask, k):
+    """The indices below k whose bits are set in mask."""
+    return [a for a in range(k) if mask >> a & 1]
+
+
+def test_parabolic_orders_match_component_walks():
+    """The table of |W_J| over every mask, grown on bitmask components,
+    equals the product of the reference orders of the components that a
+    walk over the index lists finds, math.inf itself where one is
+    infinite; and `parabolic_order(J)` reads the same values."""
+    kinds = set()
+    for matrix in random_diagrams(random.Random(4096), 300):
+        k = len(matrix)
+        gens = [f"g{a}" for a in range(k)]
+        system = CoxeterSystem(gens, {(gens[a], gens[b]): matrix[a][b]
+                                      for a in range(k)
+                                      for b in range(a + 1, k)})
+        table = system.parabolic_orders()
+        assert len(table) == 1 << k
+        for mask, got in enumerate(table):
+            rest = mask_indices(mask, k)
+            orders = []
+            while rest:
+                comp = [rest.pop(0)]
+                for v in comp:          # grows behind v
+                    comp.extend(b for b in rest if matrix[v][b] != 2)
+                    rest = [b for b in rest if b not in comp]
+                orders.append(reference_component_order(sorted(comp), matrix))
+            expected = inf if inf in orders else prod(orders)
+            assert got == expected and (got is inf) == (expected is inf)
+            one = system.parabolic_order(gens[a]
+                                         for a in mask_indices(mask, k))
+            assert one == got and (one is inf) == (got is inf)
+            kinds.add(got is inf)
+    assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("name", FINITE_DIFFERENTIAL)

@@ -9,6 +9,7 @@ from math import inf
 
 import pytest
 
+from wdigraph import modrep
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
 from wdigraph.digraph import CODE_ENDS, DASHED, SOLID, SLabeledDigraph
 from wdigraph.exactalg import (P_ONE, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
@@ -1110,9 +1111,8 @@ def reversed_rows(g):
 
 
 def test_reversed_pairing_is_the_pairing_of_the_reversed_digraph():
-    # the byte translation `reverse()` turns the code rows round by, which
-    # reversal_identities reads its tau_s table from, against the pairing
-    # of the turned-round `Edge` tuples
+    # the byte translation `reverse()` turns the code rows round by,
+    # against the pairing of the turned-round `Edge` tuples
     rng = random.Random(3141)
     inputs = [*reversal_inputs(), ("loop", loop_digraph())]
     for k in range(100):
@@ -1299,6 +1299,130 @@ def test_reversal_identities_match_ratfunc_reference_on_random_digraphs():
             seen["sign checked"] += sum(r.skipped is None for r in reports)
     assert seen["cases"] == 2400
     assert seen["twist fails"] > 100 and seen["sign checked"] > 100
+
+
+def test_twisted_s_table_is_the_reversed_tau_table():
+    # lemma 1 of `reversal_identities`: u^2 sigma(S_s) reads, at each end of
+    # an edge, the tau_s case of the other role, that end's role once the
+    # edge is turned round
+    turned = {"tail": "head", "head": "tail"}
+    assert len(_TWISTED_S_CASES) == 4
+    for (role, style), case in _TWISTED_S_CASES.items():
+        assert case == _TAU_CASES[(turned[role], style)], (role, style)
+
+
+@pytest.mark.parametrize("style", [SOLID, DASHED])
+@pytest.mark.parametrize("ends", [("x", "y"), ("y", "x")])
+def test_sign_factor_is_the_reversed_tau_block_iff_parities_differ(style, ends):
+    # lemma 2 of `reversal_identities`, over Q(u): on the block of one
+    # s-edge, -D S_s^T D equals the reversed digraph's tau_s exactly when
+    # D_x D_y = -1, and its diagonal always does
+    a1 = CoxeterSystem(["s"], {})
+    g = SLabeledDigraph(a1, ["x", "y"], [(*ends, "s", style)])
+    s_block = ModuleRep(g).rho_inv(a1.gen("s")).scale(U2)
+    rev_tau = ModuleRep(g.reverse()).tau_matrix("s")
+    for d in itertools.product([1, -1], repeat=2):
+        factor = RatMatrix([[s_block[j, i] if d[i] * d[j] == -1
+                             else -s_block[j, i] for j in range(2)]
+                            for i in range(2)])
+        assert (factor == rev_tau) == (d[0] * d[1] == -1), d
+        assert all(factor[i, i] == rev_tau[i, i] for i in range(2)), d
+
+
+def count_calls(monkeypatch, name):
+    """Wrap the modrep function `name` to log each call's arguments."""
+    real, calls = getattr(modrep, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(modrep, name, counted)
+    return calls
+
+
+def letters_join_opposite_parities(g, w, signs):
+    """Whether every edge labeled by a letter of w joins ends whose
+    source-distance signs differ, read off the `Edge` list."""
+    labels = {g.system.generators[s] for s in w.word}
+    index = g.vertex_index
+    return all(signs[index[e.src]] != signs[index[e.dst]]
+               for e in g.edges if e.label in labels)
+
+
+def test_reversal_identities_multiply_only_what_the_lemmas_leave_open(
+        monkeypatch):
+    # on the seven modules fixtures and their words up to length 3, no
+    # product is taken where the two reduced words of w^-1 coincide and
+    # the sign side is skipped or settled letter by letter, and one is
+    # where the words differ
+    calls = count_calls(monkeypatch, "_word_columns")
+    seen = Counter()
+    for label, g in reversal_inputs():
+        if label.startswith("figure"):
+            continue
+        signs = _sign_diagonal(g)
+        for w in g.system.enumerate(3):
+            calls.clear()
+            reversal_identities(g, [w])
+            same_words = w.word[::-1] == w.inverse().word
+            settled = signs is None or letters_join_opposite_parities(g, w,
+                                                                      signs)
+            if same_words and settled:
+                assert not calls, (label, str(w))
+                seen["no product"] += 1
+            if not same_words:
+                assert calls, (label, str(w))
+                seen["twist products"] += 1
+    assert seen["no product"] > 50 and seen["twist products"] > 10
+
+
+def rank3_parity_digraphs():
+    """The digraph on 0..3 with r: 0 -> 1, 2 -> 3; s: 0 -> 2, 1 -> 3; t:
+    0 -> 3, 1 -> 2, over A1^3, A3 and B3, with each label's style solid or
+    dashed.  Its one source is 0, and each label has an edge whose ends
+    have the same source-distance parity (2 -> 3, 1 -> 3, 1 -> 2)."""
+    arrows = {"r": [(0, 1), (2, 3)], "s": [(0, 2), (1, 3)],
+              "t": [(0, 3), (1, 2)]}
+    systems = {"A1^3": CoxeterSystem(["r", "s", "t"], {}),
+               "A3": make_a3(), "B3": make_b3()}
+    for name, system in systems.items():
+        assert system.generators == ("r", "s", "t")
+        for styles in itertools.product([SOLID, DASHED], repeat=3):
+            edges = [(str(a), str(b), label, style)
+                     for (label, pairs), style in zip(arrows.items(), styles)
+                     for a, b in pairs]
+            yield f"{name} {styles}", SLabeledDigraph(
+                system, ["0", "1", "2", "3"], edges)
+
+
+def test_reversal_identities_compute_the_sign_side_on_equal_parities(
+        monkeypatch):
+    # the products the sign lemma leaves open, against all three references
+    calls = count_calls(monkeypatch, "_columns_at")
+    seen = Counter()
+    for label, g in rank3_parity_digraphs():
+        assert _sign_diagonal(g) == [1, -1, -1, -1], label
+        words = g.system.enumerate(3)
+        for w in words:
+            calls.clear()
+            (report,) = reversal_identities(g, [w])
+            computed = any(cases is _S_CASES for _, cases, _, _ in calls)
+            assert computed == (w.length > 0), (label, str(w))
+            if computed:
+                seen[(report.sign_matrix, report.sign_trace)] += 1
+        reports = reversal_identities(g, words)
+        rows = [(r.word, r.twist_matrix, r.twist_trace, r.sign_matrix,
+                 r.sign_trace, r.skipped) for r in reports]
+        assert rows == dense_reversal_identities(g, words), label
+        assert reports == ratfunc_reversal_identities(g, words), label
+        assert reports == zu_reversal_identities(g, words), label
+    # both trace verdicts where the matrices differ
+    assert seen[False, True] and seen[False, False]
+    # over A1^3, all solid, the one-letter word r: the matrices differ and
+    # their traces agree
+    g = next(rank3_parity_digraphs())[1]
+    (report,) = reversal_identities(g, [g.system.element("r")])
+    assert (report.sign_matrix, report.sign_trace) == (False, True)
 
 
 def test_twist_is_sigma_times_a_power_of_u():
