@@ -68,9 +68,12 @@ def _parse_star(system: CoxeterSystem, text: str | None) -> DiagramAutomorphism:
 
 def _parse_words(system: CoxeterSystem, text: str):
     try:
-        return [system.element(word) for word in text.split(",") if word != ""]
+        words = [system.element(word) for word in text.split(",") if word != ""]
     except ValueError as exc:
         raise UsageError(f"bad word list {text!r}: {exc}") from exc
+    if not words:
+        raise UsageError(f"bad word list {text!r}: no word in it")
+    return words
 
 
 def _builder(cmd):

@@ -232,7 +232,8 @@ class CoxeterSystem:
 
     def element(self, word="") -> "GroupElement":
         if isinstance(word, str):
-            word = self.word_from_str(word)
+            # `word_from_str` has checked every letter
+            return GroupElement(self, self._walk((), self.word_from_str(word)))
         return GroupElement(self, self.canonical(word))
 
     def identity(self) -> "GroupElement":
@@ -503,7 +504,7 @@ class GroupElement:
         return GroupElement(self.system, self.system._walk(self.word, other.word))
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.system, self.system.canonical(self.word[::-1]))
+        return GroupElement(self.system, self.system._walk((), self.word[::-1]))
 
     def sort_key(self):
         return (len(self.word), self.word)

@@ -33,11 +33,12 @@ column of the tau_s, S_s and u^2 sigma(S_s) tables has coefficient L1 norm
 at most 5, so two products of k such tables agree exactly when they agree
 at u = 2^`_exact_bits(k)` (the Cauchy-bound proof is in its docstring).
 The oracle in `validator` decides the relations that way.
-`reversal_identities` builds no reversed digraph: two lemmas in its
+`reversal_identities` builds no reversed digraph: three lemmas in its
 docstring settle both identities factor by factor, the twist identity when
 two reduced words of w^-1 coincide and the sign identity when every edge of
-w's letters joins ends of opposite source-distance parity, and it evaluates
-the products at one such point per word only where they do not.
+w's letters joins ends of opposite source-distance parity, which every edge
+of a graded digraph does, and it evaluates the products at one such point
+per word only where they do not.
 Dense matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only
 for output such as characteristic polynomials.  The 0-Hecke action
 (`zero_hecke_action`) is the same word product on the tau_s table at u = 0.
@@ -313,7 +314,8 @@ class IdentityReport:
 def _sign_diagonal(digraph: SLabeledDigraph):
     """(-1)^(distance from the component source), as a diagonal sign list;
     None unless every component is acyclic with one source, which then
-    reaches all of it."""
+    reaches all of it.  `reversal_identities` runs this BFS on ungraded
+    digraphs only: on a graded one lemma 3 there settles every word."""
     signs = [None] * len(digraph.vertices)
     for comp in digraph.analyze().components:
         if len(comp.sources) != 1 or not comp.acyclic:
@@ -340,7 +342,7 @@ def reversal_identities(digraph: SLabeledDigraph,
     (`_TWISTED_S_CASES`) along the same word.  On the sign side u_w
     rho(T_w^-1) = u^(2l) u^(-2l) S_w is S_w itself.  With w = s_1...s_k,
     rho_rev(T_w) = tau'_{s_1} ... tau'_{s_k}, tau'_s the tau_s table of the
-    reversed digraph.  Two lemmas decide most words with no arithmetic.
+    reversed digraph.  Three lemmas decide most words with no arithmetic.
 
     Lemma 1 (the twist side is the reversed tau table).  Reversing an edge
     keeps its style and exchanges its tail and head, so tau'_s reads the
@@ -369,6 +371,18 @@ def reversal_identities(digraph: SLabeledDigraph,
     s-edge joins ends of opposite parity, D_x D_y = -1, and when that holds
     for every letter of w the two sides are the same product.
 
+    Lemma 3 (a graded digraph settles the sign side for every word).  Let
+    every component be acyclic with one source, and let the walk's level
+    a + b rise by 1 along every edge (`SLabeledDigraph._grading`).  In a
+    component with source sigma, every vertex v is reached from sigma: the
+    in-edges walked backwards from v end, with no circuit, at a source.
+    Every directed path from sigma to v has length level(v) - level(sigma),
+    one level per edge, so the shortest one does too and D_v = (-1)^(level(v)
+    - level(sigma)).  An edge x -> y has level(y) = level(x) + 1, so D_x D_y
+    = -1: every edge joins opposite parities, lemma 2 holds for every letter,
+    and D itself is never needed.  Ungraded digraphs take the BFS of
+    `_sign_diagonal` and lemma 2 letter by letter.
+
     Equal matrices have equal traces, so a trace is compared only when the
     matrices differ.  A word the lemmas leave open is computed: each side is
     a product of l tables whose columns have coefficient L1 norm at most 5,
@@ -378,7 +392,11 @@ def reversal_identities(digraph: SLabeledDigraph,
     `_exact_bits` the ints agree exactly when the polynomials do.
     """
     pairing = digraph.coded_pairing()
-    signs = _sign_diagonal(digraph)
+    signed = all(len(comp.sources) == 1 and comp.acyclic
+                 for comp in digraph.analyze().components)
+    # None when skipped, and when lemma 3 settles every word
+    signs = (_sign_diagonal(digraph) if signed and not digraph._grading()
+             else None)
     n = len(digraph.vertices)
     reports = []
     for w in words:
@@ -391,10 +409,10 @@ def reversal_identities(digraph: SLabeledDigraph,
             lhs = _columns_at(pairing, _TWISTED_S_CASES, rev_word, n)
             report.twist_matrix, report.twist_trace = _compare(
                 lhs, _columns_at(pairing, _TWISTED_S_CASES, inverse_word, n))
-        if signs is None:
+        if not signed:
             report.skipped = "sign identity needs acyclic components with sources"
-        elif all(signs == [-signs[p] for p in pairing[s][0]]
-                 for s in set(w.word)):
+        elif signs is None or all(signs == [-signs[p] for p in pairing[s][0]]
+                                  for s in set(w.word)):
             # every edge of every letter joins D = 1 to D = -1
             report.sign_matrix = report.sign_trace = True
         else:

@@ -294,6 +294,23 @@ def test_bad_star_and_word_list_are_usage_errors(capsys, tmp_path, a3_file):
     assert "bad word list 'xq'" in captured.err
 
 
+@pytest.mark.parametrize("command", ["character", "identities"])
+@pytest.mark.parametrize("text, reason", [
+    ("", "no word in it"), (",", "no word in it"),
+    ("xq", "unknown generator 'x'")])
+def test_word_list_naming_no_word_is_a_usage_error(capsys, tmp_path,
+                                                   command, text, reason):
+    # --words is required, and a list with no word in it is refused, not
+    # answered with nothing
+    code, out = run(capsys, "example", "b3_no_bar")
+    dpath = tmp_path / "b3.json"
+    dpath.write_text(out)
+    assert main([command, str(dpath), "--words", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad word list {text!r}: {reason}\n"
+
+
 def test_validate_both_reports_disagreement(capsys, monkeypatch, tmp_path):
     code, out = run(capsys, "example", "b3_no_bar")
     dpath = tmp_path / "b3.json"

@@ -363,6 +363,37 @@ def test_word_problem_matches_braid_orbits(name):
             assert system.bruhat_leq(x, y) == ref.bruhat_leq(x.word, y.word)
 
 
+@pytest.mark.parametrize("name", DIFFERENTIAL_SYSTEMS)
+def test_direct_walks_match_canonical(name):
+    # `element` on a string and `inverse` walk the letters with no second
+    # check of each one, and name the element `canonical` names
+    gens, orders = DIFFERENTIAL_SYSTEMS[name]
+    system = CoxeterSystem(list(gens), orders)
+    elems = system.enumerate(None if system.is_finite() else 6)
+    rng = random.Random(len(elems))
+    texts = [str(w)[::-1] for w in elems if w.length]
+    texts += ["".join(rng.choices(system.generators, k=rng.randint(0, 9)))
+              for _ in range(50)]
+    for text in ["", "e", *texts]:
+        got = system.element(text)
+        assert got.word == system.canonical(system.word_from_str(text)), text
+        assert got.inverse().word == system.canonical(got.word[::-1]), text
+    for w in elems:
+        assert w.inverse().word == system.canonical(w.word[::-1]), str(w)
+    # non-string input still goes through `canonical`, letter by letter
+    assert system.element(list(system.generators)) == system.element(
+        "".join(system.generators))
+    for bad, message in [("sx", "unknown generator 'x'"),
+                         (["s", "x"], "unknown generator 'x'"),
+                         ([0, 9], "generator index 9 out of range")]:
+        with pytest.raises(ValueError) as caught:
+            system.element(bad)
+        assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            system.canonical(bad)
+        assert str(caught.value) == message
+
+
 # -- differential test of the up-walk against enumerate-then-filter --------------------
 
 

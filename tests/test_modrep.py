@@ -35,7 +35,8 @@ from conftest import (RatFuncOperators, TupleDigraph, apply_entrywise,
                       is_poly, lampoly_mul, make_a3, make_b3, out_edges,
                       path_length_mu, random_labeled_digraph, reachable_from,
                       subgraph)
-from test_validator import GROUP_ORDERS, group_digraphs, word_apply
+from test_validator import (GROUP_ORDERS, group_digraphs, template_grid,
+                            word_apply)
 
 U2 = RF_U * RF_U
 
@@ -407,8 +408,7 @@ def out_edge_walk(digraph, w, alpha):
 def zero_hecke_inputs():
     """The seven modules fixtures, the template grid over I2(2..7) and 100
     seeded random two-label digraphs, none with a loop."""
-    yield from ((label, g) for label, g in reversal_inputs()
-                if not label.startswith("figure"))
+    yield from modules_fixtures()
     for figure in range(1, 9):
         for m in ([1] if figure in (7, 8) else [2, 3, 4, 5]):
             for n in range(2, 8):
@@ -1103,6 +1103,12 @@ def reversal_inputs():
                     _DIHEDRAL[2], FamilySpec(figure, m))
 
 
+def modules_fixtures():
+    """The seven `modules` benchmark fixtures: six graded, and one cycle."""
+    return [(label, g) for label, g in reversal_inputs()
+            if not label.startswith("figure")]
+
+
 def reversed_rows(g):
     """The rows of `g.reverse()` as `conftest.edge_pairing` views them, read
     past the structure gate: `reverse` still turns a loop digraph round."""
@@ -1197,8 +1203,7 @@ def ratfunc_reversal_identities(g, words):
 def test_reversal_identities_match_ratfunc_reference_on_fixtures():
     # the seven modules benchmark fixtures, the words up to length 3 and the
     # longest element of a finite group
-    fixtures = [(label, g) for label, g in reversal_inputs()
-                if not label.startswith("figure")]
+    fixtures = modules_fixtures()
     assert len(fixtures) == 7
     for label, g in fixtures:
         words = g.system.enumerate(3)
@@ -1252,8 +1257,7 @@ def zu_reversal_identities(g, words):
 def test_reversal_identities_match_zu_reference_on_fixtures():
     # the seven modules benchmark fixtures, the words up to length 4 and the
     # longest element of a finite group
-    fixtures = [(label, g) for label, g in reversal_inputs()
-                if not label.startswith("figure")]
+    fixtures = modules_fixtures()
     assert len(fixtures) == 7
     outcomes = Counter()
     for label, g in fixtures:
@@ -1357,9 +1361,7 @@ def test_reversal_identities_multiply_only_what_the_lemmas_leave_open(
     # where the words differ
     calls = count_calls(monkeypatch, "_word_columns")
     seen = Counter()
-    for label, g in reversal_inputs():
-        if label.startswith("figure"):
-            continue
+    for label, g in modules_fixtures():
         signs = _sign_diagonal(g)
         for w in g.system.enumerate(3):
             calls.clear()
@@ -1423,6 +1425,58 @@ def test_reversal_identities_compute_the_sign_side_on_equal_parities(
     g = next(rank3_parity_digraphs())[1]
     (report,) = reversal_identities(g, [g.system.element("r")])
     assert (report.sign_matrix, report.sign_trace) == (False, True)
+
+
+def test_graded_digraphs_join_opposite_parities():
+    # lemma 3's premise: on a graded digraph whose components are acyclic
+    # with one source each, D_v = (-1)^(level(v) - level(source)), so every
+    # edge joins opposite `_sign_diagonal` parities
+    seen = Counter()
+    for label, g in [*group_digraphs(), *modules_fixtures(), *template_grid(),
+                     *rank3_parity_digraphs()]:
+        signs = _sign_diagonal(g)
+        if signs is None or not g._grading():
+            seen["other"] += 1
+            continue
+        level = [a + b for a, b in g._walk[1]]
+        index = g.vertex_index
+        for comp in g.analyze().components:
+            top = level[index[comp.sources[0]]]
+            for v in comp.vertices:
+                i = index[v]
+                assert signs[i] == (-1 if (level[i] - top) % 2 else 1), (label, v)
+        assert all(signs[index[e.src]] != signs[index[e.dst]]
+                   for e in g.edges), label
+        seen["graded"] += 1
+    assert seen["graded"] > 100 and seen["other"], seen
+    # the digraphs whose sign side is computed are ungraded
+    for label, g in rank3_parity_digraphs():
+        assert not g._grading(), label
+
+
+def test_reversal_identities_run_no_bfs_on_graded_digraphs(monkeypatch):
+    # lemma 3 settles every sign side on the modules fixtures and the group
+    # digraphs with no `_sign_diagonal` call, and its reports equal those
+    # of the BFS and lemma 2 path, forced by hiding the grading
+    calls = count_calls(monkeypatch, "_sign_diagonal")
+    inputs = [*modules_fixtures(), *group_digraphs()]
+    settled = {}
+    for label, g in inputs:
+        settled[label] = reversal_identities(g, g.system.enumerate(2))
+        assert not calls, label
+    assert len(settled) == 19
+    with monkeypatch.context() as m:
+        m.setattr(SLabeledDigraph, "_grading", lambda self: False)
+        for label, g in inputs:
+            calls.clear()
+            assert reversal_identities(g, g.system.enumerate(2)) == \
+                settled[label], label
+            assert len(calls) == (label != "affine_a2_cycle"), label
+    # the parity digraphs are ungraded, and run the BFS once per call
+    for label, g in rank3_parity_digraphs():
+        calls.clear()
+        reversal_identities(g, g.system.enumerate(2))
+        assert len(calls) == 1, label
 
 
 def test_twist_is_sigma_times_a_power_of_u():
