@@ -53,9 +53,6 @@ from .coxeter import CoxeterSystem
 SOLID = "solid"
 DASHED = "dashed"
 
-# the change of the (solid, dashed) level pair along an edge of each style
-LEVEL_STEP = {SOLID: (1, 0), DASHED: (0, 1)}
-
 # the code of a vertex's end of an edge in the pairing's code rows; 0 marks
 # an empty slot, and a head's code is its tail's plus one, so a tail's code
 # is odd
@@ -63,8 +60,8 @@ END_CODES = {("tail", SOLID): 1, ("head", SOLID): 2,
              ("tail", DASHED): 3, ("head", DASHED): 4}
 CODE_ENDS = (None, *END_CODES)                  # code -> (role, style)
 _TAIL_CODES = {style: END_CODES["tail", style] for style in (SOLID, DASHED)}
-# code -> the change of the level pair along the edge away from this end:
-# `LEVEL_STEP` from a tail, negated from a head
+# code -> the change of the (solid, dashed) level pair along the edge away
+# from this end: the unit of its style from a tail, negated from a head
 _CODE_STEP = (None, (1, 0), (-1, 0), (0, 1), (0, -1))
 # `bytes.translate` tables: a code row turned round, its tails and its heads
 # as 1s, its codes shifted to a j-code; a cycle word's i-codes and j-codes
@@ -298,9 +295,10 @@ class SLabeledDigraph:
         """The connected components of the underlying undirected multigraph
         as sorted vertex indices; a level pair per vertex index, (net solid
         steps, net dashed steps) from the first vertex of its component,
-        each edge's `LEVEL_STEP` counted along it and negated against it;
-        and two flags per component: some edge raises the level pair by
-        other than its `LEVEL_STEP`, some edge raises the level sum a + b by
+        each edge's step (`_CODE_STEP` at its tail) counted along it and
+        negated against it; and two flags per component: some edge raises
+        the level pair by other than its step, some edge raises the level
+        sum a + b by
         other than 1.  Each edge is met from both ends (a loop once, as its
         head), and checked when its far end already has a level.  A loop
         raises nothing, so it breaks both rules."""
@@ -462,10 +460,8 @@ class SLabeledDigraph:
         other test, unless both digraphs pass `validate_structure`.
         """
         mine, theirs = self.coded_pairing(), other.coded_pairing()
-        if set(self.system.generators) != set(other.system.generators):
-            return None
-        if (len(self.vertices) != len(other.vertices)
-                or self._edge_count() != other._edge_count()):
+        if (set(self.system.generators) != set(other.system.generators)
+                or len(self.vertices) != len(other.vertices)):
             return None
         theirs = [theirs[other.system.index[g]] for g in self.system.generators]
         image: dict[int, int] = {}

@@ -11,12 +11,11 @@ coefficient patterns of the one case table, `_TAU_CASES`,
 so each operator has at most two nonzero entries per column, all in Z[u].
 Every other table is tau_s - c, read off it by `_shifted(c)`: S_s = tau_s -
 (u^2-1) = u^2 tau_s^-1 (so the inverse is u^-2 S_s and rho(T_w)^-1 =
-u^(-2 l(w)) S_w with S_w in Z[u] too), S_s - u for the bar propagation, and
-u^2 sigma(S_s) for the twist identity, which is tau_s again with tail and
-head exchanged: the tau_s table of the reversed digraph.  The Hecke algebra
-in `hecke` reads its generators off the same table, as (T_s - c)/d for the
-self and partner coefficients (c, d) of each case, and runs them through
-the same kernel.
+u^(-2 l(w)) S_w with S_w in Z[u] too) and S_s - u for the bar propagation.
+Read at each code turned round, `_TAU_CASES` gives the reversed digraph's
+tau_s table.  The Hecke algebra in `hecke` reads its generators off the
+same table, as (T_s - c)/d for the self and partner coefficients (c, d) of
+each case, and runs them through the same kernel.
 One builder, `_table`, reads a table of per-column coefficients off the
 pairing.  The one kernel, `_apply_columns`, maps a sparse vector {index:
 nonzero coefficient} to another in time proportional to its support, and
@@ -27,18 +26,19 @@ exponents.  A value becomes a `RatFunc` only where it leaves the layer:
 `rho`, `rho_inv`, `tau_matrix`, `character` and the vectors of a
 `BarSolution`.
 
-The same kernel also runs on ints: `_table(pairing, cases, at)` maps every
-coefficient through `at`, for example its value at one integer u.  Every
-column of the tau_s, S_s and u^2 sigma(S_s) tables has coefficient L1 norm
-at most 5, so two products of k such tables agree exactly when they agree
-at u = 2^`_exact_bits(k)` (the Cauchy-bound proof is in its docstring).
-The oracle in `validator` decides the relations that way.
+The same kernel also runs on ints, on cases that `_cases_at` maps, for
+example, to their values at one integer u.  Every column of the tau_s and
+S_s tables, turned round or not, partner signs flipped or not, has
+coefficient L1 norm at most 5, so two products of k such tables agree
+exactly when they agree at u = 2^`_exact_bits(k)` (the Cauchy-bound proof
+is in its docstring).  The oracle in `validator` decides the relations so.
 `reversal_identities` builds no reversed digraph: three lemmas in its
-docstring settle both identities factor by factor, the twist identity when
-two reduced words of w^-1 coincide and the sign identity when every edge of
-w's letters joins ends of opposite source-distance parity, which every edge
-of a graded digraph does, and it evaluates the products at one such point
-per word only where they do not.
+docstring write both identities as products of the reversed tau_s tables,
+the sign side's with the partner sign flipped where an edge's ends share a
+source-distance parity.  They settle the twist identity when two reduced
+words of w^-1 coincide and the sign identity when every edge of w's
+letters joins opposite parities, as on a graded digraph; the rest is
+evaluated at one such point per word.
 Dense matrices (`tau_matrix`, `rho`, `rho_inv`, `rho_elt`) are built only
 for output such as characteristic polynomials.  The 0-Hecke action
 (`zero_hecke_action`) is the same word product on the tau_s table at u = 0.
@@ -63,9 +63,9 @@ from math import inf
 from typing import Sequence
 
 from .coxeter import GroupElement
-from .digraph import CODE_ENDS, DASHED, SOLID, Edge, SLabeledDigraph
+from .digraph import _TURNED, CODE_ENDS, DASHED, SOLID, Edge, SLabeledDigraph
 from .exactalg import (P_ONE, P_U, P_ZERO, RF_ZERO, Poly, RatFunc, RatMatrix,
-                       _pack, sigma)
+                       _pack)
 
 U2 = Poly((0, 0, 1))                    # u^2
 U2M1 = Poly((-1, 0, 1))                 # u^2 - 1
@@ -95,15 +95,6 @@ def _shifted(c: Poly) -> dict:
 # dashed edge's bar step
 _S_CASES = _shifted(U2M1)
 _S_MINUS_U_CASES = _shifted(U2M1 + P_U)
-
-# u^2 sigma(S_s), entrywise: the S_s coefficients have degree at most 2, so
-# each image lies in Z[u] again.  Case by case it is the _TAU_CASES case of
-# the other role: the tau_s table of the reversed digraph (lemma 1 of
-# `reversal_identities`)
-_TWISTED_S_CASES = {key: tuple(None if c is None
-                               else (RatFunc(U2) * sigma(RatFunc(c))).num
-                               for c in case)
-                    for key, case in _S_CASES.items()}
 
 # a sparse vector: index -> nonzero coefficient (a Poly or an int)
 SparseVec = dict
@@ -167,14 +158,11 @@ class ModuleRep:
         return RatFunc(_trace(self._rho_columns(w)))
 
 
-def _table(pairing, cases: dict, at=None) -> list[list[tuple]]:
+def _table(pairing, cases: dict) -> list[list[tuple]]:
     """The column table of `cases` over the (partners, codes) rows of an
     edge pairing (`SLabeledDigraph.coded_pairing`, `digraph.cycle_pairing`):
     table[s][i] = (partner, self coefficient or None, partner coefficient)
-    of column i, the case read off its code.  With `at`, every coefficient
-    c becomes at(c), for example its value at one integer u."""
-    if at is not None:
-        cases = _cases_at(cases, at)
+    of column i, the case read off its code."""
     by_code = [None, *map(cases.__getitem__, CODE_ENDS[1:])]
     return [[(p,) + by_code[c] for p, c in zip(partners, codes)]
             for partners, codes in pairing]
@@ -226,9 +214,9 @@ def _exact_bits(k: int, terms: int = 1) -> int:
     roots lies below Cauchy's bound 1 + 2 * terms * 5^k in absolute value;
     2^(3k+2) = 4 * 8^k > 1 + 2 * 5^k, and 2^((terms-1).bit_length()) >= terms,
     so 2^b lies past the bound and the difference does not vanish there.
-    This is a coefficient bound, not sampling.  The tau_s, S_s and u^2
-    sigma(S_s) tables all have column norm at most 5 (the dashed head column
-    of tau_s, u^2-u-1 and u^2-u, attains it).
+    This is a coefficient bound, not sampling.  The tau_s and S_s tables,
+    and tau_s read at the turned codes, its partner signs flipped or not,
+    have column norm at most 5 (tau_s's dashed head column attains it).
     """
     return 3 * k + 2 + (terms - 1).bit_length()
 
@@ -281,8 +269,9 @@ def linear_char_dims(digraph: SLabeledDigraph) -> LinearCharacterDims:
       distinct irreducibles, so it is 1 iff a = b = 0.  The circuits that
       each edge off the walk's tree closes with the tree span all circuits,
       and that of an edge x -> y has the net counts level(y) - level(x) -
-      the edge's `digraph.LEVEL_STEP`, up to sign.  So the line exists iff
-      every edge raises the level pair by the unit of its own style.
+      the step of its style, read off its tail's code (`digraph._CODE_STEP`),
+      up to sign.  So the line exists iff every edge raises the level pair
+      by the unit of its own style.
 
     The walk flags each component on which some edge breaks that rule, so
     dim sgn is the count of the unflagged ones.
@@ -339,27 +328,27 @@ def reversal_identities(digraph: SLabeledDigraph,
     Both sides lie in Z[u], with no denominator: rho(T_{w^-1})^-1 =
     u^(-2l) S_{w^-1} (l = l(w)), and sigma is a ring map, so its sigma image
     u^(2l) sigma(S_{w^-1}) is the product of the tables u^2 sigma(S_s)
-    (`_TWISTED_S_CASES`) along the same word.  On the sign side u_w
-    rho(T_w^-1) = u^(2l) u^(-2l) S_w is S_w itself.  With w = s_1...s_k,
-    rho_rev(T_w) = tau'_{s_1} ... tau'_{s_k}, tau'_s the tau_s table of the
-    reversed digraph.  Three lemmas decide most words with no arithmetic.
+    along the same word.  On the sign side u_w rho(T_w^-1) = u^(2l) u^(-2l)
+    S_w is S_w itself.  With w = s_1...s_k, rho_rev(T_w) = tau'_{s_1} ...
+    tau'_{s_k}, tau'_s the tau_s table of the reversed digraph: reversing
+    an edge keeps its style and exchanges its tail and head, so tau'_s reads
+    `_TAU_CASES` at each end's code turned round (`digraph._TURNED`).  The
+    lemmas write every side as a product of tau' tables, and decide most
+    words with no arithmetic.
 
-    Lemma 1 (the twist side is the reversed tau table).  Reversing an edge
-    keeps its style and exchanges its tail and head, so tau'_s reads the
-    `_TAU_CASES` case of the other role at each end.  Case by case,
-    u^2 sigma(S_s) is exactly that: S_s = tau_s - (u^2-1) has (self,
-    partner) coefficients (1-u^2, 1) at a solid tail, (0, u^2) at a solid
-    head, (1+u-u^2, u+1) at a dashed tail and (-u, u^2-u) at a dashed head,
-    and u^2 sigma maps them to (u^2-1, u^2), (0, 1), (u^2-u-1, u^2-u) and
+    Lemma 1 (the twist side is the reversed tau table).  Case by case,
+    u^2 sigma(S_s) = tau'_s: S_s = tau_s - (u^2-1) has (self, partner)
+    coefficients (1-u^2, 1) at a solid tail, (0, u^2) at a solid head,
+    (1+u-u^2, u+1) at a dashed tail and (-u, u^2-u) at a dashed head, and
+    u^2 sigma maps them to (u^2-1, u^2), (0, 1), (u^2-u-1, u^2-u) and
     (u, u+1), the tau_s cases of a solid head, a solid tail, a dashed head
-    and a dashed tail.  So tau'_s = u^2 sigma(S_s) on the pairing of the
-    digraph itself, and both sides of the twist identity are products of
-    that one table: rho_rev(T_w) along s_k, ..., s_1 (s_k acts first) and
+    and a dashed tail.  So both sides of the twist identity are products of
+    tau': rho_rev(T_w) along s_k, ..., s_1 (s_k acts first) and
     u^(2l) sigma(S_{w^-1}) along the canonical word of w^-1 (its first
     letter acts first).  Both are reduced words of w^-1; when they are the
     same word, the products are the same matrix.
 
-    Lemma 2 (the sign side matches letter by letter).  D^2 = 1, so
+    Lemma 2 (the sign side is the reversed tau table, signed).  D^2 = 1, so
     eps_w D S_w^T D = (-D S_{s_1}^T D) ... (-D S_{s_k}^T D), the same order
     of letters as rho_rev(T_w).  On the 2x2 block of an s-edge x -> y,
     -D S_s^T D has the diagonal entries -S_s[x][x] and -S_s[y][y], which by
@@ -367,9 +356,12 @@ def reversal_identities(digraph: SLabeledDigraph,
     0 or u, by style; and the off-diagonal entries -D_x D_y S_s[y][x] and
     -D_x D_y S_s[x][y], against tau'_s[x][y] = S_s[y][x] and tau'_s[y][x] =
     S_s[x][y], which are nonzero (shifting by a constant keeps the partner
-    coefficients).  So the factor of s equals tau'_s exactly when every
-    s-edge joins ends of opposite parity, D_x D_y = -1, and when that holds
-    for every letter of w the two sides are the same product.
+    coefficients).  So -D S_s^T D is tau'_s with the partner coefficient
+    negated on every s-edge whose ends have equal parity, D_x D_y = 1, and
+    the sign side is the product of these signed tables along s_k, ..., s_1,
+    with no transpose.  When every s-edge of every letter of w joins ends
+    of opposite parity, each signed table is tau'_s itself and the two
+    sides are the same product.
 
     Lemma 3 (a graded digraph settles the sign side for every word).  Let
     every component be acyclic with one source, and let the walk's level
@@ -385,11 +377,12 @@ def reversal_identities(digraph: SLabeledDigraph,
 
     Equal matrices have equal traces, so a trace is compared only when the
     matrices differ.  A word the lemmas leave open is computed: each side is
-    a product of l tables whose columns have coefficient L1 norm at most 5,
-    so it is evaluated at the one integer point u = 2^bits, bits =
-    `_exact_bits(l, n)`, and compared as ints: the matrices entry by entry,
-    the traces as sums of n diagonal entries.  By the bound in
-    `_exact_bits` the ints agree exactly when the polynomials do.
+    a product of l tables whose columns have coefficient L1 norm at most 5
+    (a negated coefficient keeps its norm), so it is evaluated at the one
+    integer point u = 2^bits, bits = `_exact_bits(l, n)`, and compared as
+    ints: the matrices entry by entry, the traces as sums of n diagonal
+    entries.  By the bound in `_exact_bits` the ints agree exactly when the
+    polynomials do.
     """
     pairing = digraph.coded_pairing()
     signed = all(len(comp.sources) == 1 and comp.acyclic
@@ -406,9 +399,9 @@ def reversal_identities(digraph: SLabeledDigraph,
         if rev_word == inverse_word:
             report.twist_matrix = report.twist_trace = True
         else:
-            lhs = _columns_at(pairing, _TWISTED_S_CASES, rev_word, n)
+            lhs = _columns_at(pairing, None, rev_word, n)
             report.twist_matrix, report.twist_trace = _compare(
-                lhs, _columns_at(pairing, _TWISTED_S_CASES, inverse_word, n))
+                lhs, _columns_at(pairing, None, inverse_word, n))
         if not signed:
             report.skipped = "sign identity needs acyclic components with sources"
         elif signs is None or all(signs == [-signs[p] for p in pairing[s][0]]
@@ -417,25 +410,28 @@ def reversal_identities(digraph: SLabeledDigraph,
             report.sign_matrix = report.sign_trace = True
         else:
             if lhs is None:
-                lhs = _columns_at(pairing, _TWISTED_S_CASES, rev_word, n)
-            eps = -1 if w.length % 2 else 1
-            # entry (i, j) of S_w lands at (j, i), times eps_w D_i D_j
-            flipped: list[SparseVec] = [{} for _ in range(n)]
-            for j, col in enumerate(_columns_at(pairing, _S_CASES, w.word, n)):
-                for i, c in col.items():
-                    flipped[i][j] = c if signs[i] * signs[j] == eps else -c
-            report.sign_matrix, report.sign_trace = _compare(lhs, flipped)
+                lhs = _columns_at(pairing, None, rev_word, n)
+            report.sign_matrix, report.sign_trace = _compare(
+                lhs, _columns_at(pairing, signs, rev_word, n))
         reports.append(report)
     return reports
 
 
-def _columns_at(pairing, cases: dict, word, n: int) -> list[SparseVec]:
-    """`_word_columns` of the `cases` table along word at u = 2^bits, bits =
-    `_exact_bits(len(word), n)`, with tables for word's letters alone."""
+def _columns_at(pairing, signs, word, n: int) -> list[SparseVec]:
+    """`_word_columns` along word of the reversed digraph's tau_s tables at
+    u = 2^bits, bits = `_exact_bits(len(word), n)`: `_TAU_CASES` read at the
+    turned codes of word's letters alone.  With a sign list, the partner
+    coefficient of each edge whose ends have equal signs is negated (lemma
+    2 of `reversal_identities`)."""
     at = partial(_pack, bits=_exact_bits(len(word), n))
     letters = sorted(set(word))
-    table = dict(zip(letters, _table(map(pairing.__getitem__, letters),
-                                     cases, at)))
+    table = dict(zip(letters, _table(
+        [(pairing[s][0], pairing[s][1].translate(_TURNED)) for s in letters],
+        _cases_at(_TAU_CASES, at))))
+    if signs is not None:
+        table = {s: [(p, c, -d if signs[i] == signs[p] else d)
+                     for i, (p, c, d) in enumerate(col)]
+                 for s, col in table.items()}
     return _word_columns(table, word, n, 1, 0)
 
 
@@ -457,7 +453,8 @@ def zero_hecke_action(digraph: SLabeledDigraph, w: GroupElement, alpha: str
     A tail moves to its head with coefficient 1, and a head is negated, so
     the result is always +/- one vertex.
     """
-    table = _table(digraph.coded_pairing(), _TAU_CASES, lambda c: c(0))
+    table = _table(digraph.coded_pairing(),
+                   _cases_at(_TAU_CASES, lambda c: c(0)))
     vec = _word_apply(table, w.word[::-1], {digraph.vertex_index[alpha]: 1}, 0)
     ((i, sign),) = vec.items()
     return sign, digraph.vertices[i]

@@ -8,26 +8,32 @@ import json
 import os
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import factorial, inf
 
 import pytest
 
 from wdigraph import coxeter
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism, GroupElement
-from wdigraph.digraph import (CODE_ENDS, DASHED, END_CODES, LEVEL_STEP, SOLID,
+from wdigraph.digraph import (CODE_ENDS, DASHED, END_CODES, SOLID,
                               ComponentAnalysis, ComponentDetail, Edge,
                               SLabeledDigraph, _dot_id)
-from wdigraph.exactalg import RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix
+from wdigraph.exactalg import (RF_ONE, RF_U, RF_ZERO, Poly, RatFunc, RatMatrix,
+                               _pack)
 from wdigraph.hecke import Dihedral, HeckeElt
-from wdigraph.modrep import (_TAU_CASES, ModuleRep, _apply_columns, _exact_bits,
-                             _table, _word_apply)
+from wdigraph.modrep import (_S_CASES, _TAU_CASES, ModuleRep, _apply_columns,
+                             _cases_at, _exact_bits, _table, _word_apply,
+                             _word_columns)
 from wdigraph.validator import RelationWitness
 
 
 RF_U2 = RF_U * RF_U                     # u^2
 RF_U2M1 = RF_U2 - RF_ONE                # u^2 - 1
 RF_U_M2 = RF_U ** (-2)                  # u^-2
+
+# the change of the (solid, dashed) level pair along an edge of each style,
+# the rule that `digraph._CODE_STEP` states per code
+LEVEL_STEP = {SOLID: (1, 0), DASHED: (0, 1)}
 
 
 def make_a3():
@@ -719,6 +725,25 @@ def same_structure(g, h):
             and g.system.matrix == h.system.matrix)
 
 
+# -- modrep --------------------------------------------------------------------
+
+
+def transposed_sign_side(pairing, signs, word, n):
+    """The sign side of a reversal identity as `reversal_identities` once
+    computed it, on int columns at u = 2^`_exact_bits(len(word), n)`: the
+    product S_w = S_{s_k} ... S_{s_1} of the S_s tables, w = s_1...s_k =
+    word, with entry (i, j) moved to (j, i) and multiplied by eps_w D_i D_j,
+    D = signs.  The reference of the signed reversed tau product."""
+    at = partial(_pack, bits=_exact_bits(len(word), n))
+    table = _table(pairing, _cases_at(_S_CASES, at))
+    eps = -1 if len(word) % 2 else 1
+    flipped = [{} for _ in range(n)]
+    for j, col in enumerate(_word_columns(table, word, n, 1, 0)):
+        for i, c in col.items():
+            flipped[i][j] = c if signs[i] * signs[j] == eps else -c
+    return flipped
+
+
 # -- validator -----------------------------------------------------------------
 
 
@@ -734,7 +759,7 @@ def column_brute_force_check(g):
     system = g.system
     n_vertices = len(g.vertices)
     u = 1 << _exact_bits(2)
-    columns = _table(pairing, _TAU_CASES, lambda c: c(u))
+    columns = _table(pairing, _cases_at(_TAU_CASES, lambda c: c(u)))
     for s in range(system.rank()):
         # (tau - u^2)(tau + 1) = 0  <=>  tau^2 = (u^2-1) tau + u^2
         for j in range(n_vertices):
@@ -751,7 +776,8 @@ def column_brute_force_check(g):
             if n is inf:
                 continue
             point = 1 << _exact_bits(n)
-            columns = _table(pairing, _TAU_CASES, lambda c: c(point))
+            columns = _table(pairing,
+                             _cases_at(_TAU_CASES, lambda c: c(point)))
             pair = (system.generators[i], system.generators[j])
             left = [(i, j)[k % 2] for k in range(n)]
             right = [(j, i)[k % 2] for k in range(n)]

@@ -11,7 +11,7 @@ import pytest
 
 from wdigraph import modrep
 from wdigraph.coxeter import CoxeterSystem, DiagramAutomorphism
-from wdigraph.digraph import CODE_ENDS, DASHED, SOLID, SLabeledDigraph
+from wdigraph.digraph import _TURNED, CODE_ENDS, DASHED, SOLID, SLabeledDigraph
 from wdigraph.exactalg import (P_ONE, P_ZERO, RF_ONE, RF_U, RF_ZERO, Poly,
                                RatFunc, RatMatrix, char_poly, rf, sigma,
                                solve_simultaneous_eigenspace)
@@ -21,7 +21,7 @@ from wdigraph.families import (EXAMPLE_NAMES, FamilySpec, build_family,
 from wdigraph.hecke import invert_Tw
 from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              LinearCharacterDims, _S_CASES, _TAU_CASES,
-                             _TWISTED_S_CASES, _apply_columns, _as_ratfuncs,
+                             _apply_columns, _as_ratfuncs, _columns_at,
                              _restricted_component_counts, _same_image,
                              _sign_diagonal,
                              _table, _trace, _u_powers, _word_columns,
@@ -34,7 +34,7 @@ from conftest import (RatFuncOperators, TupleDigraph, apply_entrywise,
                       edge_pairing, eval_at, identity_matrix,
                       is_poly, lampoly_mul, make_a3, make_b3, out_edges,
                       path_length_mu, random_labeled_digraph, reachable_from,
-                      subgraph)
+                      subgraph, transposed_sign_side)
 from test_validator import (GROUP_ORDERS, group_digraphs, template_grid,
                             word_apply)
 
@@ -704,6 +704,30 @@ def test_restricted_component_counts_match_restrict_reference():
         assert _restricted_component_counts(g) == expected, label
 
 
+def test_restrictions_of_group_digraphs_have_one_source_per_component():
+    # the premise of counting each restriction's components by its sources:
+    # on the LV and regular digraphs of finite groups, every component of
+    # every restriction has exactly one source, so comps(J) is the number of
+    # vertices with no incoming edge labeled in J
+    seen = 0
+    for label, g in group_digraphs():
+        gens = g.system.generators
+        in_masks = [0] * len(g.vertices)
+        for s, (_, codes) in enumerate(g.coded_pairing()):
+            for i, c in enumerate(codes):
+                if not c & 1:
+                    in_masks[i] |= 1 << s
+        counts = _restricted_component_counts(g)
+        for mask in range(1 << len(gens)):
+            J = [gens[i] for i in range(len(gens)) if mask >> i & 1]
+            comps = g.restrict(J).analyze().components
+            assert all(len(c.sources) == 1 for c in comps), (label, J)
+            assert len(comps) == counts[mask] == sum(
+                not m & mask for m in in_masks), (label, J)
+            seen += 1
+    assert seen == 2 * (3 * 8 + 3 * 16)
+
+
 def test_source_sink_fails_on_a_cycle_with_two_sources(i23):
     # the 4-cycle a -> b <- c -> d <- a: two sources and two sinks in one
     # acyclic component
@@ -1271,20 +1295,15 @@ def test_reversal_identities_match_zu_reference_on_fixtures():
 
 
 def test_integer_point_premises():
-    # every column of the three tables the identities multiply has
-    # coefficient L1 norm at most 5, the premise of `_exact_bits` ...
-    for cases in (_TAU_CASES, _S_CASES, _TWISTED_S_CASES):
+    # every column of the two tables the identities and their references
+    # multiply has coefficient L1 norm at most 5, the premise of
+    # `_exact_bits`; the reversed tau_s tables read the same cases, and a
+    # negated partner coefficient keeps its norm
+    for cases in (_TAU_CASES, _S_CASES):
         for case in cases.values():
             assert all(c is None or isinstance(c, Poly) for c in case)
             assert sum(abs(x) for c in case if c is not None
                        for x in c.coeffs) <= 5
-    # ... and the twisted table is u^2 sigma(S_s), computed over Q(u)
-    for key, case in _S_CASES.items():
-        for got, c in zip(_TWISTED_S_CASES[key], case):
-            if c is None:
-                assert got is None
-            else:
-                assert RatFunc(got) == U2 * sigma(RatFunc(c)), key
 
 
 def test_reversal_identities_match_ratfunc_reference_on_random_digraphs():
@@ -1306,13 +1325,46 @@ def test_reversal_identities_match_ratfunc_reference_on_random_digraphs():
 
 
 def test_twisted_s_table_is_the_reversed_tau_table():
-    # lemma 1 of `reversal_identities`: u^2 sigma(S_s) reads, at each end of
-    # an edge, the tau_s case of the other role, that end's role once the
-    # edge is turned round
-    turned = {"tail": "head", "head": "tail"}
-    assert len(_TWISTED_S_CASES) == 4
-    for (role, style), case in _TWISTED_S_CASES.items():
-        assert case == _TAU_CASES[(turned[role], style)], (role, style)
+    # lemma 1 of `reversal_identities`: u^2 sigma(S_s), computed over Q(u),
+    # reads at each code the tau_s case of that code turned round by
+    # `digraph._TURNED`, tail and head exchanged and the style kept
+    for code in range(1, 5):
+        (turned,) = bytes([code]).translate(_TURNED)
+        role, style = CODE_ENDS[code]
+        assert CODE_ENDS[turned] == ({"tail": "head", "head": "tail"}[role],
+                                     style)
+        for c, tau in zip(_S_CASES[role, style],
+                          _TAU_CASES[CODE_ENDS[turned]]):
+            twisted = None if c is None else U2 * sigma(RatFunc(c))
+            assert twisted == (None if tau is None else RatFunc(tau)), code
+
+
+def test_signed_reversed_tau_product_is_the_transposed_s_product():
+    # lemma 2 of `reversal_identities` as a table: along w reversed, the
+    # reversed digraph's tau_s tables, the partner coefficient negated on
+    # each edge whose ends have equal signs, multiply to eps_w D S_w^T D,
+    # as ints at the same point, for any sign diagonal D
+    rng = random.Random(4711)
+    inputs = [(label, g, _sign_diagonal(g))
+              for label, g in rank3_parity_digraphs()]
+    for n in range(2, 7):
+        for _ in range(8):
+            g = random_labeled_digraph(rng, _DIHEDRAL[n],
+                                       rng.choice([2, 4, 6, 8]))
+            inputs.append((f"I2({n})", g,
+                           [rng.choice([1, -1]) for _ in g.vertices]))
+    assert len(inputs) == 24 + 40
+    seen = Counter()
+    for label, g, signs in inputs:
+        pairing, n = g.coded_pairing(), len(g.vertices)
+        for w in g.system.enumerate(4):
+            rev_word = w.word[::-1]
+            signed = _columns_at(pairing, signs, rev_word, n)
+            assert signed == transposed_sign_side(pairing, signs, w.word, n), \
+                (label, str(w))
+            seen[signed == _columns_at(pairing, None, rev_word, n)] += 1
+    # the signs change some products and leave others as they are
+    assert seen[True] > 50 and seen[False] > 500, seen
 
 
 @pytest.mark.parametrize("style", [SOLID, DASHED])
@@ -1408,7 +1460,7 @@ def test_reversal_identities_compute_the_sign_side_on_equal_parities(
         for w in words:
             calls.clear()
             (report,) = reversal_identities(g, [w])
-            computed = any(cases is _S_CASES for _, cases, _, _ in calls)
+            computed = any(signs is not None for _, signs, _, _ in calls)
             assert computed == (w.length > 0), (label, str(w))
             if computed:
                 seen[(report.sign_matrix, report.sign_trace)] += 1

@@ -2,12 +2,13 @@
 
 Every top-level function or class in `src/wdigraph`, and every non-dunder
 method of a top-level class, must be referenced by name somewhere in `src/`
-or `bench/` outside its own body.  A reference is a loaded `Name`, a loaded
-`Attribute` or an imported name.  The only exceptions are the public names
-in `PAPER_API`, through which a test states a paper claim or a public
-output; an entry that gains a caller in `src/` no longer needs the exception
-and must leave the list.  Helpers that only tests call belong in the tests
-(`tests/conftest.py`).
+or `bench/` outside its own body; so must every non-dunder name that a
+module assigns at top level, outside its own assignment.  A reference is a
+loaded `Name`, a loaded `Attribute` or an imported name.  The only
+exceptions are the public names in `PAPER_API`, through which a test states
+a paper claim or a public output; an entry that gains a caller in `src/` no
+longer needs the exception and must leave the list.  Helpers that only
+tests call belong in the tests (`tests/conftest.py`).
 
 The caller count matches a method by its bare name, so a method that
 another class of the package also defines is kept alive by the other's
@@ -101,14 +102,20 @@ def _count(refs, qual: str, name: str) -> int:
     return attrs[name] + (names[name] if qual.count(".") == 1 else 0)
 
 
-def _callers(directories) -> dict:
-    """Qualified name -> number of references outside its own body."""
+def _tree_references(directories) -> tuple[Counter, Counter]:
+    """`_references` summed over every Python file under directories."""
     attrs, names = Counter(), Counter()
     for directory in directories:
         for path in sorted(directory.rglob("*.py")):
             file_attrs, file_names = _references(ast.parse(path.read_text()))
             attrs.update(file_attrs)
             names.update(file_names)
+    return attrs, names
+
+
+def _callers(directories) -> dict:
+    """Qualified name -> number of references outside its own body."""
+    attrs, names = _tree_references(directories)
     return {qual: (_count((attrs, names), qual, name)
                    - _count(_references(node), qual, name))
             for qual, name, node in _definitions()}
@@ -121,6 +128,36 @@ def test_every_definition_has_a_caller_in_src_or_bench():
     assert not unused, ("defined in src but used only by tests or by "
                         "nothing; move them to tests/conftest.py or delete "
                         "them: " + ", ".join(unused))
+
+
+def _assignments():
+    """(qualified name, bare name, assignment node) for every non-dunder
+    name a module of the package assigns at top level."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and not (name.id.startswith("__")
+                                     and name.id.endswith("__"))):
+                        yield f"{path.stem}.{name.id}", name.id, node
+
+
+def test_every_module_constant_has_a_reader_in_src_or_bench():
+    attrs, names = _tree_references([PACKAGE, ROOT / "bench"])
+    unread = []
+    for qual, name, node in _assignments():
+        own_attrs, own_names = _references(node)
+        if (attrs[name] + names[name]
+                - own_attrs[name] - own_names[name]) == 0:
+            unread.append(qual)
+    assert not unread, ("assigned in src but read only by tests or by "
+                        "nothing; move them to tests/conftest.py or delete "
+                        "them: " + ", ".join(sorted(unread)))
 
 
 def test_paper_api_is_minimal():

@@ -1072,8 +1072,8 @@ def test_positional_tables_are_the_whole_tables_on_a_cycle():
                 pair = (system.generators[i], system.generators[j])
                 for k in (2, n):
                     point = 1 << _exact_bits(k)
-                    whole = _table(pairing, _TAU_CASES, lambda c: c(point))
                     cases = _cases_at(_TAU_CASES, lambda c: c(point))
+                    whole = _table(pairing, cases)
                     for cycle, word in scan_alternating_cycles(g, *pair):
                         position = {v: p for p, v in enumerate(cycle)}
                         expected = list(
