@@ -16,10 +16,12 @@ Berkowitz runs on Python ints: each block is packed once by Kronecker
 substitution u = 2^bits (`_pack`; von zur Gathen and Gerhard, Modern
 Computer Algebra, section 8.4), with bits from the Hadamard bound on the
 torus (`_block_bits`; Mignotte, "Some useful bounds", 1982), and its
-polynomial is read back once (`_unpack`).  The block polynomials are
-multiplied the same way: packed at one width read off their norms,
-multiplied in x over the ints one factor at a time, and each coefficient of
-the product unpacked once.
+polynomial is read back once (`_unpack`, one `int.to_bytes` per value).
+The block polynomials are multiplied the same way, packed at one width read
+off their norms: equal polynomials are grouped, each distinct one is raised
+to its multiplicity in one pass of Miller's recurrence for powers (`_power`;
+Knuth, TAOCP vol. 2, section 4.7), those powers are multiplied in x over
+the ints, and each coefficient of the product is read back once.
 
 Each operation is written once: subtraction adds the negation, and a power
 of a `RatFunc` is the pair of powers of its numerator and denominator.
@@ -32,7 +34,9 @@ on machine/long integer arithmetic instead of Fraction objects.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from struct import calcsize
 from typing import Iterable, Sequence
 
 
@@ -247,22 +251,55 @@ def _pack(p: Poly, bits: int) -> int:
     return v
 
 
+# memoryview formats of the signed native ints of 8, 16, 32 and 64 bits
+_SIGNED_DIGITS = {8 * calcsize(f): f for f in "bhiq"}
+
+
+def _read_width(bits: int) -> int:
+    """The least of 8, 16, 32 and 64 bits that is at least bits, or bits
+    itself past 64.  A polynomial whose coefficients fit the signed digits
+    of bits fits those of any wider width, and `_unpack` reads all the
+    digits of a value at these four through one memoryview."""
+    return next((w for w in _SIGNED_DIGITS if w >= bits), bits)
+
+
 def _unpack(v: int, bits: int) -> Poly:
     """The integer polynomial p with p(2^bits) = v whose coefficients lie
     strictly between -2^(bits-1) and 2^(bits-1): the inverse of `_pack` on
     such polynomials.
 
-    Adding 2^(bits-1) to every signed digit makes each one a plain base-2^bits
-    digit, so all of them are read off one binary string in linear time.
+    Adding 2^(bits-1) to every signed digit d makes each one a plain digit
+    in [1, 2^bits), so v plus that offset o is nonnegative, and its one
+    `int.to_bytes` holds every digit.  At a width of 8, 16, 32 or 64 bits,
+    (v + o) xor o flips each digit's top bit back, which leaves d in two's
+    complement, and one memoryview reads all of them as signed native ints.
+    At any other width each digit is read off the bytes around it, shifted,
+    masked and less 2^(bits-1).
     """
     if not v:
         return P_ZERO
     digits = v.bit_length() // bits + 1
-    half = 1 << (bits - 1)
-    text = bin(v + int(("1" + "0" * (bits - 1)) * digits, 2))[2:]
-    text = text.zfill(digits * bits)
-    return Poly([int(text[i - bits:i], 2) - half
-                 for i in range(len(text), 0, -bits)])
+    offset, m = 1 << (bits - 1), 1      # 2^(bits-1) at each of m digits
+    while m < digits:
+        offset |= offset << (bits * m)
+        m *= 2
+    offset >>= bits * (m - digits)
+    signed = _SIGNED_DIGITS.get(bits)
+    if signed:
+        data = ((v + offset) ^ offset).to_bytes(digits * bits >> 3,
+                                                sys.byteorder)
+        cs = memoryview(data).cast(signed).tolist()
+    else:
+        data = (v + offset).to_bytes((digits * bits + 7) >> 3, "little")
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        cs = [(int.from_bytes(data[i >> 3:(i + bits + 7) >> 3], "little")
+               >> (i & 7) & mask) - half
+              for i in range(0, digits * bits, bits)]
+    while not cs[-1]:                   # v != 0, so some digit is not 0
+        cs.pop()
+    p = Poly.__new__(Poly)              # ints, the top one nonzero: canonical
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
 
 
 def poly_p(d: int) -> Poly:
@@ -565,11 +602,11 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
 
     Equal blocks, such as the many copies of one tau_s block in rho(T_s),
     have equal polynomials, so Berkowitz runs once per distinct block
-    (keyed by its entries) and that polynomial enters the product once for
-    each copy.  The product commutes, so grouping the copies leaves
-    det(xI - M) unchanged.  It is formed one factor at a time, each copy a
-    short factor of the running product: repeated squaring would instead
-    multiply long packed integers by long packed integers.
+    (keyed by its entries).  Blocks with different entries may still share
+    their polynomial (on regular B4 the keys differ only in vertex order),
+    so the products group the blocks by polynomial: each distinct p enters
+    once, as p^k for its multiplicity k.  The product commutes, so the
+    grouping leaves det(xI - M) unchanged.
 
     Each distinct block B (size b) runs on integers: Berkowitz runs on the
     ints B_ij(2^bits), since evaluation at an integer is a ring map and
@@ -590,17 +627,40 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
     with c_j = sum_i |B_ij|_1, so this width is never wider than the one
     read off prod_j (1 + c_j).
 
-    The block polynomials p_1, ..., p_r in Z[u][x], each counted with its
-    multiplicity, are then multiplied as integers at one width.  Let |p| be
-    the sum of |c| over every (x, u) coefficient c of p.  This norm is
-    submultiplicative: each coefficient of p q is a sum of products of one
-    coefficient of p and one of q, so |p q| <= |p| |q|.  Hence every
-    coefficient of det(xI - M) = p_1 ... p_r is at most bound = |p_1| ...
-    |p_r| < 2^(bits-1) in absolute value, for bits = bound.bit_length() + 1.
-    Packing each coefficient of every p_i at u = 2^bits is the ring map
-    Z[u][x] -> Z[x] of evaluation, so the product of the packed polynomials
-    is the packed det(xI - M), and `_unpack` reads each of its coefficients
-    back once.
+    The distinct block polynomials p_1, ..., p_r in Z[u][x], with
+    multiplicities k_1, ..., k_r, are then multiplied as integers at one
+    width.  Let |p| be the sum of |c| over every (x, u) coefficient c of p.
+    This norm is submultiplicative: each coefficient of p q is a sum of
+    products of one coefficient of p and one of q, so |p q| <= |p| |q|.
+    Hence every coefficient of det(xI - M) = p_1^k_1 ... p_r^k_r is at
+    most bound = |p_1|^k_1 ... |p_r|^k_r < 2^(bits-1) in absolute value,
+    for bits = bound.bit_length() + 1.  Packing each coefficient of every
+    p_i at u = 2^bits is the ring map Z[u][x] -> Z[x] of evaluation, so the
+    product of the packed polynomials is the packed det(xI - M), and
+    `_unpack` reads each of its coefficients back once.
+
+    Each power p^k with k > 1 takes one pass of J. C. P. Miller's recurrence
+    (Knuth, TAOCP vol. 2, section 4.7) on the packed p, in about k d^2
+    products for d = deg_x p, where k copies multiplied into a running
+    product take about k^2 d^2 / 2.  Differentiating p^k in x gives
+    p (p^k)' = k p' p^k; with p = sum_j p_j x^j and p^k = sum_n c_n x^n,
+    the coefficients of x^(n-1) read
+        n p_0 c_n = sum_{j=1..min(d, n)} ((k+1) j - n) p_j c_(n-j),
+    with c_0 = p_0^k, an identity in Z[u] and so, evaluated, in Z.  Each
+    division by n p_0 is exact: c_n(2^bits) is an integer that satisfies
+    it, and p_0(2^bits) != 0, because the lowest power of x is taken out
+    first: p = x^v q with q_0 != 0 gives p^k = x^(vk) q^k.  (The
+    coefficients of p_0 lie below 2^(bits-1), as |p| <= bound, so
+    p_0(2^bits) vanishes only for p_0 = 0.)  The division shifts out the
+    power of 2 in p_0(2^bits) first; for rho(T_w), p_0 = det(-B) divides
+    det(-rho(T_w)) = +-u^e in Z[u], so it is +-u^e' and what is left is a
+    division by +-n.
+
+    Both widths, of a block and of the product, are rounded up by
+    `_read_width` to 8, 16, 32 or 64 bits where they are at most 64, so
+    that `_unpack` reads every digit of a value in one memoryview.  A
+    coefficient below 2^(bits-1) in absolute value is below 2^(w-1) for any
+    wider w, so every bound above holds at the wider width.
     """
     n = m.n
     rows: list[list[Poly]] = []
@@ -636,30 +696,57 @@ def char_poly(m: RatMatrix) -> tuple[RatFunc, ...]:
         block.sort()
         key = tuple(tuple(rows[i][j] for j in block) for i in block)
         copies[key] = copies.get(key, 0) + 1
-    polys, bound = [], 1
+    powers: dict[tuple[Poly, ...], int] = {}
     for key, k in copies.items():
         p = _block_char_poly(key)
-        polys.append((p, k))
-        bound *= sum(abs(c) for x in p for c in x.coeffs) ** k
-    bits = bound.bit_length() + 1
+        powers[p] = powers.get(p, 0) + k
+    bound = 1
+    for p, k in powers.items():
+        bound *= sum(sum(map(abs, x.coeffs)) for x in p) ** k
+    bits = _read_width(bound.bit_length() + 1)
     out = [1]
-    for p, k in polys:
+    for p, k in powers.items():
         factor = [_pack(x, bits) for x in p]
-        for _ in range(k):
-            product = [0] * (len(out) + len(factor) - 1)
-            _add_product(product, out, factor)
-            out = product
-    return tuple(RatFunc(_unpack(v, bits)) for v in out)
+        if k > 1:
+            factor = _power(factor, k)
+        product = [0] * (len(out) + len(factor) - 1)
+        _add_product(product, out, factor)
+        out = product
+    return tuple(RatFunc(_unpack(v, bits), P_ONE, _canonical=True)
+                 for v in out)
+
+
+def _power(p: list[int], k: int) -> list[int]:
+    """p^k for a nonzero polynomial p in x over the ints, given and returned
+    as ascending coefficient lists, by Miller's recurrence, whose divisions
+    are exact (the proof is in `char_poly`)."""
+    low = 0
+    while not p[low]:
+        low += 1
+    p = p[low:]
+    p0 = p[0]
+    shift = (p0 & -p0).bit_length() - 1     # p0 = odd * 2^shift
+    odd = p0 >> shift
+    terms = [(j, x) for j, x in enumerate(p) if x and j]
+    c = [p0 ** k]
+    for n in range(1, k * (len(p) - 1) + 1):
+        acc = 0
+        for j, x in terms:
+            if j > n:
+                break
+            acc += ((k + 1) * j - n) * x * c[n - j]
+        c.append((acc >> shift) // (n * odd))
+    return [0] * (low * k) + c
 
 
 def _block_bits(rows: Sequence[Sequence[Poly]]) -> int:
-    """The width at which one block over Z[u] is packed: the Hadamard bound
-    on the torus, proved in `char_poly`."""
+    """The width of one block over Z[u]: the Hadamard bound on the torus,
+    proved in `char_poly`.  The block is packed at its `_read_width`."""
     b2 = 1
     for j in range(len(rows)):
         col = 0
         for i, row in enumerate(rows):
-            x = (i == j) + sum(abs(c) for c in row[j].coeffs)
+            x = (i == j) + sum(map(abs, row[j].coeffs))
             col += x * x
         b2 *= col
     return (math.isqrt(b2 - 1) + 1).bit_length() + 1
@@ -668,7 +755,7 @@ def _block_bits(rows: Sequence[Sequence[Poly]]) -> int:
 def _block_char_poly(rows: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
     """det(xI - B) for one block over Z[u], by Berkowitz on packed ints (the
     width is proved in `char_poly`)."""
-    bits = _block_bits(rows)
+    bits = _read_width(_block_bits(rows))
     packed = _berkowitz([[_pack(x, bits) for x in row] for row in rows])
     return tuple(_unpack(v, bits) for v in packed)
 

@@ -118,9 +118,15 @@ class ModuleRep:
         return self.rho(self.system.gen(s))
 
     def _matrix(self, cols: list[SparseVec], den: Poly = P_ONE) -> RatMatrix:
-        """The RatMatrix with columns cols over Z[u], each entry over den."""
-        return RatMatrix([[RatFunc(col[i], den) if i in col else RF_ZERO
-                           for col in cols] for i in range(self.n)])
+        """The RatMatrix with columns cols over Z[u], each entry over den:
+        rows of zeros, with the nonzero entries of the columns filled in.
+        An entry over 1 is canonical as it stands."""
+        rows = [[RF_ZERO] * self.n for _ in range(self.n)]
+        unit = den.coeffs == (1,)
+        for j, col in enumerate(cols):
+            for i, p in col.items():
+                rows[i][j] = RatFunc(p, den, _canonical=unit)
+        return RatMatrix(rows)
 
     # -- the algebra representation ----------------------------------------------------------
 
@@ -395,13 +401,16 @@ def reversal_identities(digraph: SLabeledDigraph,
     for w in words:
         report = IdentityReport(word=str(w))
         rev_word, inverse_word = w.word[::-1], w.inverse().word
-        lhs = None
+        # w and w^-1 have the same letters and length, so one table serves
+        # every product of this word
+        table = lhs = None
         if rev_word == inverse_word:
             report.twist_matrix = report.twist_trace = True
         else:
-            lhs = _columns_at(pairing, None, rev_word, n)
+            table = _turned_table(pairing, rev_word, n)
+            lhs = _columns_at(table, None, rev_word, n)
             report.twist_matrix, report.twist_trace = _compare(
-                lhs, _columns_at(pairing, None, inverse_word, n))
+                lhs, _columns_at(table, None, inverse_word, n))
         if not signed:
             report.skipped = "sign identity needs acyclic components with sources"
         elif signs is None or all(signs == [-signs[p] for p in pairing[s][0]]
@@ -409,25 +418,30 @@ def reversal_identities(digraph: SLabeledDigraph,
             # every edge of every letter joins D = 1 to D = -1
             report.sign_matrix = report.sign_trace = True
         else:
-            if lhs is None:
-                lhs = _columns_at(pairing, None, rev_word, n)
+            if table is None:
+                table = _turned_table(pairing, rev_word, n)
+                lhs = _columns_at(table, None, rev_word, n)
             report.sign_matrix, report.sign_trace = _compare(
-                lhs, _columns_at(pairing, signs, rev_word, n))
+                lhs, _columns_at(table, signs, rev_word, n))
         reports.append(report)
     return reports
 
 
-def _columns_at(pairing, signs, word, n: int) -> list[SparseVec]:
-    """`_word_columns` along word of the reversed digraph's tau_s tables at
-    u = 2^bits, bits = `_exact_bits(len(word), n)`: `_TAU_CASES` read at the
-    turned codes of word's letters alone.  With a sign list, the partner
-    coefficient of each edge whose ends have equal signs is negated (lemma
-    2 of `reversal_identities`)."""
+def _turned_table(pairing, word, n: int) -> dict:
+    """The reversed digraph's tau_s tables of word's letters at u = 2^bits,
+    bits = `_exact_bits(len(word), n)`: `_TAU_CASES` read at the turned
+    codes, keyed by letter."""
     at = partial(_pack, bits=_exact_bits(len(word), n))
     letters = sorted(set(word))
-    table = dict(zip(letters, _table(
+    return dict(zip(letters, _table(
         [(pairing[s][0], pairing[s][1].translate(_TURNED)) for s in letters],
         _cases_at(_TAU_CASES, at))))
+
+
+def _columns_at(table: dict, signs, word, n: int) -> list[SparseVec]:
+    """`_word_columns` along word of a `_turned_table`.  With a sign list,
+    the partner coefficient of each edge whose ends have equal signs is
+    negated first (lemma 2 of `reversal_identities`)."""
     if signs is not None:
         table = {s: [(p, c, -d if signs[i] == signs[p] else d)
                      for i, (p, c, d) in enumerate(col)]

@@ -639,6 +639,84 @@ def test_char_poly_runs_berkowitz_once_per_distinct_block(monkeypatch):
         assert len(calls) == 1, s
 
 
+def test_char_poly_raises_each_distinct_polynomial_to_its_power_once(
+        monkeypatch):
+    # the 30 tau_s copies may fall under two keys, one per vertex order,
+    # but they share one polynomial, so one power of it is taken, to k = 30
+    powers = []
+    real = exactalg._power
+
+    def counting(p, k):
+        powers.append(k)
+        return real(p, k)
+    monkeypatch.setattr(exactalg, "_power", counting)
+    matrices = equal_block_matrices()
+    identity, expected = next(matrices)
+    assert char_poly(identity) == expected
+    assert powers == [40]
+    powers.clear()
+    tau_copies, expected = next(matrices)
+    assert char_poly(tau_copies) == expected
+    assert powers == [30]
+    # the diagonal of -u^2, u^2 - 1 and 1: three polynomials, 12 each
+    powers.clear()
+    diagonal, expected = next(matrices)
+    assert char_poly(diagonal) == expected
+    assert powers == [12, 12, 12]
+    # a single copy is multiplied in as it is
+    powers.clear()
+    char_poly(RatMatrix([[rf([1, 1]), RF_ZERO], [RF_ZERO, rf(2)]]))
+    assert powers == []
+
+
+@st.composite
+def powerable(draw):
+    """A nonzero polynomial in x over Z[u], as its ascending tuple of Polys,
+    and an exponent k.  Its constant term may be zero, a monomial in u or
+    not a monomial, and its lowest terms in x may vanish."""
+    coeff = st.lists(st.integers(-4, 4), max_size=4).map(Poly)
+    low = draw(st.integers(0, 2))
+    body = draw(st.lists(coeff, min_size=1, max_size=4).filter(
+        lambda cs: cs[0] and any(cs)))
+    return (P_ZERO,) * low + tuple(body), draw(st.integers(1, 40))
+
+
+def power_by_products(p, k):
+    """p^k for p in Z[u][x], one factor at a time."""
+    out = (P_ONE,)
+    for _ in range(k):
+        out = lampoly_mul(out, p, P_ZERO)
+    return out
+
+
+@given(powerable())
+@settings(max_examples=60, deadline=None)
+def test_miller_power_matches_repeated_multiplication(case):
+    # Miller's recurrence on the polynomial packed at a width that bounds
+    # p^k (the norm bound of `char_poly`), read back coefficient by
+    # coefficient, is p^k
+    p, k = case
+    expected = power_by_products(p, k)
+    bits = (sum(sum(map(abs, x.coeffs)) for x in p) ** k).bit_length() + 1
+    got = exactalg._power([_pack(x, bits) for x in p], k)
+    assert tuple(_unpack(v, bits) for v in got) == expected
+
+
+def test_miller_power_on_chosen_constant_terms():
+    # p0 = 0 (x (x - u)), a monomial -u^2 ((x + 1)(x - u^2)), and two
+    # non-monomials 1 + u and 3 - 2u, the last with a zero x coefficient
+    u = P_U
+    cases = [(P_ZERO, -u, P_ONE), (-u * u, P_ONE - u * u, P_ONE),
+             (P_ONE + u, Poly((2, 1)), P_ONE), (Poly((3, -2)), P_ZERO, u)]
+    for p in cases:
+        for k in (1, 2, 7, 40):
+            bits = exactalg._read_width((sum(sum(map(abs, x.coeffs))
+                                             for x in p) ** k).bit_length() + 1)
+            got = exactalg._power([_pack(x, bits) for x in p], k)
+            assert tuple(_unpack(v, bits) for v in got) == \
+                power_by_products(p, k), (p, k)
+
+
 def test_char_poly_edge_cases_match_references():
     rng = random.Random(1913)
     big = (1 << 61) - 1
@@ -673,7 +751,10 @@ def test_char_poly_edge_cases_match_references():
 
 @st.composite
 def packable(draw):
-    bits = draw(st.integers(2, 80))
+    # every width up to 80 bits, and each width `_unpack` reads as signed
+    # native ints drawn on its own
+    bits = draw(st.one_of(st.integers(2, 80),
+                          st.sampled_from(sorted(exactalg._SIGNED_DIGITS))))
     top = (1 << (bits - 1)) - 1
     coeffs = draw(st.lists(st.one_of(st.sampled_from([top, -top, 0, 1, -1]),
                                      st.integers(-top, top)), max_size=12))
@@ -694,6 +775,28 @@ def test_pack_is_evaluation_at_a_power_of_two(case):
     # `_pack` and the Horner evaluation `Poly.__call__` agree at u = 2^bits
     p, bits = case
     assert p(1 << bits) == _pack(p, bits)
+
+
+def test_read_width_rounds_up_to_a_signed_digit_up_to_64_bits():
+    assert sorted(exactalg._SIGNED_DIGITS) == [8, 16, 32, 64]
+    for bits in range(2, 200):
+        width = exactalg._read_width(bits)
+        if bits <= 64:
+            assert width == min(w for w in (8, 16, 32, 64) if w >= bits)
+        else:
+            assert width == bits
+
+
+def test_unpack_reads_extreme_digits_on_both_paths():
+    # the signed-int read at 8, 16, 32 and 64 bits and the shifted read at
+    # other widths, whole bytes among them, on digits at +-(2^(bits-1) - 1)
+    # and around zero, whatever the sign of the top digit
+    for bits in (8, 16, 32, 64, 2, 7, 24, 65, 72, 200):
+        top = (1 << (bits - 1)) - 1
+        for coeffs in ([top], [-top], [top, -top] * 5, [-top, top] * 5,
+                       [0, -1, 1, top, 0, -top], [1, 0, 0, -1], [-1] * 9):
+            p = Poly(coeffs)
+            assert _unpack(_pack(p, bits), bits) == p, (bits, coeffs)
 
 
 def test_lampoly_mul():

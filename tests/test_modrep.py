@@ -24,7 +24,8 @@ from wdigraph.modrep import (BarSolution, IdentityReport, ModuleRep,
                              _apply_columns, _as_ratfuncs, _columns_at,
                              _restricted_component_counts, _same_image,
                              _sign_diagonal,
-                             _table, _trace, _u_powers, _word_columns,
+                             _table, _trace, _turned_table, _u_powers,
+                             _word_columns,
                              bar_from_source, linear_char_dims,
                              reversal_identities, theorem_checkers,
                              zero_hecke_action)
@@ -1359,10 +1360,11 @@ def test_signed_reversed_tau_product_is_the_transposed_s_product():
         pairing, n = g.coded_pairing(), len(g.vertices)
         for w in g.system.enumerate(4):
             rev_word = w.word[::-1]
-            signed = _columns_at(pairing, signs, rev_word, n)
+            table = _turned_table(pairing, rev_word, n)
+            signed = _columns_at(table, signs, rev_word, n)
             assert signed == transposed_sign_side(pairing, signs, w.word, n), \
                 (label, str(w))
-            seen[signed == _columns_at(pairing, None, rev_word, n)] += 1
+            seen[signed == _columns_at(table, None, rev_word, n)] += 1
     # the signs change some products and leave others as they are
     assert seen[True] > 50 and seen[False] > 500, seen
 
@@ -1477,6 +1479,25 @@ def test_reversal_identities_compute_the_sign_side_on_equal_parities(
     g = next(rank3_parity_digraphs())[1]
     (report,) = reversal_identities(g, [g.system.element("r")])
     assert (report.sign_matrix, report.sign_trace) == (False, True)
+
+
+def test_reversal_identities_build_one_turned_table_per_word(monkeypatch):
+    # a word that leaves a side open builds its turned table once, for all
+    # of its products, twist and sign sides alike; a word the lemmas settle
+    # builds none
+    tables = count_calls(monkeypatch, "_turned_table")
+    products = count_calls(monkeypatch, "_columns_at")
+    seen = Counter()
+    inputs = list(rank3_parity_digraphs()) + list(modules_fixtures())
+    for label, g in inputs:
+        for w in g.system.enumerate(3):
+            tables.clear()
+            products.clear()
+            reversal_identities(g, [w])
+            assert len(tables) == (1 if products else 0), (label, str(w))
+            seen[len(products)] += 1
+    # words with one side open (two products), and with both (three)
+    assert seen[0] and seen[2] and seen[3], seen
 
 
 def test_graded_digraphs_join_opposite_parities():
